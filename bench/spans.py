@@ -203,13 +203,14 @@ class Tracer:
         names = [s.name for s in spans]
         dur = [s.end - s.start for s in spans]
 
-        def outer(prefixes: tuple[str, ...]) -> tuple[float, int]:
+        def outer(group: tuple[str, ...]) -> tuple[float, int]:
+            """Time and count of the spans in ``group`` not nested in another."""
             total, calls = 0.0, 0
             for i, n in enumerate(names):
-                if n not in prefixes:
+                if n not in group:
                     continue
                 p = spans[i].parent
-                while p >= 0 and names[p] not in prefixes:
+                while p >= 0 and names[p] not in group:
                     p = spans[p].parent
                 if p < 0:
                     total += dur[i]
