@@ -13,6 +13,7 @@ import hashlib
 import json
 import math
 import os
+from fractions import Fraction
 
 import numpy as np
 
@@ -122,9 +123,12 @@ def _dx_checks(dx, dx0: float) -> list[str]:
     return errors
 
 
-def _on_grid(target: float, res: float) -> bool:
-    k = target / res
-    return abs(k - round(k)) < 1e-9
+def _is_sample(e: dict, p: int, q: int) -> bool:
+    """Whether p/q T is a scan sample.  Decided exactly, from the scan start
+    and resolution the job wrote into its INI (units of tau, T = 2 n0 tau),
+    not from the rounded values read back from the output."""
+    start, res = (Fraction(s) for s in e["scan_grid"])
+    return ((Fraction(2 * e["n0"] * p, q) - start) / res).denominator == 1
 
 
 def _correlate(job: Job, files) -> list[str]:
@@ -170,7 +174,7 @@ def _scan_checks(job: Job, scan) -> list[str]:
     if e["scan"] == "window":
         exact = [f for f in exact if list(f) == e["fraction"]]
     for p, q in exact:
-        if not _on_grid(p / q * T_REV - t0, res):
+        if not _is_sample(e, p, q):
             continue
         channel = "Cbar" if (p, q) == (1, 2) else "C"
         hits = [pk for pk in scan["peaks"] if pk["fraction"] == [p, q]

@@ -27,7 +27,6 @@ import contextlib
 import hashlib
 import io
 import json
-import math
 import os
 import platform
 import re
@@ -61,8 +60,6 @@ WORK = os.path.join(ROOT, ".bench_out")
 # Fresh-interpreter CLI runs behind setup_s; one untimed run first fills
 # the bytecode cache, which users pay once, not per invocation.
 SETUP_REPEATS = 11
-SPEED_KERNEL = {"bounce_dense": "phase", "revival_large": "phase",
-                "powerlaw_family": "scalar"}
 END_TO_END = (("setup_s", "s"), ("job_s.p50", "s"), ("job_s.p90", "s"),
               ("jobs_per_s", "1/s"), ("peak_rss_mb", "MB"))
 
@@ -136,23 +133,14 @@ _M = np.linspace(-1.0, 1.0, 64 * 64).reshape(64, 64)
 _C = np.linspace(0.1, 1.0, 300).tolist()
 
 
-def _phase_kernel():
+def _kernel():
     """An interpreted loop, a 500 x 64 phase matrix with its bilinear form
-    and float formatting: the mix of the box workloads."""
+    and float formatting: the mix of the program's work."""
     s = 0
     for i in range(10000):
         s += i * i
     u = np.exp(-1j * np.outer(_T, _E))
     np.sum(u.conj() * (u @ _M), axis=1)
-    ",".join(f"{x:.12g}" for x in _C)
-
-
-def _scalar_kernel():
-    """Scalar math in an interpreted loop, like wkb_energy per level, and
-    float formatting: the mix of the power-law workload."""
-    s = 0.0
-    for i in range(7500):
-        s += math.exp(math.lgamma(1.0 / (i % 7 + 1) + 1.5) - math.lgamma(1.5)) * (i + 0.5) ** 0.8
     ",".join(f"{x:.12g}" for x in _C)
 
 
@@ -166,14 +154,12 @@ class SpeedReference:
     time over its time measured just before and just after the job: the
     result is the job's time in seconds at the speed at which the kernel
     takes its reference time, its fast-phase time on that machine.  Raw
-    wall times are kept in the record.  Each workload uses the kernel whose
-    kind of work matches its jobs.
+    wall times are kept in the record.
     """
 
-    KERNELS = {"phase": (_phase_kernel, 2.7e-3), "scalar": (_scalar_kernel, 2.5e-3)}
+    reference_s = 2.7e-3
 
-    def __init__(self, kernel: str):
-        self._kernel, self.reference_s = self.KERNELS[kernel]
+    def __init__(self):
         self.last = self.kernel_seconds()
 
     def kernel_seconds(self) -> float:
@@ -181,7 +167,7 @@ class SpeedReference:
         times = []
         for _ in range(3):
             t = time.perf_counter()
-            self._kernel()
+            _kernel()
             times.append(time.perf_counter() - t)
         return statistics.median(times)
 
@@ -259,9 +245,13 @@ def _ok(rec) -> bool:
     return rec["rc"] == 0 and not rec["check"]
 
 
-def _refusal(rec) -> bool:
-    """Exit code 2 is the CLI's documented numerical refusal."""
-    return rec["rc"] == 2
+def known_defect(workload: str, rec) -> bool:
+    """The one failure a run may show and stay correct: the imaginary-residue
+    refusal (exit 2) of revival_large observables jobs, a known defect of the
+    program listed in the ROADMAP.  Any other non-zero exit is an error."""
+    return (workload == "revival_large" and rec["rc"] == 2
+            and rec["kind"].startswith("observables")
+            and "imaginary residue" in (rec["error"] or ""))
 
 
 def _failure_kind(rec) -> str:
@@ -290,10 +280,9 @@ def run(workload: str, seed: int, seconds: float, trace: bool, max_jobs=None) ->
     os.makedirs(work, exist_ok=True)
     record = {"workload": workload, "seed": seed, "seconds": seconds, "trace": trace,
               "machine": machine_details(seed)}
-    speed = SpeedReference(SPEED_KERNEL[workload])
+    speed = SpeedReference()
     runner = Runner(cli, work, speed)
-    # interpreter start-up is import-bound on every workload: the phase kernel
-    setup = [] if trace else measure_setup(work, SpeedReference("phase"))
+    setup = [] if trace else measure_setup(work, speed)
 
     warm = [runner.run(job, "warmup") for job in workloads.warmup(workload)]
     record["warmup"] = warm
@@ -319,7 +308,7 @@ def run(workload: str, seed: int, seconds: float, trace: bool, max_jobs=None) ->
     ok = [r for r in jobs if _ok(r)]
     failed = [r for r in jobs if not _ok(r)]
     check_failures = [r for r in warm + jobs + traced_jobs
-                      if (r["rc"] == 0 and r["check"]) or not (r["rc"] == 0 or _refusal(r))]
+                      if r["check"] or not (r["rc"] == 0 or known_defect(workload, r))]
     mismatched = [i for i, (a, b) in enumerate(zip(jobs, traced_jobs))
                   if a["out_sha256"] != b["out_sha256"]]
     correct = not check_failures and not mismatched

@@ -40,7 +40,8 @@ NONZERO_ON = {
         "cli.self_s", "config.parse_s",
     ],
     "revival_large": [
-        "observables.series_s", "observables.phase_terms", "observables.phase_bytes_max",
+        "observables.series_s", "observables.series_calls", "observables.phase_terms",
+        "observables.phase_bytes_max", "observables.table_s", "observables.table_bytes",
         "correlation.phase_s", "correlation.phase_terms", "correlation.phase_bytes_max",
         "correlation.scan_self_s", "correlation.scan_samples",
         "runs.self_s", "runs.bytes_written", "runs.files_written",
@@ -160,32 +161,47 @@ def test_every_layer_metric_is_nonzero_where_exercised(workload):
 
 
 def test_outputs_repeat_and_carry_the_config_hash():
-    jobs = [j for w in WORKLOADS for j in _jobs(w, 2, _round(w))
+    jobs = [(w, j) for w in WORKLOADS for j in _jobs(w, 2, _round(w))
             if j.kind not in ("correlate-full", "observables-dense")]
     runner = run.Runner(run._import_program(), os.path.join(run.WORK, "test-repeat"),
-                        run.SpeedReference("phase"))
-    first = [runner.run(j, "a") for j in jobs]
-    second = [runner.run(j, "b") for j in jobs]
-    for job, a, b in zip(jobs, first, second):
+                        run.SpeedReference())
+    for workload, job in jobs:
+        a, b = runner.run(job, "a"), runner.run(job, "b")
         assert a["rc"] == b["rc"]
-        if a["rc"] == 2:       # the known imaginary-residue refusal, see README
+        if run.known_defect(workload, a):     # see README
             continue
         assert a["rc"] == 0 and not a["check"], (job.ini, a)
         assert a["out_sha256"] == b["out_sha256"]
         assert a["ini_sha256"] == checks.config_sha(job.ini)
 
 
-def test_checks_reject_tampered_output():
-    cli = run._import_program()
-    job = workloads._powerlaw(["2", "infinity"], 0, 20, False, 1.0, 1.0, None, "csv")
-    base = os.path.join(run.WORK, "test-tamper")
+def test_only_the_known_refusal_leaves_a_run_correct():
+    rec = {"rc": 2, "kind": "observables-dense",
+           "error": "numerical failure: imaginary residue 3e-11 on <p> exceeds 1e-12"}
+    assert run.known_defect("revival_large", rec)
+    assert not run.known_defect("bounce_dense", rec)
+    assert not run.known_defect("revival_large", {**rec, "kind": "correlate-window"})
+    assert not run.known_defect("revival_large", {**rec, "error": "CollapseFitError: 2 points"})
+    assert not run.known_defect("revival_large", {**rec, "rc": 1})
+
+
+def _run_job(job, name):
+    """Runs one job through cli.main; returns its output directory."""
+    base = os.path.join(run.WORK, name)
     shutil.rmtree(base, ignore_errors=True)
     os.makedirs(base)
     ini = os.path.join(base, "job.ini")
     with open(ini, "w") as fh:
         fh.write(job.ini)
     out = os.path.join(base, "out")
-    assert cli.main(["powerlaw", "--config", ini, "--out", out, "--format", "csv"]) == 0
+    argv = [job.command, "--config", ini, "--out", out, "--format", job.fmt]
+    assert run._import_program().main(argv) == 0
+    return out
+
+
+def test_checks_reject_tampered_output():
+    job = workloads._powerlaw(["2", "infinity"], 0, 20, False, 1.0, 1.0, None, "csv")
+    out = _run_job(job, "test-tamper")
     path = os.path.join(out, "powerlaw.csv")
     assert checks.check_job(job, out, [path]) == []
     with open(path) as fh:
@@ -196,7 +212,28 @@ def test_checks_reject_tampered_output():
     with open(path, "w") as fh:
         fh.write(text.replace("config-sha256: ", "config-sha256: 0", 1))
     assert any("config-sha256" in e for e in checks.check_job(job, out, [path]))
-    shutil.rmtree(base)
+    shutil.rmtree(os.path.dirname(out))
+
+
+@pytest.mark.parametrize("job", [
+    workloads._coarse_correlate(200, 0.4, 0.07, 400, "1", "json"),
+    workloads._window_scan(1500, 0.4, 0.009, (1, 2), 100, 0.125, "csv"),
+], ids=["full", "window"])
+def test_checks_reject_a_lowered_half_revival_peak(job):
+    """The Cbar peak of height 1 at T/2 is checked on full and window scans."""
+    out = _run_job(job, "test-tamper-scan")
+    listed = [os.path.join(out, f) for f in os.listdir(out)]
+    assert checks.check_job(job, out, listed) == []
+    path = os.path.join(out, "revival_scan.json")
+    with open(path) as fh:
+        scan = json.load(fh)
+    half = [pk for pk in scan["peaks"] if pk["fraction"] == [1, 2] and pk["channel"] == "Cbar"]
+    assert len(half) == 1
+    half[0]["height"] = 0.999
+    with open(path, "w") as fh:
+        json.dump(scan, fh)
+    assert "no Cbar peak of height 1 at 1/2 T" in checks.check_job(job, out, listed)
+    shutil.rmtree(os.path.dirname(out))
 
 
 def test_refuses_to_run_without_the_program_sources():

@@ -163,7 +163,7 @@ def _coarse_correlate(n0, x0, dx0, count: int, res: str, fmt: str) -> Job:
                               "scan_resolution": f"{res}tau"}})
     return Job("correlate-coarse", "correlate", ini, fmt,
                {**_packet_expect(n0, x0, dx0), "reaches_T": True, "fit": fit,
-                "scan": "full"})
+                "scan": "full", "scan_grid": ["0", res]})
 
 
 def _evolve(n0, x0, dx0, times: list[str], rep: str, fmt: str) -> Job:
@@ -201,12 +201,12 @@ def _bounce_round(d: Draws) -> list[Job]:
     # medium: dense observables over one revival period, CSV and JSON
     for u, fmt in d.slots("obs", 6):
         dx0 = _bounce_dx0(u)
-        count = _samples_for(0.15 * (1 + 0.1 * u), _BOUNCE_COST[fmt], dx0)
+        count = _samples_for(0.12 * (1 + 0.1 * u), _BOUNCE_COST[fmt], dx0)
         medium.append(_dense_observables(_bounce_n0(u), d.x0(), dx0, count, fmt))
-    # large: the same with 1.1e4 to 1.9e4 samples, CSV
+    # large: the same with 1e4 to 1.4e4 samples, CSV
     for u, _ in d.slots("obs.large", 2):
         dx0 = _lin(1.0 - u, 0.03, 0.05)
-        count = _samples_for(0.7 * (1 + 0.1 * u), _BOUNCE_COST["csv"], dx0)
+        count = _samples_for(0.55 * (1 + 0.1 * u), _BOUNCE_COST["csv"], dx0)
         large.append(_dense_observables(_bounce_n0(u), d.x0(), dx0, count, "csv"))
     return _interleave(rng, {"S": small, "M": medium, "L": large}, "SMMLSMSMMLSM")
 
@@ -247,15 +247,15 @@ def _full_scan_n0(seconds: float, dx0: float) -> int:
 def _window_scan(n0, x0, dx0, frac, half_width: int, res: float, fmt: str) -> Job:
     p, q = frac
     target = 2 * n0 * p // q           # p/q T in units of tau
+    start = f"{target - half_width * res!r}"
     stop = "1T" if (p, q) == (1, 1) else f"{target + half_width * res!r}tau"
     ini = _ini({"packet": _packet(n0, x0, dx0),
                 "schedule": {"mode": "stroboscopic", "n_start": 0, "n_stop": 100},
-                "correlate": {"scan": "true",
-                              "scan_start": f"{target - half_width * res!r}tau",
+                "correlate": {"scan": "true", "scan_start": f"{start}tau",
                               "scan_stop": stop, "scan_resolution": f"{res!r}tau"}})
     return Job("correlate-window", "correlate", ini, fmt,
                {**_packet_expect(n0, x0, dx0), "reaches_T": False, "fit": False,
-                "scan": "window", "fraction": [p, q]})
+                "scan": "window", "fraction": [p, q], "scan_grid": [start, f"{res!r}"]})
 
 
 def _full_scan(n0, x0, dx0, fmt: str, res: str = "0.5") -> Job:
@@ -265,7 +265,7 @@ def _full_scan(n0, x0, dx0, fmt: str, res: str = "0.5") -> Job:
                 "correlate": {"scan": "true", "scan_resolution": f"{res}tau"}})
     return Job("correlate-full", "correlate", ini, fmt,
                {**_packet_expect(n0, x0, dx0), "reaches_T": True, "fit": False,
-                "scan": "full"})
+                "scan": "full", "scan_grid": ["0", res]})
 
 
 def _strobe_observables(n0, x0, dx0, step: int, fmt: str) -> Job:
