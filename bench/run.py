@@ -2,15 +2,18 @@
 
 Run from the repository root (the script finds ./src next to bench/):
 
-    python3 bench/run.py --workload bounce_dense --seed 1 --seconds 30 --trace 0
+    python3 bench/run.py --workload bounce_dense --seed 1 --seconds 25 --trace 0
 
 A closed loop with a single client calls ``wellpacket.cli.main(argv)``
-in-process, one job at a time, for ``--seconds`` of wall time after a
-fixed warm-up.  Each job is a generated INI config plus a subcommand
-(bench/workloads.py); its output files are checked (bench/checks.py) and
-then deleted.  The package is imported from ./src; nothing is installed.
-The process runs on one CPU with one BLAS thread, and job times are
-scaled to a fixed machine speed (see SpeedReference).
+in-process, one job at a time, after a fixed warm-up.  The run's job list
+is fixed by the seed and ``--seconds``: as many whole rounds of the
+workload as last about ``--seconds`` on the reference machine, so the
+same seed always attempts the same jobs.  Each job is a generated INI
+config plus a subcommand (bench/workloads.py); its output files are
+checked (bench/checks.py) and then deleted.  The package is imported
+from ./src; nothing is installed.  The process runs on one CPU with one
+BLAS thread, and job times are scaled to a fixed machine speed (see
+SpeedReference).
 
 --trace 0 prints the end-to-end metrics.  --trace 1 runs every job twice,
 untraced and traced in alternating order, and prints the per-layer
@@ -287,12 +290,12 @@ def run(workload: str, seed: int, seconds: float, trace: bool, max_jobs=None) ->
     warm = [runner.run(job, "warmup") for job in workloads.warmup(workload)]
     record["warmup"] = warm
 
-    stream = workloads.job_stream(workload, seed)
+    n_rounds = workloads.rounds(workload, seconds, trace)
+    todo = workloads.job_list(workload, seed, n_rounds)[:max_jobs]
     jobs, traced_jobs = [], []
     tracer, stats = Tracer(), LayerStats()
     start = time.perf_counter()
-    while time.perf_counter() - start < seconds and (max_jobs is None or len(jobs) < max_jobs):
-        job = next(stream)
+    for job in todo:
         if not trace:
             jobs.append(runner.run(job, "job"))
             continue
@@ -316,6 +319,7 @@ def run(workload: str, seed: int, seconds: float, trace: bool, max_jobs=None) ->
         failed = [a for a, b in zip(jobs, traced_jobs) if not (_ok(a) and _ok(b))]
 
     record.update({
+        "rounds": n_rounds,
         "elapsed_s": elapsed,
         "jobs": jobs,
         "traced_jobs": traced_jobs,
@@ -372,7 +376,7 @@ def _summary(record) -> list[str]:
     lines = [
         f"workload {record['workload']}  seed {record['seed']}  "
         f"{'traced' if record['trace'] else 'untraced'}  "
-        f"{len(jobs)} jobs in {record['elapsed_s']:.1f} s",
+        f"{len(jobs)} jobs ({record['rounds']} rounds) in {record['elapsed_s']:.1f} s",
         f"machine: nproc {m['nproc']}  python {m['python']}  numpy {m['numpy']}  "
         f"blas {(m['blas'] or {}).get('name')} {(m['blas'] or {}).get('version')}  "
         f"commit {m['git_commit']}",

@@ -5,8 +5,8 @@ They run the real program from ./src on short, fixed job counts.
 
 from __future__ import annotations
 
-import itertools
 import json
+import math
 import os
 import random
 import shutil
@@ -63,7 +63,7 @@ def _round(workload) -> int:
 
 
 def _jobs(workload, seed, n):
-    return list(itertools.islice(workloads.job_stream(workload, seed), n))
+    return workloads.job_list(workload, seed, math.ceil(n / _round(workload)))[:n]
 
 
 @pytest.mark.parametrize("workload", WORKLOADS)
@@ -84,6 +84,18 @@ def test_every_round_holds_every_job_kind(workload):
     jobs = _jobs(workload, 3, 3 * size)
     for r in range(3):
         assert {j.kind for j in jobs[r * size:(r + 1) * size]} >= kinds
+
+
+def test_a_run_is_whole_rounds_of_at_least_100_jobs():
+    """The job count is fixed by --seconds, not by the machine's speed, and
+    leaves ten jobs beyond the 90th percentile."""
+    with open(os.path.join(run.ROOT, "BENCHMARK.json")) as fh:
+        seconds = json.load(fh)["run_seconds"]
+    for workload in WORKLOADS:
+        n_rounds = workloads.rounds(workload, seconds)
+        assert n_rounds * _round(workload) >= 100
+        assert workloads.rounds(workload, seconds, traced=True) < n_rounds
+        assert len(workloads.job_list(workload, 4, n_rounds)) == n_rounds * _round(workload)
 
 
 def test_self_time_is_span_minus_child_spans():

@@ -1,11 +1,11 @@
-"""Seeded job streams for the three benchmark workloads.
+"""Seeded job lists for the three benchmark workloads.
 
 A job is one CLI invocation: a subcommand, the INI text it runs with, an
-output format, and the parameters the output checks need.  Streams are
-endless and built round by round.  Every round holds a fixed deck of job
-kinds, and each size parameter is drawn low-discrepancy: evenly spread
+output format, and the parameters the output checks need.  Lists are
+built round by round.  Every round holds a fixed deck of job kinds,
+and each size parameter is drawn low-discrepancy: evenly spread
 over its range inside a round, and shifted by the golden ratio from one
-round to the next.  Any prefix of a stream therefore covers the ranges
+round to the next.  Any prefix of a list therefore covers the ranges
 nearly uniformly, which keeps a run's mix of work, and so its medians,
 almost the same whatever the seed.  Only the generated INI text reaches
 the program.
@@ -45,11 +45,11 @@ class Job:
 
 
 class Draws:
-    """Seeded draws for one job stream.
+    """Seeded draws for one job list.
 
     ``slots(key, k)`` gives the k jobs of one kind in a round a size
     u in [0, 1) each, evenly spaced and rotated by the golden ratio from
-    round to round, so any prefix of the stream covers [0, 1) nearly
+    round to round, so any prefix of the list covers [0, 1) nearly
     uniformly.  Each job derives its cost-setting parameters from its u,
     each growing with u (the output format too: CSV below 0.7, the dearer
     JSON above, a step kept away from the median and the 90th percentile),
@@ -117,9 +117,8 @@ def _revival_cost(n: float) -> float:
 
 
 def _interleave(rng: random.Random, classes: dict[str, list[Job]], pattern: str) -> list[Job]:
-    """One round in a fixed order of classes, so that a run cut short
-    mid-round still holds each class in proportion; order within a class
-    is shuffled."""
+    """One round in a fixed order of classes, so that any prefix of a round
+    holds each class in proportion; order within a class is shuffled."""
     for jobs in classes.values():
         rng.shuffle(jobs)
     return [classes[c].pop() for c in pattern]
@@ -321,6 +320,7 @@ def _revival_warmup() -> list[Job]:
 # --- powerlaw_family --------------------------------------------------------
 
 _K_POOL = ["1", "1.5", "3", "4", "6", "8"]
+_EXTRA_K = [["infinity"], ["2.05"], []]
 
 
 def powerlaw_fit_periods(k: str, n0: int, dn: float, half: bool) -> float:
@@ -358,19 +358,40 @@ def _fit_params(rng: random.Random, ks: list[str], half: bool):
     return None
 
 
+def _powerlaw_job(rng: random.Random, ks: list[str], levels: float, fit: bool,
+                  fmt: str) -> Job:
+    """k = 2 plus ``ks`` over ``levels`` levels from a seeded n_min."""
+    ks = sorted(["2"] + ks, key=lambda k: math.inf if k == "infinity" else float(k))
+    half = rng.random() < 0.3
+    n_min = rng.randint(0, 50)
+    return _powerlaw(ks, n_min, n_min + round(levels), half,
+                     rng.uniform(0.5, 2.0), rng.uniform(0.5, 2.0),
+                     _fit_params(rng, ks, half) if fit else None, fmt)
+
+
 def _powerlaw_round(d: Draws) -> list[Job]:
+    # A job's cost is about (levels) x (exponents), each finite k costing
+    # the same and k = infinity (a closed form) about 0.4 of that; a JSON
+    # file costs about 1.4 times a CSV one.  Sizes come in classes, as in
+    # the other workloads, so that the median and the 90th percentile fall
+    # inside a class of nearly equal cost whatever k the seed draws.
     rng = d.rng
-    kinds = {"F": [], "P": []}
-    for key, (u, fmt) in [("F", slot) for slot in d.slots("fit", 4)] + \
-                         [("P", slot) for slot in d.slots("spectrum", 6)]:
-        # more exponents and more levels together, so cost ranks with u
-        ks = ["2"] + rng.sample(_K_POOL + ["infinity", "2.05"], 1 + int(5 * u))
-        ks.sort(key=lambda k: math.inf if k == "infinity" else float(k))
-        half = rng.random() < 0.3
-        kinds[key].append(_powerlaw(ks, rng.randint(0, 50), round(_lin(u, 200, 1200)), half,
-                              rng.uniform(0.5, 2.0), rng.uniform(0.5, 2.0),
-                              _fit_params(rng, ks, half) if key == "F" else None, fmt))
-    return _interleave(rng, kinds, "FPPFPFPPFP")
+    small, medium, large = [], [], []
+    # small: one or two finite k, sometimes k = infinity or 2.05 (set by u),
+    # 200-500 levels, two of the three with a collapse fit
+    for i, (u, fmt) in enumerate(d.slots("small", 3)):
+        ks = rng.sample(_K_POOL, 1 + int(2 * u)) + _EXTRA_K[int(9 * u) % 3]
+        small.append(_powerlaw_job(rng, ks, _lin(u, 200, 500), i < 2, fmt))
+    # medium: three finite k over 600-660 levels, CSV, no fit
+    for u, _ in d.slots("medium", 4):
+        medium.append(_powerlaw_job(rng, rng.sample(_K_POOL, 3), _lin(u, 600, 660),
+                                    False, "csv"))
+    # large: four finite k and k = infinity over 1100-1200 levels, JSON,
+    # one of the three with a collapse fit
+    for i, (u, _) in enumerate(d.slots("large", 3)):
+        large.append(_powerlaw_job(rng, rng.sample(_K_POOL, 4) + ["infinity"],
+                                   _lin(u, 1100, 1200), i == 0, "json"))
+    return _interleave(rng, {"S": small, "M": medium, "L": large}, "SMLMSLMSLM")
 
 
 def _powerlaw_warmup() -> list[Job]:
@@ -392,9 +413,24 @@ def warmup(workload: str) -> list[Job]:
     return WORKLOADS[workload][1]()
 
 
-def job_stream(workload: str, seed: int):
-    """Endless, deterministic sequence of jobs for one workload and seed."""
+# Wall seconds one round takes on the reference machine (2 vCPUs; median
+# of ten runs of each workload), untraced; a traced round runs every job twice,
+# once under the span wrappers.  A run holds a fixed number of whole rounds
+# set from these and --seconds, so that its job list, and with it the
+# attempted and failed counts, depends only on the seed and --seconds and
+# never on how fast the machine happened to be during the run.
+ROUND_SECONDS = {"bounce_dense": 2.6, "revival_large": 2.0, "powerlaw_family": 1.8}
+TRACED_ROUND_FACTOR = 2.5
+
+
+def rounds(workload: str, seconds: float, traced: bool = False) -> int:
+    """Whole rounds that last about ``seconds`` on the reference machine."""
+    per_round = ROUND_SECONDS[workload] * (TRACED_ROUND_FACTOR if traced else 1.0)
+    return max(1, math.ceil(seconds / per_round))
+
+
+def job_list(workload: str, seed: int, n_rounds: int) -> list[Job]:
+    """The first ``n_rounds`` rounds of jobs for one workload and seed."""
     make_round = WORKLOADS[workload][0]
     draws = Draws(random.Random(f"{workload}:{seed}"))
-    while True:
-        yield from make_round(draws)
+    return [job for _ in range(n_rounds) for job in make_round(draws)]
