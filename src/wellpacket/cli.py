@@ -51,7 +51,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--precision", type=int, default=None,
                        help="override the [output] significant digits")
         p.add_argument("--threads", type=int, default=1,
-                       help="worker threads for long series (default 1)")
+                       help="threads for observables and scan-flatten series, "
+                            "each cut into at least that many time chunks; output "
+                            "does not depend on it (default 1)")
     return parser
 
 

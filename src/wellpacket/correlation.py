@@ -72,8 +72,15 @@ class ScanPeak:
 
 
 def _phase_sum(exp: EigenExpansion, weights: NDArray, times) -> NDArray[np.complex128]:
+    """Sum_n weights[n, j] exp(i E_n t / hbar), shaped (j, t), or (t,) for 1-d weights.
+
+    The weights are real, so with the kernel's P = exp(-i E t / hbar) each
+    chunk contributes conj(P @ weights); one chunk is alive at a time.
+    """
     t = np.atleast_1d(np.asarray(times, dtype=float))
-    return np.exp(1j * np.outer(t, exp.energies) / exp.sys.hbar) @ weights.astype(complex)
+    w = weights.astype(complex)
+    out = np.empty(w.shape[1:] + t.shape, dtype=complex)
+    return exp.map_chunks(lambda P: np.conj(P @ w).T, t, out)
 
 
 def autocorrelation(exp: EigenExpansion, t: float) -> complex:
@@ -203,8 +210,8 @@ def revival_scan(exp: EigenExpansion, t_window: tuple[float, float],
     if not (0.0 <= t0 < t1 <= T + 1e-12):
         raise ValueError("scan window must lie within [0, T]")
     times = np.arange(t0, t1 + resolution / 2, resolution)
-    ac = np.abs(autocorrelation_series(exp, times))
-    mc = np.abs(mirror_correlation_series(exp, times))
+    both = np.stack([exp.weights, _mirror_weights(exp)], axis=1)
+    ac, mc = np.abs(_phase_sum(exp, both, times))
     curve = np.maximum(ac, mc)
     peaks = []
     last = len(times) - 1

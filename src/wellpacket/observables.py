@@ -37,9 +37,18 @@ __all__ = [
 OBSERVABLES = ("x", "x2", "p", "p2")
 SERIES_IDS = OBSERVABLES + ("dx", "dp")
 
-# Relative ceiling on the imaginary residue of an assembled real observable;
-# anything larger points at a coefficient/table inconsistency.
+# Ceiling on the imaginary residue of an assembled real observable, as a
+# fraction of its rounding scale Sum |a_m||a_n||O_mn| (see _series);
+# anything larger points at a coefficient/table inconsistency.  Also the
+# relative floor below which a variance counts as negative.
 _IMAG_TOL = 1e-12
+
+# How far <x> may stray outside [0, L], as a fraction of L.
+_WELL_TOL = 1e-9
+
+# The bilinear forms each series id is assembled from.
+_FORMS = {"x": ("x",), "x2": ("x2",), "p": ("p",), "p2": (),
+          "dx": ("x", "x2"), "dp": ("p",)}
 
 
 class NumericalConsistencyError(RuntimeError):
@@ -143,41 +152,7 @@ def table_for(exp: EigenExpansion) -> MatrixElementTable:
     return build_matrix_elements(exp.n_min, exp.n_max, exp.sys)
 
 
-def _assemble(exp: EigenExpansion, table: MatrixElementTable, which: str,
-              times: NDArray[np.float64]) -> NDArray[np.float64]:
-    Mk = table.block(which, exp)
-    U = exp.coefficients[None, :] * np.exp(
-        -1j * np.outer(times, exp.energies) / exp.sys.hbar)
-    vals = np.sum(U.conj() * (U @ Mk.T), axis=1)
-    scale = np.maximum(1.0, np.abs(vals.real))
-    worst = float(np.max(np.abs(vals.imag) / scale)) if vals.size else 0.0
-    if worst > _IMAG_TOL:
-        raise NumericalConsistencyError(
-            f"imaginary residue {worst:.3e} on <{which}> exceeds {_IMAG_TOL}")
-    return vals.real
-
-
-def expectation(exp: EigenExpansion, table: MatrixElementTable, which: str,
-                t: float) -> float:
-    """<which>_t for which in {x, x2, p, p2}."""
-    val = float(_assemble(exp, table, which, np.array([float(t)]))[0])
-    if which == "x" and not -1e-9 <= val <= exp.sys.width_L + 1e-9:
-        raise NumericalConsistencyError(f"<x> = {val} outside the well")
-    return val
-
-
-def expectation_series(exp: EigenExpansion, table: MatrixElementTable, which: str,
-                       times) -> NDArray[np.float64]:
-    """Vectorized expectation over a time array."""
-    return _assemble(exp, table, which, np.asarray(times, dtype=float))
-
-
-def _variance(exp, table, which: str, times) -> NDArray[np.float64]:
-    sq = {"x": "x2", "p": "p2"}
-    if which not in sq:
-        raise ValueError(f"uncertainty defined for x or p, got {which!r}")
-    mean = _assemble(exp, table, which, times)
-    second = _assemble(exp, table, sq[which], times)
+def _variance(mean, second, which: str) -> NDArray[np.float64]:
     var = second - mean**2
     floor = -_IMAG_TOL * np.maximum(1.0, np.abs(second))
     if np.any(var < floor):
@@ -186,16 +161,96 @@ def _variance(exp, table, which: str, times) -> NDArray[np.float64]:
     return np.maximum(var, 0.0)
 
 
+def _series(exp: EigenExpansion, table: MatrixElementTable, ids: tuple[str, ...],
+            times, threads: int = 1) -> list[NDArray[np.float64]]:
+    """Each series id over a time array, from one evolved block per time chunk.
+
+    b_n(t) = a_n exp(-i E_n t / hbar) is formed once per phase-kernel chunk
+    and every form the ids need, <O>_t = Sum_mn b_m* O_mn b_n for O in
+    {x, x2, p}, is assembled from it.  <p^2> = Sum |a_n|^2 p_n^2 is
+    constant in time and needs no block.
+    """
+    for which in ids:
+        if which not in SERIES_IDS:
+            raise ValueError(f"unknown series id {which!r}")
+    t = np.asarray(times, dtype=float).reshape(-1)
+    forms = [f for f in ("x", "x2", "p") if any(f in _FORMS[w] for w in ids)]
+    blocks = [table.block(f, exp) for f in forms]
+
+    def assemble(P):
+        b = np.multiply(exp.coefficients, P, out=P)
+        return np.stack([np.sum(b.conj() * (b @ Mk.T), axis=1) for Mk in blocks])
+
+    raw = exp.map_chunks(assemble, t, np.empty((len(forms), t.size), dtype=complex),
+                         threads) if forms else []
+    mags = np.abs(exp.coefficients)
+    vals = {}
+    for f, Mk, v in zip(forms, blocks, raw):
+        # <O>_t is real, so its imaginary part is rounding in the sum over
+        # m, n, bounded by a small multiple of eps Sum |b_m||b_n||O_mn|;
+        # |b_n(t)| = |a_n| makes that scale the same at every t.
+        scale = float(mags @ np.abs(Mk) @ mags)
+        worst = float(np.max(np.abs(v.imag))) if v.size else 0.0
+        if worst > _IMAG_TOL * scale:
+            raise NumericalConsistencyError(
+                f"imaginary residue {worst:.3e} on <{f}> exceeds {_IMAG_TOL} "
+                f"of its scale {scale:.3e}")
+        vals[f] = v.real
+    if "x" in vals:
+        L = exp.sys.width_L
+        x = vals["x"]
+        out_of_well = np.maximum(-x, x - L)
+        if np.any(out_of_well > _WELL_TOL * L):
+            raise NumericalConsistencyError(
+                f"<x> = {x[np.argmax(out_of_well)]} outside the well")
+    if any(w in ("p2", "dp") for w in ids):
+        p2 = float(exp.weights @ np.diagonal(table.block("p2", exp)))
+        vals["p2"] = np.full(t.size, p2)
+
+    out = []
+    for which in ids:
+        if which in ("dx", "dp"):
+            mean = which[1:]
+            out.append(np.sqrt(_variance(vals[mean], vals[mean + "2"], mean)))
+        else:
+            out.append(vals[which])
+    return out
+
+
+def expectation(exp: EigenExpansion, table: MatrixElementTable, which: str,
+                t: float) -> float:
+    """<which>_t for which in {x, x2, p, p2}."""
+    if which not in OBSERVABLES:
+        raise ValueError(f"unknown observable {which!r}")
+    return float(_series(exp, table, (which,), [t])[0][0])
+
+
+def expectation_series(exp: EigenExpansion, table: MatrixElementTable, which,
+                       times, threads: int = 1):
+    """Vectorized expectation over a time array.
+
+    ``which`` is one id of SERIES_IDS ("dx" and "dp" are the
+    uncertainties) or a tuple of them; a tuple returns a tuple of arrays,
+    all assembled from one evolved block per time chunk.  ``threads``
+    spreads the chunks over that many threads without changing a value.
+    """
+    if isinstance(which, str):
+        return _series(exp, table, (which,), times, threads)[0]
+    return tuple(_series(exp, table, tuple(which), times, threads))
+
+
 def uncertainty(exp: EigenExpansion, table: MatrixElementTable, which: str,
                 t: float) -> float:
     """Delta which at time t, sqrt(<O^2> - <O>^2), which in {x, p}."""
-    return float(np.sqrt(_variance(exp, table, which, np.array([float(t)]))[0]))
+    return float(uncertainty_series(exp, table, which, [t])[0])
 
 
 def uncertainty_series(exp: EigenExpansion, table: MatrixElementTable, which: str,
                        times) -> NDArray[np.float64]:
     """Vectorized uncertainty over a time array."""
-    return np.sqrt(_variance(exp, table, which, np.asarray(times, dtype=float)))
+    if which not in ("x", "p"):
+        raise ValueError(f"uncertainty defined for x or p, got {which!r}")
+    return _series(exp, table, ("d" + which,), times)[0]
 
 
 def spec_hash(exp: EigenExpansion) -> str:
@@ -207,17 +262,14 @@ def spec_hash(exp: EigenExpansion) -> str:
 
 
 def sample_series(exp: EigenExpansion, table: MatrixElementTable, which: str,
-                  schedule) -> TimeSeries:
+                  schedule, threads: int = 1) -> TimeSeries:
     """One value per schedule point; which in {x, x2, p, p2, dx, dp}."""
     times = np.asarray(schedule, dtype=float)
     if times.size == 0:
         raise ValueError("empty schedule")
-    if which in ("dx", "dp"):
-        values = uncertainty_series(exp, table, which[1:], times)
-    elif which in OBSERVABLES:
-        values = expectation_series(exp, table, which, times)
-    else:
+    if which not in SERIES_IDS:
         raise ValueError(f"unknown series id {which!r}")
+    values = expectation_series(exp, table, which, times, threads)
     meta = {
         "packet": spec_hash(exp),
         "window": [exp.n_min, exp.n_max],

@@ -10,6 +10,8 @@ the packet starts at x0 moving toward the right wall with mean momentum
 from __future__ import annotations
 
 import math
+from collections.abc import Callable, Iterator
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,11 +19,34 @@ from numpy.typing import NDArray
 
 from .system import WellSystem, eigenenergy
 
-__all__ = ["PacketSpec", "EigenExpansion", "build_gaussian_packet", "initial_moments"]
+__all__ = ["PacketSpec", "EigenExpansion", "build_gaussian_packet", "initial_moments",
+           "PHASE_CHUNK_BYTES"]
 
 # Raw Gaussian weight that may be discarded by clipping the window at n = 1
 # before the construction is flagged.
 _TRUNCATION_WARN_WEIGHT = 1e-8
+
+# Bytes of complex128 phase factors one time chunk of the phase kernel may
+# hold.  Every series and scan reduces one chunk before building the next,
+# so memory stays bounded however many time samples a run asks for.
+PHASE_CHUNK_BYTES = 16 * 2**20
+
+
+def _time_chunks(n_times: int, n_levels: int, parts: int = 1) -> list[slice]:
+    """Row slices of a T x N complex128 phase block, each within PHASE_CHUNK_BYTES.
+
+    The slices are balanced, their lengths differing by at most one, and
+    there are at least ``parts`` of them as long as each still holds two
+    rows.  No slice of a longer block holds a single row unless the budget
+    forces it: BLAS sums a one-row product in another order, and with at
+    least two rows per slice a row's value does not depend on the split.
+    """
+    if n_times == 0:
+        return []
+    rows = max(1, PHASE_CHUNK_BYTES // (16 * max(1, n_levels)))
+    n = max(-(-n_times // rows), min(parts, n_times // 2))
+    edges = [i * n_times // n for i in range(n + 1)]
+    return [slice(a, b) for a, b in zip(edges, edges[1:])]
 
 
 @dataclass(frozen=True)
@@ -105,9 +130,49 @@ class EigenExpansion:
         """|a_n|^2 over the window."""
         return np.abs(self.coefficients) ** 2
 
+    def phase_chunks(self, times) -> Iterator[tuple[slice, NDArray[np.complex128]]]:
+        """The phase kernel: P[k, n] = exp(-i E_n t_k / hbar) in time chunks.
+
+        Yields (s, P), where P's rows belong to times[s]; the slices cover
+        times in order, each within PHASE_CHUNK_BYTES (see _time_chunks).
+        Each P is built when the caller asks for it, so a caller that
+        reduces one chunk before taking the next never holds more than one
+        of them.
+        """
+        t = np.asarray(times, dtype=float).reshape(-1)
+        for s in _time_chunks(t.size, len(self.energies)):
+            yield s, self._phase_block(t[s])
+
+    def _phase_block(self, t: NDArray[np.float64]) -> NDArray[np.complex128]:
+        P = -1j * np.outer(t, self.energies) / self.sys.hbar
+        return np.exp(P, out=P)
+
+    def map_chunks(self, fn: Callable[[NDArray[np.complex128]], NDArray], times,
+                   out: NDArray, threads: int = 1) -> NDArray:
+        """out[..., s] = fn(P) for every phase chunk (s, P) of times; returns out.
+
+        fn may overwrite P.  With threads > 1 the times are cut into at
+        least that many chunks, which go to a pool of that many threads,
+        each building its own P; at most ``threads`` chunks are alive at
+        once, and out is the same as with one thread.
+        """
+        t = np.asarray(times, dtype=float).reshape(-1)
+
+        def task(s: slice):
+            out[..., s] = fn(self._phase_block(t[s]))
+
+        chunks = _time_chunks(t.size, len(self.energies), threads)
+        if threads <= 1:
+            for s in chunks:
+                task(s)
+        else:
+            with ThreadPoolExecutor(max_workers=threads) as pool:
+                list(pool.map(task, chunks))
+        return out
+
     def phases_at(self, t: float) -> NDArray[np.complex128]:
         """Coefficients evolved to time t: a_n exp(-i E_n t / hbar)."""
-        return self.coefficients * np.exp(-1j * self.energies * t / self.sys.hbar)
+        return self.coefficients * self._phase_block(np.array([float(t)]))[0]
 
 
 def build_gaussian_packet(spec: PacketSpec, sys: WellSystem = WellSystem()) -> EigenExpansion:

@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -69,17 +68,6 @@ def _prepare(cfg: RunConfig):
     return exp, report
 
 
-def _series_values(exp, table, which, times, threads: int = 1):
-    if threads <= 1 or len(times) < 256:
-        if which in ("dx", "dp"):
-            return observables.uncertainty_series(exp, table, which[1:], times)
-        return observables.expectation_series(exp, table, which, times)
-    chunks = np.array_split(np.asarray(times, dtype=float), threads)
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        parts = list(pool.map(lambda c: _series_values(exp, table, which, c), chunks))
-    return np.concatenate(parts)
-
-
 def run_evolve(cfg: RunConfig, out_dir, fmt=None, precision=None, threads=1):
     """Densities at explicitly listed times, position and/or momentum."""
     fmt = fmt or cfg.output.format
@@ -132,9 +120,8 @@ def run_observables(cfg: RunConfig, out_dir, fmt=None, precision=None, threads=1
     if times.size == 0:
         return []
 
-    cols = {}
-    for which in ("x", "dx", "p", "dp"):
-        cols[which] = _series_values(exp, table, which, times, threads)
+    x, dx, p, dp = observables.expectation_series(exp, table, ("x", "dx", "p", "dp"),
+                                                  times, threads)
 
     sys = cfg.system
     dx0 = cfg.packet.dx0_value(sys)
@@ -146,7 +133,7 @@ def run_observables(cfg: RunConfig, out_dir, fmt=None, precision=None, threads=1
     path = os.path.join(out_dir, f"observables.{fmt}")
     header_cols = ["t", "x_mean", "dx", "p_mean", "dp",
                    "dx_envelope", "classical_x", "classical_v", "flat_dx"]
-    rows = [(t, cols["x"][i], cols["dx"][i], cols["p"][i], cols["dp"][i],
+    rows = [(t, x[i], dx[i], p[i], dp[i],
              env[i], classical[i].position, classical[i].velocity, flat_dx)
             for i, t in enumerate(times)]
     if fmt == "csv":
@@ -246,8 +233,7 @@ def run_powerlaw(cfg: RunConfig, out_dir, fmt=None, precision=None, threads=1):
     else:
         _write_json(path, {"kind": "powerlaw-spectrum",
                            "columns": ["k", "n", "E", "tau", "T_rev"],
-                           "rows": [[c if isinstance(c, str) else c for c in r]
-                                    for r in rows],
+                           "rows": [list(r) for r in rows],
                            "config-sha256": cfg.config_hash}, precision)
     files.append(path)
 
@@ -294,7 +280,7 @@ def run_scan_flatten(cfg: RunConfig, out_dir, fmt=None, precision=None, threads=
         step = parse_time(fl.sample_step, report.tau, report.T_rev)
         times = np.arange(0.0, t_stop, step)
         table = observables.table_for(exp)
-        series = observables.sample_series(exp, table, "dx", times)
+        series = observables.sample_series(exp, table, "dx", times, threads)
         t_star = timescales.detect_flattening(series, cfg.system,
                                               epsilon=fl.epsilon, hold=fl.hold)
         detections.append({"dx0": dx0, "t_star": t_star,

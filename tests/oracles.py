@@ -2,7 +2,10 @@
 
 Everything here is built only from the textbook basis functions and
 composite Gauss-Legendre integration, never from the package's closed
-forms, so agreement is evidence rather than tautology.
+forms, so agreement is evidence rather than tautology.  The exception is
+the last section: direct reference paths for the phase kernel, which take
+the closed-form tables (checked against quadrature above) and redo the
+time evolution the plain way, one full T x N block at a time.
 """
 
 from __future__ import annotations
@@ -84,3 +87,28 @@ def momentum_amplitude_quad(n: int, p: float, L: float = 1.0,
     f = lambda x: basis_x(n, x, L) * np.exp(-1j * p * x / hbar)
     panels = _panels_for(n, extra=abs(p) * L / (math.pi * hbar))
     return complex(gl_integrate(f, 0.0, L, panels) / math.sqrt(2.0 * math.pi * hbar))
+
+
+# --- direct reference paths for the phase kernel -------------------------
+
+def dense_expectation(exp, table_block, times) -> np.ndarray:
+    """Sum_mn b_m* O_mn b_n over all times from one full T x N evolved block.
+
+    The dense per-form path: ``table_block`` is the form's table over the
+    expansion's window (MatrixElementTable.block).  Returns the complex
+    values, imaginary rounding residue included.
+    """
+    t = np.asarray(times, dtype=float)
+    U = exp.coefficients[None, :] * np.exp(
+        -1j * np.outer(t, exp.energies) / exp.sys.hbar)
+    return np.sum(U.conj() * (U @ table_block.T), axis=1)
+
+
+def direct_correlation(exp, times, mirror: bool = False) -> np.ndarray:
+    """C(t) = Sum |a_n|^2 exp(i E_n t / hbar), or C-bar(t) with the
+    mirror sign (-1)^(n+1), summed level by level at each time."""
+    w = np.abs(exp.coefficients) ** 2
+    if mirror:
+        w = w * np.array([(-1.0) ** (n + 1) for n in range(exp.n_min, exp.n_min + w.size)])
+    return np.array([np.sum(w * np.exp(1j * exp.energies * t / exp.sys.hbar))
+                     for t in np.asarray(times, dtype=float)])

@@ -223,16 +223,36 @@ def test_collapse_fit_file(tmp_path):
     assert fit["T_C_estimate"] == pytest.approx(0.0107891398209, rel=1e-9)
 
 
-def test_threads_do_not_change_output(tmp_path):
+def test_threads_do_not_change_output(tmp_path, monkeypatch):
+    from wellpacket import packet
+    # 40 rows per kernel chunk at N = 51: both series span several chunks
+    monkeypatch.setattr(packet, "PHASE_CHUNK_BYTES", 16 * 51 * 40)
     ini = tmp_path / "run.ini"
-    ini.write_text("[schedule]\nmode = dense\nstart = 0\nstop = 4tau\ncount = 300\n")
-    blobs = []
-    for sub, threads in (("a", "1"), ("b", "3")):
-        d = tmp_path / sub
-        assert main(["observables", "--config", str(ini), "--out", str(d),
-                     "--threads", threads]) == 0
-        blobs.append((d / "observables.csv").read_bytes())
-    assert blobs[0] == blobs[1]
+    ini.write_text("[schedule]\nmode = dense\nstart = 0\nstop = 4tau\ncount = 300\n"
+                   "[flatten]\ndx0 = 0.05\nt_stop = 60tau\n")
+    for command, name in (("observables", "observables.csv"),
+                          ("scan-flatten", "flatten_dx0_0.05.csv")):
+        blobs = []
+        for sub, threads in (("a", "1"), ("b", "3")):
+            d = tmp_path / command / sub
+            assert main([command, "--config", str(ini), "--out", str(d),
+                         "--threads", threads]) == 0
+            blobs.append((d / name).read_bytes())
+        assert blobs[0] == blobs[1]
+        assert blobs[0].count(b"\n") > 200
+
+
+def test_zero_crossing_momentum_is_no_imaginary_residue(tmp_path):
+    # <p> crosses zero at every wall bounce while its rounding floor stays
+    # near eps p0 sqrt(N); a residue test relative to |<p>| refused this run
+    ini = tmp_path / "run.ini"
+    ini.write_text("[packet]\nn0 = 4000\nx0 = 0.5\ndx0 = 0.005\n"
+                   "[schedule]\nmode = dense\nstart = 0\nstop = 1T\ncount = 2000\n")
+    out = tmp_path / "o"
+    assert main(["observables", "--config", str(ini), "--out", str(out)]) == 0
+    rows = [ln for ln in (out / "observables.csv").read_text().splitlines()
+            if not ln.startswith("#")]
+    assert len(rows) == 2001
 
 
 def test_printed_paths_match_files(tmp_path, capsys):

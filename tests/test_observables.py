@@ -193,6 +193,19 @@ def test_series_and_metadata(default_exp, default_table):
         sample_series(default_exp, default_table, "energy", ts)
 
 
+def test_p2_alone_is_the_constant_weighted_sum(default_exp, default_table):
+    # <p^2> needs no evolved block; asked for on its own it must still work
+    pn = default_exp.levels * math.pi * default_exp.sys.hbar / default_exp.sys.width_L
+    want = float(np.sum(default_exp.weights * pn**2))
+    ts = np.arange(0, 5) * 0.3 * TAU
+    assert expectation(default_exp, default_table, "p2", 0.7 * TAU) == pytest.approx(want, rel=1e-14)
+    assert np.allclose(expectation_series(default_exp, default_table, "p2", ts),
+                       want, rtol=1e-14, atol=0.0)
+    s = sample_series(default_exp, default_table, "p2", ts)
+    assert s.observable == "p2"
+    assert np.allclose(s.values, want, rtol=1e-14, atol=0.0)
+
+
 def test_time_series_validation():
     with pytest.raises(ValueError):
         TimeSeries("x", np.array([0.0, 1.0, 1.0]), np.array([1.0, 2.0, 3.0]))
@@ -226,6 +239,8 @@ def test_inconsistent_table_detected(default_exp, default_table):
     bad = dataclasses.replace(default_table, x=default_table.x * 3.0)
     with pytest.raises(NumericalConsistencyError):
         expectation(default_exp, bad, "x", 0.0)
+    with pytest.raises(NumericalConsistencyError, match="outside the well"):
+        expectation_series(default_exp, bad, "x", [0.3 * TAU, 0.5 * TAU])
 
 
 def test_spec_hash_distinguishes(sys0):
