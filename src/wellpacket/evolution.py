@@ -15,7 +15,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .packet import EigenExpansion
-from .system import WellSystem
+from .system import WellSystem, momentum_basis
 
 __all__ = [
     "SpatialGrid",
@@ -108,29 +108,6 @@ def _basis_position(exp: EigenExpansion, x: NDArray) -> NDArray[np.float64]:
     return np.sqrt(2.0 / L) * np.sin(np.outer(x, ns) * np.pi / L)
 
 
-def _basis_momentum(exp: EigenExpansion, p: NDArray) -> NDArray[np.complex128]:
-    # phi_n(p) columns over the window, closed form with the removable
-    # singularity handled as in system.eigenstate_momentum but vectorized
-    hbar, L = exp.sys.hbar, exp.sys.width_L
-    ns = exp.levels
-    pn = ns * np.pi * hbar / L
-    norm = np.sqrt(hbar / (np.pi * L))
-    P = p[:, None]
-    d2 = P**2 - pn[None, :] ** 2
-    sign = np.where(ns % 2 == 1, -1.0, 1.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = norm * pn[None, :] / d2 * (sign[None, :] * np.exp(-1j * P * L / hbar) - 1.0)
-    near = np.abs(d2) < 1e-6 * pn[None, :] ** 2
-    if np.any(near):
-        ii, jj = np.nonzero(near)
-        s = np.where(p[ii] >= 0.0, 1.0, -1.0)
-        u = (p[ii] - s * pn[jj]) * L / hbar
-        z = -1j * u
-        series = -1j * (1.0 + z / 2.0 + z**2 / 6.0 + z**3 / 24.0 + z**4 / 120.0)
-        out[ii, jj] = norm * (pn[jj] * L / hbar) * series / (p[ii] + s * pn[jj])
-    return out
-
-
 def position_wavefunction(exp: EigenExpansion, grid: SpatialGrid, t: float) -> WaveField:
     """psi(x, t) = Sum a_n u_n(x) exp(-i E_n t / hbar) on the grid."""
     amp = _basis_position(exp, grid.points) @ exp.phases_at(t)
@@ -139,7 +116,7 @@ def position_wavefunction(exp: EigenExpansion, grid: SpatialGrid, t: float) -> W
 
 def momentum_wavefunction(exp: EigenExpansion, grid: MomentumGrid, t: float) -> WaveField:
     """phi(p, t) = Sum a_n phi_n(p) exp(-i E_n t / hbar) on the grid."""
-    amp = _basis_momentum(exp, grid.points) @ exp.phases_at(t)
+    amp = momentum_basis(exp.levels, grid.points, exp.sys) @ exp.phases_at(t)
     return WaveField(grid=grid, amplitudes=amp, time=t)
 
 

@@ -154,7 +154,7 @@ def table_for(exp: EigenExpansion) -> MatrixElementTable:
 
 def _variance(mean, second, which: str) -> NDArray[np.float64]:
     var = second - mean**2
-    floor = -_IMAG_TOL * np.maximum(1.0, np.abs(second))
+    floor = -_IMAG_TOL * np.abs(second)
     if np.any(var < floor):
         raise NumericalConsistencyError(
             f"negative variance for {which}: min {float(np.min(var)):.3e}")

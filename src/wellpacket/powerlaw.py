@@ -20,7 +20,6 @@ from .correlation import CollapseFit, fit_stroboscopic
 
 __all__ = [
     "PowerLawWell",
-    "ln_gamma",
     "wkb_energy",
     "classical_period_powerlaw",
     "revival_time_powerlaw",
@@ -29,37 +28,6 @@ __all__ = [
     "powerlaw_autocorrelation",
     "fit_powerlaw_collapse",
 ]
-
-# Lanczos approximation, g = 7, 9 terms; relative error ~ 1e-13 over the
-# positive reals, comfortably better than the 1e-12 needed on [1, 3].
-_LANCZOS_G = 7.0
-_LANCZOS_C = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
-
-def ln_gamma(z: float) -> float:
-    """Natural log of the Gamma function for z > 0 (Lanczos series)."""
-    if z <= 0.0:
-        raise ValueError("ln_gamma defined here for positive arguments only")
-    if z < 0.5:
-        # reflection: Gamma(z) Gamma(1-z) = pi / sin(pi z)
-        return math.log(math.pi / math.sin(math.pi * z)) - ln_gamma(1.0 - z)
-    z -= 1.0
-    x = _LANCZOS_C[0]
-    for i in range(1, 9):
-        x += _LANCZOS_C[i] / (z + i)
-    t = z + _LANCZOS_G + 0.5
-    return 0.5 * math.log(2.0 * math.pi) + (z + 0.5) * math.log(t) - t + math.log(x)
-
 
 @dataclass(frozen=True)
 class PowerLawWell:
@@ -114,8 +82,8 @@ def wkb_energy(well: PowerLawWell, n) -> float:
         return ((n + 1) * math.pi * hbar / width) ** 2 / (2.0 * m)
     k = well.k
     pref = hbar * math.pi / ((a if well.half else 2.0 * a) * math.sqrt(2.0 * m))
-    gamma_ratio = math.exp(ln_gamma(1.0 / k + 1.5) - ln_gamma(1.0 / k + 1.0)
-                           - ln_gamma(1.5))
+    gamma_ratio = math.exp(math.lgamma(1.0 / k + 1.5) - math.lgamma(1.0 / k + 1.0)
+                           - math.lgamma(1.5))
     base = (n + well.maslov_mu) * pref * well.V0 ** (1.0 / k) * gamma_ratio
     return base ** (2.0 * k / (k + 2.0))
 
@@ -176,13 +144,18 @@ def gaussian_weights(n0: int, dn: float,
     return levels, w / w.sum()
 
 
+def _autocorrelation(well: PowerLawWell, levels, weights):
+    """t -> C(t) = Sum w_n exp(i E_n t / hbar), with the WKB energies computed once."""
+    E = np.array([wkb_energy(well, int(n)) for n in np.asarray(levels)])
+    return lambda t: complex(np.sum(weights * np.exp(1j * E * t / well.hbar)))
+
+
 def powerlaw_autocorrelation(well: PowerLawWell, levels, weights, t: float) -> complex:
     """C(t) = Sum w_n exp(i E_n t / hbar) over the WKB spectrum."""
     w = np.asarray(weights, dtype=float)
     if abs(w.sum() - 1.0) > 1e-9:
         raise ValueError("weights must be normalized")
-    E = np.array([wkb_energy(well, int(n)) for n in np.asarray(levels)])
-    return complex(np.sum(w * np.exp(1j * E * t / well.hbar)))
+    return _autocorrelation(well, levels, w)(t)
 
 
 def fit_powerlaw_collapse(well: PowerLawWell, n0: int, dn: float,
@@ -193,11 +166,7 @@ def fit_powerlaw_collapse(well: PowerLawWell, n0: int, dn: float,
     reuses the same Gaussian-decay fitting engine as the square-well fit.
     """
     levels, w = gaussian_weights(n0, dn)
-    E = np.array([wkb_energy(well, int(q)) for q in levels])
+    C = _autocorrelation(well, levels, w)
     tau = classical_period_powerlaw(well, n0)
-
-    def magnitude(t: float) -> float:
-        return abs(complex(np.sum(w * np.exp(1j * E * t / well.hbar))))
-
     kwargs = {} if threshold is None else {"threshold": threshold}
-    return fit_stroboscopic(magnitude, tau, **kwargs)
+    return fit_stroboscopic(lambda t: abs(C(t)), tau, **kwargs)

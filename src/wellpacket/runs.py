@@ -1,4 +1,4 @@
-"""Run drivers behind the CLI subcommands, plus CSV/JSON writers.
+"""Run drivers behind the CLI subcommands, plus the one CSV/JSON writer.
 
 Each run_* function takes a parsed RunConfig and an output directory and
 returns the list of files written.  Output is deterministic: fixed column
@@ -15,7 +15,7 @@ import os
 import numpy as np
 
 from . import correlation, observables, powerlaw, timescales
-from .config import ConfigError, RunConfig, parse_time
+from .config import RunConfig, parse_time
 from .evolution import (MomentumGrid, SpatialGrid, momentum_wavefunction,
                         position_wavefunction, probability_density)
 from .packet import PacketSpec, build_gaussian_packet
@@ -41,25 +41,48 @@ def _json_round(obj, precision: int):
     return obj
 
 
-def _write_csv(path, header_lines, columns, rows, precision):
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for line in header_lines:
-            fh.write(f"# {line}\n")
-        fh.write(",".join(columns) + "\n")
-        for row in rows:
-            fh.write(",".join(cell if isinstance(cell, str) else _fmt(cell, precision)
-                              for cell in row) + "\n")
+class _Output:
+    """One run's output directory, format and precision, and its writers."""
 
+    def __init__(self, cfg: RunConfig, command: str, out_dir, fmt, precision):
+        self.cfg, self.command, self.dir = cfg, command, out_dir
+        self.fmt = fmt or cfg.output.format
+        self.precision = precision or cfg.output.precision
+        os.makedirs(out_dir, exist_ok=True)
 
-def _write_json(path, payload, precision):
-    payload = {"schema-version": SCHEMA_VERSION, **payload}
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(_json_round(payload, precision), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    def json(self, name: str, fields: dict) -> str:
+        """Write `fields`, schema version and config hash to the JSON file `name`."""
+        path = os.path.join(self.dir, name)
+        payload = {"schema-version": SCHEMA_VERSION, **fields,
+                   "config-sha256": self.cfg.config_hash}
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            json.dump(_json_round(payload, self.precision), fh, indent=2, sort_keys=True)
+            fh.write("\n")
+        return path
 
+    def emit(self, stem: str, columns, rows, fields: dict, data=None, meta=()) -> str:
+        """Write one table to `stem`.csv or `stem`.json and return the path.
 
-def _header(cfg: RunConfig, command: str, extra=()):
-    return [f"wellpacket {command}", f"config-sha256: {cfg.config_hash}", *extra]
+        CSV has '# ' header lines (command, config hash, `meta`), the column
+        names, then one line per row tuple: floats at the configured
+        significant digits, strings as they are.  JSON holds `fields` and
+        `data`, which defaults to the table as "columns" and "rows".
+        """
+        if self.fmt == "json":
+            if data is None:
+                data = {"columns": columns, "rows": [list(r) for r in rows]}
+            return self.json(f"{stem}.json", {**fields, **data})
+        path = os.path.join(self.dir, f"{stem}.csv")
+        num = f"%.{self.precision}g"
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            for line in (f"wellpacket {self.command}",
+                         f"config-sha256: {self.cfg.config_hash}", *meta):
+                fh.write(f"# {line}\n")
+            fh.write(",".join(columns) + "\n")
+            for row in rows:
+                template = ",".join(["%s" if isinstance(c, str) else num for c in row])
+                fh.write(template % row + "\n")
+        return path
 
 
 def _prepare(cfg: RunConfig):
@@ -70,9 +93,7 @@ def _prepare(cfg: RunConfig):
 
 def run_evolve(cfg: RunConfig, out_dir, fmt=None, precision=None, threads=1):
     """Densities at explicitly listed times, position and/or momentum."""
-    fmt = fmt or cfg.output.format
-    precision = precision or cfg.output.precision
-    os.makedirs(out_dir, exist_ok=True)
+    out = _Output(cfg, "evolve", out_dir, fmt, precision)
     exp, report = _prepare(cfg)
     literals = cfg.evolve.times
     if not literals:
@@ -89,39 +110,31 @@ def run_evolve(cfg: RunConfig, out_dir, fmt=None, precision=None, threads=1):
             grid = MomentumGrid.default(cfg.system, cfg.packet.n0,
                                         cfg.grids.p_span, cfg.grids.p_spacing)
         axis = "x" if rep == "position" else "p"
+        points = grid.points.tolist()
         for i, (lit, t) in enumerate(zip(literals, times)):
             field = (position_wavefunction(exp, grid, t) if rep == "position"
                      else momentum_wavefunction(exp, grid, t))
-            dens = probability_density(field)
-            name = f"density_{rep}_{i:02d}.{fmt}"
-            path = os.path.join(out_dir, name)
-            meta = [f"time: {lit.strip()} = {_fmt(t, precision)}"]
-            if fmt == "csv":
-                _write_csv(path, _header(cfg, "evolve", meta), [axis, "density"],
-                           zip(grid.points, dens), precision)
-            else:
-                _write_json(path, {"kind": "density", "representation": rep,
-                                   "time-literal": lit.strip(), "time": t,
-                                   axis: list(grid.points),
-                                   "density": list(dens),
-                                   "config-sha256": cfg.config_hash}, precision)
-            files.append(path)
+            dens = probability_density(field).tolist()
+            files.append(out.emit(
+                f"density_{rep}_{i:02d}", [axis, "density"], zip(points, dens),
+                {"kind": "density", "representation": rep,
+                 "time-literal": lit.strip(), "time": t},
+                data={axis: points, "density": dens},
+                meta=[f"time: {lit.strip()} = {_fmt(t, out.precision)}"]))
     return files
 
 
 def run_observables(cfg: RunConfig, out_dir, fmt=None, precision=None, threads=1):
     """<x>, dx, <p>, dp over the configured schedule, with reference columns."""
-    fmt = fmt or cfg.output.format
-    precision = precision or cfg.output.precision
-    os.makedirs(out_dir, exist_ok=True)
+    out = _Output(cfg, "observables", out_dir, fmt, precision)
     exp, report = _prepare(cfg)
     table = observables.table_for(exp)
     times = cfg.schedule.resolve(report.tau, report.T_rev)
     if times.size == 0:
         return []
 
-    x, dx, p, dp = observables.expectation_series(exp, table, ("x", "dx", "p", "dp"),
-                                                  times, threads)
+    series = observables.expectation_series(exp, table, ("x", "dx", "p", "dp"),
+                                            times, threads)
 
     sys = cfg.system
     dx0 = cfg.packet.dx0_value(sys)
@@ -130,59 +143,39 @@ def run_observables(cfg: RunConfig, out_dir, fmt=None, precision=None, threads=1
     classical = [classical_trajectory(t, cfg.packet.x0, v0, sys) for t in times]
     flat_dx = sys.width_L / math.sqrt(12.0)
 
-    path = os.path.join(out_dir, f"observables.{fmt}")
-    header_cols = ["t", "x_mean", "dx", "p_mean", "dp",
-                   "dx_envelope", "classical_x", "classical_v", "flat_dx"]
-    rows = [(t, x[i], dx[i], p[i], dp[i],
-             env[i], classical[i].position, classical[i].velocity, flat_dx)
-            for i, t in enumerate(times)]
-    if fmt == "csv":
-        _write_csv(path, _header(cfg, "observables"), header_cols, rows, precision)
-    else:
-        _write_json(path, {"kind": "observables", "columns": header_cols,
-                           "rows": [list(r) for r in rows],
-                           "config-sha256": cfg.config_hash}, precision)
-    return [path]
+    columns = ["t", "x_mean", "dx", "p_mean", "dp",
+               "dx_envelope", "classical_x", "classical_v", "flat_dx"]
+    rows = zip(times.tolist(), *(v.tolist() for v in series), env.tolist(),
+               [c.position for c in classical], [c.velocity for c in classical],
+               [flat_dx] * times.size)
+    return [out.emit("observables", columns, rows, {"kind": "observables"})]
 
 
 def run_correlate(cfg: RunConfig, out_dir, fmt=None, precision=None, threads=1):
     """|C| and |C-bar| series; optional collapse fit and revival scan."""
-    fmt = fmt or cfg.output.format
-    precision = precision or cfg.output.precision
-    os.makedirs(out_dir, exist_ok=True)
+    out = _Output(cfg, "correlate", out_dir, fmt, precision)
     exp, report = _prepare(cfg)
     times = cfg.schedule.resolve(report.tau, report.T_rev)
-    files = []
 
     absC = np.abs(correlation.autocorrelation_series(exp, times))
     absM = np.abs(correlation.mirror_correlation_series(exp, times))
-    path = os.path.join(out_dir, f"correlation.{fmt}")
-    rows = list(zip(times, absC, absM))
-    if fmt == "csv":
-        _write_csv(path, _header(cfg, "correlate"), ["t", "absC", "absCbar"],
-                   rows, precision)
-    else:
-        _write_json(path, {"kind": "correlation", "columns": ["t", "absC", "absCbar"],
-                           "rows": [list(r) for r in rows],
-                           "config-sha256": cfg.config_hash}, precision)
-    files.append(path)
+    files = [out.emit("correlation", ["t", "absC", "absCbar"],
+                      zip(times.tolist(), absC.tolist(), absM.tolist()),
+                      {"kind": "correlation"})]
 
     if cfg.correlate.fit:
         kwargs = {}
         if cfg.correlate.threshold is not None:
             kwargs["threshold"] = cfg.correlate.threshold
         fit = correlation.fit_collapse(exp, report.tau, **kwargs)
-        fit_path = os.path.join(out_dir, "collapse_fit.json")
-        _write_json(fit_path, {
+        files.append(out.json("collapse_fit.json", {
             "kind": "collapse-fit",
             "T_C_estimate": fit.T_C_estimate,
             "points_used": fit.points_used,
             "residual": fit.residual,
             "threshold": fit.threshold,
             "T_C_closed_form": report.T_C,
-            "config-sha256": cfg.config_hash,
-        }, precision)
-        files.append(fit_path)
+        }))
 
     if cfg.correlate.scan:
         c = cfg.correlate
@@ -190,31 +183,27 @@ def run_correlate(cfg: RunConfig, out_dir, fmt=None, precision=None, threads=1):
                   parse_time(c.scan_stop, report.tau, report.T_rev))
         res = parse_time(c.scan_resolution, report.tau, report.T_rev)
         peaks = correlation.revival_scan(exp, window, res, min_height=c.min_height)
-        scan_path = os.path.join(out_dir, "revival_scan.json")
-        _write_json(scan_path, {
+        files.append(out.json("revival_scan.json", {
             "kind": "revival-scan",
             "window": list(window),
             "resolution": res,
             "peaks": [{"t": p.time, "height": p.height, "channel": p.channel,
                        "fraction": None if p.fraction is None
                        else [p.fraction[0], p.fraction[1]]} for p in peaks],
-            "config-sha256": cfg.config_hash,
-        }, precision)
-        files.append(scan_path)
+        }))
     return files
 
 
 def run_powerlaw(cfg: RunConfig, out_dir, fmt=None, precision=None, threads=1):
     """Spectrum table (k, n, E, tau, T_rev) and optional per-k collapse fits."""
-    fmt = fmt or cfg.output.format
-    precision = precision or cfg.output.precision
-    os.makedirs(out_dir, exist_ok=True)
+    out = _Output(cfg, "powerlaw", out_dir, fmt, precision)
     pl = cfg.powerlaw
-    files = []
+    wells = [powerlaw.PowerLawWell(k=k, V0=pl.v0, a=pl.a, mass=cfg.system.mass,
+                                   hbar=cfg.system.hbar, half=pl.half)
+             for k in pl.k_values]
     rows = []
-    for k in pl.k_values:
-        well = powerlaw.PowerLawWell(k=k, V0=pl.v0, a=pl.a, mass=cfg.system.mass,
-                                     hbar=cfg.system.hbar, half=pl.half)
+    for well in wells:
+        k_cell = "infinity" if math.isinf(well.k) else _fmt(well.k, out.precision)
         for n in range(pl.n_min, pl.n_max + 1):
             E = powerlaw.wkb_energy(well, n)
             tau_n = powerlaw.classical_period_powerlaw(well, n)
@@ -223,26 +212,14 @@ def run_powerlaw(cfg: RunConfig, out_dir, fmt=None, precision=None, threads=1):
                 trev_cell = "periodic" if trev is None else trev
             else:
                 trev_cell = ""
-            k_cell = "infinity" if math.isinf(k) else _fmt(k, precision)
-            rows.append((k_cell, _fmt(float(n), precision), E, tau_n, trev_cell))
-
-    path = os.path.join(out_dir, f"powerlaw.{fmt}")
-    if fmt == "csv":
-        _write_csv(path, _header(cfg, "powerlaw"), ["k", "n", "E", "tau", "T_rev"],
-                   rows, precision)
-    else:
-        _write_json(path, {"kind": "powerlaw-spectrum",
-                           "columns": ["k", "n", "E", "tau", "T_rev"],
-                           "rows": [list(r) for r in rows],
-                           "config-sha256": cfg.config_hash}, precision)
-    files.append(path)
+            rows.append((k_cell, _fmt(float(n), out.precision), E, tau_n, trev_cell))
+    files = [out.emit("powerlaw", ["k", "n", "E", "tau", "T_rev"], rows,
+                      {"kind": "powerlaw-spectrum"})]
 
     if pl.fit:
         fits = []
-        for k in pl.k_values:
-            well = powerlaw.PowerLawWell(k=k, V0=pl.v0, a=pl.a, mass=cfg.system.mass,
-                                         hbar=cfg.system.hbar, half=pl.half)
-            k_label = "infinity" if math.isinf(k) else k
+        for well in wells:
+            k_label = "infinity" if math.isinf(well.k) else well.k
             closed = powerlaw.collapse_time_powerlaw(well, pl.fit_n0, pl.fit_dn)
             if closed is None:
                 fits.append({"k": k_label, "result": "periodic"})
@@ -256,18 +233,14 @@ def run_powerlaw(cfg: RunConfig, out_dir, fmt=None, precision=None, threads=1):
                          "T_C_closed_form": closed,
                          "points_used": fit.points_used,
                          "residual": fit.residual})
-        fit_path = os.path.join(out_dir, "powerlaw_fits.json")
-        _write_json(fit_path, {"kind": "powerlaw-collapse-fits", "fits": fits,
-                               "config-sha256": cfg.config_hash}, precision)
-        files.append(fit_path)
+        files.append(out.json("powerlaw_fits.json",
+                              {"kind": "powerlaw-collapse-fits", "fits": fits}))
     return files
 
 
 def run_scan_flatten(cfg: RunConfig, out_dir, fmt=None, precision=None, threads=1):
     """Delta-x series for several dx0 plus detected flattening times."""
-    fmt = fmt or cfg.output.format
-    precision = precision or cfg.output.precision
-    os.makedirs(out_dir, exist_ok=True)
+    out = _Output(cfg, "scan-flatten", out_dir, fmt, precision)
     fl = cfg.flatten
     files = []
     detections = []
@@ -285,18 +258,10 @@ def run_scan_flatten(cfg: RunConfig, out_dir, fmt=None, precision=None, threads=
                                               epsilon=fl.epsilon, hold=fl.hold)
         detections.append({"dx0": dx0, "t_star": t_star,
                            "t_flat_closed_form": report.t_flat})
-
-        path = os.path.join(out_dir, f"flatten_dx0_{dx0:g}.{fmt}")
-        rows = list(zip(series.times, series.values))
-        if fmt == "csv":
-            _write_csv(path, _header(cfg, "scan-flatten", [f"dx0: {dx0:g}"]),
-                       ["t", "dx"], rows, precision)
-        else:
-            _write_json(path, {"kind": "flatten-series", "dx0": dx0,
-                               "columns": ["t", "dx"],
-                               "rows": [list(r) for r in rows],
-                               "config-sha256": cfg.config_hash}, precision)
-        files.append(path)
+        files.append(out.emit(
+            f"flatten_dx0_{dx0:g}", ["t", "dx"],
+            zip(series.times.tolist(), series.values.tolist()),
+            {"kind": "flatten-series", "dx0": dx0}, meta=[f"dx0: {dx0:g}"]))
 
     detected = [(d["dx0"], d["t_star"]) for d in detections if d["t_star"] is not None]
     exponent = None
@@ -304,26 +269,16 @@ def run_scan_flatten(cfg: RunConfig, out_dir, fmt=None, precision=None, threads=
         lx = np.log([d[0] for d in detected])
         ly = np.log([d[1] for d in detected])
         exponent = float(np.polyfit(lx, ly, 1)[0])
-    summary_path = os.path.join(out_dir, "flatten_summary.json")
-    _write_json(summary_path, {"kind": "flatten-summary", "detections": detections,
-                               "scaling_exponent": exponent,
-                               "config-sha256": cfg.config_hash}, precision)
-    files.append(summary_path)
+    files.append(out.json("flatten_summary.json",
+                          {"kind": "flatten-summary", "detections": detections,
+                           "scaling_exponent": exponent}))
     return files
 
 
 def run_timescales(cfg: RunConfig, out_dir, fmt=None, precision=None, threads=1):
     """Closed-form time-scale report for the configured packet."""
-    fmt = fmt or cfg.output.format
-    precision = precision or cfg.output.precision
-    os.makedirs(out_dir, exist_ok=True)
+    out = _Output(cfg, "timescales", out_dir, fmt, precision)
     report = timescales.compute_timescales(cfg.system, cfg.packet)
-    path = os.path.join(out_dir, f"timescales.{fmt}")
-    if fmt == "csv":
-        cols = ["tau", "T_rev", "t0", "T_C", "t_flat"]
-        _write_csv(path, _header(cfg, "timescales"), cols,
-                   [tuple(getattr(report, c) for c in cols)], precision)
-    else:
-        _write_json(path, {"kind": "timescales", **report.to_dict(),
-                           "config-sha256": cfg.config_hash}, precision)
-    return [path]
+    cols = ["tau", "T_rev", "t0", "T_C", "t_flat"]
+    return [out.emit("timescales", cols, [tuple(getattr(report, c) for c in cols)],
+                     {"kind": "timescales"}, data=report.to_dict())]

@@ -7,9 +7,11 @@ Default units follow 2m = hbar = L = 1, i.e. m = 1/2, hbar = 1, L = 1.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
+
+import numpy as np
+from numpy.typing import NDArray
 
 __all__ = [
     "WellSystem",
@@ -17,6 +19,7 @@ __all__ = [
     "eigenenergy",
     "eigenstate_position",
     "eigenstate_momentum",
+    "momentum_basis",
     "level_momentum",
     "classical_trajectory",
 ]
@@ -93,22 +96,34 @@ def eigenstate_momentum(n, p, sys: WellSystem = WellSystem()) -> complex:
         Amplitude; |phi_n|^2 integrates to 1 over all p (tails fall as p^-4).
     """
     n = _check_level(n)
+    return complex(momentum_basis(np.array([n]), np.array([float(p)]), sys)[0, 0])
+
+
+def momentum_basis(levels, p, sys: WellSystem = WellSystem()) -> NDArray[np.complex128]:
+    """phi_n(p) for every momentum in ``p`` (rows) and level in ``levels``
+    (columns); the closed form of eigenstate_momentum, vectorized."""
     hbar, L = sys.hbar, sys.width_L
-    pn = n * math.pi * hbar / L
-    norm = math.sqrt(hbar / (math.pi * L))
-    d2 = p * p - pn * pn
-    if abs(d2) >= _SINGULAR_EPS * pn * pn:
-        sign = -1.0 if n % 2 else 1.0
-        bracket = sign * cmath.exp(-1j * p * L / hbar) - 1.0
-        return norm * pn / d2 * bracket
-    # Near p = s*pn write u = (p - s*pn) L / hbar; then
-    #   phi_n = norm * (pn L / hbar) * [(exp(-iu) - 1)/u] / (p + s*pn)
-    # and (exp(-iu)-1)/u is expanded about u = 0.  (-1)^n exp(-i s pn L/hbar) = 1.
-    s = 1.0 if p >= 0.0 else -1.0
-    u = (p - s * pn) * L / hbar
-    z = -1j * u
-    series = -1j * (1.0 + z / 2.0 + z * z / 6.0 + z**3 / 24.0 + z**4 / 120.0)
-    return norm * (pn * L / hbar) * series / (p + s * pn)
+    ns = np.asarray(levels)
+    p = np.asarray(p, dtype=float)
+    pn = ns * np.pi * hbar / L
+    norm = np.sqrt(hbar / (np.pi * L))
+    P = p[:, None]
+    d2 = P**2 - pn[None, :] ** 2
+    sign = np.where(ns % 2 == 1, -1.0, 1.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = norm * pn[None, :] / d2 * (sign[None, :] * np.exp(-1j * P * L / hbar) - 1.0)
+    near = np.abs(d2) < _SINGULAR_EPS * pn[None, :] ** 2
+    if np.any(near):
+        # Near p = s*pn write u = (p - s*pn) L / hbar; then
+        #   phi_n = norm * (pn L / hbar) * [(exp(-iu) - 1)/u] / (p + s*pn)
+        # and (exp(-iu)-1)/u is expanded about u = 0.  (-1)^n exp(-i s pn L/hbar) = 1.
+        ii, jj = np.nonzero(near)
+        s = np.where(p[ii] >= 0.0, 1.0, -1.0)
+        u = (p[ii] - s * pn[jj]) * L / hbar
+        z = -1j * u
+        series = -1j * (1.0 + z / 2.0 + z**2 / 6.0 + z**3 / 24.0 + z**4 / 120.0)
+        out[ii, jj] = norm * (pn[jj] * L / hbar) * series / (p[ii] + s * pn[jj])
+    return out
 
 
 def classical_trajectory(t, x0, v0, sys: WellSystem = WellSystem()) -> ClassicalState:

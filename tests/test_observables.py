@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from wellpacket import (MomentumGrid, NumericalConsistencyError, PacketSpec,
-                        SpatialGrid, TimeSeries, build_gaussian_packet,
+                        SpatialGrid, TimeSeries, WellSystem, build_gaussian_packet,
                         build_matrix_elements, expectation, expectation_series,
                         momentum_wavefunction, position_wavefunction,
                         probability_density, sample_series, spec_hash,
@@ -242,6 +242,20 @@ def test_inconsistent_table_detected(default_exp, default_table):
     with pytest.raises(NumericalConsistencyError, match="outside the well"):
         expectation_series(default_exp, bad, "x", [0.3 * TAU, 0.5 * TAU])
 
+
+
+def test_negative_variance_floor_does_not_depend_on_the_unit_of_length():
+    import dataclasses
+    # In a well of length 1e-3 the variance of x is ~2.5e-9 and <x^2> ~2.5e-7.
+    # A table shifted to give a variance of -1e-14 at t = 0 is off by far
+    # more than rounding and must be refused, not clamped to 0.
+    sys_mm = WellSystem(width_L=1e-3)
+    exp = build_gaussian_packet(PacketSpec(n0=400, x0=0.5e-3, dx0=0.05e-3), sys_mm)
+    table = table_for(exp)
+    shift = -(uncertainty(exp, table, "x", 0.0) ** 2 + 1e-14)
+    bad = dataclasses.replace(table, x2=table.x2 + shift * np.eye(table.x2.shape[0]))
+    with pytest.raises(NumericalConsistencyError, match="negative variance for x"):
+        uncertainty(exp, bad, "x", 0.0)
 
 def test_spec_hash_distinguishes(sys0):
     a = build_gaussian_packet(PacketSpec(n0=400, x0=0.5, dx0=0.05), sys0)

@@ -9,23 +9,9 @@ from scipy.optimize import brentq
 
 from wellpacket import (CollapseFitError, PowerLawWell,
                         classical_period_powerlaw, collapse_time_powerlaw,
-                        fit_powerlaw_collapse, gaussian_weights, ln_gamma,
+                        fit_powerlaw_collapse, gaussian_weights,
                         powerlaw_autocorrelation, revival_time_powerlaw,
                         wkb_energy)
-
-
-def test_ln_gamma_against_stdlib():
-    for z in np.linspace(1.0, 3.0, 41):
-        assert ln_gamma(float(z)) == pytest.approx(math.lgamma(float(z)), abs=1e-12)
-    # reflection branch
-    for z in (0.3, 0.1, 0.01, 0.49):
-        assert ln_gamma(z) == pytest.approx(math.lgamma(z), abs=1e-11)
-    assert math.exp(ln_gamma(1.5)) == pytest.approx(math.sqrt(math.pi) / 2.0, rel=1e-13)
-    assert math.exp(ln_gamma(2.0)) == pytest.approx(1.0, rel=1e-13)
-    with pytest.raises(ValueError):
-        ln_gamma(0.0)
-    with pytest.raises(ValueError):
-        ln_gamma(-1.3)
 
 
 def test_well_validation():

@@ -1,0 +1,60 @@
+"""Invariants over randomly drawn packets and matrix-element windows."""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from wellpacket import (PacketSpec, WellSystem, autocorrelation,
+                        build_gaussian_packet, build_matrix_elements,
+                        compute_timescales, eigenenergy, expectation_series,
+                        mirror_correlation, table_for)
+
+SYS = WellSystem()
+EPS = np.finfo(float).eps
+
+# Examples are drawn from a fixed seed so that the suite gives the same
+# verdict on every run.  dx0 down to 0.01 L keeps windows at or below
+# ~250 levels, so each example takes milliseconds.
+packets = st.builds(
+    PacketSpec,
+    n0=st.integers(1, 3000),
+    x0=st.floats(0.05, 0.95),
+    dx0=st.floats(0.01, 0.2),
+)
+
+
+def _packet(spec):
+    return build_gaussian_packet(spec, SYS), compute_timescales(SYS, spec)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(packets)
+def test_norm_and_full_and_half_revivals(spec):
+    exp, rep = _packet(spec)
+    assert abs(float(np.sum(np.abs(exp.coefficients) ** 2)) - 1.0) < 1e-13
+    assert abs(abs(autocorrelation(exp, rep.T_rev)) - 1.0) < 1e-12
+    assert abs(abs(mirror_correlation(exp, rep.T_rev / 2.0)) - 1.0) < 1e-12
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(packets, st.floats(0.0, 1.0))
+def test_mean_position_stays_in_the_well(spec, start):
+    exp, rep = _packet(spec)
+    times = (start + np.linspace(0.0, 1.0, 257)) * rep.T_rev
+    x = expectation_series(exp, table_for(exp), "x", times)
+    L = SYS.width_L
+    assert np.all(x >= -1e-12 * L) and np.all(x <= L * (1.0 + 1e-12))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.integers(1, 3000), st.integers(2, 150))
+def test_momentum_table_is_the_position_commutator(n_min, size):
+    # p_mn = i (M/hbar) (E_m - E_n) x_mn holds exactly for the closed forms;
+    # the rounding of the x bracket grows with the level index, measured
+    # at about eps * n_max relative to max |p_mn|.
+    n_max = n_min + size - 1
+    table = build_matrix_elements(n_min, n_max, SYS)
+    E = np.array([eigenenergy(n, SYS) for n in range(n_min, n_max + 1)])
+    commutator = 1j * (SYS.mass / SYS.hbar) * (E[:, None] - E[None, :]) * table.x
+    scale = float(np.max(np.abs(table.p)))
+    assert np.max(np.abs(table.p - commutator)) <= 4.0 * EPS * n_max * scale
