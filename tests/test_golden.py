@@ -6,9 +6,10 @@ value recorded here.  Any change to a printed digit, a column, a header
 line or the JSON layout shows up as a changed hash, so refactors of the
 run drivers and writers can be checked for byte-identical output.
 
-The hashes pin this machine's floating-point results, OpenBLAS rounding
-included: on another BLAS or CPU a last printed digit may differ, and the
-hashes must be recorded again there before they can check a refactor.
+The hashes pin the floating-point results of the machine they were
+recorded on, its OpenBLAS rounding included: on another BLAS or CPU a last
+printed digit may differ, and the hashes must be recorded again there
+before they can check a refactor.
 """
 
 import hashlib
