@@ -96,7 +96,7 @@ def eigenstate_momentum(n, p, sys: WellSystem = WellSystem()) -> complex:
         Amplitude; |phi_n|^2 integrates to 1 over all p (tails fall as p^-4).
     """
     n = _check_level(n)
-    return complex(momentum_basis(np.array([n]), np.array([float(p)]), sys)[0, 0])
+    return complex(momentum_basis([n], [p], sys)[0, 0])
 
 
 def momentum_basis(levels, p, sys: WellSystem = WellSystem()) -> NDArray[np.complex128]:
