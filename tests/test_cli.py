@@ -11,7 +11,8 @@ import sys
 import pytest
 
 from wellpacket.cli import main
-from wellpacket.config import ConfigError, load_config, parse_config, parse_time
+from wellpacket.config import (ConfigError, RunConfig, load_config, parse_config,
+                               parse_time)
 from wellpacket.timescales import TimeScaleReport
 
 SHA_EMPTY = hashlib.sha256(b"").hexdigest()
@@ -30,6 +31,71 @@ def test_default_config():
     assert cfg.flatten.dx0_values == (0.025, 0.05, 0.10)
     assert cfg.correlate.fit is False
     assert cfg.config_hash == SHA_EMPTY
+
+
+# Every key that has a default, written out at that default.  None-valued
+# defaults (alpha, p_spacing, threshold) cannot be spelled in INI.
+EVERY_KEY_AT_DEFAULT = """\
+[system]
+mass = 0.5
+hbar = 1
+length = 1
+[packet]
+n0 = 400
+x0 = 0.5
+dx0 = 0.05
+window_sigmas = 8
+[grids]
+x_points = 4096
+p_span = 1.5
+[schedule]
+mode = stroboscopic
+n_start = 0
+n_stop = 800
+n_step = 1
+start = 0
+stop = 10tau
+count = 1000
+times =
+[evolve]
+times =
+representation = position
+[correlate]
+fit = false
+scan = false
+scan_start = 0
+scan_stop = 1T
+scan_resolution = 0.25tau
+min_height = 0.3
+[powerlaw]
+k = 1, 2, 4
+n_min = 50
+n_max = 200
+half = false
+v0 = 1
+a = 1
+fit = false
+fit_n0 = 200
+fit_dn = 3
+[flatten]
+dx0 = 0.025, 0.05, 0.10
+epsilon = 0.05
+hold = 10
+t_stop = 480tau
+sample_step = 0.25tau
+[output]
+format = csv
+precision = 12
+"""
+
+
+def test_defaults_are_declared_once():
+    # the parser adds no default of its own: an empty config and one that
+    # spells out every default both give the dataclass defaults
+    assert parse_config("") == RunConfig()
+    cfg = parse_config(EVERY_KEY_AT_DEFAULT)
+    assert cfg == RunConfig()
+    assert cfg.config_hash != SHA_EMPTY
 
 
 def test_unknown_key_rejected():
