@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 
 from .config import ConfigError, load_config, parse_config
 from .correlation import CollapseFitError
@@ -60,17 +61,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.config is None:
-            cfg = parse_config("")
-        else:
-            cfg = load_config(args.config)
-        if args.precision is not None and not (1 <= args.precision <= 17):
-            raise ConfigError("--precision must be in [1, 17]")
+        cfg = parse_config("") if args.config is None else load_config(args.config)
+        options = {k: getattr(args, k) for k in ("format", "precision")
+                   if getattr(args, k) is not None}
+        try:
+            cfg = replace(cfg, output=replace(cfg.output, **options))
+        except ValueError as e:
+            raise ConfigError(f"--{e}") from None
         if args.threads < 1:
             raise ConfigError("--threads must be >= 1")
-        runner = _COMMANDS[args.command]
-        files = runner(cfg, args.out, fmt=args.format,
-                       precision=args.precision, threads=args.threads)
+        files = _COMMANDS[args.command](cfg, args.out, threads=args.threads)
         for path in files:
             print(path)
         return 0

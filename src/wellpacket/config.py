@@ -1,9 +1,13 @@
-"""Run configuration: sectioned key-value files plus time-suffix parsing.
+"""Run configuration: the RunConfig schema, its INI parser and time literals.
 
-Configs are INI-style text with a fixed schema of sections and keys;
-anything unrecognized is rejected with its location so typos cannot
-silently fall back to defaults.  Times may be written in absolute units
-or as multiples of the bounce period / revival time ("124tau", "0.5T").
+Configs are INI-style text.  Each section is a field of RunConfig and each
+key a field of that section's frozen dataclass, so a key's default lives
+on its field and its bounds in the dataclass's __post_init__.  Field
+metadata holds what the type does not say: "key" for a key named unlike
+its field, "choices", and "item", the parser of one list item.  Anything
+unrecognized is rejected with its location so typos cannot silently fall
+back to defaults.  Times may be written in absolute units or as multiples
+of the bounce period / revival time ("124tau", "0.5T").
 """
 
 from __future__ import annotations
@@ -11,10 +15,13 @@ from __future__ import annotations
 import configparser
 import hashlib
 import math
-from dataclasses import dataclass, field
+import typing
+from collections.abc import Callable, Mapping
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 
 import numpy as np
 
+from .correlation import DEFAULT_FIT_THRESHOLD
 from .packet import PacketSpec
 from .system import WellSystem
 
@@ -46,16 +53,42 @@ def parse_time(text: str, tau: float | None = None, T: float | None = None) -> f
         raise ConfigError(f"cannot parse time literal {s!r}") from None
 
 
+def _time(section: str, key: str, literal: str, tau: float, T: float) -> float:
+    """parse_time, with the [section] key location on its error."""
+    try:
+        return parse_time(literal, tau, T)
+    except ConfigError as e:
+        raise ConfigError(f"[{section}] {key}: {e}") from None
+
+
+def _parse_k(item: str) -> float:
+    if item.lower() in ("infinity", "inf"):
+        return math.inf
+    try:
+        k = float(item)
+    except ValueError:
+        raise ValueError(f"expected a number or 'infinity', got {item!r}") from None
+    if k > _MAX_NUMERIC_K:
+        raise ValueError(f"k = {item} is too large for finite arithmetic; "
+                         "write 'infinity' for the box limit")
+    return k
+
+
 @dataclass(frozen=True)
 class GridSettings:
     x_points: int = 4096
     p_span: float = 1.5       # in units of p0
     p_spacing: float | None = None
 
+    def __post_init__(self):
+        if self.x_points < 2:
+            raise ValueError("x_points: need at least 2 points")
+
 
 @dataclass(frozen=True)
 class ScheduleSettings:
-    mode: str = "stroboscopic"
+    mode: str = field(default="stroboscopic",
+                      metadata={"choices": ("stroboscopic", "dense", "explicit")})
     n_start: int = 0
     n_stop: int = 800
     n_step: int = 1
@@ -64,44 +97,72 @@ class ScheduleSettings:
     count: int = 1000
     times: tuple[str, ...] = ()
 
+    def __post_init__(self):
+        if self.n_step < 1:
+            raise ValueError("n_step: must be >= 1")
+        if self.count < 2:
+            raise ValueError("count: must be >= 2")
+        if self.mode == "explicit" and not self.times:
+            raise ValueError("times: explicit mode needs a times list")
+
     def resolve(self, tau: float, T: float) -> np.ndarray:
         if self.mode == "stroboscopic":
             ns = np.arange(self.n_start, self.n_stop + 1, self.n_step)
             return ns * tau
         if self.mode == "dense":
-            a = parse_time(self.start, tau, T)
-            b = parse_time(self.stop, tau, T)
+            a = _time("schedule", "start", self.start, tau, T)
+            b = _time("schedule", "stop", self.stop, tau, T)
             if not b > a:
-                raise ConfigError("[schedule] stop must exceed start")
+                raise ConfigError("[schedule] stop: must exceed start")
             return np.linspace(a, b, self.count)
         if self.mode == "explicit":
-            if not self.times:
-                raise ConfigError("[schedule] explicit mode needs a times list")
-            vals = sorted(parse_time(s, tau, T) for s in self.times)
+            vals = sorted(_time("schedule", "times", s, tau, T) for s in self.times)
             return np.array(vals)
-        raise ConfigError(f"[schedule] unknown mode {self.mode!r}")
+        raise ConfigError(f"[schedule] mode: unknown mode {self.mode!r}")
 
 
 @dataclass(frozen=True)
 class EvolveSettings:
     times: tuple[str, ...] = ()
-    representation: str = "position"
+    representation: str = field(default="position",
+                                metadata={"choices": ("position", "momentum", "both")})
+
+    def resolve(self, tau: float, T: float) -> list[float]:
+        return [_time("evolve", "times", s, tau, T) for s in self.times]
 
 
 @dataclass(frozen=True)
 class CorrelateSettings:
     fit: bool = False
     scan: bool = False
-    threshold: float | None = None
+    threshold: float = DEFAULT_FIT_THRESHOLD
     scan_start: str = "0"
     scan_stop: str = "1T"
     scan_resolution: str = "0.25tau"
     min_height: float = 0.3
 
+    def __post_init__(self):
+        if not 0.0 < self.threshold < 1.0:
+            raise ValueError("threshold: must lie in (0, 1)")
+
+    def scan_grid(self, tau: float, T: float) -> tuple[float, float, float]:
+        """Start, stop and resolution of the revival scan, in absolute time."""
+        start, stop, res = (_time("correlate", key, getattr(self, key), tau, T)
+                            for key in ("scan_start", "scan_stop", "scan_resolution"))
+        if not start >= 0.0:
+            raise ConfigError("[correlate] scan_start: must not be negative")
+        # the tolerance of revival_scan's own window check
+        if not start < stop <= T + 1e-12:
+            raise ConfigError("[correlate] scan_stop: must lie in (scan_start, 1T]")
+        if not res > 0.0:
+            raise ConfigError("[correlate] scan_resolution: must be positive")
+        return start, stop, res
+
 
 @dataclass(frozen=True)
 class PowerLawSettings:
-    k_values: tuple[float, ...] = (1.0, 2.0, 4.0)
+    k_values: tuple[float, ...] = field(default=(1.0, 2.0, 4.0),
+                                        metadata={"key": "k", "item": _parse_k})
     n_min: int = 50
     n_max: int = 200
     half: bool = False
@@ -111,20 +172,57 @@ class PowerLawSettings:
     fit_n0: int = 200
     fit_dn: float = 3.0
 
+    def __post_init__(self):
+        for k in self.k_values:
+            if not k > 0:
+                raise ValueError(f"k_values: exponent must be positive, got {k:g}")
+        if self.n_min < 0:
+            raise ValueError("n_min: must be >= 0")
+        if self.n_max < self.n_min:
+            raise ValueError("n_max: must be >= n_min")
+        if self.v0 <= 0:
+            raise ValueError("v0: must be positive")
+        if self.a <= 0:
+            raise ValueError("a: must be positive")
+
 
 @dataclass(frozen=True)
 class FlattenSettings:
-    dx0_values: tuple[float, ...] = (0.025, 0.05, 0.10)
+    dx0_values: tuple[float, ...] = field(default=(0.025, 0.05, 0.10),
+                                          metadata={"key": "dx0"})
     epsilon: float = 0.05
     hold: int = 10
     t_stop: str = "480tau"
     sample_step: str = "0.25tau"
 
+    def __post_init__(self):
+        for dx0 in self.dx0_values:
+            if not dx0 > 0:
+                raise ValueError(f"dx0_values: expected a positive number, got {dx0:g}")
+        if self.epsilon <= 0:
+            raise ValueError("epsilon: must be positive")
+        if self.hold < 1:
+            raise ValueError("hold: must be >= 1")
+
+    def sample_times(self, tau: float, T: float) -> np.ndarray:
+        """Sample times 0, step, 2 step, ... below t_stop."""
+        t_stop = _time("flatten", "t_stop", self.t_stop, tau, T)
+        step = _time("flatten", "sample_step", self.sample_step, tau, T)
+        if not t_stop > 0.0:
+            raise ConfigError("[flatten] t_stop: must be positive")
+        if not step > 0.0:
+            raise ConfigError("[flatten] sample_step: must be positive")
+        return np.arange(0.0, t_stop, step)
+
 
 @dataclass(frozen=True)
 class OutputSettings:
-    format: str = "csv"
+    format: str = field(default="csv", metadata={"choices": ("csv", "json")})
     precision: int = 12
+
+    def __post_init__(self):
+        if not 1 <= self.precision <= 17:
+            raise ValueError("precision: must lie in [1, 17]")
 
 
 @dataclass(frozen=True)
@@ -143,77 +241,47 @@ class RunConfig:
 
 _BOOL = {"true": True, "yes": True, "1": True, "on": True,
          "false": False, "no": False, "0": False, "off": False}
+_KINDS = {str: str, int: int, float: float, bool: lambda s: _BOOL[s.lower()]}
+_KIND_NAMES = {int: "an integer", float: "a number", bool: "a boolean"}
 
 
-class _Section:
-    """One config section with typed, location-aware accessors."""
+def _items(text: str) -> list[str]:
+    items = [s.strip() for s in text.split(",") if s.strip()]
+    if not items and text.strip():
+        raise ValueError(f"could not parse list {text!r}")
+    return items
 
-    def __init__(self, name: str, raw: dict[str, str]):
-        self.name = name
-        self.raw = dict(raw)
-        self.seen: set[str] = set()
 
-    def _get(self, key: str):
-        self.seen.add(key)
-        return self.raw.get(key)
+def _parser(hint, meta: Mapping) -> Callable[[str], object]:
+    """The function from a key's text to its field's value, for the field's type."""
+    if typing.get_origin(hint) is tuple:
+        item = meta.get("item") or _parser(typing.get_args(hint)[0], {})
+        return lambda text: tuple(item(s) for s in _items(text))
+    kind = next(t for t in typing.get_args(hint) or (hint,) if t is not type(None))
+    convert, choices = _KINDS[kind], meta.get("choices")
 
-    def loc(self, key: str) -> str:
-        return f"[{self.name}] {key}"
-
-    def floatv(self, key, default=None):
-        v = self._get(key)
-        if v is None:
-            return default
+    def parse(text: str):
+        text = text.strip()
         try:
-            return float(v)
-        except ValueError:
-            raise ConfigError(f"{self.loc(key)}: expected a number, got {v!r}") from None
-
-    def intv(self, key, default=None):
-        v = self._get(key)
-        if v is None:
-            return default
-        try:
-            return int(v)
-        except ValueError:
-            raise ConfigError(f"{self.loc(key)}: expected an integer, got {v!r}") from None
-
-    def boolv(self, key, default=None):
-        v = self._get(key)
-        if v is None:
-            return default
-        b = _BOOL.get(v.strip().lower())
-        if b is None:
-            raise ConfigError(f"{self.loc(key)}: expected a boolean, got {v!r}")
-        return b
-
-    def strv(self, key, default=None, choices=None):
-        v = self._get(key)
-        if v is None:
-            return default
-        v = v.strip()
-        if choices is not None and v not in choices:
-            raise ConfigError(f"{self.loc(key)}: expected one of {sorted(choices)}, got {v!r}")
-        return v
-
-    def listv(self, key, default=()):
-        v = self._get(key)
-        if v is None:
-            return tuple(default)
-        items = tuple(s.strip() for s in v.split(",") if s.strip())
-        if not items and v.strip():
-            raise ConfigError(f"{self.loc(key)}: could not parse list {v!r}")
-        return items
-
-    def reject_unknown(self):
-        unknown = set(self.raw) - self.seen
-        if unknown:
-            key = sorted(unknown)[0]
-            raise ConfigError(f"{self.loc(key)}: unknown key")
+            value = convert(text)
+        except (KeyError, ValueError):
+            raise ValueError(f"expected {_KIND_NAMES[kind]}, got {text!r}") from None
+        if choices is not None and value not in choices:
+            raise ValueError(f"expected one of {sorted(choices)}, got {value!r}")
+        return value
+    return parse
 
 
-_KNOWN_SECTIONS = {"system", "packet", "grids", "schedule", "evolve",
-                   "correlate", "powerlaw", "flatten", "output"}
+def _keys(cls) -> dict[str, tuple[str, Callable[[str], object]]]:
+    """INI key -> (field name, parser) for every field of a section class."""
+    hints = typing.get_type_hints(cls)
+    return {f.metadata.get("key", f.name): (f.name, _parser(hints[f.name], f.metadata))
+            for f in fields(cls)}
+
+
+# The schema: section name -> its keys, built once from RunConfig's fields.
+_SECTIONS = {name: _keys(cls) for name, cls in typing.get_type_hints(RunConfig).items()
+             if is_dataclass(cls)}
 
 
 def parse_config(text: str) -> RunConfig:
@@ -223,133 +291,40 @@ def parse_config(text: str) -> RunConfig:
         cp.read_string(text)
     except configparser.Error as e:
         raise ConfigError(f"malformed config: {e}") from None
+    unknown = set(cp.sections()) - _SECTIONS.keys()
+    if unknown:
+        raise ConfigError(f"[{min(unknown)}]: unknown section")
 
-    for name in cp.sections():
-        if name not in _KNOWN_SECTIONS:
-            raise ConfigError(f"[{name}]: unknown section")
-
-    def section(name: str) -> _Section:
-        return _Section(name, dict(cp[name]) if cp.has_section(name) else {})
-
-    s = section("system")
+    default = RunConfig()
+    sections = {}
+    for name, keys in _SECTIONS.items():
+        raw = dict(cp[name]) if cp.has_section(name) else {}
+        unknown = raw.keys() - keys.keys()
+        if unknown:
+            raise ConfigError(f"[{name}] {min(unknown)}: unknown key")
+        given = {}
+        for key, value in raw.items():
+            attr, parse = keys[key]
+            try:
+                given[attr] = parse(value)
+            except ValueError as e:
+                raise ConfigError(f"[{name}] {key}: {e}") from None
+        if name == "packet" and "alpha" in given and "dx0" not in given:
+            given["dx0"] = None      # alpha alone replaces the default width
+        try:
+            sections[name] = replace(getattr(default, name), **given)
+        except ValueError as e:
+            # bound messages name the field; report the key it is read from
+            attr, sep, problem = str(e).partition(": ")
+            key = next((k for k, (a, _) in keys.items() if a == attr), attr)
+            raise ConfigError(f"[{name}] {key}{sep}{problem}") from None
     try:
-        system = WellSystem(mass=s.floatv("mass", 0.5), hbar=s.floatv("hbar", 1.0),
-                            width_L=s.floatv("length", 1.0))
+        sections["packet"].validate_for(sections["system"])
     except ValueError as e:
-        raise ConfigError(f"[system]: {e}") from None
-    s.reject_unknown()
-
-    s = section("packet")
-    alpha = s.floatv("alpha")
-    dx0 = s.floatv("dx0")
-    if alpha is None and dx0 is None:
-        dx0 = 0.05
-    try:
-        packet = PacketSpec(n0=s.intv("n0", 400), x0=s.floatv("x0", 0.5),
-                            alpha=alpha, dx0=dx0,
-                            window_sigmas=s.floatv("window_sigmas", 8.0))
-        packet.validate_for(system)
-    except ValueError as e:
-        raise ConfigError(f"[packet]: {e}") from None
-    s.reject_unknown()
-
-    s = section("grids")
-    grids = GridSettings(x_points=s.intv("x_points", 4096),
-                         p_span=s.floatv("p_span", 1.5),
-                         p_spacing=s.floatv("p_spacing"))
-    if grids.x_points < 2:
-        raise ConfigError("[grids] x_points: need at least 2 points")
-    s.reject_unknown()
-
-    s = section("schedule")
-    schedule = ScheduleSettings(
-        mode=s.strv("mode", "stroboscopic", {"stroboscopic", "dense", "explicit"}),
-        n_start=s.intv("n_start", 0), n_stop=s.intv("n_stop", 800),
-        n_step=s.intv("n_step", 1),
-        start=s.strv("start", "0"), stop=s.strv("stop", "10tau"),
-        count=s.intv("count", 1000), times=s.listv("times"))
-    if schedule.n_step < 1 or schedule.count < 2:
-        raise ConfigError("[schedule]: n_step must be >= 1 and count >= 2")
-    s.reject_unknown()
-
-    s = section("evolve")
-    evolve = EvolveSettings(
-        times=s.listv("times"),
-        representation=s.strv("representation", "position",
-                              {"position", "momentum", "both"}))
-    s.reject_unknown()
-
-    s = section("correlate")
-    correlate = CorrelateSettings(
-        fit=s.boolv("fit", False), scan=s.boolv("scan", False),
-        threshold=s.floatv("threshold"),
-        scan_start=s.strv("scan_start", "0"), scan_stop=s.strv("scan_stop", "1T"),
-        scan_resolution=s.strv("scan_resolution", "0.25tau"),
-        min_height=s.floatv("min_height", 0.3))
-    if correlate.threshold is not None and not 0.0 < correlate.threshold < 1.0:
-        raise ConfigError("[correlate] threshold: must lie in (0, 1)")
-    s.reject_unknown()
-
-    s = section("powerlaw")
-    k_values = tuple(_parse_k(item, s.loc("k")) for item in s.listv("k", ("1", "2", "4")))
-    pl = PowerLawSettings(
-        k_values=k_values, n_min=s.intv("n_min", 50), n_max=s.intv("n_max", 200),
-        half=s.boolv("half", False), v0=s.floatv("v0", 1.0), a=s.floatv("a", 1.0),
-        fit=s.boolv("fit", False), fit_n0=s.intv("fit_n0", 200),
-        fit_dn=s.floatv("fit_dn", 3.0))
-    if pl.n_min < 0 or pl.n_max < pl.n_min:
-        raise ConfigError("[powerlaw]: need 0 <= n_min <= n_max")
-    if pl.v0 <= 0 or pl.a <= 0:
-        raise ConfigError("[powerlaw]: v0 and a must be positive")
-    s.reject_unknown()
-
-    s = section("flatten")
-    dx0s = tuple(_parse_positive(item, s.loc("dx0")) for item in
-                 s.listv("dx0", ("0.025", "0.05", "0.10")))
-    flatten = FlattenSettings(dx0_values=dx0s, epsilon=s.floatv("epsilon", 0.05),
-                              hold=s.intv("hold", 10), t_stop=s.strv("t_stop", "480tau"),
-                              sample_step=s.strv("sample_step", "0.25tau"))
-    if flatten.epsilon <= 0 or flatten.hold < 1:
-        raise ConfigError("[flatten]: epsilon must be positive and hold >= 1")
-    s.reject_unknown()
-
-    s = section("output")
-    output = OutputSettings(format=s.strv("format", "csv", {"csv", "json"}),
-                            precision=s.intv("precision", 12))
-    if not 1 <= output.precision <= 17:
-        raise ConfigError("[output] precision: must lie in [1, 17]")
-    s.reject_unknown()
+        raise ConfigError(f"[packet] {e}") from None
 
     digest = hashlib.sha256(text.encode()).hexdigest()
-    return RunConfig(system=system, packet=packet, grids=grids, schedule=schedule,
-                     evolve=evolve, correlate=correlate, powerlaw=pl,
-                     flatten=flatten, output=output, config_hash=digest)
-
-
-def _parse_k(item: str, loc: str) -> float:
-    if item.lower() in ("infinity", "inf"):
-        return math.inf
-    try:
-        k = float(item)
-    except ValueError:
-        raise ConfigError(f"{loc}: expected a number or 'infinity', got {item!r}") from None
-    if k <= 0:
-        raise ConfigError(f"{loc}: exponent must be positive, got {item}")
-    if k > _MAX_NUMERIC_K:
-        raise ConfigError(
-            f"{loc}: k = {item} is too large for finite arithmetic; "
-            "write 'infinity' for the box limit")
-    return k
-
-
-def _parse_positive(item: str, loc: str) -> float:
-    try:
-        v = float(item)
-    except ValueError:
-        raise ConfigError(f"{loc}: expected a number, got {item!r}") from None
-    if v <= 0:
-        raise ConfigError(f"{loc}: expected a positive number, got {item}")
-    return v
+    return RunConfig(**sections, config_hash=digest)
 
 
 def load_config(path) -> RunConfig:

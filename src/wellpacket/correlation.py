@@ -209,6 +209,8 @@ def revival_scan(exp: EigenExpansion, t_window: tuple[float, float],
     t0, t1 = t_window
     if not (0.0 <= t0 < t1 <= T + 1e-12):
         raise ValueError("scan window must lie within [0, T]")
+    if not resolution > 0:
+        raise ValueError("scan resolution must be positive")
     times = np.arange(t0, t1 + resolution / 2, resolution)
     both = np.stack([exp.weights, _mirror_weights(exp)], axis=1)
     ac, mc = np.abs(_phase_sum(exp, both, times))

@@ -10,7 +10,7 @@ the packet starts at x0 moving toward the right wall with mean momentum
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Iterator
+from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -68,13 +68,13 @@ class PacketSpec:
         if (self.alpha is None) == (self.dx0 is None):
             raise ValueError("provide exactly one of alpha / dx0")
         if int(self.n0) != self.n0 or self.n0 < 1:
-            raise ValueError("n0 must be a positive integer")
+            raise ValueError("n0: must be a positive integer")
         if self.window_sigmas <= 0:
-            raise ValueError("window_sigmas must be positive")
+            raise ValueError("window_sigmas: must be positive")
 
     def validate_for(self, sys: WellSystem):
         if not 0.0 < self.x0 < sys.width_L:
-            raise ValueError(f"x0 must lie inside (0, {sys.width_L})")
+            raise ValueError(f"x0: must lie inside (0, {sys.width_L})")
 
     def alpha_value(self, sys: WellSystem) -> float:
         if self.alpha is not None:
@@ -130,27 +130,15 @@ class EigenExpansion:
         """|a_n|^2 over the window."""
         return np.abs(self.coefficients) ** 2
 
-    def phase_chunks(self, times) -> Iterator[tuple[slice, NDArray[np.complex128]]]:
-        """The phase kernel: P[k, n] = exp(-i E_n t_k / hbar) in time chunks.
-
-        Yields (s, P), where P's rows belong to times[s]; the slices cover
-        times in order, each within PHASE_CHUNK_BYTES (see _time_chunks).
-        Each P is built when the caller asks for it, so a caller that
-        reduces one chunk before taking the next never holds more than one
-        of them.
-        """
-        t = np.asarray(times, dtype=float).reshape(-1)
-        for s in _time_chunks(t.size, len(self.energies)):
-            yield s, self._phase_block(t[s])
-
     def _phase_block(self, t: NDArray[np.float64]) -> NDArray[np.complex128]:
         P = -1j * np.outer(t, self.energies) / self.sys.hbar
         return np.exp(P, out=P)
 
     def map_chunks(self, fn: Callable[[NDArray[np.complex128]], NDArray], times,
                    out: NDArray, threads: int = 1) -> NDArray:
-        """out[..., s] = fn(P) for every phase chunk (s, P) of times; returns out.
+        """The phase kernel: out[..., s] = fn(P) for every time chunk s; returns out.
 
+        P = exp(-i E_n t / hbar) over times[s], within PHASE_CHUNK_BYTES.
         fn may overwrite P.  With threads > 1 the times are cut into at
         least that many chunks, which go to a pool of that many threads,
         each building its own P; at most ``threads`` chunks are alive at

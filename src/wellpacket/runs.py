@@ -15,7 +15,7 @@ import os
 import numpy as np
 
 from . import correlation, observables, powerlaw, timescales
-from .config import RunConfig, parse_time
+from .config import RunConfig
 from .evolution import (MomentumGrid, SpatialGrid, momentum_wavefunction,
                         position_wavefunction, probability_density)
 from .packet import PacketSpec, build_gaussian_packet
@@ -44,10 +44,9 @@ def _json_round(obj, precision: int):
 class _Output:
     """One run's output directory, format and precision, and its writers."""
 
-    def __init__(self, cfg: RunConfig, command: str, out_dir, fmt, precision):
+    def __init__(self, cfg: RunConfig, command: str, out_dir):
         self.cfg, self.command, self.dir = cfg, command, out_dir
-        self.fmt = fmt or cfg.output.format
-        self.precision = precision or cfg.output.precision
+        self.fmt, self.precision = cfg.output.format, cfg.output.precision
         os.makedirs(out_dir, exist_ok=True)
 
     def json(self, name: str, fields: dict) -> str:
@@ -91,14 +90,13 @@ def _prepare(cfg: RunConfig):
     return exp, report
 
 
-def run_evolve(cfg: RunConfig, out_dir, fmt=None, precision=None, threads=1):
+def run_evolve(cfg: RunConfig, out_dir, threads=1):
     """Densities at explicitly listed times, position and/or momentum."""
-    out = _Output(cfg, "evolve", out_dir, fmt, precision)
+    out = _Output(cfg, "evolve", out_dir)
     exp, report = _prepare(cfg)
-    literals = cfg.evolve.times
-    if not literals:
+    times = cfg.evolve.resolve(report.tau, report.T_rev)
+    if not times:
         return []
-    times = [parse_time(s, report.tau, report.T_rev) for s in literals]
 
     reps = {"position": ("position",), "momentum": ("momentum",),
             "both": ("position", "momentum")}[cfg.evolve.representation]
@@ -111,7 +109,7 @@ def run_evolve(cfg: RunConfig, out_dir, fmt=None, precision=None, threads=1):
                                         cfg.grids.p_span, cfg.grids.p_spacing)
         axis = "x" if rep == "position" else "p"
         points = grid.points.tolist()
-        for i, (lit, t) in enumerate(zip(literals, times)):
+        for i, (lit, t) in enumerate(zip(cfg.evolve.times, times)):
             field = (position_wavefunction(exp, grid, t) if rep == "position"
                      else momentum_wavefunction(exp, grid, t))
             dens = probability_density(field).tolist()
@@ -124,9 +122,9 @@ def run_evolve(cfg: RunConfig, out_dir, fmt=None, precision=None, threads=1):
     return files
 
 
-def run_observables(cfg: RunConfig, out_dir, fmt=None, precision=None, threads=1):
+def run_observables(cfg: RunConfig, out_dir, threads=1):
     """<x>, dx, <p>, dp over the configured schedule, with reference columns."""
-    out = _Output(cfg, "observables", out_dir, fmt, precision)
+    out = _Output(cfg, "observables", out_dir)
     exp, report = _prepare(cfg)
     table = observables.table_for(exp)
     times = cfg.schedule.resolve(report.tau, report.T_rev)
@@ -151,11 +149,12 @@ def run_observables(cfg: RunConfig, out_dir, fmt=None, precision=None, threads=1
     return [out.emit("observables", columns, rows, {"kind": "observables"})]
 
 
-def run_correlate(cfg: RunConfig, out_dir, fmt=None, precision=None, threads=1):
+def run_correlate(cfg: RunConfig, out_dir, threads=1):
     """|C| and |C-bar| series; optional collapse fit and revival scan."""
-    out = _Output(cfg, "correlate", out_dir, fmt, precision)
+    out = _Output(cfg, "correlate", out_dir)
     exp, report = _prepare(cfg)
     times = cfg.schedule.resolve(report.tau, report.T_rev)
+    scan = cfg.correlate.scan_grid(report.tau, report.T_rev) if cfg.correlate.scan else None
 
     absC = np.abs(correlation.autocorrelation_series(exp, times))
     absM = np.abs(correlation.mirror_correlation_series(exp, times))
@@ -164,10 +163,7 @@ def run_correlate(cfg: RunConfig, out_dir, fmt=None, precision=None, threads=1):
                       {"kind": "correlation"})]
 
     if cfg.correlate.fit:
-        kwargs = {}
-        if cfg.correlate.threshold is not None:
-            kwargs["threshold"] = cfg.correlate.threshold
-        fit = correlation.fit_collapse(exp, report.tau, **kwargs)
+        fit = correlation.fit_collapse(exp, report.tau, cfg.correlate.threshold)
         files.append(out.json("collapse_fit.json", {
             "kind": "collapse-fit",
             "T_C_estimate": fit.T_C_estimate,
@@ -177,15 +173,13 @@ def run_correlate(cfg: RunConfig, out_dir, fmt=None, precision=None, threads=1):
             "T_C_closed_form": report.T_C,
         }))
 
-    if cfg.correlate.scan:
-        c = cfg.correlate
-        window = (parse_time(c.scan_start, report.tau, report.T_rev),
-                  parse_time(c.scan_stop, report.tau, report.T_rev))
-        res = parse_time(c.scan_resolution, report.tau, report.T_rev)
-        peaks = correlation.revival_scan(exp, window, res, min_height=c.min_height)
+    if scan is not None:
+        start, stop, res = scan
+        peaks = correlation.revival_scan(exp, (start, stop), res,
+                                         min_height=cfg.correlate.min_height)
         files.append(out.json("revival_scan.json", {
             "kind": "revival-scan",
-            "window": list(window),
+            "window": [start, stop],
             "resolution": res,
             "peaks": [{"t": p.time, "height": p.height, "channel": p.channel,
                        "fraction": None if p.fraction is None
@@ -194,9 +188,9 @@ def run_correlate(cfg: RunConfig, out_dir, fmt=None, precision=None, threads=1):
     return files
 
 
-def run_powerlaw(cfg: RunConfig, out_dir, fmt=None, precision=None, threads=1):
+def run_powerlaw(cfg: RunConfig, out_dir, threads=1):
     """Spectrum table (k, n, E, tau, T_rev) and optional per-k collapse fits."""
-    out = _Output(cfg, "powerlaw", out_dir, fmt, precision)
+    out = _Output(cfg, "powerlaw", out_dir)
     pl = cfg.powerlaw
     wells = [powerlaw.PowerLawWell(k=k, V0=pl.v0, a=pl.a, mass=cfg.system.mass,
                                    hbar=cfg.system.hbar, half=pl.half)
@@ -238,9 +232,9 @@ def run_powerlaw(cfg: RunConfig, out_dir, fmt=None, precision=None, threads=1):
     return files
 
 
-def run_scan_flatten(cfg: RunConfig, out_dir, fmt=None, precision=None, threads=1):
+def run_scan_flatten(cfg: RunConfig, out_dir, threads=1):
     """Delta-x series for several dx0 plus detected flattening times."""
-    out = _Output(cfg, "scan-flatten", out_dir, fmt, precision)
+    out = _Output(cfg, "scan-flatten", out_dir)
     fl = cfg.flatten
     files = []
     detections = []
@@ -249,9 +243,7 @@ def run_scan_flatten(cfg: RunConfig, out_dir, fmt=None, precision=None, threads=
                           window_sigmas=cfg.packet.window_sigmas)
         exp = build_gaussian_packet(spec, cfg.system)
         report = timescales.compute_timescales(cfg.system, spec)
-        t_stop = parse_time(fl.t_stop, report.tau, report.T_rev)
-        step = parse_time(fl.sample_step, report.tau, report.T_rev)
-        times = np.arange(0.0, t_stop, step)
+        times = fl.sample_times(report.tau, report.T_rev)
         table = observables.table_for(exp)
         series = observables.sample_series(exp, table, "dx", times, threads)
         t_star = timescales.detect_flattening(series, cfg.system,
@@ -275,9 +267,9 @@ def run_scan_flatten(cfg: RunConfig, out_dir, fmt=None, precision=None, threads=
     return files
 
 
-def run_timescales(cfg: RunConfig, out_dir, fmt=None, precision=None, threads=1):
+def run_timescales(cfg: RunConfig, out_dir, threads=1):
     """Closed-form time-scale report for the configured packet."""
-    out = _Output(cfg, "timescales", out_dir, fmt, precision)
+    out = _Output(cfg, "timescales", out_dir)
     report = timescales.compute_timescales(cfg.system, cfg.packet)
     cols = ["tau", "T_rev", "t0", "T_C", "t_flat"]
     return [out.emit("timescales", cols, [tuple(getattr(report, c) for c in cols)],

@@ -8,7 +8,7 @@ Default units follow 2m = hbar = L = 1, i.e. m = 1/2, hbar = 1, L = 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.typing import NDArray
@@ -31,11 +31,12 @@ class WellSystem:
 
     mass: float = 0.5
     hbar: float = 1.0
-    width_L: float = 1.0
+    width_L: float = field(default=1.0, metadata={"key": "length"})
 
     def __post_init__(self):
-        if self.mass <= 0 or self.hbar <= 0 or self.width_L <= 0:
-            raise ValueError("mass, hbar and width_L must all be positive")
+        for name in ("mass", "hbar", "width_L"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name}: must be positive")
 
 
 @dataclass(frozen=True)

@@ -11,8 +11,9 @@ import sys
 import pytest
 
 from wellpacket.cli import main
-from wellpacket.config import (ConfigError, RunConfig, load_config, parse_config,
-                               parse_time)
+from wellpacket.config import (ConfigError, CorrelateSettings, OutputSettings,
+                               RunConfig, ScheduleSettings, load_config,
+                               parse_config, parse_time)
 from wellpacket.timescales import TimeScaleReport
 
 SHA_EMPTY = hashlib.sha256(b"").hexdigest()
@@ -33,8 +34,8 @@ def test_default_config():
     assert cfg.config_hash == SHA_EMPTY
 
 
-# Every key that has a default, written out at that default.  None-valued
-# defaults (alpha, p_spacing, threshold) cannot be spelled in INI.
+# Every key that has a default, written out at that default.  The None
+# defaults of alpha and p_spacing cannot be spelled in INI.
 EVERY_KEY_AT_DEFAULT = """\
 [system]
 mass = 0.5
@@ -63,6 +64,7 @@ representation = position
 [correlate]
 fit = false
 scan = false
+threshold = 0.9
 scan_start = 0
 scan_stop = 1T
 scan_resolution = 0.25tau
@@ -148,6 +150,41 @@ def test_bounds_checks():
     with pytest.raises(ConfigError, match="precision"):
         parse_config("[output]\nprecision = 18\n")
     assert parse_config("[output]\nprecision = 17\n").output.precision == 17
+    # a bound on a renamed field is reported under its key
+    with pytest.raises(ConfigError, match=re.escape("[system] length: must be positive")):
+        parse_config("[system]\nlength = 0\n")
+
+
+def test_bounds_hold_outside_the_parser(tmp_path, capsys):
+    with pytest.raises(ValueError, match="precision"):
+        OutputSettings(precision=0)
+    with pytest.raises(ValueError, match="n_step"):
+        ScheduleSettings(n_step=0)
+    with pytest.raises(ValueError, match="threshold"):
+        CorrelateSettings(threshold=1.5)
+    ini = tmp_path / "run.ini"
+    ini.write_text("[output]\nprecision = 18\n")
+    for option in (["--precision", "18"], ["--config", str(ini)]):
+        assert main(["timescales", "--out", str(tmp_path / "o"), *option]) == 1
+        assert "precision" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, ini, location", [
+    ("correlate", "[schedule]\nn_stop = 5\n[correlate]\nscan = true\nscan_stop = 2T\n",
+     "[correlate] scan_stop:"),
+    ("scan-flatten", "[flatten]\nt_stop = 0\n", "[flatten] t_stop:"),
+    ("scan-flatten", "[flatten]\nsample_step = 0\n", "[flatten] sample_step:"),
+    ("correlate", "[schedule]\nn_stop = 5\n[correlate]\nscan = true\n"
+     "scan_resolution = -1\n", "[correlate] scan_resolution:"),
+    ("evolve", "[evolve]\ntimes = 0, soon\n", "[evolve] times: cannot parse"),
+], ids=["scan_stop", "t_stop", "sample_step", "scan_resolution", "evolve_times"])
+def test_time_literal_errors_are_config_errors(tmp_path, capsys, command, ini, location):
+    path = tmp_path / "run.ini"
+    path.write_text(ini)
+    out = tmp_path / "o"
+    assert main([command, "--config", str(path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(f"config error: {location}")
+    assert os.listdir(out) == []
 
 
 def test_load_config_missing_file(tmp_path):

@@ -172,6 +172,8 @@ def test_revival_scan_window_validation(default_exp):
         revival_scan(default_exp, (0.0, 1.5 * T_REV), 0.25 * TAU)
     with pytest.raises(ValueError):
         revival_scan(default_exp, (0.5 * T_REV, 0.1 * T_REV), 0.25 * TAU)
+    with pytest.raises(ValueError, match="resolution"):
+        revival_scan(default_exp, (0.0, 0.5 * T_REV), -0.25 * TAU)
 
 
 def test_nearest_fraction():

@@ -27,17 +27,27 @@ def _rows_budget(monkeypatch, exp, rows: int):
 def test_phase_chunks_cover_times_within_budget(monkeypatch, default_exp):
     times = np.linspace(0.0, 0.01, 45)
     _rows_budget(monkeypatch, default_exp, ROWS)
-    chunks = list(default_exp.phase_chunks(times))
+    blocks = []
+
+    def keep(P):
+        blocks.append(P.copy())
+        return P.T
+
+    out = np.empty((len(default_exp.energies), times.size), dtype=complex)
+    default_exp.map_chunks(keep, times, out)
     # seven chunks are needed; 45 rows over seven is three of 7 and four of 6
-    assert [s.stop - s.start for s, _ in chunks] == [6, 6, 7, 6, 7, 6, 7]
-    assert all(P.nbytes <= packet.PHASE_CHUNK_BYTES for _, P in chunks)
+    assert [len(P) for P in blocks] == [6, 6, 7, 6, 7, 6, 7]
+    assert all(P.nbytes <= packet.PHASE_CHUNK_BYTES for P in blocks)
     full = np.exp(-1j * np.outer(times, default_exp.energies) / default_exp.sys.hbar)
-    assert np.array_equal(np.concatenate([P for _, P in chunks]), full)
+    assert np.array_equal(np.concatenate(blocks), full)
+    assert np.array_equal(out, full.T)
     assert np.array_equal(default_exp.phases_at(times[9]),
                           default_exp.coefficients * full[9])
     # a budget below one row still makes progress, one row per chunk
     monkeypatch.setattr(packet, "PHASE_CHUNK_BYTES", 1)
-    assert len(list(default_exp.phase_chunks(times[:5]))) == 5
+    blocks.clear()
+    default_exp.map_chunks(keep, times[:5], out[:, :5])
+    assert [len(P) for P in blocks] == [1] * 5
 
 
 def test_chunks_split_for_threads_without_single_rows():
