@@ -241,8 +241,9 @@ class RunConfig:
 
 _BOOL = {"true": True, "yes": True, "1": True, "on": True,
          "false": False, "no": False, "0": False, "off": False}
-_KINDS = {str: str, int: int, float: float, bool: lambda s: _BOOL[s.lower()]}
-_KIND_NAMES = {int: "an integer", float: "a number", bool: "a boolean"}
+# field type -> (conversion of the stripped text, the name its error uses)
+_KINDS = {str: (str, "a string"), int: (int, "an integer"), float: (float, "a number"),
+          bool: (lambda s: _BOOL[s.lower()], "a boolean")}
 
 
 def _items(text: str) -> list[str]:
@@ -258,14 +259,14 @@ def _parser(hint, meta: Mapping) -> Callable[[str], object]:
         item = meta.get("item") or _parser(typing.get_args(hint)[0], {})
         return lambda text: tuple(item(s) for s in _items(text))
     kind = next(t for t in typing.get_args(hint) or (hint,) if t is not type(None))
-    convert, choices = _KINDS[kind], meta.get("choices")
+    (convert, what), choices = _KINDS[kind], meta.get("choices")
 
     def parse(text: str):
         text = text.strip()
         try:
             value = convert(text)
         except (KeyError, ValueError):
-            raise ValueError(f"expected {_KIND_NAMES[kind]}, got {text!r}") from None
+            raise ValueError(f"expected {what}, got {text!r}") from None
         if choices is not None and value not in choices:
             raise ValueError(f"expected one of {sorted(choices)}, got {value!r}")
         return value
