@@ -73,14 +73,19 @@ class _Output:
             return self.json(f"{stem}.json", {**fields, **data})
         path = os.path.join(self.dir, f"{stem}.csv")
         num = f"%.{self.precision}g"
+        templates = {}     # cell types of a row -> its '%'-template
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             for line in (f"wellpacket {self.command}",
                          f"config-sha256: {self.cfg.config_hash}", *meta):
                 fh.write(f"# {line}\n")
             fh.write(",".join(columns) + "\n")
             for row in rows:
-                template = ",".join(["%s" if isinstance(c, str) else num for c in row])
-                fh.write(template % row + "\n")
+                kinds = tuple(map(type, row))
+                template = templates.get(kinds)
+                if template is None:
+                    template = templates[kinds] = ",".join(
+                        "%s" if issubclass(k, str) else num for k in kinds) + "\n"
+                fh.write(template % row)
         return path
 
 
@@ -138,13 +143,13 @@ def run_observables(cfg: RunConfig, out_dir, threads=1):
     dx0 = cfg.packet.dx0_value(sys)
     env = timescales.spreading_envelope(dx0, report.t0, times)
     v0 = cfg.packet.n0 * math.pi * sys.hbar / (sys.mass * sys.width_L)
-    classical = [classical_trajectory(t, cfg.packet.x0, v0, sys) for t in times]
+    classical = classical_trajectory(times, cfg.packet.x0, v0, sys)
     flat_dx = sys.width_L / math.sqrt(12.0)
 
     columns = ["t", "x_mean", "dx", "p_mean", "dp",
                "dx_envelope", "classical_x", "classical_v", "flat_dx"]
     rows = zip(times.tolist(), *(v.tolist() for v in series), env.tolist(),
-               [c.position for c in classical], [c.velocity for c in classical],
+               classical.position.tolist(), classical.velocity.tolist(),
                [flat_dx] * times.size)
     return [out.emit("observables", columns, rows, {"kind": "observables"})]
 

@@ -41,10 +41,11 @@ class WellSystem:
 
 @dataclass(frozen=True)
 class ClassicalState:
-    """Bouncing point particle: position in [0, L] and signed velocity."""
+    """Bouncing point particle: position in [0, L] and signed velocity
+    (arrays of them for an array of times)."""
 
-    position: float
-    velocity: float
+    position: float | NDArray[np.float64]
+    velocity: float | NDArray[np.float64]
 
 
 def _check_level(n) -> int:
@@ -132,16 +133,21 @@ def classical_trajectory(t, x0, v0, sys: WellSystem = WellSystem()) -> Classical
 
     The solution is evaluated in closed form (no time stepping), so it is
     periodic with period 2L/|v0| to round-off for arbitrarily late times.
-    A particle with v0 = 0 stays put.
+    A particle with v0 = 0 stays put.  ``t`` may be an array, which gives
+    arrays of positions and velocities, element for element the values of
+    scalar calls.
     """
     L = sys.width_L
     if not 0.0 <= x0 <= L:
         raise ValueError(f"x0 must lie in [0, {L}], got {x0}")
+    t = np.asarray(t, dtype=float)
     if v0 == 0.0:
-        return ClassicalState(x0, 0.0)
-    y = math.fmod(x0 + v0 * t, 2.0 * L)
-    if y < 0.0:
-        y += 2.0 * L
-    if y <= L:
-        return ClassicalState(y, v0)
-    return ClassicalState(2.0 * L - y, -v0)
+        y, v = np.full(t.shape, float(x0)), np.zeros(t.shape)
+    else:
+        y = np.fmod(x0 + v0 * t, 2.0 * L)
+        y = np.where(y < 0.0, y + 2.0 * L, y)
+        back = y > L
+        y, v = np.where(back, 2.0 * L - y, y), np.where(back, -v0, v0)
+    if t.ndim == 0:
+        return ClassicalState(float(y), float(v))
+    return ClassicalState(y, v)
