@@ -83,6 +83,10 @@ class GridSettings:
     def __post_init__(self):
         if self.x_points < 2:
             raise ValueError("x_points: need at least 2 points")
+        if not self.p_span > 0:
+            raise ValueError("p_span: must be positive")
+        if self.p_spacing is not None and not self.p_spacing > 0:
+            raise ValueError("p_spacing: must be positive")
 
 
 @dataclass(frozen=True)
@@ -107,6 +111,8 @@ class ScheduleSettings:
 
     def resolve(self, tau: float, T: float) -> np.ndarray:
         if self.mode == "stroboscopic":
+            if self.n_stop < self.n_start:
+                raise ConfigError("[schedule] n_stop: must be >= n_start")
             ns = np.arange(self.n_start, self.n_stop + 1, self.n_step)
             return ns * tau
         if self.mode == "dense":
@@ -173,6 +179,8 @@ class PowerLawSettings:
     fit_dn: float = 3.0
 
     def __post_init__(self):
+        if not self.k_values:
+            raise ValueError("k_values: need at least one exponent")
         for k in self.k_values:
             if not k > 0:
                 raise ValueError(f"k_values: exponent must be positive, got {k:g}")
@@ -184,6 +192,8 @@ class PowerLawSettings:
             raise ValueError("v0: must be positive")
         if self.a <= 0:
             raise ValueError("a: must be positive")
+        if not self.fit_dn > 0:
+            raise ValueError("fit_dn: must be positive")
 
 
 @dataclass(frozen=True)

@@ -133,9 +133,6 @@ def run_observables(cfg: RunConfig, out_dir, threads=1):
     exp, report = _prepare(cfg)
     table = observables.table_for(exp)
     times = cfg.schedule.resolve(report.tau, report.T_rev)
-    if times.size == 0:
-        return []
-
     series = observables.expectation_series(exp, table, ("x", "dx", "p", "dp"),
                                             times, threads)
 

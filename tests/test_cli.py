@@ -187,6 +187,28 @@ def test_time_literal_errors_are_config_errors(tmp_path, capsys, command, ini, l
     assert os.listdir(out) == []
 
 
+@pytest.mark.parametrize("command, ini, location", [
+    ("evolve", "[grids]\np_span = -1\n[evolve]\ntimes = 0\nrepresentation = momentum\n",
+     "[grids] p_span: must be positive"),
+    ("evolve", "[grids]\np_spacing = 0\n[evolve]\ntimes = 0\nrepresentation = momentum\n",
+     "[grids] p_spacing: must be positive"),
+    ("powerlaw", "[powerlaw]\nfit = true\nfit_dn = -3\n", "[powerlaw] fit_dn: must be positive"),
+    ("observables", "[schedule]\nn_start = 10\nn_stop = 5\n", "[schedule] n_stop:"),
+    ("correlate", "[schedule]\nn_start = 10\nn_stop = 5\n", "[schedule] n_stop:"),
+    ("powerlaw", "[powerlaw]\nk =\n", "[powerlaw] k:"),
+], ids=["p_span", "p_spacing", "fit_dn", "empty_strobes_observables",
+        "empty_strobes_correlate", "empty_k"])
+def test_bad_values_and_empty_work_are_config_errors(tmp_path, capsys, command, ini,
+                                                     location):
+    # each of these once ended in a traceback or in an empty or header-only file
+    path = tmp_path / "run.ini"
+    path.write_text(ini)
+    out = tmp_path / "o"
+    assert main([command, "--config", str(path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(f"config error: {location}")
+    assert not out.exists() or os.listdir(out) == []
+
+
 def test_load_config_missing_file(tmp_path):
     with pytest.raises(ConfigError, match="cannot read"):
         load_config(tmp_path / "nope.ini")
