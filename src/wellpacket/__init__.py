@@ -9,7 +9,7 @@ scales, and WKB spectra for power-law confining wells.
 """
 
 from .config import (ConfigError, RunConfig, load_config, parse_config,
-                     parse_time)
+                     parse_theta, parse_time)
 from .correlation import (DEFAULT_FIT_THRESHOLD, CollapseFit, CollapseFitError,
                           ScanPeak, autocorrelation, autocorrelation_series,
                           fit_collapse, fit_gaussian_decay, fit_stroboscopic,
@@ -23,7 +23,7 @@ from .observables import (OBSERVABLES, MatrixElementTable,
                           build_matrix_elements, expectation,
                           expectation_series, sample_series, spec_hash,
                           table_for, uncertainty, uncertainty_series)
-from .packet import (EigenExpansion, PacketSpec, build_gaussian_packet,
+from .packet import (EigenExpansion, PacketSpec, Theta, build_gaussian_packet,
                      initial_moments)
 from .powerlaw import (PowerLawWell, classical_period_powerlaw,
                        collapse_time_powerlaw, fit_powerlaw_collapse,
@@ -46,7 +46,8 @@ __all__ = [
     "WellSystem", "ClassicalState", "eigenenergy", "level_momentum",
     "eigenstate_position", "eigenstate_momentum", "classical_trajectory",
     # packet
-    "PacketSpec", "EigenExpansion", "build_gaussian_packet", "initial_moments",
+    "PacketSpec", "EigenExpansion", "Theta", "build_gaussian_packet",
+    "initial_moments",
     # evolution
     "SpatialGrid", "MomentumGrid", "WaveField", "position_wavefunction",
     "momentum_wavefunction", "probability_density", "density_norm",
@@ -69,6 +70,7 @@ __all__ = [
     "powerlaw_autocorrelation", "fit_powerlaw_collapse",
     # config
     "ConfigError", "RunConfig", "load_config", "parse_config", "parse_time",
+    "parse_theta",
     # runs
     "run_evolve", "run_observables", "run_correlate", "run_powerlaw",
     "run_scan_flatten", "run_timescales",

@@ -7,7 +7,9 @@ metadata holds what the type does not say: "key" for a key named unlike
 its field, "choices", and "item", the parser of one list item.  Anything
 unrecognized is rejected with its location so typos cannot silently fall
 back to defaults.  Times may be written in absolute units or as multiples
-of the bounce period / revival time ("124tau", "0.5T").
+of the bounce period / revival time ("124tau", "0.5T").  The resolvers
+return each time as a float and, for a multiple of tau or T (or a zero),
+also as the exact fraction theta = t / T, using tau = T / (2 n0).
 """
 
 from __future__ import annotations
@@ -22,10 +24,14 @@ from dataclasses import dataclass, field, fields, is_dataclass, replace
 import numpy as np
 
 from .correlation import DEFAULT_FIT_THRESHOLD
-from .packet import PacketSpec
+from .packet import PacketSpec, Theta
 from .system import WellSystem
 
-__all__ = ["ConfigError", "RunConfig", "load_config", "parse_config", "parse_time"]
+if typing.TYPE_CHECKING:
+    from fractions import Fraction
+
+__all__ = ["ConfigError", "RunConfig", "load_config", "parse_config", "parse_time",
+           "parse_theta"]
 
 # CLI-facing cap: beyond this, finite k is numerically indistinguishable
 # from the box limit and must be requested as "infinity" instead.
@@ -53,10 +59,36 @@ def parse_time(text: str, tau: float | None = None, T: float | None = None) -> f
         raise ConfigError(f"cannot parse time literal {s!r}") from None
 
 
-def _time(section: str, key: str, literal: str, tau: float, T: float) -> float:
-    """parse_time, with the [section] key location on its error."""
+def parse_theta(literal: str, n0: int) -> Fraction | None:
+    """The exact t / T of a time literal that parse_time accepts, or None.
+
+    "x tau" is x / (2 n0) and "x T" is x; a plain number is in absolute
+    units, which T relates to only through pi, so it is exact only at zero.
+    """
+    # imported on first use, so that importing the package does not load
+    # fractions and the decimal module it brings, a few ms of every start-up
+    from fractions import Fraction
+
+    s, unit = literal.strip(), None
+    if s.endswith("tau"):
+        s, unit = s[:-3], Fraction(1, 2 * n0)
+    elif s.endswith("T"):
+        s, unit = s[:-1], Fraction(1)
     try:
-        return parse_time(literal, tau, T)
+        x = Fraction(s)
+    except ValueError:          # inf, nan
+        return None
+    if unit is None:
+        return x if x == 0 else None
+    return x * unit
+
+
+def _time(section: str, key: str, literal: str, tau: float, T: float,
+          n0: int) -> tuple[float, Fraction | None]:
+    """parse_time, with the [section] key location on its error, and the
+    literal's exact t / T (None when it has none)."""
+    try:
+        return parse_time(literal, tau, T), parse_theta(literal, n0)
     except ConfigError as e:
         raise ConfigError(f"[{section}] {key}: {e}") from None
 
@@ -109,21 +141,29 @@ class ScheduleSettings:
         if self.mode == "explicit" and not self.times:
             raise ValueError("times: explicit mode needs a times list")
 
-    def resolve(self, tau: float, T: float) -> np.ndarray:
+    def resolve(self, tau: float, T: float, n0: int) -> tuple[np.ndarray, Theta | None]:
+        """The schedule's times, and their exact t / T where it has them."""
         if self.mode == "stroboscopic":
             if self.n_stop < self.n_start:
                 raise ConfigError("[schedule] n_stop: must be >= n_start")
             ns = np.arange(self.n_start, self.n_stop + 1, self.n_step)
-            return ns * tau
+            # strobe n is the literal "n tau"
+            return ns * tau, Theta.progression(parse_theta(f"{self.n_start}tau", n0),
+                                               parse_theta(f"{self.n_step}tau", n0), ns.size)
         if self.mode == "dense":
-            a = _time("schedule", "start", self.start, tau, T)
-            b = _time("schedule", "stop", self.stop, tau, T)
+            a, theta_a = _time("schedule", "start", self.start, tau, T, n0)
+            b, theta_b = _time("schedule", "stop", self.stop, tau, T, n0)
             if not b > a:
                 raise ConfigError("[schedule] stop: must exceed start")
-            return np.linspace(a, b, self.count)
+            theta = None
+            if theta_a is not None and theta_b is not None:
+                theta = Theta.progression(theta_a, (theta_b - theta_a) / (self.count - 1),
+                                          self.count)
+            return np.linspace(a, b, self.count), theta
         if self.mode == "explicit":
-            vals = sorted(_time("schedule", "times", s, tau, T) for s in self.times)
-            return np.array(vals)
+            vals = sorted((_time("schedule", "times", s, tau, T, n0) for s in self.times),
+                          key=lambda v: v[0])
+            return np.array([t for t, _ in vals]), Theta.of([th for _, th in vals])
         raise ConfigError(f"[schedule] mode: unknown mode {self.mode!r}")
 
 
@@ -133,8 +173,9 @@ class EvolveSettings:
     representation: str = field(default="position",
                                 metadata={"choices": ("position", "momentum", "both")})
 
-    def resolve(self, tau: float, T: float) -> list[float]:
-        return [_time("evolve", "times", s, tau, T) for s in self.times]
+    def resolve(self, tau: float, T: float, n0: int) -> list[tuple[float, Fraction | None]]:
+        """Each listed time, with its exact t / T or None."""
+        return [_time("evolve", "times", s, tau, T, n0) for s in self.times]
 
 
 @dataclass(frozen=True)
@@ -151,10 +192,13 @@ class CorrelateSettings:
         if not 0.0 < self.threshold < 1.0:
             raise ValueError("threshold: must lie in (0, 1)")
 
-    def scan_grid(self, tau: float, T: float) -> tuple[float, float, float]:
-        """Start, stop and resolution of the revival scan, in absolute time."""
-        start, stop, res = (_time("correlate", key, getattr(self, key), tau, T)
-                            for key in ("scan_start", "scan_stop", "scan_resolution"))
+    def scan_grid(self, tau: float, T: float, n0: int) -> tuple[
+            float, float, float, tuple[Fraction, Fraction] | None]:
+        """Start, stop and resolution of the revival scan, in absolute time,
+        and the exact (start / T, resolution / T), or None."""
+        (start, theta_start), (stop, _), (res, theta_res) = (
+            _time("correlate", key, getattr(self, key), tau, T, n0)
+            for key in ("scan_start", "scan_stop", "scan_resolution"))
         if not start >= 0.0:
             raise ConfigError("[correlate] scan_start: must not be negative")
         # the tolerance of revival_scan's own window check
@@ -162,7 +206,8 @@ class CorrelateSettings:
             raise ConfigError("[correlate] scan_stop: must lie in (scan_start, 1T]")
         if not res > 0.0:
             raise ConfigError("[correlate] scan_resolution: must be positive")
-        return start, stop, res
+        exact = None if theta_start is None or theta_res is None else (theta_start, theta_res)
+        return start, stop, res, exact
 
 
 @dataclass(frozen=True)
@@ -214,15 +259,18 @@ class FlattenSettings:
         if self.hold < 1:
             raise ValueError("hold: must be >= 1")
 
-    def sample_times(self, tau: float, T: float) -> np.ndarray:
-        """Sample times 0, step, 2 step, ... below t_stop."""
-        t_stop = _time("flatten", "t_stop", self.t_stop, tau, T)
-        step = _time("flatten", "sample_step", self.sample_step, tau, T)
+    def sample_times(self, tau: float, T: float, n0: int) -> tuple[np.ndarray, Theta | None]:
+        """Sample times 0, step, 2 step, ... below t_stop, and their exact t / T."""
+        t_stop, _ = _time("flatten", "t_stop", self.t_stop, tau, T, n0)
+        step, theta_step = _time("flatten", "sample_step", self.sample_step, tau, T, n0)
         if not t_stop > 0.0:
             raise ConfigError("[flatten] t_stop: must be positive")
         if not step > 0.0:
             raise ConfigError("[flatten] sample_step: must be positive")
-        return np.arange(0.0, t_stop, step)
+        times = np.arange(0.0, t_stop, step)
+        if theta_step is None:
+            return times, None
+        return times, Theta.progression(0, theta_step, times.size)
 
 
 @dataclass(frozen=True)

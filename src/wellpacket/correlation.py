@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .packet import EigenExpansion
+from .packet import EigenExpansion, Theta
 
 __all__ = [
     "CollapseFit",
@@ -71,40 +71,44 @@ class ScanPeak:
     fraction: tuple[int, int] | None
 
 
-def _phase_sum(exp: EigenExpansion, weights: NDArray, times) -> NDArray[np.complex128]:
+def _phase_sum(exp: EigenExpansion, weights: NDArray, times,
+               theta: Theta | None = None) -> NDArray[np.complex128]:
     """Sum_n weights[n, j] exp(i E_n t / hbar), shaped (j, t), or (t,) for 1-d weights.
 
     The weights are real, so with the kernel's P = exp(-i E t / hbar) each
     chunk contributes conj(P @ weights); one chunk is alive at a time.
+    ``theta``, the exact times / T, makes every phase exact.
     """
     t = np.atleast_1d(np.asarray(times, dtype=float))
     w = weights.astype(complex)
     out = np.empty(w.shape[1:] + t.shape, dtype=complex)
-    return exp.map_chunks(lambda P: np.conj(P @ w).T, t, out)
+    return exp.map_chunks(lambda P: np.conj(P @ w).T, t, out, theta=theta)
 
 
-def autocorrelation(exp: EigenExpansion, t: float) -> complex:
-    """C(t) = Sum |a_n|^2 exp(i E_n t / hbar)."""
-    return complex(_phase_sum(exp, exp.weights, t)[0])
+def autocorrelation(exp: EigenExpansion, t: float, theta=None) -> complex:
+    """C(t) = Sum |a_n|^2 exp(i E_n t / hbar); ``theta`` is the exact t / T, if known."""
+    return complex(_phase_sum(exp, exp.weights, t, Theta.of([theta]))[0])
 
 
-def autocorrelation_series(exp: EigenExpansion, times) -> NDArray[np.complex128]:
-    """C(t) over a time array."""
-    return _phase_sum(exp, exp.weights, times)
+def autocorrelation_series(exp: EigenExpansion, times,
+                           theta: Theta | None = None) -> NDArray[np.complex128]:
+    """C(t) over a time array; ``theta`` is the exact times / T, if known."""
+    return _phase_sum(exp, exp.weights, times, theta)
 
 
-def mirror_correlation(exp: EigenExpansion, t: float) -> complex:
+def mirror_correlation(exp: EigenExpansion, t: float, theta=None) -> complex:
     """C-bar(t) = Sum (-1)^(n+1) |a_n|^2 exp(i E_n t / hbar).
 
     Closed form of the overlap Int psi*(L-x, t) psi(x, 0) dx, using
-    u_n(L - x) = (-1)^(n+1) u_n(x).
+    u_n(L - x) = (-1)^(n+1) u_n(x).  ``theta`` is the exact t / T, if known.
     """
-    return complex(_phase_sum(exp, _mirror_weights(exp), t)[0])
+    return complex(_phase_sum(exp, _mirror_weights(exp), t, Theta.of([theta]))[0])
 
 
-def mirror_correlation_series(exp: EigenExpansion, times) -> NDArray[np.complex128]:
-    """C-bar(t) over a time array."""
-    return _phase_sum(exp, _mirror_weights(exp), times)
+def mirror_correlation_series(exp: EigenExpansion, times,
+                              theta: Theta | None = None) -> NDArray[np.complex128]:
+    """C-bar(t) over a time array; ``theta`` is the exact times / T, if known."""
+    return _phase_sum(exp, _mirror_weights(exp), times, theta)
 
 
 def _mirror_weights(exp: EigenExpansion) -> NDArray[np.float64]:
@@ -167,13 +171,19 @@ def fit_stroboscopic(magnitude, tau: float,
 
 
 def fit_collapse(exp: EigenExpansion, tau: float,
-                 threshold: float = DEFAULT_FIT_THRESHOLD) -> CollapseFit:
+                 threshold: float = DEFAULT_FIT_THRESHOLD, theta=None) -> CollapseFit:
     """Fit the collapse time from |C(n tau)|, n = 1, 2, ... while |C| > threshold.
 
     For the default packet the estimate lands within 10% of the closed form
-    T/(2 pi dn^2) = 4 t0.
+    T/(2 pi dn^2) = 4 t0.  ``theta``, the exact tau / T (1 / (2 n0) for the
+    bounce period), makes the phase at each n tau exact.
     """
-    return fit_stroboscopic(lambda t: abs(autocorrelation(exp, t)), tau, threshold)
+    if theta is None:
+        return fit_stroboscopic(lambda t: abs(autocorrelation(exp, t)), tau, threshold)
+    # the sampler sees only t = n tau, from which n is recovered
+    return fit_stroboscopic(
+        lambda t: abs(autocorrelation(exp, t, round(t / tau) * theta)),
+        tau, threshold)
 
 
 def nearest_fraction(x: float, max_q: int = 8) -> tuple[int, int]:
@@ -197,12 +207,14 @@ def nearest_fraction(x: float, max_q: int = 8) -> tuple[int, int]:
 
 def revival_scan(exp: EigenExpansion, t_window: tuple[float, float],
                  resolution: float, min_height: float = 0.3,
-                 max_q: int = 8) -> list[ScanPeak]:
+                 max_q: int = 8, theta=None) -> list[ScanPeak]:
     """Local maxima of max(|C|, |C-bar|) on a sampled window.
 
     Peaks above ``min_height`` are annotated with the closest fraction
     p/q of the revival time T (q <= max_q) when that fraction lies within
-    half a resolution step; otherwise the annotation is None.
+    half a resolution step; otherwise the annotation is None.  ``theta``,
+    the exact (t_window[0] / T, resolution / T), makes every sample's phase
+    exact.
     """
     sys = exp.sys
     T = 4.0 * sys.mass * sys.width_L**2 / (sys.hbar * math.pi)
@@ -212,8 +224,9 @@ def revival_scan(exp: EigenExpansion, t_window: tuple[float, float],
     if not resolution > 0:
         raise ValueError("scan resolution must be positive")
     times = np.arange(t0, t1 + resolution / 2, resolution)
+    exact = None if theta is None else Theta.progression(*theta, times.size)
     both = np.stack([exp.weights, _mirror_weights(exp)], axis=1)
-    ac, mc = np.abs(_phase_sum(exp, both, times))
+    ac, mc = np.abs(_phase_sum(exp, both, times, exact))
     curve = np.maximum(ac, mc)
     peaks = []
     last = len(times) - 1

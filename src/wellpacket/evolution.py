@@ -108,15 +108,19 @@ def _basis_position(exp: EigenExpansion, x: NDArray) -> NDArray[np.float64]:
     return np.sqrt(2.0 / L) * np.sin(np.outer(x, ns) * np.pi / L)
 
 
-def position_wavefunction(exp: EigenExpansion, grid: SpatialGrid, t: float) -> WaveField:
-    """psi(x, t) = Sum a_n u_n(x) exp(-i E_n t / hbar) on the grid."""
-    amp = _basis_position(exp, grid.points) @ exp.phases_at(t)
+def position_wavefunction(exp: EigenExpansion, grid: SpatialGrid, t: float,
+                          theta=None) -> WaveField:
+    """psi(x, t) = Sum a_n u_n(x) exp(-i E_n t / hbar) on the grid; ``theta``
+    is the exact t / T, if known."""
+    amp = _basis_position(exp, grid.points) @ exp.phases_at(t, theta)
     return WaveField(grid=grid, amplitudes=amp, time=t)
 
 
-def momentum_wavefunction(exp: EigenExpansion, grid: MomentumGrid, t: float) -> WaveField:
-    """phi(p, t) = Sum a_n phi_n(p) exp(-i E_n t / hbar) on the grid."""
-    amp = momentum_basis(exp.levels, grid.points, exp.sys) @ exp.phases_at(t)
+def momentum_wavefunction(exp: EigenExpansion, grid: MomentumGrid, t: float,
+                          theta=None) -> WaveField:
+    """phi(p, t) = Sum a_n phi_n(p) exp(-i E_n t / hbar) on the grid;
+    ``theta`` is the exact t / T, if known."""
+    amp = momentum_basis(exp.levels, grid.points, exp.sys) @ exp.phases_at(t, theta)
     return WaveField(grid=grid, amplitudes=amp, time=t)
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.typing import NDArray
 
-from .packet import EigenExpansion
+from .packet import EigenExpansion, Theta
 from .system import WellSystem
 
 __all__ = [
@@ -162,13 +162,14 @@ def _variance(mean, second, which: str) -> NDArray[np.float64]:
 
 
 def _series(exp: EigenExpansion, table: MatrixElementTable, ids: tuple[str, ...],
-            times, threads: int = 1) -> list[NDArray[np.float64]]:
+            times, threads: int = 1, theta: Theta | None = None) -> list[NDArray[np.float64]]:
     """Each series id over a time array, from one evolved block per time chunk.
 
     b_n(t) = a_n exp(-i E_n t / hbar) is formed once per phase-kernel chunk
     and every form the ids need, <O>_t = Sum_mn b_m* O_mn b_n for O in
     {x, x2, p}, is assembled from it.  <p^2> = Sum |a_n|^2 p_n^2 is
-    constant in time and needs no block.
+    constant in time and needs no block.  ``theta``, the exact times / T,
+    makes the phases exact (EigenExpansion.map_chunks).
     """
     for which in ids:
         if which not in SERIES_IDS:
@@ -182,7 +183,7 @@ def _series(exp: EigenExpansion, table: MatrixElementTable, ids: tuple[str, ...]
         return np.stack([np.sum(b.conj() * (b @ Mk.T), axis=1) for Mk in blocks])
 
     raw = exp.map_chunks(assemble, t, np.empty((len(forms), t.size), dtype=complex),
-                         threads) if forms else []
+                         threads, theta) if forms else []
     mags = np.abs(exp.coefficients)
     vals = {}
     for f, Mk, v in zip(forms, blocks, raw):
@@ -226,17 +227,18 @@ def expectation(exp: EigenExpansion, table: MatrixElementTable, which: str,
 
 
 def expectation_series(exp: EigenExpansion, table: MatrixElementTable, which,
-                       times, threads: int = 1):
+                       times, threads: int = 1, theta: Theta | None = None):
     """Vectorized expectation over a time array.
 
     ``which`` is one id of SERIES_IDS ("dx" and "dp" are the
     uncertainties) or a tuple of them; a tuple returns a tuple of arrays,
     all assembled from one evolved block per time chunk.  ``threads``
     spreads the chunks over that many threads without changing a value.
+    ``theta``, the exact times / T, makes every phase exact.
     """
     if isinstance(which, str):
-        return _series(exp, table, (which,), times, threads)[0]
-    return tuple(_series(exp, table, tuple(which), times, threads))
+        return _series(exp, table, (which,), times, threads, theta)[0]
+    return tuple(_series(exp, table, tuple(which), times, threads, theta))
 
 
 def uncertainty(exp: EigenExpansion, table: MatrixElementTable, which: str,
@@ -262,14 +264,15 @@ def spec_hash(exp: EigenExpansion) -> str:
 
 
 def sample_series(exp: EigenExpansion, table: MatrixElementTable, which: str,
-                  schedule, threads: int = 1) -> TimeSeries:
-    """One value per schedule point; which in {x, x2, p, p2, dx, dp}."""
+                  schedule, threads: int = 1, theta: Theta | None = None) -> TimeSeries:
+    """One value per schedule point; which in {x, x2, p, p2, dx, dp}.
+    ``theta``, the exact schedule / T, makes every phase exact."""
     times = np.asarray(schedule, dtype=float)
     if times.size == 0:
         raise ValueError("empty schedule")
     if which not in SERIES_IDS:
         raise ValueError(f"unknown series id {which!r}")
-    values = expectation_series(exp, table, which, times, threads)
+    values = expectation_series(exp, table, which, times, threads, theta)
     meta = {
         "packet": spec_hash(exp),
         "window": [exp.n_min, exp.n_max],

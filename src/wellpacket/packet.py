@@ -19,8 +19,8 @@ from numpy.typing import NDArray
 
 from .system import WellSystem, eigenenergy
 
-__all__ = ["PacketSpec", "EigenExpansion", "build_gaussian_packet", "initial_moments",
-           "PHASE_CHUNK_BYTES"]
+__all__ = ["PacketSpec", "EigenExpansion", "Theta", "build_gaussian_packet",
+           "initial_moments", "PHASE_CHUNK_BYTES"]
 
 # Raw Gaussian weight that may be discarded by clipping the window at n = 1
 # before the construction is flagged.
@@ -30,6 +30,10 @@ _TRUNCATION_WARN_WEIGHT = 1e-8
 # hold.  Every series and scan reduces one chunk before building the next,
 # so memory stays bounded however many time samples a run asks for.
 PHASE_CHUNK_BYTES = 16 * 2**20
+
+# Exact phases form (n^2 mod q)(num mod q) in int64, which holds for a
+# denominator q below 2^31.5; a time grid with a larger q takes the float path.
+_MAX_DEN = 3_000_000_000
 
 
 def _time_chunks(n_times: int, n_levels: int, parts: int = 1) -> list[slice]:
@@ -47,6 +51,41 @@ def _time_chunks(n_times: int, n_levels: int, parts: int = 1) -> list[slice]:
     n = max(-(-n_times // rows), min(parts, n_times // 2))
     edges = [i * n_times // n for i in range(n + 1)]
     return [slice(a, b) for a, b in zip(edges, edges[1:])]
+
+
+@dataclass(frozen=True, eq=False)
+class Theta:
+    """Times as exact fractions of the revival time T: theta_j = t_j / T.
+
+    Only theta mod 1 sets a box phase, E_n t / hbar = 2 pi n^2 theta, so
+    theta_j is held as num[j] / den mod 1 over one denominator.  A time
+    literal in units of tau = T / (2 n0) or of T is such a fraction.
+    """
+
+    num: NDArray[np.int64]
+    den: int
+
+    @classmethod
+    def of(cls, values) -> "Theta | None":
+        """From exact values (Fractions or ints); None when any value is None
+        or their common denominator reaches 3e9."""
+        if any(v is None for v in values):
+            return None
+        den = math.lcm(*(v.denominator for v in values))
+        if den >= _MAX_DEN:
+            return None
+        num = [v.numerator * (den // v.denominator) % den for v in values]
+        return cls(np.array(num, dtype=np.int64), den)
+
+    @classmethod
+    def progression(cls, start, step, count: int) -> "Theta | None":
+        """theta_j = start + j step for j = 0 .. count - 1; None when the
+        denominator reaches 3e9."""
+        head = cls.of([start, step])
+        if head is None:
+            return None
+        a, b = (int(v) for v in head.num)
+        return cls((np.arange(count, dtype=np.int64) * b + a) % head.den, head.den)
 
 
 @dataclass(frozen=True)
@@ -130,24 +169,58 @@ class EigenExpansion:
         """|a_n|^2 over the window."""
         return np.abs(self.coefficients) ** 2
 
-    def _phase_block(self, t: NDArray[np.float64]) -> NDArray[np.complex128]:
-        P = -1j * np.outer(t, self.energies) / self.sys.hbar
-        return np.exp(P, out=P)
+    def _phase_rows(self, t: NDArray[np.float64], theta: Theta | None):
+        """The function from a slice of the times to its phase block P.
+
+        With theta, P = exp(-2 pi i r / q) for the exact residue
+        r = (n^2 mod q)(num mod q) mod q, gathered from a table of the q unit
+        roots built here, once per call; when q exceeds the work or the chunk
+        budget, exp is taken of r / q instead.  Without theta, P is the float
+        exp(-i E_n t / hbar), whose phase error grows as eps E_n t / hbar.
+        """
+        if theta is None:
+            def block(s: slice):
+                P = -1j * np.outer(t[s], self.energies) / self.sys.hbar
+                return np.exp(P, out=P)
+            return block
+        q = theta.den
+        n2 = (self.levels % q) ** 2 % q
+        roots = None
+        if q <= t.size * n2.size and 16 * q <= PHASE_CHUNK_BYTES:
+            roots = np.exp(np.arange(q) * (-2j * math.pi / q))
+
+        def block(s: slice):
+            r = np.multiply.outer(theta.num[s], n2)
+            np.remainder(r, q, out=r)
+            P = np.empty(r.shape, dtype=complex)
+            if roots is not None:
+                # r lies in [0, q): "clip" never clips, and unlike the default
+                # mode it writes straight into P without a buffer
+                return np.take(roots, r, out=P, mode="clip")
+            P.real = 0.0
+            np.multiply(r, -2.0 * math.pi / q, out=P.imag)
+            return np.exp(P, out=P)
+        return block
 
     def map_chunks(self, fn: Callable[[NDArray[np.complex128]], NDArray], times,
-                   out: NDArray, threads: int = 1) -> NDArray:
+                   out: NDArray, threads: int = 1, theta: Theta | None = None) -> NDArray:
         """The phase kernel: out[..., s] = fn(P) for every time chunk s; returns out.
 
         P = exp(-i E_n t / hbar) over times[s], within PHASE_CHUNK_BYTES.
-        fn may overwrite P.  With threads > 1 the times are cut into at
-        least that many chunks, which go to a pool of that many threads,
-        each building its own P; at most ``threads`` chunks are alive at
-        once, and out is the same as with one thread.
+        ``theta``, the exact times / T, makes every phase an exact residue
+        (see _phase_rows); it presumes the box spectrum that
+        build_gaussian_packet gives.  fn may overwrite P.  With threads > 1
+        the times are cut into at least that many chunks, which go to a pool
+        of that many threads, each building its own P; at most ``threads``
+        chunks are alive at once, and out is the same as with one thread.
         """
         t = np.asarray(times, dtype=float).reshape(-1)
+        if theta is not None and theta.num.shape != t.shape:
+            raise ValueError("theta must hold one value per time")
+        block = self._phase_rows(t, theta)
 
         def task(s: slice):
-            out[..., s] = fn(self._phase_block(t[s]))
+            out[..., s] = fn(block(s))
 
         chunks = _time_chunks(t.size, len(self.energies), threads)
         if threads <= 1:
@@ -158,9 +231,12 @@ class EigenExpansion:
                 list(pool.map(task, chunks))
         return out
 
-    def phases_at(self, t: float) -> NDArray[np.complex128]:
-        """Coefficients evolved to time t: a_n exp(-i E_n t / hbar)."""
-        return self.coefficients * self._phase_block(np.array([float(t)]))[0]
+    def phases_at(self, t: float, theta=None) -> NDArray[np.complex128]:
+        """Coefficients evolved to time t: a_n exp(-i E_n t / hbar); ``theta``
+        is the exact t / T, if known."""
+        P = np.empty((len(self.energies), 1), dtype=complex)
+        self.map_chunks(lambda block: block.T, [t], P, theta=Theta.of([theta]))
+        return self.coefficients * P[:, 0]
 
 
 def build_gaussian_packet(spec: PacketSpec, sys: WellSystem = WellSystem()) -> EigenExpansion:

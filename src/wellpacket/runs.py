@@ -15,7 +15,7 @@ import os
 import numpy as np
 
 from . import correlation, observables, powerlaw, timescales
-from .config import RunConfig
+from .config import RunConfig, parse_theta
 from .evolution import (MomentumGrid, SpatialGrid, momentum_wavefunction,
                         position_wavefunction, probability_density)
 from .packet import PacketSpec, build_gaussian_packet
@@ -99,7 +99,7 @@ def run_evolve(cfg: RunConfig, out_dir, threads=1):
     """Densities at explicitly listed times, position and/or momentum."""
     out = _Output(cfg, "evolve", out_dir)
     exp, report = _prepare(cfg)
-    times = cfg.evolve.resolve(report.tau, report.T_rev)
+    times = cfg.evolve.resolve(report.tau, report.T_rev, cfg.packet.n0)
     if not times:
         return []
 
@@ -114,9 +114,9 @@ def run_evolve(cfg: RunConfig, out_dir, threads=1):
                                         cfg.grids.p_span, cfg.grids.p_spacing)
         axis = "x" if rep == "position" else "p"
         points = grid.points.tolist()
-        for i, (lit, t) in enumerate(zip(cfg.evolve.times, times)):
-            field = (position_wavefunction(exp, grid, t) if rep == "position"
-                     else momentum_wavefunction(exp, grid, t))
+        for i, (lit, (t, theta)) in enumerate(zip(cfg.evolve.times, times)):
+            field = (position_wavefunction(exp, grid, t, theta) if rep == "position"
+                     else momentum_wavefunction(exp, grid, t, theta))
             dens = probability_density(field).tolist()
             files.append(out.emit(
                 f"density_{rep}_{i:02d}", [axis, "density"], zip(points, dens),
@@ -132,9 +132,9 @@ def run_observables(cfg: RunConfig, out_dir, threads=1):
     out = _Output(cfg, "observables", out_dir)
     exp, report = _prepare(cfg)
     table = observables.table_for(exp)
-    times = cfg.schedule.resolve(report.tau, report.T_rev)
+    times, theta = cfg.schedule.resolve(report.tau, report.T_rev, cfg.packet.n0)
     series = observables.expectation_series(exp, table, ("x", "dx", "p", "dp"),
-                                            times, threads)
+                                            times, threads, theta)
 
     sys = cfg.system
     dx0 = cfg.packet.dx0_value(sys)
@@ -155,17 +155,19 @@ def run_correlate(cfg: RunConfig, out_dir, threads=1):
     """|C| and |C-bar| series; optional collapse fit and revival scan."""
     out = _Output(cfg, "correlate", out_dir)
     exp, report = _prepare(cfg)
-    times = cfg.schedule.resolve(report.tau, report.T_rev)
-    scan = cfg.correlate.scan_grid(report.tau, report.T_rev) if cfg.correlate.scan else None
+    n0 = cfg.packet.n0
+    times, theta = cfg.schedule.resolve(report.tau, report.T_rev, n0)
+    scan = cfg.correlate.scan_grid(report.tau, report.T_rev, n0) if cfg.correlate.scan else None
 
-    absC = np.abs(correlation.autocorrelation_series(exp, times))
-    absM = np.abs(correlation.mirror_correlation_series(exp, times))
+    absC = np.abs(correlation.autocorrelation_series(exp, times, theta))
+    absM = np.abs(correlation.mirror_correlation_series(exp, times, theta))
     files = [out.emit("correlation", ["t", "absC", "absCbar"],
                       zip(times.tolist(), absC.tolist(), absM.tolist()),
                       {"kind": "correlation"})]
 
     if cfg.correlate.fit:
-        fit = correlation.fit_collapse(exp, report.tau, cfg.correlate.threshold)
+        fit = correlation.fit_collapse(exp, report.tau, cfg.correlate.threshold,
+                                       theta=parse_theta("1tau", n0))
         files.append(out.json("collapse_fit.json", {
             "kind": "collapse-fit",
             "T_C_estimate": fit.T_C_estimate,
@@ -176,9 +178,9 @@ def run_correlate(cfg: RunConfig, out_dir, threads=1):
         }))
 
     if scan is not None:
-        start, stop, res = scan
+        start, stop, res, exact = scan
         peaks = correlation.revival_scan(exp, (start, stop), res,
-                                         min_height=cfg.correlate.min_height)
+                                         min_height=cfg.correlate.min_height, theta=exact)
         files.append(out.json("revival_scan.json", {
             "kind": "revival-scan",
             "window": [start, stop],
@@ -245,9 +247,9 @@ def run_scan_flatten(cfg: RunConfig, out_dir, threads=1):
                           window_sigmas=cfg.packet.window_sigmas)
         exp = build_gaussian_packet(spec, cfg.system)
         report = timescales.compute_timescales(cfg.system, spec)
-        times = fl.sample_times(report.tau, report.T_rev)
+        times, theta = fl.sample_times(report.tau, report.T_rev, spec.n0)
         table = observables.table_for(exp)
-        series = observables.sample_series(exp, table, "dx", times, threads)
+        series = observables.sample_series(exp, table, "dx", times, threads, theta)
         t_star = timescales.detect_flattening(series, cfg.system,
                                               epsilon=fl.epsilon, hold=fl.hold)
         detections.append({"dx0": dx0, "t_star": t_star,

@@ -80,31 +80,31 @@ dx0 = 0.1
 GOLDEN = {
     ("correlate", "csv"): {
         "collapse_fit.json":
-            "2973440b8c522fbf544534ae4d79a0a3f4abf47e419858844b5491e24bc9290e",
+            "365fb799426dc0c31e3061e84a3df0229c03efd4eecb1599596326f4000d774c",
         "correlation.csv":
-            "79bc812d5aaaabef66a925d628e6e82e7841140b89b3f8b766df44ed5ec75b77",
+            "d642926b55cce17c8c44013e1419227869aef9879e9b324787f5d4af54d77f2e",
         "revival_scan.json":
-            "82d8ddf0e7d37f60ca300e8a701c4a5c62f4a0e641f1390c4e0d73720e7ce18e",
+            "a8f504df4464de5c85254ce03930567e659573947472050e943edde2f4b1825b",
     },
     ("correlate", "json"): {
         "collapse_fit.json":
-            "2973440b8c522fbf544534ae4d79a0a3f4abf47e419858844b5491e24bc9290e",
+            "365fb799426dc0c31e3061e84a3df0229c03efd4eecb1599596326f4000d774c",
         "correlation.json":
-            "42ab2a85e5a246f827fbdf240a31477a15a05cbe4604a69de12fa88f9514f096",
+            "d8652ff5991959609b7e00792f0b72c72680936be2a04076a5fa3c5eebfd0999",
         "revival_scan.json":
-            "82d8ddf0e7d37f60ca300e8a701c4a5c62f4a0e641f1390c4e0d73720e7ce18e",
+            "a8f504df4464de5c85254ce03930567e659573947472050e943edde2f4b1825b",
     },
     ("evolve", "csv"): {
         "density_momentum_00.csv":
             "406ed649ce3abf6de2096cad4650aa8020f74e88a9c55d37ddade757e62acdbb",
         "density_momentum_01.csv":
-            "bd3b84608598971c166b5202b1a9eb764fb66d12d4426c7959ffde652ecd72e7",
+            "eb4fec6a453035cfb2d12ce1f4113547ded931eb25eaeeed427324a63e983ca6",
         "density_momentum_02.csv":
-            "77c700050824990287bd29f80e1ae288fa7767c0ba2d83dde3605bdd348acd2d",
+            "324cb20a57c7a6e1c56689aadbd014ee53b008855fc1b8758d7880e8800fe673",
         "density_position_00.csv":
             "c44ba3bdf1bf7b165b6a20f65fcdb4ff6d532b5ef8ab6720d7285e6857b3a51e",
         "density_position_01.csv":
-            "81f491732be1315b510197e26474832cf4fe8eba62386144d8a2081dc2647c09",
+            "7f31795662d677ee796d5d42db63aefdfff3d4d440f96110e698b1e1f58a5cd1",
         "density_position_02.csv":
             "18346f11e7a9d9d1bc5a1aa26ec839274d6fdf794a766924ebd9ae84e5051abc",
     },
@@ -112,23 +112,23 @@ GOLDEN = {
         "density_momentum_00.json":
             "6ffbf5fa94066e2a0a5dae21cb8d77e64d38908a7773c5f49b1d264e939fcf51",
         "density_momentum_01.json":
-            "ae6fd407f2024530629bea9200e37cb2deaa77949d83b915598c2834369cc8ab",
+            "4028164c0298382482a3496c2c8aa931ad197ad7d0c8b68fdb558bf97f41c5e6",
         "density_momentum_02.json":
-            "e908d0a17f906359e9140d822753ecf6cf365a3134c206faab44d33f247660e4",
+            "679a52111be151360d8392b2be6ee78ce51f37804c48af93cad4624a6e351ba5",
         "density_position_00.json":
             "62b829aa7de83bb8523808ebba9e4e178a7dbe4eb730894f3c35cda75d7b0554",
         "density_position_01.json":
-            "c22cd4787fea8190e45de86705feac66b22fbde888fe7aa6bc28702fa5ae880b",
+            "a4d14b899a9725d0a0674a9f0206e12ed3ecab5526a023078bbee8a4f6904024",
         "density_position_02.json":
             "8b8e5dccd74c47d9092db07517b8a8245c21eedc984fb983bb43b15cd6515866",
     },
     ("observables", "csv"): {
         "observables.csv":
-            "e31bf1f46aad7ac6b49e3f81e5147dea2396c5afff0229da56cd7284a19e9fba",
+            "9a29f2669aeda97f10df78b07a51801db509aee6a60218d355ae427f0e2f299b",
     },
     ("observables", "json"): {
         "observables.json":
-            "819edc5633c755531db477e12585f8d44f7214da8aec8a5800561e435ee7cb9b",
+            "991521a0519ad42e1004d9fd19e43585c04735129996094a9ec0a04eb8ef23de",
     },
     ("powerlaw", "csv"): {
         "powerlaw.csv":
@@ -146,7 +146,7 @@ GOLDEN = {
         "flatten_dx0_0.05.csv":
             "8d41207803f321adc634295799ed80c94cf1ec7d93c4bd0edb4a08144b30d9b1",
         "flatten_dx0_0.1.csv":
-            "28e4fbe3da065384a648fb278a44d75da0d0afe35eb3ce3dd4e506c085a403cf",
+            "8ba4f0528a50dd435d325d16fb3a82ea26e042bc0903cb869c5a7d7826903778",
         "flatten_summary.json":
             "a51299c51b1cf60a5bca2e6b46aa05e1cba712bc14a59a039c4df11cace29f92",
     },
@@ -154,7 +154,7 @@ GOLDEN = {
         "flatten_dx0_0.05.json":
             "aeef3e1c8e1ffdeaf8b38f72ff5b4a05a33729dac0661fbaf2d4923e9d4d079a",
         "flatten_dx0_0.1.json":
-            "9da622019129e588da068cca0fe5702ff89b062e7691330752361a96e9f78df2",
+            "c7b0d8ea571ba965987b34180fecd53f6b5c26fae462753df0d215d3a7ebde37",
         "flatten_summary.json":
             "a51299c51b1cf60a5bca2e6b46aa05e1cba712bc14a59a039c4df11cace29f92",
     },

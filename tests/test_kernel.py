@@ -1,19 +1,21 @@
 """The chunked phase kernel: chunk layout, agreement with the direct
-per-form and per-level sums over a packet ladder, and bounded memory."""
+per-form and per-level sums over a packet ladder, exact phases at exact
+times against a 40-digit oracle, and bounded memory."""
 
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from wellpacket import (OBSERVABLES, PacketSpec, autocorrelation_series,
+from wellpacket import (OBSERVABLES, PacketSpec, Theta, autocorrelation_series,
                         build_gaussian_packet, compute_timescales,
                         expectation_series, mirror_correlation_series,
                         revival_scan, table_for)
 from wellpacket import packet
 
-from oracles import dense_expectation, direct_correlation
+from oracles import dense_expectation, direct_correlation, mp_moments
 
 # Rows per chunk in the ladder runs: every schedule below spans several
 # chunks and none is a multiple of it, so the chunk lengths differ.
@@ -138,3 +140,82 @@ def test_revival_scan_memory_is_bounded(monkeypatch, sys0):
     assert any(p.fraction == (1, 1) for p in peaks)
     assert peak_bytes < 4 * 2**20
     assert math.isclose(rep.T_rev / (rep.tau / 2), 6000.0, rel_tol=1e-12)
+    # the exact path: a 96 kB table of 6000 unit roots, and an int64 residue
+    # block beside each chunk
+    tracemalloc.start()
+    try:
+        exact = revival_scan(exp, (0.0, rep.T_rev), rep.tau / 2, theta=(0, Fraction(1, 6000)))
+        _, peak_bytes = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert [p.time for p in exact] == [p.time for p in peaks]
+    assert peak_bytes < 4 * 2**20
+
+
+# Exact times: k / (2 n0) are whole bounce periods, the rest fractional
+# revivals and late times, up to 100 T.
+def _exact_times(n0):
+    return [Fraction(0), Fraction(1, 2 * n0), Fraction(37, 2 * n0), Fraction(1, 3),
+            Fraction(1, 2), Fraction(7, 4), Fraction(123457, 2 * n0), Fraction(1001, 10)]
+
+
+@pytest.mark.parametrize("n0", [400, 4000])
+def test_exact_phases_match_the_mpmath_oracle(sys0, n0):
+    exp = build_gaussian_packet(PacketSpec(n0=n0, x0=0.3, dx0=0.05), sys0)
+    thetas = _exact_times(n0)
+    times = np.array([float(th) for th in thetas]) * compute_timescales(sys0, exp.spec).T_rev
+    ref = [mp_moments(exp, th) for th in thetas]
+    p0 = n0 * math.pi * sys0.hbar / sys0.width_L
+
+    def errors(theta):
+        x, p = expectation_series(exp, table_for(exp), ("x", "p"), times, theta=theta)
+        C = np.abs(autocorrelation_series(exp, times, theta))
+        Cbar = np.abs(mirror_correlation_series(exp, times, theta))
+        return [np.max(np.abs(got - [r[key] for r in ref])) / scale
+                for got, key, scale in ((x, "x", sys0.width_L), (p, "p", p0),
+                                        (C, "absC", 1.0), (Cbar, "absCbar", 1.0))]
+
+    # measured at most 2.9e-16 of scale, rounding of the sums themselves
+    assert max(errors(Theta.of(thetas))) <= 2e-15
+    # the float fallback loses eps * E_n t / hbar: 1e-8 rad at n0 = 400 and
+    # 1e-6 rad at n0 = 4000, by t = 100 T; measured 6.5e-10 of scale or more
+    assert min(errors(None)) > 1e-11
+
+
+def test_exact_phase_paths_agree(monkeypatch, default_exp):
+    # the unit-root table and the exp of the reduced residue give the same
+    # phases, and both match exp(-2 pi i n^2 theta) reduced in Python ints
+    n0 = default_exp.spec.n0
+    thetas = [Fraction(k, 2 * n0) for k in range(0, 1601, 37)] + [Fraction(1001, 10)]
+    theta = Theta.of(thetas)
+    times = np.array([float(th) for th in thetas]) * 2.0 / math.pi
+    direct = np.array([[np.exp(-2j * math.pi * float(n * n * th % 1)) for n in default_exp.levels]
+                       for th in thetas])
+
+    def block():
+        out = np.empty((len(default_exp.energies), times.size), dtype=complex)
+        return default_exp.map_chunks(lambda P: P.T, times, out, theta=theta).T
+
+    table = block()
+    assert theta.den <= times.size * len(default_exp.energies)
+    monkeypatch.setattr(packet, "PHASE_CHUNK_BYTES", 16 * theta.den - 1)
+    reduced = block()
+    assert np.max(np.abs(table - direct)) <= 1e-15
+    assert np.max(np.abs(reduced - direct)) <= 1e-15
+    assert np.array_equal(default_exp.phases_at(times[3], thetas[3]),
+                          default_exp.coefficients * reduced[3])
+
+
+def test_theta_grids_and_their_limits():
+    th = Theta.progression(Fraction(-1, 3), Fraction(1, 4), 5)
+    assert th.den == 12
+    assert th.num.tolist() == [8, 11, 2, 5, 8]        # -1/3 + j/4 mod 1, in twelfths
+    th = Theta.of([0, Fraction(5, 2), Fraction(-7, 6)])
+    assert (th.num.tolist(), th.den) == ([0, 3, 5], 6)
+    # one inexact value, or a denominator past the int64 range, is the float path
+    assert Theta.of([Fraction(1, 2), None]) is None
+    assert Theta.of([Fraction(1, 3_000_000_019)]) is None
+    assert Theta.progression(0, Fraction(1, 3_000_000_019), 3) is None
+    exp = build_gaussian_packet(PacketSpec(n0=40, x0=0.5, dx0=0.1))
+    with pytest.raises(ValueError, match="one value per time"):
+        autocorrelation_series(exp, [0.0, 1.0], Theta.of([0]))

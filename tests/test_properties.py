@@ -1,13 +1,15 @@
 """Invariants over randomly drawn packets and matrix-element windows."""
 
+import tempfile
+
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wellpacket import (PacketSpec, WellSystem, autocorrelation,
                         build_gaussian_packet, build_matrix_elements,
                         compute_timescales, eigenenergy, expectation_series,
-                        mirror_correlation, table_for)
+                        mirror_correlation, parse_config, run_correlate, table_for)
 
 SYS = WellSystem()
 EPS = np.finfo(float).eps
@@ -34,6 +36,23 @@ def test_norm_and_full_and_half_revivals(spec):
     assert abs(float(np.sum(np.abs(exp.coefficients) ** 2)) - 1.0) < 1e-13
     assert abs(abs(autocorrelation(exp, rep.T_rev)) - 1.0) < 1e-12
     assert abs(abs(mirror_correlation(exp, rep.T_rev / 2.0)) - 1.0) < 1e-12
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.integers(1, 40000), st.floats(0.01, 0.2), st.integers(1, 100))
+@example(n0=40000, dx0=0.01, k=100)
+def test_late_revivals_are_exact_through_the_config(n0, dx0, k):
+    # |C(kT)| = |C-bar((k + 1/2) T)| = 1 for every k.  Times written in T
+    # are exact fractions, so neither may drift as n0^2 k grows; float
+    # phases were off by up to 3.4e-9 at n0 = 40000, k = 100.
+    cfg = parse_config(f"[packet]\nn0 = {n0}\nx0 = 0.5\ndx0 = {dx0!r}\n"
+                       f"[schedule]\nmode = explicit\ntimes = {k}T, {k}.5T\n"
+                       "[output]\nprecision = 17\n")
+    with tempfile.TemporaryDirectory() as out:
+        (path,) = run_correlate(cfg, out)
+        rows = np.loadtxt(path, delimiter=",", comments="#", skiprows=3, ndmin=2)
+    assert abs(rows[0, 1] - 1.0) <= 1e-12
+    assert abs(rows[1, 2] - 1.0) <= 1e-12
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)
