@@ -234,9 +234,9 @@ class EigenExpansion:
     def phases_at(self, t: float, theta=None) -> NDArray[np.complex128]:
         """Coefficients evolved to time t: a_n exp(-i E_n t / hbar); ``theta``
         is the exact t / T, if known."""
-        P = np.empty((len(self.energies), 1), dtype=complex)
-        self.map_chunks(lambda block: block.T, [t], P, theta=Theta.of([theta]))
-        return self.coefficients * P[:, 0]
+        out = np.empty((len(self.energies), 1), dtype=complex)
+        self.map_chunks(lambda P: P.T, [t], out, theta=Theta.of([theta]))
+        return self.coefficients * out[:, 0]
 
 
 def build_gaussian_packet(spec: PacketSpec, sys: WellSystem = WellSystem()) -> EigenExpansion:

@@ -127,6 +127,19 @@ def test_classical_trajectory_stays_inside(sys0, rng):
         assert 0.0 <= st.position <= sys0.width_L
 
 
+def test_classical_trajectory_over_an_array_is_the_scalar_fold(sys0, rng):
+    # reference: the fold of x0 + v0 t with math.fmod, one time at a time
+    L = sys0.width_L
+    t = np.concatenate([rng.uniform(-5.0, 50.0, 300), [0.0, 0.375, 1.0]])
+    for x0, v0 in ((0.7, 13.0), (0.25, -3.0), (0.4, 0.0)):
+        st = classical_trajectory(t, x0, v0, sys0)
+        for ti, x, v in zip(t, st.position, st.velocity):
+            y = math.fmod(x0 + v0 * ti, 2.0 * L) if v0 else x0
+            y += 2.0 * L if y < 0.0 else 0.0
+            want = (y, v0) if y <= L else (2.0 * L - y, -v0)
+            assert (x, v) == want
+
+
 def test_system_validation():
     with pytest.raises(ValueError):
         WellSystem(mass=-1.0)
