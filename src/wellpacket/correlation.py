@@ -178,12 +178,10 @@ def fit_collapse(exp: EigenExpansion, tau: float,
     T/(2 pi dn^2) = 4 t0.  ``theta``, the exact tau / T (1 / (2 n0) for the
     bounce period), makes the phase at each n tau exact.
     """
-    if theta is None:
-        return fit_stroboscopic(lambda t: abs(autocorrelation(exp, t)), tau, threshold)
-    # the sampler sees only t = n tau, from which n is recovered
-    return fit_stroboscopic(
-        lambda t: abs(autocorrelation(exp, t, round(t / tau) * theta)),
-        tau, threshold)
+    def magnitude(t):
+        # the sampler passes only t = n tau; n is recovered from it
+        return abs(autocorrelation(exp, t, None if theta is None else round(t / tau) * theta))
+    return fit_stroboscopic(magnitude, tau, threshold)
 
 
 def nearest_fraction(x: float, max_q: int = 8) -> tuple[int, int]:

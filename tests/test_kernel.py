@@ -189,8 +189,8 @@ def test_exact_phase_paths_agree(monkeypatch, default_exp):
     thetas = [Fraction(k, 2 * n0) for k in range(0, 1601, 37)] + [Fraction(1001, 10)]
     theta = Theta.of(thetas)
     times = np.array([float(th) for th in thetas]) * 2.0 / math.pi
-    direct = np.array([[np.exp(-2j * math.pi * float(n * n * th % 1)) for n in default_exp.levels]
-                       for th in thetas])
+    direct = np.array([[np.exp(-2j * math.pi * float(n * n * th % 1))
+                        for n in default_exp.levels.tolist()] for th in thetas])
 
     def block():
         out = np.empty((len(default_exp.energies), times.size), dtype=complex)
