@@ -50,7 +50,7 @@ def main() -> int:
           f"L/sqrt(12) = {1.0 / math.sqrt(12.0):.4f}")
 
     # momentum side: one peak at +p0 while moving, two at +-p0 in general
-    pg = MomentumGrid.default(sys0, 400, 1.5)
+    pg = MomentumGrid.default(sys0, 400, 1.5, 1.0)
     p0 = 400.0 * math.pi
     for label, t in (("t = 0", 0.0), ("t = T/2", T / 2.0), ("t = 124 tau", 124.0 * tau)):
         f = probability_density(momentum_wavefunction(exp, pg, t))

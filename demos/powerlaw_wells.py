@@ -45,7 +45,7 @@ def main() -> int:
           f"(ratio {fit.T_C_estimate / closed:.4f}, {fit.points_used} points)")
 
     near = PowerLawWell(k=2.05)
-    levels, w = gaussian_weights(400, 2.0)
+    levels, w = gaussian_weights(400, 2.0, 8.0)
     tau_near = classical_period_powerlaw(near, 400)
     floor = min(abs(powerlaw_autocorrelation(near, levels, w, q * tau_near))
                 for q in range(1, 201))

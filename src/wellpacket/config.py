@@ -23,7 +23,7 @@ from dataclasses import dataclass, field, fields, is_dataclass, replace
 
 import numpy as np
 
-from .correlation import DEFAULT_FIT_THRESHOLD
+from .correlation import DEFAULT_FIT_THRESHOLD, SCAN_WINDOW_SLACK
 from .packet import PacketSpec, Theta
 from .system import WellSystem
 
@@ -42,21 +42,24 @@ class ConfigError(Exception):
     """Invalid run configuration; message carries the [section] key location."""
 
 
+def _split(literal: str) -> tuple[str, str | None]:
+    """A time literal's number text and its unit: "tau", "T" or None."""
+    s = literal.strip()
+    unit = next((u for u in ("tau", "T") if s.endswith(u)), None)
+    return (s[:-len(unit)] if unit else s), unit
+
+
 def parse_time(text: str, tau: float | None = None, T: float | None = None) -> float:
     """A time literal: plain number, or number with 'tau' / 'T' suffix."""
-    s = text.strip()
+    s, unit = _split(text)
+    scale = tau if unit == "tau" else T
+    if unit is not None and scale is None:
+        raise ConfigError(f"time {text.strip()!r} uses {unit} units but no packet "
+                          "is configured")
     try:
-        if s.endswith("tau"):
-            if tau is None:
-                raise ConfigError(f"time {s!r} uses tau units but no packet is configured")
-            return float(s[:-3]) * tau
-        if s.endswith("T"):
-            if T is None:
-                raise ConfigError(f"time {s!r} uses T units but no packet is configured")
-            return float(s[:-1]) * T
-        return float(s)
+        return float(s) if unit is None else float(s) * scale
     except ValueError:
-        raise ConfigError(f"cannot parse time literal {s!r}") from None
+        raise ConfigError(f"cannot parse time literal {text.strip()!r}") from None
 
 
 def parse_theta(literal: str, n0: int) -> Fraction | None:
@@ -69,18 +72,14 @@ def parse_theta(literal: str, n0: int) -> Fraction | None:
     # fractions and the decimal module it brings, a few ms of every start-up
     from fractions import Fraction
 
-    s, unit = literal.strip(), None
-    if s.endswith("tau"):
-        s, unit = s[:-3], Fraction(1, 2 * n0)
-    elif s.endswith("T"):
-        s, unit = s[:-1], Fraction(1)
+    s, unit = _split(literal)
     try:
         x = Fraction(s)
     except ValueError:          # inf, nan
         return None
     if unit is None:
         return x if x == 0 else None
-    return x * unit
+    return x / (2 * n0) if unit == "tau" else x
 
 
 def _time(section: str, key: str, literal: str, tau: float, T: float,
@@ -108,16 +107,18 @@ def _parse_k(item: str) -> float:
 
 @dataclass(frozen=True)
 class GridSettings:
+    # 4096 points give dx0 = 0.05 L ~200 points and the n0 = 400 oscillation
+    # ~10 per cycle; a spacing of 1 is dp0/10 for the default packet
     x_points: int = 4096
     p_span: float = 1.5       # in units of p0
-    p_spacing: float | None = None
+    p_spacing: float = 1.0
 
     def __post_init__(self):
         if self.x_points < 2:
             raise ValueError("x_points: need at least 2 points")
         if not self.p_span > 0:
             raise ValueError("p_span: must be positive")
-        if self.p_spacing is not None and not self.p_spacing > 0:
+        if not self.p_spacing > 0:
             raise ValueError("p_spacing: must be positive")
 
 
@@ -155,11 +156,8 @@ class ScheduleSettings:
             b, theta_b = _time("schedule", "stop", self.stop, tau, T, n0)
             if not b > a:
                 raise ConfigError("[schedule] stop: must exceed start")
-            theta = None
-            if theta_a is not None and theta_b is not None:
-                theta = Theta.progression(theta_a, (theta_b - theta_a) / (self.count - 1),
-                                          self.count)
-            return np.linspace(a, b, self.count), theta
+            step = None if None in (theta_a, theta_b) else (theta_b - theta_a) / (self.count - 1)
+            return np.linspace(a, b, self.count), Theta.progression(theta_a, step, self.count)
         if self.mode == "explicit":
             vals = sorted((_time("schedule", "times", s, tau, T, n0) for s in self.times),
                           key=lambda v: v[0])
@@ -201,11 +199,13 @@ class CorrelateSettings:
             for key in ("scan_start", "scan_stop", "scan_resolution"))
         if not start >= 0.0:
             raise ConfigError("[correlate] scan_start: must not be negative")
-        # the tolerance of revival_scan's own window check
-        if not start < stop <= T + 1e-12:
+        if not start < stop <= T + SCAN_WINDOW_SLACK:
             raise ConfigError("[correlate] scan_stop: must lie in (scan_start, 1T]")
         if not res > 0.0:
             raise ConfigError("[correlate] scan_resolution: must be positive")
+        # the ceiling of this ratio is the length of revival_scan's np.arange
+        if not (stop + res / 2 - start) / res > 1.0:
+            raise ConfigError("[correlate] scan_resolution: leaves fewer than two samples")
         exact = None if theta_start is None or theta_res is None else (theta_start, theta_res)
         return start, stop, res, exact
 
@@ -237,6 +237,8 @@ class PowerLawSettings:
             raise ValueError("v0: must be positive")
         if self.a <= 0:
             raise ValueError("a: must be positive")
+        if self.fit_n0 < 1:
+            raise ValueError("fit_n0: must be >= 1")
         if not self.fit_dn > 0:
             raise ValueError("fit_dn: must be positive")
 
@@ -251,6 +253,8 @@ class FlattenSettings:
     sample_step: str = "0.25tau"
 
     def __post_init__(self):
+        if not self.dx0_values:
+            raise ValueError("dx0_values: need at least one width")
         for dx0 in self.dx0_values:
             if not dx0 > 0:
                 raise ValueError(f"dx0_values: expected a positive number, got {dx0:g}")
@@ -268,8 +272,6 @@ class FlattenSettings:
         if not step > 0.0:
             raise ConfigError("[flatten] sample_step: must be positive")
         times = np.arange(0.0, t_stop, step)
-        if theta_step is None:
-            return times, None
         return times, Theta.progression(0, theta_step, times.size)
 
 

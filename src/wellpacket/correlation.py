@@ -16,6 +16,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .packet import EigenExpansion, Theta
+from .system import revival_time
 
 __all__ = [
     "CollapseFit",
@@ -39,6 +40,9 @@ __all__ = [
 DEFAULT_FIT_THRESHOLD = 0.9
 
 _MAX_FIT_POINTS = 10000
+
+# How far past T a revival scan window may end: the rounding of a "1T" literal.
+SCAN_WINDOW_SLACK = 1e-12
 
 
 class CollapseFitError(RuntimeError):
@@ -147,15 +151,13 @@ def fit_stroboscopic(magnitude, tau: float,
     if not 0.0 < threshold < 1.0:
         raise ValueError("threshold must lie in (0, 1)")
     ts, mags = [], []
-    crossed = False
     for n in range(1, _MAX_FIT_POINTS + 1):
         c = magnitude(n * tau)
         if c <= threshold:
-            crossed = True
             break
         ts.append(n * tau)
         mags.append(c)
-    if not crossed:
+    else:
         # never dipping below threshold means the early-decay regime was
         # never delimited (near-isochronous spectrum); any fit over an
         # arbitrary truncation would be meaningless
@@ -204,44 +206,36 @@ def nearest_fraction(x: float, max_q: int = 8) -> tuple[int, int]:
 
 
 def revival_scan(exp: EigenExpansion, t_window: tuple[float, float],
-                 resolution: float, min_height: float = 0.3,
-                 max_q: int = 8, theta=None) -> list[ScanPeak]:
+                 resolution: float, min_height: float, theta=None) -> list[ScanPeak]:
     """Local maxima of max(|C|, |C-bar|) on a sampled window.
 
-    Peaks above ``min_height`` are annotated with the closest fraction
-    p/q of the revival time T (q <= max_q) when that fraction lies within
-    half a resolution step; otherwise the annotation is None.  ``theta``,
-    the exact (t_window[0] / T, resolution / T), makes every sample's phase
-    exact.
+    Peaks at or above ``min_height`` are annotated with the closest
+    fraction p/q of the revival time T (nearest_fraction) when that
+    fraction lies within half a resolution step; otherwise the annotation
+    is None.  ``theta``, the exact (t_window[0] / T, resolution / T), makes
+    every sample's phase exact.  The window needs at least two samples.
     """
-    sys = exp.sys
-    T = 4.0 * sys.mass * sys.width_L**2 / (sys.hbar * math.pi)
+    T = revival_time(exp.sys)
     t0, t1 = t_window
-    if not (0.0 <= t0 < t1 <= T + 1e-12):
+    if not (0.0 <= t0 < t1 <= T + SCAN_WINDOW_SLACK):
         raise ValueError("scan window must lie within [0, T]")
     if not resolution > 0:
         raise ValueError("scan resolution must be positive")
     times = np.arange(t0, t1 + resolution / 2, resolution)
+    if times.size < 2:
+        raise ValueError("scan resolution leaves fewer than two samples in the window")
     exact = None if theta is None else Theta.progression(*theta, times.size)
     both = np.stack([exp.weights, _mirror_weights(exp)], axis=1)
     ac, mc = np.abs(_phase_sum(exp, both, times, exact))
     curve = np.maximum(ac, mc)
+    # a peak is at least its left neighbor and above its right one; the
+    # window edges count when they top their one neighbor, so the exact
+    # revival at t = T is not silently dropped
+    rises = np.concatenate(([True], curve[1:] >= curve[:-1]))
+    falls = np.concatenate((curve[:-1] > curve[1:], [True]))
     peaks = []
-    last = len(times) - 1
-    for i in range(len(times)):
-        if curve[i] < min_height:
-            continue
-        # window edges count as peaks when they top their one neighbor,
-        # so the exact revival at t = T is not silently dropped
-        if i == 0:
-            if not curve[0] > curve[1]:
-                continue
-        elif i == last:
-            if not curve[last] >= curve[last - 1]:
-                continue
-        elif not (curve[i] >= curve[i - 1] and curve[i] > curve[i + 1]):
-            continue
-        p, q = nearest_fraction(times[i] / T, max_q)
+    for i in np.flatnonzero((curve >= min_height) & rises & falls):
+        p, q = nearest_fraction(times[i] / T)
         frac = (p, q) if abs(times[i] - (p / q) * T) <= resolution / 2 else None
         channel = "C" if ac[i] >= mc[i] else "Cbar"
         peaks.append(ScanPeak(time=float(times[i]), height=float(curve[i]),

@@ -15,7 +15,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .packet import EigenExpansion
-from .system import WellSystem, momentum_basis
+from .system import WellSystem, level_momentum, momentum_basis, position_basis
 
 __all__ = [
     "SpatialGrid",
@@ -35,9 +35,7 @@ class SpatialGrid:
     points: NDArray[np.float64]
 
     @classmethod
-    def default(cls, sys: WellSystem = WellSystem(), n_points: int = 4096) -> "SpatialGrid":
-        # 4096 points resolve dx0 = 0.05 L with ~200 points and the n0 = 400
-        # oscillation with ~10 points per cycle.
+    def default(cls, sys: WellSystem, n_points: int) -> "SpatialGrid":
         return cls(np.linspace(0.0, sys.width_L, n_points))
 
     def __post_init__(self):
@@ -63,12 +61,10 @@ class MomentumGrid:
     points: NDArray[np.float64]
 
     @classmethod
-    def default(cls, sys: WellSystem = WellSystem(), n0: int = 400,
-                span: float = 1.5, spacing: float | None = None) -> "MomentumGrid":
-        p0 = n0 * np.pi * sys.hbar / sys.width_L
-        if spacing is None:
-            spacing = 1.0  # <= dp0/10 for the default packet (dp0 = 10)
-        kmax = int(np.ceil(span * p0 / spacing))
+    def default(cls, sys: WellSystem, n0: int, span: float,
+                spacing: float) -> "MomentumGrid":
+        """Multiples of ``spacing`` out to ``span`` p0, p0 the momentum of level n0."""
+        kmax = int(np.ceil(span * level_momentum(n0, sys) / spacing))
         return cls(np.arange(-kmax, kmax + 1) * spacing)
 
     def __post_init__(self):
@@ -101,18 +97,11 @@ class WaveField:
         self.amplitudes.setflags(write=False)
 
 
-def _basis_position(exp: EigenExpansion, x: NDArray) -> NDArray[np.float64]:
-    # u_n(x) for every window level; rows index grid points
-    L = exp.sys.width_L
-    ns = exp.levels
-    return np.sqrt(2.0 / L) * np.sin(np.outer(x, ns) * np.pi / L)
-
-
 def position_wavefunction(exp: EigenExpansion, grid: SpatialGrid, t: float,
                           theta=None) -> WaveField:
     """psi(x, t) = Sum a_n u_n(x) exp(-i E_n t / hbar) on the grid; ``theta``
     is the exact t / T, if known."""
-    amp = _basis_position(exp, grid.points) @ exp.phases_at(t, theta)
+    amp = position_basis(exp.levels, grid.points, exp.sys) @ exp.phases_at(t, theta)
     return WaveField(grid=grid, amplitudes=amp, time=t)
 
 

@@ -18,7 +18,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .packet import EigenExpansion, Theta
-from .system import WellSystem
+from .system import WellSystem, level_momentum
 
 __all__ = [
     "NumericalConsistencyError",
@@ -113,7 +113,7 @@ def build_matrix_elements(n_min: int, n_max: int,
     <m|x2|n> = L^2 (1/3 - 1/(2 n^2 pi^2)) on the diagonal; off it
                (2L^2/pi^2) (-1)^(m+n) [1/(m-n)^2 - 1/(m+n)^2]  (all m != n).
     <m|p|n>  = -(4 i hbar / L) m n / (m^2 - n^2) for m+n odd; zero otherwise.
-    <m|p2|n> = delta_mn (n pi hbar / L)^2.
+    <m|p2|n> = delta_mn p_n^2, p_n the level momentum.
     """
     if not (1 <= n_min <= n_max):
         raise ValueError("need 1 <= n_min <= n_max")
@@ -140,7 +140,7 @@ def build_matrix_elements(n_min: int, n_max: int,
         pval = -4j * hbar / L * M * N / (M**2 - N**2)
     p = np.where(off & odd, pval, 0.0 + 0.0j)
 
-    p2 = np.diag((ns * np.pi * hbar / L) ** 2)
+    p2 = np.diag(level_momentum(ns, sys) ** 2)
 
     for arr in (x, x2, p, p2):
         arr.setflags(write=False)
@@ -270,8 +270,6 @@ def sample_series(exp: EigenExpansion, table: MatrixElementTable, which: str,
     times = np.asarray(schedule, dtype=float)
     if times.size == 0:
         raise ValueError("empty schedule")
-    if which not in SERIES_IDS:
-        raise ValueError(f"unknown series id {which!r}")
     values = expectation_series(exp, table, which, times, threads, theta)
     meta = {
         "packet": spec_hash(exp),

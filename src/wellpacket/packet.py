@@ -4,7 +4,7 @@ A packet is specified by its central level n0, launch point x0 and either
 the width parameter alpha or the initial spatial spread dx0 (alpha =
 dx0*sqrt(2)/hbar).  Coefficients carry the phase exp(-i p_n x0 / hbar) so
 the packet starts at x0 moving toward the right wall with mean momentum
-+p0 = n0 pi hbar / L.
++p0, the level momentum of n0.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .system import WellSystem, eigenenergy
+from .system import WellSystem, eigenenergy, level_momentum
 
 __all__ = ["PacketSpec", "EigenExpansion", "Theta", "build_gaussian_packet",
            "initial_moments", "PHASE_CHUNK_BYTES"]
@@ -261,8 +261,8 @@ def build_gaussian_packet(spec: PacketSpec, sys: WellSystem = WellSystem()) -> E
         raise ValueError("truncation window is empty; increase window_sigmas")
 
     ns = np.arange(n_min, n_max + 1)
-    pn = ns * math.pi * hbar / L
-    p0 = spec.n0 * math.pi * hbar / L
+    pn = level_momentum(ns, sys)
+    p0 = level_momentum(spec.n0, sys)
     amp = math.sqrt(alpha * hbar * math.sqrt(math.pi) / L)
     raw = amp * np.exp(-0.5 * alpha**2 * (pn - p0) ** 2) * np.exp(-1j * pn * spec.x0 / hbar)
 
@@ -270,7 +270,7 @@ def build_gaussian_packet(spec: PacketSpec, sys: WellSystem = WellSystem()) -> E
     if lo < 1.0:
         # weight the clip would have kept had levels below 1 existed
         k = np.arange(math.floor(lo), 1)
-        lost = float(np.sum(amp**2 * np.exp(-(alpha * math.pi * hbar / L) ** 2
+        lost = float(np.sum(amp**2 * np.exp(-(alpha * level_momentum(1, sys)) ** 2
                                             * (k - spec.n0) ** 2)))
         truncated = lost > _TRUNCATION_WARN_WEIGHT
 

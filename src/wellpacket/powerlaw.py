@@ -16,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .correlation import CollapseFit, fit_stroboscopic
+from .correlation import DEFAULT_FIT_THRESHOLD, CollapseFit, fit_stroboscopic
+from .packet import PacketSpec
 
 __all__ = [
     "PowerLawWell",
@@ -131,7 +132,7 @@ def collapse_time_powerlaw(well: PowerLawWell, n0: int, dn: float) -> float | No
 
 
 def gaussian_weights(n0: int, dn: float,
-                     window_sigmas: float = 8.0) -> tuple[NDArray[np.int64], NDArray[np.float64]]:
+                     window_sigmas: float) -> tuple[NDArray[np.int64], NDArray[np.float64]]:
     """Normalized |a_n|^2 ~ exp(-(n-n0)^2 / (2 dn^2)) on a clipped window."""
     if dn <= 0:
         raise ValueError("dn must be positive")
@@ -159,14 +160,13 @@ def powerlaw_autocorrelation(well: PowerLawWell, levels, weights, t: float) -> c
 
 
 def fit_powerlaw_collapse(well: PowerLawWell, n0: int, dn: float,
-                          threshold: float | None = None) -> CollapseFit:
+                          threshold: float = DEFAULT_FIT_THRESHOLD) -> CollapseFit:
     """Stroboscopic collapse fit for a Gaussian-in-n packet in this well.
 
-    Samples |C(n tau)| at the classical period of the central state and
-    reuses the same Gaussian-decay fitting engine as the square-well fit.
+    Samples |C(n tau)| at the classical period of the central state, over
+    PacketSpec's default window, with the square-well fit's engine.
     """
-    levels, w = gaussian_weights(n0, dn)
+    levels, w = gaussian_weights(n0, dn, PacketSpec.window_sigmas)
     C = _autocorrelation(well, levels, w)
     tau = classical_period_powerlaw(well, n0)
-    kwargs = {} if threshold is None else {"threshold": threshold}
-    return fit_stroboscopic(lambda t: abs(C(t)), tau, **kwargs)
+    return fit_stroboscopic(lambda t: abs(C(t)), tau, threshold)

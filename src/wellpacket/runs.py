@@ -19,7 +19,7 @@ from .config import RunConfig, parse_theta
 from .evolution import (MomentumGrid, SpatialGrid, momentum_wavefunction,
                         position_wavefunction, probability_density)
 from .packet import PacketSpec, build_gaussian_packet
-from .system import classical_trajectory
+from .system import classical_speed, classical_trajectory
 
 __all__ = ["run_evolve", "run_observables", "run_correlate", "run_powerlaw",
            "run_scan_flatten", "run_timescales"]
@@ -139,9 +139,9 @@ def run_observables(cfg: RunConfig, out_dir, threads=1):
     sys = cfg.system
     dx0 = cfg.packet.dx0_value(sys)
     env = timescales.spreading_envelope(dx0, report.t0, times)
-    v0 = cfg.packet.n0 * math.pi * sys.hbar / (sys.mass * sys.width_L)
+    v0 = classical_speed(cfg.packet.n0, sys)
     classical = classical_trajectory(times, cfg.packet.x0, v0, sys)
-    flat_dx = sys.width_L / math.sqrt(12.0)
+    flat_dx = timescales.flat_reference(sys)[2]
 
     columns = ["t", "x_mean", "dx", "p_mean", "dp",
                "dx_envelope", "classical_x", "classical_v", "flat_dx"]

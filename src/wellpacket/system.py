@@ -19,8 +19,11 @@ __all__ = [
     "eigenenergy",
     "eigenstate_position",
     "eigenstate_momentum",
+    "position_basis",
     "momentum_basis",
     "level_momentum",
+    "classical_speed",
+    "revival_time",
     "classical_trajectory",
 ]
 
@@ -48,31 +51,48 @@ class ClassicalState:
     velocity: float | NDArray[np.float64]
 
 
-def _check_level(n) -> int:
-    if int(n) != n or n < 1:
-        raise ValueError(f"level index must be a positive integer, got {n!r}")
-    return int(n)
+def _check_level(n):
+    """n as an int, or an int array of levels; every level must be >= 1."""
+    if np.isscalar(n) and int(n) == n >= 1:
+        return int(n)
+    ns = np.asarray(n)
+    if ns.dtype.kind in "iu" and np.all(ns >= 1):
+        return ns
+    raise ValueError(f"level index must be a positive integer, got {n!r}")
+
+
+def level_momentum(n, sys: WellSystem = WellSystem()):
+    """p_n = n pi hbar / L, the momentum magnitude of level n.  An int array
+    of levels gives an array, element for element the scalar values."""
+    return _check_level(n) * math.pi * sys.hbar / sys.width_L
 
 
 def eigenenergy(n, sys: WellSystem = WellSystem()) -> float:
-    """E_n = n^2 hbar^2 pi^2 / (2 m L^2), n = 1, 2, ..."""
-    n = _check_level(n)
-    return (n * math.pi * sys.hbar / sys.width_L) ** 2 / (2.0 * sys.mass)
+    """E_n = p_n^2 / (2 m) = n^2 hbar^2 pi^2 / (2 m L^2), n = 1, 2, ..."""
+    return level_momentum(n, sys) ** 2 / (2.0 * sys.mass)
 
 
-def level_momentum(n, sys: WellSystem = WellSystem()) -> float:
-    """Magnitude p_n = n pi hbar / L of the momentum associated with level n."""
-    n = _check_level(n)
-    return n * math.pi * sys.hbar / sys.width_L
+def classical_speed(n, sys: WellSystem = WellSystem()) -> float:
+    """v_n = n pi hbar / (m L), the speed of a classical particle with momentum p_n."""
+    return _check_level(n) * math.pi * sys.hbar / (sys.mass * sys.width_L)
+
+
+def revival_time(sys: WellSystem = WellSystem()) -> float:
+    """T = 4 m L^2 / (pi hbar), the period of every phase exp(-i E_n t / hbar)."""
+    return 4.0 * sys.mass * sys.width_L**2 / (sys.hbar * math.pi)
 
 
 def eigenstate_position(n, x, sys: WellSystem = WellSystem()) -> float:
-    """u_n(x) = sqrt(2/L) sin(n pi x / L), clamped to 0 outside the well."""
-    n = _check_level(n)
+    """u_n(x) of position_basis, clamped to 0 outside the well."""
+    u = float(position_basis([_check_level(n)], [x], sys)[0, 0])
+    return 0.0 if x < 0.0 or x > sys.width_L else u
+
+
+def position_basis(levels, x, sys: WellSystem = WellSystem()) -> NDArray[np.float64]:
+    """u_n(x) = sqrt(2/L) sin(n pi x / L) for every position in ``x`` (rows)
+    and level in ``levels`` (columns)."""
     L = sys.width_L
-    if x < 0.0 or x > L:
-        return 0.0
-    return math.sqrt(2.0 / L) * math.sin(n * math.pi * x / L)
+    return np.sqrt(2.0 / L) * np.sin(np.outer(x, levels) * np.pi / L)
 
 
 # Relative closeness to p = +-p_n below which the bracket in phi_n(p) is
@@ -107,7 +127,7 @@ def momentum_basis(levels, p, sys: WellSystem = WellSystem()) -> NDArray[np.comp
     hbar, L = sys.hbar, sys.width_L
     ns = np.asarray(levels)
     p = np.asarray(p, dtype=float)
-    pn = ns * np.pi * hbar / L
+    pn = level_momentum(ns, sys)
     norm = np.sqrt(hbar / (np.pi * L))
     P = p[:, None]
     d2 = P**2 - pn[None, :] ** 2

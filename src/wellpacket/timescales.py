@@ -1,7 +1,7 @@
 """Characteristic times of the packet dynamics and flattening detection.
 
 Four closed-form scales: the classical bounce period tau, the revival time
-T_rev = 4 m L^2 / (hbar pi), the free-spreading time t0 = 2 m dx0^2 / hbar,
+T_rev (system.revival_time), the free-spreading time t0 = 2 m dx0^2 / hbar,
 and the collapse time T_C = T_rev / (2 pi dn^2) = 4 t0.  A fifth, the
 flattening closed form t_flat, is reported alongside an empirical detector
 that finds when a Delta-x series actually saturates at the uniform value
@@ -17,7 +17,7 @@ import numpy as np
 
 from .observables import TimeSeries
 from .packet import PacketSpec
-from .system import WellSystem
+from .system import WellSystem, classical_speed, level_momentum, revival_time
 
 __all__ = [
     "TimeScaleReport",
@@ -58,8 +58,8 @@ class TimeScaleReport:
 def compute_timescales(sys: WellSystem, spec: PacketSpec) -> TimeScaleReport:
     """All closed-form scales for a packet.
 
-    tau    = 2 L / v0 with v0 = p0/m = n0 pi hbar / (m L)  (equals T/(2 n0))
-    T_rev  = 4 m L^2 / (hbar pi)
+    tau    = 2 L / v0, v0 the classical speed at level n0  (equals T/(2 n0))
+    T_rev  = the revival time T of the box (system.revival_time)
     t0     = 2 m dx0^2 / hbar = m hbar alpha^2
     T_C    = T_rev / (2 pi dn^2)  (equals 4 t0 for the quasi-Gaussian packet)
     t_flat = (8 / sqrt(12)) m L dx0 / hbar
@@ -74,9 +74,8 @@ def compute_timescales(sys: WellSystem, spec: PacketSpec) -> TimeScaleReport:
     dx0 = spec.dx0_value(sys)
     dn = spec.dn_value(sys)
 
-    T_rev = 4.0 * m * L**2 / (hbar * math.pi)
-    v0 = spec.n0 * math.pi * hbar / (m * L)
-    tau = 2.0 * L / v0
+    T_rev = revival_time(sys)
+    tau = 2.0 * L / classical_speed(spec.n0, sys)
     t0 = 2.0 * m * dx0**2 / hbar
     T_C = T_rev / (2.0 * math.pi * dn**2)
     t_flat = (8.0 / math.sqrt(12.0)) * m * L * dx0 / hbar
@@ -102,7 +101,7 @@ def flat_momentum_reference(spec: PacketSpec,
     Models the collapsed-phase momentum density as equal weights at +-p0;
     a comparison overlay, not a dynamical prediction.
     """
-    return 0.0, spec.n0 * math.pi * sys.hbar / sys.width_L
+    return 0.0, level_momentum(spec.n0, sys)
 
 
 def spreading_envelope(dx0: float, t0: float, times) -> np.ndarray:
@@ -111,8 +110,8 @@ def spreading_envelope(dx0: float, t0: float, times) -> np.ndarray:
     return dx0 * np.sqrt(1.0 + (t / t0) ** 2)
 
 
-def detect_flattening(series: TimeSeries, sys: WellSystem = WellSystem(),
-                      epsilon: float = 0.05, hold: int = 10) -> float | None:
+def detect_flattening(series: TimeSeries, sys: WellSystem, epsilon: float,
+                      hold: int) -> float | None:
     """First time the Delta-x series stays near the flat value.
 
     Returns the time of the first sample of the earliest run of ``hold``
@@ -128,11 +127,8 @@ def detect_flattening(series: TimeSeries, sys: WellSystem = WellSystem(),
         raise ValueError(f"need a dx series, got {series.observable!r}")
     if hold < 1:
         raise ValueError("hold must be >= 1")
-    flat = sys.width_L / math.sqrt(12.0)
+    flat = flat_reference(sys)[2]
     inside = np.abs(series.values - flat) <= epsilon * flat
-    run = 0
-    for i, ok in enumerate(inside):
-        run = run + 1 if ok else 0
-        if run >= hold:
-            return float(series.times[i - hold + 1])
-    return None
+    count = np.concatenate(([0], np.cumsum(inside)))      # count[j]: inside[:j] true
+    starts = np.flatnonzero(count[hold:] - count[:-hold] == hold)
+    return float(series.times[starts[0]]) if starts.size else None

@@ -71,7 +71,7 @@ def test_c03_half_revival_mirror(default_exp, default_report, sys0):
     # the default grid is symmetric about L/2, so L-x is the reversed axis
     x_dev = float(np.max(np.abs(dh - d0[::-1])))
 
-    pg = MomentumGrid.default(sys0, 400, 1.5)
+    pg = MomentumGrid.default(sys0, 400, 1.5, 1.0)
     f0 = probability_density(momentum_wavefunction(default_exp, pg, 0.0))
     fh = probability_density(momentum_wavefunction(default_exp, pg, Th))
     p_dev = float(np.max(np.abs(fh - f0[::-1])))
@@ -207,7 +207,7 @@ def test_c10_power_law_collapse():
     # near the oscillator the level spacing is nearly uniform; a narrow
     # packet (central level 400, width 2) stays coherent stroboscopically
     near = PowerLawWell(k=2.05)
-    levels, w = gaussian_weights(400, 2.0)
+    levels, w = gaussian_weights(400, 2.0, 8.0)
     tau = classical_period_powerlaw(near, 400)
     floor = min(abs(powerlaw_autocorrelation(near, levels, w, q * tau))
                 for q in range(1, 201))

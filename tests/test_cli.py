@@ -35,7 +35,7 @@ def test_default_config():
 
 
 # Every key that has a default, written out at that default.  The None
-# defaults of alpha and p_spacing cannot be spelled in INI.
+# default of alpha cannot be spelled in INI.
 EVERY_KEY_AT_DEFAULT = """\
 [system]
 mass = 0.5
@@ -49,6 +49,7 @@ window_sigmas = 8
 [grids]
 x_points = 4096
 p_span = 1.5
+p_spacing = 1.0
 [schedule]
 mode = stroboscopic
 n_start = 0
@@ -176,8 +177,11 @@ def test_bounds_hold_outside_the_parser(tmp_path, capsys):
     ("scan-flatten", "[flatten]\nsample_step = 0\n", "[flatten] sample_step:"),
     ("correlate", "[schedule]\nn_stop = 5\n[correlate]\nscan = true\n"
      "scan_resolution = -1\n", "[correlate] scan_resolution:"),
+    ("correlate", "[schedule]\nn_stop = 5\n[correlate]\nscan = true\nscan_stop = 1tau\n"
+     "scan_resolution = 3tau\n", "[correlate] scan_resolution: leaves fewer than two"),
     ("evolve", "[evolve]\ntimes = 0, soon\n", "[evolve] times: cannot parse"),
-], ids=["scan_stop", "t_stop", "sample_step", "scan_resolution", "evolve_times"])
+], ids=["scan_stop", "t_stop", "sample_step", "scan_resolution", "one_scan_sample",
+        "evolve_times"])
 def test_time_literal_errors_are_config_errors(tmp_path, capsys, command, ini, location):
     path = tmp_path / "run.ini"
     path.write_text(ini)
@@ -196,8 +200,10 @@ def test_time_literal_errors_are_config_errors(tmp_path, capsys, command, ini, l
     ("observables", "[schedule]\nn_start = 10\nn_stop = 5\n", "[schedule] n_stop:"),
     ("correlate", "[schedule]\nn_start = 10\nn_stop = 5\n", "[schedule] n_stop:"),
     ("powerlaw", "[powerlaw]\nk =\n", "[powerlaw] k:"),
+    ("powerlaw", "[powerlaw]\nfit = true\nfit_n0 = 0\n", "[powerlaw] fit_n0: must be >= 1"),
+    ("scan-flatten", "[flatten]\ndx0 =\n", "[flatten] dx0:"),
 ], ids=["p_span", "p_spacing", "fit_dn", "empty_strobes_observables",
-        "empty_strobes_correlate", "empty_k"])
+        "empty_strobes_correlate", "empty_k", "fit_n0", "empty_dx0"])
 def test_bad_values_and_empty_work_are_config_errors(tmp_path, capsys, command, ini,
                                                      location):
     # each of these once ended in a traceback or in an empty or header-only file

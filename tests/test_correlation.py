@@ -140,7 +140,7 @@ def test_fit_threshold_validation(default_exp):
 
 
 def test_revival_scan_landmarks(default_exp):
-    peaks = revival_scan(default_exp, (0.0, T_REV), 0.25 * TAU)
+    peaks = revival_scan(default_exp, (0.0, T_REV), 0.25 * TAU, 0.3)
     by_time = {round(p.time / TAU, 2): p for p in peaks}
 
     full = by_time[800.0]
@@ -167,13 +167,50 @@ def test_revival_scan_min_height(default_exp):
 
 def test_revival_scan_window_validation(default_exp):
     with pytest.raises(ValueError):
-        revival_scan(default_exp, (-0.1, 0.5 * T_REV), 0.25 * TAU)
+        revival_scan(default_exp, (-0.1, 0.5 * T_REV), 0.25 * TAU, 0.3)
     with pytest.raises(ValueError):
-        revival_scan(default_exp, (0.0, 1.5 * T_REV), 0.25 * TAU)
+        revival_scan(default_exp, (0.0, 1.5 * T_REV), 0.25 * TAU, 0.3)
     with pytest.raises(ValueError):
-        revival_scan(default_exp, (0.5 * T_REV, 0.1 * T_REV), 0.25 * TAU)
+        revival_scan(default_exp, (0.5 * T_REV, 0.1 * T_REV), 0.25 * TAU, 0.3)
     with pytest.raises(ValueError, match="resolution"):
-        revival_scan(default_exp, (0.0, 0.5 * T_REV), -0.25 * TAU)
+        revival_scan(default_exp, (0.0, 0.5 * T_REV), -0.25 * TAU, 0.3)
+    # a step past the window leaves the single sample t = 0, which has no
+    # neighbor to be a peak against
+    with pytest.raises(ValueError, match="two samples"):
+        revival_scan(default_exp, (0.0, TAU), 3 * TAU, 0.3)
+
+
+def _peaks_by_loop(curve, min_height):
+    """The scan's peak rule as a plain loop, the reference for its mask."""
+    last, out = len(curve) - 1, []
+    for i, c in enumerate(curve):
+        if c < min_height:
+            continue
+        if i == 0:
+            ok = c > curve[1]
+        elif i == last:
+            ok = c >= curve[last - 1]
+        else:
+            ok = curve[i - 1] <= c > curve[i + 1]
+        if ok:
+            out.append(i)
+    return out
+
+
+def test_revival_scan_peaks_follow_the_loop_rule(default_exp, monkeypatch, rng):
+    # coarse random curves, so plateaus, ties and peaks at both edges occur
+    import wellpacket.correlation as correlation
+
+    for _ in range(200):
+        n = int(rng.integers(2, 30))
+        ac, mc = np.round(rng.random((2, n)), 1)
+        monkeypatch.setattr(correlation, "_phase_sum", lambda *a, pair=(ac, mc): np.array(pair))
+        peaks = revival_scan(default_exp, (0.0, (n - 1) * TAU), TAU, 0.3)
+        curve = np.maximum(ac, mc)
+        assert [round(p.time / TAU) for p in peaks] == _peaks_by_loop(curve, 0.3)
+        for p in peaks:
+            i = round(p.time / TAU)
+            assert p.channel == ("C" if ac[i] >= mc[i] else "Cbar")
 
 
 def test_nearest_fraction():

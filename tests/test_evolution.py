@@ -19,7 +19,7 @@ def xgrid(sys0):
 
 @pytest.fixture(scope="module")
 def pgrid(sys0):
-    return MomentumGrid.default(sys0, 400, 1.5)
+    return MomentumGrid.default(sys0, 400, 1.5, 1.0)
 
 
 def test_grid_validation(sys0):
@@ -27,7 +27,7 @@ def test_grid_validation(sys0):
         SpatialGrid(np.array([0.0, 0.0, 1.0]))
     with pytest.raises(ValueError):
         MomentumGrid(np.array([-2.0, 0.0, 1.0]))  # not symmetric
-    g = MomentumGrid.default(sys0, 400, 1.5)
+    g = MomentumGrid.default(sys0, 400, 1.5, 1.0)
     assert g.points[0] == -g.points[-1]
 
 

@@ -115,7 +115,7 @@ def test_kernel_matches_direct_sums(monkeypatch, sys0, n0, dx0, strobes):
     # the scan's two-column sums, on a window around the half revival
     rep = compute_timescales(sys0, spec)
     window = (rep.T_rev / 2 - 3 * rep.tau, rep.T_rev / 2 + 3 * rep.tau)
-    peaks = revival_scan(exp, window, rep.tau / 8)
+    peaks = revival_scan(exp, window, rep.tau / 8, 0.3)
     assert any(p.fraction == (1, 2) and p.channel == "Cbar" for p in peaks)
     at = np.array([p.time for p in peaks])
     direct = np.maximum(np.abs(direct_correlation(exp, at)),
@@ -133,7 +133,7 @@ def test_revival_scan_memory_is_bounded(monkeypatch, sys0):
     monkeypatch.setattr(packet, "PHASE_CHUNK_BYTES", 2**20)
     tracemalloc.start()
     try:
-        peaks = revival_scan(exp, (0.0, rep.T_rev), rep.tau / 2)
+        peaks = revival_scan(exp, (0.0, rep.T_rev), rep.tau / 2, 0.3)
         _, peak_bytes = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -144,7 +144,8 @@ def test_revival_scan_memory_is_bounded(monkeypatch, sys0):
     # block beside each chunk
     tracemalloc.start()
     try:
-        exact = revival_scan(exp, (0.0, rep.T_rev), rep.tau / 2, theta=(0, Fraction(1, 6000)))
+        exact = revival_scan(exp, (0.0, rep.T_rev), rep.tau / 2, 0.3,
+                             theta=(0, Fraction(1, 6000)))
         _, peak_bytes = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

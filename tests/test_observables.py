@@ -159,7 +159,7 @@ def test_flat_phase_moments(default_exp, default_table):
 
 def test_grid_moment_cross_check(default_exp, default_table, sys0):
     xg = SpatialGrid.default(sys0, 4096)
-    pg = MomentumGrid.default(sys0, 400, 1.5)
+    pg = MomentumGrid.default(sys0, 400, 1.5, 1.0)
     for t in (0.0, 124 * TAU):
         d = probability_density(position_wavefunction(default_exp, xg, t))
         x_grid = float(np.trapezoid(xg.points * d, xg.points))

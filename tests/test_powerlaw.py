@@ -177,20 +177,20 @@ def test_spectrum_monotonic():
 
 
 def test_gaussian_weights():
-    levels, w = gaussian_weights(200, 3.0)
+    levels, w = gaussian_weights(200, 3.0, 8.0)
     assert w.sum() == pytest.approx(1.0, abs=1e-14)
     assert levels[np.argmax(w)] == 200
     assert levels[0] == 176 and levels[-1] == 224
-    low_levels, low_w = gaussian_weights(2, 3.0)
+    low_levels, low_w = gaussian_weights(2, 3.0, 8.0)
     assert low_levels[0] == 0
     assert low_w.sum() == pytest.approx(1.0, abs=1e-14)
     with pytest.raises(ValueError):
-        gaussian_weights(200, 0.0)
+        gaussian_weights(200, 0.0, 8.0)
 
 
 def test_powerlaw_autocorrelation_basics():
     well = PowerLawWell(k=4.0)
-    levels, w = gaussian_weights(200, 3.0)
+    levels, w = gaussian_weights(200, 3.0, 8.0)
     assert powerlaw_autocorrelation(well, levels, w, 0.0) == \
         pytest.approx(1.0 + 0.0j, abs=1e-14)
     tau = classical_period_powerlaw(well, 200)
@@ -211,7 +211,7 @@ def test_near_harmonic_no_collapse():
     # k = 2.05: revivals are ~81x slower than dephasing at k = 3 would
     # suggest; stroboscopically the packet holds |C| > 0.99 for 200 periods
     well = PowerLawWell(k=2.05)
-    levels, w = gaussian_weights(400, 2.0)
+    levels, w = gaussian_weights(400, 2.0, 8.0)
     tau = classical_period_powerlaw(well, 400)
     mags = [abs(powerlaw_autocorrelation(well, levels, w, q * tau))
             for q in range(1, 201)]

@@ -9,6 +9,8 @@ from wellpacket import (ClassicalState, WellSystem, classical_trajectory,
                         eigenenergy, eigenstate_momentum, eigenstate_position,
                         level_momentum)
 
+from wellpacket.system import position_basis
+
 from oracles import (basis_x, gl_integrate, momentum_amplitude_quad,
                      overlap_quad)
 
@@ -30,6 +32,25 @@ def test_eigenenergy_rejects_bad_level(sys0):
 def test_level_momentum(sys0):
     assert level_momentum(1, sys0) == pytest.approx(math.pi, rel=1e-15)
     assert level_momentum(400, sys0) == pytest.approx(400 * math.pi, rel=1e-15)
+    # callers pass whole windows of levels; each element must be the scalar
+    # value bit for bit, or the packet and p^2 table digits would move
+    for sys in (sys0, WellSystem(mass=1.3, hbar=0.7, width_L=2.9)):
+        ns = np.arange(1, 5001)
+        assert np.array_equal(level_momentum(ns, sys),
+                              [level_momentum(int(n), sys) for n in ns])
+    for bad in (np.array([3, 0, 2]), np.array([1.0, 2.0]), [2, -1]):
+        with pytest.raises(ValueError):
+            level_momentum(bad, sys0)
+
+
+def test_position_basis_matches_eigenstate_position():
+    sys = WellSystem(width_L=2.5)
+    levels = np.array([1, 2, 7, 40, 401])
+    xs = np.linspace(0.0, sys.width_L, 37)
+    table = position_basis(levels, xs, sys)
+    assert table.shape == (xs.size, levels.size)
+    want = [[eigenstate_position(int(n), x, sys) for n in levels] for x in xs]
+    np.testing.assert_allclose(table, want, rtol=0, atol=1e-15)
 
 
 def test_position_eigenstate_values(sys0):

@@ -89,20 +89,36 @@ def test_detect_flattening_synthetic(sys0):
     # one spurious dip into the band must not trigger the detector
     values[3] = flat
     series = TimeSeries("dx", times, values)
-    assert detect_flattening(series, sys0, hold=5) == pytest.approx(times[7])
+    assert detect_flattening(series, sys0, 0.05, hold=5) == pytest.approx(times[7])
     # a run shorter than hold never fires
-    assert detect_flattening(series, sys0, hold=15) is None
+    assert detect_flattening(series, sys0, 0.05, hold=15) is None
     rising = TimeSeries("dx", times, np.linspace(0.01, 0.2, 21))
-    assert detect_flattening(rising, sys0) is None
+    assert detect_flattening(rising, sys0, 0.05, 10) is None
+
+
+def test_detect_flattening_matches_the_run_loop(sys0, rng):
+    # the detector's window test against the plain run-counting loop
+    flat = 1.0 / math.sqrt(12.0)
+    for _ in range(300):
+        n, hold = int(rng.integers(1, 40)), int(rng.integers(1, 8))
+        inside = rng.random(n) < 0.8
+        series = TimeSeries("dx", np.arange(n) * 0.1, np.where(inside, flat, 0.05))
+        want, run = None, 0
+        for i, ok in enumerate(inside):
+            run = run + 1 if ok else 0
+            if run >= hold:
+                want = float(series.times[i - hold + 1])
+                break
+        assert detect_flattening(series, sys0, 0.05, hold) == want
 
 
 def test_detect_flattening_requires_dx(sys0):
     series = TimeSeries("x", np.array([0.0, 1.0]), np.array([0.5, 0.5]))
     with pytest.raises(ValueError):
-        detect_flattening(series, sys0)
+        detect_flattening(series, sys0, 0.05, 10)
     good = TimeSeries("dx", np.array([0.0, 1.0]), np.array([0.5, 0.5]))
     with pytest.raises(ValueError):
-        detect_flattening(good, sys0, hold=0)
+        detect_flattening(good, sys0, 0.05, hold=0)
 
 
 @pytest.fixture(scope="module")
@@ -114,7 +130,7 @@ def measured_tstars(sys0):
         rep = compute_timescales(sys0, spec)
         times = np.arange(0.0, 480 * rep.tau, 0.25 * rep.tau)
         series = sample_series(exp, table_for(exp), "dx", times)
-        out[dx0] = detect_flattening(series, sys0)
+        out[dx0] = detect_flattening(series, sys0, 0.05, 10)
     return out
 
 
@@ -142,7 +158,7 @@ def test_measured_flattening_vs_closed_form(measured_tstars, sys0):
 def test_epsilon_monotonicity(sys0, default_exp, default_report):
     times = np.arange(0.0, 480 * default_report.tau, 0.25 * default_report.tau)
     series = sample_series(default_exp, table_for(default_exp), "dx", times)
-    stars = [detect_flattening(series, sys0, epsilon=e) for e in (0.03, 0.05, 0.10)]
+    stars = [detect_flattening(series, sys0, e, 10) for e in (0.03, 0.05, 0.10)]
     assert all(s is not None for s in stars)
     assert stars[0] >= stars[1] >= stars[2]
 
