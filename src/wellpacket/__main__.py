@@ -1,0 +1,6 @@
+"""``python -m wellpacket``: the command line of wellpacket.cli."""
+
+from .cli import main
+
+if __name__ == "__main__":
+    raise SystemExit(main())

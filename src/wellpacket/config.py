@@ -23,7 +23,7 @@ from dataclasses import dataclass, field, fields, is_dataclass, replace
 
 import numpy as np
 
-from .correlation import DEFAULT_FIT_THRESHOLD, SCAN_WINDOW_SLACK
+from .correlation import DEFAULT_FIT_THRESHOLD, SCAN_STEP_SLACK, SCAN_WINDOW_SLACK
 from .packet import PacketSpec, Theta
 from .system import WellSystem
 
@@ -204,7 +204,7 @@ class CorrelateSettings:
         if not res > 0.0:
             raise ConfigError("[correlate] scan_resolution: must be positive")
         # the ceiling of this ratio is the length of revival_scan's np.arange
-        if not (stop + res / 2 - start) / res > 1.0:
+        if not (stop + SCAN_STEP_SLACK * res - start) / res > 1.0:
             raise ConfigError("[correlate] scan_resolution: leaves fewer than two samples")
         exact = None if theta_start is None or theta_res is None else (theta_start, theta_res)
         return start, stop, res, exact

@@ -44,6 +44,10 @@ _MAX_FIT_POINTS = 10000
 # How far past T a revival scan window may end: the rounding of a "1T" literal.
 SCAN_WINDOW_SLACK = 1e-12
 
+# How far past the window's end, in resolution steps, a revival scan sample
+# may lie: the rounding of (stop - start) / resolution on an on-grid window.
+SCAN_STEP_SLACK = 1e-9
+
 
 class CollapseFitError(RuntimeError):
     """Stroboscopic sampling cannot bracket a collapse to fit."""
@@ -209,7 +213,8 @@ def revival_scan(exp: EigenExpansion, t_window: tuple[float, float],
                  resolution: float, min_height: float, theta=None) -> list[ScanPeak]:
     """Local maxima of max(|C|, |C-bar|) on a sampled window.
 
-    Peaks at or above ``min_height`` are annotated with the closest
+    The samples are t0 + k resolution up to t1, none past it but by
+    rounding (SCAN_STEP_SLACK).  Peaks at or above ``min_height`` are annotated with the closest
     fraction p/q of the revival time T (nearest_fraction) when that
     fraction lies within half a resolution step; otherwise the annotation
     is None.  ``theta``, the exact (t_window[0] / T, resolution / T), makes
@@ -221,7 +226,7 @@ def revival_scan(exp: EigenExpansion, t_window: tuple[float, float],
         raise ValueError("scan window must lie within [0, T]")
     if not resolution > 0:
         raise ValueError("scan resolution must be positive")
-    times = np.arange(t0, t1 + resolution / 2, resolution)
+    times = np.arange(t0, t1 + SCAN_STEP_SLACK * resolution, resolution)
     if times.size < 2:
         raise ValueError("scan resolution leaves fewer than two samples in the window")
     exact = None if theta is None else Theta.progression(*theta, times.size)

@@ -161,6 +161,18 @@ def _variance(mean, second, which: str) -> NDArray[np.float64]:
     return np.maximum(var, 0.0)
 
 
+def _real_form(which: str, Mk: NDArray) -> tuple[bool, NDArray[np.float64]]:
+    """(imaginary, R) with Mk = R, or Mk = i R when imaginary; R real and
+    C-contiguous.  A complex table must be purely imaginary, as the p table
+    is: a real part beside it would not reach the assembly, so it is refused."""
+    if not np.iscomplexobj(Mk):
+        return False, np.ascontiguousarray(Mk, dtype=float)
+    if np.any(Mk.real):
+        raise NumericalConsistencyError(
+            f"the {which} table mixes real and imaginary entries")
+    return True, np.ascontiguousarray(Mk.imag)
+
+
 def _series(exp: EigenExpansion, table: MatrixElementTable, ids: tuple[str, ...],
             times, threads: int = 1, theta: Theta | None = None) -> list[NDArray[np.float64]]:
     """Each series id over a time array, from one evolved block per time chunk.
@@ -170,6 +182,11 @@ def _series(exp: EigenExpansion, table: MatrixElementTable, ids: tuple[str, ...]
     {x, x2, p}, is assembled from it.  <p^2> = Sum |a_n|^2 p_n^2 is
     constant in time and needs no block.  ``theta``, the exact times / T,
     makes the phases exact (EigenExpansion.map_chunks).
+
+    Each table is real or i times real (_real_form), so with b = br + i bi
+    a form takes two real GEMMs, y = br R^T and y = bi R^T, and four row
+    sums: Sum b* R b = (br.Rbr + bi.Rbi) + i (br.Rbi - bi.Rbr).  The spent
+    phase block P holds y, so a chunk needs P, br and bi: two chunks' bytes.
     """
     for which in ids:
         if which not in SERIES_IDS:
@@ -177,10 +194,22 @@ def _series(exp: EigenExpansion, table: MatrixElementTable, ids: tuple[str, ...]
     t = np.asarray(times, dtype=float).reshape(-1)
     forms = [f for f in ("x", "x2", "p") if any(f in _FORMS[w] for w in ids)]
     blocks = [table.block(f, exp) for f in forms]
+    reals = [_real_form(f, Mk) for f, Mk in zip(forms, blocks)]
 
     def assemble(P):
         b = np.multiply(exp.coefficients, P, out=P)
-        return np.stack([np.sum(b.conj() * (b @ Mk.T), axis=1) for Mk in blocks])
+        br, bi = np.ascontiguousarray(b.real), np.ascontiguousarray(b.imag)
+        y = P.view(np.float64).reshape(-1)[:br.size].reshape(br.shape)
+        out = np.empty((len(forms), br.shape[0]), dtype=complex)
+        for k, (imaginary, R) in enumerate(reals):
+            np.matmul(br, R.T, out=y)
+            rr, ir = np.einsum("ij,ij->i", br, y), np.einsum("ij,ij->i", bi, y)
+            np.matmul(bi, R.T, out=y)
+            ri, ii = np.einsum("ij,ij->i", br, y), np.einsum("ij,ij->i", bi, y)
+            re, im = rr + ii, ri - ir
+            # i (re + i im) = -im + i re for an imaginary table
+            out[k].real, out[k].imag = (-im, re) if imaginary else (re, im)
+        return out
 
     raw = exp.map_chunks(assemble, t, np.empty((len(forms), t.size), dtype=complex),
                          threads, theta) if forms else []

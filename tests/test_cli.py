@@ -400,3 +400,32 @@ def test_module_entry_point(tmp_path):
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert (tmp_path / "timescales.json").exists()
+
+
+def test_package_entry_point(tmp_path):
+    ini = tmp_path / "run.ini"
+    ini.write_text("[packet]\nn0 = 40\ndx0 = 0.1\n[schedule]\nn_stop = 3\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "wellpacket", "observables", "--config", str(ini),
+         "--out", str(tmp_path / "o")],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [str(tmp_path / "o" / "observables.csv")]
+    rows = [ln for ln in (tmp_path / "o" / "observables.csv").read_text().splitlines()
+            if not ln.startswith("#")]
+    assert len(rows) == 5    # the header and n = 0 .. 3
+
+
+def test_revival_scan_samples_stop_at_scan_stop(tmp_path):
+    # 0.5T + k 0.3T: 0.5T and 0.8T lie in the window, 1.1T lies past it
+    # and past T, and must not be sampled; 0.8T is below the exact half
+    # revival at 0.5T, so that is the one peak
+    ini = tmp_path / "run.ini"
+    ini.write_text("[packet]\nn0 = 40\ndx0 = 0.1\n[schedule]\nn_stop = 5\n"
+                   "[correlate]\nscan = true\nscan_start = 0.5T\nscan_stop = 1T\n"
+                   "scan_resolution = 0.3T\nmin_height = 0.0\n")
+    out = tmp_path / "o"
+    assert main(["correlate", "--config", str(ini), "--out", str(out)]) == 0
+    scan = json.loads((out / "revival_scan.json").read_text())
+    T = scan["window"][1]
+    assert [round(p["t"] / T, 12) for p in scan["peaks"]] == [0.5]

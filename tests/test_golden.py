@@ -124,11 +124,11 @@ GOLDEN = {
     },
     ("observables", "csv"): {
         "observables.csv":
-            "9a29f2669aeda97f10df78b07a51801db509aee6a60218d355ae427f0e2f299b",
+            "182e77f1c06d3e5118bacfb1f294947f62914cfec471d1332fb435e48f164cb1",
     },
     ("observables", "json"): {
         "observables.json":
-            "991521a0519ad42e1004d9fd19e43585c04735129996094a9ec0a04eb8ef23de",
+            "b21b33897b0ca9857b8ef51f1b4e34d5dfb2a160d666ffdf8654369ccf12e2cc",
     },
     ("powerlaw", "csv"): {
         "powerlaw.csv":

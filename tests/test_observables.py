@@ -235,6 +235,15 @@ def test_inconsistent_table_detected(default_exp, default_table):
     bad = dataclasses.replace(default_table, p=bad_p)
     with pytest.raises(NumericalConsistencyError):
         expectation(default_exp, bad, "p", 0.3 * TAU)
+    # a real symmetric part added to the momentum table keeps it Hermitian,
+    # so no residue shows; the assembly reads i times a real table and
+    # refuses a table with both parts instead of dropping one
+    bad_p = default_table.p.copy()
+    bad_p[c, c + 1] += 0.5
+    bad_p[c + 1, c] += 0.5
+    bad = dataclasses.replace(default_table, p=bad_p)
+    with pytest.raises(NumericalConsistencyError, match="real and imaginary"):
+        expectation(default_exp, bad, "p", 0.3 * TAU)
     # a scaled first-moment table pushes <x> outside the well
     bad = dataclasses.replace(default_table, x=default_table.x * 3.0)
     with pytest.raises(NumericalConsistencyError):
