@@ -1,8 +1,8 @@
 """Golden output: the sha256 of every file each subcommand writes.
 
 Each of the six subcommands runs through ``wellpacket.cli.main`` in csv
-and json on a small config, and every file it writes must hash to the
-value recorded here.  Any change to a printed digit, a column, a header
+and json on a small config (``powerlaw`` on two), and every file it writes
+must hash to the value recorded here.  Any change to a printed digit, a column, a header
 line or the JSON layout shows up as a changed hash, so refactors of the
 run drivers and writers can be checked for byte-identical output.
 
@@ -61,6 +61,18 @@ fit = true
 fit_n0 = 120
 fit_dn = 3
 """,
+    # the half well from n = 0 (a blank T_rev cell), the oscillator, a
+    # near-oscillator and the box; its fits succeed, report periodic and fail
+    "powerlaw-half": """\
+[powerlaw]
+k = 1.5, 2, 2.05, 8, infinity
+half = true
+n_min = 0
+n_max = 120
+fit = true
+fit_n0 = 80
+fit_dn = 2
+""",
     "scan-flatten": """\
 [packet]
 n0 = 40
@@ -76,6 +88,9 @@ n0 = 40
 dx0 = 0.1
 """,
 }
+
+# Config names that are not a subcommand's own name -> the subcommand.
+COMMAND = {"powerlaw-half": "powerlaw"}
 
 GOLDEN = {
     ("correlate", "csv"): {
@@ -142,6 +157,18 @@ GOLDEN = {
         "powerlaw_fits.json":
             "3c67019da024ab163d2a4de065e54ad19fda1393c4ab0bc183e2fb88b355a586",
     },
+    ("powerlaw-half", "csv"): {
+        "powerlaw.csv":
+            "d22b7fa25badb945446d2ad87f9b7904b4a6b284eda38ab0314174fc7e7abf7e",
+        "powerlaw_fits.json":
+            "50999352929a014b17e52f350387ca894b131721d5ee3a72bf15e38c46f45fde",
+    },
+    ("powerlaw-half", "json"): {
+        "powerlaw.json":
+            "506f1baae43fd07e3fdbd816638cb0a11341cc405dbd9ae9b319f2b24be6192e",
+        "powerlaw_fits.json":
+            "50999352929a014b17e52f350387ca894b131721d5ee3a72bf15e38c46f45fde",
+    },
     ("scan-flatten", "csv"): {
         "flatten_dx0_0.05.csv":
             "8d41207803f321adc634295799ed80c94cf1ec7d93c4bd0edb4a08144b30d9b1",
@@ -169,10 +196,11 @@ GOLDEN = {
 }
 
 
-def _run(command: str, fmt: str, tmp_path) -> dict[str, str]:
-    ini = tmp_path / f"{command}.ini"
-    ini.write_text(CONFIGS[command])
-    out = tmp_path / f"{command}-{fmt}"
+def _run(name: str, fmt: str, tmp_path) -> dict[str, str]:
+    ini = tmp_path / f"{name}.ini"
+    ini.write_text(CONFIGS[name])
+    out = tmp_path / f"{name}-{fmt}"
+    command = COMMAND.get(name, name)
     assert main([command, "--config", str(ini), "--out", str(out), "--format", fmt]) == 0
     hashes = {}
     for name in sorted(os.listdir(out)):
@@ -182,6 +210,6 @@ def _run(command: str, fmt: str, tmp_path) -> dict[str, str]:
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
-@pytest.mark.parametrize("command", sorted(CONFIGS))
-def test_output_bytes_are_pinned(command, fmt, tmp_path):
-    assert _run(command, fmt, tmp_path) == GOLDEN[command, fmt]
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_output_bytes_are_pinned(name, fmt, tmp_path):
+    assert _run(name, fmt, tmp_path) == GOLDEN[name, fmt]
