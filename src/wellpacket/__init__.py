@@ -28,7 +28,7 @@ from .packet import (EigenExpansion, PacketSpec, Theta, build_gaussian_packet,
 from .powerlaw import (PowerLawWell, classical_period_powerlaw,
                        collapse_time_powerlaw, fit_powerlaw_collapse,
                        gaussian_weights, powerlaw_autocorrelation,
-                       revival_time_powerlaw, wkb_energy)
+                       revival_time_powerlaw, wkb_energy, wkb_spectrum)
 from .runs import (run_correlate, run_evolve, run_observables, run_powerlaw,
                    run_scan_flatten, run_timescales)
 from .system import (ClassicalState, WellSystem, classical_trajectory,
@@ -65,7 +65,7 @@ __all__ = [
     "TimeScaleReport", "compute_timescales", "flat_reference",
     "flat_momentum_reference", "spreading_envelope", "detect_flattening",
     # powerlaw
-    "PowerLawWell", "wkb_energy", "classical_period_powerlaw",
+    "PowerLawWell", "wkb_energy", "wkb_spectrum", "classical_period_powerlaw",
     "revival_time_powerlaw", "collapse_time_powerlaw", "gaussian_weights",
     "powerlaw_autocorrelation", "fit_powerlaw_collapse",
     # config

@@ -58,8 +58,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built once per process: main() runs many jobs in one process, and
+# building the parser costs more than parsing with it.
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         cfg = parse_config("") if args.config is None else load_config(args.config)
         options = {k: getattr(args, k) for k in ("format", "precision")

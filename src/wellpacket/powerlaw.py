@@ -18,10 +18,12 @@ from numpy.typing import NDArray
 
 from .correlation import DEFAULT_FIT_THRESHOLD, CollapseFit, fit_stroboscopic
 from .packet import PacketSpec
+from .system import _check_level
 
 __all__ = [
     "PowerLawWell",
     "wkb_energy",
+    "wkb_spectrum",
     "classical_period_powerlaw",
     "revival_time_powerlaw",
     "collapse_time_powerlaw",
@@ -58,13 +60,16 @@ class PowerLawWell:
         return 0.75 if self.half else 0.5
 
 
-def _check_state(n) -> int:
-    if int(n) != n or n < 0:
-        raise ValueError(f"state index must be a nonnegative integer, got {n!r}")
-    return int(n)
+def _float_pow(base, power):
+    """base ** power by Python's float power, element by element for an
+    array: numpy's power and square differ from it in the last bit for some
+    bases."""
+    if np.ndim(base) == 0:
+        return base ** power
+    return np.array([b ** power for b in base.tolist()])
 
 
-def wkb_energy(well: PowerLawWell, n) -> float:
+def wkb_energy(well: PowerLawWell, n):
     """Semiclassical energy of state n = 0, 1, 2, ...
 
     Finite k:
@@ -74,19 +79,48 @@ def wkb_energy(well: PowerLawWell, n) -> float:
 
     with pref = hbar pi / (2 a sqrt(2m)) for the full well and twice that
     for the half well.  k = math.inf gives the box spectrum exactly:
-    width 2a (full) or a (half) with prefactor (n + 1).
+    width 2a (full) or a (half) with prefactor (n + 1).  An int array of
+    states gives an array, element for element the scalar values.
     """
-    n = _check_state(n)
+    n = _check_level(n, 0)
     m, hbar, a = well.mass, well.hbar, well.a
     if math.isinf(well.k):
         width = a if well.half else 2.0 * a
-        return ((n + 1) * math.pi * hbar / width) ** 2 / (2.0 * m)
+        return _float_pow((n + 1) * math.pi * hbar / width, 2) / (2.0 * m)
     k = well.k
     pref = hbar * math.pi / ((a if well.half else 2.0 * a) * math.sqrt(2.0 * m))
     gamma_ratio = math.exp(math.lgamma(1.0 / k + 1.5) - math.lgamma(1.0 / k + 1.0)
                            - math.lgamma(1.5))
     base = (n + well.maslov_mu) * pref * well.V0 ** (1.0 / k) * gamma_ratio
-    return base ** (2.0 * k / (k + 2.0))
+    return _float_pow(base, 2.0 * k / (k + 2.0))
+
+
+def _period(well: PowerLawWell, n, E):
+    """tau of classical_period_powerlaw at levels n with energies E."""
+    if math.isinf(well.k):
+        return math.pi * well.hbar * (n + 1) / E
+    factor = (2.0 + well.k) / (2.0 * well.k)
+    return 2.0 * math.pi * well.hbar * (n + well.maslov_mu) * factor / E
+
+
+def _revival(well: PowerLawWell, n, tau):
+    """T_rev of revival_time_powerlaw at levels n with periods tau."""
+    if well.k == 2.0:
+        return None
+    if math.isinf(well.k):
+        return 2.0 * (n + 1) * tau
+    ratio = abs((well.k + 2.0) / (well.k - 2.0))
+    return ratio * 2.0 * (n + well.maslov_mu) * tau
+
+
+def wkb_spectrum(well: PowerLawWell, levels):
+    """(E, tau, T_rev) of an int array of levels, element for element the
+    values of wkb_energy, classical_period_powerlaw and revival_time_powerlaw.
+    T_rev is None at k = 2, and its entries below n = 1 mean nothing."""
+    levels = _check_level(levels, 0)
+    E = wkb_energy(well, levels)
+    tau = _period(well, levels, E)
+    return E, tau, _revival(well, levels, tau)
 
 
 def classical_period_powerlaw(well: PowerLawWell, n) -> float:
@@ -97,12 +131,8 @@ def classical_period_powerlaw(well: PowerLawWell, n) -> float:
     freezes the first-order phase winding.  k = 2 reduces to 2 pi / omega
     for every n.
     """
-    n = _check_state(n)
-    E = wkb_energy(well, n)
-    if math.isinf(well.k):
-        return math.pi * well.hbar * (n + 1) / E
-    factor = (2.0 + well.k) / (2.0 * well.k)
-    return 2.0 * math.pi * well.hbar * (n + well.maslov_mu) * factor / E
+    n = _check_level(n, 0)
+    return _period(well, n, wkb_energy(well, n))
 
 
 def revival_time_powerlaw(well: PowerLawWell, n) -> float | None:
@@ -112,15 +142,8 @@ def revival_time_powerlaw(well: PowerLawWell, n) -> float | None:
     at k = 2: the oscillator is periodic, all phases rewind every classical
     period and no finite revival scale exists.
     """
-    n = _check_state(n)
-    if n < 1:
-        raise ValueError("revival time needs n >= 1")
-    if well.k == 2.0:
-        return None
-    if math.isinf(well.k):
-        return 2.0 * (n + 1) * classical_period_powerlaw(well, n)
-    ratio = abs((well.k + 2.0) / (well.k - 2.0))
-    return ratio * 2.0 * (n + well.maslov_mu) * classical_period_powerlaw(well, n)
+    n = _check_level(n, 1)
+    return _revival(well, n, classical_period_powerlaw(well, n))
 
 
 def collapse_time_powerlaw(well: PowerLawWell, n0: int, dn: float) -> float | None:
@@ -147,7 +170,7 @@ def gaussian_weights(n0: int, dn: float,
 
 def _autocorrelation(well: PowerLawWell, levels, weights):
     """t -> C(t) = Sum w_n exp(i E_n t / hbar), with the WKB energies computed once."""
-    E = np.array([wkb_energy(well, int(n)) for n in np.asarray(levels)])
+    E = wkb_energy(well, np.asarray(levels))
     return lambda t: complex(np.sum(weights * np.exp(1j * E * t / well.hbar)))
 
 

@@ -8,9 +8,9 @@ comment embedding the config hash.
 
 from __future__ import annotations
 
-import json
 import math
 import os
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -31,14 +31,56 @@ def _fmt(value: float, precision: int) -> str:
     return f"{value:.{precision}g}"
 
 
-def _json_round(obj, precision: int):
-    if isinstance(obj, float):
-        return float(_fmt(obj, precision))
+# json.dump's spellings of the float values that have no JSON number
+_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+_CONSTANTS = {None: "null", True: "true", False: "false"}
+
+
+def _json_scalar(value, num: str) -> str:
+    """One JSON scalar as json.dump writes it, a float first rounded by the
+    `num` template (a float subclass such as np.float64 included)."""
+    if isinstance(value, float):
+        text = float.__repr__(float(num % value))
+        return _NONFINITE.get(text, text)
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None or isinstance(value, bool):
+        return _CONSTANTS[value]
+    if isinstance(value, int):
+        return int.__repr__(value)
+    raise TypeError(f"cannot write {type(value).__name__} to JSON")
+
+
+def _json_chunks(obj, num: str, depth: int = 0):
+    """Yield the text json.dump(obj, indent=2, sort_keys=True) writes, with
+    every float rounded by the `num` template, one row at a time: a list of
+    scalars comes as one chunk.  Dict keys must be strings."""
+    inner = "\n" + "  " * (depth + 1)
     if isinstance(obj, dict):
-        return {k: _json_round(v, precision) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_json_round(v, precision) for v in obj]
-    return obj
+        if not obj:
+            yield "{}"
+            return
+        sep = "{"
+        for key in sorted(obj):
+            yield f"{sep}{inner}{encode_basestring_ascii(key)}: "
+            yield from _json_chunks(obj[key], num, depth + 1)
+            sep = ","
+        yield "\n" + "  " * depth + "}"
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            yield "[]"
+        elif any(isinstance(v, (dict, list, tuple)) for v in obj):
+            sep = "["
+            for v in obj:
+                yield sep + inner
+                yield from _json_chunks(v, num, depth + 1)
+                sep = ","
+            yield "\n" + "  " * depth + "]"
+        else:
+            yield ("[" + inner + ("," + inner).join([_json_scalar(v, num) for v in obj])
+                   + "\n" + "  " * depth + "]")
+    else:
+        yield _json_scalar(obj, num)
 
 
 class _Output:
@@ -55,7 +97,7 @@ class _Output:
         payload = {"schema-version": SCHEMA_VERSION, **fields,
                    "config-sha256": self.cfg.config_hash}
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            json.dump(_json_round(payload, self.precision), fh, indent=2, sort_keys=True)
+            fh.writelines(_json_chunks(payload, f"%.{self.precision}g"))
             fh.write("\n")
         return path
 
@@ -69,7 +111,7 @@ class _Output:
         """
         if self.fmt == "json":
             if data is None:
-                data = {"columns": columns, "rows": [list(r) for r in rows]}
+                data = {"columns": columns, "rows": list(rows)}
             return self.json(f"{stem}.json", {**fields, **data})
         path = os.path.join(self.dir, f"{stem}.csv")
         num = f"%.{self.precision}g"
@@ -199,18 +241,17 @@ def run_powerlaw(cfg: RunConfig, out_dir, threads=1):
     wells = [powerlaw.PowerLawWell(k=k, V0=pl.v0, a=pl.a, mass=cfg.system.mass,
                                    hbar=cfg.system.hbar, half=pl.half)
              for k in pl.k_values]
+    levels = np.arange(pl.n_min, pl.n_max + 1)
+    n_cells = [str(n) for n in levels.tolist()]    # a level index, never rounded
     rows = []
     for well in wells:
         k_cell = "infinity" if math.isinf(well.k) else _fmt(well.k, out.precision)
-        for n in range(pl.n_min, pl.n_max + 1):
-            E = powerlaw.wkb_energy(well, n)
-            tau_n = powerlaw.classical_period_powerlaw(well, n)
-            if n >= 1:
-                trev = powerlaw.revival_time_powerlaw(well, n)
-                trev_cell = "periodic" if trev is None else trev
-            else:
-                trev_cell = ""
-            rows.append((k_cell, _fmt(float(n), out.precision), E, tau_n, trev_cell))
+        E, tau, trev = powerlaw.wkb_spectrum(well, levels)
+        trev_cells = ["periodic"] * levels.size if trev is None else trev.tolist()
+        if pl.n_min == 0:
+            trev_cells[0] = ""     # no revival time below n = 1
+        rows.extend(zip([k_cell] * levels.size, n_cells, E.tolist(), tau.tolist(),
+                        trev_cells))
     files = [out.emit("powerlaw", ["k", "n", "E", "tau", "T_rev"], rows,
                       {"kind": "powerlaw-spectrum"})]
 

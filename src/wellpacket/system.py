@@ -51,14 +51,14 @@ class ClassicalState:
     velocity: float | NDArray[np.float64]
 
 
-def _check_level(n):
-    """n as an int, or an int array of levels; every level must be >= 1."""
-    if np.isscalar(n) and int(n) == n >= 1:
+def _check_level(n, lowest: int = 1):
+    """n as an int, or an int array of levels; every level must be >= lowest."""
+    if np.isscalar(n) and int(n) == n >= lowest:
         return int(n)
     ns = np.asarray(n)
-    if ns.dtype.kind in "iu" and np.all(ns >= 1):
+    if ns.dtype.kind in "iu" and np.all(ns >= lowest):
         return ns
-    raise ValueError(f"level index must be a positive integer, got {n!r}")
+    raise ValueError(f"level index must be an integer >= {lowest}, got {n!r}")
 
 
 def level_momentum(n, sys: WellSystem = WellSystem()):

@@ -393,6 +393,46 @@ def test_printed_paths_match_files(tmp_path, capsys):
     assert os.path.exists(printed[0])
 
 
+def test_powerlaw_levels_are_not_rounded(tmp_path):
+    # n is a level index: at 3 digits 1200..1203 must stay four levels
+    ini = tmp_path / "run.ini"
+    ini.write_text("[powerlaw]\nk = 4\nn_min = 1200\nn_max = 1203\n")
+    levels = ["1200", "1201", "1202", "1203"]
+    for fmt in ("csv", "json"):
+        out = tmp_path / fmt
+        assert main(["powerlaw", "--config", str(ini), "--out", str(out),
+                     "--format", fmt, "--precision", "3"]) == 0
+        if fmt == "csv":
+            text = (out / "powerlaw.csv").read_text()
+            rows = [ln.split(",") for ln in text.splitlines() if not ln.startswith("#")][1:]
+        else:
+            rows = json.loads((out / "powerlaw.json").read_text())["rows"]
+        assert [r[1] for r in rows] == levels
+        # E stays a measured value, rounded to 3 digits
+        assert all(float(r[2]) == float(f"{float(r[2]):.3g}") for r in rows)
+
+
+def test_repeated_main_calls_write_what_fresh_runs_write(tmp_path):
+    # main() keeps one parser per process; no option of one call may
+    # carry over into the next
+    ini = tmp_path / "run.ini"
+    ini.write_text("[powerlaw]\nk = 1.5, infinity\nn_min = 0\nn_max = 40\n")
+    calls = [["powerlaw", "--config", str(ini), "--format", "json", "--precision", "5"],
+             ["timescales"]]
+    for i, argv in enumerate(calls):
+        assert main([*argv, "--out", str(tmp_path / f"same-{i}")]) == 0
+    for i, argv in enumerate(calls):
+        proc = subprocess.run([sys.executable, "-m", "wellpacket", *argv,
+                               "--out", str(tmp_path / f"fresh-{i}")],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        names = sorted(os.listdir(tmp_path / f"fresh-{i}"))
+        assert sorted(os.listdir(tmp_path / f"same-{i}")) == names
+        for name in names:
+            assert ((tmp_path / f"same-{i}" / name).read_bytes()
+                    == (tmp_path / f"fresh-{i}" / name).read_bytes())
+
+
 def test_module_entry_point(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "wellpacket.cli", "timescales",

@@ -11,7 +11,7 @@ from wellpacket import (CollapseFitError, PowerLawWell,
                         classical_period_powerlaw, collapse_time_powerlaw,
                         fit_powerlaw_collapse, gaussian_weights,
                         powerlaw_autocorrelation, revival_time_powerlaw,
-                        wkb_energy)
+                        wkb_energy, wkb_spectrum)
 
 
 def test_well_validation():
@@ -167,6 +167,39 @@ def test_near_harmonic_revival_divergence():
                                                                classical_period_powerlaw(ref, n))
     with pytest.raises(ValueError):
         revival_time_powerlaw(near, 0)
+
+
+@pytest.mark.parametrize("half", [False, True])
+@pytest.mark.parametrize("k", [1.0, 1.5, 2.0, 2.05, 3.0, 8.0, 1e4, math.inf])
+def test_array_spectrum_equals_the_scalar_functions_bitwise(k, half):
+    # numpy's power (finite k) and square (box) differ from Python's float
+    # power in the last bit for some levels, so the array form must keep
+    # the scalar power; the ladder reaches n = 1300, beyond the bench's levels
+    levels = np.arange(0, 1301)
+    for V0, a in [(1.0, 1.0), (3.7, 0.6), (0.05, 12.0)]:
+        well = PowerLawWell(k=k, V0=V0, a=a, half=half)
+        E, tau, trev = wkb_spectrum(well, levels)
+        assert E.tobytes() == np.array([wkb_energy(well, n) for n in range(1301)]).tobytes()
+        assert tau.tobytes() == np.array(
+            [classical_period_powerlaw(well, n) for n in range(1301)]).tobytes()
+        scalar = [revival_time_powerlaw(well, n) for n in range(1, 1301)]
+        if k == 2.0:
+            assert trev is None and set(scalar) == {None}
+        else:
+            assert trev[1:].tobytes() == np.array(scalar).tobytes()
+
+
+def test_array_levels_are_checked_like_scalar_levels():
+    well = PowerLawWell(k=3.0)
+    for bad in ([0, 1, -1], [0.0, 1.5], [1.0, 2.0]):
+        with pytest.raises(ValueError):
+            wkb_energy(well, np.array(bad))
+        with pytest.raises(ValueError):
+            wkb_spectrum(well, np.array(bad))
+    with pytest.raises(ValueError):
+        wkb_energy(well, -1)
+    with pytest.raises(ValueError):
+        wkb_energy(well, 1.5)
 
 
 def test_spectrum_monotonic():

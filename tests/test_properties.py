@@ -1,5 +1,7 @@
 """Invariants over randomly drawn packets and matrix-element windows."""
 
+import json
+import math
 import tempfile
 
 import numpy as np
@@ -10,6 +12,7 @@ from wellpacket import (PacketSpec, WellSystem, autocorrelation,
                         build_gaussian_packet, build_matrix_elements,
                         compute_timescales, eigenenergy, expectation_series,
                         mirror_correlation, parse_config, run_correlate, table_for)
+from wellpacket.runs import _json_chunks
 
 SYS = WellSystem()
 EPS = np.finfo(float).eps
@@ -77,3 +80,38 @@ def test_momentum_table_is_the_position_commutator(n_min, size):
     commutator = 1j * (SYS.mass / SYS.hbar) * (E[:, None] - E[None, :]) * table.x
     scale = float(np.max(np.abs(table.p)))
     assert np.max(np.abs(table.p - commutator)) <= 4.0 * EPS * n_max * scale
+
+
+def _rounded(obj, precision):
+    """The reference rounding: each float to `precision` significant digits,
+    tuples to lists, for json.dumps."""
+    if isinstance(obj, float):
+        return float(f"{obj:.{precision}g}")
+    if isinstance(obj, dict):
+        return {k: _rounded(v, precision) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_rounded(v, precision) for v in obj]
+    return obj
+
+
+json_strings = st.one_of(
+    st.text(),
+    st.sampled_from(['"', "\\", '\\"x"', "\x00", "\n\t\x1f\x7f", "é", "漢字", "\U0001f600",
+                     "a\u2028b"]))
+json_floats = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 1e16, 1e-5, 0.1, 123456.5]),
+    st.floats(allow_nan=True, allow_infinity=True).map(np.float64))
+json_payloads = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(), json_floats, json_strings),
+    lambda inner: st.one_of(st.lists(inner, max_size=6),
+                            st.lists(inner, max_size=6).map(tuple),
+                            st.dictionaries(json_strings, inner, max_size=6)),
+    max_leaves=20)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(json_payloads, st.integers(1, 17))
+def test_json_writer_matches_json_dumps_of_rounded_values(payload, precision):
+    assert "".join(_json_chunks(payload, f"%.{precision}g")) == json.dumps(
+        _rounded(payload, precision), indent=2, sort_keys=True)
