@@ -5,6 +5,8 @@ and json on a small config (``powerlaw`` on two), and every file it writes
 must hash to the value recorded here.  Any change to a printed digit, a column, a header
 line or the JSON layout shows up as a changed hash, so refactors of the
 run drivers and writers can be checked for byte-identical output.
+``observables`` and ``powerlaw`` are also pinned in JSON at precisions 3
+and 16, besides the default 12.
 
 The hashes pin the floating-point results of the machine they were
 recorded on, its OpenBLAS rounding included: on another BLAS or CPU a last
@@ -196,12 +198,13 @@ GOLDEN = {
 }
 
 
-def _run(name: str, fmt: str, tmp_path) -> dict[str, str]:
+def _run(name: str, fmt: str, tmp_path, *options: str) -> dict[str, str]:
     ini = tmp_path / f"{name}.ini"
     ini.write_text(CONFIGS[name])
     out = tmp_path / f"{name}-{fmt}"
     command = COMMAND.get(name, name)
-    assert main([command, "--config", str(ini), "--out", str(out), "--format", fmt]) == 0
+    assert main([command, "--config", str(ini), "--out", str(out), "--format", fmt,
+                 *options]) == 0
     hashes = {}
     for name in sorted(os.listdir(out)):
         with open(out / name, "rb") as fh:
@@ -213,3 +216,38 @@ def _run(name: str, fmt: str, tmp_path) -> dict[str, str]:
 @pytest.mark.parametrize("name", sorted(CONFIGS))
 def test_output_bytes_are_pinned(name, fmt, tmp_path):
     assert _run(name, fmt, tmp_path) == GOLDEN[name, fmt]
+
+
+# JSON at precision 3 writes most floats through the `%g` shortcut with
+# its fix-ups (exponent form, integral text), and precision 16 writes every
+# float through the per-cell repr, so the two pin both float paths of the
+# JSON writer.
+GOLDEN_PRECISION = {
+    ("observables", 3): {
+        "observables.json":
+            "301f3aa0c979918019937e06868127e6a790b2016612a25624d7f9ed7b721400",
+    },
+    ("observables", 16): {
+        "observables.json":
+            "d94c43d47a8842b9be65b7c0ffa790f30367736efb32abeebf8c7c5b4babe21a",
+    },
+    ("powerlaw", 3): {
+        "powerlaw.json":
+            "065ef9606cfc2d463b529f888c10f77f5a18bf41402e64c743946f72a35d9b0c",
+        "powerlaw_fits.json":
+            "705529d9dda5f593688cb4b8741c04907495c49c6c64306cdb85c33f5b915de8",
+    },
+    ("powerlaw", 16): {
+        "powerlaw.json":
+            "25543b1b414c67fd2f33977a8220ef11b484c68ee3fc9deec7d7ab9e1ddbdb8c",
+        "powerlaw_fits.json":
+            "9f3e0e117a080b5aff88d62c43e855e5043e871c8c4f814865d2c338874f7f28",
+    },
+}
+
+
+@pytest.mark.parametrize("precision", [3, 16])
+@pytest.mark.parametrize("name", ["observables", "powerlaw"])
+def test_json_bytes_are_pinned_at_other_precisions(name, precision, tmp_path):
+    hashes = _run(name, "json", tmp_path, "--precision", str(precision))
+    assert hashes == GOLDEN_PRECISION[name, precision]
