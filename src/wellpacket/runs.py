@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import math
 import os
+import re
+from itertools import chain, islice
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
@@ -51,10 +53,67 @@ def _json_scalar(value, num: str) -> str:
     raise TypeError(f"cannot write {type(value).__name__} to JSON")
 
 
+# Rows of a streamed JSON table, or items of a flat list, formatted at once.
+JSON_BLOCK = 256
+
+# For p <= 15, float.__repr__ of float("%.{p}g" % v) is the %g text itself
+# but for these texts: integral ones (repr appends ".0"), exponent form where
+# repr writes fixed notation (exponents p to 15), DBL_MAX rounded up to
+# infinity, subnormals (fewer than p digits survive), and inf and nan.
+_SHORT_FLOATS = frozenset(f"%.{p}g" for p in range(1, 16))
+_NEEDS_REPR = re.compile(
+    r"^(?:-?\d+|-?[\d.]+e(?:\+(?:0\d|1[0-5]|308)|-3(?:0[89]|[12]\d))|-?inf|nan)$", re.M)
+
+
+def _repr_of(match) -> str:
+    text = float.__repr__(float(match.group()))
+    return _NONFINITE.get(text, text)
+
+
+def _json_column(col, num: str) -> list:
+    """_json_scalar(v, num) for every v in the non-empty sequence `col`, a
+    column of floats or of strings in one pass and any other column by cell."""
+    kinds = set(map(type, col))
+    if all(issubclass(k, str) for k in kinds):
+        return list(map(encode_basestring_ascii, col))
+    if num in _SHORT_FLOATS and all(issubclass(k, float) for k in kinds):
+        text = "\n".join(map(num.__mod__, col))
+        # every text the pattern matches lacks a point or has "e+" or "e-3"
+        if text.count(".") < len(col) or "e+" in text or "e-3" in text:
+            text = _NEEDS_REPR.sub(_repr_of, text)
+        return text.split("\n")
+    return [_json_scalar(v, num) for v in col]
+
+
+def _json_rows(rows, num: str, depth: int):
+    """Yield the iterator `rows` of equal-length scalar rows as a JSON array
+    of arrays, JSON_BLOCK rows at a time: each block is transposed, each of
+    its columns formatted in one pass, and its rows joined by one template."""
+    inner = "\n" + "  " * (depth + 1)
+    cell = inner + "  "
+    templates = {}      # rows in a block -> the block's '%'-template
+    sep, width = "[", None
+    while block := list(islice(rows, JSON_BLOCK)):
+        if width is None:
+            width = len(block[0])
+            row = ("[" + cell + ("," + cell).join(["%s"] * width) + inner + "]"
+                   if width else "[]")
+        if set(map(len, block)) != {width}:
+            raise ValueError("rows of a JSON table must have equal length")
+        template = templates.get(len(block))
+        if template is None:
+            template = templates[len(block)] = ("," + inner).join([row] * len(block))
+        columns = [_json_column(col, num) for col in zip(*block)]
+        yield sep + inner + template % tuple(chain.from_iterable(zip(*columns)))
+        sep = ","
+    yield "[]" if width is None else "\n" + "  " * depth + "]"
+
+
 def _json_chunks(obj, num: str, depth: int = 0):
     """Yield the text json.dump(obj, indent=2, sort_keys=True) writes, with
-    every float rounded by the `num` template, one row at a time: a list of
-    scalars comes as one chunk.  Dict keys must be strings."""
+    every float rounded by the `num` template.  Dict keys must be strings.
+    An iterator is a table: its rows are written as a list of lists, block
+    by block, without holding the table (see _json_rows)."""
     inner = "\n" + "  " * (depth + 1)
     if isinstance(obj, dict):
         if not obj:
@@ -77,8 +136,14 @@ def _json_chunks(obj, num: str, depth: int = 0):
                 sep = ","
             yield "\n" + "  " * depth + "]"
         else:
-            yield ("[" + inner + ("," + inner).join([_json_scalar(v, num) for v in obj])
-                   + "\n" + "  " * depth + "]")
+            for i in range(0, len(obj), JSON_BLOCK):
+                yield ("[" if i == 0 else ",") + inner + ("," + inner).join(
+                    _json_column(obj[i:i + JSON_BLOCK], num))
+            yield "\n" + "  " * depth + "]"
+    elif hasattr(obj, "__next__"):
+        # a table; isinstance(obj, Iterator) would add each type it meets to
+        # the ABC's cache, long-lived objects made in the middle of a write
+        yield from _json_rows(obj, num, depth)
     else:
         yield _json_scalar(obj, num)
 
@@ -111,7 +176,7 @@ class _Output:
         """
         if self.fmt == "json":
             if data is None:
-                data = {"columns": columns, "rows": list(rows)}
+                data = {"columns": columns, "rows": iter(rows)}
             return self.json(f"{stem}.json", {**fields, **data})
         path = os.path.join(self.dir, f"{stem}.csv")
         num = f"%.{self.precision}g"
@@ -243,15 +308,17 @@ def run_powerlaw(cfg: RunConfig, out_dir, threads=1):
              for k in pl.k_values]
     levels = np.arange(pl.n_min, pl.n_max + 1)
     n_cells = [str(n) for n in levels.tolist()]    # a level index, never rounded
-    rows = []
-    for well in wells:
+
+    def spectrum_rows(well):
         k_cell = "infinity" if math.isinf(well.k) else _fmt(well.k, out.precision)
         E, tau, trev = powerlaw.wkb_spectrum(well, levels)
         trev_cells = ["periodic"] * levels.size if trev is None else trev.tolist()
         if pl.n_min == 0:
             trev_cells[0] = ""     # no revival time below n = 1
-        rows.extend(zip([k_cell] * levels.size, n_cells, E.tolist(), tau.tolist(),
-                        trev_cells))
+        return zip([k_cell] * levels.size, n_cells, E.tolist(), tau.tolist(), trev_cells)
+
+    # one well's rows at a time, computed as the writer reaches them
+    rows = chain.from_iterable(map(spectrum_rows, wells))
     files = [out.emit("powerlaw", ["k", "n", "E", "tau", "T_rev"], rows,
                       {"kind": "powerlaw-spectrum"})]
 

@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -14,6 +15,7 @@ from wellpacket.cli import main
 from wellpacket.config import (ConfigError, CorrelateSettings, OutputSettings,
                                RunConfig, ScheduleSettings, load_config,
                                parse_config, parse_time)
+from wellpacket.runs import _Output
 from wellpacket.timescales import TimeScaleReport
 
 SHA_EMPTY = hashlib.sha256(b"").hexdigest()
@@ -410,6 +412,29 @@ def test_powerlaw_levels_are_not_rounded(tmp_path):
         assert [r[1] for r in rows] == levels
         # E stays a measured value, rounded to 3 digits
         assert all(float(r[2]) == float(f"{float(r[2]):.3g}") for r in rows)
+
+
+def test_json_table_memory_does_not_grow_with_rows(tmp_path):
+    # The JSON writer holds one block of rows at a time, never the table: a
+    # table of 40k rows peaks within 64 KiB of one of 4k (about 0.2 MB
+    # each; a writer that listed the rows first peaked at 0.5 and 6 MB).
+    out = _Output(parse_config("[output]\nformat = json\n"), "observables", tmp_path)
+
+    def peak(n_rows):
+        rows = ((i * 1e-3, math.sin(i), -float(i), "x") for i in range(n_rows))
+        tracemalloc.start()
+        try:
+            out.emit("table", ["t", "a", "b", "s"], rows, {"kind": "test"})
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(4000)          # first-use caches are not part of the table
+    small, large = peak(4000), peak(40000)
+    assert large <= small + 64 * 1024, (small, large)
+    rows = json.loads((tmp_path / "table.json").read_text())["rows"]
+    assert len(rows) == 40000
+    assert rows[-1] == [39.999, pytest.approx(math.sin(39999), rel=1e-11), -39999.0, "x"]
 
 
 def test_repeated_main_calls_write_what_fresh_runs_write(tmp_path):

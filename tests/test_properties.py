@@ -5,6 +5,7 @@ import math
 import tempfile
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -12,7 +13,7 @@ from wellpacket import (PacketSpec, WellSystem, autocorrelation,
                         build_gaussian_packet, build_matrix_elements,
                         compute_timescales, eigenenergy, expectation_series,
                         mirror_correlation, parse_config, run_correlate, table_for)
-from wellpacket.runs import _json_chunks
+from wellpacket.runs import JSON_BLOCK, _json_chunks
 
 SYS = WellSystem()
 EPS = np.finfo(float).eps
@@ -100,10 +101,16 @@ json_strings = st.one_of(
                      "a\u2028b"]))
 json_floats = st.one_of(
     st.floats(allow_nan=True, allow_infinity=True),
-    st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 1e16, 1e-5, 0.1, 123456.5]),
+    # 1.7e308 rounds past DBL_MAX at one digit, and -DBL_MAX at up to 16;
+    # 1e15, 9.5e15 and 123456789012.0 are written in exponent form by %g
+    # but fixed by repr; subnormals keep fewer digits than %g prints
+    st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 1e16, 1e-5, 0.1, 123456.5,
+                     1.7e308, -1.7976931348623157e308, 1e15, 9.5e15, 123456789012.0,
+                     5e-324, 1.2345678901234e-310]),
     st.floats(allow_nan=True, allow_infinity=True).map(np.float64))
+json_cells = st.one_of(st.none(), st.booleans(), st.integers(), json_floats, json_strings)
 json_payloads = st.recursive(
-    st.one_of(st.none(), st.booleans(), st.integers(), json_floats, json_strings),
+    json_cells,
     lambda inner: st.one_of(st.lists(inner, max_size=6),
                             st.lists(inner, max_size=6).map(tuple),
                             st.dictionaries(json_strings, inner, max_size=6)),
@@ -112,6 +119,27 @@ json_payloads = st.recursive(
 
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(json_payloads, st.integers(1, 17))
+@example([1.7e308], 1)
 def test_json_writer_matches_json_dumps_of_rounded_values(payload, precision):
     assert "".join(_json_chunks(payload, f"%.{precision}g")) == json.dumps(
         _rounded(payload, precision), indent=2, sort_keys=True)
+
+
+# One column of a table: a few values, repeated down the rows.
+table_columns = st.one_of(*(st.lists(cells, min_size=1, max_size=6) for cells in (
+    json_floats, json_strings, st.integers(), st.none(), json_cells)))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.lists(table_columns, max_size=5),
+       st.sampled_from([0, 1, 7, JSON_BLOCK, 2 * JSON_BLOCK + 3]), st.integers(1, 17))
+def test_json_row_stream_matches_json_dumps_of_rounded_rows(columns, n_rows, precision):
+    rows = [tuple(col[i % len(col)] for col in columns) for i in range(n_rows)]
+    assert "".join(_json_chunks({"rows": iter(rows)}, f"%.{precision}g")) == json.dumps(
+        _rounded({"rows": rows}, precision), indent=2, sort_keys=True)
+
+
+def test_json_row_stream_refuses_ragged_rows():
+    rows = [(0.0, 1.0)] * (JSON_BLOCK + 1) + [(2.0,)]
+    with pytest.raises(ValueError, match="equal length"):
+        "".join(_json_chunks({"rows": iter(rows)}, "%.12g"))
