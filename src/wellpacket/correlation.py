@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .packet import EigenExpansion, Theta
+from .packet import EigenExpansion, Theta, takes_fold
 from .system import revival_time
 
 __all__ = [
@@ -83,11 +83,17 @@ def _phase_sum(exp: EigenExpansion, weights: NDArray, times,
                theta: Theta | None = None) -> NDArray[np.complex128]:
     """Sum_n weights[n, j] exp(i E_n t / hbar), shaped (j, t), or (t,) for 1-d weights.
 
-    The weights are real, so with the kernel's P = exp(-i E t / hbar) each
-    chunk contributes conj(P @ weights); one chunk is alive at a time.
-    ``theta``, the exact times / T, makes every phase exact.
+    ``theta``, the exact times / T, makes every phase exact.  Where the cost
+    rule (takes_fold) holds, each column's weights are binned at n^2 mod q
+    and one FFT gives every sample (EigenExpansion.fold).  Otherwise the
+    weights, being real, take conj(P @ weights) of each chunk of the
+    kernel's P = exp(-i E t / hbar); one chunk is alive at a time.
     """
     t = np.atleast_1d(np.asarray(times, dtype=float))
+    if takes_fold(t, theta, len(weights)):
+        cols = weights.reshape(len(weights), -1).T
+        out = exp.fold([(exp.square_residues(theta.den), cols)], theta, len(cols))
+        return out.reshape(weights.shape[1:] + t.shape)
     w = weights.astype(complex)
     out = np.empty(w.shape[1:] + t.shape, dtype=complex)
     return exp.map_chunks(lambda P: np.conj(P @ w).T, t, out, theta=theta)
@@ -98,9 +104,13 @@ def autocorrelation(exp: EigenExpansion, t: float, theta=None) -> complex:
     return complex(_phase_sum(exp, exp.weights, t, Theta.of([theta]))[0])
 
 
-def autocorrelation_series(exp: EigenExpansion, times,
-                           theta: Theta | None = None) -> NDArray[np.complex128]:
-    """C(t) over a time array; ``theta`` is the exact times / T, if known."""
+def autocorrelation_series(exp: EigenExpansion, times, theta: Theta | None = None,
+                           mirror: bool = False):
+    """C(t) over a time array; ``theta`` is the exact times / T, if known.
+    With ``mirror``, the pair (C(t), C-bar(t)) from one two-column phase sum."""
+    if mirror:
+        C, Cbar = _phase_sum(exp, _both_weights(exp), times, theta)
+        return C, Cbar
     return _phase_sum(exp, exp.weights, times, theta)
 
 
@@ -122,6 +132,11 @@ def mirror_correlation_series(exp: EigenExpansion, times,
 def _mirror_weights(exp: EigenExpansion) -> NDArray[np.float64]:
     signs = np.where(exp.levels % 2 == 1, 1.0, -1.0)  # (-1)^(n+1)
     return signs * exp.weights
+
+
+def _both_weights(exp: EigenExpansion) -> NDArray[np.float64]:
+    """The weights of C and C-bar as the two columns of one phase sum."""
+    return np.stack([exp.weights, _mirror_weights(exp)], axis=1)
 
 
 def fit_gaussian_decay(times, magnitudes) -> tuple[float, float]:
@@ -230,8 +245,7 @@ def revival_scan(exp: EigenExpansion, t_window: tuple[float, float],
     if times.size < 2:
         raise ValueError("scan resolution leaves fewer than two samples in the window")
     exact = None if theta is None else Theta.progression(*theta, times.size)
-    both = np.stack([exp.weights, _mirror_weights(exp)], axis=1)
-    ac, mc = np.abs(_phase_sum(exp, both, times, exact))
+    ac, mc = np.abs(_phase_sum(exp, _both_weights(exp), times, exact))
     curve = np.maximum(ac, mc)
     # a peak is at least its left neighbor and above its right one; the
     # window edges count when they top their one neighbor, so the exact

@@ -12,12 +12,13 @@ cross-check (see tests).
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.typing import NDArray
 
-from .packet import EigenExpansion, Theta
+from .packet import EigenExpansion, Theta, fold_rows, takes_fold
 from .system import WellSystem, level_momentum
 
 __all__ = [
@@ -175,14 +176,21 @@ def _real_form(which: str, Mk: NDArray) -> tuple[bool, NDArray[np.float64]]:
 
 def _series(exp: EigenExpansion, table: MatrixElementTable, ids: tuple[str, ...],
             times, threads: int = 1, theta: Theta | None = None) -> list[NDArray[np.float64]]:
-    """Each series id over a time array, from one evolved block per time chunk.
+    """Each series id over a time array, by the residue fold or from one
+    evolved block per time chunk.
 
-    b_n(t) = a_n exp(-i E_n t / hbar) is formed once per phase-kernel chunk
-    and every form the ids need, <O>_t = Sum_mn b_m* O_mn b_n for O in
-    {x, x2, p}, is assembled from it.  <p^2> = Sum |a_n|^2 p_n^2 is
-    constant in time and needs no block.  ``theta``, the exact times / T,
-    makes the phases exact (EigenExpansion.map_chunks).
+    Every form the ids need, <O>_t = Sum_mn b_m* O_mn b_n for O in
+    {x, x2, p} with b_n(t) = a_n exp(-i E_n t / hbar), comes from one of two
+    paths, which the cost rule (takes_fold) picks.  <p^2> = Sum |a_n|^2 p_n^2
+    is constant in time and needs neither.  ``theta``, the exact times / T,
+    makes the phases exact.
 
+    The fold (EigenExpansion.fold), on an exact grid: b_m* b_n carries the
+    phase 2 pi (m^2 - n^2) theta, so each form's off-diagonal pairs are
+    binned at m^2 - n^2 mod q in row blocks of the table, one FFT gives every
+    sample, and the diagonal, constant in time, is added as an exact sum.
+
+    The chunks (EigenExpansion.map_chunks): b is formed once per chunk.
     Each table is real or i times real (_real_form), so with b = br + i bi
     a form takes two real GEMMs, y = br R^T and y = bi R^T, and four row
     sums: Sum b* R b = (br.Rbr + bi.Rbi) + i (br.Rbi - bi.Rbr).  The spent
@@ -211,8 +219,34 @@ def _series(exp: EigenExpansion, table: MatrixElementTable, ids: tuple[str, ...]
             out[k].real, out[k].imag = (-im, re) if imaginary else (re, im)
         return out
 
-    raw = exp.map_chunks(assemble, t, np.empty((len(forms), t.size), dtype=complex),
-                         threads, theta) if forms else []
+    def pairs(q: int):
+        # the fold's blocks: conj(a_m) a_n O_mn at residues m^2 - n^2 mod q
+        # for m in a row slice, the diagonal m = n left out
+        a, n2 = exp.coefficients, exp.square_residues(q)
+        for s in fold_rows(a.size, q):
+            r = np.subtract.outer(n2[s], n2)
+            np.remainder(r, q, out=r)
+            ab = np.multiply.outer(a[s].conj(), a)
+            i = np.arange(s.stop - s.start)
+            ab[i, s.start + i] = 0.0
+            w = np.empty((len(forms),) + ab.shape, dtype=complex)
+            for k, (imaginary, R) in enumerate(reals):
+                np.multiply(ab, R[s], out=w[k])
+                if imaginary:
+                    w[k] *= 1j
+            yield r, w
+
+    if not forms:
+        raw = []
+    elif takes_fold(t, theta, exp.coefficients.size ** 2):
+        raw = exp.fold(pairs(theta.den), theta, len(forms))
+        # the diagonal Sum |a_n|^2 O_nn, exactly rounded, keeps the constant
+        # bin within rounding of its pairs however many rows a block holds
+        raw += np.array([math.fsum(exp.weights * np.diagonal(R)) * (1j if imaginary else 1)
+                         for imaginary, R in reals])[:, None]
+    else:
+        raw = exp.map_chunks(assemble, t, np.empty((len(forms), t.size), dtype=complex),
+                             threads, theta)
     mags = np.abs(exp.coefficients)
     vals = {}
     for f, Mk, v in zip(forms, blocks, raw):
@@ -261,8 +295,8 @@ def expectation_series(exp: EigenExpansion, table: MatrixElementTable, which,
 
     ``which`` is one id of SERIES_IDS ("dx" and "dp" are the
     uncertainties) or a tuple of them; a tuple returns a tuple of arrays,
-    all assembled from one evolved block per time chunk.  ``threads``
-    spreads the chunks over that many threads without changing a value.
+    all assembled on one path of the kernel (_series).  ``threads``
+    spreads the time chunks over that many threads without changing a value.
     ``theta``, the exact times / T, makes every phase exact.
     """
     if isinstance(which, str):

@@ -10,7 +10,7 @@ the packet starts at x0 moving toward the right wall with mean momentum
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -20,7 +20,7 @@ from numpy.typing import NDArray
 from .system import WellSystem, eigenenergy, level_momentum
 
 __all__ = ["PacketSpec", "EigenExpansion", "Theta", "build_gaussian_packet",
-           "initial_moments", "PHASE_CHUNK_BYTES"]
+           "initial_moments", "takes_fold", "PHASE_CHUNK_BYTES"]
 
 # Raw Gaussian weight that may be discarded by clipping the window at n = 1
 # before the construction is flagged.
@@ -34,6 +34,44 @@ PHASE_CHUNK_BYTES = 16 * 2**20
 # Exact phases form (n^2 mod q)(num mod q) in int64, which holds for a
 # denominator q below 2^31.5; a time grid with a larger q takes the float path.
 _MAX_DEN = 3_000_000_000
+
+# Rows of level pairs (m, n) whose weights the residue fold bins at once, at
+# the least.  A bin then sums its pairs in short runs, one bincount per
+# block; one bincount over all N^2 pairs put up to 5.3 eps of scale into the
+# constant bin of <x^2> at N = 509, and 16-row blocks 0.25 eps.
+FOLD_ROWS = 16
+
+
+def _check_theta(t: NDArray, theta: "Theta | None"):
+    if theta is not None and theta.num.shape != t.shape:
+        raise ValueError("theta must hold one value per time")
+
+
+def takes_fold(times, theta: "Theta | None", terms: int) -> bool:
+    """The cost rule: whether sums of ``terms`` phase terms at each of the
+    times take EigenExpansion.fold rather than map_chunks.
+
+    On the exact grid ``theta`` of denominator q, the fold costs
+    terms + q log2 q and the chunks T terms for T times; the fold takes
+    them when it is the cheaper and its length-q bins fit PHASE_CHUNK_BYTES,
+    as the chunks' unit-root table must.  A moment sums N^2 terms, a
+    correlation N.  Float times (no theta) always take the chunks, and a
+    theta that does not hold one value per time is refused either way.
+    """
+    t = np.asarray(times).reshape(-1)
+    _check_theta(t, theta)
+    if theta is None:
+        return False
+    q = theta.den
+    return terms + q * math.log2(q) < t.size * terms and 16 * q <= PHASE_CHUNK_BYTES
+
+
+def fold_rows(n_levels: int, q: int) -> list[slice]:
+    """Row slices of the N x N level pairs for the fold's blocks: FOLD_ROWS
+    rows each, or enough rows to hold q pairs, so that the per-block bins of
+    length q cost no more than the pairs themselves."""
+    rows = max(FOLD_ROWS, -(-q // max(1, n_levels)))
+    return [slice(i, min(i + rows, n_levels)) for i in range(0, n_levels, rows)]
 
 
 def _time_chunks(n_times: int, n_levels: int, parts: int = 1) -> list[slice]:
@@ -184,7 +222,7 @@ class EigenExpansion:
                 return np.exp(P, out=P)
             return block
         q = theta.den
-        n2 = (self.levels % q) ** 2 % q
+        n2 = self.square_residues(q)
         roots = None
         if q <= t.size * n2.size and 16 * q <= PHASE_CHUNK_BYTES:
             roots = np.exp(np.arange(q) * (-2j * math.pi / q))
@@ -204,7 +242,8 @@ class EigenExpansion:
 
     def map_chunks(self, fn: Callable[[NDArray[np.complex128]], NDArray], times,
                    out: NDArray, threads: int = 1, theta: Theta | None = None) -> NDArray:
-        """The phase kernel: out[..., s] = fn(P) for every time chunk s; returns out.
+        """The chunked phase kernel: out[..., s] = fn(P) for every time chunk s;
+        returns out.  Exact grids that pass takes_fold go to fold instead.
 
         P = exp(-i E_n t / hbar) over times[s], within PHASE_CHUNK_BYTES.
         ``theta``, the exact times / T, makes every phase an exact residue
@@ -215,8 +254,7 @@ class EigenExpansion:
         chunks are alive at once, and out is the same as with one thread.
         """
         t = np.asarray(times, dtype=float).reshape(-1)
-        if theta is not None and theta.num.shape != t.shape:
-            raise ValueError("theta must hold one value per time")
+        _check_theta(t, theta)
         block = self._phase_rows(t, theta)
 
         def task(s: slice):
@@ -229,6 +267,39 @@ class EigenExpansion:
         else:
             with ThreadPoolExecutor(max_workers=threads) as pool:
                 list(pool.map(task, chunks))
+        return out
+
+    def square_residues(self, q: int) -> NDArray[np.int64]:
+        """n^2 mod q over the window: the box phase 2 pi n^2 theta at theta = num / q
+        is 2 pi (n^2 mod q) num / q."""
+        return (self.levels % q) ** 2 % q
+
+    def fold(self, blocks: Iterable, theta: Theta, forms: int) -> NDArray[np.complex128]:
+        """The residue fold: out[k, j] = Sum_r S[k, r] exp(2 pi i r num_j / q).
+
+        ``blocks`` yields pairs (r, w): residues r in [0, q) of the phase
+        terms' 2 pi r theta and their weights w, shaped (forms,) + r.shape,
+        real or complex.  S[k, r] sums the weights of form k at residue r,
+        one bincount per block; a box moment bins conj(a_m) a_n O_mn at
+        m^2 - n^2 mod q (fold_rows), a correlation w_n at n^2 mod q.  One FFT
+        of length q per form then gives every sample, out[k, j] =
+        FFT(S[k])[-num_j mod q].  The constant bin r = 0 stays out of the
+        FFT and is added afterwards, so its rounding does not spread over
+        the others.  Costs O(pairs + q log q) and holds O(q + T), whatever T.
+        """
+        q = theta.den
+        bins = np.zeros((forms, q), dtype=complex)
+        for r, w in blocks:
+            r = r.reshape(-1)
+            for k in range(forms):
+                wk = w[k].reshape(-1)
+                bins[k].real += np.bincount(r, wk.real, q)
+                if np.iscomplexobj(wk):
+                    bins[k].imag += np.bincount(r, wk.imag, q)
+        const = bins[:, 0].copy()
+        bins[:, 0] = 0.0
+        out = np.fft.fft(bins, axis=1)[:, -theta.num % q]
+        out += const[:, None]
         return out
 
     def phases_at(self, t: float, theta=None) -> NDArray[np.complex128]:

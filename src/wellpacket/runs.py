@@ -266,8 +266,7 @@ def run_correlate(cfg: RunConfig, out_dir, threads=1):
     times, theta = cfg.schedule.resolve(report.tau, report.T_rev, n0)
     scan = cfg.correlate.scan_grid(report.tau, report.T_rev, n0) if cfg.correlate.scan else None
 
-    absC = np.abs(correlation.autocorrelation_series(exp, times, theta))
-    absM = np.abs(correlation.mirror_correlation_series(exp, times, theta))
+    absC, absM = np.abs(correlation.autocorrelation_series(exp, times, theta, mirror=True))
     files = [out.emit("correlation", ["t", "absC", "absCbar"],
                       zip(times.tolist(), absC.tolist(), absM.tolist()),
                       {"kind": "correlation"})]

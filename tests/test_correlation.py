@@ -231,3 +231,11 @@ def test_series_forms_match_scalars(default_exp, rng):
     for i, t in enumerate(ts):
         assert cs[i] == pytest.approx(autocorrelation(default_exp, float(t)), abs=1e-13)
         assert ms[i] == pytest.approx(mirror_correlation(default_exp, float(t)), abs=1e-13)
+
+
+def test_series_pair_matches_the_single_series(default_exp, rng):
+    # run_correlate takes C and C-bar from one two-column phase sum
+    ts = np.sort(rng.uniform(0.0, T_REV, 50))
+    C, Cbar = autocorrelation_series(default_exp, ts, mirror=True)
+    assert np.max(np.abs(C - autocorrelation_series(default_exp, ts))) <= 1e-15
+    assert np.max(np.abs(Cbar - mirror_correlation_series(default_exp, ts))) <= 1e-15

@@ -99,17 +99,17 @@ GOLDEN = {
         "collapse_fit.json":
             "365fb799426dc0c31e3061e84a3df0229c03efd4eecb1599596326f4000d774c",
         "correlation.csv":
-            "d642926b55cce17c8c44013e1419227869aef9879e9b324787f5d4af54d77f2e",
+            "11a19c3b5d6a4ebfa840cc7f5813e3a289baca629c306ef26c1430a2b70920d7",
         "revival_scan.json":
-            "a8f504df4464de5c85254ce03930567e659573947472050e943edde2f4b1825b",
+            "9f83c4bc5444d5b5a92cce706cc4e99e473cfdb50f2a551f9c785639a1b2405e",
     },
     ("correlate", "json"): {
         "collapse_fit.json":
             "365fb799426dc0c31e3061e84a3df0229c03efd4eecb1599596326f4000d774c",
         "correlation.json":
-            "d8652ff5991959609b7e00792f0b72c72680936be2a04076a5fa3c5eebfd0999",
+            "6ee64998584674fb75c885eb314928edcc05692a4c5d68b64ff499e92fc4833b",
         "revival_scan.json":
-            "a8f504df4464de5c85254ce03930567e659573947472050e943edde2f4b1825b",
+            "9f83c4bc5444d5b5a92cce706cc4e99e473cfdb50f2a551f9c785639a1b2405e",
     },
     ("evolve", "csv"): {
         "density_momentum_00.csv":
@@ -141,11 +141,11 @@ GOLDEN = {
     },
     ("observables", "csv"): {
         "observables.csv":
-            "182e77f1c06d3e5118bacfb1f294947f62914cfec471d1332fb435e48f164cb1",
+            "021a8c6c977e1479b7ba6d9db9d81850f0ee3c28c1cd1a7b250d76e8cefa263e",
     },
     ("observables", "json"): {
         "observables.json":
-            "b21b33897b0ca9857b8ef51f1b4e34d5dfb2a160d666ffdf8654369ccf12e2cc",
+            "a4459b885d64da38e9234a0823aefeafb0548233a8fd3d9747edc973e502c85f",
     },
     ("powerlaw", "csv"): {
         "powerlaw.csv":
@@ -229,7 +229,7 @@ GOLDEN_PRECISION = {
     },
     ("observables", 16): {
         "observables.json":
-            "d94c43d47a8842b9be65b7c0ffa790f30367736efb32abeebf8c7c5b4babe21a",
+            "3f7531a5d81e73613b7c99e6b152e4afc6385c4cc3684d9d58f5842dab66b192",
     },
     ("powerlaw", 3): {
         "powerlaw.json":
