@@ -109,8 +109,7 @@ def autocorrelation_series(exp: EigenExpansion, times, theta: Theta | None = Non
     """C(t) over a time array; ``theta`` is the exact times / T, if known.
     With ``mirror``, the pair (C(t), C-bar(t)) from one two-column phase sum."""
     if mirror:
-        C, Cbar = _phase_sum(exp, _both_weights(exp), times, theta)
-        return C, Cbar
+        return tuple(_phase_sum(exp, _both_weights(exp), times, theta))
     return _phase_sum(exp, exp.weights, times, theta)
 
 
