@@ -1,8 +1,8 @@
 """Command line entry point.
 
 Subcommands map one-to-one onto the run drivers in runs.py.  Exit codes:
-0 success, 1 config error, 2 numerical failure (consistency check or
-collapse fit), 3 I/O error.
+0 success, 1 config error (a bad config value or command-line usage),
+2 numerical failure (consistency check or collapse fit), 3 I/O error.
 """
 
 from __future__ import annotations
@@ -29,8 +29,16 @@ _COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error is a config error (exit 1), not argparse's exit 2;
+    the subcommand parsers are of this class too."""
+
+    def error(self, message):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="wellpacket",
         description="Wave packet dynamics in a box: densities, expectation "
                     "values, correlation functions, and power-law well spectra.")
@@ -51,10 +59,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="override the [output] format")
         p.add_argument("--precision", type=int, default=None,
                        help="override the [output] significant digits")
-        p.add_argument("--threads", type=int, default=1,
-                       help="threads for observables and scan-flatten series, "
-                            "each cut into at least that many time chunks; output "
-                            "does not depend on it (default 1)")
     return parser
 
 
@@ -64,8 +68,8 @@ _PARSER = build_parser()
 
 
 def main(argv=None) -> int:
-    args = _PARSER.parse_args(argv)
     try:
+        args = _PARSER.parse_args(argv)
         cfg = parse_config("") if args.config is None else load_config(args.config)
         options = {k: getattr(args, k) for k in ("format", "precision")
                    if getattr(args, k) is not None}
@@ -73,9 +77,7 @@ def main(argv=None) -> int:
             cfg = replace(cfg, output=replace(cfg.output, **options))
         except ValueError as e:
             raise ConfigError(f"--{e}") from None
-        if args.threads < 1:
-            raise ConfigError("--threads must be >= 1")
-        files = _COMMANDS[args.command](cfg, args.out, threads=args.threads)
+        files = _COMMANDS[args.command](cfg, args.out)
         for path in files:
             print(path)
         return 0

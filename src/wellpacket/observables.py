@@ -175,7 +175,7 @@ def _real_form(which: str, Mk: NDArray) -> tuple[bool, NDArray[np.float64]]:
 
 
 def _series(exp: EigenExpansion, table: MatrixElementTable, ids: tuple[str, ...],
-            times, threads: int = 1, theta: Theta | None = None) -> list[NDArray[np.float64]]:
+            times, *, theta: Theta | None = None) -> list[NDArray[np.float64]]:
     """Each series id over a time array, by the residue fold or from one
     evolved block per time chunk.
 
@@ -246,7 +246,7 @@ def _series(exp: EigenExpansion, table: MatrixElementTable, ids: tuple[str, ...]
                          for imaginary, R in reals])[:, None]
     else:
         raw = exp.map_chunks(assemble, t, np.empty((len(forms), t.size), dtype=complex),
-                             threads, theta)
+                             theta=theta)
     mags = np.abs(exp.coefficients)
     vals = {}
     for f, Mk, v in zip(forms, blocks, raw):
@@ -290,18 +290,17 @@ def expectation(exp: EigenExpansion, table: MatrixElementTable, which: str,
 
 
 def expectation_series(exp: EigenExpansion, table: MatrixElementTable, which,
-                       times, threads: int = 1, theta: Theta | None = None):
+                       times, *, theta: Theta | None = None):
     """Vectorized expectation over a time array.
 
     ``which`` is one id of SERIES_IDS ("dx" and "dp" are the
     uncertainties) or a tuple of them; a tuple returns a tuple of arrays,
-    all assembled on one path of the kernel (_series).  ``threads``
-    spreads the time chunks over that many threads without changing a value.
-    ``theta``, the exact times / T, makes every phase exact.
+    all assembled on one path of the kernel (_series).  ``theta``, the
+    exact times / T, makes every phase exact.
     """
     if isinstance(which, str):
-        return _series(exp, table, (which,), times, threads, theta)[0]
-    return tuple(_series(exp, table, tuple(which), times, threads, theta))
+        return _series(exp, table, (which,), times, theta=theta)[0]
+    return tuple(_series(exp, table, tuple(which), times, theta=theta))
 
 
 def uncertainty(exp: EigenExpansion, table: MatrixElementTable, which: str,
@@ -327,13 +326,13 @@ def spec_hash(exp: EigenExpansion) -> str:
 
 
 def sample_series(exp: EigenExpansion, table: MatrixElementTable, which: str,
-                  schedule, threads: int = 1, theta: Theta | None = None) -> TimeSeries:
+                  schedule, *, theta: Theta | None = None) -> TimeSeries:
     """One value per schedule point; which in {x, x2, p, p2, dx, dp}.
     ``theta``, the exact schedule / T, makes every phase exact."""
     times = np.asarray(schedule, dtype=float)
     if times.size == 0:
         raise ValueError("empty schedule")
-    values = expectation_series(exp, table, which, times, threads, theta)
+    values = expectation_series(exp, table, which, times, theta=theta)
     meta = {
         "packet": spec_hash(exp),
         "window": [exp.n_min, exp.n_max],

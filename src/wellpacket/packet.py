@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable, Iterable
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,19 +73,18 @@ def fold_rows(n_levels: int, q: int) -> list[slice]:
     return [slice(i, min(i + rows, n_levels)) for i in range(0, n_levels, rows)]
 
 
-def _time_chunks(n_times: int, n_levels: int, parts: int = 1) -> list[slice]:
+def _time_chunks(n_times: int, n_levels: int) -> list[slice]:
     """Row slices of a T x N complex128 phase block, each within PHASE_CHUNK_BYTES.
 
-    The slices are balanced, their lengths differing by at most one, and
-    there are at least ``parts`` of them as long as each still holds two
-    rows.  No slice of a longer block holds a single row unless the budget
-    forces it: BLAS sums a one-row product in another order, and with at
-    least two rows per slice a row's value does not depend on the split.
+    The slices are balanced, their lengths differing by at most one.  No
+    slice of a longer block holds a single row unless the budget forces it:
+    BLAS sums a one-row product in another order, and with at least two rows
+    per slice a row's value does not depend on the split.
     """
     if n_times == 0:
         return []
     rows = max(1, PHASE_CHUNK_BYTES // (16 * max(1, n_levels)))
-    n = max(-(-n_times // rows), min(parts, n_times // 2))
+    n = -(-n_times // rows)
     edges = [i * n_times // n for i in range(n + 1)]
     return [slice(a, b) for a, b in zip(edges, edges[1:])]
 
@@ -241,32 +239,20 @@ class EigenExpansion:
         return block
 
     def map_chunks(self, fn: Callable[[NDArray[np.complex128]], NDArray], times,
-                   out: NDArray, threads: int = 1, theta: Theta | None = None) -> NDArray:
-        """The chunked phase kernel: out[..., s] = fn(P) for every time chunk s;
-        returns out.  Exact grids that pass takes_fold go to fold instead.
+                   out: NDArray, *, theta: Theta | None = None) -> NDArray:
+        """The chunked phase kernel: out[..., s] = fn(P) for every time chunk s,
+        one chunk after another; returns out.
 
         P = exp(-i E_n t / hbar) over times[s], within PHASE_CHUNK_BYTES.
         ``theta``, the exact times / T, makes every phase an exact residue
         (see _phase_rows); it presumes the box spectrum that
-        build_gaussian_packet gives.  fn may overwrite P.  With threads > 1
-        the times are cut into at least that many chunks, which go to a pool
-        of that many threads, each building its own P; at most ``threads``
-        chunks are alive at once, and out is the same as with one thread.
+        build_gaussian_packet gives.  fn may overwrite P.
         """
         t = np.asarray(times, dtype=float).reshape(-1)
         _check_theta(t, theta)
         block = self._phase_rows(t, theta)
-
-        def task(s: slice):
+        for s in _time_chunks(t.size, len(self.energies)):
             out[..., s] = fn(block(s))
-
-        chunks = _time_chunks(t.size, len(self.energies), threads)
-        if threads <= 1:
-            for s in chunks:
-                task(s)
-        else:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                list(pool.map(task, chunks))
         return out
 
     def square_residues(self, q: int) -> NDArray[np.int64]:

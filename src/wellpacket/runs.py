@@ -202,7 +202,7 @@ def _prepare(cfg: RunConfig):
     return exp, report
 
 
-def run_evolve(cfg: RunConfig, out_dir, threads=1):
+def run_evolve(cfg: RunConfig, out_dir):
     """Densities at explicitly listed times, position and/or momentum."""
     out = _Output(cfg, "evolve", out_dir)
     exp, report = _prepare(cfg)
@@ -234,14 +234,14 @@ def run_evolve(cfg: RunConfig, out_dir, threads=1):
     return files
 
 
-def run_observables(cfg: RunConfig, out_dir, threads=1):
+def run_observables(cfg: RunConfig, out_dir):
     """<x>, dx, <p>, dp over the configured schedule, with reference columns."""
     out = _Output(cfg, "observables", out_dir)
     exp, report = _prepare(cfg)
     table = observables.table_for(exp)
     times, theta = cfg.schedule.resolve(report.tau, report.T_rev, cfg.packet.n0)
     series = observables.expectation_series(exp, table, ("x", "dx", "p", "dp"),
-                                            times, threads, theta)
+                                            times, theta=theta)
 
     sys = cfg.system
     dx0 = cfg.packet.dx0_value(sys)
@@ -258,7 +258,7 @@ def run_observables(cfg: RunConfig, out_dir, threads=1):
     return [out.emit("observables", columns, rows, {"kind": "observables"})]
 
 
-def run_correlate(cfg: RunConfig, out_dir, threads=1):
+def run_correlate(cfg: RunConfig, out_dir):
     """|C| and |C-bar| series; optional collapse fit and revival scan."""
     out = _Output(cfg, "correlate", out_dir)
     exp, report = _prepare(cfg)
@@ -298,7 +298,7 @@ def run_correlate(cfg: RunConfig, out_dir, threads=1):
     return files
 
 
-def run_powerlaw(cfg: RunConfig, out_dir, threads=1):
+def run_powerlaw(cfg: RunConfig, out_dir):
     """Spectrum table (k, n, E, tau, T_rev) and optional per-k collapse fits."""
     out = _Output(cfg, "powerlaw", out_dir)
     pl = cfg.powerlaw
@@ -343,7 +343,7 @@ def run_powerlaw(cfg: RunConfig, out_dir, threads=1):
     return files
 
 
-def run_scan_flatten(cfg: RunConfig, out_dir, threads=1):
+def run_scan_flatten(cfg: RunConfig, out_dir):
     """Delta-x series for several dx0 plus detected flattening times."""
     out = _Output(cfg, "scan-flatten", out_dir)
     fl = cfg.flatten
@@ -356,7 +356,7 @@ def run_scan_flatten(cfg: RunConfig, out_dir, threads=1):
         report = timescales.compute_timescales(cfg.system, spec)
         times, theta = fl.sample_times(report.tau, report.T_rev, spec.n0)
         table = observables.table_for(exp)
-        series = observables.sample_series(exp, table, "dx", times, threads, theta)
+        series = observables.sample_series(exp, table, "dx", times, theta=theta)
         t_star = timescales.detect_flattening(series, cfg.system,
                                               epsilon=fl.epsilon, hold=fl.hold)
         detections.append({"dx0": dx0, "t_star": t_star,
@@ -378,7 +378,7 @@ def run_scan_flatten(cfg: RunConfig, out_dir, threads=1):
     return files
 
 
-def run_timescales(cfg: RunConfig, out_dir, threads=1):
+def run_timescales(cfg: RunConfig, out_dir):
     """Closed-form time-scale report for the configured packet."""
     out = _Output(cfg, "timescales", out_dir)
     report = timescales.compute_timescales(cfg.system, cfg.packet)

@@ -281,9 +281,23 @@ def test_exit_code_io_error(tmp_path, capsys):
     assert "i/o error" in capsys.readouterr().err
 
 
-def test_option_validation(tmp_path):
-    assert main(["timescales", "--out", str(tmp_path), "--precision", "0"]) == 1
-    assert main(["timescales", "--out", str(tmp_path), "--threads", "0"]) == 1
+def test_option_validation(tmp_path, capsys):
+    # a usage error is a config error (1), not argparse's 2, which would
+    # read as a numerical failure; --threads is no longer an option
+    out = ["--out", str(tmp_path)]
+    bad = [["timescales", *out, "--precision", "0"],
+           ["timescales", *out, "--precision", "abc"],
+           ["timescales"],
+           *([command, *out, "--threads", "2"] for command in
+             ("evolve", "observables", "correlate", "powerlaw", "scan-flatten",
+              "timescales"))]
+    for argv in bad:
+        assert main(argv) == 1, argv
+        assert capsys.readouterr().err.startswith("config error: "), argv
+    assert os.listdir(tmp_path) == []
+    with pytest.raises(SystemExit) as done:
+        main(["timescales", "--help"])
+    assert done.value.code == 0
 
 
 def test_evolve_empty_times(tmp_path):
@@ -354,25 +368,6 @@ def test_collapse_fit_file(tmp_path):
     assert fit["points_used"] == 4
     assert fit["T_C_closed_form"] == pytest.approx(0.01, rel=1e-11)
     assert fit["T_C_estimate"] == pytest.approx(0.0107891398209, rel=1e-9)
-
-
-def test_threads_do_not_change_output(tmp_path, monkeypatch):
-    from wellpacket import packet
-    # 40 rows per kernel chunk at N = 51: both series span several chunks
-    monkeypatch.setattr(packet, "PHASE_CHUNK_BYTES", 16 * 51 * 40)
-    ini = tmp_path / "run.ini"
-    ini.write_text("[schedule]\nmode = dense\nstart = 0\nstop = 4tau\ncount = 300\n"
-                   "[flatten]\ndx0 = 0.05\nt_stop = 60tau\n")
-    for command, name in (("observables", "observables.csv"),
-                          ("scan-flatten", "flatten_dx0_0.05.csv")):
-        blobs = []
-        for sub, threads in (("a", "1"), ("b", "3")):
-            d = tmp_path / command / sub
-            assert main([command, "--config", str(ini), "--out", str(d),
-                         "--threads", threads]) == 0
-            blobs.append((d / name).read_bytes())
-        assert blobs[0] == blobs[1]
-        assert blobs[0].count(b"\n") > 200
 
 
 def test_zero_crossing_momentum_is_no_imaginary_residue(tmp_path):
@@ -479,6 +474,16 @@ def test_package_entry_point(tmp_path):
     rows = [ln for ln in (tmp_path / "o" / "observables.csv").read_text().splitlines()
             if not ln.startswith("#")]
     assert len(rows) == 5    # the header and n = 0 .. 3
+
+
+def test_startup_imports_stay_lean():
+    # the command line loads neither a thread pool nor fractions at start-up;
+    # fractions comes in when a time literal is first parsed
+    code = ("import sys, wellpacket.cli; "
+            "print(sorted({'concurrent.futures', 'fractions'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_revival_scan_samples_stop_at_scan_stop(tmp_path):

@@ -52,30 +52,35 @@ def test_phase_chunks_cover_times_within_budget(monkeypatch, default_exp):
     assert [len(P) for P in blocks] == [1] * 5
 
 
-def test_chunks_split_for_threads_without_single_rows():
-    # 12336 rows fit the default budget at N = 85
-    for n_times in (0, 1, 2, 3, 5, 7, 300, 12337):
-        for parts in (1, 2, 3):
-            chunks = packet._time_chunks(n_times, 85, parts)
-            lengths = [s.stop - s.start for s in chunks]
-            assert sum(lengths) == n_times
-            assert all(a.stop == b.start for a, b in zip(chunks, chunks[1:]))
-            assert max(lengths, default=0) <= 12336
-            assert max(lengths, default=0) - min(lengths, default=0) <= 1
-            assert len(chunks) >= min(parts, n_times // 2)
-            if n_times > 1:
-                assert min(lengths) >= 2, (n_times, parts)
+def test_chunks_balance_the_budget_without_single_rows(monkeypatch):
+    # a budget of 3 rows at N = 85: as few chunks as the budget allows, of
+    # lengths differing by at most one, so 7 rows split 2, 2, 3 and never
+    # 3, 3, 1, whose single row BLAS would sum in another order
+    monkeypatch.setattr(packet, "PHASE_CHUNK_BYTES", 16 * 85 * 3)
+    assert [s.stop - s.start for s in packet._time_chunks(7, 85)] == [2, 2, 3]
+    for n_times in (*range(31), 300):
+        chunks = packet._time_chunks(n_times, 85)
+        lengths = [s.stop - s.start for s in chunks]
+        assert sum(lengths) == n_times
+        assert chunks == [] or chunks[0].start == 0
+        assert all(a.stop == b.start for a, b in zip(chunks, chunks[1:]))
+        assert len(chunks) == -(-n_times // 3)
+        assert max(lengths, default=0) - min(lengths, default=0) <= 1
+        if n_times > 1:
+            assert min(lengths) >= 2, n_times
 
 
-def test_threads_split_one_chunk_without_changing_values(default_exp, default_table):
-    # 300 samples at N = 51 are one chunk of the default budget; three
-    # threads cut them into three chunks, and no value may move
+def test_chunk_split_does_not_change_values(monkeypatch, default_exp, default_table):
+    # 300 samples at N = 51 are one chunk of the default budget and eight
+    # of a 40-row budget; no value may move between the two splits
     times = np.linspace(0.0, 60 * 2.0 / (800 * math.pi), 300)
-    assert len(packet._time_chunks(times.size, len(default_exp.energies))) == 1
     ids = ("x", "dx", "p", "dp")
+    assert len(packet._time_chunks(times.size, len(default_exp.energies))) == 1
     one = expectation_series(default_exp, default_table, ids, times)
-    three = expectation_series(default_exp, default_table, ids, times, threads=3)
-    assert all(np.array_equal(a, b) for a, b in zip(one, three))
+    _rows_budget(monkeypatch, default_exp, 40)
+    assert len(packet._time_chunks(times.size, len(default_exp.energies))) == 8
+    eight = expectation_series(default_exp, default_table, ids, times)
+    assert all(np.array_equal(a, b) for a, b in zip(one, eight))
 
 
 def _ladder():
