@@ -6,7 +6,8 @@ must hash to the value recorded here.  Any change to a printed digit, a column, 
 line or the JSON layout shows up as a changed hash, so refactors of the
 run drivers and writers can be checked for byte-identical output.
 ``observables`` and ``powerlaw`` are also pinned in JSON at precisions 3
-and 16, besides the default 12.
+and 16, besides the default 12, and ``observables``, ``powerlaw`` and
+``powerlaw-half`` in CSV at the same two precisions.
 
 The hashes pin the floating-point results of the machine they were
 recorded on, its OpenBLAS rounding included: on another BLAS or CPU a last
@@ -251,3 +252,51 @@ GOLDEN_PRECISION = {
 def test_json_bytes_are_pinned_at_other_precisions(name, precision, tmp_path):
     hashes = _run(name, "json", tmp_path, "--precision", str(precision))
     assert hashes == GOLDEN_PRECISION[name, precision]
+
+
+# CSV at precision 3 prints many cells in exponent form (p_mean near zero,
+# the power-law E and T_rev), precision 16 prints every digit a float keeps,
+# and the power-law tables mix floats with the "", "periodic" and
+# "infinity" string cells; together they pin every cell class of the CSV
+# writer.
+GOLDEN_CSV_PRECISION = {
+    ("observables", 3): {
+        "observables.csv":
+            "5a19254d5ab99afdb80c60ba5baa3c52fe6a0c2249cae06cd2da2e9065e1e68b",
+    },
+    ("observables", 16): {
+        "observables.csv":
+            "e06aa1ed1567e80a26ce007fcdeaf5c8ae4ce673a0ce2a79b247347c75af932b",
+    },
+    ("powerlaw", 3): {
+        "powerlaw.csv":
+            "1a529a2a13b406cf11902cec52671dd0f82a76c5c1a02b39f9a47aeda33e7d7e",
+        "powerlaw_fits.json":
+            "705529d9dda5f593688cb4b8741c04907495c49c6c64306cdb85c33f5b915de8",
+    },
+    ("powerlaw", 16): {
+        "powerlaw.csv":
+            "b61796596de43a565c84eb021052bbfcbe4db2a0fd479887a20237d8e6e1cf70",
+        "powerlaw_fits.json":
+            "9f3e0e117a080b5aff88d62c43e855e5043e871c8c4f814865d2c338874f7f28",
+    },
+    ("powerlaw-half", 3): {
+        "powerlaw.csv":
+            "4d7fbf8f1b3adfddfc69439a16cbe21788c657ba765c277e6e4d6baf65b28766",
+        "powerlaw_fits.json":
+            "3e3a34bf0573690c59320277d243aecffa410bbb1f245917bbf4821002f07cd6",
+    },
+    ("powerlaw-half", 16): {
+        "powerlaw.csv":
+            "6d3a000b182516c4b736b0e1334cf87201e450e699d24c2e86b3cee59370987f",
+        "powerlaw_fits.json":
+            "8a6328b1df6b4ce744e30a6244dbbb5526c67b0c2cfc9ec8379a5865a9d85d57",
+    },
+}
+
+
+@pytest.mark.parametrize("precision", [3, 16])
+@pytest.mark.parametrize("name", ["observables", "powerlaw", "powerlaw-half"])
+def test_csv_bytes_are_pinned_at_other_precisions(name, precision, tmp_path):
+    hashes = _run(name, "csv", tmp_path, "--precision", str(precision))
+    assert hashes == GOLDEN_CSV_PRECISION[name, precision]
