@@ -310,11 +310,12 @@ def uncertainty(exp: EigenExpansion, table: MatrixElementTable, which: str,
 
 
 def uncertainty_series(exp: EigenExpansion, table: MatrixElementTable, which: str,
-                       times) -> NDArray[np.float64]:
-    """Vectorized uncertainty over a time array."""
+                       times, *, theta: Theta | None = None) -> NDArray[np.float64]:
+    """Vectorized uncertainty over a time array.  ``theta``, the exact
+    times / T, makes every phase exact."""
     if which not in ("x", "p"):
         raise ValueError(f"uncertainty defined for x or p, got {which!r}")
-    return _series(exp, table, ("d" + which,), times)[0]
+    return _series(exp, table, ("d" + which,), times, theta=theta)[0]
 
 
 def spec_hash(exp: EigenExpansion) -> str:

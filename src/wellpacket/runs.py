@@ -8,10 +8,10 @@ comment embedding the config hash.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
-import re
-from itertools import chain, islice
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
@@ -53,67 +53,228 @@ def _json_scalar(value, num: str) -> str:
     raise TypeError(f"cannot write {type(value).__name__} to JSON")
 
 
-# Rows of a streamed JSON table, or items of a flat list, formatted at once.
-JSON_BLOCK = 256
+# --- table text --------------------------------------------------------------
+# A table is an iterator of blocks of rows, each block a sequence of
+# equal-length columns, each column a float64 array or a sequence of
+# scalars.  Its text is laid out in numpy as uint8, one row per character
+# position and one column per cell, so that every operation runs along the
+# cells; each cell is padded to its column's width with PAD, a byte that
+# UTF-8 text never holds, and bytes.translate strips the padding.
 
-# For p <= 15, float.__repr__ of float("%.{p}g" % v) is the %g text itself
-# but for these texts: integral ones (repr appends ".0"), exponent form where
-# repr writes fixed notation (exponents p to 15), DBL_MAX rounded up to
-# infinity, subnormals (fewer than p digits survive), and inf and nan.
-_SHORT_FLOATS = frozenset(f"%.{p}g" for p in range(1, 16))
-_NEEDS_REPR = re.compile(
-    r"^(?:-?\d+|-?[\d.]+e(?:\+(?:0\d|1[0-5]|308)|-3(?:0[89]|[12]\d))|-?inf|nan)$", re.M)
+PAD = 0xFF
+TABLE_CELLS = 1 << 15   # cells formatted at once; bounds the writer's buffers
+KERNEL_MIN = 32         # float columns shorter than this are formatted by cell
+
+_POW10 = tuple(float(10 ** k) for k in range(23))     # exact up to 10**22
+_DBL_MIN, _DBL_MAX = 2.2250738585072014e-308, 1.7976931348623157e308
 
 
-def _repr_of(match) -> str:
-    text = float.__repr__(float(match.group()))
-    return _NONFINITE.get(text, text)
+@functools.cache
+def _digit_quads():
+    """The four ASCII digits of each of 0..9999 as one uint32 apiece, in
+    text order in memory."""
+    return np.frombuffer("".join(f"{i:04d}" for i in range(10000)).encode(), np.uint32)
 
 
-def _json_column(col, num: str) -> list:
-    """_json_scalar(v, num) for every v in the non-empty sequence `col`, a
-    column of floats or of strings in one pass and any other column by cell."""
+def _text_cells(texts, width: int = 0):
+    """The UTF-8 bytes of each str of `texts`, PAD-padded to at least
+    `width`, one row per byte position."""
+    data = [t.encode() for t in texts]
+    cells = np.array(data, dtype=bytes) if data else np.empty(0, "S1")
+    w = max(cells.itemsize, width)
+    out = np.full((len(data), w), PAD, np.uint8)
+    out[:, :cells.itemsize] = cells.view(np.uint8).reshape(len(data), -1)
+    lengths = np.fromiter(map(len, data), np.intp, len(data))
+    out[np.arange(w) >= lengths[:, None]] = PAD
+    return out.T
+
+
+def _scaled(a, scale):
+    """a * 10**scale, one correctly rounded operation where |scale| <= 22."""
+    y = a * np.take(_POW10, scale, mode="clip")
+    down = np.flatnonzero(scale < 0)
+    y[down] = a[down] / np.take(_POW10, -scale[down], mode="clip")
+    return y
+
+
+def _float_cells(values, num: str, json: bool):
+    """The text of `num % v` ("%.{p}g") for each v of the float64 array
+    `values`, or with `json` of _json_scalar(v, num), as _text_cells lays
+    it out.
+
+    |v| is scaled by an exact power of ten to a p-digit integer mantissa,
+    rounded, and its digits looked up four at a time.  These cells are
+    written one by one instead: zero, subnormal and non-finite values;
+    those whose scale passes 10**22; those within 4 ulp (of 10**p) of a
+    rounding tie, which the scaling's rounding may send either way; every
+    cell at p >= 16, whose mantissa passes 2**53; and in JSON those whose
+    %g text float.__repr__ spells otherwise (integral text, and exponent
+    form for exponents p to 15).  So are columns shorter than KERNEL_MIN.
+    """
+    p = int(num[2:-1])
+    one = (lambda v: _json_scalar(v, num)) if json else num.__mod__
+    n = values.size
+    if n < KERNEL_MIN or p > 15:
+        return _text_cells(map(one, values.tolist()))
+    a = np.abs(values)
+    ok = a >= _DBL_MIN
+    ok &= a <= _DBL_MAX
+    np.copyto(a, 1.0, where=~ok)
+    e = np.floor(np.log10(a))
+    scale = ((p - 1) - e).astype(np.intp)
+    y = _scaled(a, scale)
+    lo, hi = _POW10[p - 1], _POW10[p]
+    off = np.flatnonzero((y < lo) | (y >= hi))         # log10 missed by one
+    if off.size:
+        step = np.where(y[off] < lo, -1, 1)
+        e[off] += step
+        scale[off] -= step
+        y[off] = _scaled(a[off], scale[off])
+    ok &= np.abs(scale) <= 22
+    m = np.rint(y)
+    ok &= np.abs(y - m) < 0.5 - 4 * math.ulp(hi)
+    carry = np.flatnonzero(m >= hi)
+    m[carry] = lo
+    e[carry] += 1
+    bad = np.flatnonzero(~ok)
+    m[bad] = 0.0
+    e[bad] = 0.0
+
+    # the p digits of m, four at a time, and how many precede its trailing zeros
+    groups = (p + 3) // 4
+    r = np.empty((groups, n))
+    for g in range(groups - 1, 0, -1):
+        top = np.floor(m * 1e-4)         # exact below 10**15
+        r[g] = m - top * 1e4
+        m = top
+    r[0] = m
+    quads = _digit_quads().take(r.astype(np.intp)).view(np.uint8)
+    D = quads.reshape(groups, n, 4).transpose(0, 2, 1).reshape(4 * groups, n)[4 * groups - p:]
+    nz = ((D != 48) * np.arange(1, p + 1, dtype=np.uint8)[:, None]).max(axis=0).view(np.int8)
+
+    # fixed notation for -4 <= e < p: z zeros ("0.000" at most) before the
+    # digits, the point after digit pe (0 in exponent form), and at least
+    # the digits up to the point
+    e = e.astype(np.int8)
+    fixed = (e >= -4) & (e < p)
+    z = np.where(fixed & (e < 0), -e, 0)
+    pe = np.where(fixed & (e > 0), e, 0)
+    shown = z + np.maximum(nz, pe + 1)
+    point = shown > pe + 1
+    if json:
+        ok &= ~(fixed & (e >= 0) & ~point) & ~((e >= p) & (e <= 15))
+        bad = np.flatnonzero(~ok)
+    if bad.size == n:
+        return _text_cells(map(one, values.tolist()))
+    width = (shown + point) * ok
+
+    S = int(width.max())
+    neg = ok & (values < 0)
+    expo = ok & ~fixed
+    sign, tail = int(neg.any()), 4 * int(expo.any())
+    out = np.empty((sign + S + tail, n), np.uint8)
+    if sign:
+        out[0] = np.where(neg, np.uint8(45), np.uint8(PAD))
+    if tail:
+        ae = np.abs(e).view(np.uint8)
+        out[-4] = np.where(expo, np.uint8(101), np.uint8(PAD))
+        out[-3] = np.where(expo, np.where(e < 0, np.uint8(45), np.uint8(43)), np.uint8(PAD))
+        out[-2] = np.where(expo, 48 + ae // 10, np.uint8(PAD))
+        out[-1] = np.where(expo, 48 + ae % 10, np.uint8(PAD))
+
+    # seq: the z zeros, then the digits; body: seq with the point after pe
+    src = np.empty((4 + S, n), np.uint8)
+    src[:4] = 48
+    src[4:4 + p] = D[:S]
+    src[4 + p:] = PAD
+    seq = src[4:]
+    for k in np.flatnonzero(np.bincount(z, minlength=5)[1:]) + 1:
+        seq += (src[4 - k:4 - k + S] - seq) * (z == k)
+    body = out[sign:sign + S]
+    body[0] = seq[0]
+    body[1:] = seq[:-1]
+    if top := int(pe.max()):
+        K = np.arange(1, top + 1, dtype=np.int8)[:, None]
+        body[1:top + 1] += (seq[1:top + 1] - body[1:top + 1]) * (K <= pe)
+    at = np.flatnonzero(point)
+    body.reshape(-1)[(pe[at] + 1).astype(np.intp) * n + at] = 46
+    low = int(np.min(width, where=ok, initial=S))
+    K = np.arange(low, S, dtype=np.int8)[:, None]
+    body[low:] |= np.negative((K >= width).view(np.uint8))
+
+    if bad.size:
+        texts = _text_cells(map(one, values[bad].tolist()), len(out))
+        if len(texts) > len(out):
+            out = np.vstack([out, np.full((len(texts) - len(out), n), PAD, np.uint8)])
+        out[:, bad] = texts
+    return out
+
+
+def _column_cells(col, num: str, json: bool):
+    """The laid-out text of one column: float64 arrays and columns of
+    floats through _float_cells, any other column cell by cell."""
+    if isinstance(col, np.ndarray):
+        if col.dtype == np.float64:
+            return _float_cells(col, num, json)
+        col = col.tolist()
     kinds = set(map(type, col))
+    if kinds and all(issubclass(k, float) for k in kinds):
+        return _float_cells(np.array(col, np.float64), num, json)
     if all(issubclass(k, str) for k in kinds):
-        return list(map(encode_basestring_ascii, col))
-    if num in _SHORT_FLOATS and all(issubclass(k, float) for k in kinds):
-        text = "\n".join(map(num.__mod__, col))
-        # every text the pattern matches lacks a point or has "e+" or "e-3"
-        if text.count(".") < len(col) or "e+" in text or "e-3" in text:
-            text = _NEEDS_REPR.sub(_repr_of, text)
-        return text.split("\n")
-    return [_json_scalar(v, num) for v in col]
+        return _text_cells(map(encode_basestring_ascii, col) if json else col)
+    if json:
+        return _text_cells(_json_scalar(v, num) for v in col)
+    return _text_cells(v if isinstance(v, str) else num % v for v in col)
 
 
-def _json_rows(rows, num: str, depth: int):
-    """Yield the iterator `rows` of equal-length scalar rows as a JSON array
-    of arrays, JSON_BLOCK rows at a time: each block is transposed, each of
-    its columns formatted in one pass, and its rows joined by one template."""
-    inner = "\n" + "  " * (depth + 1)
-    cell = inner + "  "
-    templates = {}      # rows in a block -> the block's '%'-template
-    sep, width = "[", None
-    while block := list(islice(rows, JSON_BLOCK)):
-        if width is None:
-            width = len(block[0])
-            row = ("[" + cell + ("," + cell).join(["%s"] * width) + inner + "]"
-                   if width else "[]")
-        if set(map(len, block)) != {width}:
-            raise ValueError("rows of a JSON table must have equal length")
-        template = templates.get(len(block))
-        if template is None:
-            template = templates[len(block)] = ("," + inner).join([row] * len(block))
-        columns = [_json_column(col, num) for col in zip(*block)]
-        yield sep + inner + template % tuple(chain.from_iterable(zip(*columns)))
-        sep = ","
-    yield "[]" if width is None else "\n" + "  " * depth + "]"
+def _join_rows(cells, head: bytes, sep: bytes, tail: bytes) -> bytes:
+    """The rows of the laid-out columns `cells`, each `head`, its cells
+    joined by `sep`, then `tail`, with the padding stripped."""
+    parts = [head]
+    for i, c in enumerate(cells):
+        parts += [sep, c] if i else [c]
+    parts.append(tail)
+    sizes = [len(part) for part in parts]
+    lines = np.empty((sum(sizes), cells[0].shape[1]), np.uint8)
+    at = 0
+    for part, size in zip(parts, sizes):
+        lines[at:at + size] = (np.frombuffer(part, np.uint8)[:, None]
+                               if isinstance(part, bytes) else part)
+        at += size
+    return lines.T.tobytes().translate(None, bytes([PAD]))
+
+
+def _table_text(blocks, num: str, json: bool, head: bytes, sep: bytes, tail: bytes):
+    """Yield the text of the table `blocks` (see above) as bytes, each row
+    laid out as _join_rows does, at most TABLE_CELLS cells at a time."""
+    width = None
+    for block in blocks:
+        columns = list(block)
+        width = len(columns) if width is None else width
+        lengths = set(map(len, columns))
+        if len(columns) != width or len(lengths) > 1:
+            raise ValueError("rows of a table must have equal length")
+        rows = lengths.pop() if lengths else 0
+        step = max(1, TABLE_CELLS // max(width, 1))
+        for i in range(0, rows, step):
+            yield _join_rows([_column_cells(c[i:i + step], num, json) for c in columns],
+                             head, sep, tail)
+
+
+def _json_list(blocks, num: str, depth: int, head: str, sep: str, tail: str):
+    """Yield a JSON array, one element per row of the table `blocks`."""
+    start = "["
+    for text in _table_text(blocks, num, True, head.encode(), sep.encode(), tail.encode()):
+        yield start + text.decode("ascii")[1:]      # each row starts with ","
+        start = ","
+    yield "[]" if start == "[" else "\n" + "  " * depth + "]"
 
 
 def _json_chunks(obj, num: str, depth: int = 0):
     """Yield the text json.dump(obj, indent=2, sort_keys=True) writes, with
     every float rounded by the `num` template.  Dict keys must be strings.
-    An iterator is a table: its rows are written as a list of lists, block
-    by block, without holding the table (see _json_rows)."""
+    A float64 array is a list.  An iterator is a table (see above), written
+    as a list of rows, block by block, without holding the table."""
     inner = "\n" + "  " * (depth + 1)
     if isinstance(obj, dict):
         if not obj:
@@ -125,25 +286,23 @@ def _json_chunks(obj, num: str, depth: int = 0):
             yield from _json_chunks(obj[key], num, depth + 1)
             sep = ","
         yield "\n" + "  " * depth + "}"
+    elif isinstance(obj, np.ndarray) or (
+            isinstance(obj, (list, tuple))
+            and not any(isinstance(v, (dict, list, tuple)) for v in obj)):
+        yield from _json_list([[obj]], num, depth, "," + inner, "", "")
     elif isinstance(obj, (list, tuple)):
-        if not obj:
-            yield "[]"
-        elif any(isinstance(v, (dict, list, tuple)) for v in obj):
-            sep = "["
-            for v in obj:
-                yield sep + inner
-                yield from _json_chunks(v, num, depth + 1)
-                sep = ","
-            yield "\n" + "  " * depth + "]"
-        else:
-            for i in range(0, len(obj), JSON_BLOCK):
-                yield ("[" if i == 0 else ",") + inner + ("," + inner).join(
-                    _json_column(obj[i:i + JSON_BLOCK], num))
-            yield "\n" + "  " * depth + "]"
+        sep = "["
+        for v in obj:
+            yield sep + inner
+            yield from _json_chunks(v, num, depth + 1)
+            sep = ","
+        yield "\n" + "  " * depth + "]"
     elif hasattr(obj, "__next__"):
         # a table; isinstance(obj, Iterator) would add each type it meets to
         # the ABC's cache, long-lived objects made in the middle of a write
-        yield from _json_rows(obj, num, depth)
+        cell = inner + "  "
+        yield from _json_list(obj, num, depth, "," + inner + "[" + cell, "," + cell,
+                              inner + "]")
     else:
         yield _json_scalar(obj, num)
 
@@ -166,33 +325,26 @@ class _Output:
             fh.write("\n")
         return path
 
-    def emit(self, stem: str, columns, rows, fields: dict, data=None, meta=()) -> str:
+    def emit(self, stem: str, columns, blocks, fields: dict, data=None, meta=()) -> str:
         """Write one table to `stem`.csv or `stem`.json and return the path.
 
-        CSV has '# ' header lines (command, config hash, `meta`), the column
-        names, then one line per row tuple: floats at the configured
-        significant digits, strings as they are.  JSON holds `fields` and
-        `data`, which defaults to the table as "columns" and "rows".
+        `blocks` is the table's rows as blocks of columns (see above).  CSV
+        has '# ' header lines (command, config hash, `meta`), the column
+        names, then one line per row: floats at the configured significant
+        digits, strings as they are.  JSON holds `fields` and `data`, which
+        defaults to the table as "columns" and "rows".
         """
         if self.fmt == "json":
             if data is None:
-                data = {"columns": columns, "rows": iter(rows)}
+                data = {"columns": columns, "rows": iter(blocks)}
             return self.json(f"{stem}.json", {**fields, **data})
         path = os.path.join(self.dir, f"{stem}.csv")
-        num = f"%.{self.precision}g"
-        templates = {}     # cell types of a row -> its '%'-template
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            for line in (f"wellpacket {self.command}",
-                         f"config-sha256: {self.cfg.config_hash}", *meta):
-                fh.write(f"# {line}\n")
-            fh.write(",".join(columns) + "\n")
-            for row in rows:
-                kinds = tuple(map(type, row))
-                template = templates.get(kinds)
-                if template is None:
-                    template = templates[kinds] = ",".join(
-                        "%s" if issubclass(k, str) else num for k in kinds) + "\n"
-                fh.write(template % row)
+        head = "".join(f"# {line}\n" for line in (
+            f"wellpacket {self.command}", f"config-sha256: {self.cfg.config_hash}", *meta))
+        with open(path, "wb") as fh:
+            fh.write((head + ",".join(columns) + "\n").encode())
+            fh.writelines(_table_text(blocks, f"%.{self.precision}g", False,
+                                      b"", b",", b"\n"))
         return path
 
 
@@ -220,13 +372,13 @@ def run_evolve(cfg: RunConfig, out_dir):
             grid = MomentumGrid.default(cfg.system, cfg.packet.n0,
                                         cfg.grids.p_span, cfg.grids.p_spacing)
         axis = "x" if rep == "position" else "p"
-        points = grid.points.tolist()
+        points = grid.points
         for i, (lit, (t, theta)) in enumerate(zip(cfg.evolve.times, times)):
             field = (position_wavefunction(exp, grid, t, theta) if rep == "position"
                      else momentum_wavefunction(exp, grid, t, theta))
-            dens = probability_density(field).tolist()
+            dens = probability_density(field)
             files.append(out.emit(
-                f"density_{rep}_{i:02d}", [axis, "density"], zip(points, dens),
+                f"density_{rep}_{i:02d}", [axis, "density"], [(points, dens)],
                 {"kind": "density", "representation": rep,
                  "time-literal": lit.strip(), "time": t},
                 data={axis: points, "density": dens},
@@ -252,10 +404,9 @@ def run_observables(cfg: RunConfig, out_dir):
 
     columns = ["t", "x_mean", "dx", "p_mean", "dp",
                "dx_envelope", "classical_x", "classical_v", "flat_dx"]
-    rows = zip(times.tolist(), *(v.tolist() for v in series), env.tolist(),
-               classical.position.tolist(), classical.velocity.tolist(),
-               [flat_dx] * times.size)
-    return [out.emit("observables", columns, rows, {"kind": "observables"})]
+    block = (times, *series, env, classical.position, classical.velocity,
+             np.full(times.size, flat_dx))
+    return [out.emit("observables", columns, [block], {"kind": "observables"})]
 
 
 def run_correlate(cfg: RunConfig, out_dir):
@@ -268,7 +419,7 @@ def run_correlate(cfg: RunConfig, out_dir):
 
     absC, absM = np.abs(correlation.autocorrelation_series(exp, times, theta, mirror=True))
     files = [out.emit("correlation", ["t", "absC", "absCbar"],
-                      zip(times.tolist(), absC.tolist(), absM.tolist()),
+                      [(times, absC, absM)],
                       {"kind": "correlation"})]
 
     if cfg.correlate.fit:
@@ -308,17 +459,20 @@ def run_powerlaw(cfg: RunConfig, out_dir):
     levels = np.arange(pl.n_min, pl.n_max + 1)
     n_cells = [str(n) for n in levels.tolist()]    # a level index, never rounded
 
-    def spectrum_rows(well):
-        k_cell = "infinity" if math.isinf(well.k) else _fmt(well.k, out.precision)
+    def spectrum_blocks(well):
+        # k labels the well, unrounded: repr without a trailing ".0"
+        k_cell = "infinity" if math.isinf(well.k) else repr(well.k).removesuffix(".0")
         E, tau, trev = powerlaw.wkb_spectrum(well, levels)
-        trev_cells = ["periodic"] * levels.size if trev is None else trev.tolist()
-        if pl.n_min == 0:
-            trev_cells[0] = ""     # no revival time below n = 1
-        return zip([k_cell] * levels.size, n_cells, E.tolist(), tau.tolist(), trev_cells)
+        block = [[k_cell] * levels.size, n_cells, E, tau,
+                 ["periodic"] * levels.size if trev is None else trev]
+        if pl.n_min > 0:
+            return [block]
+        # no revival time below n = 1
+        return [[*(col[:1] for col in block[:4]), [""]], [col[1:] for col in block]]
 
     # one well's rows at a time, computed as the writer reaches them
-    rows = chain.from_iterable(map(spectrum_rows, wells))
-    files = [out.emit("powerlaw", ["k", "n", "E", "tau", "T_rev"], rows,
+    blocks = chain.from_iterable(map(spectrum_blocks, wells))
+    files = [out.emit("powerlaw", ["k", "n", "E", "tau", "T_rev"], blocks,
                       {"kind": "powerlaw-spectrum"})]
 
     if pl.fit:
@@ -363,7 +517,7 @@ def run_scan_flatten(cfg: RunConfig, out_dir):
                            "t_flat_closed_form": report.t_flat})
         files.append(out.emit(
             f"flatten_dx0_{dx0:g}", ["t", "dx"],
-            zip(series.times.tolist(), series.values.tolist()),
+            [(series.times, series.values)],
             {"kind": "flatten-series", "dx0": dx0}, meta=[f"dx0: {dx0:g}"]))
 
     detected = [(d["dx0"], d["t_star"]) for d in detections if d["t_star"] is not None]
@@ -383,5 +537,5 @@ def run_timescales(cfg: RunConfig, out_dir):
     out = _Output(cfg, "timescales", out_dir)
     report = timescales.compute_timescales(cfg.system, cfg.packet)
     cols = ["tau", "T_rev", "t0", "T_C", "t_flat"]
-    return [out.emit("timescales", cols, [tuple(getattr(report, c) for c in cols)],
+    return [out.emit("timescales", cols, [[[getattr(report, c)] for c in cols]],
                      {"kind": "timescales"}, data=report.to_dict())]

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from wellpacket.cli import main
@@ -409,27 +410,60 @@ def test_powerlaw_levels_are_not_rounded(tmp_path):
         assert all(float(r[2]) == float(f"{float(r[2]):.3g}") for r in rows)
 
 
+def test_powerlaw_k_labels_are_not_rounded(tmp_path):
+    # k labels its well: at one digit 1.5, 2 and 2.05 must stay three wells
+    ini = tmp_path / "run.ini"
+    ini.write_text("[powerlaw]\nk = 1.5, 2, 2.05, 3\nn_min = 10\nn_max = 11\n")
+    for fmt in ("csv", "json"):
+        out = tmp_path / fmt
+        assert main(["powerlaw", "--config", str(ini), "--out", str(out),
+                     "--format", fmt, "--precision", "1"]) == 0
+        if fmt == "csv":
+            text = (out / "powerlaw.csv").read_text()
+            rows = [ln.split(",") for ln in text.splitlines() if not ln.startswith("#")][1:]
+        else:
+            rows = json.loads((out / "powerlaw.json").read_text())["rows"]
+        assert [r[0] for r in rows] == ["1.5", "1.5", "2", "2", "2.05", "2.05", "3", "3"]
+
+
+def _table_peak(out, n_rows):
+    """Peak traced memory of writing an n_rows table that comes 1000 rows
+    at a time, each block made as the writer reaches it."""
+    def blocks():
+        for i in range(0, n_rows, 1000):
+            k = np.arange(i, i + 1000.0)
+            yield k * 1e-3, np.sin(k), -k, ["x"] * 1000
+
+    tracemalloc.start()
+    try:
+        out.emit("table", ["t", "a", "b", "s"], blocks(), {"kind": "test"})
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_json_table_memory_does_not_grow_with_rows(tmp_path):
     # The JSON writer holds one block of rows at a time, never the table: a
-    # table of 40k rows peaks within 64 KiB of one of 4k (about 0.2 MB
-    # each; a writer that listed the rows first peaked at 0.5 and 6 MB).
+    # table of 40k rows peaks within 64 KiB of one of 4k (a writer that
+    # listed the rows first peaked at 0.5 and 6 MB).
     out = _Output(parse_config("[output]\nformat = json\n"), "observables", tmp_path)
-
-    def peak(n_rows):
-        rows = ((i * 1e-3, math.sin(i), -float(i), "x") for i in range(n_rows))
-        tracemalloc.start()
-        try:
-            out.emit("table", ["t", "a", "b", "s"], rows, {"kind": "test"})
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-
-    peak(4000)          # first-use caches are not part of the table
-    small, large = peak(4000), peak(40000)
+    _table_peak(out, 4000)          # first-use caches are not part of the table
+    small, large = _table_peak(out, 4000), _table_peak(out, 40000)
     assert large <= small + 64 * 1024, (small, large)
     rows = json.loads((tmp_path / "table.json").read_text())["rows"]
     assert len(rows) == 40000
     assert rows[-1] == [39.999, pytest.approx(math.sin(39999), rel=1e-11), -39999.0, "x"]
+
+
+def test_csv_table_memory_does_not_grow_with_rows(tmp_path):
+    # the CSV twin: the kernel's block buffers do not grow with the table
+    out = _Output(parse_config(""), "observables", tmp_path)
+    _table_peak(out, 4000)
+    small, large = _table_peak(out, 4000), _table_peak(out, 40000)
+    assert large <= small + 64 * 1024, (small, large)
+    lines = (tmp_path / "table.csv").read_text().splitlines()
+    assert len(lines) == 3 + 40000
+    assert lines[-1] == f"39.999,{math.sin(39999):.12g},-39999,x"
 
 
 def test_repeated_main_calls_write_what_fresh_runs_write(tmp_path):

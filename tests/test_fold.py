@@ -11,7 +11,7 @@ import pytest
 from wellpacket import (PacketSpec, Theta, autocorrelation_series,
                         build_gaussian_packet, compute_timescales,
                         expectation_series, parse_config, revival_scan,
-                        table_for)
+                        table_for, uncertainty_series)
 from wellpacket import correlation, observables, packet
 
 from oracles import mp_moments
@@ -166,6 +166,20 @@ def test_cost_rule_picks_the_path(sys0, paths):
     assert packet.takes_fold([0.0, 1.0], grid, 16)
     with pytest.raises(ValueError, match="one value per time"):
         packet.takes_fold([0.0, 1.0, 2.0], grid, 16)
+
+
+def test_uncertainty_series_takes_theta(sys0, paths):
+    # an exact grid handed to uncertainty_series folds, as it does through
+    # expectation_series, and gives the same bits
+    exp = build_gaussian_packet(PacketSpec(n0=400, x0=0.3, dx0=0.05), sys0)
+    table = table_for(exp)
+    times, theta = _dense(exp, 2001)
+    for which in ("x", "p"):
+        paths.update(fold=0, chunks=0)
+        got = uncertainty_series(exp, table, which, times, theta=theta)
+        assert paths == {"fold": 1, "chunks": 0}
+        want = expectation_series(exp, table, "d" + which, times, theta=theta)
+        assert np.array_equal(got, want)
 
 
 def test_fold_memory_does_not_grow_with_samples(sys0):

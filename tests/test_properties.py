@@ -13,7 +13,7 @@ from wellpacket import (PacketSpec, WellSystem, autocorrelation,
                         build_gaussian_packet, build_matrix_elements,
                         compute_timescales, eigenenergy, expectation_series,
                         mirror_correlation, parse_config, run_correlate, table_for)
-from wellpacket.runs import JSON_BLOCK, _json_chunks
+from wellpacket.runs import KERNEL_MIN, TABLE_CELLS, _json_chunks, _Output
 
 SYS = WellSystem()
 EPS = np.finfo(float).eps
@@ -125,21 +125,81 @@ def test_json_writer_matches_json_dumps_of_rounded_values(payload, precision):
         _rounded(payload, precision), indent=2, sort_keys=True)
 
 
-# One column of a table: a few values, repeated down the rows.
+# One column of a table: a few values, repeated down the rows.  A table
+# has at least one column: its blocks carry their row count in their columns.
 table_columns = st.one_of(*(st.lists(cells, min_size=1, max_size=6) for cells in (
     json_floats, json_strings, st.integers(), st.none(), json_cells)))
+# Row counts below, at and past the shortest float column the kernel takes.
+table_rows = st.sampled_from([0, 1, 7, KERNEL_MIN, 2 * KERNEL_MIN + 3])
+
+
+def _table(columns, n_rows, block_rows):
+    """The rows, and the same table as blocks of `block_rows` rows of
+    columns, float columns as float64 arrays as the run drivers hand them."""
+    full = [[col[i % len(col)] for i in range(n_rows)] for col in columns]
+    full = [np.array(c) if all(type(v) is float for v in c) else c for c in full]
+    blocks = [[c[i:i + block_rows] for c in full] for i in range(0, n_rows, block_rows)]
+    return [tuple(c[i] for c in full) for i in range(n_rows)], blocks
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
-@given(st.lists(table_columns, max_size=5),
-       st.sampled_from([0, 1, 7, JSON_BLOCK, 2 * JSON_BLOCK + 3]), st.integers(1, 17))
-def test_json_row_stream_matches_json_dumps_of_rounded_rows(columns, n_rows, precision):
-    rows = [tuple(col[i % len(col)] for col in columns) for i in range(n_rows)]
-    assert "".join(_json_chunks({"rows": iter(rows)}, f"%.{precision}g")) == json.dumps(
+@given(st.lists(table_columns, min_size=1, max_size=5), table_rows, st.integers(1, 40),
+       st.integers(1, 17))
+def test_json_row_stream_matches_json_dumps_of_rounded_rows(columns, n_rows, block_rows,
+                                                            precision):
+    rows, blocks = _table(columns, n_rows, block_rows)
+    rows = [tuple(float(v) if isinstance(v, np.floating) else v for v in r) for r in rows]
+    assert "".join(_json_chunks({"rows": iter(blocks)}, f"%.{precision}g")) == json.dumps(
         _rounded({"rows": rows}, precision), indent=2, sort_keys=True)
 
 
+def _csv_reference(names, rows, precision: int) -> bytes:
+    """The CSV table as the row-template writer wrote it: one '%'-template
+    per row, "%s" for a str cell and "%.{p}g" for any other."""
+    num = f"%.{precision}g"
+    lines = [",".join(names) + "\n"]
+    for row in rows:
+        template = ",".join("%s" if isinstance(v, str) else num for v in row) + "\n"
+        lines.append(template % row)
+    return "".join(lines).encode()
+
+
+csv_columns = st.one_of(*(st.lists(cells, min_size=1, max_size=6) for cells in (
+    json_floats, json_strings, st.integers(), st.one_of(json_floats, json_strings))))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.lists(csv_columns, min_size=1, max_size=5), table_rows, st.integers(1, 40),
+       st.integers(1, 17))
+def test_csv_table_matches_the_row_template_writer(columns, n_rows, block_rows, precision):
+    rows, blocks = _table(columns, n_rows, block_rows)
+    names = [f"c{i}" for i in range(len(columns))]
+    cfg = parse_config(f"[output]\nprecision = {precision}\n")
+    with tempfile.TemporaryDirectory() as out:
+        with open(_Output(cfg, "test", out).emit("table", names, blocks, {}), "rb") as fh:
+            text = fh.read()
+    assert text.split(b"\n", 2)[2] == _csv_reference(names, rows, precision)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_tables_longer_than_a_block_are_written_whole(fmt, tmp_path):
+    # one block of columns longer than TABLE_CELLS is written in slices
+    n = TABLE_CELLS + 3
+    t = np.arange(n) * 0.125 - 7.0
+    labels = [f"s{i % 7}" for i in range(n)]
+    cfg = parse_config(f"[output]\nformat = {fmt}\n")
+    _Output(cfg, "test", tmp_path).emit("table", ["t", "s"], [(t, labels)], {})
+    text = (tmp_path / f"table.{fmt}").read_bytes()
+    rows = list(zip(t.tolist(), labels))
+    if fmt == "json":
+        assert json.loads(text)["rows"] == [list(r) for r in rows]
+    else:
+        assert text.split(b"\n", 2)[2] == _csv_reference(["t", "s"], rows, 12)
+
+
 def test_json_row_stream_refuses_ragged_rows():
-    rows = [(0.0, 1.0)] * (JSON_BLOCK + 1) + [(2.0,)]
-    with pytest.raises(ValueError, match="equal length"):
-        "".join(_json_chunks({"rows": iter(rows)}, "%.12g"))
+    # columns of one block differ in length, or a later block in width
+    for blocks in ([[np.zeros(KERNEL_MIN + 1), np.ones(KERNEL_MIN)]],
+                   [[np.zeros(3), np.ones(3)], [np.zeros(2)]]):
+        with pytest.raises(ValueError, match="equal length"):
+            "".join(_json_chunks({"rows": iter(blocks)}, "%.12g"))
