@@ -8,11 +8,9 @@ comment embedding the config hash.
 
 from __future__ import annotations
 
-import functools
 import math
 import os
 from itertools import chain
-from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -22,6 +20,7 @@ from .evolution import (MomentumGrid, SpatialGrid, momentum_wavefunction,
                         position_wavefunction, probability_density)
 from .packet import PacketSpec, build_gaussian_packet
 from .system import classical_speed, classical_trajectory
+from .writer import json_chunks, table_text
 
 __all__ = ["run_evolve", "run_observables", "run_correlate", "run_powerlaw",
            "run_scan_flatten", "run_timescales"]
@@ -31,280 +30,6 @@ SCHEMA_VERSION = "1"
 
 def _fmt(value: float, precision: int) -> str:
     return f"{value:.{precision}g}"
-
-
-# json.dump's spellings of the float values that have no JSON number
-_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-_CONSTANTS = {None: "null", True: "true", False: "false"}
-
-
-def _json_scalar(value, num: str) -> str:
-    """One JSON scalar as json.dump writes it, a float first rounded by the
-    `num` template (a float subclass such as np.float64 included)."""
-    if isinstance(value, float):
-        text = float.__repr__(float(num % value))
-        return _NONFINITE.get(text, text)
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    if value is None or isinstance(value, bool):
-        return _CONSTANTS[value]
-    if isinstance(value, int):
-        return int.__repr__(value)
-    raise TypeError(f"cannot write {type(value).__name__} to JSON")
-
-
-# --- table text --------------------------------------------------------------
-# A table is an iterator of blocks of rows, each block a sequence of
-# equal-length columns, each column a float64 array or a sequence of
-# scalars.  Its text is laid out in numpy as uint8, one row per character
-# position and one column per cell, so that every operation runs along the
-# cells; each cell is padded to its column's width with PAD, a byte that
-# UTF-8 text never holds, and bytes.translate strips the padding.
-
-PAD = 0xFF
-TABLE_CELLS = 1 << 15   # cells formatted at once; bounds the writer's buffers
-KERNEL_MIN = 32         # float columns shorter than this are formatted by cell
-
-_POW10 = tuple(float(10 ** k) for k in range(23))     # exact up to 10**22
-_DBL_MIN, _DBL_MAX = 2.2250738585072014e-308, 1.7976931348623157e308
-
-
-@functools.cache
-def _digit_quads():
-    """The four ASCII digits of each of 0..9999 as one uint32 apiece, in
-    text order in memory."""
-    return np.frombuffer("".join(f"{i:04d}" for i in range(10000)).encode(), np.uint32)
-
-
-def _text_cells(texts, width: int = 0):
-    """The UTF-8 bytes of each str of `texts`, PAD-padded to at least
-    `width`, one row per byte position."""
-    data = [t.encode() for t in texts]
-    cells = np.array(data, dtype=bytes) if data else np.empty(0, "S1")
-    w = max(cells.itemsize, width)
-    out = np.full((len(data), w), PAD, np.uint8)
-    out[:, :cells.itemsize] = cells.view(np.uint8).reshape(len(data), -1)
-    lengths = np.fromiter(map(len, data), np.intp, len(data))
-    out[np.arange(w) >= lengths[:, None]] = PAD
-    return out.T
-
-
-def _scaled(a, scale):
-    """a * 10**scale, one correctly rounded operation where |scale| <= 22."""
-    y = a * np.take(_POW10, scale, mode="clip")
-    down = np.flatnonzero(scale < 0)
-    y[down] = a[down] / np.take(_POW10, -scale[down], mode="clip")
-    return y
-
-
-def _float_cells(values, num: str, json: bool):
-    """The text of `num % v` ("%.{p}g") for each v of the float64 array
-    `values`, or with `json` of _json_scalar(v, num), as _text_cells lays
-    it out.
-
-    |v| is scaled by an exact power of ten to a p-digit integer mantissa,
-    rounded, and its digits looked up four at a time.  These cells are
-    written one by one instead: zero, subnormal and non-finite values;
-    those whose scale passes 10**22; those within 4 ulp (of 10**p) of a
-    rounding tie, which the scaling's rounding may send either way; every
-    cell at p >= 16, whose mantissa passes 2**53; and in JSON those whose
-    %g text float.__repr__ spells otherwise (integral text, and exponent
-    form for exponents p to 15).  So are columns shorter than KERNEL_MIN.
-    """
-    p = int(num[2:-1])
-    one = (lambda v: _json_scalar(v, num)) if json else num.__mod__
-    n = values.size
-    if n < KERNEL_MIN or p > 15:
-        return _text_cells(map(one, values.tolist()))
-    a = np.abs(values)
-    ok = a >= _DBL_MIN
-    ok &= a <= _DBL_MAX
-    np.copyto(a, 1.0, where=~ok)
-    e = np.floor(np.log10(a))
-    scale = ((p - 1) - e).astype(np.intp)
-    y = _scaled(a, scale)
-    lo, hi = _POW10[p - 1], _POW10[p]
-    off = np.flatnonzero((y < lo) | (y >= hi))         # log10 missed by one
-    if off.size:
-        step = np.where(y[off] < lo, -1, 1)
-        e[off] += step
-        scale[off] -= step
-        y[off] = _scaled(a[off], scale[off])
-    ok &= np.abs(scale) <= 22
-    m = np.rint(y)
-    ok &= np.abs(y - m) < 0.5 - 4 * math.ulp(hi)
-    carry = np.flatnonzero(m >= hi)
-    m[carry] = lo
-    e[carry] += 1
-    bad = np.flatnonzero(~ok)
-    m[bad] = 0.0
-    e[bad] = 0.0
-
-    # the p digits of m, four at a time, and how many precede its trailing zeros
-    groups = (p + 3) // 4
-    r = np.empty((groups, n))
-    for g in range(groups - 1, 0, -1):
-        top = np.floor(m * 1e-4)         # exact below 10**15
-        r[g] = m - top * 1e4
-        m = top
-    r[0] = m
-    quads = _digit_quads().take(r.astype(np.intp)).view(np.uint8)
-    D = quads.reshape(groups, n, 4).transpose(0, 2, 1).reshape(4 * groups, n)[4 * groups - p:]
-    nz = ((D != 48) * np.arange(1, p + 1, dtype=np.uint8)[:, None]).max(axis=0).view(np.int8)
-
-    # fixed notation for -4 <= e < p: z zeros ("0.000" at most) before the
-    # digits, the point after digit pe (0 in exponent form), and at least
-    # the digits up to the point
-    e = e.astype(np.int8)
-    fixed = (e >= -4) & (e < p)
-    z = np.where(fixed & (e < 0), -e, 0)
-    pe = np.where(fixed & (e > 0), e, 0)
-    shown = z + np.maximum(nz, pe + 1)
-    point = shown > pe + 1
-    if json:
-        ok &= ~(fixed & (e >= 0) & ~point) & ~((e >= p) & (e <= 15))
-        bad = np.flatnonzero(~ok)
-    if bad.size == n:
-        return _text_cells(map(one, values.tolist()))
-    width = (shown + point) * ok
-
-    S = int(width.max())
-    neg = ok & (values < 0)
-    expo = ok & ~fixed
-    sign, tail = int(neg.any()), 4 * int(expo.any())
-    out = np.empty((sign + S + tail, n), np.uint8)
-    if sign:
-        out[0] = np.where(neg, np.uint8(45), np.uint8(PAD))
-    if tail:
-        ae = np.abs(e).view(np.uint8)
-        out[-4] = np.where(expo, np.uint8(101), np.uint8(PAD))
-        out[-3] = np.where(expo, np.where(e < 0, np.uint8(45), np.uint8(43)), np.uint8(PAD))
-        out[-2] = np.where(expo, 48 + ae // 10, np.uint8(PAD))
-        out[-1] = np.where(expo, 48 + ae % 10, np.uint8(PAD))
-
-    # seq: the z zeros, then the digits; body: seq with the point after pe
-    src = np.empty((4 + S, n), np.uint8)
-    src[:4] = 48
-    src[4:4 + p] = D[:S]
-    src[4 + p:] = PAD
-    seq = src[4:]
-    for k in np.flatnonzero(np.bincount(z, minlength=5)[1:]) + 1:
-        seq += (src[4 - k:4 - k + S] - seq) * (z == k)
-    body = out[sign:sign + S]
-    body[0] = seq[0]
-    body[1:] = seq[:-1]
-    if top := int(pe.max()):
-        K = np.arange(1, top + 1, dtype=np.int8)[:, None]
-        body[1:top + 1] += (seq[1:top + 1] - body[1:top + 1]) * (K <= pe)
-    at = np.flatnonzero(point)
-    body.reshape(-1)[(pe[at] + 1).astype(np.intp) * n + at] = 46
-    low = int(np.min(width, where=ok, initial=S))
-    K = np.arange(low, S, dtype=np.int8)[:, None]
-    body[low:] |= np.negative((K >= width).view(np.uint8))
-
-    if bad.size:
-        texts = _text_cells(map(one, values[bad].tolist()), len(out))
-        if len(texts) > len(out):
-            out = np.vstack([out, np.full((len(texts) - len(out), n), PAD, np.uint8)])
-        out[:, bad] = texts
-    return out
-
-
-def _column_cells(col, num: str, json: bool):
-    """The laid-out text of one column: float64 arrays and columns of
-    floats through _float_cells, any other column cell by cell."""
-    if isinstance(col, np.ndarray):
-        if col.dtype == np.float64:
-            return _float_cells(col, num, json)
-        col = col.tolist()
-    kinds = set(map(type, col))
-    if kinds and all(issubclass(k, float) for k in kinds):
-        return _float_cells(np.array(col, np.float64), num, json)
-    if all(issubclass(k, str) for k in kinds):
-        return _text_cells(map(encode_basestring_ascii, col) if json else col)
-    if json:
-        return _text_cells(_json_scalar(v, num) for v in col)
-    return _text_cells(v if isinstance(v, str) else num % v for v in col)
-
-
-def _join_rows(cells, head: bytes, sep: bytes, tail: bytes) -> bytes:
-    """The rows of the laid-out columns `cells`, each `head`, its cells
-    joined by `sep`, then `tail`, with the padding stripped."""
-    parts = [head]
-    for i, c in enumerate(cells):
-        parts += [sep, c] if i else [c]
-    parts.append(tail)
-    sizes = [len(part) for part in parts]
-    lines = np.empty((sum(sizes), cells[0].shape[1]), np.uint8)
-    at = 0
-    for part, size in zip(parts, sizes):
-        lines[at:at + size] = (np.frombuffer(part, np.uint8)[:, None]
-                               if isinstance(part, bytes) else part)
-        at += size
-    return lines.T.tobytes().translate(None, bytes([PAD]))
-
-
-def _table_text(blocks, num: str, json: bool, head: bytes, sep: bytes, tail: bytes):
-    """Yield the text of the table `blocks` (see above) as bytes, each row
-    laid out as _join_rows does, at most TABLE_CELLS cells at a time."""
-    width = None
-    for block in blocks:
-        columns = list(block)
-        width = len(columns) if width is None else width
-        lengths = set(map(len, columns))
-        if len(columns) != width or len(lengths) > 1:
-            raise ValueError("rows of a table must have equal length")
-        rows = lengths.pop() if lengths else 0
-        step = max(1, TABLE_CELLS // max(width, 1))
-        for i in range(0, rows, step):
-            yield _join_rows([_column_cells(c[i:i + step], num, json) for c in columns],
-                             head, sep, tail)
-
-
-def _json_list(blocks, num: str, depth: int, head: str, sep: str, tail: str):
-    """Yield a JSON array, one element per row of the table `blocks`."""
-    start = "["
-    for text in _table_text(blocks, num, True, head.encode(), sep.encode(), tail.encode()):
-        yield start + text.decode("ascii")[1:]      # each row starts with ","
-        start = ","
-    yield "[]" if start == "[" else "\n" + "  " * depth + "]"
-
-
-def _json_chunks(obj, num: str, depth: int = 0):
-    """Yield the text json.dump(obj, indent=2, sort_keys=True) writes, with
-    every float rounded by the `num` template.  Dict keys must be strings.
-    A float64 array is a list.  An iterator is a table (see above), written
-    as a list of rows, block by block, without holding the table."""
-    inner = "\n" + "  " * (depth + 1)
-    if isinstance(obj, dict):
-        if not obj:
-            yield "{}"
-            return
-        sep = "{"
-        for key in sorted(obj):
-            yield f"{sep}{inner}{encode_basestring_ascii(key)}: "
-            yield from _json_chunks(obj[key], num, depth + 1)
-            sep = ","
-        yield "\n" + "  " * depth + "}"
-    elif isinstance(obj, np.ndarray) or (
-            isinstance(obj, (list, tuple))
-            and not any(isinstance(v, (dict, list, tuple)) for v in obj)):
-        yield from _json_list([[obj]], num, depth, "," + inner, "", "")
-    elif isinstance(obj, (list, tuple)):
-        sep = "["
-        for v in obj:
-            yield sep + inner
-            yield from _json_chunks(v, num, depth + 1)
-            sep = ","
-        yield "\n" + "  " * depth + "]"
-    elif hasattr(obj, "__next__"):
-        # a table; isinstance(obj, Iterator) would add each type it meets to
-        # the ABC's cache, long-lived objects made in the middle of a write
-        cell = inner + "  "
-        yield from _json_list(obj, num, depth, "," + inner + "[" + cell, "," + cell,
-                              inner + "]")
-    else:
-        yield _json_scalar(obj, num)
 
 
 class _Output:
@@ -321,14 +46,14 @@ class _Output:
         payload = {"schema-version": SCHEMA_VERSION, **fields,
                    "config-sha256": self.cfg.config_hash}
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.writelines(_json_chunks(payload, f"%.{self.precision}g"))
+            fh.writelines(json_chunks(payload, f"%.{self.precision}g"))
             fh.write("\n")
         return path
 
     def emit(self, stem: str, columns, blocks, fields: dict, data=None, meta=()) -> str:
         """Write one table to `stem`.csv or `stem`.json and return the path.
 
-        `blocks` is the table's rows as blocks of columns (see above).  CSV
+        `blocks` is the table's rows as blocks of columns (see writer).  CSV
         has '# ' header lines (command, config hash, `meta`), the column
         names, then one line per row: floats at the configured significant
         digits, strings as they are.  JSON holds `fields` and `data`, which
@@ -343,8 +68,8 @@ class _Output:
             f"wellpacket {self.command}", f"config-sha256: {self.cfg.config_hash}", *meta))
         with open(path, "wb") as fh:
             fh.write((head + ",".join(columns) + "\n").encode())
-            fh.writelines(_table_text(blocks, f"%.{self.precision}g", False,
-                                      b"", b",", b"\n"))
+            fh.writelines(table_text(blocks, f"%.{self.precision}g", False,
+                                     b"", b",", b"\n"))
         return path
 
 
@@ -372,11 +97,11 @@ def run_evolve(cfg: RunConfig, out_dir):
             grid = MomentumGrid.default(cfg.system, cfg.packet.n0,
                                         cfg.grids.p_span, cfg.grids.p_spacing)
         axis = "x" if rep == "position" else "p"
+        wavefunction = position_wavefunction if rep == "position" else momentum_wavefunction
         points = grid.points
         for i, (lit, (t, theta)) in enumerate(zip(cfg.evolve.times, times)):
-            field = (position_wavefunction(exp, grid, t, theta) if rep == "position"
-                     else momentum_wavefunction(exp, grid, t, theta))
-            dens = probability_density(field)
+            # no field outlives its density, so none is held while the next is built
+            dens = probability_density(wavefunction(exp, grid, t, theta))
             files.append(out.emit(
                 f"density_{rep}_{i:02d}", [axis, "density"], [(points, dens)],
                 {"kind": "density", "representation": rep,

@@ -13,7 +13,8 @@ from wellpacket import (PacketSpec, WellSystem, autocorrelation,
                         build_gaussian_packet, build_matrix_elements,
                         compute_timescales, eigenenergy, expectation_series,
                         mirror_correlation, parse_config, run_correlate, table_for)
-from wellpacket.runs import KERNEL_MIN, TABLE_CELLS, _json_chunks, _Output
+from wellpacket.runs import _Output
+from wellpacket.writer import KERNEL_MIN, TABLE_ROWS, json_chunks
 
 SYS = WellSystem()
 EPS = np.finfo(float).eps
@@ -121,7 +122,7 @@ json_payloads = st.recursive(
 @given(json_payloads, st.integers(1, 17))
 @example([1.7e308], 1)
 def test_json_writer_matches_json_dumps_of_rounded_values(payload, precision):
-    assert "".join(_json_chunks(payload, f"%.{precision}g")) == json.dumps(
+    assert "".join(json_chunks(payload, f"%.{precision}g")) == json.dumps(
         _rounded(payload, precision), indent=2, sort_keys=True)
 
 
@@ -149,7 +150,7 @@ def test_json_row_stream_matches_json_dumps_of_rounded_rows(columns, n_rows, blo
                                                             precision):
     rows, blocks = _table(columns, n_rows, block_rows)
     rows = [tuple(float(v) if isinstance(v, np.floating) else v for v in r) for r in rows]
-    assert "".join(_json_chunks({"rows": iter(blocks)}, f"%.{precision}g")) == json.dumps(
+    assert "".join(json_chunks({"rows": iter(blocks)}, f"%.{precision}g")) == json.dumps(
         _rounded({"rows": rows}, precision), indent=2, sort_keys=True)
 
 
@@ -183,8 +184,8 @@ def test_csv_table_matches_the_row_template_writer(columns, n_rows, block_rows, 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_tables_longer_than_a_block_are_written_whole(fmt, tmp_path):
-    # one block of columns longer than TABLE_CELLS is written in slices
-    n = TABLE_CELLS + 3
+    # one block of columns longer than TABLE_ROWS is written in slices
+    n = 2 * TABLE_ROWS + 3
     t = np.arange(n) * 0.125 - 7.0
     labels = [f"s{i % 7}" for i in range(n)]
     cfg = parse_config(f"[output]\nformat = {fmt}\n")
@@ -202,4 +203,4 @@ def test_json_row_stream_refuses_ragged_rows():
     for blocks in ([[np.zeros(KERNEL_MIN + 1), np.ones(KERNEL_MIN)]],
                    [[np.zeros(3), np.ones(3)], [np.zeros(2)]]):
         with pytest.raises(ValueError, match="equal length"):
-            "".join(_json_chunks({"rows": iter(blocks)}, "%.12g"))
+            "".join(json_chunks({"rows": iter(blocks)}, "%.12g"))

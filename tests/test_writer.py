@@ -1,7 +1,7 @@
 """The writer's float kernel against Python's own formatting.
 
-Every cell _float_cells lays out must read as `"%.{p}g" % v` (and in JSON
-as _json_scalar(v, "%.{p}g")), whichever of its paths wrote it: the numpy
+Every cell float_cells lays out must read as `"%.{p}g" % v` (and in JSON
+as json_scalar(v, "%.{p}g")), whichever of its paths wrote it: the numpy
 digits or the cell-by-cell fallback.  The values are seeded draws plus the
 cases that decide between the paths: decimal ties, neighbours of powers of
 ten, the switch between fixed and exponent notation, mantissa carry, zero,
@@ -13,14 +13,15 @@ import sys
 import numpy as np
 import pytest
 
-from wellpacket.runs import KERNEL_MIN, _float_cells, _join_rows, _json_scalar
+from wellpacket.writer import KERNEL_MIN, json_scalar, table_text
 
 COUNT = 200_000          # values per precision
 
 
 def _texts(values, precision: int, json: bool = False) -> list[str]:
-    cells = _float_cells(np.asarray(values, np.float64), f"%.{precision}g", json)
-    return _join_rows([cells], b"", b"", b"\n").decode().split("\n")[:-1]
+    table = [[np.asarray(values, np.float64)]]
+    text = b"".join(table_text(table, f"%.{precision}g", json, b"", b"", b"\n"))
+    return text.decode().split("\n")[:-1]
 
 
 def _adversarial(precision: int) -> np.ndarray:
@@ -71,7 +72,7 @@ def test_kernel_matches_json_scalar(precision):
     rng = np.random.default_rng(2000 + precision)
     values = np.concatenate([_adversarial(precision), _draws(rng, COUNT // 10)])
     num = f"%.{precision}g"
-    want = [_json_scalar(v, num) for v in values.tolist()]
+    want = [json_scalar(v, num) for v in values.tolist()]
     got = _texts(values, precision, json=True)
     bad = [(v, g, w) for v, g, w in zip(values.tolist(), got, want) if g != w]
     assert len(got) == len(want) and not bad, bad[:5]
