@@ -19,8 +19,8 @@ import numpy as np
 __all__ = ["float_cells", "json_chunks", "json_scalar", "table_text"]
 
 PAD = 0xFF
-TABLE_ROWS = 2048       # rows formatted at once; bounds the writer's buffers
-KERNEL_MIN = 32         # float columns shorter than this are formatted by cell
+TABLE_CELLS = 4096      # cells formatted at once; bounds the writer's buffers
+KERNEL_MIN = 32         # fewer float cells than this are formatted one by one
 
 _POW10 = tuple(float(10 ** k) for k in range(23))     # exact up to 10**22
 _DBL_MIN, _DBL_MAX = 2.2250738585072014e-308, 1.7976931348623157e308
@@ -51,8 +51,8 @@ _TABLES = []      # filled on first use
 def _tables():
     """Lookup tables, built on first use: the four ASCII digits of each of
     0..9999 as one uint32 apiece (in text order in memory), the count of
-    its trailing zeros (4 for 0), and the exponent suffixes "e-99" to
-    "e+99" and four PAD bytes, one column apiece."""
+    its trailing zeros (4 for 0), the exponent suffixes "e-99" to "e+99",
+    one column apiece, and the powers of ten up to 10**22 as floats."""
     if _TABLES:
         return _TABLES
     quads = np.empty((10, 10, 10, 10, 4), np.uint8)
@@ -60,9 +60,10 @@ def _tables():
     for i in range(4):
         quads[..., i] = np.arange(48, 58, dtype=np.uint8).reshape((10,) + (1,) * (3 - i))
         zeros[(slice(None),) * (3 - i) + (0,) * (i + 1)] += 1
-    suffixes = "".join(f"e{k:+03d}" for k in range(-99, 100)).encode() + bytes([PAD]) * 4
+    suffixes = "".join(f"e{k:+03d}" for k in range(-99, 100)).encode()
     suffixes = np.frombuffer(suffixes, np.uint8).reshape(-1, 4).T.copy()
-    _TABLES.extend([quads.reshape(-1).view(np.uint32), zeros.reshape(-1), suffixes])
+    _TABLES.extend([quads.reshape(-1).view(np.uint32), zeros.reshape(-1), suffixes,
+                    np.array(_POW10)])
     return _TABLES
 
 
@@ -78,9 +79,11 @@ def _text_cells(texts, width: int = 0):
 
 def _scaled(a, scale):
     """a * 10**scale, one correctly rounded operation where |scale| <= 22."""
-    y = a * np.take(_POW10, scale, mode="clip")
+    pow10 = _tables()[3]
+    y = a * pow10.take(scale, mode="clip")
     down = np.flatnonzero(scale < 0)
-    y[down] = a[down] / np.take(_POW10, -scale[down], mode="clip")
+    if down.size:
+        y[down] = a[down] / pow10.take(-scale[down], mode="clip")
     return y
 
 
@@ -101,7 +104,7 @@ def float_cells(values, num: str, json: bool):
     p = int(num[2:-1])
     one = (lambda v: json_scalar(v, num)) if json else num.__mod__
     n = values.size
-    if n < KERNEL_MIN or p > 15:
+    if n < KERNEL_MIN or p > 14:
         return _text_cells(map(one, values.tolist()))
     a = np.abs(values)
     ok = a >= _DBL_MIN
@@ -126,25 +129,7 @@ def float_cells(values, num: str, json: bool):
     bad = np.flatnonzero(~ok)
     m[bad] = 0.0
     e[bad] = 0.0
-
-    # src: four '0' rows, then the p digits of m, looked up four at a time
-    # (the top group's leading zeros fall on the '0' rows); trailing: the
-    # count of m's trailing zeros
-    quads, zeros, suffixes = _tables()
-    groups = (p + 3) // 4
-    r = np.empty((groups, n), np.intp)
-    for g in range(groups - 1, 0, -1):
-        high = np.floor(m * 1e-4)        # exact below 10**15
-        r[g] = m - high * 1e4
-        m = high
-    r[0] = m
-    src = np.empty((p + 9, n), np.uint8)
-    src[:4] = 48
-    digits = quads.take(r).view(np.uint8).reshape(groups, n, 4)
-    src[p + 4 - 4 * groups:p + 4].reshape(groups, 4, n)[:] = digits.transpose(0, 2, 1)
-    trailing = zeros.take(r[-1])
-    for g in range(groups - 2, -1, -1):
-        trailing += np.where(trailing == 4 * (groups - 1 - g), zeros.take(r[g]), 0)
+    del a, y, scale       # the kernel holds as little as it can at a time
 
     # fixed notation for -4 <= e < p: z zeros ("0.000" at most) before the
     # digits, the point after digit pe (0 in exponent form), and at least
@@ -153,8 +138,26 @@ def float_cells(values, num: str, json: bool):
     fixed = (e >= -4) & (e < p)
     z = np.where(fixed & (e < 0), -e, 0)
     pe = np.where(fixed & (e > 0), e, 0)
-    shown = z + np.maximum(p - trailing, pe + 1)
+
+    # seq: the z zeros, the p digits, then zeros, as the p + 4 digit field
+    # of the integer m * 10**(4 - z) (below 2**63 for p <= 14), its digits
+    # looked up four at a time; trailing: the count of m's trailing zeros
+    quads, zeros, suffixes, pow10 = _tables()
+    groups = (p + 7) // 4
+    src = np.empty((4 * groups, n), np.uint8)
+    trailing = np.zeros(n, np.intp)
+    mi = m.astype(np.int64) * pow10[:5].astype(np.int64).take(4 - z)
+    for g in range(groups - 1, -1, -1):
+        r = mi
+        if g:
+            mi = r // 10000
+            r = r - mi * 10000
+        src[4 * g:4 * g + 4] = quads.take(r).view(np.uint8).reshape(n, 4).T
+        trailing += np.where(trailing == 4 * (groups - 1 - g), zeros.take(r), 0)
+    seq = src[4 * groups - p - 4:]
+    shown = z + np.maximum(p + 4 - z - trailing, pe + 1)
     point = shown > pe + 1
+    del m, mi, r, trailing, z
     if json:
         ok &= ~(fixed & (e >= 0) & ~point) & ~((e >= p) & (e <= 15))
         bad = np.flatnonzero(~ok)
@@ -162,7 +165,8 @@ def float_cells(values, num: str, json: bool):
         return _text_cells(map(one, values.tolist()))
     width = np.where(ok, shown + point, 0)
 
-    # the layout moves bytes by masked copies only
+    # the layout moves bytes by masked copies only; body: seq with the
+    # point after pe
     S = int(width.max())
     neg = ok & (values < 0)
     expo = ok & ~fixed
@@ -172,16 +176,12 @@ def float_cells(values, num: str, json: bool):
         out[0] = PAD
         np.copyto(out[0], 45, where=neg)
     if tail:
-        out[-4:] = suffixes.take(np.where(expo, e + 99, 199), axis=1)
-
-    # seq: the z zeros, then the digits; body: seq with the point after pe
-    src[p + 4:S + 4] = PAD
-    seq = src[4:S + 4]
-    for k in np.flatnonzero(np.bincount(z, minlength=5)[1:]) + 1:
-        np.copyto(seq, src[4 - k:4 - k + S], where=z == k)
+        out[-4:] = PAD
+        cells = np.flatnonzero(expo)
+        out[-4:, cells] = suffixes.take(e[cells] + 99, axis=1)
     body = out[sign:sign + S]
     body[0] = seq[0]
-    body[1:] = seq[:-1]
+    body[1:] = seq[:S - 1]
     if top := int(np.max(pe, where=ok, initial=0)):
         np.copyto(body[1:top + 1], seq[1:top + 1], where=np.arange(1, top + 1)[:, None] <= pe)
     at = np.flatnonzero(point & ok)
@@ -198,11 +198,9 @@ def float_cells(values, num: str, json: bool):
 
 
 def _column_cells(col, num: str, json: bool):
-    """The laid-out text of one column: float64 arrays and columns of
-    floats through float_cells, any other column cell by cell."""
+    """The laid-out text of a column that is not a float64 array: columns
+    of floats through float_cells, any other cell by cell."""
     if isinstance(col, np.ndarray):
-        if col.dtype == np.float64:
-            return float_cells(col, num, json)
         col = col.tolist()
     kinds = set(map(type, col))
     if kinds and all(issubclass(k, float) for k in kinds):
@@ -214,9 +212,27 @@ def _column_cells(col, num: str, json: bool):
     return _text_cells(v if isinstance(v, str) else num % v for v in col)
 
 
+def _block_cells(columns, num: str, json: bool) -> list:
+    """The laid-out text of each column of one block.  The float64 arrays
+    go through one float_cells call, and each keeps only the rows where
+    one of its cells has a byte."""
+    floats = [k for k, c in enumerate(columns)
+              if isinstance(c, np.ndarray) and c.dtype == np.float64]
+    cells = [None if k in floats else _column_cells(c, num, json)
+             for k, c in enumerate(columns)]
+    if floats:
+        n = len(columns[floats[0]])
+        text = float_cells(np.concatenate([columns[k] for k in floats]), num, json)
+        used = (text.reshape(len(text), len(floats), n) != PAD).any(axis=2)
+        for j, k in enumerate(floats):
+            cells[k] = text[used[:, j], j * n:(j + 1) * n]
+    return cells
+
+
 def table_text(blocks, num: str, json: bool, head: bytes, sep: bytes, tail: bytes):
-    """Yield the text of the table `blocks` as bytes, TABLE_ROWS rows at a
-    time: each row is `head`, its cells joined by `sep`, then `tail`."""
+    """Yield the text of the table `blocks` as bytes, about TABLE_CELLS
+    cells at a time: each row is `head`, its cells joined by `sep`, then
+    `tail`."""
     width = None
     for block in blocks:
         columns = list(block)
@@ -224,22 +240,23 @@ def table_text(blocks, num: str, json: bool, head: bytes, sep: bytes, tail: byte
         lengths = set(map(len, columns))
         if len(columns) != width or len(lengths) > 1:
             raise ValueError("rows of a table must have equal length")
-        for i in range(0, lengths.pop() if lengths else 0, TABLE_ROWS):
+        step = max(1, TABLE_CELLS // max(width, 1))
+        for i in range(0, lengths.pop() if lengths else 0, step):
             parts = [head]
-            for k, col in enumerate(columns):
-                parts += [sep] if k else []
-                parts.append(_column_cells(col[i:i + TABLE_ROWS], num, json))
+            for k, cells in enumerate(_block_cells([c[i:i + step] for c in columns], num, json)):
+                parts += [sep, cells] if k else [cells]
             parts.append(tail)
-            lines = np.empty((sum(map(len, parts)), parts[1].shape[1]), np.uint8)
+            # the rows side by side in one buffer, each laid-out column
+            # dropped once copied, then the padding stripped
+            size = sum(map(len, parts))
+            text = bytearray(size * parts[1].shape[1])
+            lines = np.frombuffer(text, np.uint8).reshape(-1, size)
             at = 0
             for part in parts:
-                lines[at:at + len(part)] = (np.frombuffer(part, np.uint8)[:, None]
-                                            if isinstance(part, bytes) else part)
+                lines[:, at:at + len(part)] = (np.frombuffer(part, np.uint8)
+                                               if isinstance(part, bytes) else part.T)
                 at += len(part)
-            # each copy is dropped before the next is made
-            del parts
-            text = lines.T.tobytes()
-            del lines
+            del parts, lines
             yield text.translate(None, bytes([PAD]))
 
 

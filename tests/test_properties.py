@@ -14,7 +14,7 @@ from wellpacket import (PacketSpec, WellSystem, autocorrelation,
                         compute_timescales, eigenenergy, expectation_series,
                         mirror_correlation, parse_config, run_correlate, table_for)
 from wellpacket.runs import _Output
-from wellpacket.writer import KERNEL_MIN, TABLE_ROWS, json_chunks
+from wellpacket.writer import KERNEL_MIN, TABLE_CELLS, json_chunks
 
 SYS = WellSystem()
 EPS = np.finfo(float).eps
@@ -184,8 +184,8 @@ def test_csv_table_matches_the_row_template_writer(columns, n_rows, block_rows, 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_tables_longer_than_a_block_are_written_whole(fmt, tmp_path):
-    # one block of columns longer than TABLE_ROWS is written in slices
-    n = 2 * TABLE_ROWS + 3
+    # one block of columns longer than TABLE_CELLS is written in slices
+    n = 2 * TABLE_CELLS + 3
     t = np.arange(n) * 0.125 - 7.0
     labels = [f"s{i % 7}" for i in range(n)]
     cfg = parse_config(f"[output]\nformat = {fmt}\n")
