@@ -143,8 +143,7 @@ def run_correlate(cfg: RunConfig, out_dir):
     scan = cfg.correlate.scan_grid(report.tau, report.T_rev, n0) if cfg.correlate.scan else None
 
     absC, absM = np.abs(correlation.autocorrelation_series(exp, times, theta, mirror=True))
-    files = [out.emit("correlation", ["t", "absC", "absCbar"],
-                      [(times, absC, absM)],
+    files = [out.emit("correlation", ["t", "absC", "absCbar"], [(times, absC, absM)],
                       {"kind": "correlation"})]
 
     if cfg.correlate.fit:
@@ -192,8 +191,10 @@ def run_powerlaw(cfg: RunConfig, out_dir):
                  ["periodic"] * levels.size if trev is None else trev]
         if pl.n_min > 0:
             return [block]
-        # no revival time below n = 1
-        return [[*(col[:1] for col in block[:4]), [""]], [col[1:] for col in block]]
+        # no revival time below n = 1: the first row is a block of its own
+        first = [col[:1] for col in block]
+        first[4] = [""]
+        return [first, [col[1:] for col in block]]
 
     # one well's rows at a time, computed as the writer reaches them
     blocks = chain.from_iterable(map(spectrum_blocks, wells))

@@ -77,29 +77,21 @@ def _text_cells(texts, width: int = 0):
     return np.frombuffer(cells, np.uint8).reshape(len(data), width).T
 
 
-def _scaled(a, scale):
-    """a * 10**scale, one correctly rounded operation where |scale| <= 22."""
-    pow10 = _tables()[3]
-    y = a * pow10.take(scale, mode="clip")
-    down = np.flatnonzero(scale < 0)
-    if down.size:
-        y[down] = a[down] / pow10.take(-scale[down], mode="clip")
-    return y
-
-
 def float_cells(values, num: str, json: bool):
     """The text of `num % v` ("%.{p}g") for each v of the float64 array
     `values`, or with `json` of json_scalar(v, num), as _text_cells lays
-    it out.
+    it out: a sign row, the body (digits, point, the zeros of "0.000"),
+    and four rows of exponent suffix, the sign and suffix rows only if a
+    cell uses them.
 
     |v| is scaled by an exact power of ten to a p-digit integer mantissa,
     rounded, and its digits looked up four at a time.  These cells are
     written one by one instead: zero, subnormal and non-finite values;
     those whose scale passes 10**22; those within 4 ulp (of 10**p) of a
-    rounding tie, which the scaling's rounding may send either way; every
-    cell at p >= 16, whose mantissa passes 2**53; and in JSON those whose
-    %g text float.__repr__ spells otherwise (integral text, and exponent
-    form for exponents p to 15).  So are columns shorter than KERNEL_MIN.
+    rounding tie, which the scaling's rounding may send either way; in
+    JSON those whose %g text float.__repr__ spells otherwise (integral
+    text, and exponent form for exponents p to 15); and every cell of
+    fewer than KERNEL_MIN, or at p >= 15, where 4 ulp reach the tie.
     """
     p = int(num[2:-1])
     one = (lambda v: json_scalar(v, num)) if json else num.__mod__
@@ -110,17 +102,17 @@ def float_cells(values, num: str, json: bool):
     ok = a >= _DBL_MIN
     ok &= a <= _DBL_MAX
     np.copyto(a, 1.0, where=~ok)
+    # y = |v| * 10**scale in one correctly rounded operation.  Within a few
+    # ulp of a power of ten, log10 may land on the other side of an integer;
+    # y then rounds to 10**(p-1) or 10**p, and the carry gives the same text.
+    quads, zeros, suffixes, pow10 = _tables()
     e = np.floor(np.log10(a))
     scale = ((p - 1) - e).astype(np.intp)
-    y = _scaled(a, scale)
-    lo, hi = _POW10[p - 1], _POW10[p]
-    off = np.flatnonzero((y < lo) | (y >= hi))         # log10 missed by one
-    if off.size:
-        step = np.where(y[off] < lo, -1, 1)
-        e[off] += step
-        scale[off] -= step
-        y[off] = _scaled(a[off], scale[off])
     ok &= np.abs(scale) <= 22
+    y = a * pow10.take(scale, mode="clip")
+    down = np.flatnonzero(scale < 0)
+    y[down] = a[down] / pow10.take(-scale[down], mode="clip")
+    lo, hi = _POW10[p - 1], _POW10[p]
     m = np.rint(y)
     ok &= np.abs(y - m) < 0.5 - 4 * math.ulp(hi)
     carry = np.flatnonzero(m >= hi)
@@ -142,7 +134,6 @@ def float_cells(values, num: str, json: bool):
     # seq: the z zeros, the p digits, then zeros, as the p + 4 digit field
     # of the integer m * 10**(4 - z) (below 2**63 for p <= 14), its digits
     # looked up four at a time; trailing: the count of m's trailing zeros
-    quads, zeros, suffixes, pow10 = _tables()
     groups = (p + 7) // 4
     src = np.empty((4 * groups, n), np.uint8)
     trailing = np.zeros(n, np.intp)
