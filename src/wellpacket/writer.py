@@ -12,6 +12,7 @@ through one kernel, float_cells, which writes exactly `"%.{p}g" % v`.
 from __future__ import annotations
 
 import math
+import sys
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
@@ -21,9 +22,6 @@ __all__ = ["float_cells", "json_chunks", "json_scalar", "table_text"]
 PAD = 0xFF
 TABLE_CELLS = 4096      # cells formatted at once; bounds the writer's buffers
 KERNEL_MIN = 32         # fewer float cells than this are formatted one by one
-
-_POW10 = tuple(float(10 ** k) for k in range(23))     # exact up to 10**22
-_DBL_MIN, _DBL_MAX = 2.2250738585072014e-308, 1.7976931348623157e308
 
 # json.dump's spellings of the float values that have no JSON number
 _NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
@@ -62,8 +60,8 @@ def _tables():
         zeros[(slice(None),) * (3 - i) + (0,) * (i + 1)] += 1
     suffixes = "".join(f"e{k:+03d}" for k in range(-99, 100)).encode()
     suffixes = np.frombuffer(suffixes, np.uint8).reshape(-1, 4).T.copy()
-    _TABLES.extend([quads.reshape(-1).view(np.uint32), zeros.reshape(-1), suffixes,
-                    np.array(_POW10)])
+    pow10 = np.array([float(10 ** k) for k in range(23)])     # exact up to 10**22
+    _TABLES.extend([quads.reshape(-1).view(np.uint32), zeros.reshape(-1), suffixes, pow10])
     return _TABLES
 
 
@@ -99,8 +97,8 @@ def float_cells(values, num: str, json: bool):
     if n < KERNEL_MIN or p > 14:
         return _text_cells(map(one, values.tolist()))
     a = np.abs(values)
-    ok = a >= _DBL_MIN
-    ok &= a <= _DBL_MAX
+    ok = a >= sys.float_info.min
+    ok &= a <= sys.float_info.max
     np.copyto(a, 1.0, where=~ok)
     # y = |v| * 10**scale in one correctly rounded operation.  Within a few
     # ulp of a power of ten, log10 may land on the other side of an integer;
@@ -112,7 +110,7 @@ def float_cells(values, num: str, json: bool):
     y = a * pow10.take(scale, mode="clip")
     down = np.flatnonzero(scale < 0)
     y[down] = a[down] / pow10.take(-scale[down], mode="clip")
-    lo, hi = _POW10[p - 1], _POW10[p]
+    lo, hi = pow10[p - 1], pow10[p]
     m = np.rint(y)
     ok &= np.abs(y - m) < 0.5 - 4 * math.ulp(hi)
     carry = np.flatnonzero(m >= hi)
@@ -189,10 +187,8 @@ def float_cells(values, num: str, json: bool):
 
 
 def _column_cells(col, num: str, json: bool):
-    """The laid-out text of a column that is not a float64 array: columns
-    of floats through float_cells, any other cell by cell."""
-    if isinstance(col, np.ndarray):
-        col = col.tolist()
+    """The laid-out text of a column given as a sequence: one of floats
+    through float_cells, any other cell by cell."""
     kinds = set(map(type, col))
     if kinds and all(issubclass(k, float) for k in kinds):
         return float_cells(np.array(col, np.float64), num, json)
