@@ -43,7 +43,7 @@ def json_scalar(value, num: str) -> str:
     raise TypeError(f"cannot write {type(value).__name__} to JSON")
 
 
-_TABLES = []      # filled on first use
+_TABLES = []      # filled on first use, in one step
 
 
 def _tables():
@@ -61,7 +61,7 @@ def _tables():
     suffixes = "".join(f"e{k:+03d}" for k in range(-99, 100)).encode()
     suffixes = np.frombuffer(suffixes, np.uint8).reshape(-1, 4).T.copy()
     pow10 = np.array([float(10 ** k) for k in range(23)])     # exact up to 10**22
-    _TABLES.extend([quads.reshape(-1).view(np.uint32), zeros.reshape(-1), suffixes, pow10])
+    _TABLES[:] = quads.reshape(-1).view(np.uint32), zeros.reshape(-1), suffixes, pow10
     return _TABLES
 
 
