@@ -154,8 +154,8 @@ def float_cells(values, num: str, json: bool):
         return _text_cells(map(one, values.tolist()))
     width = np.where(ok, shown + point, 0)
 
-    # the layout moves bytes by masked copies only; body: seq with the
-    # point after pe
+    # the layout moves bytes only by copies and masked copies, numpy code
+    # the run drivers already page in; body: seq with the point after pe
     S = int(width.max())
     neg = ok & (values < 0)
     expo = ok & ~fixed
