@@ -34,6 +34,19 @@ p_spacing = 2.0
 times = 0, 0.5tau, 0.25T
 representation = both
 """,
+    # densities down to 1e-28, most cells below 10**(p-23): the tails the
+    # float kernel scales by two powers of ten
+    "evolve-tails": """\
+[packet]
+n0 = 800
+dx0 = 0.03
+[grids]
+x_points = 400
+p_spacing = 20.0
+[evolve]
+times = 0, 0.25T, 0.5T, 100.5tau
+representation = both
+""",
     "observables": """\
 [packet]
 n0 = 40
@@ -93,7 +106,7 @@ dx0 = 0.1
 }
 
 # Config names that are not a subcommand's own name -> the subcommand.
-COMMAND = {"powerlaw-half": "powerlaw"}
+COMMAND = {"evolve-tails": "evolve", "powerlaw-half": "powerlaw"}
 
 GOLDEN = {
     ("correlate", "csv"): {
@@ -139,6 +152,42 @@ GOLDEN = {
             "a4d14b899a9725d0a0674a9f0206e12ed3ecab5526a023078bbee8a4f6904024",
         "density_position_02.json":
             "8b8e5dccd74c47d9092db07517b8a8245c21eedc984fb983bb43b15cd6515866",
+    },
+    ("evolve-tails", "csv"): {
+        "density_momentum_00.csv":
+            "8421e0a34facfe0e488b389838691f97e9b93eb5e6dd074582905c1cc744eb40",
+        "density_momentum_01.csv":
+            "a6d4079d11666e991db3138fadf26c70d8046f99888a8b933fe3f56bc8260dac",
+        "density_momentum_02.csv":
+            "7808e68d8db8b1ad4e8d4d06a3d26a53c8e7e1b46c83940b82bb22db1f490634",
+        "density_momentum_03.csv":
+            "cc30eaf3040df3f69468e42a9d95f86827570aca0bc38b4ee3c063cdee7f7434",
+        "density_position_00.csv":
+            "8b9cf60bcdc5bde5ae8cfbaaf19fe6a60804c92b5bb8e68e860749302368e53b",
+        "density_position_01.csv":
+            "a768558bb1916c6918e58ee8ef179c765b092030d2f4d63837a5e470a5c95fe1",
+        "density_position_02.csv":
+            "e06daba3258f2c3e8830ab5b1a84ca97e74c1b5604a2868a7c582c84466e3ceb",
+        "density_position_03.csv":
+            "2050baf858ad443a0d464f64ce7e69c73e0ac0ee6a4b413b4332b94fd050682a",
+    },
+    ("evolve-tails", "json"): {
+        "density_momentum_00.json":
+            "d9a8f435bafaadc7be6419ad525aaf48a52f19acc570312b370478f5a7656008",
+        "density_momentum_01.json":
+            "c59a65b2bd706c406f5bdc072a106f565118d962403e11e863e9b7f9f5f0c3dd",
+        "density_momentum_02.json":
+            "6e94db0ad50434f20972f2edee966ceafd943e5119f2fd7403f801e47ad1b70d",
+        "density_momentum_03.json":
+            "1f59cdc938598a8e1be306f440f4a5f497f6c6910c54ef652af7760b0ccf23ef",
+        "density_position_00.json":
+            "cb31a1e7b700c1ba80b827576ac7aca1afe43665d36e74e3328e55743a6d65fb",
+        "density_position_01.json":
+            "593c68f689ab0757d268a41a81676a231d23b5e05a41dd8e21efcdbe2b4f451b",
+        "density_position_02.json":
+            "623a255f6d1c0bbff4ea8f9324d6d4a732be0866b4fd7e6427db239eca8006c3",
+        "density_position_03.json":
+            "c085fcbe8e827d181f45f2d647d46463db68939b93bf7c98a759a32edff4f7c5",
     },
     ("observables", "csv"): {
         "observables.csv":
