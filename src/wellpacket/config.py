@@ -50,16 +50,20 @@ def _split(literal: str) -> tuple[str, str | None]:
 
 
 def parse_time(text: str, tau: float | None = None, T: float | None = None) -> float:
-    """A time literal: plain number, or number with 'tau' / 'T' suffix."""
+    """A time literal: plain number, or number with 'tau' / 'T' suffix.
+    The time, in absolute units, must be finite."""
     s, unit = _split(text)
     scale = tau if unit == "tau" else T
     if unit is not None and scale is None:
         raise ConfigError(f"time {text.strip()!r} uses {unit} units but no packet "
                           "is configured")
     try:
-        return float(s) if unit is None else float(s) * scale
+        t = float(s) if unit is None else float(s) * scale
     except ValueError:
         raise ConfigError(f"cannot parse time literal {text.strip()!r}") from None
+    if not math.isfinite(t):
+        raise ConfigError(f"time {text.strip()!r} is not finite")
+    return t
 
 
 def parse_theta(literal: str, n0: int) -> Fraction | None:

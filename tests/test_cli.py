@@ -133,6 +133,10 @@ def test_time_literals():
         parse_time("fast", 1.0, 1.0)
     with pytest.raises(ConfigError, match="tau units"):
         parse_time("2tau")
+    # finite literals whose time is not: checked after the scaling
+    for literal in ("nan", "inf", "-inf", "1e400", "1e400tau", "1e300T"):
+        with pytest.raises(ConfigError, match="is not finite"):
+            parse_time(literal, tau=3.0, T=1e10)
 
 
 def test_k_list_parsing():
@@ -192,6 +196,39 @@ def test_time_literal_errors_are_config_errors(tmp_path, capsys, command, ini, l
     assert main([command, "--config", str(path), "--out", str(out)]) == 1
     assert capsys.readouterr().err.startswith(f"config error: {location}")
     assert os.listdir(out) == []
+
+
+# every time key, as the command that resolves it reads it; {} is the literal
+TIME_KEYS = {
+    "schedule.start": ("observables", "[schedule]\nmode = dense\nstart = {}\n"),
+    "schedule.stop": ("observables", "[schedule]\nmode = dense\nstop = {}\n"),
+    "schedule.times": ("observables", "[schedule]\nmode = explicit\ntimes = 0, {}\n"),
+    "evolve.times": ("evolve", "[evolve]\ntimes = 0, {}\nrepresentation = both\n"),
+    "correlate.scan_start": ("correlate", "[schedule]\nn_stop = 5\n[correlate]\n"
+                             "scan = true\nscan_start = {}\n"),
+    "correlate.scan_stop": ("correlate", "[schedule]\nn_stop = 5\n[correlate]\n"
+                            "scan = true\nscan_stop = {}\n"),
+    "correlate.scan_resolution": ("correlate", "[schedule]\nn_stop = 5\n[correlate]\n"
+                                  "scan = true\nscan_resolution = {}\n"),
+    "flatten.t_stop": ("scan-flatten", "[flatten]\ndx0 = 0.1\nt_stop = {}\n"),
+    "flatten.sample_step": ("scan-flatten", "[flatten]\ndx0 = 0.1\nsample_step = {}\n"),
+}
+
+
+@pytest.mark.parametrize("literal", ["nan", "inf", "1e400", "1e400tau"])
+@pytest.mark.parametrize("key", sorted(TIME_KEYS))
+def test_non_finite_times_are_config_errors(tmp_path, capsys, key, literal):
+    # these once wrote rows of nan, or ended in a traceback from the
+    # field or the sample grid
+    command, ini = TIME_KEYS[key]
+    path = tmp_path / "run.ini"
+    path.write_text("[packet]\nn0 = 40\ndx0 = 0.1\n" + ini.format(literal))
+    out = tmp_path / "o"
+    assert main([command, "--config", str(path), "--out", str(out)]) == 1
+    section, name = key.split(".")
+    assert capsys.readouterr().err.startswith(
+        f"config error: [{section}] {name}: time {literal!r} is not finite")
+    assert not out.exists() or os.listdir(out) == []
 
 
 @pytest.mark.parametrize("command, ini, location", [
