@@ -97,20 +97,56 @@ class WaveField:
         self.amplitudes.setflags(write=False)
 
 
-def position_wavefunction(exp: EigenExpansion, grid: SpatialGrid, t: float,
-                          theta=None) -> WaveField:
+# Bytes of complex128 basis built at a time.  The basis is built in row
+# blocks of about this size, each applied to every time's coefficients and
+# dropped before the next, so a call holds one block, not the whole basis,
+# beyond the fields it returns.
+BASIS_BLOCK_BYTES = 1 << 20
+
+
+def _fields(basis, exp: EigenExpansion, grid, t, theta):
+    """The fields Sum a_n b_n(q) exp(-i E_n t / hbar) over the grid points q
+    for each time of ``t``, b_n = ``basis``; one field if ``t`` is a scalar."""
+    scalar = np.ndim(t) == 0
+    if scalar:
+        times, thetas = [t], [theta]
+    else:
+        times = list(t)
+        thetas = [None] * len(times) if theta is None else list(theta)
+        if len(thetas) != len(times):
+            raise ValueError("need one theta per time")
+    coeffs = [exp.phases_at(s, th) for s, th in zip(times, thetas)]
+    points = grid.points
+    amps = [np.empty(len(points), dtype=complex) for _ in times]
+    rows = max(2, BASIS_BLOCK_BYTES // (16 * len(exp.levels)))
+    starts = list(range(0, len(points), rows))
+    if len(starts) > 1 and len(points) - starts[-1] == 1:
+        # numpy sends a one-row product to a dot, not a GEMV, and its sum
+        # may round otherwise; the row goes to the block before it instead
+        starts.pop()
+    for a, b in zip(starts, starts[1:] + [len(points)]):
+        block = basis(exp.levels, points[a:b], exp.sys).astype(complex, copy=False)
+        for amp, c in zip(amps, coeffs):
+            amp[a:b] = block @ c      # one GEMV per time
+        del block
+    fields = [WaveField(grid=grid, amplitudes=amp, time=s) for amp, s in zip(amps, times)]
+    return fields[0] if scalar else fields
+
+
+def position_wavefunction(exp: EigenExpansion, grid: SpatialGrid, t,
+                          theta=None) -> WaveField | list[WaveField]:
     """psi(x, t) = Sum a_n u_n(x) exp(-i E_n t / hbar) on the grid; ``theta``
-    is the exact t / T, if known."""
-    amp = position_basis(exp.levels, grid.points, exp.sys) @ exp.phases_at(t, theta)
-    return WaveField(grid=grid, amplitudes=amp, time=t)
+    is the exact t / T, if known.  For a sequence of times (and of thetas)
+    a list of fields, one per time, the basis built once for all of them."""
+    return _fields(position_basis, exp, grid, t, theta)
 
 
-def momentum_wavefunction(exp: EigenExpansion, grid: MomentumGrid, t: float,
-                          theta=None) -> WaveField:
+def momentum_wavefunction(exp: EigenExpansion, grid: MomentumGrid, t,
+                          theta=None) -> WaveField | list[WaveField]:
     """phi(p, t) = Sum a_n phi_n(p) exp(-i E_n t / hbar) on the grid;
-    ``theta`` is the exact t / T, if known."""
-    amp = momentum_basis(exp.levels, grid.points, exp.sys) @ exp.phases_at(t, theta)
-    return WaveField(grid=grid, amplitudes=amp, time=t)
+    ``theta`` is the exact t / T, if known.  For a sequence of times (and
+    of thetas) a list of fields, one per time, the basis built once."""
+    return _fields(momentum_basis, exp, grid, t, theta)
 
 
 def probability_density(field: WaveField) -> NDArray[np.float64]:

@@ -99,15 +99,22 @@ def run_evolve(cfg: RunConfig, out_dir):
         axis = "x" if rep == "position" else "p"
         wavefunction = position_wavefunction if rep == "position" else momentum_wavefunction
         points = grid.points
-        for i, (lit, (t, theta)) in enumerate(zip(cfg.evolve.times, times)):
-            # no field outlives its density, so none is held while the next is built
-            dens = probability_density(wavefunction(exp, grid, t, theta))
-            files.append(out.emit(
-                f"density_{rep}_{i:02d}", [axis, "density"], [(points, dens)],
-                {"kind": "density", "representation": rep,
-                 "time-literal": lit.strip(), "time": t},
-                data={axis: points, "density": dens},
-                meta=[f"time: {lit.strip()} = {_fmt(t, out.precision)}"]))
+        # the times in groups of at most N, so that a group's fields hold no
+        # more than one basis; each group builds the basis once
+        group = len(exp.levels)
+        for g in range(0, len(times), group):
+            ts, thetas = zip(*times[g:g + group])
+            fields = wavefunction(exp, grid, ts, thetas)
+            for k, t in enumerate(ts):
+                i, lit = g + k, cfg.evolve.times[g + k]
+                dens = probability_density(fields[k])
+                fields[k] = None        # each field dropped once its density is taken
+                files.append(out.emit(
+                    f"density_{rep}_{i:02d}", [axis, "density"], [(points, dens)],
+                    {"kind": "density", "representation": rep,
+                     "time-literal": lit.strip(), "time": t},
+                    data={axis: points, "density": dens},
+                    meta=[f"time: {lit.strip()} = {_fmt(t, out.precision)}"]))
     return files
 
 

@@ -1,13 +1,18 @@
-"""Densities and wavefunctions on grids: revivals, mirrors, norms."""
+"""Densities and wavefunctions on grids: revivals, mirrors, norms, and the
+row-block basis that serves every listed time at once."""
 
 import math
+import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from wellpacket import (MomentumGrid, SpatialGrid, density_norm,
-                        momentum_wavefunction, position_wavefunction,
-                        probability_density)
+from wellpacket import (MomentumGrid, PacketSpec, SpatialGrid, build_gaussian_packet,
+                        compute_timescales, density_norm, momentum_wavefunction,
+                        position_wavefunction, probability_density)
+from wellpacket import evolution
+from wellpacket.cli import main
 
 P0 = 400 * math.pi
 
@@ -141,3 +146,81 @@ def test_momentum_grid_spacing_override(sys0, default_exp):
     assert g.spacing == 2.0
     d = probability_density(momentum_wavefunction(default_exp, g, 0.0))
     assert np.trapezoid(d, g.points) == pytest.approx(1.0, abs=1e-3)
+
+
+# times with and without an exact t / T: 0, T/4, 124 tau and an absolute time
+THETAS = (Fraction(0), Fraction(1, 4), Fraction(124, 800), None)
+
+
+def _times(report):
+    return [0.0, report.T_rev / 4, 124 * report.tau, 0.0123]
+
+
+@pytest.mark.parametrize("wavefunction, grid", [(position_wavefunction, "xgrid"),
+                                                (momentum_wavefunction, "pgrid")])
+def test_time_sequence_gives_the_scalar_fields(default_exp, default_report, wavefunction,
+                                               grid, request):
+    grid = request.getfixturevalue(grid)
+    times = _times(default_report)
+    fields = wavefunction(default_exp, grid, times, THETAS)
+    assert [f.time for f in fields] == times
+    for f, t, theta in zip(fields, times, THETAS):
+        assert np.array_equal(f.amplitudes, wavefunction(default_exp, grid, t, theta).amplitudes)
+    for f, t in zip(wavefunction(default_exp, grid, times), times):
+        assert np.array_equal(f.amplitudes, wavefunction(default_exp, grid, t).amplitudes)
+    with pytest.raises(ValueError, match="one theta per time"):
+        wavefunction(default_exp, grid, times, THETAS[:2])
+
+
+@pytest.mark.parametrize("rows", [2, 3, 5, 7, 64, 100])
+def test_smaller_basis_blocks_give_equal_fields(default_exp, default_report, xgrid, pgrid,
+                                                rows, monkeypatch):
+    # 4096 positions leave a one-row tail at 3, 5 and 7 rows a block, 3771
+    # momenta at 2 and 5
+    times = _times(default_report)
+    whole = [position_wavefunction(default_exp, xgrid, times, THETAS),
+             momentum_wavefunction(default_exp, pgrid, times, THETAS)]
+    monkeypatch.setattr(evolution, "BASIS_BLOCK_BYTES", 16 * len(default_exp.levels) * rows)
+    blocked = [position_wavefunction(default_exp, xgrid, times, THETAS),
+               momentum_wavefunction(default_exp, pgrid, times, THETAS)]
+    for a, b in zip(whole, blocked):
+        for fa, fb in zip(a, b):
+            assert np.array_equal(fa.amplitudes, fb.amplitudes)
+
+
+def test_evolve_builds_each_grid_basis_once(sys0, tmp_path, monkeypatch):
+    rows = {}
+
+    def counted(basis):
+        def wrapper(levels, points, sys):
+            rows[basis.__name__] = rows.get(basis.__name__, 0) + len(points)
+            return basis(levels, points, sys)
+        return wrapper
+
+    for name in ("position_basis", "momentum_basis"):
+        monkeypatch.setattr(evolution, name, counted(getattr(evolution, name)))
+    ini = tmp_path / "run.ini"
+    ini.write_text("[packet]\nn0 = 40\ndx0 = 0.1\n[grids]\nx_points = 200\n"
+                   "p_spacing = 2.0\n[evolve]\ntimes = 0, 0.5tau, 0.25T, 0.5T\n"
+                   "representation = both\n")
+    assert main(["evolve", "--config", str(ini), "--out", str(tmp_path / "o")]) == 0
+    p_points = len(MomentumGrid.default(sys0, 40, 1.5, 2.0).points)
+    assert rows == {"position_basis": 200, "momentum_basis": p_points}
+
+
+def test_field_memory_stays_below_one_basis(sys0):
+    # P = 7541 momenta and N = 85 levels: the whole basis is 10.3 MB
+    spec = PacketSpec(n0=800, x0=0.5, dx0=0.03)
+    exp = build_gaussian_packet(spec, sys0)
+    report = compute_timescales(sys0, spec)
+    grid = MomentumGrid.default(sys0, 800, 1.5, 1.0)
+    basis_bytes = 16 * len(grid.points) * len(exp.levels)
+    times = [0.0, report.T_rev / 4, report.T_rev / 2, 100.5 * report.tau]
+    tracemalloc.start()
+    try:
+        fields = momentum_wavefunction(exp, grid, times)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(fields) == 4
+    assert peak < basis_bytes, (peak, basis_bytes)
