@@ -82,14 +82,15 @@ def float_cells(values, num: str, json: bool):
     and four rows of exponent suffix, the sign and suffix rows only if a
     cell uses them.
 
-    |v| is scaled by an exact power of ten to a p-digit integer mantissa,
-    rounded, and its digits looked up four at a time.  These cells are
-    written one by one instead: zero, subnormal and non-finite values;
-    those whose scale passes 10**22; those within 4 ulp (of 10**p) of a
-    rounding tie, which the scaling's rounding may send either way; in
-    JSON those whose %g text float.__repr__ spells otherwise (integral
-    text, and exponent form for exponents p to 15); and every cell of
-    fewer than KERNEL_MIN, or at p >= 15, where 4 ulp reach the tie.
+    |v| is scaled by one exact power of ten, or two past 10**22, to a
+    p-digit integer mantissa, rounded, and its digits looked up four at a
+    time.  These cells are written one by one instead: zero, subnormal and
+    non-finite values; those whose scale passes 10**44; those within 4 ulp
+    (of 10**p) of a rounding tie, which the scaling's rounding may send
+    either way; those just below a power of ten whose log10 rounds up to
+    it; in JSON those whose %g text float.__repr__ spells otherwise
+    (integral text, and exponent form for exponents p to 15); and every
+    cell of fewer than KERNEL_MIN, or at p >= 15, where 4 ulp reach the tie.
     """
     p = int(num[2:-1])
     one = (lambda v: json_scalar(v, num)) if json else num.__mod__
@@ -100,26 +101,37 @@ def float_cells(values, num: str, json: bool):
     ok = a >= sys.float_info.min
     ok &= a <= sys.float_info.max
     np.copyto(a, 1.0, where=~ok)
-    # y = |v| * 10**scale in one correctly rounded operation.  Within a few
-    # ulp of a power of ten, log10 may land on the other side of an integer;
-    # y then rounds to 10**(p-1) or 10**p, and the carry gives the same text.
+    # y = |v| * 10**scale in one correctly rounded operation (two past
+    # 10**22).  Just past a power of ten, log10 may land below the integer;
+    # y then rounds to 10**p and the carry gives the same text.  Just below
+    # one it may land on the integer, and y < 10**(p-1) has a digit too few
+    # (at p = 14 and |e| >= 32 that changes the text): those go one by one.
     quads, zeros, suffixes, pow10 = _tables()
     e = np.floor(np.log10(a))
     scale = ((p - 1) - e).astype(np.intp)
-    ok &= np.abs(scale) <= 22
+    size = np.abs(scale)
+    ok &= size <= 44
     y = a * pow10.take(scale, mode="clip")
     down = np.flatnonzero(scale < 0)
     y[down] = a[down] / pow10.take(-scale[down], mode="clip")
+    far = np.flatnonzero(size > 22)
+    if far.size:
+        # 22 < |scale| <= 44: a second exact power of ten, 10**(|scale| - 22);
+        # the two roundings stay within about 2 ulp of 10**p, inside the
+        # 4-ulp tie margin below
+        step = pow10.take(size[far] - 22, mode="clip")
+        y[far] = np.where(scale[far] > 0, y[far] * step, y[far] / step)
     lo, hi = pow10[p - 1], pow10[p]
     m = np.rint(y)
     ok &= np.abs(y - m) < 0.5 - 4 * math.ulp(hi)
+    ok &= y >= lo
     carry = np.flatnonzero(m >= hi)
     m[carry] = lo
     e[carry] += 1
     bad = np.flatnonzero(~ok)
     m[bad] = 0.0
     e[bad] = 0.0
-    del a, y, scale       # the kernel holds as little as it can at a time
+    del a, y, scale, size     # the kernel holds as little as it can at a time
 
     # fixed notation for -4 <= e < p: z zeros ("0.000" at most) before the
     # digits, the point after digit pe (0 in exponent form), and at least

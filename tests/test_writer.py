@@ -5,7 +5,9 @@ as json_scalar(v, "%.{p}g")), whichever of its paths wrote it: the numpy
 digits or the cell-by-cell fallback.  The values are seeded draws plus the
 cases that decide between the paths: decimal ties, neighbours of powers of
 ten, the switch between fixed and exponent notation, mantissa carry, zero,
-subnormals, the largest float, nan, infinities and integral values.
+subnormals, the largest float, nan, infinities and integral values.  Past
+a scale of 10**22 the kernel scales in two steps; those values have tests
+of their own at every precision the kernel takes.
 """
 
 import sys
@@ -13,7 +15,8 @@ import sys
 import numpy as np
 import pytest
 
-from wellpacket.writer import KERNEL_MIN, json_scalar, table_text
+from wellpacket import writer
+from wellpacket.writer import KERNEL_MIN, TABLE_CELLS, float_cells, json_scalar, table_text
 
 COUNT = 200_000          # values per precision
 
@@ -84,3 +87,61 @@ def test_short_columns_and_all_fallback_blocks():
     for values in ([0.1] * (KERNEL_MIN - 1), [0.0] * (2 * KERNEL_MIN),
                    [np.nan, np.inf, 5e-324] * KERNEL_MIN, [2.5] * KERNEL_MIN):
         assert _texts(values, 1) == ["%.1g" % v for v in values]
+
+
+def _far_scales(rng, precision: int, count: int) -> np.ndarray:
+    """Values whose scale to a p-digit mantissa passes 10**22, up to and a
+    little past 10**44: draws from 1e-45 to 1e-22 and 1e22 to 1e45 (to the
+    ends of the scale range at this p), powers of ten and their neighbours,
+    the floats nearest decimal ties, exact ties and mantissas of p nines."""
+    p = precision
+    k = count // 2
+    mags = np.concatenate([10.0 ** rng.uniform(min(p - 46, -45), -22, k),
+                           10.0 ** rng.uniform(22, max(p + 45, 45), k)])
+    exps = [j for j in range(p - 48, p + 47) if abs(j) >= 21]
+    powers = np.array([float(f"1e{j}") for j in exps])
+    mantissas = rng.integers(10 ** (p - 1), 10 ** p, len(exps))
+    near_ties = np.array([float(f"{m}5e{j - p}") for m, j in zip(mantissas.tolist(), exps)])
+    nines = np.array([float(f"{'9' * p}5e{j - p}") for j in exps])
+    # (m + 1/2) 10**j exactly, where the float holds it
+    ties = [(2 * m + 1) * 10 ** j // 2 for m in mantissas.tolist() for j in range(22, 46)]
+    ties = np.array([float(v) for v in ties if int(float(v)) == v])
+    values = [mags * rng.choice([-1, 1], mags.size), ties]
+    for v in (powers, near_ties, nines):
+        values += [v, np.nextafter(v, np.inf), np.nextafter(v, -np.inf), -v]
+    return np.concatenate(values)
+
+
+@pytest.mark.parametrize("json", [False, True], ids=["csv", "json"])
+@pytest.mark.parametrize("precision", range(1, 15))
+def test_kernel_matches_past_ten_to_the_22(precision, json):
+    # the kernel scales these by two powers of ten, 10**22 and 10**(scale - 22)
+    rng = np.random.default_rng(3000 + precision + 100 * json)
+    values = _far_scales(rng, precision, 20_000)
+    num = f"%.{precision}g"
+    one = (lambda v: json_scalar(v, num)) if json else num.__mod__
+    want = [one(v) for v in values.tolist()]
+    got = _texts(values, precision, json)
+    bad = [(v, g, w) for v, g, w in zip(values.tolist(), got, want) if g != w]
+    assert len(got) == len(want) and not bad, bad[:5]
+
+
+@pytest.mark.parametrize("json", [False, True], ids=["csv", "json"])
+def test_density_tails_stay_in_the_kernel(json, monkeypatch):
+    # 4096 density tails near 1e-30 at the default precision, their
+    # mantissas a quarter away from a tie: not one is written by itself
+    texts, text_cells = [], writer._text_cells
+
+    def counted(cells, width=0):
+        cells = list(cells)
+        texts.extend(cells)
+        return text_cells(cells, width)
+
+    monkeypatch.setattr(writer, "_text_cells", counted)
+    mantissas = np.random.default_rng(4096).integers(10 ** 11, 10 ** 12, TABLE_CELLS)
+    values = np.array([float(f"{m}.25e-41") for m in mantissas.tolist()])
+    out = float_cells(values, "%.12g", json)
+    assert texts == []
+    one = (lambda v: json_scalar(v, "%.12g")) if json else "%.12g".__mod__
+    got = [bytes(c).translate(None, bytes([writer.PAD])).decode() for c in out.T]
+    assert got == [one(v) for v in values.tolist()]
