@@ -143,5 +143,5 @@ def test_density_tails_stay_in_the_kernel(json, monkeypatch):
     out = float_cells(values, "%.12g", json)
     assert texts == []
     one = (lambda v: json_scalar(v, "%.12g")) if json else "%.12g".__mod__
-    got = [bytes(c).translate(None, bytes([writer.PAD])).decode() for c in out.T]
+    got = [c.tobytes().translate(None, bytes([writer.PAD])).decode() for c in out.T]
     assert got == [one(v) for v in values.tolist()]
