@@ -16,6 +16,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 from numpy.typing import NDArray
 
 from .packet import EigenExpansion, Theta, fold_rows, takes_fold
@@ -115,33 +116,63 @@ def build_matrix_elements(n_min: int, n_max: int,
                (2L^2/pi^2) (-1)^(m+n) [1/(m-n)^2 - 1/(m+n)^2]  (all m != n).
     <m|p|n>  = -(4 i hbar / L) m n / (m^2 - n^2) for m+n odd; zero otherwise.
     <m|p2|n> = delta_mn p_n^2, p_n the level momentum.
+
+    Off the diagonal every entry is a function of d = m - n and s = m + n
+    (of equal parity), so each table is read from 1-D kernels over d and s
+    through read-only strided views, Toeplitz T[i, j] = c[i - j] and Hankel
+    H[i, j] = h[i + j], and written into its final array with no N x N
+    temporary:
+
+        x     = (2L/pi^2)   (H(g_s) - T(g_d)),  g = 1/d^2 at odd parity, else 0
+        x2    = (2L^2/pi^2) (T(+-1/d^2) - H(+-1/s^2)),  sign (-1)^d
+        Im p  = ((4 hbar/L) m) n * (1 / (T(e_d) H(s))),  e = -d odd, +inf even
+
+    Each rounds as the plain N x N formulas do, bit for bit: 1/d^2 - 1/s^2
+    is an exact negation of 1/s^2 - 1/d^2, and Im p is the numerator times
+    the rounded reciprocal of the exact integer n^2 - m^2, as complex
+    division rounds.  Even pairs give +0.0 (1/inf).  The p table's
+    reciprocals are formed in x2's array before x2 is written.
     """
     if not (1 <= n_min <= n_max):
         raise ValueError("need 1 <= n_min <= n_max")
     L, hbar = sys.width_L, sys.hbar
-    ns = np.arange(n_min, n_max + 1)
-    M = ns[:, None].astype(float)
-    N = ns[None, :].astype(float)
-    diff = M - N
-    tot = M + N
-    off = diff != 0
-    odd = (ns[:, None] + ns[None, :]) % 2 == 1
+    N = n_max - n_min + 1
+    ns = np.arange(n_min, n_max + 1, dtype=float)
 
-    with np.errstate(divide="ignore", invalid="ignore"):
-        bracket = 1.0 / diff**2 - 1.0 / tot**2
+    # kernel rows over t = 0 .. 2N-2, at d = t - (N-1) (rows 0, 2, 4) and
+    # s = 2 n_min + t (rows 1, 3, 5); d is odd where t - N is even
+    K = np.empty((6, 2 * N - 1))
+    K[4] = np.arange(1 - N, N)
+    K[5] = np.arange(2 * n_min, 2 * n_max + 1)
+    np.square(K[4:], out=K[:2])
+    K[0, N - 1] = 1.0               # d = 0: the diagonal is filled apart
+    np.divide(1.0, K[:2], out=K[:2])
+    K[2:4] = K[:2]
+    K[2, N % 2::2] *= -1.0          # (-1)^d / d^2
+    K[3, 1::2] *= -1.0              # (-1)^s / s^2
+    K[0, (N - 1) % 2::2] = 0.0      # even d
+    K[1, ::2] = 0.0                 # even s
+    K[4, (N - 1) % 2::2] = np.inf
+    # H[r][i, j] = K[r, i + j].  The d rows are read as T = H[r, ::-1],
+    # K[r, N-1 - i + j], the kernel at j - i = n - m: the same as at m - n
+    # for the even rows 0 and 2, and e(m - n) = n - m for row 4, which holds d
+    H = as_strided(K, (6, N, N), (K.strides[0],) + 2 * K.strides[1:], writeable=False)
 
-    x = np.where(off & odd, -(2.0 * L / np.pi**2) * bracket, 0.0)
-    np.fill_diagonal(x, L / 2.0)
+    x = np.subtract(H[1], H[0, ::-1])
+    x *= 2.0 * L / np.pi**2
+    x.reshape(-1)[::N + 1] = L / 2.0
 
-    sign = np.where(odd, -1.0, 1.0)  # (-1)^(m+n)
-    x2 = np.where(off, (2.0 * L**2 / np.pi**2) * sign * bracket, 0.0)
-    np.fill_diagonal(x2, L**2 * (1.0 / 3.0 - 1.0 / (2.0 * ns.astype(float)**2 * np.pi**2)))
+    p = np.zeros((N, N), dtype=complex)
+    w = np.multiply(H[4, ::-1], H[5])
+    np.divide(1.0, w, out=w)
+    np.multiply.outer(4.0 * hbar / L * ns, ns, out=p.imag)
+    p.imag *= w
 
-    with np.errstate(divide="ignore", invalid="ignore"):
-        pval = -4j * hbar / L * M * N / (M**2 - N**2)
-    p = np.where(off & odd, pval, 0.0 + 0.0j)
+    x2 = np.subtract(H[2, ::-1], H[3], out=w)
+    x2 *= 2.0 * L**2 / np.pi**2
+    x2.reshape(-1)[::N + 1] = L**2 * (1.0 / 3.0 - 1.0 / (2.0 * ns**2 * np.pi**2))
 
-    p2 = np.diag(level_momentum(ns, sys) ** 2)
+    p2 = np.diag(level_momentum(np.arange(n_min, n_max + 1), sys) ** 2)
 
     for arr in (x, x2, p, p2):
         arr.setflags(write=False)
@@ -201,8 +232,7 @@ def _series(exp: EigenExpansion, table: MatrixElementTable, ids: tuple[str, ...]
             raise ValueError(f"unknown series id {which!r}")
     t = np.asarray(times, dtype=float).reshape(-1)
     forms = [f for f in ("x", "x2", "p") if any(f in _FORMS[w] for w in ids)]
-    blocks = [table.block(f, exp) for f in forms]
-    reals = [_real_form(f, Mk) for f, Mk in zip(forms, blocks)]
+    reals = [_real_form(f, table.block(f, exp)) for f in forms]
 
     def assemble(P):
         b = np.multiply(exp.coefficients, P, out=P)
@@ -249,11 +279,12 @@ def _series(exp: EigenExpansion, table: MatrixElementTable, ids: tuple[str, ...]
                              theta=theta)
     mags = np.abs(exp.coefficients)
     vals = {}
-    for f, Mk, v in zip(forms, blocks, raw):
+    for f, (_, R), v in zip(forms, reals, raw):
         # <O>_t is real, so its imaginary part is rounding in the sum over
         # m, n, bounded by a small multiple of eps Sum |b_m||b_n||O_mn|;
-        # |b_n(t)| = |a_n| makes that scale the same at every t.
-        scale = float(mags @ np.abs(Mk) @ mags)
+        # |b_n(t)| = |a_n| makes that scale the same at every t, and
+        # |O_mn| = |R_mn| exactly for O = i R.
+        scale = float(mags @ np.abs(R) @ mags)
         worst = float(np.max(np.abs(v.imag))) if v.size else 0.0
         if worst > _IMAG_TOL * scale:
             raise NumericalConsistencyError(

@@ -3,8 +3,10 @@
 Everything here is built only from the textbook basis functions and
 composite Gauss-Legendre integration, never from the package's closed
 forms, so agreement is evidence rather than tautology.  The exceptions are
-the last two sections: direct reference paths for the phase kernel, which
-take the closed-form tables (checked against quadrature above) and redo the
+the last three sections: the closed-form tables evaluated the plain way,
+as full N x N arrays, against which the package's structured build is
+held bit for bit; direct reference paths for the phase kernel, which take
+the closed-form tables (checked against quadrature above) and redo the
 time evolution the plain way, one full T x N block at a time; and a
 40-digit mpmath evaluation of the moments at exact times.
 """
@@ -90,6 +92,38 @@ def momentum_amplitude_quad(n: int, p: float, L: float = 1.0,
     f = lambda x: basis_x(n, x, L) * np.exp(-1j * p * x / hbar)
     panels = _panels_for(n, extra=abs(p) * L / (math.pi * hbar))
     return complex(gl_integrate(f, 0.0, L, panels) / math.sqrt(2.0 * math.pi * hbar))
+
+
+# --- the closed-form tables, entry by entry as N x N formulas ------------
+
+def dense_matrix_elements(n_min: int, n_max: int, L: float = 1.0, hbar: float = 1.0):
+    """(x, x2, p, p2) over [n_min, n_max] from full N x N arrays of m, n,
+    m - n and m + n: the plain evaluation of the closed forms whose
+    rounding build_matrix_elements reproduces from 1-D kernels."""
+    ns = np.arange(n_min, n_max + 1)
+    M = ns[:, None].astype(float)
+    N = ns[None, :].astype(float)
+    diff = M - N
+    tot = M + N
+    off = diff != 0
+    odd = (ns[:, None] + ns[None, :]) % 2 == 1
+
+    with np.errstate(divide="ignore", invalid="ignore"):
+        bracket = 1.0 / diff**2 - 1.0 / tot**2
+
+    x = np.where(off & odd, -(2.0 * L / np.pi**2) * bracket, 0.0)
+    np.fill_diagonal(x, L / 2.0)
+
+    sign = np.where(odd, -1.0, 1.0)  # (-1)^(m+n)
+    x2 = np.where(off, (2.0 * L**2 / np.pi**2) * sign * bracket, 0.0)
+    np.fill_diagonal(x2, L**2 * (1.0 / 3.0 - 1.0 / (2.0 * ns.astype(float)**2 * np.pi**2)))
+
+    with np.errstate(divide="ignore", invalid="ignore"):
+        pval = -4j * hbar / L * M * N / (M**2 - N**2)
+    p = np.where(off & odd, pval, 0.0 + 0.0j)
+
+    p2 = np.diag((ns * np.pi * hbar / L) ** 2)
+    return x, x2, p, p2
 
 
 # --- direct reference paths for the phase kernel -------------------------

@@ -6,9 +6,12 @@ the assembled dynamics against grid moments and classical references.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wellpacket import (MomentumGrid, NumericalConsistencyError, PacketSpec,
                         SpatialGrid, TimeSeries, WellSystem, build_gaussian_packet,
@@ -17,7 +20,7 @@ from wellpacket import (MomentumGrid, NumericalConsistencyError, PacketSpec,
                         probability_density, sample_series, spec_hash,
                         table_for, uncertainty, uncertainty_series)
 
-from oracles import p2_quad, p_quad, x_power_quad
+from oracles import dense_matrix_elements, p2_quad, p_quad, x_power_quad
 
 P0 = 400 * math.pi
 TAU = 2.0 / (800.0 * math.pi)   # 2L/v0 = T / (2 n0)
@@ -66,6 +69,50 @@ def test_hermiticity(small_table):
     assert np.allclose(small_table.x, small_table.x.T, atol=1e-15)
     assert np.allclose(small_table.x2, small_table.x2.T, atol=1e-15)
     assert np.allclose(small_table.p, small_table.p.conj().T, atol=1e-15)
+
+
+def _assert_tables_bitwise(n_min, n_max, sys):
+    """The structured build against the plain N x N formulas, bit for bit."""
+    table = build_matrix_elements(n_min, n_max, sys)
+    x, x2, p, p2 = dense_matrix_elements(n_min, n_max, sys.width_L, sys.hbar)
+    bits = lambda a: np.ascontiguousarray(a).view(np.uint64)
+    for name, got, want in (("x", table.x, x), ("x2", table.x2, x2),
+                            ("Im p", table.p.imag, p.imag), ("p2", table.p2, p2)):
+        assert np.array_equal(bits(got), bits(want)), (name, n_min, n_max, sys)
+    assert not np.any(table.p.real)
+    assert table.p.dtype == np.complex128 and table.x.shape == (n_max - n_min + 1,) * 2
+
+
+WINDOWS = [(1, 1), (1, 2), (5, 5), (1, 40), (300, 500), (1, 600), (1200, 1710),
+           (3500, 4010), (10000, 10300)]
+
+
+@pytest.mark.parametrize("n_min, n_max", WINDOWS)
+def test_tables_match_the_dense_formulas_bitwise(n_min, n_max, sys0):
+    _assert_tables_bitwise(n_min, n_max, sys0)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(1, 20000), st.integers(1, 300),
+       st.sampled_from([WellSystem(), WellSystem(mass=0.7, hbar=1.3, width_L=2.5),
+                        WellSystem(width_L=1e-3)]))
+def test_drawn_tables_match_the_dense_formulas_bitwise(n_min, size, sys):
+    _assert_tables_bitwise(n_min, n_min + size - 1, sys)
+
+
+def test_table_build_holds_one_table_of_scratch():
+    # the four tables plus at most one N x N float64 while they are built
+    n_min, n_max = 3742, 4250
+    N = n_max - n_min + 1
+    tracemalloc.start()
+    try:
+        table = build_matrix_elements(n_min, n_max)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    tables = sum(getattr(table, k).nbytes for k in ("x", "x2", "p", "p2"))
+    assert tables == 40 * N * N
+    assert peak <= tables + 8 * N * N
 
 
 def test_block_alignment(default_exp, default_table, sys0):
