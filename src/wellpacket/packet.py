@@ -332,7 +332,7 @@ def build_gaussian_packet(spec: PacketSpec, sys: WellSystem = WellSystem()) -> E
         truncated = lost > _TRUNCATION_WARN_WEIGHT
 
     coeff = raw / math.sqrt(float(np.sum(np.abs(raw) ** 2)))
-    energies = np.array([eigenenergy(int(n), sys) for n in ns], dtype=float)
+    energies = eigenenergy(ns, sys)
     return EigenExpansion(n_min=n_min, coefficients=coeff, energies=energies,
                           sys=sys, truncated_at_floor=truncated, spec=spec)
 

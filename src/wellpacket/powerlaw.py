@@ -18,7 +18,7 @@ from numpy.typing import NDArray
 
 from .correlation import DEFAULT_FIT_THRESHOLD, CollapseFit, fit_stroboscopic
 from .packet import PacketSpec
-from .system import _check_level
+from .system import _check_level, _float_pow
 
 __all__ = [
     "PowerLawWell",
@@ -58,15 +58,6 @@ class PowerLawWell:
         if math.isinf(self.k):
             return 1.0        # two hard walls
         return 0.75 if self.half else 0.5
-
-
-def _float_pow(base, power):
-    """base ** power by Python's float power, element by element for an
-    array: numpy's power and square differ from it in the last bit for some
-    bases."""
-    if np.ndim(base) == 0:
-        return base ** power
-    return np.array([b ** power for b in base.tolist()])
 
 
 def wkb_energy(well: PowerLawWell, n):

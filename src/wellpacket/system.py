@@ -67,9 +67,20 @@ def level_momentum(n, sys: WellSystem = WellSystem()):
     return _check_level(n) * math.pi * sys.hbar / sys.width_L
 
 
-def eigenenergy(n, sys: WellSystem = WellSystem()) -> float:
-    """E_n = p_n^2 / (2 m) = n^2 hbar^2 pi^2 / (2 m L^2), n = 1, 2, ..."""
-    return level_momentum(n, sys) ** 2 / (2.0 * sys.mass)
+def _float_pow(base, power):
+    """base ** power by Python's float power, element by element for an
+    array: numpy's power and square differ from it in the last bit for some
+    bases."""
+    if np.ndim(base) == 0:
+        return base ** power
+    return np.array([b ** power for b in base.tolist()])
+
+
+def eigenenergy(n, sys: WellSystem = WellSystem()):
+    """E_n = p_n^2 / (2 m) = n^2 hbar^2 pi^2 / (2 m L^2), n = 1, 2, ...  An
+    int array of levels gives an array, element for element the scalar
+    values."""
+    return _float_pow(level_momentum(n, sys), 2) / (2.0 * sys.mass)
 
 
 def classical_speed(n, sys: WellSystem = WellSystem()) -> float:

@@ -27,6 +27,23 @@ def test_eigenenergy_rejects_bad_level(sys0):
         eigenenergy(0, sys0)
     with pytest.raises(ValueError):
         eigenenergy(-3, sys0)
+    with pytest.raises(ValueError):
+        eigenenergy(np.arange(0, 5), sys0)
+
+
+def test_eigenenergy_array_is_the_scalar_form_bitwise(sys0):
+    # a packet takes all its energies in one call; each must be the scalar
+    # value bit for bit, or every phase and output digit downstream would move
+    ns = np.arange(1, 200001)
+    for sys in (sys0, WellSystem(mass=1.3, hbar=0.7, width_L=2.9), WellSystem(width_L=1e-3)):
+        got = eigenenergy(ns, sys)
+        want = np.array([eigenenergy(n, sys) for n in ns.tolist()])
+        assert got.dtype == np.float64
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), sys
+    # the square is Python's float power: numpy's square rounds otherwise
+    # for some levels, so an all-numpy form would not pass the check above
+    pn = level_momentum(ns, sys0)
+    assert np.any(np.square(pn) / (2.0 * sys0.mass) != eigenenergy(ns, sys0))
 
 
 def test_level_momentum(sys0):
