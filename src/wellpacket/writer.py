@@ -88,9 +88,10 @@ def float_cells(values, num: str, json: bool):
     non-finite values; those whose scale passes 10**44; those within 4 ulp
     (of 10**p) of a rounding tie, which the scaling's rounding may send
     either way; those just below a power of ten whose log10 rounds up to
-    it; in JSON those whose %g text float.__repr__ spells otherwise
-    (integral text, and exponent form for exponents p to 15); and every
-    cell of fewer than KERNEL_MIN, or at p >= 15, where 4 ulp reach the tie.
+    it; in JSON those in exponent form for exponents p to 15, which
+    float.__repr__ spells in fixed notation (integral fixed text takes its
+    ".0" here); and every cell of fewer than KERNEL_MIN, or at p >= 15,
+    where 4 ulp reach the tie.
     """
     p = int(num[2:-1])
     one = (lambda v: json_scalar(v, num)) if json else num.__mod__
@@ -159,12 +160,16 @@ def float_cells(values, num: str, json: bool):
     shown = z + np.maximum(p + 4 - z - trailing, pe + 1)
     point = shown > pe + 1
     del m, mi, r, trailing, z
+    whole = False
     if json:
-        ok &= ~(fixed & (e >= 0) & ~point) & ~((e >= p) & (e <= 15))
+        # float.__repr__ spells integral fixed text "12" as "12.0": the
+        # point, and after it the next digit of seq, a zero
+        whole = fixed & (e >= 0) & ~point
+        ok &= ~((e >= p) & (e <= 15))
         bad = np.flatnonzero(~ok)
     if bad.size == n:
         return _text_cells(map(one, values.tolist()))
-    width = np.where(ok, shown + point, 0)
+    width = np.where(ok, shown + point + 2 * whole, 0)
 
     # the layout moves bytes only by copies and masked copies, numpy code
     # the run drivers already page in; body: seq with the point after pe
@@ -185,7 +190,7 @@ def float_cells(values, num: str, json: bool):
     body[1:] = seq[:S - 1]
     if top := int(np.max(pe, where=ok, initial=0)):
         np.copyto(body[1:top + 1], seq[1:top + 1], where=np.arange(1, top + 1)[:, None] <= pe)
-    at = np.flatnonzero(point & ok)
+    at = np.flatnonzero((point | whole) & ok)
     body.reshape(-1)[(pe[at] + 1) * n + at] = 46
     low = int(np.min(width, where=ok, initial=S))
     np.copyto(body[low:], PAD, where=np.arange(low, S)[:, None] >= width)

@@ -126,10 +126,9 @@ def test_kernel_matches_past_ten_to_the_22(precision, json):
     assert len(got) == len(want) and not bad, bad[:5]
 
 
-@pytest.mark.parametrize("json", [False, True], ids=["csv", "json"])
-def test_density_tails_stay_in_the_kernel(json, monkeypatch):
-    # 4096 density tails near 1e-30 at the default precision, their
-    # mantissas a quarter away from a tie: not one is written by itself
+@pytest.fixture()
+def one_by_one(monkeypatch):
+    """The texts written cell by cell (through _text_cells) while a test runs."""
     texts, text_cells = [], writer._text_cells
 
     def counted(cells, width=0):
@@ -138,10 +137,54 @@ def test_density_tails_stay_in_the_kernel(json, monkeypatch):
         return text_cells(cells, width)
 
     monkeypatch.setattr(writer, "_text_cells", counted)
+    return texts
+
+
+@pytest.mark.parametrize("json", [False, True], ids=["csv", "json"])
+def test_density_tails_stay_in_the_kernel(json, one_by_one):
+    # 4096 density tails near 1e-30 at the default precision, their
+    # mantissas a quarter away from a tie: not one is written by itself
     mantissas = np.random.default_rng(4096).integers(10 ** 11, 10 ** 12, TABLE_CELLS)
     values = np.array([float(f"{m}.25e-41") for m in mantissas.tolist()])
     out = float_cells(values, "%.12g", json)
-    assert texts == []
+    assert one_by_one == []
     one = (lambda v: json_scalar(v, "%.12g")) if json else "%.12g".__mod__
     got = [c.tobytes().translate(None, bytes([writer.PAD])).decode() for c in out.T]
     assert got == [one(v) for v in values.tolist()]
+
+
+def _integral(rng, precision: int, count: int) -> np.ndarray:
+    """Values whose text at this precision is integral fixed notation,
+    "%g" 12 where float.__repr__ writes 12.0: integers of 1 to p digits,
+    p-digit integers with a fraction the rounding drops, and integers times
+    powers of ten below 10**p; each also negated."""
+    p = precision
+    k = count // 3
+    digits = rng.integers(1, p + 1, k)
+    ints = np.floor(10.0 ** (digits - 1 + rng.uniform(0, 1, k)))
+    fractions = rng.integers(10 ** (p - 1), 10 ** p, k) + rng.choice([0.125, 0.25, 0.375], k)
+    scaled = rng.integers(1, 10, k) * 10.0 ** rng.integers(0, p, k)
+    values = np.concatenate([ints, fractions, scaled, [1.0, 9.0, 10.0 ** (p - 1)]])
+    return np.concatenate([values, -values])
+
+
+@pytest.mark.parametrize("precision", range(1, 15))
+def test_json_integral_values_stay_in_the_kernel(precision, one_by_one):
+    values = _integral(np.random.default_rng(5000 + precision), precision, 6000)
+    num = f"%.{precision}g"
+    want = [json_scalar(v, num) for v in values.tolist()]
+    assert all(w.endswith(".0") and "e" not in w for w in want)
+    got = _texts(values, precision, json=True)
+    bad = [(v, g, w) for v, g, w in zip(values.tolist(), got, want) if g != w]
+    assert len(got) == len(want) and not bad, bad[:5]
+    assert one_by_one == []
+
+
+def test_integral_momenta_stay_in_the_kernel(one_by_one):
+    # an evolve momentum axis in JSON, multiples of a unit spacing: only
+    # its zero is written by itself
+    values = np.arange(-TABLE_CELLS // 2, TABLE_CELLS // 2, dtype=float)
+    out = float_cells(values, "%.12g", True)
+    assert one_by_one == ["0.0"]
+    got = [c.tobytes().translate(None, bytes([writer.PAD])).decode() for c in out.T]
+    assert got == [json_scalar(v, "%.12g") for v in values.tolist()]
