@@ -20,7 +20,7 @@ from .evolution import (MomentumGrid, SpatialGrid, momentum_wavefunction,
                         position_wavefunction, probability_density)
 from .packet import PacketSpec, build_gaussian_packet
 from .system import classical_speed, classical_trajectory
-from .writer import json_chunks, table_text
+from .writer import Unrounded, json_chunks, table_text
 
 __all__ = ["run_evolve", "run_observables", "run_correlate", "run_powerlaw",
            "run_scan_flatten", "run_timescales"]
@@ -188,19 +188,25 @@ def run_powerlaw(cfg: RunConfig, out_dir):
                                    hbar=cfg.system.hbar, half=pl.half)
              for k in pl.k_values]
     levels = np.arange(pl.n_min, pl.n_max + 1)
-    n_cells = [str(n) for n in levels.tolist()]    # a level index, never rounded
+    # text columns as bytes arrays, which the writer lays out whole: the
+    # level index (never rounded), as wide as the largest, and constants
+    # as broadcast views
+    n_cells = levels.astype(f"S{len(str(pl.n_max))}")
+
+    def constant(cell: str):
+        return np.broadcast_to(np.array(cell.encode()), levels.shape)
 
     def spectrum_blocks(well):
         # k labels the well, unrounded: repr without a trailing ".0"
         k_cell = "infinity" if math.isinf(well.k) else repr(well.k).removesuffix(".0")
         E, tau, trev = powerlaw.wkb_spectrum(well, levels)
-        block = [[k_cell] * levels.size, n_cells, E, tau,
-                 ["periodic"] * levels.size if trev is None else trev]
+        block = [constant(k_cell), n_cells, E, tau,
+                 constant("periodic") if trev is None else trev]
         if pl.n_min > 0:
             return [block]
         # no revival time below n = 1: the first row is a block of its own
         first = [col[:1] for col in block]
-        first[4] = [""]
+        first[4] = np.array([b""])
         return [first, [col[1:] for col in block]]
 
     # one well's rows at a time, computed as the writer reaches them
@@ -211,7 +217,7 @@ def run_powerlaw(cfg: RunConfig, out_dir):
     if pl.fit:
         fits = []
         for well in wells:
-            k_label = "infinity" if math.isinf(well.k) else well.k
+            k_label = "infinity" if math.isinf(well.k) else Unrounded(well.k)
             closed = powerlaw.collapse_time_powerlaw(well, pl.fit_n0, pl.fit_dn)
             if closed is None:
                 fits.append({"k": k_label, "result": "periodic"})

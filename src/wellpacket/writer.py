@@ -1,12 +1,14 @@
 """The text of the CSV tables and JSON documents the run drivers write.
 
 A table is an iterator of blocks of rows: each block a sequence of
-equal-length columns, each column a float64 array or a sequence of
-scalars.  Its text is laid out in numpy as uint8, one row per character
-position and one column per cell, so that every operation runs along the
-cells.  Each cell is padded to its column's width with PAD, a byte that
-UTF-8 text never holds, and bytes.translate strips the padding.  Floats go
-through one kernel, float_cells, which writes exactly `"%.{p}g" % v`.
+equal-length columns, each column a float64 array, a numpy bytes array
+(dtype S) of text cells, or a sequence of scalars.  Its text is laid out
+in numpy as uint8, one row per character position and one column per
+cell, so that every operation runs along the cells.  Each cell is padded
+to its column's width with PAD, a byte that UTF-8 text never holds, and
+bytes.translate strips the padding.  Floats go through one kernel,
+float_cells, which writes exactly `"%.{p}g" % v`; bytes columns are laid
+out whole by _bytes_cells.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
-__all__ = ["float_cells", "json_chunks", "json_scalar", "table_text"]
+__all__ = ["Unrounded", "float_cells", "json_chunks", "json_scalar", "table_text"]
 
 PAD = 0xFF
 TABLE_CELLS = 4096      # cells formatted at once; bounds the writer's buffers
@@ -26,13 +28,25 @@ KERNEL_MIN = 32         # fewer float cells than this are formatted one by one
 # json.dump's spellings of the float values that have no JSON number
 _NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 _CONSTANTS = {None: "null", True: "true", False: "false"}
+# the bytes a JSON string holds as they are (encode_basestring_ascii
+# escapes controls, '"', '\\', DEL and every non-ASCII byte), and NUL, a
+# bytes column's padding
+_PLAIN = bytes([0, *range(32, 127)]).translate(None, b'"\\')
+
+
+class Unrounded(float):
+    """A float that json_scalar writes as float.__repr__ spells it, not
+    rounded by the template: a label, such as a well's exponent k, not a
+    measurement.  As a dict value json_chunks writes it so; in a table or
+    a flat list it is rounded like any float."""
 
 
 def json_scalar(value, num: str) -> str:
     """One JSON scalar as json.dump writes it, a float first rounded by the
-    `num` template (a float subclass such as np.float64 included)."""
+    `num` template (a float subclass such as np.float64 included) unless
+    it is Unrounded."""
     if isinstance(value, float):
-        text = float.__repr__(float(num % value))
+        text = float.__repr__(value if type(value) is Unrounded else float(num % value))
         return _NONFINITE.get(text, text)
     if isinstance(value, str):
         return encode_basestring_ascii(value)
@@ -203,9 +217,35 @@ def float_cells(values, num: str, json: bool):
     return out
 
 
+def _bytes_cells(col, json: bool):
+    """The laid-out text of the numpy bytes array `col` (dtype S) of UTF-8
+    cells: each cell's bytes as they are, in JSON as a string.  numpy's S
+    dtype drops trailing NULs, so a cell must hold no NUL byte; NUL is the
+    padding.
+
+    The fixed-width cells are viewed as an (n, itemsize) uint8 block, a
+    broadcast constant at stride 0, and copied whole into the (position,
+    cell) layout, NUL turned into PAD, one row per byte of the itemsize.
+    JSON adds a quote row on each side; the padding between a cell and its
+    closing quote is stripped with the rest.  A JSON column with any byte
+    that needs an escape is written cell by cell instead."""
+    if json and col.tobytes().translate(None, _PLAIN):
+        return _text_cells(encode_basestring_ascii(c.decode()) for c in col.tolist())
+    block = col[:, None].view(np.uint8).T
+    q = int(json)
+    out = np.full((len(block) + 2 * q, col.size), PAD, np.uint8)
+    np.copyto(out[q:q + len(block)], block, where=block != 0)
+    if json:
+        out[0] = out[-1] = 34
+    return out
+
+
 def _column_cells(col, num: str, json: bool):
-    """The laid-out text of a column given as a sequence: one of floats
-    through float_cells, any other cell by cell."""
+    """The laid-out text of a column given as a sequence: a bytes array
+    through _bytes_cells, one of floats through float_cells, any other
+    cell by cell."""
+    if isinstance(col, np.ndarray) and col.dtype.kind == "S":
+        return _bytes_cells(col, json)
     kinds = set(map(type, col))
     if kinds and all(issubclass(k, float) for k in kinds):
         return float_cells(np.array(col, np.float64), num, json)

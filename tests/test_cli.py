@@ -448,9 +448,11 @@ def test_powerlaw_levels_are_not_rounded(tmp_path):
 
 
 def test_powerlaw_k_labels_are_not_rounded(tmp_path):
-    # k labels its well: at one digit 1.5, 2 and 2.05 must stay three wells
+    # k labels its well: at one digit 1.5, 2 and 2.05 must stay three wells,
+    # in the spectrum table and in the collapse fits
     ini = tmp_path / "run.ini"
-    ini.write_text("[powerlaw]\nk = 1.5, 2, 2.05, 3\nn_min = 10\nn_max = 11\n")
+    ini.write_text("[powerlaw]\nk = 1.5, 2, 2.05, 3, infinity\nn_min = 10\nn_max = 11\n"
+                   "fit = true\nfit_n0 = 80\nfit_dn = 2\n")
     for fmt in ("csv", "json"):
         out = tmp_path / fmt
         assert main(["powerlaw", "--config", str(ini), "--out", str(out),
@@ -460,7 +462,11 @@ def test_powerlaw_k_labels_are_not_rounded(tmp_path):
             rows = [ln.split(",") for ln in text.splitlines() if not ln.startswith("#")][1:]
         else:
             rows = json.loads((out / "powerlaw.json").read_text())["rows"]
-        assert [r[0] for r in rows] == ["1.5", "1.5", "2", "2", "2.05", "2.05", "3", "3"]
+        assert [r[0] for r in rows] == ["1.5", "1.5", "2", "2", "2.05", "2.05", "3", "3",
+                                        "infinity", "infinity"]
+        fits = json.loads((out / "powerlaw_fits.json").read_text())["fits"]
+        assert [f["k"] for f in fits] == [1.5, 2.0, 2.05, 3.0, "infinity"]
+        assert '"k": 2.05,' in (out / "powerlaw_fits.json").read_text()
 
 
 def _table_peak(out, n_rows):
@@ -469,11 +475,11 @@ def _table_peak(out, n_rows):
     def blocks():
         for i in range(0, n_rows, 1000):
             k = np.arange(i, i + 1000.0)
-            yield k * 1e-3, np.sin(k), -k, ["x"] * 1000
+            yield k * 1e-3, np.sin(k), -k, ["x"] * 1000, k.astype(np.int64).astype("S")
 
     tracemalloc.start()
     try:
-        out.emit("table", ["t", "a", "b", "s"], blocks(), {"kind": "test"})
+        out.emit("table", ["t", "a", "b", "s", "n"], blocks(), {"kind": "test"})
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -489,7 +495,8 @@ def test_json_table_memory_does_not_grow_with_rows(tmp_path):
     assert large <= small + 64 * 1024, (small, large)
     rows = json.loads((tmp_path / "table.json").read_text())["rows"]
     assert len(rows) == 40000
-    assert rows[-1] == [39.999, pytest.approx(math.sin(39999), rel=1e-11), -39999.0, "x"]
+    assert rows[-1] == [39.999, pytest.approx(math.sin(39999), rel=1e-11), -39999.0, "x",
+                        "39999"]
 
 
 def test_csv_table_memory_does_not_grow_with_rows(tmp_path):
@@ -500,7 +507,7 @@ def test_csv_table_memory_does_not_grow_with_rows(tmp_path):
     assert large <= small + 64 * 1024, (small, large)
     lines = (tmp_path / "table.csv").read_text().splitlines()
     assert len(lines) == 3 + 40000
-    assert lines[-1] == f"39.999,{math.sin(39999):.12g},-39999,x"
+    assert lines[-1] == f"39.999,{math.sin(39999):.12g},-39999,x,39999"
 
 
 def test_repeated_main_calls_write_what_fresh_runs_write(tmp_path):

@@ -126,26 +126,55 @@ def test_json_writer_matches_json_dumps_of_rounded_values(payload, precision):
         _rounded(payload, precision), indent=2, sort_keys=True)
 
 
+class TextColumn(list):
+    """The values of a str column that _table hands as a numpy bytes array."""
+
+
+# A bytes column's cells: empty ones, and quotes, backslashes, control
+# bytes, DEL and non-ASCII, which JSON writes through the escaping fallback.
+# numpy's S dtype drops trailing NULs, so the writer's contract is cells
+# without NUL, and these draws hold none.
+byte_texts = st.one_of(
+    st.text(st.characters(min_codepoint=32, max_codepoint=126), max_size=8),
+    st.sampled_from(["", "periodic", "\\", '"', "\x1f", "\x7f", "é"]),
+    json_strings).filter(lambda s: "\x00" not in s)
+# the fast layout with cells of several lengths; and single-row blocks, one
+# escaped byte per column
+text_examples = [([TextColumn(["", "periodic", "1.5"]), TextColumn(["x"])], 2 * KERNEL_MIN + 3,
+                  40, 3),
+                 ([TextColumn(["\\"]), TextColumn(['"']), TextColumn(["\x1f"]),
+                   TextColumn(["\x7f", "é", ""])], 7, 1, 3)]
+text_columns = st.lists(byte_texts, min_size=1, max_size=6).map(TextColumn)
 # One column of a table: a few values, repeated down the rows.  A table
 # has at least one column: its blocks carry their row count in their columns.
 table_columns = st.one_of(*(st.lists(cells, min_size=1, max_size=6) for cells in (
-    json_floats, json_strings, st.integers(), st.none(), json_cells)))
+    json_floats, json_strings, st.integers(), st.none(), json_cells)), text_columns)
 # Row counts below, at and past the shortest float column the kernel takes.
 table_rows = st.sampled_from([0, 1, 7, KERNEL_MIN, 2 * KERNEL_MIN + 3])
 
 
 def _table(columns, n_rows, block_rows):
     """The rows, and the same table as blocks of `block_rows` rows of
-    columns, float columns as float64 arrays as the run drivers hand them."""
+    columns, as the run drivers hand them: float columns as float64 arrays,
+    and each TextColumn as a UTF-8 bytes array, a broadcast_to view if it
+    holds one value."""
     full = [[col[i % len(col)] for i in range(n_rows)] for col in columns]
-    full = [np.array(c) if all(type(v) is float for v in c) else c for c in full]
+    rows = [tuple(c[i] for c in full) for i in range(n_rows)]
+    for k, col in enumerate(columns):
+        if isinstance(col, TextColumn):
+            full[k] = (np.broadcast_to(np.array(col[0].encode()), n_rows) if len(col) == 1
+                       else np.array([v.encode() for v in full[k]], "S"))
+        elif all(type(v) is float for v in full[k]):
+            full[k] = np.array(full[k])
     blocks = [[c[i:i + block_rows] for c in full] for i in range(0, n_rows, block_rows)]
-    return [tuple(c[i] for c in full) for i in range(n_rows)], blocks
+    return rows, blocks
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(st.lists(table_columns, min_size=1, max_size=5), table_rows, st.integers(1, 40),
        st.integers(1, 17))
+@example(*text_examples[0])
+@example(*text_examples[1])
 def test_json_row_stream_matches_json_dumps_of_rounded_rows(columns, n_rows, block_rows,
                                                             precision):
     rows, blocks = _table(columns, n_rows, block_rows)
@@ -166,12 +195,15 @@ def _csv_reference(names, rows, precision: int) -> bytes:
 
 
 csv_columns = st.one_of(*(st.lists(cells, min_size=1, max_size=6) for cells in (
-    json_floats, json_strings, st.integers(), st.one_of(json_floats, json_strings))))
+    json_floats, json_strings, st.integers(), st.one_of(json_floats, json_strings))),
+    text_columns)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(st.lists(csv_columns, min_size=1, max_size=5), table_rows, st.integers(1, 40),
        st.integers(1, 17))
+@example(*text_examples[0])
+@example(*text_examples[1])
 def test_csv_table_matches_the_row_template_writer(columns, n_rows, block_rows, precision):
     rows, blocks = _table(columns, n_rows, block_rows)
     names = [f"c{i}" for i in range(len(columns))]

@@ -10,12 +10,16 @@ a scale of 10**22 the kernel scales in two steps; those values have tests
 of their own at every precision the kernel takes.
 """
 
+import json
+import os
+import subprocess
 import sys
 
 import numpy as np
 import pytest
 
 from wellpacket import writer
+from wellpacket.cli import main
 from wellpacket.writer import KERNEL_MIN, TABLE_CELLS, float_cells, json_scalar, table_text
 
 COUNT = 200_000          # values per precision
@@ -188,3 +192,58 @@ def test_integral_momenta_stay_in_the_kernel(one_by_one):
     assert one_by_one == ["0.0"]
     got = [c.tobytes().translate(None, bytes([writer.PAD])).decode() for c in out.T]
     assert got == [json_scalar(v, "%.12g") for v in values.tolist()]
+
+
+POWERLAW = "[powerlaw]\nk = 1.5, 2, 2.05, infinity\nn_min = 0\nn_max = 300\n"
+
+
+def _powerlaw_rows(out, fmt: str) -> list:
+    """The spectrum rows of a powerlaw run, each cell as the file spells it."""
+    if fmt == "json":
+        rows = json.loads((out / "powerlaw.json").read_text())["rows"]
+        return [[v if isinstance(v, str) else repr(v) for v in r] for r in rows]
+    lines = (out / "powerlaw.csv").read_text().splitlines()
+    return [line.split(",") for line in lines if not line.startswith("#")][1:]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_powerlaw_text_columns_stay_in_the_kernel(fmt, tmp_path, one_by_one):
+    # k, n and T_rev ("periodic" for the oscillator, blank at n = 0) are
+    # bytes arrays laid out whole: no text cell of the spectrum is written
+    # by itself.  Cell by cell go only the column names of the JSON file,
+    # the two floats of each well's n = 0 row (a block of one row, under
+    # KERNEL_MIN) and float cells the kernel sends one by one.
+    ini = tmp_path / "run.ini"
+    ini.write_text(POWERLAW)
+    assert main(["powerlaw", "--config", str(ini), "--out", str(tmp_path), "--format", fmt]) == 0
+    rows = _powerlaw_rows(tmp_path, fmt)
+    assert len(rows) == 4 * 301 and {r[4] for r in rows if r[1] == "0"} == {""}
+    assert [r[4] for r in rows if r[0] == "2" and r[1] != "0"] == ["periodic"] * 300
+    assert [r[0] for r in rows[::301]] == ["1.5", "2", "2.05", "infinity"]
+    names = [f'"{c}"' for c in ("k", "n", "E", "tau", "T_rev")] if fmt == "json" else []
+    assert one_by_one[:len(names)] == names
+    # each text written by itself is a float cell of the file, counted
+    # with its repeats: a text column sent cell by cell would add hundreds
+    floats = [cell for r in rows for cell in r[2:5] if cell not in ("", "periodic")]
+    singles = one_by_one[len(names):]
+    assert all(singles.count(t) <= floats.count(t) for t in set(singles))
+    assert set(singles) >= {cell for r in rows if r[1] == "0" for cell in r[2:4]}
+
+
+def test_powerlaw_run_imports_no_string_module(tmp_path):
+    # numpy.char and numpy.strings page in about 0.4 MB; the bytes columns
+    # are laid out without them
+    ini = tmp_path / "run.ini"
+    ini.write_text(POWERLAW)
+    code = ("import sys\nfrom wellpacket.cli import main\n"
+            "for fmt in ('csv', 'json'):\n"
+            f"    assert main(['powerlaw', '--config', {str(ini)!r}, '--out', {str(tmp_path)!r},"
+            " '--format', fmt]) == 0\n"
+            "print(sorted(m for m in ('numpy.char', 'numpy.strings') if m in sys.modules))")
+    src = os.path.dirname(os.path.dirname(writer.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+    assert sorted(os.listdir(tmp_path)) == ["powerlaw.csv", "powerlaw.json", "run.ini"]
