@@ -59,20 +59,25 @@ class NumericalConsistencyError(RuntimeError):
 
 @dataclass(frozen=True, eq=False)
 class MatrixElementTable:
-    """Dense <m|O|n> tables for O in {x, x^2, p, p^2} over a level window."""
+    """<m|O|n> for O in {x, x^2, p, p^2} over a level window, all real.
+
+    ``x`` and ``x2`` are the N x N tables.  <m|p|n> is purely imaginary, so
+    ``p`` holds its imaginary part: <m|p|n> = i p[m, n].  <m|p^2|n> is
+    diagonal, so ``p2`` is the vector of p_n^2.
+    """
 
     n_min: int
     n_max: int
     x: NDArray[np.float64]
     x2: NDArray[np.float64]
-    p: NDArray[np.complex128]
+    p: NDArray[np.float64]
     p2: NDArray[np.float64]
 
     def covers(self, exp: EigenExpansion) -> bool:
         return self.n_min <= exp.n_min and exp.n_max <= self.n_max
 
-    def block(self, which: str, exp: EigenExpansion) -> NDArray:
-        """Sub-table aligned with the expansion's window."""
+    def block(self, which: str, exp: EigenExpansion) -> NDArray[np.float64]:
+        """Sub-table aligned with the expansion's window; for p2, a slice."""
         if which not in OBSERVABLES:
             raise ValueError(f"unknown observable {which!r}")
         if not self.covers(exp):
@@ -81,7 +86,8 @@ class MatrixElementTable:
                 f"expansion window [{exp.n_min}, {exp.n_max}]")
         i = exp.n_min - self.n_min
         j = exp.n_max - self.n_min + 1
-        return getattr(self, which)[i:j, i:j]
+        table = getattr(self, which)
+        return table[i:j] if which == "p2" else table[i:j, i:j]
 
 
 @dataclass(frozen=True, eq=False)
@@ -162,17 +168,16 @@ def build_matrix_elements(n_min: int, n_max: int,
     x *= 2.0 * L / np.pi**2
     x.reshape(-1)[::N + 1] = L / 2.0
 
-    p = np.zeros((N, N), dtype=complex)
     w = np.multiply(H[4, ::-1], H[5])
     np.divide(1.0, w, out=w)
-    np.multiply.outer(4.0 * hbar / L * ns, ns, out=p.imag)
-    p.imag *= w
+    p = np.multiply.outer(4.0 * hbar / L * ns, ns)
+    p *= w
 
     x2 = np.subtract(H[2, ::-1], H[3], out=w)
     x2 *= 2.0 * L**2 / np.pi**2
     x2.reshape(-1)[::N + 1] = L**2 * (1.0 / 3.0 - 1.0 / (2.0 * ns**2 * np.pi**2))
 
-    p2 = np.diag(level_momentum(np.arange(n_min, n_max + 1), sys) ** 2)
+    p2 = level_momentum(np.arange(n_min, n_max + 1), sys) ** 2
 
     for arr in (x, x2, p, p2):
         arr.setflags(write=False)
@@ -193,18 +198,6 @@ def _variance(mean, second, which: str) -> NDArray[np.float64]:
     return np.maximum(var, 0.0)
 
 
-def _real_form(which: str, Mk: NDArray) -> tuple[bool, NDArray[np.float64]]:
-    """(imaginary, R) with Mk = R, or Mk = i R when imaginary; R real and
-    C-contiguous.  A complex table must be purely imaginary, as the p table
-    is: a real part beside it would not reach the assembly, so it is refused."""
-    if not np.iscomplexobj(Mk):
-        return False, np.ascontiguousarray(Mk, dtype=float)
-    if np.any(Mk.real):
-        raise NumericalConsistencyError(
-            f"the {which} table mixes real and imaginary entries")
-    return True, np.ascontiguousarray(Mk.imag)
-
-
 def _series(exp: EigenExpansion, table: MatrixElementTable, ids: tuple[str, ...],
             times, *, theta: Theta | None = None) -> list[NDArray[np.float64]]:
     """Each series id over a time array, by the residue fold or from one
@@ -222,9 +215,9 @@ def _series(exp: EigenExpansion, table: MatrixElementTable, ids: tuple[str, ...]
     sample, and the diagonal, constant in time, is added as an exact sum.
 
     The chunks (EigenExpansion.map_chunks): b is formed once per chunk.
-    Each table is real or i times real (_real_form), so with b = br + i bi
-    a form takes two real GEMMs, y = br R^T and y = bi R^T, and four row
-    sums: Sum b* R b = (br.Rbr + bi.Rbi) + i (br.Rbi - bi.Rbr).  The spent
+    Each form is R or i R for the real table R (MatrixElementTable), so with
+    b = br + i bi it takes two real GEMMs, y = br R^T and y = bi R^T, and four
+    row sums: Sum b* R b = (br.Rbr + bi.Rbi) + i (br.Rbi - bi.Rbr).  The spent
     phase block P holds y, so a chunk needs P, br and bi: two chunks' bytes.
     """
     for which in ids:
@@ -232,7 +225,7 @@ def _series(exp: EigenExpansion, table: MatrixElementTable, ids: tuple[str, ...]
             raise ValueError(f"unknown series id {which!r}")
     t = np.asarray(times, dtype=float).reshape(-1)
     forms = [f for f in ("x", "x2", "p") if any(f in _FORMS[w] for w in ids)]
-    reals = [_real_form(f, table.block(f, exp)) for f in forms]
+    reals = [(f == "p", np.ascontiguousarray(table.block(f, exp))) for f in forms]
 
     def assemble(P):
         b = np.multiply(exp.coefficients, P, out=P)
@@ -299,8 +292,7 @@ def _series(exp: EigenExpansion, table: MatrixElementTable, ids: tuple[str, ...]
             raise NumericalConsistencyError(
                 f"<x> = {x[np.argmax(out_of_well)]} outside the well")
     if any(w in ("p2", "dp") for w in ids):
-        p2 = float(exp.weights @ np.diagonal(table.block("p2", exp)))
-        vals["p2"] = np.full(t.size, p2)
+        vals["p2"] = np.full(t.size, math.fsum(exp.weights * table.block("p2", exp)))
 
     out = []
     for which in ids:

@@ -5,7 +5,8 @@ composite Gauss-Legendre integration, never from the package's closed
 forms, so agreement is evidence rather than tautology.  The exceptions are
 the last three sections: the closed-form tables evaluated the plain way,
 as full N x N arrays, against which the package's structured build is
-held bit for bit; direct reference paths for the phase kernel, which take
+held bit for bit, and the package's real tables read back as operators;
+direct reference paths for the phase kernel, which take
 the closed-form tables (checked against quadrature above) and redo the
 time evolution the plain way, one full T x N block at a time; and a
 40-digit mpmath evaluation of the moments at exact times.
@@ -124,6 +125,15 @@ def dense_matrix_elements(n_min: int, n_max: int, L: float = 1.0, hbar: float = 
 
     p2 = np.diag((ns * np.pi * hbar / L) ** 2)
     return x, x2, p, p2
+
+
+def operator_block(table, which: str, exp=None) -> np.ndarray:
+    """<m|O|n> as the full N x N operator: the table's x and x2, i p for its
+    real p, and the diagonal matrix of its p2 vector; over the expansion's
+    window when ``exp`` is given (MatrixElementTable.block), else the whole
+    table."""
+    M = getattr(table, which) if exp is None else table.block(which, exp)
+    return 1j * M if which == "p" else np.diag(M) if which == "p2" else M
 
 
 # --- direct reference paths for the phase kernel -------------------------

@@ -14,14 +14,14 @@ from wellpacket import (PacketSpec, Theta, autocorrelation_series,
                         table_for, uncertainty_series)
 from wellpacket import correlation, observables, packet
 
-from oracles import mp_moments
+from oracles import mp_moments, operator_block
 
 EPS = np.finfo(float).eps
 
 
 def _scale(exp, table, which):
     mags = np.abs(exp.coefficients)
-    return float(mags @ np.abs(table.block(which, exp)) @ mags)
+    return float(mags @ np.abs(operator_block(table, which, exp)) @ mags)
 
 
 def _dense(exp, count):

@@ -15,7 +15,7 @@ from wellpacket import (OBSERVABLES, PacketSpec, Theta, autocorrelation_series,
                         revival_scan, table_for)
 from wellpacket import packet
 
-from oracles import dense_expectation, direct_correlation, mp_moments
+from oracles import dense_expectation, direct_correlation, mp_moments, operator_block
 
 # Rows per chunk in the ladder runs: every schedule below spans several
 # chunks and none is a multiple of it, so the chunk lengths differ.
@@ -105,7 +105,7 @@ def test_kernel_matches_direct_sums(monkeypatch, sys0, n0, dx0, strobes):
 
     mags = np.abs(exp.coefficients)
     for which, got in zip(OBSERVABLES, expectation_series(exp, table, OBSERVABLES, times)):
-        Mk = table.block(which, exp)
+        Mk = operator_block(table, which, exp)
         scale = float(mags @ np.abs(Mk) @ mags)
         want = dense_expectation(exp, Mk, times)
         assert np.max(np.abs(want.imag)) <= 1e-12 * scale
@@ -222,7 +222,7 @@ def test_real_assembly_is_within_two_eps_of_its_scale(sys0, n0, dx0):
     mags = np.abs(exp.coefficients)
     got = expectation_series(exp, table, ("x", "x2", "p"), times, theta=Theta.of(thetas))
     for which, values in zip(("x", "x2", "p"), got):
-        scale = float(mags @ np.abs(table.block(which, exp)) @ mags)
+        scale = float(mags @ np.abs(operator_block(table, which, exp)) @ mags)
         err = np.max(np.abs(values - [r[which] for r in ref]))
         assert err <= 2 * np.finfo(float).eps * scale, which
 
