@@ -133,7 +133,11 @@ def operator_block(table, which: str, exp=None) -> np.ndarray:
     window when ``exp`` is given (MatrixElementTable.block), else the whole
     table."""
     M = getattr(table, which) if exp is None else table.block(which, exp)
-    return 1j * M if which == "p" else np.diag(M) if which == "p2" else M
+    if which == "p":
+        return 1j * M
+    if which == "p2":
+        return np.diag(M)
+    return M
 
 
 # --- direct reference paths for the phase kernel -------------------------
