@@ -259,9 +259,15 @@ class FlattenSettings:
     def __post_init__(self):
         if not self.dx0_values:
             raise ValueError("dx0_values: need at least one width")
+        names = set()
         for dx0 in self.dx0_values:
             if not dx0 > 0:
                 raise ValueError(f"dx0_values: expected a positive number, got {dx0:g}")
+            # each width's series goes to flatten_dx0_{dx0:g}
+            if f"{dx0:g}" in names:
+                raise ValueError(f"dx0_values: two widths print as {dx0:g} and would "
+                                 "share one output file")
+            names.add(f"{dx0:g}")
         if self.epsilon <= 0:
             raise ValueError("epsilon: must be positive")
         if self.hold < 1:

@@ -159,9 +159,9 @@ def fit_stroboscopic(magnitude, tau: float,
                      threshold: float = DEFAULT_FIT_THRESHOLD) -> CollapseFit:
     """Gaussian-decay fit of a stroboscopic magnitude sampler.
 
-    ``magnitude(t)`` is evaluated at t = tau, 2 tau, ... while the value
-    stays above the threshold; the collected points feed the ln-Gaussian
-    least squares.  Raises CollapseFitError with fewer than three usable
+    ``magnitude(n)`` is evaluated at the period index n = 1, 2, ..., the
+    time t = n tau, while the value stays above the threshold; the
+    collected points feed the ln-Gaussian least squares.  Raises CollapseFitError with fewer than three usable
     points (the signal collapses too fast for the stroboscope to see).
     """
     if tau <= 0:
@@ -170,7 +170,7 @@ def fit_stroboscopic(magnitude, tau: float,
         raise ValueError("threshold must lie in (0, 1)")
     ts, mags = [], []
     for n in range(1, _MAX_FIT_POINTS + 1):
-        c = magnitude(n * tau)
+        c = magnitude(n)
         if c <= threshold:
             break
         ts.append(n * tau)
@@ -198,9 +198,8 @@ def fit_collapse(exp: EigenExpansion, tau: float,
     T/(2 pi dn^2) = 4 t0.  ``theta``, the exact tau / T (1 / (2 n0) for the
     bounce period), makes the phase at each n tau exact.
     """
-    def magnitude(t):
-        # the sampler passes only t = n tau; n is recovered from it
-        return abs(autocorrelation(exp, t, None if theta is None else round(t / tau) * theta))
+    def magnitude(n):
+        return abs(autocorrelation(exp, n * tau, None if theta is None else n * theta))
     return fit_stroboscopic(magnitude, tau, threshold)
 
 

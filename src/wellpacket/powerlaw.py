@@ -183,4 +183,4 @@ def fit_powerlaw_collapse(well: PowerLawWell, n0: int, dn: float,
     levels, w = gaussian_weights(n0, dn, PacketSpec.window_sigmas)
     C = _autocorrelation(well, levels, w)
     tau = classical_period_powerlaw(well, n0)
-    return fit_stroboscopic(lambda t: abs(C(t)), tau, threshold)
+    return fit_stroboscopic(lambda n: abs(C(n * tau)), tau, threshold)

@@ -28,16 +28,12 @@ __all__ = ["run_evolve", "run_observables", "run_correlate", "run_powerlaw",
 SCHEMA_VERSION = "1"
 
 
-def _fmt(value: float, precision: int) -> str:
-    return f"{value:.{precision}g}"
-
-
 class _Output:
-    """One run's output directory, format and precision, and its writers."""
+    """One run's output directory, format and float template, and its writers."""
 
     def __init__(self, cfg: RunConfig, command: str, out_dir):
         self.cfg, self.command, self.dir = cfg, command, out_dir
-        self.fmt, self.precision = cfg.output.format, cfg.output.precision
+        self.fmt, self.num = cfg.output.format, f"%.{cfg.output.precision}g"
         os.makedirs(out_dir, exist_ok=True)
 
     def json(self, name: str, fields: dict) -> str:
@@ -46,7 +42,7 @@ class _Output:
         payload = {"schema-version": SCHEMA_VERSION, **fields,
                    "config-sha256": self.cfg.config_hash}
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.writelines(json_chunks(payload, f"%.{self.precision}g"))
+            fh.writelines(json_chunks(payload, self.num))
             fh.write("\n")
         return path
 
@@ -68,8 +64,7 @@ class _Output:
             f"wellpacket {self.command}", f"config-sha256: {self.cfg.config_hash}", *meta))
         with open(path, "wb") as fh:
             fh.write((head + ",".join(columns) + "\n").encode())
-            fh.writelines(table_text(blocks, f"%.{self.precision}g", False,
-                                     b"", b",", b"\n"))
+            fh.writelines(table_text(blocks, self.num, False, b"", b",", b"\n"))
         return path
 
 
@@ -114,7 +109,7 @@ def run_evolve(cfg: RunConfig, out_dir):
                     {"kind": "density", "representation": rep,
                      "time-literal": lit.strip(), "time": t},
                     data={axis: points, "density": dens},
-                    meta=[f"time: {lit.strip()} = {_fmt(t, out.precision)}"]))
+                    meta=[f"time: {lit.strip()} = {out.num % t}"]))
     return files
 
 
@@ -276,5 +271,5 @@ def run_timescales(cfg: RunConfig, out_dir):
     out = _Output(cfg, "timescales", out_dir)
     report = timescales.compute_timescales(cfg.system, cfg.packet)
     cols = ["tau", "T_rev", "t0", "T_C", "t_flat"]
-    return [out.emit("timescales", cols, [[[getattr(report, c)] for c in cols]],
+    return [out.emit("timescales", cols, [[np.array([getattr(report, c)]) for c in cols]],
                      {"kind": "timescales"}, data=report.to_dict())]

@@ -1,14 +1,14 @@
 """The text of the CSV tables and JSON documents the run drivers write.
 
 A table is an iterator of blocks of rows: each block a sequence of
-equal-length columns, each column a float64 array, a numpy bytes array
-(dtype S) of text cells, or a sequence of scalars.  Its text is laid out
-in numpy as uint8, one row per character position and one column per
-cell, so that every operation runs along the cells.  Each cell is padded
-to its column's width with PAD, a byte that UTF-8 text never holds, and
-bytes.translate strips the padding.  Floats go through one kernel,
-float_cells, which writes exactly `"%.{p}g" % v`; bytes columns are laid
-out whole by _bytes_cells.
+equal-length columns.  A column is of one of two kinds: a float64 array,
+or a numpy bytes array (dtype S) of UTF-8 text cells; any other column
+raises TypeError.  Its text is laid out in numpy as uint8, one row per
+character position and one column per cell, so that every operation runs
+along the cells.  Each cell is padded to its column's width with PAD, a
+byte that UTF-8 text never holds, and bytes.translate strips the padding.
+Floats go through one kernel, float_cells, which writes exactly
+`"%.{p}g" % v`; bytes columns are laid out whole by _bytes_cells.
 """
 
 from __future__ import annotations
@@ -37,8 +37,7 @@ _PLAIN = bytes([0, *range(32, 127)]).translate(None, b'"\\')
 class Unrounded(float):
     """A float that json_scalar writes as float.__repr__ spells it, not
     rounded by the template: a label, such as a well's exponent k, not a
-    measurement.  As a dict value json_chunks writes it so; in a table or
-    a flat list it is rounded like any float."""
+    measurement."""
 
 
 def json_scalar(value, num: str) -> str:
@@ -240,30 +239,12 @@ def _bytes_cells(col, json: bool):
     return out
 
 
-def _column_cells(col, num: str, json: bool):
-    """The laid-out text of a column given as a sequence: a bytes array
-    through _bytes_cells, one of floats through float_cells, any other
-    cell by cell."""
-    if isinstance(col, np.ndarray) and col.dtype.kind == "S":
-        return _bytes_cells(col, json)
-    kinds = set(map(type, col))
-    if kinds and all(issubclass(k, float) for k in kinds):
-        return float_cells(np.array(col, np.float64), num, json)
-    if all(issubclass(k, str) for k in kinds):
-        return _text_cells(map(encode_basestring_ascii, col) if json else col)
-    if json:
-        return _text_cells(json_scalar(v, num) for v in col)
-    return _text_cells(v if isinstance(v, str) else num % v for v in col)
-
-
 def _block_cells(columns, num: str, json: bool) -> list:
-    """The laid-out text of each column of one block.  The float64 arrays
-    go through one float_cells call, and each keeps only the rows where
-    one of its cells has a byte."""
-    floats = [k for k, c in enumerate(columns)
-              if isinstance(c, np.ndarray) and c.dtype == np.float64]
-    cells = [None if k in floats else _column_cells(c, num, json)
-             for k, c in enumerate(columns)]
+    """The laid-out text of each column of one block.  The bytes arrays go
+    through _bytes_cells; the float64 arrays through one float_cells call,
+    and each keeps only the rows where one of its cells has a byte."""
+    cells = [None if c.dtype == np.float64 else _bytes_cells(c, json) for c in columns]
+    floats = [k for k, c in enumerate(cells) if c is None]
     if floats:
         n = len(columns[floats[0]])
         text = float_cells(np.concatenate([columns[k] for k in floats]), num, json)
@@ -280,6 +261,10 @@ def table_text(blocks, num: str, json: bool, head: bytes, sep: bytes, tail: byte
     width = None
     for block in blocks:
         columns = list(block)
+        for c in columns:
+            if not isinstance(c, np.ndarray) or c.dtype != np.float64 and c.dtype.kind != "S":
+                kind = c.dtype if isinstance(c, np.ndarray) else type(c).__name__
+                raise TypeError(f"a table column must be a float64 or bytes array, not {kind}")
         width = len(columns) if width is None else width
         lengths = set(map(len, columns))
         if len(columns) != width or len(lengths) > 1:
@@ -317,8 +302,9 @@ def _json_list(blocks, num: str, depth: int, head: str, sep: str, tail: str):
 def json_chunks(obj, num: str, depth: int = 0):
     """Yield the text json.dump(obj, indent=2, sort_keys=True) writes, with
     every float rounded by the `num` template.  Dict keys must be strings.
-    A float64 array is a list.  An iterator is a table (see above), written
-    as a list of rows, block by block, without holding the table."""
+    A float64 or bytes array is a list.  An iterator is a table (see
+    above), written as a list of rows, block by block, without holding the
+    table."""
     inner = "\n" + "  " * (depth + 1)
     if isinstance(obj, dict):
         if not obj:
@@ -330,11 +316,12 @@ def json_chunks(obj, num: str, depth: int = 0):
             yield from json_chunks(obj[key], num, depth + 1)
             sep = ","
         yield "\n" + "  " * depth + "}"
-    elif isinstance(obj, np.ndarray) or (
-            isinstance(obj, (list, tuple))
-            and not any(isinstance(v, (dict, list, tuple)) for v in obj)):
+    elif isinstance(obj, np.ndarray):
         yield from _json_list([[obj]], num, depth, "," + inner, "", "")
     elif isinstance(obj, (list, tuple)):
+        if not obj:
+            yield "[]"
+            return
         sep = "["
         for v in obj:
             yield sep + inner

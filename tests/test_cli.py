@@ -242,8 +242,14 @@ def test_non_finite_times_are_config_errors(tmp_path, capsys, key, literal):
     ("powerlaw", "[powerlaw]\nk =\n", "[powerlaw] k:"),
     ("powerlaw", "[powerlaw]\nfit = true\nfit_n0 = 0\n", "[powerlaw] fit_n0: must be >= 1"),
     ("scan-flatten", "[flatten]\ndx0 =\n", "[flatten] dx0:"),
+    # each width names its file by "%g": two that print alike would write
+    # one file twice, and a repeated width fits the exponent to duplicates
+    ("scan-flatten", "[flatten]\ndx0 = 0.05, 0.0500000001, 0.1\n",
+     "[flatten] dx0: two widths print as 0.05"),
+    ("scan-flatten", "[flatten]\ndx0 = 0.05, 0.05\n", "[flatten] dx0: two widths print as 0.05"),
 ], ids=["p_span", "p_spacing", "fit_dn", "empty_strobes_observables",
-        "empty_strobes_correlate", "empty_k", "fit_n0", "empty_dx0"])
+        "empty_strobes_correlate", "empty_k", "fit_n0", "empty_dx0", "alike_dx0",
+        "repeated_dx0"])
 def test_bad_values_and_empty_work_are_config_errors(tmp_path, capsys, command, ini,
                                                      location):
     # each of these once ended in a traceback or in an empty or header-only file
@@ -475,7 +481,7 @@ def _table_peak(out, n_rows):
     def blocks():
         for i in range(0, n_rows, 1000):
             k = np.arange(i, i + 1000.0)
-            yield k * 1e-3, np.sin(k), -k, ["x"] * 1000, k.astype(np.int64).astype("S")
+            yield k * 1e-3, np.sin(k), -k, np.full(1000, b"x"), k.astype(np.int64).astype("S")
 
     tracemalloc.start()
     try:

@@ -20,7 +20,8 @@ import pytest
 
 from wellpacket import writer
 from wellpacket.cli import main
-from wellpacket.writer import KERNEL_MIN, TABLE_CELLS, float_cells, json_scalar, table_text
+from wellpacket.writer import (KERNEL_MIN, TABLE_CELLS, float_cells, json_chunks, json_scalar,
+                               table_text)
 
 COUNT = 200_000          # values per precision
 
@@ -194,6 +195,21 @@ def test_integral_momenta_stay_in_the_kernel(one_by_one):
     assert got == [json_scalar(v, "%.12g") for v in values.tolist()]
 
 
+@pytest.mark.parametrize("json", [False, True], ids=["csv", "json"])
+@pytest.mark.parametrize("column, kind", [
+    ([0.5] * 3, "list"), (np.arange(3), "int64"), (np.array(["a", 1, None], object), "object"),
+], ids=["list", "int64", "object"])
+def test_table_columns_of_other_kinds_are_refused(column, kind, json):
+    # a column is a float64 or a bytes array; an int64 array would
+    # otherwise reach the bytes layout and be written as raw bytes
+    blocks = [[np.zeros(3), column]]
+    with pytest.raises(TypeError, match=f"not {kind}$"):
+        if json:
+            "".join(json_chunks({"rows": iter(blocks)}, "%.12g"))
+        else:
+            b"".join(table_text(blocks, "%.12g", False, b"", b",", b"\n"))
+
+
 POWERLAW = "[powerlaw]\nk = 1.5, 2, 2.05, infinity\nn_min = 0\nn_max = 300\n"
 
 
@@ -210,9 +226,9 @@ def _powerlaw_rows(out, fmt: str) -> list:
 def test_powerlaw_text_columns_stay_in_the_kernel(fmt, tmp_path, one_by_one):
     # k, n and T_rev ("periodic" for the oscillator, blank at n = 0) are
     # bytes arrays laid out whole: no text cell of the spectrum is written
-    # by itself.  Cell by cell go only the column names of the JSON file,
-    # the two floats of each well's n = 0 row (a block of one row, under
-    # KERNEL_MIN) and float cells the kernel sends one by one.
+    # by itself.  Cell by cell go only the two floats of each well's n = 0
+    # row (a block of one row, under KERNEL_MIN) and float cells the kernel
+    # sends one by one.
     ini = tmp_path / "run.ini"
     ini.write_text(POWERLAW)
     assert main(["powerlaw", "--config", str(ini), "--out", str(tmp_path), "--format", fmt]) == 0
@@ -220,14 +236,11 @@ def test_powerlaw_text_columns_stay_in_the_kernel(fmt, tmp_path, one_by_one):
     assert len(rows) == 4 * 301 and {r[4] for r in rows if r[1] == "0"} == {""}
     assert [r[4] for r in rows if r[0] == "2" and r[1] != "0"] == ["periodic"] * 300
     assert [r[0] for r in rows[::301]] == ["1.5", "2", "2.05", "infinity"]
-    names = [f'"{c}"' for c in ("k", "n", "E", "tau", "T_rev")] if fmt == "json" else []
-    assert one_by_one[:len(names)] == names
     # each text written by itself is a float cell of the file, counted
     # with its repeats: a text column sent cell by cell would add hundreds
     floats = [cell for r in rows for cell in r[2:5] if cell not in ("", "periodic")]
-    singles = one_by_one[len(names):]
-    assert all(singles.count(t) <= floats.count(t) for t in set(singles))
-    assert set(singles) >= {cell for r in rows if r[1] == "0" for cell in r[2:4]}
+    assert all(one_by_one.count(t) <= floats.count(t) for t in set(one_by_one))
+    assert set(one_by_one) >= {cell for r in rows if r[1] == "0" for cell in r[2:4]}
 
 
 def test_powerlaw_run_imports_no_string_module(tmp_path):
