@@ -48,6 +48,13 @@ _IMAG_TOL = 1e-12
 # How far <x> may stray outside [0, L], as a fraction of L.
 _WELL_TOL = 1e-9
 
+# Row of each form in MatrixElementTable.diagonals.
+_FORM_INDEX = {"x": 0, "x2": 1, "p": 2}
+
+# Bytes of one form's rows that the fold writes at once: a span of its
+# row blocks, so that a small window is written in few calls.
+_SPAN_BYTES = 2**18
+
 # The bilinear forms each series id is assembled from.
 _FORMS = {"x": ("x",), "x2": ("x2",), "p": ("p",), "p2": (),
           "dx": ("x", "x2"), "dp": ("p",)}
@@ -59,35 +66,102 @@ class NumericalConsistencyError(RuntimeError):
 
 @dataclass(frozen=True, eq=False)
 class MatrixElementTable:
-    """<m|O|n> for O in {x, x^2, p, p^2} over a level window, all real.
+    """<m|O|n> for O in {x, x^2, p, p^2} over a level window, in O(N) bytes.
 
-    ``x`` and ``x2`` are the N x N tables.  <m|p|n> is purely imaginary, so
-    ``p`` holds its imaginary part: <m|p|n> = i p[m, n].  <m|p^2|n> is
-    diagonal, so ``p2`` is the vector of p_n^2.
+    Every form is real.  <m|p|n> is purely imaginary, so the p form R holds
+    its imaginary part: <m|p|n> = i R[m, n].  <m|p^2|n> is diagonal, so
+    ``p2`` is the vector of p_n^2.  The x, x2 and p forms are not stored:
+    off the diagonal they are read from the six 1-D ``kernels`` of
+    build_matrix_elements, and ``diagonals`` holds their diagonals.
+    ``rows`` writes a row block of a form afresh; ``block`` is the dense
+    form, built once per window from row blocks and then kept.
     """
 
     n_min: int
     n_max: int
-    x: NDArray[np.float64]
-    x2: NDArray[np.float64]
-    p: NDArray[np.float64]
+    sys: WellSystem
+    kernels: NDArray[np.float64]
+    diagonals: NDArray[np.float64]
     p2: NDArray[np.float64]
+    _hankel: NDArray[np.float64] = field(init=False, repr=False)
+    _dense: dict = field(init=False, repr=False, default_factory=dict)
+
+    def __post_init__(self):
+        N = self.n_max - self.n_min + 1
+        K = self.kernels
+        if K.shape != (6, 2 * N - 1) or not K.flags.c_contiguous:
+            raise ValueError("kernels must be a contiguous 6 x (2N - 1) array")
+        # H[r][i, j] = K[r, i + j]: Hankel views of the kernels, no copy
+        H = as_strided(K, (6, N, N), (K.strides[0],) + 2 * K.strides[1:], writeable=False)
+        object.__setattr__(self, "_hankel", H)
 
     def covers(self, exp: EigenExpansion) -> bool:
         return self.n_min <= exp.n_min and exp.n_max <= self.n_max
 
-    def block(self, which: str, exp: EigenExpansion) -> NDArray[np.float64]:
-        """Sub-table aligned with the expansion's window; for p2, a slice."""
+    def _window(self, which: str, exp: EigenExpansion | None) -> tuple[int, int]:
+        """Table indices [i, j) of the expansion's window, the whole table
+        without one."""
         if which not in OBSERVABLES:
             raise ValueError(f"unknown observable {which!r}")
+        if exp is None:
+            return 0, self.n_max - self.n_min + 1
         if not self.covers(exp):
             raise ValueError(
                 f"table window [{self.n_min}, {self.n_max}] does not cover "
                 f"expansion window [{exp.n_min}, {exp.n_max}]")
-        i = exp.n_min - self.n_min
-        j = exp.n_max - self.n_min + 1
-        table = getattr(self, which)
-        return table[i:j] if which == "p2" else table[i:j, i:j]
+        return exp.n_min - self.n_min, exp.n_max - self.n_min + 1
+
+    def diagonal(self, which: str, exp: EigenExpansion | None = None) -> NDArray[np.float64]:
+        """The diagonal of a form over the window; for p2, its vector."""
+        i, j = self._window(which, exp)
+        return self.p2[i:j] if which == "p2" else self.diagonals[_FORM_INDEX[which], i:j]
+
+    def rows(self, which: str, s: slice, exp: EigenExpansion | None = None) -> NDArray[np.float64]:
+        """Rows s of the real form of ``which`` over the window, written
+        afresh from the kernels; the only temporaries are of the block's size.
+
+        Each entry rounds as the plain N x N formula does (see
+        build_matrix_elements), whichever rows the block holds.
+        """
+        i, j = self._window(which, exp)
+        lo, hi, _ = s.indices(j - i)
+        r, c = slice(i + lo, i + hi), slice(i, j)
+        H, L, hbar = self._hankel, self.sys.width_L, self.sys.hbar
+        if which == "x":
+            R = np.subtract(H[1, r, c], H[0, ::-1][r, c])
+            R *= 2.0 * L / np.pi**2
+        elif which == "x2":
+            R = np.subtract(H[2, ::-1][r, c], H[3, r, c])
+            R *= 2.0 * L**2 / np.pi**2
+        elif which == "p":
+            w = np.multiply(H[4, ::-1][r, c], H[5, r, c])
+            np.divide(1.0, w, out=w)
+            m = np.arange(self.n_min + r.start, self.n_min + r.stop, dtype=float)
+            n = np.arange(self.n_min + i, self.n_min + j, dtype=float)
+            R = np.multiply.outer(4.0 * hbar / L * m, n)
+            R *= w
+        else:
+            raise ValueError("p2 is diagonal: see MatrixElementTable.diagonal")
+        # the block's diagonal entries (k - lo, k) lie N + 1 apart from lo
+        R.reshape(-1)[lo::j - i + 1] = self.diagonals[_FORM_INDEX[which], i + lo:i + hi]
+        return R
+
+    def block(self, which: str, exp: EigenExpansion | None = None) -> NDArray[np.float64]:
+        """The dense form over the window (the whole table without one); for
+        p2, the slice of its vector.  The chunk path multiplies whole forms,
+        so the dense form is written once from row blocks (fold_rows) and
+        kept on the table: N^2 doubles per form and window asked for."""
+        i, j = self._window(which, exp)
+        if which == "p2":
+            return self.p2[i:j]
+        key = (which, i, j)
+        if key not in self._dense:
+            R = np.empty((j - i, j - i))
+            for s in fold_rows(j - i, 0):
+                R[s] = self.rows(which, s, exp)
+            R.setflags(write=False)
+            self._dense[key] = R
+        return self._dense[key]
 
 
 @dataclass(frozen=True, eq=False)
@@ -114,7 +188,7 @@ class TimeSeries:
 
 def build_matrix_elements(n_min: int, n_max: int,
                           sys: WellSystem = WellSystem()) -> MatrixElementTable:
-    """Closed-form tables over [n_min, n_max].
+    """Closed-form tables over [n_min, n_max], held as 1-D kernels.
 
     <m|x|n>  = L/2 on the diagonal; for m+n odd
                -(2L/pi^2) [1/(m-n)^2 - 1/(m+n)^2]; zero otherwise.
@@ -124,10 +198,10 @@ def build_matrix_elements(n_min: int, n_max: int,
     <m|p2|n> = delta_mn p_n^2, p_n the level momentum.
 
     Off the diagonal every entry is a function of d = m - n and s = m + n
-    (of equal parity), so each table is read from 1-D kernels over d and s
+    (of equal parity), so each form is read from 1-D kernels over d and s
     through read-only strided views, Toeplitz T[i, j] = c[i - j] and Hankel
-    H[i, j] = h[i + j], and written into its final array with no N x N
-    temporary:
+    H[i, j] = h[i + j]; MatrixElementTable.rows writes any row block of a
+    form from them, with no temporary larger than the block:
 
         x     = (2L/pi^2)   (H(g_s) - T(g_d)),  g = 1/d^2 at odd parity, else 0
         x2    = (2L^2/pi^2) (T(+-1/d^2) - H(+-1/s^2)),  sign (-1)^d
@@ -136,22 +210,25 @@ def build_matrix_elements(n_min: int, n_max: int,
     Each rounds as the plain N x N formulas do, bit for bit: 1/d^2 - 1/s^2
     is an exact negation of 1/s^2 - 1/d^2, and Im p is the numerator times
     the rounded reciprocal of the exact integer n^2 - m^2, as complex
-    division rounds.  Even pairs give +0.0 (1/inf).  The p table's
-    reciprocals are formed in x2's array before x2 is written.
+    division rounds.  Even pairs give +0.0 (1/inf).  The table holds the
+    kernels, the three diagonals and p_n^2: 16 N doubles, whatever N.
     """
     if not (1 <= n_min <= n_max):
         raise ValueError("need 1 <= n_min <= n_max")
-    L, hbar = sys.width_L, sys.hbar
+    L = sys.width_L
     N = n_max - n_min + 1
     ns = np.arange(n_min, n_max + 1, dtype=float)
 
     # kernel rows over t = 0 .. 2N-2, at d = t - (N-1) (rows 0, 2, 4) and
-    # s = 2 n_min + t (rows 1, 3, 5); d is odd where t - N is even
+    # s = 2 n_min + t (rows 1, 3, 5); d is odd where t - N is even.  Read as
+    # H[r][i, j] = K[r, i + j], the d rows are T = H[r, ::-1], K[r, N-1 - i + j],
+    # the kernel at j - i = n - m: the same as at m - n for the even rows 0
+    # and 2, and e(m - n) = n - m for row 4, which holds d
     K = np.empty((6, 2 * N - 1))
     K[4] = np.arange(1 - N, N)
     K[5] = np.arange(2 * n_min, 2 * n_max + 1)
     np.square(K[4:], out=K[:2])
-    K[0, N - 1] = 1.0               # d = 0: the diagonal is filled apart
+    K[0, N - 1] = 1.0               # d = 0: the diagonal is held apart
     np.divide(1.0, K[:2], out=K[:2])
     K[2:4] = K[:2]
     K[2, N % 2::2] *= -1.0          # (-1)^d / d^2
@@ -159,29 +236,16 @@ def build_matrix_elements(n_min: int, n_max: int,
     K[0, (N - 1) % 2::2] = 0.0      # even d
     K[1, ::2] = 0.0                 # even s
     K[4, (N - 1) % 2::2] = np.inf
-    # H[r][i, j] = K[r, i + j].  The d rows are read as T = H[r, ::-1],
-    # K[r, N-1 - i + j], the kernel at j - i = n - m: the same as at m - n
-    # for the even rows 0 and 2, and e(m - n) = n - m for row 4, which holds d
-    H = as_strided(K, (6, N, N), (K.strides[0],) + 2 * K.strides[1:], writeable=False)
 
-    x = np.subtract(H[1], H[0, ::-1])
-    x *= 2.0 * L / np.pi**2
-    x.reshape(-1)[::N + 1] = L / 2.0
-
-    w = np.multiply(H[4, ::-1], H[5])
-    np.divide(1.0, w, out=w)
-    p = np.multiply.outer(4.0 * hbar / L * ns, ns)
-    p *= w
-
-    x2 = np.subtract(H[2, ::-1], H[3], out=w)
-    x2 *= 2.0 * L**2 / np.pi**2
-    x2.reshape(-1)[::N + 1] = L**2 * (1.0 / 3.0 - 1.0 / (2.0 * ns**2 * np.pi**2))
-
+    diagonals = np.zeros((3, N))
+    diagonals[0] = L / 2.0
+    diagonals[1] = L**2 * (1.0 / 3.0 - 1.0 / (2.0 * ns**2 * np.pi**2))
     p2 = level_momentum(np.arange(n_min, n_max + 1), sys) ** 2
 
-    for arr in (x, x2, p, p2):
+    for arr in (K, diagonals, p2):
         arr.setflags(write=False)
-    return MatrixElementTable(n_min=int(n_min), n_max=int(n_max), x=x, x2=x2, p=p, p2=p2)
+    return MatrixElementTable(n_min=int(n_min), n_max=int(n_max), sys=sys, kernels=K,
+                              diagonals=diagonals, p2=p2)
 
 
 def table_for(exp: EigenExpansion) -> MatrixElementTable:
@@ -211,53 +275,72 @@ def _series(exp: EigenExpansion, table: MatrixElementTable, ids: tuple[str, ...]
 
     The fold (EigenExpansion.fold), on an exact grid: b_m* b_n carries the
     phase 2 pi (m^2 - n^2) theta, so each form's off-diagonal pairs are
-    binned at m^2 - n^2 mod q in row blocks of the table, one FFT gives every
+    binned at m^2 - n^2 mod q in row blocks (fold_rows), one FFT gives every
     sample, and the diagonal, constant in time, is added as an exact sum.
+    The table writes the forms' rows from its kernels (MatrixElementTable.rows)
+    for a span of blocks at a time, dropped after the span, so the fold holds
+    O(N rows + q), whatever N^2.
 
     The chunks (EigenExpansion.map_chunks): b is formed once per chunk.
-    Each form is R or i R for the real table R (MatrixElementTable), so with
-    b = br + i bi it takes two real GEMMs, y = br R^T and y = bi R^T, and four
-    row sums: Sum b* R b = (br.Rbr + bi.Rbi) + i (br.Rbi - bi.Rbr).  The spent
-    phase block P holds y, so a chunk needs P, br and bi: two chunks' bytes.
+    Each form is R or i R for the dense real form R (MatrixElementTable.block),
+    so with b = br + i bi it takes two real GEMMs, y = br R^T and y = bi R^T,
+    and four row sums: Sum b* R b = (br.Rbr + bi.Rbi) + i (br.Rbi - bi.Rbr).
+    The spent phase block P holds y, so a chunk needs P, br and bi: two
+    chunks' bytes.
     """
     for which in ids:
         if which not in SERIES_IDS:
             raise ValueError(f"unknown series id {which!r}")
     t = np.asarray(times, dtype=float).reshape(-1)
     forms = [f for f in ("x", "x2", "p") if any(f in _FORMS[w] for w in ids)]
-    reals = [(f == "p", np.ascontiguousarray(table.block(f, exp))) for f in forms]
+    mags = np.abs(exp.coefficients)
+    # <O>_t is real, so its imaginary part is rounding in the sum over m, n,
+    # bounded by a small multiple of eps Sum |b_m||b_n||O_mn|; |b_n(t)| = |a_n|
+    # makes that scale the same at every t, and |O_mn| = |R_mn| exactly for
+    # O = i R
+    scales = np.zeros(len(forms))
 
     def assemble(P):
         b = np.multiply(exp.coefficients, P, out=P)
         br, bi = np.ascontiguousarray(b.real), np.ascontiguousarray(b.imag)
         y = P.view(np.float64).reshape(-1)[:br.size].reshape(br.shape)
         out = np.empty((len(forms), br.shape[0]), dtype=complex)
-        for k, (imaginary, R) in enumerate(reals):
+        for k, (f, R) in enumerate(zip(forms, dense)):
             np.matmul(br, R.T, out=y)
             rr, ir = np.einsum("ij,ij->i", br, y), np.einsum("ij,ij->i", bi, y)
             np.matmul(bi, R.T, out=y)
             ri, ii = np.einsum("ij,ij->i", br, y), np.einsum("ij,ij->i", bi, y)
             re, im = rr + ii, ri - ir
-            # i (re + i im) = -im + i re for an imaginary table
-            out[k].real, out[k].imag = (-im, re) if imaginary else (re, im)
+            # i (re + i im) = -im + i re for an imaginary form
+            out[k].real, out[k].imag = (-im, re) if f == "p" else (re, im)
         return out
 
     def pairs(q: int):
         # the fold's blocks: conj(a_m) a_n O_mn at residues m^2 - n^2 mod q
-        # for m in a row slice, the diagonal m = n left out
+        # for m in a row slice, the diagonal m = n left out.  The forms' rows
+        # are written for a span of whole blocks at once, up to _SPAN_BYTES a
+        # form, so that small blocks do not each pay the call overhead
         a, n2 = exp.coefficients, exp.square_residues(q)
-        for s in fold_rows(a.size, q):
-            r = np.subtract.outer(n2[s], n2)
-            np.remainder(r, q, out=r)
-            ab = np.multiply.outer(a[s].conj(), a)
-            i = np.arange(s.stop - s.start)
-            ab[i, s.start + i] = 0.0
-            w = np.empty((len(forms),) + ab.shape, dtype=complex)
-            for k, (imaginary, R) in enumerate(reals):
-                np.multiply(ab, R[s], out=w[k])
-                if imaginary:
-                    w[k] *= 1j
-            yield r, w
+        blocks = fold_rows(a.size, q)
+        per = max(1, _SPAN_BYTES // (8 * a.size * (blocks[0].stop - blocks[0].start)))
+        for g in range(0, len(blocks), per):
+            group = blocks[g:g + per]
+            top, span = group[0].start, slice(group[0].start, group[-1].stop)
+            rows = [table.rows(f, span, exp) for f in forms]
+            for s in group:
+                r = np.subtract.outer(n2[s], n2)
+                np.remainder(r, q, out=r)
+                ab = np.multiply.outer(a[s].conj(), a)
+                i = np.arange(s.stop - s.start)
+                ab[i, s.start + i] = 0.0
+                w = np.empty((len(forms),) + ab.shape, dtype=complex)
+                for k, (f, R) in enumerate(zip(forms, rows)):
+                    np.multiply(ab, R[s.start - top:s.stop - top], out=w[k])
+                    if f == "p":
+                        w[k] *= 1j
+                yield r, w
+            for k, R in enumerate(rows):
+                scales[k] += mags[span] @ (np.abs(R, out=R) @ mags)
 
     if not forms:
         raw = []
@@ -265,19 +348,15 @@ def _series(exp: EigenExpansion, table: MatrixElementTable, ids: tuple[str, ...]
         raw = exp.fold(pairs(theta.den), theta, len(forms))
         # the diagonal Sum |a_n|^2 O_nn, exactly rounded, keeps the constant
         # bin within rounding of its pairs however many rows a block holds
-        raw += np.array([math.fsum(exp.weights * np.diagonal(R)) * (1j if imaginary else 1)
-                         for imaginary, R in reals])[:, None]
+        raw += np.array([math.fsum(exp.weights * table.diagonal(f, exp)) * (1j if f == "p" else 1)
+                         for f in forms])[:, None]
     else:
+        dense = [table.block(f, exp) for f in forms]
         raw = exp.map_chunks(assemble, t, np.empty((len(forms), t.size), dtype=complex),
                              theta=theta)
-    mags = np.abs(exp.coefficients)
+        scales[:] = [mags @ np.abs(R) @ mags for R in dense]
     vals = {}
-    for f, (_, R), v in zip(forms, reals, raw):
-        # <O>_t is real, so its imaginary part is rounding in the sum over
-        # m, n, bounded by a small multiple of eps Sum |b_m||b_n||O_mn|;
-        # |b_n(t)| = |a_n| makes that scale the same at every t, and
-        # |O_mn| = |R_mn| exactly for O = i R.
-        scale = float(mags @ np.abs(R) @ mags)
+    for f, scale, v in zip(forms, scales, raw):
         worst = float(np.max(np.abs(v.imag))) if v.size else 0.0
         if worst > _IMAG_TOL * scale:
             raise NumericalConsistencyError(
@@ -292,7 +371,7 @@ def _series(exp: EigenExpansion, table: MatrixElementTable, ids: tuple[str, ...]
             raise NumericalConsistencyError(
                 f"<x> = {x[np.argmax(out_of_well)]} outside the well")
     if any(w in ("p2", "dp") for w in ids):
-        vals["p2"] = np.full(t.size, math.fsum(exp.weights * table.block("p2", exp)))
+        vals["p2"] = np.full(t.size, math.fsum(exp.weights * table.diagonal("p2", exp)))
 
     out = []
     for which in ids:

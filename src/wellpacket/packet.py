@@ -19,7 +19,7 @@ from numpy.typing import NDArray
 from .system import WellSystem, eigenenergy, level_momentum
 
 __all__ = ["PacketSpec", "EigenExpansion", "Theta", "build_gaussian_packet",
-           "initial_moments", "takes_fold", "PHASE_CHUNK_BYTES"]
+           "initial_moments", "takes_fold", "PHASE_CHUNK_BYTES", "RESIDUE_TABLE_BYTES"]
 
 # Raw Gaussian weight that may be discarded by clipping the window at n = 1
 # before the construction is flagged.
@@ -28,7 +28,12 @@ _TRUNCATION_WARN_WEIGHT = 1e-8
 # Bytes of complex128 phase factors one time chunk of the phase kernel may
 # hold.  Every series and scan reduces one chunk before building the next,
 # so memory stays bounded however many time samples a run asks for.
-PHASE_CHUNK_BYTES = 16 * 2**20
+PHASE_CHUNK_BYTES = 2**20
+
+# Bytes of complex128 a length-q array over the residues of an exact grid may
+# hold: one form's fold bins, or the chunks' table of unit roots.  Apart from
+# PHASE_CHUNK_BYTES, so that the chunk size never decides which path runs.
+RESIDUE_TABLE_BYTES = 16 * 2**20
 
 # Exact phases form (n^2 mod q)(num mod q) in int64, which holds for a
 # denominator q below 2^31.5; a time grid with a larger q takes the float path.
@@ -52,7 +57,7 @@ def takes_fold(times, theta: "Theta | None", terms: int) -> bool:
 
     On the exact grid ``theta`` of denominator q, the fold costs
     terms + q log2 q and the chunks T terms for T times; the fold takes
-    them when it is the cheaper and its length-q bins fit PHASE_CHUNK_BYTES,
+    them when it is the cheaper and its length-q bins fit RESIDUE_TABLE_BYTES,
     as the chunks' unit-root table must.  A moment sums N^2 terms, a
     correlation N.  Float times (no theta) always take the chunks, and a
     theta that does not hold one value per time is refused either way.
@@ -62,7 +67,7 @@ def takes_fold(times, theta: "Theta | None", terms: int) -> bool:
     if theta is None:
         return False
     q = theta.den
-    return terms + q * math.log2(q) < t.size * terms and 16 * q <= PHASE_CHUNK_BYTES
+    return terms + q * math.log2(q) < t.size * terms and 16 * q <= RESIDUE_TABLE_BYTES
 
 
 def fold_rows(n_levels: int, q: int) -> list[slice]:
@@ -210,9 +215,10 @@ class EigenExpansion:
 
         With theta, P = exp(-2 pi i r / q) for the exact residue
         r = (n^2 mod q)(num mod q) mod q, gathered from a table of the q unit
-        roots built here, once per call; when q exceeds the work or the chunk
-        budget, exp is taken of r / q instead.  Without theta, P is the float
-        exp(-i E_n t / hbar), whose phase error grows as eps E_n t / hbar.
+        roots built here, once per call; when q exceeds the work or
+        RESIDUE_TABLE_BYTES, exp is taken of r / q instead.  Without theta,
+        P is the float exp(-i E_n t / hbar), whose phase error grows as
+        eps E_n t / hbar.
         """
         if theta is None:
             def block(s: slice):
@@ -222,7 +228,7 @@ class EigenExpansion:
         q = theta.den
         n2 = self.square_residues(q)
         roots = None
-        if q <= t.size * n2.size and 16 * q <= PHASE_CHUNK_BYTES:
+        if q <= t.size * n2.size and 16 * q <= RESIDUE_TABLE_BYTES:
             roots = np.exp(np.arange(q) * (-2j * math.pi / q))
 
         def block(s: slice):

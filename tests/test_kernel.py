@@ -14,6 +14,7 @@ from wellpacket import (OBSERVABLES, PacketSpec, Theta, autocorrelation_series,
                         expectation_series, mirror_correlation_series,
                         revival_scan, table_for)
 from wellpacket import packet
+from wellpacket.packet import takes_fold
 
 from oracles import dense_expectation, direct_correlation, mp_moments, operator_block
 
@@ -68,6 +69,48 @@ def test_chunks_balance_the_budget_without_single_rows(monkeypatch):
         assert max(lengths, default=0) - min(lengths, default=0) <= 1
         if n_times > 1:
             assert min(lengths) >= 2, n_times
+
+
+def test_chunks_hold_two_rows_while_two_rows_fit():
+    # at the 1 MiB budget, 21845 levels leave 3 rows a chunk, 21846 and 32768
+    # leave 2, and past 32768 two rows exceed it; a one-row slice of a longer
+    # block appears only where the budget forces it: one row a chunk, or two
+    # rows a chunk over an odd number of times (one slice of one row)
+    assert packet.PHASE_CHUNK_BYTES == 2**20
+    for n_levels, rows in ((21845, 3), (21846, 2), (32768, 2), (32769, 1), (40000, 1)):
+        assert rows == max(1, packet.PHASE_CHUNK_BYTES // (16 * n_levels))
+        for n_times in range(2, 40):
+            lengths = [s.stop - s.start for s in packet._time_chunks(n_times, n_levels)]
+            assert sum(lengths) == n_times and max(lengths) <= rows
+            assert max(lengths) - min(lengths) <= 1
+            singles = lengths.count(1)
+            if rows == 1:
+                assert singles == n_times
+            elif rows == 2 and n_times % 2:
+                assert singles == 1, (n_levels, n_times)
+            else:
+                assert singles == 0, (n_levels, n_times)
+
+
+@pytest.mark.parametrize("budget", [2**10, 2**20, 2**26])
+def test_residue_tables_switch_at_16_mib_whatever_the_chunk_budget(monkeypatch, default_exp,
+                                                                  budget):
+    # the fold's bins and the unit-root table hold 16 q bytes each: both are
+    # taken up to q = 2^20 and not past it, however large a chunk may be,
+    # so the chunk budget never decides which path a job takes
+    monkeypatch.setattr(packet, "PHASE_CHUNK_BYTES", budget)
+    assert packet.RESIDUE_TABLE_BYTES == 16 * 2**20
+    # 21000 times at N = 51 are more phase terms than 2^20 + 1 residues, so
+    # only the size cap can refuse the gather
+    n_times = 21000
+    times = np.zeros(n_times)
+    assert n_times * len(default_exp.energies) > 2**20 + 1
+    for q, taken in ((2**20, True), (2**20 + 1, False)):
+        theta = Theta(np.zeros(n_times, dtype=np.int64), q)
+        assert packet.takes_fold(times, theta, 509**2) == taken, q
+        # the gather builds its table of q unit roots when the block function is made
+        peak_bytes = _traced_peak(lambda: default_exp._phase_rows(times, theta))
+        assert (peak_bytes >= 16 * q) == taken, (q, peak_bytes)
 
 
 def test_chunk_split_does_not_change_values(monkeypatch, default_exp, default_table):
@@ -128,55 +171,86 @@ def test_kernel_matches_direct_sums(monkeypatch, sys0, n0, dx0, strobes):
     assert np.max(np.abs([p.height for p in peaks] - direct)) <= 1e-12
 
 
-def test_revival_scan_memory_is_bounded(monkeypatch, sys0):
+def _traced_peak(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_revival_scan_memory_is_bounded(sys0):
     # [0, T] at tau/2 for N = 283 levels is a 6001 x 283 phase matrix
-    # (27 MB complex); with a 1 MiB budget the scan holds one chunk of it
+    # (27 MB complex); the scan holds one 1 MiB chunk of it at a time
     spec = PacketSpec(n0=1500, x0=0.5, dx0=0.009)
     exp = build_gaussian_packet(spec, sys0)
     rep = compute_timescales(sys0, spec)
-    assert len(exp.coefficients) == 283
-    monkeypatch.setattr(packet, "PHASE_CHUNK_BYTES", 2**20)
-    tracemalloc.start()
-    try:
-        peaks = revival_scan(exp, (0.0, rep.T_rev), rep.tau / 2, 0.3)
-        _, peak_bytes = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    assert len(exp.coefficients) == 283 and packet.PHASE_CHUNK_BYTES == 2**20
+    peaks = []
+    peak_bytes = _traced_peak(lambda: peaks.extend(
+        revival_scan(exp, (0.0, rep.T_rev), rep.tau / 2, 0.3)))
     assert any(p.fraction == (1, 1) for p in peaks)
-    assert peak_bytes < 4 * 2**20
+    # float times: the chunk, its real phases and the complex temporaries
+    # of exp; measured 1.87 MiB, bound 20% above
+    assert peak_bytes < 2.25 * 2**20
     assert math.isclose(rep.T_rev / (rep.tau / 2), 6000.0, rel_tol=1e-12)
-    # the exact path: a 96 kB table of 6000 unit roots, and an int64 residue
-    # block beside each chunk
-    tracemalloc.start()
-    try:
-        exact = revival_scan(exp, (0.0, rep.T_rev), rep.tau / 2, 0.3,
-                             theta=(0, Fraction(1, 6000)))
-        _, peak_bytes = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    # the exact grid of 6000 residues takes the fold: two columns of 6000
+    # bins, their FFT and the curves; measured 0.81 MiB, bound 23% above
+    exact = []
+    peak_bytes = _traced_peak(lambda: exact.extend(
+        revival_scan(exp, (0.0, rep.T_rev), rep.tau / 2, 0.3, theta=(0, Fraction(1, 6000)))))
     assert [p.time for p in exact] == [p.time for p in peaks]
-    assert peak_bytes < 4 * 2**20
+    assert peak_bytes < 2**20
+    # a window scan whose grid is finer than its 2001 samples (q = 96000 at
+    # T/2 +- 1000 steps) takes the chunks: the 1.5 MB table of q unit roots,
+    # and an int64 residue block beside each chunk; measured 1.57 chunks
+    # beside the table (a 16 MiB chunk held 9.1 MB of phases and 4.5 MB of
+    # residues here)
+    q = 96000
+    step, start = Fraction(1, q), Fraction(1, 2) - Fraction(1000, q)
+    window = (float(start) * rep.T_rev, float(start + 2000 * step) * rep.T_rev)
+    res = float(step) * rep.T_rev
+    grid = Theta.progression(start, step, 2001)
+    assert not takes_fold(np.zeros(2001), grid, 283) and 16 * q <= packet.RESIDUE_TABLE_BYTES
+    found = []
+    peak_bytes = _traced_peak(lambda: found.extend(
+        revival_scan(exp, window, res, 0.3, theta=(start, step))))
+    assert any(p.fraction == (1, 2) for p in found)
+    assert peak_bytes <= 16 * q + 1.8 * packet.PHASE_CHUNK_BYTES
 
 
 def test_series_memory_is_about_two_chunks(sys0):
-    # 20000 samples over [0, T] at N = 85 are two chunks of 10000 rows
-    # (13.6 MB of complex phases each); the assembly keeps the chunk, its
-    # real and imaginary halves and no chunk-sized product besides
+    # 20000 samples over [0, T] at N = 85 are 26 chunks of 769 or 770 rows
+    # (1 MiB of complex phases each); the assembly keeps the chunk, its real
+    # and imaginary halves and no chunk-sized product besides, next to the
+    # (3, 20000) complex output
     spec = PacketSpec(n0=800, x0=0.5, dx0=0.03)
     exp = build_gaussian_packet(spec, sys0)
     times = np.linspace(0.0, compute_timescales(sys0, spec).T_rev, 20000)
     chunks = packet._time_chunks(times.size, len(exp.coefficients))
-    assert len(exp.coefficients) == 85 and len(chunks) == 2
-    chunk_bytes = 16 * len(exp.coefficients) * (chunks[0].stop - chunks[0].start)
+    assert len(exp.coefficients) == 85 and len(chunks) == 26
+    chunk_bytes = 16 * len(exp.coefficients) * max(s.stop - s.start for s in chunks)
     table = table_for(exp)
-    tracemalloc.start()
-    try:
-        expectation_series(exp, table, ("x", "dx", "p", "dp"), times)
-        _, peak_bytes = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    # measured 2.2 chunks; a product per table beside b and b.conj() was 3.1
-    assert peak_bytes <= 2.8 * chunk_bytes
+    for f in ("x", "x2", "p"):
+        table.block(f, exp)          # the dense forms, kept on the table
+    peak_bytes = _traced_peak(
+        lambda: expectation_series(exp, table, ("x", "dx", "p", "dp"), times))
+    # measured 2.09 chunks besides the output; a product per table beside b
+    # and b.conj() was 3.1
+    assert peak_bytes <= 2.4 * chunk_bytes + 3 * 16 * times.size
+
+
+def test_dense_forms_are_built_once_and_kept(default_exp):
+    # the chunk path multiplies whole forms: the first call writes them from
+    # row blocks, later calls on that table reuse them
+    table = table_for(default_exp)
+    N = len(default_exp.coefficients)
+    first = _traced_peak(lambda: expectation_series(default_exp, table, ("x", "p"), [0.1]))
+    kept = table.block("x", default_exp)
+    again = _traced_peak(lambda: expectation_series(default_exp, table, ("x", "p"), [0.2]))
+    assert table.block("x", default_exp) is kept and not kept.flags.writeable
+    assert first >= 2 * 8 * N * N > again
 
 
 # Exact times: k / (2 n0) are whole bounce periods, the rest fractional
@@ -243,7 +317,7 @@ def test_exact_phase_paths_agree(monkeypatch, default_exp):
 
     table = block()
     assert theta.den <= times.size * len(default_exp.energies)
-    monkeypatch.setattr(packet, "PHASE_CHUNK_BYTES", 16 * theta.den - 1)
+    monkeypatch.setattr(packet, "RESIDUE_TABLE_BYTES", 16 * theta.den - 1)
     reduced = block()
     assert np.max(np.abs(table - direct)) <= 1e-15
     assert np.max(np.abs(reduced - direct)) <= 1e-15

@@ -5,6 +5,7 @@ basis functions (the oracle knows nothing about the closed forms), then
 the assembled dynamics against grid moments and classical references.
 """
 
+import dataclasses
 import math
 import tracemalloc
 from fractions import Fraction
@@ -14,13 +15,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wellpacket import (MomentumGrid, NumericalConsistencyError, PacketSpec,
-                        SpatialGrid, Theta, TimeSeries, WellSystem, build_gaussian_packet,
-                        build_matrix_elements, expectation, expectation_series,
-                        momentum_wavefunction, position_wavefunction,
+from wellpacket import (MatrixElementTable, MomentumGrid, NumericalConsistencyError,
+                        PacketSpec, SpatialGrid, Theta, TimeSeries, WellSystem,
+                        build_gaussian_packet, build_matrix_elements, expectation,
+                        expectation_series, momentum_wavefunction, position_wavefunction,
                         probability_density, sample_series, spec_hash,
                         compute_timescales, table_for, uncertainty,
                         uncertainty_series)
+from wellpacket import observables
+from wellpacket.packet import fold_rows, takes_fold
 
 from oracles import (dense_matrix_elements, operator_block, p2_quad, p_quad,
                      x_power_quad)
@@ -54,40 +57,50 @@ def test_matrix_elements_against_quadrature(small_table, sys0, rng):
 
 def test_known_entries(small_table, sys0):
     L = sys0.width_L
-    assert small_table.x[0, 1] == pytest.approx(-16.0 * L / (9.0 * math.pi**2), rel=1e-14)
-    assert small_table.x[4, 4] == pytest.approx(L / 2.0, rel=1e-15)
-    assert small_table.x[1, 3] == pytest.approx(0.0, abs=1e-15)   # even m+n, off-diagonal
+    x, x2, p = (small_table.block(f) for f in ("x", "x2", "p"))
+    assert x[0, 1] == pytest.approx(-16.0 * L / (9.0 * math.pi**2), rel=1e-14)
+    assert x[4, 4] == pytest.approx(L / 2.0, rel=1e-15)
+    assert x[1, 3] == pytest.approx(0.0, abs=1e-15)   # even m+n, off-diagonal
     n = 7
-    assert small_table.x2[n - 1, n - 1] == pytest.approx(
+    assert x2[n - 1, n - 1] == pytest.approx(
         L**2 * (1.0 / 3.0 - 1.0 / (2.0 * n**2 * math.pi**2)), rel=1e-14)
     # <m|p|n> = i p[m, n]
-    assert 1j * small_table.p[0, 1] == pytest.approx(
+    assert 1j * p[0, 1] == pytest.approx(
         -4j * sys0.hbar / L * 2.0 / (1.0 - 4.0), rel=1e-14)
-    assert small_table.p[2, 2] == 0.0
+    assert p[2, 2] == 0.0
     assert small_table.p2[9] == pytest.approx((10 * math.pi * sys0.hbar / L) ** 2,
                                               rel=1e-14)
     assert small_table.p2.shape == (40,)
 
 
 def test_hermiticity(small_table):
-    assert np.allclose(small_table.x, small_table.x.T, atol=1e-15)
-    assert np.allclose(small_table.x2, small_table.x2.T, atol=1e-15)
+    for f in ("x", "x2"):
+        assert np.allclose(small_table.block(f), small_table.block(f).T, atol=1e-15)
     p = operator_block(small_table, "p")
     assert np.allclose(p, p.conj().T, atol=1e-15)
 
 
 def _assert_tables_bitwise(n_min, n_max, sys):
-    """The structured build against the plain N x N formulas, bit for bit."""
+    """Every row block the table serves, in the fold's blocks and in uneven
+    ones, the dense form the chunk path uses and the diagonals, against the
+    plain N x N formulas, bit for bit."""
     table = build_matrix_elements(n_min, n_max, sys)
     x, x2, p, p2 = dense_matrix_elements(n_min, n_max, sys.width_L, sys.hbar)
-    bits = lambda a: np.ascontiguousarray(a).view(np.uint64)
-    for name, got, want in (("x", table.x, x), ("x2", table.x2, x2),
-                            ("Im p", table.p, p.imag), ("p2", table.p2, np.diagonal(p2))):
-        assert np.array_equal(bits(got), bits(want)), (name, n_min, n_max, sys)
     assert not np.any(p.real)
+    bits = lambda a: np.ascontiguousarray(a).view(np.uint64)
     N = n_max - n_min + 1
-    assert table.p.dtype == np.float64 and table.x.shape == table.p.shape == (N, N)
-    assert table.p2.shape == (N,)
+    cuts = fold_rows(N, 0) + fold_rows(N, 37 * N) + [
+        slice(a, b) for a, b in ((0, N), (0, 1), (N // 3, N // 3 + 1), (N // 2, N), (N - 1, N))]
+    for name, want in (("x", x), ("x2", x2), ("p", p.imag)):
+        for s in cuts:
+            got = table.rows(name, s)
+            assert got.dtype == np.float64 and got.shape == want[s].shape
+            assert np.array_equal(bits(got), bits(want[s])), (name, s, n_min, n_max, sys)
+        dense = table.block(name)
+        assert dense.shape == (N, N) and np.array_equal(bits(dense), bits(want)), (name, sys)
+        assert np.array_equal(bits(table.diagonal(name)), bits(np.diagonal(want)))
+    assert np.array_equal(bits(table.p2), bits(np.diagonal(p2)))
+    assert table.diagonal("p2") is not None and np.array_equal(table.diagonal("p2"), table.p2)
 
 
 WINDOWS = [(1, 1), (1, 2), (5, 5), (1, 40), (300, 500), (1, 600), (1200, 1710),
@@ -107,41 +120,75 @@ def test_drawn_tables_match_the_dense_formulas_bitwise(n_min, size, sys):
     _assert_tables_bitwise(n_min, n_min + size - 1, sys)
 
 
-def test_table_build_holds_one_table_of_scratch():
-    # the three N x N tables and the p2 vector, plus at most one N x N
-    # float64 while they are built
-    n_min, n_max = 3742, 4250
-    N = n_max - n_min + 1
+def _traced(fn):
+    """fn's result, and the bytes it leaves held and its peak under tracemalloc."""
     tracemalloc.start()
     try:
-        table = build_matrix_elements(n_min, n_max)
-        _, peak = tracemalloc.get_traced_memory()
+        result = fn()
+        held, peak = tracemalloc.get_traced_memory()
+        return result, held, peak
     finally:
         tracemalloc.stop()
-    tables = sum(getattr(table, k).nbytes for k in ("x", "x2", "p", "p2"))
-    assert tables == 24 * N * N + 8 * N
-    assert peak <= tables + 8 * N * N
 
 
-def test_table_and_fold_series_hold_under_five_tables():
-    # table_for and the four-series fold call over 7993 strobes at N = 509:
-    # the three tables, the fold's bins and row blocks, and the output;
-    # measured 4.25 N^2 doubles
+def test_table_build_holds_order_n_bytes():
+    # the six kernels of length 2N - 1, the three diagonals and p_n^2: 16 N
+    # doubles, and no N x N array, held or built; measured 17.0 N doubles
+    # held (with the objects) and a peak of 19.8 at N = 509
+    for n_min, n_max in ((3742, 4250), (36000, 41000)):
+        N = n_max - n_min + 1
+        table, held, peak = _traced(lambda: build_matrix_elements(n_min, n_max))
+        arrays = table.kernels.nbytes + table.diagonals.nbytes + table.p2.nbytes
+        assert arrays == 8 * (6 * (2 * N - 1) + 3 * N + N)
+        assert held <= 8 * 17.5 * N and peak <= 8 * 21 * N
+
+
+def _fold_bound(N, rows, q, T):
+    # two of the fold's row blocks in flight (residues, pair weights and the
+    # forms' weights: measured 19.6 N rows doubles at most), the three forms'
+    # rows of one span of blocks (observables._SPAN_BYTES each, or one
+    # block), the bins of three forms and their FFT (96 q bytes) and the
+    # (3, T) output
+    span = max(1, observables._SPAN_BYTES // (8 * N * rows)) * 8 * N * rows
+    return 22 * 8 * N * rows + 3 * span + 96 * q + 48 * T
+
+
+def test_table_and_fold_series_hold_order_n_rows_plus_q():
+    # table_for and the four-series fold call over 7993 strobes at N = 509
+    # peak at 2.95 MB, against 4.25 N^2 doubles (8.8 MB) with dense tables
     spec = PacketSpec(n0=3996, x0=0.3, dx0=0.005)
     exp = build_gaussian_packet(spec)
     count = 7993
     times = np.arange(count) * compute_timescales(exp.sys, spec).tau
     theta = Theta.progression(0, Fraction(1, 2 * spec.n0), count)
     N = exp.coefficients.size
-    assert N == 509
-    tracemalloc.start()
-    try:
-        table = table_for(exp)
-        expectation_series(exp, table, ("x", "dx", "p", "dp"), times, theta=theta)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= 5 * 8 * N * N
+    rows = fold_rows(N, theta.den)[0].stop
+    assert (N, rows) == (509, 16)
+    _, _, peak = _traced(lambda: expectation_series(exp, table_for(exp), ("x", "dx", "p", "dp"),
+                                                    times, theta=theta))
+    assert peak <= _fold_bound(N, rows, theta.den, count)
+
+
+def test_fold_series_at_five_thousand_levels_holds_order_n_rows_plus_q():
+    # n0 = 40000, dx0 = 0.0005 is N = 5093: three dense tables would hold
+    # 0.62 GB; the fold's row blocks hold O(N rows + q), measured 17.0 MB
+    spec = PacketSpec(n0=40000, x0=0.3, dx0=0.0005)
+    exp = build_gaussian_packet(spec)
+    count = 20
+    rep = compute_timescales(exp.sys, spec)
+    times = np.arange(count) * rep.tau
+    theta = Theta.progression(0, Fraction(1, 2 * spec.n0), count)
+    N = exp.coefficients.size
+    rows = fold_rows(N, theta.den)[0].stop
+    assert (N, rows) == (5093, 16) and takes_fold(times, theta, N * N)
+    (x, dx, p, dp), _, peak = _traced(lambda: expectation_series(
+        exp, table_for(exp), ("x", "dx", "p", "dp"), times, theta=theta))
+    assert peak <= _fold_bound(N, rows, theta.den, count)
+    # the launch values at t = 0, and Heisenberg's bound at every strobe
+    p0 = spec.n0 * math.pi * exp.sys.hbar / exp.sys.width_L
+    assert (x[0], p[0]) == (pytest.approx(0.3, abs=1e-9), pytest.approx(p0, rel=1e-9))
+    assert (dx[0], dp[0]) == (pytest.approx(0.0005, rel=1e-6), pytest.approx(1000.0, rel=1e-6))
+    assert np.all(dx * dp >= 0.5 * exp.sys.hbar * (1 - 1e-9))
 
 
 P2_LADDER = [(n0, dx0) for n0 in (12, 40, 150, 400, 1500, 4000)
@@ -163,15 +210,26 @@ def test_mean_square_momentum_is_correctly_rounded(n0, dx0):
 
 
 def test_block_alignment(default_exp, default_table, sys0):
+    # a wider table serves the expansion's window: its dense forms, row
+    # blocks and diagonals, equal to those of the table of that window
     wide = build_matrix_elements(300, 500, sys0)
-    a = default_table.block("x", default_exp)
-    b = wide.block("x", default_exp)
-    assert np.array_equal(a, b)
+    for f in ("x", "x2", "p"):
+        assert np.array_equal(default_table.block(f, default_exp), wide.block(f, default_exp))
+        for s in (slice(0, 16), slice(16, 51), slice(50, 51)):
+            assert np.array_equal(default_table.rows(f, s, default_exp),
+                                  wide.rows(f, s, default_exp)), (f, s)
+    for f in ("x", "x2", "p", "p2"):
+        assert np.array_equal(default_table.diagonal(f, default_exp),
+                              wide.diagonal(f, default_exp)), f
+    assert np.array_equal(default_table.block("p2", default_exp), wide.block("p2", default_exp))
     narrow = build_matrix_elements(380, 420, sys0)
-    with pytest.raises(ValueError):
-        narrow.block("x", default_exp)
+    for call in (narrow.block, narrow.diagonal, lambda f, e: narrow.rows(f, slice(0, 2), e)):
+        with pytest.raises(ValueError, match="does not cover"):
+            call("x", default_exp)
     with pytest.raises(ValueError):
         default_table.block("energy", default_exp)
+    with pytest.raises(ValueError, match="p2 is diagonal"):
+        default_table.rows("p2", slice(0, 2), default_exp)
 
 
 def test_initial_expectations(default_exp, default_table):
@@ -314,33 +372,63 @@ def test_uncertainty_rejects_nonquadratic(default_exp, default_table):
         uncertainty(default_exp, default_table, "x2", 0.0)
 
 
+def _serving(table, which, M):
+    """A copy of ``table`` that serves the N x N array M as its form
+    ``which``: in its row blocks (the fold), its diagonal and the dense form
+    written from its row blocks (the chunks)."""
+    class Tampered(MatrixElementTable):
+        def rows(self, w, s, exp=None):
+            return M[s].copy() if w == which else super().rows(w, s, exp)
+
+        def diagonal(self, w, exp=None):
+            return np.diagonal(M).copy() if w == which else super().diagonal(w, exp)
+
+    return Tampered(**{f.name: getattr(table, f.name)
+                       for f in dataclasses.fields(table) if f.init})
+
+
+def _both_paths(exp, call):
+    """call(times, theta) on the chunks (three plain times) and on the fold
+    (41 strobes of an exact grid)."""
+    n0 = exp.spec.n0
+    theta = Theta.progression(0, Fraction(3, 20 * n0), 41)
+    times = np.arange(41) * 0.3 * compute_timescales(exp.sys, exp.spec).tau
+    assert takes_fold(times, theta, exp.coefficients.size ** 2)
+    for t, th in (([0.0, times[1], times[7]], None), (times, theta)):
+        yield lambda: call(t, th)
+
+
 def test_inconsistent_table_detected(default_exp, default_table):
-    import dataclasses
+    forms = {f: default_table.block(f, default_exp) for f in ("x", "x2", "p")}
     # a tampered second-moment table drives the variance negative
-    bad = dataclasses.replace(default_table, x2=default_table.x2 * 0.5)
-    with pytest.raises(NumericalConsistencyError):
-        uncertainty(default_exp, bad, "x", 0.0)
+    bad = _serving(default_table, "x2", forms["x2"] * 0.5)
+    for run in _both_paths(default_exp, lambda t, th: uncertainty_series(
+            default_exp, bad, "x", t, theta=th)):
+        with pytest.raises(NumericalConsistencyError, match="negative variance for x"):
+            run()
     # a non-Hermitian momentum entry between well-populated levels leaves
     # an imaginary residue (tamper near n0, not at the window edge where
     # the coefficients are negligible): i p stays Hermitian only while the
     # real p is antisymmetric
-    bad_p = default_table.p.copy()
+    bad_p = forms["p"].copy()
     c = 400 - default_table.n_min
     bad_p[c, c + 1] = -bad_p[c, c + 1]
-    bad = dataclasses.replace(default_table, p=bad_p)
-    with pytest.raises(NumericalConsistencyError, match="imaginary residue"):
-        expectation(default_exp, bad, "p", 0.3 * TAU)
+    bad = _serving(default_table, "p", bad_p)
+    for run in _both_paths(default_exp, lambda t, th: expectation_series(
+            default_exp, bad, "p", t, theta=th)):
+        with pytest.raises(NumericalConsistencyError, match="imaginary residue"):
+            run()
     # a scaled first-moment table pushes <x> outside the well
-    bad = dataclasses.replace(default_table, x=default_table.x * 3.0)
+    bad = _serving(default_table, "x", forms["x"] * 3.0)
     with pytest.raises(NumericalConsistencyError):
         expectation(default_exp, bad, "x", 0.0)
-    with pytest.raises(NumericalConsistencyError, match="outside the well"):
-        expectation_series(default_exp, bad, "x", [0.3 * TAU, 0.5 * TAU])
-
+    for run in _both_paths(default_exp, lambda t, th: expectation_series(
+            default_exp, bad, "x", t, theta=th)):
+        with pytest.raises(NumericalConsistencyError, match="outside the well"):
+            run()
 
 
 def test_negative_variance_floor_does_not_depend_on_the_unit_of_length():
-    import dataclasses
     # In a well of length 1e-3 the variance of x is ~2.5e-9 and <x^2> ~2.5e-7.
     # A table shifted to give a variance of -1e-14 at t = 0 is off by far
     # more than rounding and must be refused, not clamped to 0.
@@ -348,9 +436,13 @@ def test_negative_variance_floor_does_not_depend_on_the_unit_of_length():
     exp = build_gaussian_packet(PacketSpec(n0=400, x0=0.5e-3, dx0=0.05e-3), sys_mm)
     table = table_for(exp)
     shift = -(uncertainty(exp, table, "x", 0.0) ** 2 + 1e-14)
-    bad = dataclasses.replace(table, x2=table.x2 + shift * np.eye(table.x2.shape[0]))
+    x2 = table.block("x2", exp)
+    bad = _serving(table, "x2", x2 + shift * np.eye(x2.shape[0]))
     with pytest.raises(NumericalConsistencyError, match="negative variance for x"):
         uncertainty(exp, bad, "x", 0.0)
+    with pytest.raises(NumericalConsistencyError, match="negative variance for x"):
+        uncertainty_series(exp, bad, "x", [0.0, 1.0], theta=Theta.of([0, 1]))
+
 
 def test_spec_hash_distinguishes(sys0):
     a = build_gaussian_packet(PacketSpec(n0=400, x0=0.5, dx0=0.05), sys0)
