@@ -338,7 +338,10 @@ def _series(exp: EigenExpansion, table: MatrixElementTable, ids: tuple[str, ...]
                     np.multiply(ab, R[s.start - top:s.stop - top], out=w[k])
                     if f == "p":
                         w[k] *= 1j
+                del ab, i
                 yield r, w
+                # one block alive at a time: drop it before the next is built
+                del r, w
             for k, R in enumerate(rows):
                 scales[k] += mags[span] @ (np.abs(R, out=R) @ mags)
 

@@ -282,12 +282,12 @@ class EigenExpansion:
         q = theta.den
         bins = np.zeros((forms, q), dtype=complex)
         for r, w in blocks:
-            r = r.reshape(-1)
+            r, w = r.reshape(-1), w.reshape(forms, -1)
             for k in range(forms):
-                wk = w[k].reshape(-1)
-                bins[k].real += np.bincount(r, wk.real, q)
-                if np.iscomplexobj(wk):
-                    bins[k].imag += np.bincount(r, wk.imag, q)
+                bins[k].real += np.bincount(r, w[k].real, q)
+                if np.iscomplexobj(w):
+                    bins[k].imag += np.bincount(r, w[k].imag, q)
+            del r, w      # so that the next block is built without this one
         const = bins[:, 0].copy()
         bins[:, 0] = 0.0
         out = np.fft.fft(bins, axis=1)[:, -theta.num % q]

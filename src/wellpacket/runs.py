@@ -132,7 +132,7 @@ def run_observables(cfg: RunConfig, out_dir):
     columns = ["t", "x_mean", "dx", "p_mean", "dp",
                "dx_envelope", "classical_x", "classical_v", "flat_dx"]
     block = (times, *series, env, classical.position, classical.velocity,
-             np.full(times.size, flat_dx))
+             np.broadcast_to(flat_dx, times.shape))
     return [out.emit("observables", columns, [block], {"kind": "observables"})]
 
 

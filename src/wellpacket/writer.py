@@ -8,7 +8,12 @@ character position and one column per cell, so that every operation runs
 along the cells.  Each cell is padded to its column's width with PAD, a
 byte that UTF-8 text never holds, and bytes.translate strips the padding.
 Floats go through one kernel, float_cells, which writes exactly
-`"%.{p}g" % v`; bytes columns are laid out whole by _bytes_cells.
+`"%.{p}g" % v`, and a float64 column of stride 0 (a broadcast_to view)
+has its one cell formatted once and broadcast; bytes columns are laid
+out whole by _bytes_cells.  A block is written TABLE_CELLS cells at a
+time.  The kernel makes about 150 numpy calls per slice whatever its
+size, so a larger slice costs less per cell, while the writer's peak
+memory grows with it, about 160 bytes a cell.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ import numpy as np
 __all__ = ["Unrounded", "float_cells", "json_chunks", "json_scalar", "table_text"]
 
 PAD = 0xFF
-TABLE_CELLS = 4096      # cells formatted at once; bounds the writer's buffers
+TABLE_CELLS = 16384     # cells formatted at once: fewer numpy calls per cell, 2.6 MB peak
 KERNEL_MIN = 32         # fewer float cells than this are formatted one by one
 
 # json.dump's spellings of the float values that have no JSON number
@@ -61,20 +66,18 @@ _TABLES = []      # filled on first use, in one step
 
 def _tables():
     """Lookup tables, built on first use: the four ASCII digits of each of
-    0..9999 as one uint32 apiece (in text order in memory), the count of
-    its trailing zeros (4 for 0), the exponent suffixes "e-99" to "e+99",
-    one column apiece, and the powers of ten up to 10**22 as floats."""
+    0..9999 as one uint32 apiece (in text order in memory), the exponent
+    suffixes "e-99" to "e+99", one column apiece, and the powers of ten up
+    to 10**22 as floats."""
     if _TABLES:
         return _TABLES
     quads = np.empty((10, 10, 10, 10, 4), np.uint8)
-    zeros = np.zeros((10, 10, 10, 10), np.intp)
     for i in range(4):
         quads[..., i] = np.arange(48, 58, dtype=np.uint8).reshape((10,) + (1,) * (3 - i))
-        zeros[(slice(None),) * (3 - i) + (0,) * (i + 1)] += 1
     suffixes = "".join(f"e{k:+03d}" for k in range(-99, 100)).encode()
     suffixes = np.frombuffer(suffixes, np.uint8).reshape(-1, 4).T.copy()
     pow10 = np.array([float(10 ** k) for k in range(23)])     # exact up to 10**22
-    _TABLES[:] = quads.reshape(-1).view(np.uint32), zeros.reshape(-1), suffixes, pow10
+    _TABLES[:] = quads.reshape(-1).view(np.uint32), suffixes, pow10
     return _TABLES
 
 
@@ -120,7 +123,7 @@ def float_cells(values, num: str, json: bool):
     # y then rounds to 10**p and the carry gives the same text.  Just below
     # one it may land on the integer, and y < 10**(p-1) has a digit too few
     # (at p = 14 and |e| >= 32 that changes the text): those go one by one.
-    quads, zeros, suffixes, pow10 = _tables()
+    quads, suffixes, pow10 = _tables()
     e = np.floor(np.log10(a))
     scale = ((p - 1) - e).astype(np.intp)
     size = np.abs(scale)
@@ -157,10 +160,10 @@ def float_cells(values, num: str, json: bool):
 
     # seq: the z zeros, the p digits, then zeros, as the p + 4 digit field
     # of the integer m * 10**(4 - z) (below 2**63 for p <= 14), its digits
-    # looked up four at a time; trailing: the count of m's trailing zeros
+    # looked up four at a time; shown: the digits up to the last nonzero
+    # one, or up to the point, found in one pass over the rows
     groups = (p + 7) // 4
     src = np.empty((4 * groups, n), np.uint8)
-    trailing = np.zeros(n, np.intp)
     mi = m.astype(np.int64) * pow10[:5].astype(np.int64).take(4 - z)
     for g in range(groups - 1, -1, -1):
         r = mi
@@ -168,11 +171,11 @@ def float_cells(values, num: str, json: bool):
             mi = r // 10000
             r = r - mi * 10000
         src[4 * g:4 * g + 4] = quads.take(r).view(np.uint8).reshape(n, 4).T
-        trailing += np.where(trailing == 4 * (groups - 1 - g), zeros.take(r), 0)
     seq = src[4 * groups - p - 4:]
-    shown = z + np.maximum(p + 4 - z - trailing, pe + 1)
+    last = ((seq != 48) * np.arange(1, p + 5, dtype=np.uint8)[:, None]).max(axis=0)
+    shown = np.maximum(last, z + pe + 1)
     point = shown > pe + 1
-    del m, mi, r, trailing, z
+    del m, mi, r, last, z
     whole = False
     if json:
         # float.__repr__ spells integral fixed text "12" as "12.0": the
@@ -241,12 +244,22 @@ def _bytes_cells(col, json: bool):
 
 def _block_cells(columns, num: str, json: bool) -> list:
     """The laid-out text of each column of one block.  The bytes arrays go
-    through _bytes_cells; the float64 arrays through one float_cells call,
-    and each keeps only the rows where one of its cells has a byte."""
-    cells = [None if c.dtype == np.float64 else _bytes_cells(c, json) for c in columns]
+    through _bytes_cells.  A float64 array of stride 0 (a broadcast_to
+    view) has its one cell formatted and broadcast along the block; the
+    other float64 arrays go through one float_cells call, and each keeps
+    only the rows where one of its cells has a byte."""
+    n = len(columns[0])
+    cells = []
+    for c in columns:
+        if c.dtype != np.float64:
+            cells.append(_bytes_cells(c, json))
+        elif c.strides == (0,):
+            one = float_cells(c[:1], num, json)
+            cells.append(np.broadcast_to(one, (len(one), n)))
+        else:
+            cells.append(None)
     floats = [k for k, c in enumerate(cells) if c is None]
     if floats:
-        n = len(columns[floats[0]])
         text = float_cells(np.concatenate([columns[k] for k in floats]), num, json)
         used = (text.reshape(len(text), len(floats), n) != PAD).any(axis=2)
         for j, k in enumerate(floats):

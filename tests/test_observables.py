@@ -144,18 +144,21 @@ def test_table_build_holds_order_n_bytes():
 
 
 def _fold_bound(N, rows, q, T):
-    # two of the fold's row blocks in flight (residues, pair weights and the
-    # forms' weights: measured 19.6 N rows doubles at most), the three forms'
-    # rows of one span of blocks (observables._SPAN_BYTES each, or one
-    # block), the bins of three forms and their FFT (96 q bytes) and the
-    # (3, T) output
+    # one of the fold's row blocks in flight, the last one dropped before
+    # the next is built (residues, pair weights and the three forms'
+    # weights: 9 N rows doubles; beside the rest of this bound the peaks
+    # below measure 7.6 N rows doubles at N = 509 and 5.3 at N = 5093, and
+    # 10 leaves 30% over the larger), the three forms' rows of one span of
+    # blocks (observables._SPAN_BYTES each, or one block), the bins of three
+    # forms and their FFT (96 q bytes) and the (3, T) output
     span = max(1, observables._SPAN_BYTES // (8 * N * rows)) * 8 * N * rows
-    return 22 * 8 * N * rows + 3 * span + 96 * q + 48 * T
+    return 10 * 8 * N * rows + 3 * span + 96 * q + 48 * T
 
 
 def test_table_and_fold_series_hold_order_n_rows_plus_q():
     # table_for and the four-series fold call over 7993 strobes at N = 509
-    # peak at 2.95 MB, against 4.25 N^2 doubles (8.8 MB) with dense tables
+    # peak at 2.43 MB (2.58 MB bound), against 4.25 N^2 doubles (8.8 MB)
+    # with dense tables
     spec = PacketSpec(n0=3996, x0=0.3, dx0=0.005)
     exp = build_gaussian_packet(spec)
     count = 7993
@@ -171,7 +174,8 @@ def test_table_and_fold_series_hold_order_n_rows_plus_q():
 
 def test_fold_series_at_five_thousand_levels_holds_order_n_rows_plus_q():
     # n0 = 40000, dx0 = 0.0005 is N = 5093: three dense tables would hold
-    # 0.62 GB; the fold's row blocks hold O(N rows + q), measured 17.0 MB
+    # 0.62 GB; the fold's row blocks hold O(N rows + q), measured 13.1 MB
+    # (16.2 MB bound; 17.0 MB while two blocks were alive at once)
     spec = PacketSpec(n0=40000, x0=0.3, dx0=0.0005)
     exp = build_gaussian_packet(spec)
     count = 20

@@ -164,23 +164,54 @@ text_examples = [([TextColumn(["", "periodic", "1.5"]), TextColumn(["x"])], 2 * 
                  ([TextColumn(["\\"]), TextColumn(['"']), TextColumn(["\x1f"]),
                    TextColumn(["\x7f", "é", ""])], 7, 1, 3)]
 text_columns = st.lists(byte_texts, min_size=1, max_size=6).map(TextColumn)
+
+
+class FloatConstant(list):
+    """The one value of a float column that _table hands as a broadcast_to
+    view, which the writer formats once for the whole column."""
+
+
+# constants of every kind, among them the values the kernel writes one by
+# one: zeros, nan, infinities and decimal ties (2.5 at one digit, 0.125 at
+# two, 1.125 at three)
+float_constants = st.one_of(
+    json_floats,
+    st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 2.5, 0.125, 1.125])).map(
+        lambda v: FloatConstant([v]))
 # One column of a table, of one of the writer's two kinds: a few floats or
-# texts, repeated down the rows.  A table has at least one column: its
-# blocks carry their row count in their columns.
-table_columns = st.one_of(st.lists(json_floats, min_size=1, max_size=6), text_columns)
+# texts, repeated down the rows, or one float broadcast.  A table has at
+# least one column: its blocks carry their row count in their columns.
+table_columns = st.one_of(st.lists(json_floats, min_size=1, max_size=6), text_columns,
+                          float_constants)
 # Row counts below, at and past the shortest float column the kernel takes.
-table_rows = st.sampled_from([0, 1, 7, KERNEL_MIN, 2 * KERNEL_MIN + 3])
+table_rows = st.sampled_from([0, 1, 7, KERNEL_MIN - 1, KERNEL_MIN, 2 * KERNEL_MIN + 3])
+# broadcast float columns beside float columns the kernel takes (each
+# table's rows in one block) and text columns, at one row, just below and
+# at the kernel's shortest column, and over two blocks of TABLE_CELLS
+const_examples = [
+    ([FloatConstant([0.125]), [0.125, -1.5e-7, 3.0], FloatConstant([-0.0])], 1, 1, 2),
+    ([FloatConstant([math.nan]), [1.0, 2.5, -0.1], FloatConstant([math.inf])],
+     KERNEL_MIN - 1, KERNEL_MIN - 1, 1),
+    ([FloatConstant([2.5]), [0.1, 123456.5, 1e16], FloatConstant([0.0]), TextColumn(["x"])],
+     KERNEL_MIN, KERNEL_MIN, 1),
+    ([[0.1, -2.0, 1e-5, 7.25], FloatConstant([1.125]), FloatConstant([-math.inf]),
+      TextColumn(["a", "bc"]), FloatConstant([0.05500000000000001])],
+     2 * TABLE_CELLS + 3, 2 * TABLE_CELLS + 3, 3),
+]
 
 
 def _table(columns, n_rows, block_rows):
     """The rows, and the same table as blocks of `block_rows` rows of
     columns, as the run drivers hand them: float columns as float64 arrays,
-    and each TextColumn as a UTF-8 bytes array, a broadcast_to view if it
-    holds one value."""
+    each FloatConstant as a broadcast_to view of its value, and each
+    TextColumn as a UTF-8 bytes array, a broadcast_to view if it holds one
+    value."""
     full = [[col[i % len(col)] for i in range(n_rows)] for col in columns]
     rows = [tuple(c[i] for c in full) for i in range(n_rows)]
     for k, col in enumerate(columns):
-        if not isinstance(col, TextColumn):
+        if isinstance(col, FloatConstant):
+            full[k] = np.broadcast_to(np.float64(col[0]), n_rows)
+        elif not isinstance(col, TextColumn):
             full[k] = np.array(full[k], np.float64)
         elif len(col) == 1:
             full[k] = np.broadcast_to(np.array(col[0].encode()), n_rows)
@@ -195,12 +226,19 @@ def _table(columns, n_rows, block_rows):
        st.integers(1, 17))
 @example(*text_examples[0])
 @example(*text_examples[1])
+@example(*const_examples[0])
+@example(*const_examples[1])
+@example(*const_examples[2])
+@example(*const_examples[3])
 def test_json_row_stream_matches_json_dumps_of_rounded_rows(columns, n_rows, block_rows,
                                                             precision):
     rows, blocks = _table(columns, n_rows, block_rows)
     rows = [tuple(float(v) if isinstance(v, np.floating) else v for v in r) for r in rows]
-    assert "".join(json_chunks({"rows": iter(blocks)}, f"%.{precision}g")) == json.dumps(
-        _rounded({"rows": rows}, precision), indent=2, sort_keys=True)
+    # compared line by line, so that a failing table of 32771 rows reports
+    # its first differing line rather than a text diff that takes minutes
+    text = "".join(json_chunks({"rows": iter(blocks)}, f"%.{precision}g"))
+    assert text.split("\n") == json.dumps(
+        _rounded({"rows": rows}, precision), indent=2, sort_keys=True).split("\n")
 
 
 def _csv_reference(names, rows, precision: int) -> bytes:
@@ -219,6 +257,10 @@ def _csv_reference(names, rows, precision: int) -> bytes:
        st.integers(1, 17))
 @example(*text_examples[0])
 @example(*text_examples[1])
+@example(*const_examples[0])
+@example(*const_examples[1])
+@example(*const_examples[2])
+@example(*const_examples[3])
 def test_csv_table_matches_the_row_template_writer(columns, n_rows, block_rows, precision):
     rows, blocks = _table(columns, n_rows, block_rows)
     names = [f"c{i}" for i in range(len(columns))]
@@ -226,7 +268,8 @@ def test_csv_table_matches_the_row_template_writer(columns, n_rows, block_rows, 
     with tempfile.TemporaryDirectory() as out:
         with open(_Output(cfg, "test", out).emit("table", names, blocks, {}), "rb") as fh:
             text = fh.read()
-    assert text.split(b"\n", 2)[2] == _csv_reference(names, rows, precision)
+    # line by line, as in the JSON test above
+    assert text.split(b"\n")[2:] == _csv_reference(names, rows, precision).split(b"\n")
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
