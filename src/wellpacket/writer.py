@@ -27,7 +27,7 @@ import numpy as np
 __all__ = ["Unrounded", "float_cells", "json_chunks", "json_scalar", "table_text"]
 
 PAD = 0xFF
-TABLE_CELLS = 16384     # cells formatted at once: fewer numpy calls per cell, 2.6 MB peak
+TABLE_CELLS = 16384     # cells formatted at once; the writer's peak is ~160 B a cell
 KERNEL_MIN = 32         # fewer float cells than this are formatted one by one
 
 # json.dump's spellings of the float values that have no JSON number
