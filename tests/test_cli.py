@@ -17,8 +17,8 @@ from wellpacket.config import (ConfigError, CorrelateSettings, OutputSettings,
                                RunConfig, ScheduleSettings, load_config,
                                parse_config, parse_time)
 from wellpacket.runs import _Output
-from wellpacket.writer import TABLE_CELLS, table_text
 from wellpacket.timescales import TimeScaleReport
+from wellpacket.writer import TABLE_CELLS, table_text
 
 SHA_EMPTY = hashlib.sha256(b"").hexdigest()
 

@@ -172,12 +172,10 @@ class FloatConstant(list):
 
 
 # constants of every kind, among them the values the kernel writes one by
-# one: zeros, nan, infinities and decimal ties (2.5 at one digit, 0.125 at
-# two, 1.125 at three)
-float_constants = st.one_of(
-    json_floats,
-    st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 2.5, 0.125, 1.125])).map(
-        lambda v: FloatConstant([v]))
+# one: zeros, nan and infinities (drawn by json_floats) and decimal ties
+# (2.5 at one digit, 0.125 at two, 1.125 at three)
+float_constants = st.one_of(json_floats, st.sampled_from([2.5, 0.125, 1.125])).map(
+    lambda v: FloatConstant([v]))
 # One column of a table, of one of the writer's two kinds: a few floats or
 # texts, repeated down the rows, or one float broadcast.  A table has at
 # least one column: its blocks carry their row count in their columns.
