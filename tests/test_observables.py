@@ -402,6 +402,22 @@ def _both_paths(exp, call):
         yield lambda: call(t, th)
 
 
+def _non_hermitian(exp, table):
+    """(form, table) pairs whose served form is no longer Hermitian at one
+    entry near n0, not at the window edge where the coefficients are
+    negligible: x scaled at (c, c+1), x2 scaled at (c, c+2), and p's sign
+    flipped at (c, c+1), since i p stays Hermitian only while the real p
+    is antisymmetric.  At x0 = L/2, conj(a_m) a_n is purely imaginary for
+    odd m - n, so a probe of the coefficients at t = 0 alone misses the p
+    and x2 entries there."""
+    c = exp.spec.n0 - table.n_min
+    for which, (i, j), factor in (("x", (c, c + 1), 1.5), ("x2", (c, c + 2), 1.5),
+                                  ("p", (c, c + 1), -1.0)):
+        M = table.block(which, exp).copy()
+        M[i, j] *= factor
+        yield which, _serving(table, which, M)
+
+
 def test_inconsistent_table_detected(default_exp, default_table):
     forms = {f: default_table.block(f, default_exp) for f in ("x", "x2", "p")}
     # a tampered second-moment table drives the variance negative
@@ -410,18 +426,14 @@ def test_inconsistent_table_detected(default_exp, default_table):
             default_exp, bad, "x", t, theta=th)):
         with pytest.raises(NumericalConsistencyError, match="negative variance for x"):
             run()
-    # a non-Hermitian momentum entry between well-populated levels leaves
-    # an imaginary residue (tamper near n0, not at the window edge where
-    # the coefficients are negligible): i p stays Hermitian only while the
-    # real p is antisymmetric
-    bad_p = forms["p"].copy()
-    c = 400 - default_table.n_min
-    bad_p[c, c + 1] = -bad_p[c, c + 1]
-    bad = _serving(default_table, "p", bad_p)
-    for run in _both_paths(default_exp, lambda t, th: expectation_series(
-            default_exp, bad, "p", t, theta=th)):
-        with pytest.raises(NumericalConsistencyError, match="imaginary residue"):
-            run()
+    # a non-Hermitian entry between well-populated levels leaves an
+    # imaginary residue, on either path and at either launch point
+    for exp in (default_exp, build_gaussian_packet(PacketSpec(n0=400, x0=0.3, dx0=0.05))):
+        for which, bad in _non_hermitian(exp, table_for(exp)):
+            for run in _both_paths(exp, lambda t, th: expectation_series(
+                    exp, bad, which, t, theta=th)):
+                with pytest.raises(NumericalConsistencyError, match="imaginary residue"):
+                    run()
     # a scaled first-moment table pushes <x> outside the well
     bad = _serving(default_table, "x", forms["x"] * 3.0)
     with pytest.raises(NumericalConsistencyError):
