@@ -91,7 +91,7 @@ def _phase_sum(exp: EigenExpansion, weights: NDArray, times,
     """
     t = np.atleast_1d(np.asarray(times, dtype=float))
     if takes_fold(t, theta, len(weights)):
-        cols = weights.reshape(len(weights), -1).T
+        cols = np.ascontiguousarray(weights.reshape(len(weights), -1).T)
         out = exp.fold([(exp.square_residues(theta.den), cols)], theta, len(cols))
         return out.reshape(weights.shape[1:] + t.shape)
     w = weights.astype(complex)

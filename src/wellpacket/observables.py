@@ -40,10 +40,16 @@ OBSERVABLES = ("x", "x2", "p", "p2")
 SERIES_IDS = OBSERVABLES + ("dx", "dp")
 
 # Ceiling on the imaginary residue of an assembled real observable, as a
-# fraction of its rounding scale Sum |a_m||a_n||O_mn| (see _series);
-# anything larger points at a coefficient/table inconsistency.  Also the
+# fraction of its rounding scale Sum |a_m||a_n||O_mn| (see _series); the
+# chunks check every sample, the fold one Hermiticity probe per call.
+# Anything larger points at a coefficient/table inconsistency.  Also the
 # relative floor below which a variance counts as negative.
 _IMAG_TOL = 1e-12
+
+# g of the fold's probe vector b_n = a_n exp(2 pi i g n^2): the golden
+# ratio's fractional part, so that the probe's phases carry no symmetry of
+# the packet's own (see _series).
+_PROBE = (math.sqrt(5.0) - 1.0) / 2.0
 
 # How far <x> may stray outside [0, L], as a fraction of L.
 _WELL_TOL = 1e-9
@@ -262,6 +268,13 @@ def _variance(mean, second, which: str) -> NDArray[np.float64]:
     return np.maximum(var, 0.0)
 
 
+def _check_residue(which: str, worst: float, scale: float):
+    if worst > _IMAG_TOL * scale:
+        raise NumericalConsistencyError(
+            f"imaginary residue {worst:.3e} on <{which}> exceeds {_IMAG_TOL} "
+            f"of its scale {scale:.3e}")
+
+
 def _series(exp: EigenExpansion, table: MatrixElementTable, ids: tuple[str, ...],
             times, *, theta: Theta | None = None) -> list[NDArray[np.float64]]:
     """Each series id over a time array, by the residue fold or from one
@@ -274,12 +287,22 @@ def _series(exp: EigenExpansion, table: MatrixElementTable, ids: tuple[str, ...]
     makes the phases exact.
 
     The fold (EigenExpansion.fold), on an exact grid: b_m* b_n carries the
-    phase 2 pi (m^2 - n^2) theta, so each form's off-diagonal pairs are
-    binned at m^2 - n^2 mod q in row blocks (fold_rows), one FFT gives every
-    sample, and the diagonal, constant in time, is added as an exact sum.
-    The table writes the forms' rows from its kernels (MatrixElementTable.rows)
-    for a span of blocks at a time, dropped after the span, so the fold holds
-    O(N rows + q), whatever N^2.
+    phase 2 pi (m^2 - n^2) theta.  Each form is Hermitian, so the pair
+    (n, m) is the conjugate of (m, n) at the opposite residue, and
+    <O> = Sum_n |a_n|^2 O_nn + 2 Re Sum_{m<n} b_m* O_mn b_n: only the pairs
+    m < n are binned, at m^2 - n^2 mod q and with twice their weight, in
+    row blocks (fold_rows), and the diagonal, constant in time, as an exact
+    sum at residue 0.  One FFT gives every sample, and <O> is read from it
+    real by construction: its real part, or for p = i R, binned as R, minus
+    its imaginary part.  The table writes the forms' full rows from its
+    kernels (MatrixElementTable.rows) for a span of blocks at a time,
+    dropped after the span, so the fold holds O(N rows + q), whatever N^2.
+    A half fold cannot see a form that is not Hermitian, so each call
+    takes one probe of the full rows, Im(b^H O b) for b_n =
+    a_n exp(2 pi i g n^2), which is rounding for a Hermitian O.  The
+    probe's phases are not those of a time t: at x0 = L/2, conj(a_m) a_n is
+    purely imaginary for odd m - n, and a probe at t = 0 misses a
+    non-Hermitian entry of p or x2 there.
 
     The chunks (EigenExpansion.map_chunks): b is formed once per chunk.
     Each form is R or i R for the dense real form R (MatrixElementTable.block),
@@ -294,10 +317,10 @@ def _series(exp: EigenExpansion, table: MatrixElementTable, ids: tuple[str, ...]
     t = np.asarray(times, dtype=float).reshape(-1)
     forms = [f for f in ("x", "x2", "p") if any(f in _FORMS[w] for w in ids)]
     mags = np.abs(exp.coefficients)
-    # <O>_t is real, so its imaginary part is rounding in the sum over m, n,
-    # bounded by a small multiple of eps Sum |b_m||b_n||O_mn|; |b_n(t)| = |a_n|
-    # makes that scale the same at every t, and |O_mn| = |R_mn| exactly for
-    # O = i R
+    # b^H O b is real for any b, so its imaginary part is rounding in the
+    # sum over m, n, bounded by a small multiple of eps Sum |b_m||b_n||O_mn|;
+    # |b_n| = |a_n| for b_n(t) and the probe alike makes that scale the same
+    # for each, and |O_mn| = |R_mn| exactly for O = i R
     scales = np.zeros(len(forms))
 
     def assemble(P):
@@ -316,56 +339,85 @@ def _series(exp: EigenExpansion, table: MatrixElementTable, ids: tuple[str, ...]
         return out
 
     def pairs(q: int):
-        # the fold's blocks: conj(a_m) a_n O_mn at residues m^2 - n^2 mod q
-        # for m in a row slice, the diagonal m = n left out.  The forms' rows
-        # are written for a span of whole blocks at once, up to _SPAN_BYTES a
-        # form, so that small blocks do not each pay the call overhead
-        a, n2 = exp.coefficients, exp.square_residues(q)
+        # the half fold's blocks.  Each bins the pairs m < n of a row slice
+        # s, at m^2 - n^2 mod q, weighted 2 conj(a_m) a_n R_mn for the real
+        # form R of each of the F forms: the real parts in rows k, the
+        # imaginary parts in rows F + k, each contiguous.  The pairs n <= m
+        # of the block's leading square weigh 0, but for the first block's
+        # (n_min, n_min) at residue 0: it carries the diagonal
+        # Sum |a_n|^2 R_nn, exactly rounded, so that the constant bin holds
+        # it within rounding of its pairs however many rows a block holds.
+        # The forms' full rows are written for a span of whole blocks at
+        # once, up to _SPAN_BYTES a form, so that small blocks do not each
+        # pay the call overhead; both triangles feed the span's scale and
+        # probe
+        a, n2, F = exp.coefficients, exp.square_residues(q), len(forms)
+        weights = exp.weights
+        diagonal = [math.fsum((weights * table.diagonal(f, exp)).tolist()) for f in forms]
+        # 2 conj(a_m) a_n = Sum_k A[m, k] V[j, k, n], its real part (j = 0)
+        # and its imaginary part (j = 1)
+        A = 2.0 * a.view(float).reshape(-1, 2)
+        V = np.array([[a.real, a.imag], [a.imag, -a.real]])
         blocks = fold_rows(a.size, q)
-        per = max(1, _SPAN_BYTES // (8 * a.size * (blocks[0].stop - blocks[0].start)))
+        height = blocks[0].stop
+        lower = np.tri(height, dtype=bool)
+        # b_n = a_n exp(2 pi i g n^2), its real and imaginary parts as the
+        # two columns of a real GEMV
+        b = a * np.exp(2j * math.pi * _PROBE * exp.levels.astype(float) ** 2)
+        B = b.view(float).reshape(-1, 2)
+        probes = np.zeros(F)
+        per = max(1, _SPAN_BYTES // (8 * a.size * height))
         for g in range(0, len(blocks), per):
             group = blocks[g:g + per]
             top, span = group[0].start, slice(group[0].start, group[-1].stop)
             rows = [table.rows(f, span, exp) for f in forms]
             for s in group:
-                r = np.subtract.outer(n2[s], n2)
-                np.remainder(r, q, out=r)
-                ab = np.multiply.outer(a[s].conj(), a)
-                i = np.arange(s.stop - s.start)
-                ab[i, s.start + i] = 0.0
-                w = np.empty((len(forms),) + ab.shape, dtype=complex)
-                for k, (f, R) in enumerate(zip(forms, rows)):
-                    np.multiply(ab, R[s.start - top:s.stop - top], out=w[k])
-                    if f == "p":
-                        w[k] *= 1j
-                del ab, i
+                c, h = s.start, s.stop - s.start
+                r = np.subtract.outer(n2[s], n2[c:])
+                np.add(r, q, out=r, where=r < 0)
+                w = np.empty((2 * F, h, a.size - c))
+                # 2 conj(a_m) a_n in the last form's rows, which it then
+                # weighs in place
+                ab = w[F - 1::F]
+                np.einsum("mk,jkn->jmn", A[s], V[:, :, c:], out=ab)
+                np.copyto(ab[:, :, :h], 0.0, where=lower[:h, :h])
+                here = slice(c - top, s.stop - top)
+                for k, R in enumerate(rows[:-1]):
+                    np.multiply(R[here, c:], ab[0], out=w[k])
+                    np.multiply(R[here, c:], ab[1], out=w[F + k])
+                ab *= rows[-1][here, c:]
+                if c == 0:
+                    w[:F, 0, 0] = diagonal
                 yield r, w
                 # one block alive at a time: drop it before the next is built
-                del r, w
-            for k, R in enumerate(rows):
+                del r, w, ab
+            for k, (f, R) in enumerate(zip(forms, rows)):
+                # Im(b^H O b) over the span's rows; Re(b^H R b) for O = i R
+                y = B[span].T @ (R @ B)
+                probes[k] += y[0, 0] + y[1, 1] if f == "p" else y[0, 1] - y[1, 0]
                 scales[k] += mags[span] @ (np.abs(R, out=R) @ mags)
+            # the span's rows dropped before the next span's are written
+            del rows, R
+        for f, probe, scale in zip(forms, probes, scales):
+            _check_residue(f, abs(probe), scale)
 
     if not forms:
-        raw = []
+        vals = {}
     elif takes_fold(t, theta, exp.coefficients.size ** 2):
         raw = exp.fold(pairs(theta.den), theta, len(forms))
-        # the diagonal Sum |a_n|^2 O_nn, exactly rounded, keeps the constant
-        # bin within rounding of its pairs however many rows a block holds
-        raw += np.array([math.fsum(exp.weights * table.diagonal(f, exp)) * (1j if f == "p" else 1)
-                         for f in forms])[:, None]
+        vals = dict(zip(forms, raw.real))
+        if "p" in vals:
+            # p = i R was binned as R: <p> = Re(i FFT) = -Im FFT, in place
+            vals["p"] = np.negative(raw[-1].imag, out=raw[-1].imag)
     else:
         dense = [table.block(f, exp) for f in forms]
         raw = exp.map_chunks(assemble, t, np.empty((len(forms), t.size), dtype=complex),
                              theta=theta)
-        scales[:] = [mags @ np.abs(R) @ mags for R in dense]
-    vals = {}
-    for f, scale, v in zip(forms, scales, raw):
-        worst = float(np.max(np.abs(v.imag))) if v.size else 0.0
-        if worst > _IMAG_TOL * scale:
-            raise NumericalConsistencyError(
-                f"imaginary residue {worst:.3e} on <{f}> exceeds {_IMAG_TOL} "
-                f"of its scale {scale:.3e}")
-        vals[f] = v.real
+        vals = {}
+        for f, R, v in zip(forms, dense, raw):
+            _check_residue(f, float(np.max(np.abs(v.imag))) if v.size else 0.0,
+                           mags @ np.abs(R) @ mags)
+            vals[f] = v.real
     if "x" in vals:
         L = exp.sys.width_L
         x = vals["x"]
@@ -374,7 +426,7 @@ def _series(exp: EigenExpansion, table: MatrixElementTable, ids: tuple[str, ...]
             raise NumericalConsistencyError(
                 f"<x> = {x[np.argmax(out_of_well)]} outside the well")
     if any(w in ("p2", "dp") for w in ids):
-        vals["p2"] = np.full(t.size, math.fsum(exp.weights * table.diagonal("p2", exp)))
+        vals["p2"] = np.full(t.size, math.fsum((exp.weights * table.diagonal("p2", exp)).tolist()))
 
     out = []
     for which in ids:

@@ -270,27 +270,33 @@ class EigenExpansion:
         """The residue fold: out[k, j] = Sum_r S[k, r] exp(2 pi i r num_j / q).
 
         ``blocks`` yields pairs (r, w): residues r in [0, q) of the phase
-        terms' 2 pi r theta and their weights w, shaped (forms,) + r.shape,
-        real or complex.  S[k, r] sums the weights of form k at residue r,
-        one bincount per block; a box moment bins conj(a_m) a_n O_mn at
-        m^2 - n^2 mod q (fold_rows), a correlation w_n at n^2 mod q.  One FFT
-        of length q per form then gives every sample, out[k, j] =
-        FFT(S[k])[-num_j mod q].  The constant bin r = 0 stays out of the
-        FFT and is added afterwards, so its rounding does not spread over
-        the others.  Costs O(pairs + q log q) and holds O(q + T), whatever T.
+        terms' 2 pi r theta and their float weights w, shaped
+        (parts,) + r.shape, each w[k] contiguous.  Row k < forms is binned
+        into the real part of S[k] and row forms + k into its imaginary
+        part, one bincount each per block.  A box moment bins its pairs
+        m < n at m^2 - n^2 mod q in real and imaginary rows (fold_rows), a
+        correlation its real weights w_n at n^2 mod q.  One FFT of length q
+        per form then gives every sample, out[k, j] = FFT(S[k])[-num_j mod q].
+        The constant bin r = 0 stays out of the FFT and is added afterwards,
+        so its rounding does not spread over the others.  Costs
+        O(pairs + q log q) and holds O(q + T), whatever T.
         """
         q = theta.den
         bins = np.zeros((forms, q), dtype=complex)
+        # while binning, S[k]'s 2q doubles hold its real part and then its
+        # imaginary part, so that every bincount adds to a contiguous row
+        planes = bins.view(float).reshape(forms, 2, q)
         for r, w in blocks:
-            r, w = r.reshape(-1), w.reshape(forms, -1)
-            for k in range(forms):
-                bins[k].real += np.bincount(r, w[k].real, q)
-                if np.iscomplexobj(w):
-                    bins[k].imag += np.bincount(r, w[k].imag, q)
+            r, w = r.reshape(-1), w.reshape(len(w), -1)
+            for k in range(len(w)):
+                planes[k % forms, k // forms] += np.bincount(r, w[k], q)
             del r, w      # so that the next block is built without this one
+        for row, plane in zip(bins, planes):
+            row.real, row.imag = plane.copy()
         const = bins[:, 0].copy()
         bins[:, 0] = 0.0
-        out = np.fft.fft(bins, axis=1)[:, -theta.num % q]
+        # -num_j lies in (-q, 0]: take reads it as -num_j mod q
+        out = np.take(np.fft.fft(bins, axis=1), -theta.num, axis=1)
         out += const[:, None]
         return out
 

@@ -191,11 +191,11 @@ GOLDEN = {
     },
     ("observables", "csv"): {
         "observables.csv":
-            "021a8c6c977e1479b7ba6d9db9d81850f0ee3c28c1cd1a7b250d76e8cefa263e",
+            "56e38f6ba3da0ca1ad6e365a6a2e102c6568a6cf33382842aef5f54cca308996",
     },
     ("observables", "json"): {
         "observables.json":
-            "a4459b885d64da38e9234a0823aefeafb0548233a8fd3d9747edc973e502c85f",
+            "e1b7cbc5fa4e8902eb11507cd74247ed032f1ed13b0017631aa1d4111159e068",
     },
     ("powerlaw", "csv"): {
         "powerlaw.csv":
@@ -279,7 +279,7 @@ GOLDEN_PRECISION = {
     },
     ("observables", 16): {
         "observables.json":
-            "3f7531a5d81e73613b7c99e6b152e4afc6385c4cc3684d9d58f5842dab66b192",
+            "085695acc649c86579c870f2b1776b78c5a44a2a46bfac431b46df04a85f441e",
     },
     ("powerlaw", 3): {
         "powerlaw.json":
@@ -315,7 +315,7 @@ GOLDEN_CSV_PRECISION = {
     },
     ("observables", 16): {
         "observables.csv":
-            "e06aa1ed1567e80a26ce007fcdeaf5c8ae4ce673a0ce2a79b247347c75af932b",
+            "01e4a9a46e552924d1f4f34308b12ab5c3be09b1e704b7373ddbbfb38a3bcb20",
     },
     ("powerlaw", 3): {
         "powerlaw.csv":

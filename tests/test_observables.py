@@ -145,20 +145,22 @@ def test_table_build_holds_order_n_bytes():
 
 def _fold_bound(N, rows, q, T):
     # one of the fold's row blocks in flight, the last one dropped before
-    # the next is built (residues, pair weights and the three forms'
-    # weights: 9 N rows doubles; beside the rest of this bound the peaks
-    # below measure 7.6 N rows doubles at N = 509 and 5.3 at N = 5093, and
-    # 10 leaves 30% over the larger), the three forms' rows of one span of
-    # blocks (observables._SPAN_BYTES each, or one block), the bins of three
-    # forms and their FFT (96 q bytes) and the (3, T) output
+    # the next is built (residues and the three forms' real and imaginary
+    # weights of the pairs m < n: at most 7 N rows doubles; beside the rest
+    # of this bound the peak at N = 5093 measures 3.85 N rows doubles, and
+    # 5 leaves 30% over it; the N = 509 peak lies under the rest alone),
+    # the three forms' rows of one span of blocks (observables._SPAN_BYTES
+    # each, or one block), the bins of three forms and their FFT (96 q
+    # bytes) and the (3, T) output.  The full fold, which binned every pair
+    # as complex weights, measured 5.3 and needed 10
     span = max(1, observables._SPAN_BYTES // (8 * N * rows)) * 8 * N * rows
-    return 10 * 8 * N * rows + 3 * span + 96 * q + 48 * T
+    return 5 * 8 * N * rows + 3 * span + 96 * q + 48 * T
 
 
 def test_table_and_fold_series_hold_order_n_rows_plus_q():
     # table_for and the four-series fold call over 7993 strobes at N = 509
-    # peak at 2.43 MB (2.58 MB bound), against 4.25 N^2 doubles (8.8 MB)
-    # with dense tables
+    # peak at 1.81 MB (2.26 MB bound; 2.43 MB with the full fold), against
+    # 4.25 N^2 doubles (8.8 MB) with dense tables
     spec = PacketSpec(n0=3996, x0=0.3, dx0=0.005)
     exp = build_gaussian_packet(spec)
     count = 7993
@@ -174,8 +176,9 @@ def test_table_and_fold_series_hold_order_n_rows_plus_q():
 
 def test_fold_series_at_five_thousand_levels_holds_order_n_rows_plus_q():
     # n0 = 40000, dx0 = 0.0005 is N = 5093: three dense tables would hold
-    # 0.62 GB; the fold's row blocks hold O(N rows + q), measured 13.1 MB
-    # (16.2 MB bound; 17.0 MB while two blocks were alive at once)
+    # 0.62 GB; the fold's row blocks hold O(N rows + q), measured 12.15 MB
+    # (12.9 MB bound; 13.10 MB with the full fold, 17.0 MB while two of
+    # its blocks were alive at once)
     spec = PacketSpec(n0=40000, x0=0.3, dx0=0.0005)
     exp = build_gaussian_packet(spec)
     count = 20
@@ -442,6 +445,29 @@ def test_inconsistent_table_detected(default_exp, default_table):
             default_exp, bad, "x", t, theta=th)):
         with pytest.raises(NumericalConsistencyError, match="outside the well"):
             run()
+
+
+@pytest.mark.parametrize("n0", [12, 40, 150, 400, 1500, 4000])
+def test_fold_probe_keeps_its_margin_at_a_thousandth_of_the_tolerance(monkeypatch, n0):
+    # the fold's Hermiticity probe on honest tables: at most 1.3e-16 of
+    # its scale over n0 = 12 to 12000, dx0 = 0.002 to 0.2 (N <= 3000), so
+    # a tolerance 1000 times tighter than _IMAG_TOL refuses none of them
+    # here, while every non-Hermitian entry is still refused
+    monkeypatch.setattr(observables, "_IMAG_TOL", 1e-15)
+    theta = Theta.progression(0, Fraction(1, 97), 9)
+    times = theta.num / 97 * T_REV
+    for dx0 in (0.005, 0.02, 0.1):
+        for x0 in (0.37, 0.5):
+            exp = build_gaussian_packet(PacketSpec(n0=n0, x0=x0, dx0=dx0))
+            assert takes_fold(times, theta, exp.coefficients.size ** 2)
+            expectation_series(exp, table_for(exp), ("x", "x2", "p"), times, theta=theta)
+    if n0 == 400:
+        for x0 in (0.3, 0.5):
+            exp = build_gaussian_packet(PacketSpec(n0=400, x0=x0, dx0=0.05))
+            assert takes_fold(times, theta, exp.coefficients.size ** 2)
+            for which, bad in _non_hermitian(exp, table_for(exp)):
+                with pytest.raises(NumericalConsistencyError, match="imaginary residue"):
+                    expectation_series(exp, bad, which, times, theta=theta)
 
 
 def test_negative_variance_floor_does_not_depend_on_the_unit_of_length():
