@@ -321,7 +321,6 @@ def _series(exp: EigenExpansion, table: MatrixElementTable, ids: tuple[str, ...]
     # sum over m, n, bounded by a small multiple of eps Sum |b_m||b_n||O_mn|;
     # |b_n| = |a_n| for b_n(t) and the probe alike makes that scale the same
     # for each, and |O_mn| = |R_mn| exactly for O = i R
-    scales = np.zeros(len(forms))
 
     def assemble(P):
         b = np.multiply(exp.coefficients, P, out=P)
@@ -361,11 +360,11 @@ def _series(exp: EigenExpansion, table: MatrixElementTable, ids: tuple[str, ...]
         blocks = fold_rows(a.size, q)
         height = blocks[0].stop
         lower = np.tri(height, dtype=bool)
-        # b_n = a_n exp(2 pi i g n^2), its real and imaginary parts as the
-        # two columns of a real GEMV
+        # b_n = a_n exp(2 pi i g n^2), its real and imaginary parts apart
+        # for two real GEMVs a span
         b = a * np.exp(2j * math.pi * _PROBE * exp.levels.astype(float) ** 2)
-        B = b.view(float).reshape(-1, 2)
-        probes = np.zeros(F)
+        br, bi = np.ascontiguousarray(b.real), np.ascontiguousarray(b.imag)
+        probes, scales = np.zeros(F), np.zeros(F)
         per = max(1, _SPAN_BYTES // (8 * a.size * height))
         for g in range(0, len(blocks), per):
             group = blocks[g:g + per]
@@ -393,8 +392,9 @@ def _series(exp: EigenExpansion, table: MatrixElementTable, ids: tuple[str, ...]
                 del r, w, ab
             for k, (f, R) in enumerate(zip(forms, rows)):
                 # Im(b^H O b) over the span's rows; Re(b^H R b) for O = i R
-                y = B[span].T @ (R @ B)
-                probes[k] += y[0, 0] + y[1, 1] if f == "p" else y[0, 1] - y[1, 0]
+                yr, yi = R @ br, R @ bi
+                probes[k] += (br[span] @ yr + bi[span] @ yi if f == "p"
+                              else br[span] @ yi - bi[span] @ yr)
                 scales[k] += mags[span] @ (np.abs(R, out=R) @ mags)
             # the span's rows dropped before the next span's are written
             del rows, R
