@@ -1,8 +1,9 @@
 """Golden output: the sha256 of every file each subcommand writes.
 
 Each of the six subcommands runs through ``wellpacket.cli.main`` in csv
-and json on a small config (``powerlaw`` on two), and every file it writes
-must hash to the value recorded here.  Any change to a printed digit, a column, a header
+and json on a small config (``evolve`` and ``powerlaw`` on two,
+``observables`` on three: one series on the fold and two on the chunks),
+and every file it writes must hash to the value recorded here.  Any change to a printed digit, a column, a header
 line or the JSON layout shows up as a changed hash, so refactors of the
 run drivers and writers can be checked for byte-identical output.
 ``observables`` and ``powerlaw`` are also pinned in JSON at precisions 3
@@ -20,7 +21,9 @@ import os
 
 import pytest
 
+from wellpacket import build_gaussian_packet, compute_timescales, parse_config
 from wellpacket.cli import main
+from wellpacket.packet import takes_fold
 
 CONFIGS = {
     "evolve": """\
@@ -56,6 +59,28 @@ mode = dense
 start = 0
 stop = 3tau
 count = 301
+""",
+    # plain-number times: float phases, which always take the chunks
+    "observables-float": """\
+[packet]
+n0 = 40
+dx0 = 0.1
+[schedule]
+mode = dense
+start = 0
+stop = 0.01
+count = 301
+""",
+    # exact times on a grid of q = 400000, too fine for the fold at four
+    # samples: the chunks, over N = 255 levels, whose forms span rows
+    # written in several spans
+    "observables-explicit": """\
+[packet]
+n0 = 400
+dx0 = 0.01
+[schedule]
+mode = explicit
+times = 0, 1tau, 0.37T, 12345.678tau
 """,
     "correlate": """\
 [packet]
@@ -106,7 +131,8 @@ dx0 = 0.1
 }
 
 # Config names that are not a subcommand's own name -> the subcommand.
-COMMAND = {"evolve-tails": "evolve", "powerlaw-half": "powerlaw"}
+COMMAND = {"evolve-tails": "evolve", "powerlaw-half": "powerlaw",
+           "observables-float": "observables", "observables-explicit": "observables"}
 
 GOLDEN = {
     ("correlate", "csv"): {
@@ -197,6 +223,22 @@ GOLDEN = {
         "observables.json":
             "e1b7cbc5fa4e8902eb11507cd74247ed032f1ed13b0017631aa1d4111159e068",
     },
+    ("observables-explicit", "csv"): {
+        "observables.csv":
+            "c8c9879b33a401b3072504c5c824a581201cb43d6fd2bd2bce020938408c21f2",
+    },
+    ("observables-explicit", "json"): {
+        "observables.json":
+            "ccea2dd13418b8d7617c00da6308cc43e06488e7c6c366350652e047dd875be0",
+    },
+    ("observables-float", "csv"): {
+        "observables.csv":
+            "e819e0aa455f3299c1016f0fcdec888de6c56f5e6396928c9df2ca5ffa4cb623",
+    },
+    ("observables-float", "json"): {
+        "observables.json":
+            "f8ce726c9b2de7c72b4083a9a44034769c1448454602b95a6a0a699f6da51e7a",
+    },
     ("powerlaw", "csv"): {
         "powerlaw.csv":
             "53f196f37c241f2c6c8de75da2b16914c1ff40d52e6d16a74d3b424a68d5939a",
@@ -266,6 +308,18 @@ def _run(name: str, fmt: str, tmp_path, *options: str) -> dict[str, str]:
 @pytest.mark.parametrize("name", sorted(CONFIGS))
 def test_output_bytes_are_pinned(name, fmt, tmp_path):
     assert _run(name, fmt, tmp_path) == GOLDEN[name, fmt]
+
+
+@pytest.mark.parametrize("name, fold", [("observables", True), ("observables-float", False),
+                                        ("observables-explicit", False)])
+def test_observables_configs_pin_both_phase_paths(name, fold):
+    # the golden observables series take the fold; the float and explicit
+    # ones take the chunks, so that the hashes pin both paths of _series
+    cfg = parse_config(CONFIGS[name])
+    exp = build_gaussian_packet(cfg.packet, cfg.system)
+    report = compute_timescales(cfg.system, cfg.packet)
+    times, theta = cfg.schedule.resolve(report.tau, report.T_rev, cfg.packet.n0)
+    assert takes_fold(times, theta, exp.coefficients.size ** 2) == fold
 
 
 # JSON at precision 3 writes most floats through the `%g` shortcut with
