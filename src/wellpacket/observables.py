@@ -79,8 +79,9 @@ class MatrixElementTable:
     ``p2`` is the vector of p_n^2.  The x, x2 and p forms are not stored:
     off the diagonal they are read from the six 1-D ``kernels`` of
     build_matrix_elements, and ``diagonals`` holds their diagonals.
-    ``rows`` writes a row block of a form afresh; ``block`` is the dense
-    form, built once per window from row blocks and then kept.
+    ``rows`` writes a row block of a form afresh and ``diagonal`` reads a
+    diagonal: they are the only readers of a form, and the table keeps
+    nothing they write.
     """
 
     n_min: int
@@ -90,7 +91,6 @@ class MatrixElementTable:
     diagonals: NDArray[np.float64]
     p2: NDArray[np.float64]
     _hankel: NDArray[np.float64] = field(init=False, repr=False)
-    _dense: dict = field(init=False, repr=False, default_factory=dict)
 
     def __post_init__(self):
         N = self.n_max - self.n_min + 1
@@ -151,23 +151,6 @@ class MatrixElementTable:
         # the block's diagonal entries (k - lo, k) lie N + 1 apart from lo
         R.reshape(-1)[lo::j - i + 1] = self.diagonals[_FORM_INDEX[which], i + lo:i + hi]
         return R
-
-    def block(self, which: str, exp: EigenExpansion | None = None) -> NDArray[np.float64]:
-        """The dense form over the window (the whole table without one); for
-        p2, the slice of its vector.  The chunk path multiplies whole forms,
-        so the dense form is written once from row blocks (fold_rows) and
-        kept on the table: N^2 doubles per form and window asked for."""
-        i, j = self._window(which, exp)
-        if which == "p2":
-            return self.p2[i:j]
-        key = (which, i, j)
-        if key not in self._dense:
-            R = np.empty((j - i, j - i))
-            for s in fold_rows(j - i, 0):
-                R[s] = self.rows(which, s, exp)
-            R.setflags(write=False)
-            self._dense[key] = R
-        return self._dense[key]
 
 
 @dataclass(frozen=True, eq=False)
@@ -275,6 +258,31 @@ def _check_residue(which: str, worst: float, scale: float):
             f"of its scale {scale:.3e}")
 
 
+def _spans(exp: EigenExpansion, table: MatrixElementTable, forms: list[str], q: int,
+           scales: NDArray[np.float64]):
+    """The forms' rows, a span at a time: yields (span, blocks, rows), rows[k]
+    the rows ``span`` of forms[k] written afresh (MatrixElementTable.rows)
+    for whole row blocks of the fold at denominator q (fold_rows; q = 0 for
+    the chunks), up to _SPAN_BYTES a form, so that small blocks do not each
+    pay the call overhead.  When the caller is done with a span, adds its
+    Sum |a_m||a_n||R_mn| to scales[k] and drops its rows, so that one span
+    is alive at a time unless the caller keeps one."""
+    mags = np.abs(exp.coefficients)
+    blocks = fold_rows(mags.size, q)
+    per = max(1, _SPAN_BYTES // (8 * mags.size * blocks[0].stop))
+    for g in range(0, len(blocks), per):
+        group = blocks[g:g + per]
+        span = slice(group[0].start, group[-1].stop)
+        rows = [table.rows(f, span, exp) for f in forms]
+        yield span, group, rows
+        # b^H O b is real for any b, so its imaginary part is rounding in the
+        # sum over m, n, bounded by a small multiple of eps Sum |b_m||b_n||O_mn|;
+        # |b_n| = |a_n| for b_n(t) and the probe alike makes that scale the same
+        # for each, and |O_mn| = |R_mn| exactly for O = i R
+        scales += [mags[span] @ (np.abs(R, out=R) @ mags) for R in rows]
+        rows.clear()
+
+
 def _series(exp: EigenExpansion, table: MatrixElementTable, ids: tuple[str, ...],
             times, *, theta: Theta | None = None) -> list[NDArray[np.float64]]:
     """Each series id over a time array, by the residue fold or from one
@@ -284,7 +292,8 @@ def _series(exp: EigenExpansion, table: MatrixElementTable, ids: tuple[str, ...]
     {x, x2, p} with b_n(t) = a_n exp(-i E_n t / hbar), comes from one of two
     paths, which the cost rule (takes_fold) picks.  <p^2> = Sum |a_n|^2 p_n^2
     is constant in time and needs neither.  ``theta``, the exact times / T,
-    makes the phases exact.
+    makes the phases exact.  Both read the forms' rows from one walk of
+    row spans (_spans), which also sums each form's rounding scale.
 
     The fold (EigenExpansion.fold), on an exact grid: b_m* b_n carries the
     phase 2 pi (m^2 - n^2) theta.  Each form is Hermitian, so the pair
@@ -294,33 +303,28 @@ def _series(exp: EigenExpansion, table: MatrixElementTable, ids: tuple[str, ...]
     row blocks (fold_rows), and the diagonal, constant in time, as an exact
     sum at residue 0.  One FFT gives every sample, and <O> is read from it
     real by construction: its real part, or for p = i R, binned as R, minus
-    its imaginary part.  The table writes the forms' full rows from its
-    kernels (MatrixElementTable.rows) for a span of blocks at a time,
-    dropped after the span, so the fold holds O(N rows + q), whatever N^2.
-    A half fold cannot see a form that is not Hermitian, so each call
-    takes one probe of the full rows, Im(b^H O b) for b_n =
-    a_n exp(2 pi i g n^2), which is rounding for a Hermitian O.  The
-    probe's phases are not those of a time t: at x0 = L/2, conj(a_m) a_n is
-    purely imaginary for odd m - n, and a probe at t = 0 misses a
-    non-Hermitian entry of p or x2 there.
+    its imaginary part.  The walk's spans are dropped one after another, so
+    the fold holds O(N rows + q), whatever N^2.  A half fold cannot see a
+    form that is not Hermitian, so each call takes one probe of the full
+    rows, Im(b^H O b) for b_n = a_n exp(2 pi i g n^2), which is rounding
+    for a Hermitian O.  The probe's phases are not those of a time t: at
+    x0 = L/2, conj(a_m) a_n is purely imaginary for odd m - n, and a probe
+    at t = 0 misses a non-Hermitian entry of p or x2 there.
 
-    The chunks (EigenExpansion.map_chunks): b is formed once per chunk.
-    Each form is R or i R for the dense real form R (MatrixElementTable.block),
-    so with b = br + i bi it takes two real GEMMs, y = br R^T and y = bi R^T,
-    and four row sums: Sum b* R b = (br.Rbr + bi.Rbi) + i (br.Rbi - bi.Rbr).
-    The spent phase block P holds y, so a chunk needs P, br and bi: two
-    chunks' bytes.
+    The chunks (EigenExpansion.map_chunks): the walk writes each dense real
+    form R once per call into an array of the call's own, N^2 doubles a
+    form, which the table does not keep.  b is formed once per chunk.  Each
+    form is R or i R, so with b = br + i bi it takes two real GEMMs,
+    y = br R^T and y = bi R^T, and four row sums: Sum b* R b =
+    (br.Rbr + bi.Rbi) + i (br.Rbi - bi.Rbr).  The spent phase block P holds
+    y, so a chunk needs P, br and bi: two chunks' bytes.
     """
     for which in ids:
         if which not in SERIES_IDS:
             raise ValueError(f"unknown series id {which!r}")
     t = np.asarray(times, dtype=float).reshape(-1)
     forms = [f for f in ("x", "x2", "p") if any(f in _FORMS[w] for w in ids)]
-    mags = np.abs(exp.coefficients)
-    # b^H O b is real for any b, so its imaginary part is rounding in the
-    # sum over m, n, bounded by a small multiple of eps Sum |b_m||b_n||O_mn|;
-    # |b_n| = |a_n| for b_n(t) and the probe alike makes that scale the same
-    # for each, and |O_mn| = |R_mn| exactly for O = i R
+    scales = np.zeros(len(forms))
 
     def assemble(P):
         b = np.multiply(exp.coefficients, P, out=P)
@@ -346,10 +350,7 @@ def _series(exp: EigenExpansion, table: MatrixElementTable, ids: tuple[str, ...]
         # (n_min, n_min) at residue 0: it carries the diagonal
         # Sum |a_n|^2 R_nn, exactly rounded, so that the constant bin holds
         # it within rounding of its pairs however many rows a block holds.
-        # The forms' full rows are written for a span of whole blocks at
-        # once, up to _SPAN_BYTES a form, so that small blocks do not each
-        # pay the call overhead; both triangles feed the span's scale and
-        # probe
+        # Both triangles of a span's rows feed its probe
         a, n2, F = exp.coefficients, exp.square_residues(q), len(forms)
         weights = exp.weights
         diagonal = [math.fsum((weights * table.diagonal(f, exp)).tolist()) for f in forms]
@@ -357,19 +358,13 @@ def _series(exp: EigenExpansion, table: MatrixElementTable, ids: tuple[str, ...]
         # and its imaginary part (j = 1)
         A = 2.0 * a.view(float).reshape(-1, 2)
         V = np.array([[a.real, a.imag], [a.imag, -a.real]])
-        blocks = fold_rows(a.size, q)
-        height = blocks[0].stop
-        lower = np.tri(height, dtype=bool)
+        lower = np.tri(fold_rows(a.size, q)[0].stop, dtype=bool)
         # b_n = a_n exp(2 pi i g n^2), its real and imaginary parts apart
         # for two real GEMVs a span
         b = a * np.exp(2j * math.pi * _PROBE * exp.levels.astype(float) ** 2)
         br, bi = np.ascontiguousarray(b.real), np.ascontiguousarray(b.imag)
-        probes, scales = np.zeros(F), np.zeros(F)
-        per = max(1, _SPAN_BYTES // (8 * a.size * height))
-        for g in range(0, len(blocks), per):
-            group = blocks[g:g + per]
-            top, span = group[0].start, slice(group[0].start, group[-1].stop)
-            rows = [table.rows(f, span, exp) for f in forms]
+        probes = np.zeros(F)
+        for span, group, rows in _spans(exp, table, forms, q, scales):
             for s in group:
                 c, h = s.start, s.stop - s.start
                 r = np.subtract.outer(n2[s], n2[c:])
@@ -380,7 +375,7 @@ def _series(exp: EigenExpansion, table: MatrixElementTable, ids: tuple[str, ...]
                 ab = w[F - 1::F]
                 np.einsum("mk,jkn->jmn", A[s], V[:, :, c:], out=ab)
                 np.copyto(ab[:, :, :h], 0.0, where=lower[:h, :h])
-                here = slice(c - top, s.stop - top)
+                here = slice(c - span.start, s.stop - span.start)
                 for k, R in enumerate(rows[:-1]):
                     np.multiply(R[here, c:], ab[0], out=w[k])
                     np.multiply(R[here, c:], ab[1], out=w[F + k])
@@ -395,9 +390,8 @@ def _series(exp: EigenExpansion, table: MatrixElementTable, ids: tuple[str, ...]
                 yr, yi = R @ br, R @ bi
                 probes[k] += (br[span] @ yr + bi[span] @ yi if f == "p"
                               else br[span] @ yi - bi[span] @ yr)
-                scales[k] += mags[span] @ (np.abs(R, out=R) @ mags)
-            # the span's rows dropped before the next span's are written
-            del rows, R
+            # keep none of the span's rows, so the walk drops them
+            del R
         for f, probe, scale in zip(forms, probes, scales):
             _check_residue(f, abs(probe), scale)
 
@@ -410,13 +404,15 @@ def _series(exp: EigenExpansion, table: MatrixElementTable, ids: tuple[str, ...]
             # p = i R was binned as R: <p> = Re(i FFT) = -Im FFT, in place
             vals["p"] = np.negative(raw[-1].imag, out=raw[-1].imag)
     else:
-        dense = [table.block(f, exp) for f in forms]
+        N = exp.coefficients.size
+        dense = np.empty((len(forms), N, N))
+        for span, _, rows in _spans(exp, table, forms, 0, scales):
+            np.stack(rows, out=dense[:, span])
         raw = exp.map_chunks(assemble, t, np.empty((len(forms), t.size), dtype=complex),
                              theta=theta)
         vals = {}
-        for f, R, v in zip(forms, dense, raw):
-            _check_residue(f, float(np.max(np.abs(v.imag))) if v.size else 0.0,
-                           mags @ np.abs(R) @ mags)
+        for f, scale, v in zip(forms, scales, raw):
+            _check_residue(f, float(np.max(np.abs(v.imag))) if v.size else 0.0, scale)
             vals[f] = v.real
     if "x" in vals:
         L = exp.sys.width_L

@@ -128,16 +128,15 @@ def dense_matrix_elements(n_min: int, n_max: int, L: float = 1.0, hbar: float = 
 
 
 def operator_block(table, which: str, exp=None) -> np.ndarray:
-    """<m|O|n> as the full N x N operator from the table's dense forms
-    (MatrixElementTable.block): x and x2, i times the real p form, and the
-    diagonal matrix of the p2 vector; over the expansion's window when
-    ``exp`` is given, else the whole table."""
-    M = table.block(which, exp)
-    if which == "p":
-        return 1j * M
+    """<m|O|n> as the full N x N operator from the table's two readers: x
+    and x2, and i times the real p form, as their dense forms, all rows at
+    once (MatrixElementTable.rows(f, slice(None), exp)), and the diagonal
+    matrix of the p2 vector (MatrixElementTable.diagonal); over the
+    expansion's window when ``exp`` is given, else the whole table."""
     if which == "p2":
-        return np.diag(M)
-    return M
+        return np.diag(table.diagonal("p2", exp))
+    M = table.rows(which, slice(None), exp)
+    return 1j * M if which == "p" else M
 
 
 # --- direct reference paths for the phase kernel -------------------------
@@ -145,9 +144,9 @@ def operator_block(table, which: str, exp=None) -> np.ndarray:
 def dense_expectation(exp, table_block, times) -> np.ndarray:
     """Sum_mn b_m* O_mn b_n over all times from one full T x N evolved block.
 
-    The dense per-form path: ``table_block`` is the form's table over the
-    expansion's window (MatrixElementTable.block).  Returns the complex
-    values, imaginary rounding residue included.
+    The dense per-form path: ``table_block`` is the form's dense table over
+    the expansion's window (MatrixElementTable.rows(f, slice(None), exp)).
+    Returns the complex values, imaginary rounding residue included.
     """
     t = np.asarray(times, dtype=float)
     U = exp.coefficients[None, :] * np.exp(

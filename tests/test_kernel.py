@@ -222,9 +222,11 @@ def test_revival_scan_memory_is_bounded(sys0):
 
 def test_series_memory_is_about_two_chunks(sys0):
     # 20000 samples over [0, T] at N = 85 are 26 chunks of 769 or 770 rows
-    # (1 MiB of complex phases each); the assembly keeps the chunk, its real
-    # and imaginary halves and no chunk-sized product besides, next to the
-    # (3, 20000) complex output
+    # (1 MiB of complex phases each); the call writes the three dense forms
+    # (8 N^2 bytes each, 0.17 chunk together) and keeps them through the
+    # chunks, and the assembly keeps the chunk, its real and imaginary
+    # halves and no chunk-sized product besides, next to the (3, 20000)
+    # complex output
     spec = PacketSpec(n0=800, x0=0.5, dx0=0.03)
     exp = build_gaussian_packet(spec, sys0)
     times = np.linspace(0.0, compute_timescales(sys0, spec).T_rev, 20000)
@@ -232,25 +234,30 @@ def test_series_memory_is_about_two_chunks(sys0):
     assert len(exp.coefficients) == 85 and len(chunks) == 26
     chunk_bytes = 16 * len(exp.coefficients) * max(s.stop - s.start for s in chunks)
     table = table_for(exp)
-    for f in ("x", "x2", "p"):
-        table.block(f, exp)          # the dense forms, kept on the table
     peak_bytes = _traced_peak(
         lambda: expectation_series(exp, table, ("x", "dx", "p", "dp"), times))
-    # measured 2.09 chunks besides the output; a product per table beside b
-    # and b.conj() was 3.1
+    # measured 2.26 chunks besides the output, the forms included; a
+    # product per table beside b and b.conj() was 3.1
     assert peak_bytes <= 2.4 * chunk_bytes + 3 * 16 * times.size
 
 
-def test_dense_forms_are_built_once_and_kept(default_exp):
-    # the chunk path multiplies whole forms: the first call writes them from
-    # row blocks, later calls on that table reuse them
-    table = table_for(default_exp)
-    N = len(default_exp.coefficients)
-    first = _traced_peak(lambda: expectation_series(default_exp, table, ("x", "p"), [0.1]))
-    kept = table.block("x", default_exp)
-    again = _traced_peak(lambda: expectation_series(default_exp, table, ("x", "p"), [0.2]))
-    assert table.block("x", default_exp) is kept and not kept.flags.writeable
-    assert first >= 2 * 8 * N * N > again
+def test_chunk_path_keeps_nothing_on_the_table(sys0):
+    # the chunk path writes its dense forms into arrays of the call's own,
+    # so after the call the table still holds its 16 N doubles and no form
+    # of 8 N^2 bytes; measured 17.04 N doubles with the table's objects and
+    # the call's results at N = 283 (866 while the table kept its forms)
+    exp = build_gaussian_packet(PacketSpec(n0=1500, x0=0.5, dx0=0.009), sys0)
+    N = len(exp.coefficients)
+    assert N == 283 and not takes_fold([0.1], None, N * N)
+    expectation_series(exp, table_for(exp), ("x", "x2", "p"), [0.2])
+    tracemalloc.start()
+    try:
+        table = table_for(exp)
+        values = expectation_series(exp, table, ("x", "x2", "p"), [0.1])
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(values) == 3 and held <= 8 * 17.5 * N
 
 
 # Exact times: k / (2 n0) are whole bounce periods, the rest fractional

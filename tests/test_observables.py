@@ -57,7 +57,7 @@ def test_matrix_elements_against_quadrature(small_table, sys0, rng):
 
 def test_known_entries(small_table, sys0):
     L = sys0.width_L
-    x, x2, p = (small_table.block(f) for f in ("x", "x2", "p"))
+    x, x2, p = (small_table.rows(f, slice(None)) for f in ("x", "x2", "p"))
     assert x[0, 1] == pytest.approx(-16.0 * L / (9.0 * math.pi**2), rel=1e-14)
     assert x[4, 4] == pytest.approx(L / 2.0, rel=1e-15)
     assert x[1, 3] == pytest.approx(0.0, abs=1e-15)   # even m+n, off-diagonal
@@ -75,29 +75,29 @@ def test_known_entries(small_table, sys0):
 
 def test_hermiticity(small_table):
     for f in ("x", "x2"):
-        assert np.allclose(small_table.block(f), small_table.block(f).T, atol=1e-15)
+        R = small_table.rows(f, slice(None))
+        assert np.allclose(R, R.T, atol=1e-15)
     p = operator_block(small_table, "p")
     assert np.allclose(p, p.conj().T, atol=1e-15)
 
 
 def _assert_tables_bitwise(n_min, n_max, sys):
     """Every row block the table serves, in the fold's blocks and in uneven
-    ones, the dense form the chunk path uses and the diagonals, against the
-    plain N x N formulas, bit for bit."""
+    ones, all rows at once (the dense form the chunk path writes in spans)
+    and the diagonals, against the plain N x N formulas, bit for bit."""
     table = build_matrix_elements(n_min, n_max, sys)
     x, x2, p, p2 = dense_matrix_elements(n_min, n_max, sys.width_L, sys.hbar)
     assert not np.any(p.real)
     bits = lambda a: np.ascontiguousarray(a).view(np.uint64)
     N = n_max - n_min + 1
     cuts = fold_rows(N, 0) + fold_rows(N, 37 * N) + [
-        slice(a, b) for a, b in ((0, N), (0, 1), (N // 3, N // 3 + 1), (N // 2, N), (N - 1, N))]
+        slice(a, b) for a, b in ((0, N), (0, 1), (N // 3, N // 3 + 1), (N // 2, N), (N - 1, N))
+    ] + [slice(None)]
     for name, want in (("x", x), ("x2", x2), ("p", p.imag)):
         for s in cuts:
             got = table.rows(name, s)
             assert got.dtype == np.float64 and got.shape == want[s].shape
             assert np.array_equal(bits(got), bits(want[s])), (name, s, n_min, n_max, sys)
-        dense = table.block(name)
-        assert dense.shape == (N, N) and np.array_equal(bits(dense), bits(want)), (name, sys)
         assert np.array_equal(bits(table.diagonal(name)), bits(np.diagonal(want)))
     assert np.array_equal(bits(table.p2), bits(np.diagonal(p2)))
     assert np.array_equal(bits(table.diagonal("p2")), bits(table.p2))
@@ -221,20 +221,19 @@ def test_block_alignment(default_exp, default_table, sys0):
     # blocks and diagonals, equal to those of the table of that window
     wide = build_matrix_elements(300, 500, sys0)
     for f in ("x", "x2", "p"):
-        assert np.array_equal(default_table.block(f, default_exp), wide.block(f, default_exp))
-        for s in (slice(0, 16), slice(16, 51), slice(50, 51)):
+        for s in (slice(None), slice(0, 16), slice(16, 51), slice(50, 51)):
             assert np.array_equal(default_table.rows(f, s, default_exp),
                                   wide.rows(f, s, default_exp)), (f, s)
     for f in ("x", "x2", "p", "p2"):
         assert np.array_equal(default_table.diagonal(f, default_exp),
                               wide.diagonal(f, default_exp)), f
-    assert np.array_equal(default_table.block("p2", default_exp), wide.block("p2", default_exp))
     narrow = build_matrix_elements(380, 420, sys0)
-    for call in (narrow.block, narrow.diagonal, lambda f, e: narrow.rows(f, slice(0, 2), e)):
+    for call in (narrow.diagonal, lambda f, e: narrow.rows(f, slice(0, 2), e)):
         with pytest.raises(ValueError, match="does not cover"):
             call("x", default_exp)
-    with pytest.raises(ValueError):
-        default_table.block("energy", default_exp)
+    for call in (default_table.diagonal, lambda f, e: default_table.rows(f, slice(None), e)):
+        with pytest.raises(ValueError, match="unknown observable"):
+            call("energy", default_exp)
     with pytest.raises(ValueError, match="p2 is diagonal"):
         default_table.rows("p2", slice(0, 2), default_exp)
 
@@ -381,8 +380,8 @@ def test_uncertainty_rejects_nonquadratic(default_exp, default_table):
 
 def _serving(table, which, M):
     """A copy of ``table`` that serves the N x N array M as its form
-    ``which``: in its row blocks (the fold), its diagonal and the dense form
-    written from its row blocks (the chunks)."""
+    ``which`` through both of its readers: its row blocks, which the fold
+    and the chunks both read, and its diagonal."""
     class Tampered(MatrixElementTable):
         def rows(self, w, s, exp=None):
             return M[s].copy() if w == which else super().rows(w, s, exp)
@@ -416,13 +415,13 @@ def _non_hermitian(exp, table):
     c = exp.spec.n0 - table.n_min
     for which, (i, j), factor in (("x", (c, c + 1), 1.5), ("x2", (c, c + 2), 1.5),
                                   ("p", (c, c + 1), -1.0)):
-        M = table.block(which, exp).copy()
+        M = table.rows(which, slice(None), exp)
         M[i, j] *= factor
         yield which, _serving(table, which, M)
 
 
 def test_inconsistent_table_detected(default_exp, default_table):
-    forms = {f: default_table.block(f, default_exp) for f in ("x", "x2", "p")}
+    forms = {f: default_table.rows(f, slice(None), default_exp) for f in ("x", "x2", "p")}
     # a tampered second-moment table drives the variance negative
     bad = _serving(default_table, "x2", forms["x2"] * 0.5)
     for run in _both_paths(default_exp, lambda t, th: uncertainty_series(
@@ -478,7 +477,7 @@ def test_negative_variance_floor_does_not_depend_on_the_unit_of_length():
     exp = build_gaussian_packet(PacketSpec(n0=400, x0=0.5e-3, dx0=0.05e-3), sys_mm)
     table = table_for(exp)
     shift = -(uncertainty(exp, table, "x", 0.0) ** 2 + 1e-14)
-    x2 = table.block("x2", exp)
+    x2 = table.rows("x2", slice(None), exp)
     bad = _serving(table, "x2", x2 + shift * np.eye(x2.shape[0]))
     with pytest.raises(NumericalConsistencyError, match="negative variance for x"):
         uncertainty(exp, bad, "x", 0.0)

@@ -97,7 +97,7 @@ def test_momentum_table_is_the_position_commutator(n_min, size):
     n_max = n_min + size - 1
     table = build_matrix_elements(n_min, n_max, SYS)
     E = np.array([eigenenergy(n, SYS) for n in range(n_min, n_max + 1)])
-    commutator = 1j * (SYS.mass / SYS.hbar) * (E[:, None] - E[None, :]) * table.block("x")
+    commutator = 1j * (SYS.mass / SYS.hbar) * (E[:, None] - E[None, :]) * table.rows("x", slice(None))
     p = operator_block(table, "p")
     scale = float(np.max(np.abs(p)))
     assert np.max(np.abs(p - commutator)) <= 4.0 * EPS * n_max * scale
