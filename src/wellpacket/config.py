@@ -274,14 +274,16 @@ class FlattenSettings:
             raise ValueError("hold: must be >= 1")
 
     def sample_times(self, tau: float, T: float, n0: int) -> tuple[np.ndarray, Theta | None]:
-        """Sample times 0, step, 2 step, ... below t_stop, and their exact t / T."""
-        t_stop, _ = _time("flatten", "t_stop", self.t_stop, tau, T, n0)
+        """Sample times k step below t_stop, and their exact t / T; exact
+        literals are counted exactly, k theta_step < theta_stop."""
+        t_stop, theta_stop = _time("flatten", "t_stop", self.t_stop, tau, T, n0)
         step, theta_step = _time("flatten", "sample_step", self.sample_step, tau, T, n0)
         if not t_stop > 0.0:
             raise ConfigError("[flatten] t_stop: must be positive")
         if not step > 0.0:
             raise ConfigError("[flatten] sample_step: must be positive")
-        times = np.arange(0.0, t_stop, step)
+        times = (np.arange(0.0, t_stop, step) if None in (theta_stop, theta_step)
+                 else np.arange(math.ceil(theta_stop / theta_step)) * step)
         return times, Theta.progression(0, theta_step, times.size)
 
 

@@ -17,7 +17,7 @@ from wellpacket.config import (ConfigError, CorrelateSettings, OutputSettings,
                                RunConfig, ScheduleSettings, load_config,
                                parse_config, parse_time)
 from wellpacket.runs import _Output
-from wellpacket.timescales import TimeScaleReport
+from wellpacket.timescales import TimeScaleReport, compute_timescales
 from wellpacket.writer import TABLE_CELLS, table_text
 
 SHA_EMPTY = hashlib.sha256(b"").hexdigest()
@@ -401,6 +401,25 @@ def test_flatten_single_width(tmp_path):
     assert summary["scaling_exponent"] is None   # one point cannot fix a slope
     det = summary["detections"]
     assert len(det) == 1 and det[0]["t_star"] is not None
+
+
+def test_flatten_samples_stay_below_t_stop(tmp_path):
+    # at n0 = 141 the float count of 480 tau / 0.25 tau put a 1921st sample
+    # at 480.00000000000006 tau; the exact literals count 1920, each at
+    # k step, the last one step below t_stop
+    cfg = parse_config("[packet]\nn0 = 141\n")
+    report = compute_timescales(cfg.system, cfg.packet)
+    times, theta = cfg.flatten.sample_times(report.tau, report.T_rev, 141)
+    assert times.size == theta.num.size == 1920
+    assert np.array_equal(times, np.arange(1920) * (0.25 * report.tau))
+    assert times[-1] < 480 * report.tau
+    ini = tmp_path / "run.ini"
+    ini.write_text("[packet]\nn0 = 141\n[flatten]\ndx0 = 0.05\n")
+    out = tmp_path / "o"
+    assert main(["scan-flatten", "--config", str(ini), "--out", str(out)]) == 0
+    rows = (out / "flatten_dx0_0.05.csv").read_text().splitlines()
+    assert len(rows) == 4 + 1920      # three header lines and the column names
+    assert float(rows[-1].split(",")[0]) == pytest.approx(times[-1], rel=1e-11)
 
 
 def test_collapse_fit_file(tmp_path):
