@@ -1,10 +1,18 @@
+import os
 import sys
 
 import numpy as np
 import pytest
 
+import wellpacket
 from wellpacket import (PacketSpec, WellSystem, build_gaussian_packet,
                         compute_timescales, table_for)
+
+# subprocesses (the entry points, the demos) import the package that these
+# tests import, from the source tree without an install
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    [os.path.dirname(os.path.dirname(os.path.abspath(wellpacket.__file__))),
+     *filter(None, [os.environ.get("PYTHONPATH")])])
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -7,19 +7,13 @@ import sys
 
 import pytest
 
-import wellpacket
-
 DEMO_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "demos")
-SRC = os.path.dirname(os.path.dirname(os.path.abspath(wellpacket.__file__)))
 
 
 @pytest.mark.parametrize("demo", ["collapse_and_revivals", "density_snapshots",
                                   "powerlaw_wells", "spreading_and_flattening"])
 def test_demo_runs(demo, tmp_path):
-    path = os.environ.get("PYTHONPATH")
-    env = {**os.environ, "PYTHONPATH": SRC if not path else SRC + os.pathsep + path}
     proc = subprocess.run([sys.executable, os.path.join(DEMO_DIR, f"{demo}.py")],
-                          cwd=tmp_path, env=env, capture_output=True, text=True,
-                          timeout=300)
+                          cwd=tmp_path, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout

@@ -253,10 +253,7 @@ def test_powerlaw_run_imports_no_string_module(tmp_path):
             f"    assert main(['powerlaw', '--config', {str(ini)!r}, '--out', {str(tmp_path)!r},"
             " '--format', fmt]) == 0\n"
             "print(sorted(m for m in ('numpy.char', 'numpy.strings') if m in sys.modules))")
-    src = os.path.dirname(os.path.dirname(writer.__file__))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[]"
     assert sorted(os.listdir(tmp_path)) == ["powerlaw.csv", "powerlaw.json", "run.ini"]
