@@ -24,7 +24,7 @@ def _scale(exp, table, which):
     return float(mags @ np.abs(operator_block(table, which, exp)) @ mags)
 
 
-def _dense_schedule(exp, count):
+def _period_schedule(exp, count):
     """The dense 0..1T schedule of ``count`` samples and its exact grid."""
     T = compute_timescales(exp.sys, exp.spec).T_rev
     return np.linspace(0.0, T, count), Theta.progression(0, Fraction(1, count - 1), count)
@@ -75,7 +75,7 @@ def test_fold_is_within_two_eps_of_its_scale(sys0, paths, n0, x0, dx0, count, at
     # the fold binned every pair)
     exp = build_gaussian_packet(PacketSpec(n0=n0, x0=x0, dx0=dx0), sys0)
     table = table_for(exp)
-    times, theta = _dense_schedule(exp, count)
+    times, theta = _period_schedule(exp, count)
     got = expectation_series(exp, table, ("x", "x2", "p"), times, theta=theta)
     assert paths == {"fold": 1, "chunks": 0}
     ref = [mp_moments(exp, Fraction(j, count - 1)) for j in at]
@@ -174,7 +174,7 @@ def test_uncertainty_series_takes_theta(sys0, paths):
     # expectation_series, and gives the same bits
     exp = build_gaussian_packet(PacketSpec(n0=400, x0=0.3, dx0=0.05), sys0)
     table = table_for(exp)
-    times, theta = _dense_schedule(exp, 2001)
+    times, theta = _period_schedule(exp, 2001)
     for which in ("x", "p"):
         paths.update(fold=0, chunks=0)
         got = uncertainty_series(exp, table, which, times, theta=theta)
