@@ -14,8 +14,7 @@ import numpy as np
 from wellpacket import (MomentumGrid, PacketSpec, SpatialGrid, WellSystem,
                         build_gaussian_packet, compute_timescales,
                         expectation_series, momentum_wavefunction,
-                        position_wavefunction, probability_density, table_for,
-                        uncertainty_series)
+                        position_wavefunction, probability_density, table_for)
 
 
 def main() -> int:
@@ -41,8 +40,7 @@ def main() -> int:
     fields = []
     for label, t in snapshots:
         d = probability_density(position_wavefunction(exp, xg, t))
-        x_mean = float(expectation_series(exp, table, "x", [t])[0])
-        dx = float(uncertainty_series(exp, table, "x", [t])[0])
+        x_mean, dx = (float(v[0]) for v in expectation_series(exp, table, ("x", "dx"), [t]))
         i = int(np.argmax(d))
         print(f"{label:32s} {xg.points[i]:8.4f} {d[i]:8.3f} {x_mean:8.4f} {dx:8.4f}")
         fields.append((label, d))

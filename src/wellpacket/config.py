@@ -274,16 +274,25 @@ class FlattenSettings:
             raise ValueError("hold: must be >= 1")
 
     def sample_times(self, tau: float, T: float, n0: int) -> tuple[np.ndarray, Theta | None]:
-        """Sample times k step below t_stop, and their exact t / T; exact
-        literals are counted exactly, k theta_step < theta_stop."""
+        """Sample times k step below t_stop, and their exact t / T; literals
+        of one kind are counted exactly, k theta_step < theta_stop for exact
+        ones and k step < t_stop over the decimal texts of plain numbers."""
+        from fractions import Fraction
+
         t_stop, theta_stop = _time("flatten", "t_stop", self.t_stop, tau, T, n0)
         step, theta_step = _time("flatten", "sample_step", self.sample_step, tau, T, n0)
         if not t_stop > 0.0:
             raise ConfigError("[flatten] t_stop: must be positive")
         if not step > 0.0:
             raise ConfigError("[flatten] sample_step: must be positive")
-        times = (np.arange(0.0, t_stop, step) if None in (theta_stop, theta_step)
-                 else np.arange(math.ceil(theta_stop / theta_step)) * step)
+        stop_text, stop_unit = _split(self.t_stop)
+        step_text, step_unit = _split(self.sample_step)
+        if None not in (theta_stop, theta_step):
+            times = np.arange(math.ceil(theta_stop / theta_step)) * step
+        elif stop_unit is step_unit is None:
+            times = np.arange(math.ceil(Fraction(stop_text) / Fraction(step_text))) * step
+        else:
+            times = np.arange(0.0, t_stop, step)
         return times, Theta.progression(0, theta_step, times.size)
 
 

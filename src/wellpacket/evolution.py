@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .packet import EigenExpansion
+from .packet import EigenExpansion, _time_chunks
 from .system import WellSystem, level_momentum, momentum_basis, position_basis
 
 __all__ = [
@@ -97,16 +97,13 @@ class WaveField:
         self.amplitudes.setflags(write=False)
 
 
-# Bytes of complex128 basis built at a time.  The basis is built in row
-# blocks of about this size, each applied to every time's coefficients and
-# dropped before the next, so a call holds one block, not the whole basis,
-# beyond the fields it returns.
-BASIS_BLOCK_BYTES = 1 << 20
-
-
 def _fields(basis, exp: EigenExpansion, grid, t, theta):
     """The fields Sum a_n b_n(q) exp(-i E_n t / hbar) over the grid points q
-    for each time of ``t``, b_n = ``basis``; one field if ``t`` is a scalar."""
+    for each time of ``t``, b_n = ``basis``; one field if ``t`` is a scalar.
+
+    The basis is built in the row blocks of packet._time_chunks, each
+    applied to every time's coefficients and dropped before the next, so a
+    call holds one block, not the whole basis, beyond the fields it returns."""
     scalar = np.ndim(t) == 0
     if scalar:
         times, thetas = [t], [theta]
@@ -118,16 +115,10 @@ def _fields(basis, exp: EigenExpansion, grid, t, theta):
     coeffs = [exp.phases_at(s, th) for s, th in zip(times, thetas)]
     points = grid.points
     amps = [np.empty(len(points), dtype=complex) for _ in times]
-    rows = max(2, BASIS_BLOCK_BYTES // (16 * len(exp.levels)))
-    starts = list(range(0, len(points), rows))
-    if len(starts) > 1 and len(points) - starts[-1] == 1:
-        # numpy sends a one-row product to a dot, not a GEMV, and its sum
-        # may round otherwise; the row goes to the block before it instead
-        starts.pop()
-    for a, b in zip(starts, starts[1:] + [len(points)]):
-        block = basis(exp.levels, points[a:b], exp.sys).astype(complex, copy=False)
+    for s in _time_chunks(len(points), len(exp.levels)):
+        block = basis(exp.levels, points[s], exp.sys).astype(complex, copy=False)
         for amp, c in zip(amps, coeffs):
-            amp[a:b] = block @ c      # one GEMV per time
+            amp[s] = block @ c      # one GEMV per time
         del block
     fields = [WaveField(grid=grid, amplitudes=amp, time=s) for amp, s in zip(amps, times)]
     return fields[0] if scalar else fields

@@ -40,15 +40,15 @@ OBSERVABLES = ("x", "x2", "p", "p2")
 SERIES_IDS = OBSERVABLES + ("dx", "dp")
 
 # Ceiling on the imaginary residue of an assembled real observable, as a
-# fraction of its rounding scale Sum |a_m||a_n||O_mn| (see _series); the
-# chunks check every sample, the fold one Hermiticity probe per call.
+# fraction of its rounding scale Sum |a_m||a_n||O_mn| (see _series); both
+# paths check one Hermiticity probe per call, and the chunks every sample.
 # Anything larger points at a coefficient/table inconsistency.  Also the
 # relative floor below which a variance counts as negative.
 _IMAG_TOL = 1e-12
 
-# g of the fold's probe vector b_n = a_n exp(2 pi i g n^2): the golden
+# g of the Hermiticity probe's vector b_n = a_n exp(2 pi i g n^2): the golden
 # ratio's fractional part, so that the probe's phases carry no symmetry of
-# the packet's own (see _series).
+# the packet's own (see _spans).
 _PROBE = (math.sqrt(5.0) - 1.0) / 2.0
 
 # How far <x> may stray outside [0, L], as a fraction of L.
@@ -259,15 +259,22 @@ def _check_residue(which: str, worst: float, scale: float):
 
 
 def _spans(exp: EigenExpansion, table: MatrixElementTable, forms: list[str], q: int,
-           scales: NDArray[np.float64]):
+           scales: NDArray[np.float64], probes: NDArray[np.float64]):
     """The forms' rows, a span at a time: yields (span, blocks, rows), rows[k]
     the rows ``span`` of forms[k] written afresh (MatrixElementTable.rows)
     for whole row blocks of the fold at denominator q (fold_rows; q = 0 for
     the chunks), up to _SPAN_BYTES a form, so that small blocks do not each
     pay the call overhead.  When the caller is done with a span, adds its
-    Sum |a_m||a_n||R_mn| to scales[k] and drops its rows, so that one span
-    is alive at a time unless the caller keeps one."""
+    Sum |a_m||a_n||R_mn| to scales[k] and its share of the Hermiticity probe
+    Im(b^H O b) to probes[k], and drops its rows, so that one span is alive
+    at a time unless the caller keeps one.  The probe, rounding for a
+    Hermitian O, takes b_n = a_n exp(2 pi i g n^2), not b_n(t): at x0 = L/2,
+    conj(a_m) a_n is purely imaginary for odd m - n, and a probe at t = 0
+    misses a non-Hermitian entry of p or x2 there."""
     mags = np.abs(exp.coefficients)
+    # the probe's real and imaginary parts apart, for two real GEMVs a span
+    b = exp.coefficients * np.exp(2j * math.pi * _PROBE * exp.levels.astype(float) ** 2)
+    br, bi = np.ascontiguousarray(b.real), np.ascontiguousarray(b.imag)
     blocks = fold_rows(mags.size, q)
     per = max(1, _SPAN_BYTES // (8 * mags.size * blocks[0].stop))
     for g in range(0, len(blocks), per):
@@ -275,6 +282,11 @@ def _spans(exp: EigenExpansion, table: MatrixElementTable, forms: list[str], q: 
         span = slice(group[0].start, group[-1].stop)
         rows = [table.rows(f, span, exp) for f in forms]
         yield span, group, rows
+        for k, f in enumerate(forms):
+            # Im(b^H O b) over the span's rows; Re(b^H R b) for O = i R
+            yr, yi = rows[k] @ br, rows[k] @ bi
+            probes[k] += (br[span] @ yr + bi[span] @ yi if f == "p"
+                          else br[span] @ yi - bi[span] @ yr)
         # b^H O b is real for any b, so its imaginary part is rounding in the
         # sum over m, n, bounded by a small multiple of eps Sum |b_m||b_n||O_mn|;
         # |b_n| = |a_n| for b_n(t) and the probe alike makes that scale the same
@@ -293,7 +305,8 @@ def _series(exp: EigenExpansion, table: MatrixElementTable, ids: tuple[str, ...]
     paths, which the cost rule (takes_fold) picks.  <p^2> = Sum |a_n|^2 p_n^2
     is constant in time and needs neither.  ``theta``, the exact times / T,
     makes the phases exact.  Both read the forms' rows from one walk of
-    row spans (_spans), which also sums each form's rounding scale.
+    row spans (_spans), which also sums each form's rounding scale and its
+    Hermiticity probe, checked once per call on either path.
 
     The fold (EigenExpansion.fold), on an exact grid: b_m* b_n carries the
     phase 2 pi (m^2 - n^2) theta.  Each form is Hermitian, so the pair
@@ -305,11 +318,7 @@ def _series(exp: EigenExpansion, table: MatrixElementTable, ids: tuple[str, ...]
     real by construction: its real part, or for p = i R, binned as R, minus
     its imaginary part.  The walk's spans are dropped one after another, so
     the fold holds O(N rows + q), whatever N^2.  A half fold cannot see a
-    form that is not Hermitian, so each call takes one probe of the full
-    rows, Im(b^H O b) for b_n = a_n exp(2 pi i g n^2), which is rounding
-    for a Hermitian O.  The probe's phases are not those of a time t: at
-    x0 = L/2, conj(a_m) a_n is purely imaginary for odd m - n, and a probe
-    at t = 0 misses a non-Hermitian entry of p or x2 there.
+    form that is not Hermitian; the probe of the full rows does.
 
     The chunks (EigenExpansion.map_chunks): the walk writes each dense real
     form R once per call into an array of the call's own, N^2 doubles a
@@ -317,14 +326,15 @@ def _series(exp: EigenExpansion, table: MatrixElementTable, ids: tuple[str, ...]
     form is R or i R, so with b = br + i bi it takes two real GEMMs,
     y = br R^T and y = bi R^T, and four row sums: Sum b* R b =
     (br.Rbr + bi.Rbi) + i (br.Rbi - bi.Rbr).  The spent phase block P holds
-    y, so a chunk needs P, br and bi: two chunks' bytes.
+    y, so a chunk needs P, br and bi: two chunks' bytes.  Each sample's
+    imaginary part is checked as well.
     """
     for which in ids:
         if which not in SERIES_IDS:
             raise ValueError(f"unknown series id {which!r}")
     t = np.asarray(times, dtype=float).reshape(-1)
     forms = [f for f in ("x", "x2", "p") if any(f in _FORMS[w] for w in ids)]
-    scales = np.zeros(len(forms))
+    scales, probes = np.zeros((2, len(forms)))
 
     def assemble(P):
         b = np.multiply(exp.coefficients, P, out=P)
@@ -349,8 +359,7 @@ def _series(exp: EigenExpansion, table: MatrixElementTable, ids: tuple[str, ...]
         # of the block's leading square weigh 0, but for the first block's
         # (n_min, n_min) at residue 0: it carries the diagonal
         # Sum |a_n|^2 R_nn, exactly rounded, so that the constant bin holds
-        # it within rounding of its pairs however many rows a block holds.
-        # Both triangles of a span's rows feed its probe
+        # it within rounding of its pairs however many rows a block holds
         a, n2, F = exp.coefficients, exp.square_residues(q), len(forms)
         weights = exp.weights
         diagonal = [math.fsum((weights * table.diagonal(f, exp)).tolist()) for f in forms]
@@ -359,12 +368,7 @@ def _series(exp: EigenExpansion, table: MatrixElementTable, ids: tuple[str, ...]
         A = 2.0 * a.view(float).reshape(-1, 2)
         V = np.array([[a.real, a.imag], [a.imag, -a.real]])
         lower = np.tri(fold_rows(a.size, q)[0].stop, dtype=bool)
-        # b_n = a_n exp(2 pi i g n^2), its real and imaginary parts apart
-        # for two real GEMVs a span
-        b = a * np.exp(2j * math.pi * _PROBE * exp.levels.astype(float) ** 2)
-        br, bi = np.ascontiguousarray(b.real), np.ascontiguousarray(b.imag)
-        probes = np.zeros(F)
-        for span, group, rows in _spans(exp, table, forms, q, scales):
+        for span, group, rows in _spans(exp, table, forms, q, scales, probes):
             for s in group:
                 c, h = s.start, s.stop - s.start
                 r = np.subtract.outer(n2[s], n2[c:])
@@ -376,24 +380,15 @@ def _series(exp: EigenExpansion, table: MatrixElementTable, ids: tuple[str, ...]
                 np.einsum("mk,jkn->jmn", A[s], V[:, :, c:], out=ab)
                 np.copyto(ab[:, :, :h], 0.0, where=lower[:h, :h])
                 here = slice(c - span.start, s.stop - span.start)
-                for k, R in enumerate(rows[:-1]):
-                    np.multiply(R[here, c:], ab[0], out=w[k])
-                    np.multiply(R[here, c:], ab[1], out=w[F + k])
+                for k in range(F - 1):
+                    np.multiply(rows[k][here, c:], ab[0], out=w[k])
+                    np.multiply(rows[k][here, c:], ab[1], out=w[F + k])
                 ab *= rows[-1][here, c:]
                 if c == 0:
                     w[:F, 0, 0] = diagonal
                 yield r, w
                 # one block alive at a time: drop it before the next is built
                 del r, w, ab
-            for k, (f, R) in enumerate(zip(forms, rows)):
-                # Im(b^H O b) over the span's rows; Re(b^H R b) for O = i R
-                yr, yi = R @ br, R @ bi
-                probes[k] += (br[span] @ yr + bi[span] @ yi if f == "p"
-                              else br[span] @ yi - bi[span] @ yr)
-            # keep none of the span's rows, so the walk drops them
-            del R
-        for f, probe, scale in zip(forms, probes, scales):
-            _check_residue(f, abs(probe), scale)
 
     if not forms:
         vals = {}
@@ -406,7 +401,7 @@ def _series(exp: EigenExpansion, table: MatrixElementTable, ids: tuple[str, ...]
     else:
         N = exp.coefficients.size
         dense = np.empty((len(forms), N, N))
-        for span, _, rows in _spans(exp, table, forms, 0, scales):
+        for span, _, rows in _spans(exp, table, forms, 0, scales, probes):
             np.stack(rows, out=dense[:, span])
         raw = exp.map_chunks(assemble, t, np.empty((len(forms), t.size), dtype=complex),
                              theta=theta)
@@ -414,6 +409,8 @@ def _series(exp: EigenExpansion, table: MatrixElementTable, ids: tuple[str, ...]
         for f, scale, v in zip(forms, scales, raw):
             _check_residue(f, float(np.max(np.abs(v.imag))) if v.size else 0.0, scale)
             vals[f] = v.real
+    for f, probe, scale in zip(forms, probes, scales):
+        _check_residue(f, abs(probe), scale)
     if "x" in vals:
         L = exp.sys.width_L
         x = vals["x"]

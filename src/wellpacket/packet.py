@@ -25,9 +25,10 @@ __all__ = ["PacketSpec", "EigenExpansion", "Theta", "build_gaussian_packet",
 # before the construction is flagged.
 _TRUNCATION_WARN_WEIGHT = 1e-8
 
-# Bytes of complex128 phase factors one time chunk of the phase kernel may
-# hold.  Every series and scan reduces one chunk before building the next,
-# so memory stays bounded however many time samples a run asks for.
+# Bytes of complex128 one row block of _time_chunks may hold: a time chunk
+# of the phase kernel's factors, or a block of evolution's grid basis.
+# Every series, scan and field reduces one block before building the next,
+# so memory stays bounded however many times or grid points a run asks for.
 PHASE_CHUNK_BYTES = 2**20
 
 # Bytes of complex128 a length-q array over the residues of an exact grid may
@@ -79,19 +80,18 @@ def fold_rows(n_levels: int, q: int) -> list[slice]:
 
 
 def _time_chunks(n_times: int, n_levels: int) -> list[slice]:
-    """Row slices of a T x N complex128 phase block, each within PHASE_CHUNK_BYTES.
+    """Row slices of a T x N complex128 block: the phase kernel's time
+    chunks, and evolution's basis blocks over the grid points.
 
-    The slices are balanced, their lengths differing by at most one.  No
-    slice of a longer block holds a single row unless the budget forces it:
-    BLAS sums a one-row product in another order, and with at least two rows
-    per slice a row's value does not depend on the split.
+    The slices are balanced, their lengths differing by at most one, and
+    each holds at most PHASE_CHUNK_BYTES while that is three rows or more;
+    below, two or three rows.  No slice of a longer block holds a single
+    row: BLAS sums a one-row product in another order, and with at least
+    two rows per slice a row's value does not depend on the split.
     """
-    if n_times == 0:
-        return []
     rows = max(1, PHASE_CHUNK_BYTES // (16 * max(1, n_levels)))
-    n = -(-n_times // rows)
-    edges = [i * n_times // n for i in range(n + 1)]
-    return [slice(a, b) for a, b in zip(edges, edges[1:])]
+    n = min(-(-n_times // rows), max(1, n_times // 2))
+    return [slice(i * n_times // n, (i + 1) * n_times // n) for i in range(n)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -249,7 +249,7 @@ class EigenExpansion:
         """The chunked phase kernel: out[..., s] = fn(P) for every time chunk s,
         one chunk after another; returns out.
 
-        P = exp(-i E_n t / hbar) over times[s], within PHASE_CHUNK_BYTES.
+        P = exp(-i E_n t / hbar) over times[s], s a chunk of _time_chunks.
         ``theta``, the exact times / T, makes every phase an exact residue
         (see _phase_rows); it presumes the box spectrum that
         build_gaussian_packet gives.  fn may overwrite P.
@@ -303,9 +303,8 @@ class EigenExpansion:
     def phases_at(self, t: float, theta=None) -> NDArray[np.complex128]:
         """Coefficients evolved to time t: a_n exp(-i E_n t / hbar); ``theta``
         is the exact t / T, if known."""
-        out = np.empty((len(self.energies), 1), dtype=complex)
-        self.map_chunks(lambda P: P.T, [t], out, theta=Theta.of([theta]))
-        return self.coefficients * out[:, 0]
+        block = self._phase_rows(np.array([t], dtype=float), Theta.of([theta]))
+        return self.coefficients * block(slice(None))[0]
 
 
 def build_gaussian_packet(spec: PacketSpec, sys: WellSystem = WellSystem()) -> EigenExpansion:

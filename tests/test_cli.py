@@ -420,6 +420,11 @@ def test_flatten_samples_stay_below_t_stop(tmp_path):
     rows = (out / "flatten_dx0_0.05.csv").read_text().splitlines()
     assert len(rows) == 4 + 1920      # three header lines and the column names
     assert float(rows[-1].split(",")[0]) == pytest.approx(times[-1], rel=1e-11)
+    # plain numbers: the float count of 0.07 / 0.005 put a 15th sample at
+    # 0.07; their decimal texts count 14, each at k step
+    cfg = parse_config("[flatten]\nt_stop = 0.07\nsample_step = 0.005\n")
+    times, theta = cfg.flatten.sample_times(report.tau, report.T_rev, 400)
+    assert theta is None and np.array_equal(times, np.arange(14) * 0.005)
 
 
 def test_collapse_fit_file(tmp_path):

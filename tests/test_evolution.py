@@ -11,7 +11,7 @@ import pytest
 from wellpacket import (MomentumGrid, PacketSpec, SpatialGrid, build_gaussian_packet,
                         compute_timescales, density_norm, momentum_wavefunction,
                         position_wavefunction, probability_density)
-from wellpacket import evolution
+from wellpacket import evolution, packet
 from wellpacket.cli import main
 
 P0 = 400 * math.pi
@@ -175,12 +175,13 @@ def test_time_sequence_gives_the_scalar_fields(default_exp, default_report, wave
 @pytest.mark.parametrize("rows", [2, 3, 5, 7, 64, 100])
 def test_smaller_basis_blocks_give_equal_fields(default_exp, default_report, xgrid, pgrid,
                                                 rows, monkeypatch):
-    # 4096 positions leave a one-row tail at 3, 5 and 7 rows a block, 3771
-    # momenta at 2 and 5
+    # the basis blocks are the phase kernel's chunks: a budget of 2 to 100
+    # rows splits 4096 positions and 3771 momenta into balanced blocks,
+    # none of them a single row, and no field may move
     times = _times(default_report)
     whole = [position_wavefunction(default_exp, xgrid, times, THETAS),
              momentum_wavefunction(default_exp, pgrid, times, THETAS)]
-    monkeypatch.setattr(evolution, "BASIS_BLOCK_BYTES", 16 * len(default_exp.levels) * rows)
+    monkeypatch.setattr(packet, "PHASE_CHUNK_BYTES", 16 * len(default_exp.levels) * rows)
     blocked = [position_wavefunction(default_exp, xgrid, times, THETAS),
                momentum_wavefunction(default_exp, pgrid, times, THETAS)]
     for a, b in zip(whole, blocked):

@@ -46,11 +46,13 @@ def test_phase_chunks_cover_times_within_budget(monkeypatch, default_exp):
     assert np.array_equal(out, full.T)
     assert np.array_equal(default_exp.phases_at(times[9]),
                           default_exp.coefficients * full[9])
-    # a budget below one row still makes progress, one row per chunk
+    # a budget below one row still makes progress, two or three rows a
+    # chunk, never the one-row product that BLAS sums in another order
     monkeypatch.setattr(packet, "PHASE_CHUNK_BYTES", 1)
     blocks.clear()
     default_exp.map_chunks(keep, times[:5], out[:, :5])
-    assert [len(P) for P in blocks] == [1] * 5
+    assert [len(P) for P in blocks] == [2, 3]
+    assert np.array_equal(out[:, :5], full[:5].T)
 
 
 def test_chunks_balance_the_budget_without_single_rows(monkeypatch):
@@ -73,23 +75,23 @@ def test_chunks_balance_the_budget_without_single_rows(monkeypatch):
 
 def test_chunks_hold_two_rows_while_two_rows_fit():
     # at the 1 MiB budget, 21845 levels leave 3 rows a chunk, 21846 and 32768
-    # leave 2, and past 32768 two rows exceed it; a one-row slice of a longer
-    # block appears only where the budget forces it: one row a chunk, or two
-    # rows a chunk over an odd number of times (one slice of one row)
+    # leave 2, and past 32768 two rows exceed it; no slice of a longer block
+    # holds a single row, and the budget holds while it fits three rows:
+    # below that, the slices hold two or three rows
     assert packet.PHASE_CHUNK_BYTES == 2**20
-    for n_levels, rows in ((21845, 3), (21846, 2), (32768, 2), (32769, 1), (40000, 1)):
+    for n_levels, rows in ((85, 771), (21845, 3), (21846, 2), (32768, 2), (32769, 1),
+                           (40000, 1)):
         assert rows == max(1, packet.PHASE_CHUNK_BYTES // (16 * n_levels))
-        for n_times in range(2, 40):
+        for n_times in (*range(1, 40), 1000, 1001):
             lengths = [s.stop - s.start for s in packet._time_chunks(n_times, n_levels)]
-            assert sum(lengths) == n_times and max(lengths) <= rows
+            assert sum(lengths) == n_times
             assert max(lengths) - min(lengths) <= 1
-            singles = lengths.count(1)
-            if rows == 1:
-                assert singles == n_times
-            elif rows == 2 and n_times % 2:
-                assert singles == 1, (n_levels, n_times)
+            assert min(lengths) >= 2 or n_times == 1, (n_levels, n_times)
+            if rows >= 3:
+                # as few chunks as the budget allows
+                assert len(lengths) == -(-n_times // rows) and max(lengths) <= rows
             else:
-                assert singles == 0, (n_levels, n_times)
+                assert max(lengths) <= 3, (n_levels, n_times)
 
 
 @pytest.mark.parametrize("budget", [2**10, 2**20, 2**26])

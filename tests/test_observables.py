@@ -394,13 +394,13 @@ def _serving(table, which, M):
 
 
 def _both_paths(exp, call):
-    """call(times, theta) on the chunks (three plain times) and on the fold
-    (41 strobes of an exact grid)."""
+    """call(times, theta) on the chunks (the single time t = 0, and three
+    plain times) and on the fold (41 strobes of an exact grid)."""
     n0 = exp.spec.n0
     theta = Theta.progression(0, Fraction(3, 20 * n0), 41)
     times = np.arange(41) * 0.3 * compute_timescales(exp.sys, exp.spec).tau
     assert takes_fold(times, theta, exp.coefficients.size ** 2)
-    for t, th in (([0.0, times[1], times[7]], None), (times, theta)):
+    for t, th in (([0.0], None), ([0.0, times[1], times[7]], None), (times, theta)):
         yield lambda: call(t, th)
 
 
