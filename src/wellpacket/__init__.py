@@ -13,16 +13,15 @@ from .config import (ConfigError, RunConfig, load_config, parse_config,
 from .correlation import (DEFAULT_FIT_THRESHOLD, CollapseFit, CollapseFitError,
                           ScanPeak, autocorrelation, autocorrelation_series,
                           fit_collapse, fit_gaussian_decay, fit_stroboscopic,
-                          mirror_correlation, mirror_correlation_series,
-                          nearest_fraction, revival_scan)
+                          mirror_correlation_series, nearest_fraction,
+                          revival_scan)
 from .evolution import (MomentumGrid, SpatialGrid, WaveField, density_norm,
                         momentum_wavefunction, position_wavefunction,
                         probability_density)
 from .observables import (OBSERVABLES, MatrixElementTable,
                           NumericalConsistencyError, TimeSeries,
-                          build_matrix_elements, expectation,
-                          expectation_series, sample_series, spec_hash,
-                          table_for, uncertainty, uncertainty_series)
+                          build_matrix_elements, expectation_series,
+                          sample_series, table_for, uncertainty_series)
 from .packet import (EigenExpansion, PacketSpec, Theta, build_gaussian_packet,
                      initial_moments)
 from .powerlaw import (PowerLawWell, classical_period_powerlaw,
@@ -54,13 +53,12 @@ __all__ = [
     # observables
     "OBSERVABLES", "MatrixElementTable", "TimeSeries",
     "NumericalConsistencyError", "build_matrix_elements", "table_for",
-    "expectation", "expectation_series", "uncertainty", "uncertainty_series",
-    "sample_series", "spec_hash",
+    "expectation_series", "uncertainty_series", "sample_series",
     # correlation
     "DEFAULT_FIT_THRESHOLD", "CollapseFit", "CollapseFitError", "ScanPeak",
-    "autocorrelation", "autocorrelation_series", "mirror_correlation",
-    "mirror_correlation_series", "fit_gaussian_decay", "fit_stroboscopic",
-    "fit_collapse", "nearest_fraction", "revival_scan",
+    "autocorrelation", "autocorrelation_series", "mirror_correlation_series",
+    "fit_gaussian_decay", "fit_stroboscopic", "fit_collapse",
+    "nearest_fraction", "revival_scan",
     # timescales
     "TimeScaleReport", "compute_timescales", "flat_reference",
     "flat_momentum_reference", "spreading_envelope", "detect_flattening",

@@ -203,7 +203,7 @@ class CorrelateSettings:
             for key in ("scan_start", "scan_stop", "scan_resolution"))
         if not start >= 0.0:
             raise ConfigError("[correlate] scan_start: must not be negative")
-        if not start < stop <= T + SCAN_WINDOW_SLACK:
+        if not start < stop <= T * (1.0 + SCAN_WINDOW_SLACK):
             raise ConfigError("[correlate] scan_stop: must lie in (scan_start, 1T]")
         if not res > 0.0:
             raise ConfigError("[correlate] scan_resolution: must be positive")

@@ -24,7 +24,6 @@ __all__ = [
     "ScanPeak",
     "autocorrelation",
     "autocorrelation_series",
-    "mirror_correlation",
     "mirror_correlation_series",
     "fit_gaussian_decay",
     "fit_stroboscopic",
@@ -41,7 +40,8 @@ DEFAULT_FIT_THRESHOLD = 0.9
 
 _MAX_FIT_POINTS = 10000
 
-# How far past T a revival scan window may end: the rounding of a "1T" literal.
+# How far past T, as a fraction of T, a revival scan window may end: the
+# rounding of a "1T" or "2 n0 tau" literal, which grows with T.
 SCAN_WINDOW_SLACK = 1e-12
 
 # How far past the window's end, in resolution steps, a revival scan sample
@@ -113,18 +113,14 @@ def autocorrelation_series(exp: EigenExpansion, times, theta: Theta | None = Non
     return _phase_sum(exp, exp.weights, times, theta)
 
 
-def mirror_correlation(exp: EigenExpansion, t: float, theta=None) -> complex:
-    """C-bar(t) = Sum (-1)^(n+1) |a_n|^2 exp(i E_n t / hbar).
-
-    Closed form of the overlap Int psi*(L-x, t) psi(x, 0) dx, using
-    u_n(L - x) = (-1)^(n+1) u_n(x).  ``theta`` is the exact t / T, if known.
-    """
-    return complex(_phase_sum(exp, _mirror_weights(exp), t, Theta.of([theta]))[0])
-
-
 def mirror_correlation_series(exp: EigenExpansion, times,
                               theta: Theta | None = None) -> NDArray[np.complex128]:
-    """C-bar(t) over a time array; ``theta`` is the exact times / T, if known."""
+    """C-bar(t) = Sum (-1)^(n+1) |a_n|^2 exp(i E_n t / hbar) over a time array;
+    ``theta`` is the exact times / T, if known.
+
+    Closed form of the overlap Int psi*(L-x, t) psi(x, 0) dx, using
+    u_n(L - x) = (-1)^(n+1) u_n(x).
+    """
     return _phase_sum(exp, _mirror_weights(exp), times, theta)
 
 
@@ -235,7 +231,7 @@ def revival_scan(exp: EigenExpansion, t_window: tuple[float, float],
     """
     T = revival_time(exp.sys)
     t0, t1 = t_window
-    if not (0.0 <= t0 < t1 <= T + SCAN_WINDOW_SLACK):
+    if not (0.0 <= t0 < t1 <= T * (1.0 + SCAN_WINDOW_SLACK)):
         raise ValueError("scan window must lie within [0, T]")
     if not resolution > 0:
         raise ValueError("scan resolution must be positive")

@@ -11,7 +11,6 @@ cross-check (see tests).
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass, field
 
@@ -28,10 +27,7 @@ __all__ = [
     "TimeSeries",
     "build_matrix_elements",
     "table_for",
-    "spec_hash",
-    "expectation",
     "expectation_series",
-    "uncertainty",
     "uncertainty_series",
     "sample_series",
 ]
@@ -155,12 +151,11 @@ class MatrixElementTable:
 
 @dataclass(frozen=True, eq=False)
 class TimeSeries:
-    """Sampled observable values plus bookkeeping metadata."""
+    """Sampled values of one observable."""
 
     observable: str
     times: NDArray[np.float64]
     values: NDArray[np.float64]
-    metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
         t = np.asarray(self.times, dtype=float)
@@ -431,14 +426,6 @@ def _series(exp: EigenExpansion, table: MatrixElementTable, ids: tuple[str, ...]
     return out
 
 
-def expectation(exp: EigenExpansion, table: MatrixElementTable, which: str,
-                t: float) -> float:
-    """<which>_t for which in {x, x2, p, p2}."""
-    if which not in OBSERVABLES:
-        raise ValueError(f"unknown observable {which!r}")
-    return float(_series(exp, table, (which,), [t])[0][0])
-
-
 def expectation_series(exp: EigenExpansion, table: MatrixElementTable, which,
                        times, *, theta: Theta | None = None):
     """Vectorized expectation over a time array.
@@ -453,12 +440,6 @@ def expectation_series(exp: EigenExpansion, table: MatrixElementTable, which,
     return tuple(_series(exp, table, tuple(which), times, theta=theta))
 
 
-def uncertainty(exp: EigenExpansion, table: MatrixElementTable, which: str,
-                t: float) -> float:
-    """Delta which at time t, sqrt(<O^2> - <O>^2), which in {x, p}."""
-    return float(uncertainty_series(exp, table, which, [t])[0])
-
-
 def uncertainty_series(exp: EigenExpansion, table: MatrixElementTable, which: str,
                        times, *, theta: Theta | None = None) -> NDArray[np.float64]:
     """Vectorized uncertainty over a time array.  ``theta``, the exact
@@ -466,14 +447,6 @@ def uncertainty_series(exp: EigenExpansion, table: MatrixElementTable, which: st
     if which not in ("x", "p"):
         raise ValueError(f"uncertainty defined for x or p, got {which!r}")
     return _series(exp, table, ("d" + which,), times, theta=theta)[0]
-
-
-def spec_hash(exp: EigenExpansion) -> str:
-    """Short stable hash of the packet parameters and window, for metadata."""
-    s = exp.spec
-    key = (exp.sys.mass, exp.sys.hbar, exp.sys.width_L, exp.n_min, exp.n_max,
-           None if s is None else (s.n0, s.x0, s.alpha, s.dx0, s.window_sigmas))
-    return hashlib.sha256(repr(key).encode()).hexdigest()[:16]
 
 
 def sample_series(exp: EigenExpansion, table: MatrixElementTable, which: str,
@@ -484,8 +457,4 @@ def sample_series(exp: EigenExpansion, table: MatrixElementTable, which: str,
     if times.size == 0:
         raise ValueError("empty schedule")
     values = expectation_series(exp, table, which, times, theta=theta)
-    meta = {
-        "packet": spec_hash(exp),
-        "window": [exp.n_min, exp.n_max],
-    }
-    return TimeSeries(observable=which, times=times, values=values, metadata=meta)
+    return TimeSeries(observable=which, times=times, values=values)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable, Iterable
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.typing import NDArray
@@ -180,22 +180,24 @@ class PacketSpec:
 class EigenExpansion:
     """State as coefficients a_n over a contiguous level window.
 
-    coefficients[i] belongs to level n_min + i and energies[i] matches
-    eigenenergy(n_min + i).  Sum |a_n|^2 = 1 after construction.
+    coefficients[i] belongs to level n_min + i.  The spectrum is the box's:
+    energies[i] = eigenenergy(n_min + i), derived here, never passed in, so
+    that the float phases and the exact ones (2 pi n^2 theta) see one
+    spectrum.  Sum |a_n|^2 = 1 after construction.
     """
 
     n_min: int
     coefficients: NDArray[np.complex128]
-    energies: NDArray[np.float64]
+    energies: NDArray[np.float64] = field(init=False)
     sys: WellSystem
     truncated_at_floor: bool = False
     spec: PacketSpec | None = None
 
     def __post_init__(self):
-        if len(self.coefficients) != len(self.energies):
-            raise ValueError("coefficients and energies must have equal length")
+        energies = eigenenergy(self.levels, self.sys)
         self.coefficients.setflags(write=False)
-        self.energies.setflags(write=False)
+        energies.setflags(write=False)
+        object.__setattr__(self, "energies", energies)
 
     @property
     def n_max(self) -> int:
@@ -251,8 +253,7 @@ class EigenExpansion:
 
         P = exp(-i E_n t / hbar) over times[s], s a chunk of _time_chunks.
         ``theta``, the exact times / T, makes every phase an exact residue
-        (see _phase_rows); it presumes the box spectrum that
-        build_gaussian_packet gives.  fn may overwrite P.
+        (see _phase_rows).  fn may overwrite P.
         """
         t = np.asarray(times, dtype=float).reshape(-1)
         _check_theta(t, theta)
@@ -343,9 +344,8 @@ def build_gaussian_packet(spec: PacketSpec, sys: WellSystem = WellSystem()) -> E
         truncated = lost > _TRUNCATION_WARN_WEIGHT
 
     coeff = raw / math.sqrt(float(np.sum(np.abs(raw) ** 2)))
-    energies = eigenenergy(ns, sys)
-    return EigenExpansion(n_min=n_min, coefficients=coeff, energies=energies,
-                          sys=sys, truncated_at_floor=truncated, spec=spec)
+    return EigenExpansion(n_min=n_min, coefficients=coeff, sys=sys,
+                          truncated_at_floor=truncated, spec=spec)
 
 
 def initial_moments(spec: PacketSpec, sys: WellSystem = WellSystem()) -> tuple[float, float]:

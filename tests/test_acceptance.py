@@ -21,7 +21,7 @@ from wellpacket import (EigenExpansion, MomentumGrid, PacketSpec,
                         autocorrelation_series, build_gaussian_packet,
                         build_matrix_elements, classical_period_powerlaw,
                         collapse_time_powerlaw, compute_timescales,
-                        detect_flattening, eigenenergy, fit_collapse,
+                        detect_flattening, fit_collapse,
                         fit_powerlaw_collapse, gaussian_weights,
                         mirror_correlation_series, momentum_wavefunction,
                         position_wavefunction, powerlaw_autocorrelation,
@@ -257,9 +257,7 @@ def test_c11_oracle_suite(default_exp, sys0, rng):
         probes = np.array(sorted({0.7, 12.3, 0.98 * pn, pn, pn + 1e-9,
                                   1.25 * pn}))
         pts = np.concatenate((-probes[::-1], [0.0], probes))
-        pure = EigenExpansion(n_min=n, coefficients=np.array([1.0 + 0.0j]),
-                              energies=np.array([eigenenergy(n, sys0)]),
-                              sys=sys0)
+        pure = EigenExpansion(n_min=n, coefficients=np.array([1.0 + 0.0j]), sys=sys0)
         phi = momentum_wavefunction(pure, MomentumGrid(pts), 0.0).amplitudes
         for p, a in zip(pts, phi):
             mom_dev = max(mom_dev, abs(a - momentum_amplitude_quad(n, float(p))))

@@ -607,6 +607,23 @@ def test_package_entry_point(tmp_path):
     assert len(rows) == 5    # the header and n = 0 .. 3
 
 
+@pytest.mark.parametrize("stop, code", [("2000tau", 0), ("1T", 0), ("1.000000001T", 1)])
+def test_scan_stop_slack_scales_with_T(tmp_path, capsys, stop, code):
+    # in a well of length 1000, 2000 tau = 2 n0 tau rounds 4.7e-10 past T:
+    # a window that ends at T, which an absolute slack of 1e-12 refused
+    ini = tmp_path / "run.ini"
+    ini.write_text("[system]\nlength = 1000\nmass = 3.0\n"
+                   "[packet]\nn0 = 1000\nx0 = 500\ndx0 = 50\n[schedule]\nn_stop = 5\n"
+                   f"[correlate]\nscan = true\nscan_stop = {stop}\nscan_resolution = 0.5tau\n")
+    out = tmp_path / "o"
+    assert main(["correlate", "--config", str(ini), "--out", str(out)]) == code
+    if code:
+        assert capsys.readouterr().err.startswith("config error: [correlate] scan_stop:")
+    else:
+        scan = json.loads((out / "revival_scan.json").read_text())
+        assert scan["peaks"][-1]["fraction"] == [1, 1]
+
+
 def test_startup_imports_stay_lean():
     # the command line loads neither a thread pool nor fractions at start-up;
     # fractions comes in when a time literal is first parsed

@@ -9,8 +9,8 @@ from wellpacket import (DEFAULT_FIT_THRESHOLD, CollapseFitError, PacketSpec,
                         SpatialGrid, WellSystem, autocorrelation,
                         autocorrelation_series, build_gaussian_packet,
                         compute_timescales, fit_collapse, fit_gaussian_decay,
-                        mirror_correlation, mirror_correlation_series,
-                        nearest_fraction, position_wavefunction, revival_scan)
+                        mirror_correlation_series, nearest_fraction,
+                        position_wavefunction, revival_scan)
 
 from oracles import gl_points
 
@@ -28,10 +28,10 @@ def test_exact_revival(default_exp):
 
 
 def test_half_revival_mirror_overlap(default_exp):
-    assert abs(mirror_correlation(default_exp, T_REV / 2.0)) == \
+    assert abs(mirror_correlation_series(default_exp, [T_REV / 2.0])[0]) == \
         pytest.approx(1.0, abs=1e-10)
     # at t = 0 the packet is orthogonal to its mirror (reversed momentum)
-    assert abs(mirror_correlation(default_exp, 0.0)) < 1e-6
+    assert abs(mirror_correlation_series(default_exp, [0.0])[0]) < 1e-6
 
 
 def test_symmetry_and_periodicity(default_exp, rng):
@@ -80,7 +80,8 @@ def test_mirror_correlation_against_quadrature(default_exp, sys0):
         # evolved state
         psit = position_wavefunction(default_exp, grid, t).amplitudes
         overlap = np.sum(weights * np.conj(psit) * mirrored)
-        assert mirror_correlation(default_exp, t) == pytest.approx(overlap, abs=1e-6)
+        assert mirror_correlation_series(default_exp, [t])[0] == \
+            pytest.approx(overlap, abs=1e-6)
 
 
 def test_fit_gaussian_decay_synthetic():
@@ -180,6 +181,21 @@ def test_revival_scan_window_validation(default_exp):
         revival_scan(default_exp, (0.0, TAU), 3 * TAU, 0.3)
 
 
+def test_revival_scan_window_end_slack_scales_with_T():
+    # 2000 tau rounds 4.7e-10 past T in a well of length 1000: far past an
+    # absolute slack of 1e-12, yet a window that ends at T
+    big = WellSystem(width_L=1000.0, mass=3.0)
+    spec = PacketSpec(n0=1000, x0=500.0, dx0=50.0)
+    exp, rep = build_gaussian_packet(spec, big), compute_timescales(big, spec)
+    assert 2000 * rep.tau > rep.T_rev
+    peaks = revival_scan(exp, (0.0, 2000 * rep.tau), rep.tau / 2, 0.3)
+    assert peaks[-1].fraction == (1, 1)
+    for well, T in ((exp, rep.T_rev), (build_gaussian_packet(PacketSpec(
+            n0=400, x0=0.5, dx0=0.05)), T_REV)):
+        with pytest.raises(ValueError, match="within"):
+            revival_scan(well, (0.0, T * (1 + 1e-9)), T / 1600, 0.3)
+
+
 def _peaks_by_loop(curve, min_height):
     """The scan's peak rule as a plain loop, the reference for its mask."""
     last, out = len(curve) - 1, []
@@ -230,7 +246,8 @@ def test_series_forms_match_scalars(default_exp, rng):
     ms = mirror_correlation_series(default_exp, ts)
     for i, t in enumerate(ts):
         assert cs[i] == pytest.approx(autocorrelation(default_exp, float(t)), abs=1e-13)
-        assert ms[i] == pytest.approx(mirror_correlation(default_exp, float(t)), abs=1e-13)
+        assert ms[i] == pytest.approx(mirror_correlation_series(default_exp, [float(t)])[0],
+                                      abs=1e-13)
 
 
 def test_series_pair_matches_the_single_series(default_exp, rng):

@@ -17,11 +17,10 @@ from hypothesis import strategies as st
 
 from wellpacket import (MatrixElementTable, MomentumGrid, NumericalConsistencyError,
                         PacketSpec, SpatialGrid, Theta, TimeSeries, WellSystem,
-                        build_gaussian_packet, build_matrix_elements, expectation,
+                        build_gaussian_packet, build_matrix_elements,
                         expectation_series, momentum_wavefunction, position_wavefunction,
-                        probability_density, sample_series, spec_hash,
-                        compute_timescales, table_for, uncertainty,
-                        uncertainty_series)
+                        probability_density, sample_series, compute_timescales,
+                        table_for, uncertainty_series)
 from wellpacket import observables
 from wellpacket.packet import fold_rows, takes_fold
 
@@ -212,7 +211,7 @@ def test_mean_square_momentum_is_correctly_rounded(n0, dx0):
     table = table_for(exp)
     exact = sum(Fraction(w) * Fraction(p2)
                 for w, p2 in zip(exp.weights.tolist(), table.p2.tolist()))
-    got = expectation(exp, table, "p2", 0.0)
+    got = expectation_series(exp, table, "p2", [0.0])[0]
     assert abs(Fraction(got) - exact) <= math.ulp(float(exact)), (n0, dx0)
 
 
@@ -239,10 +238,14 @@ def test_block_alignment(default_exp, default_table, sys0):
 
 
 def test_initial_expectations(default_exp, default_table):
-    assert expectation(default_exp, default_table, "x", 0.0) == pytest.approx(0.5, abs=1e-3)
-    assert expectation(default_exp, default_table, "p", 0.0) == pytest.approx(P0, rel=1e-3)
-    assert uncertainty(default_exp, default_table, "x", 0.0) == pytest.approx(0.05, rel=1e-3)
-    assert uncertainty(default_exp, default_table, "p", 0.0) == pytest.approx(10.0, rel=1e-2)
+    assert expectation_series(default_exp, default_table, "x", [0.0])[0] == \
+        pytest.approx(0.5, abs=1e-3)
+    assert expectation_series(default_exp, default_table, "p", [0.0])[0] == \
+        pytest.approx(P0, rel=1e-3)
+    assert uncertainty_series(default_exp, default_table, "x", [0.0])[0] == \
+        pytest.approx(0.05, rel=1e-3)
+    assert uncertainty_series(default_exp, default_table, "p", [0.0])[0] == \
+        pytest.approx(10.0, rel=1e-2)
 
 
 def test_classical_turning_points(default_exp, default_table):
@@ -264,7 +267,7 @@ def test_stroboscopic_mean_position(default_exp, default_table):
 def test_eighth_period_mean(default_exp, default_table):
     # halfway to the wall: <x> = 3L/4 at (n + 1/8) tau before dispersion
     for n in (0, 1, 2):
-        x = expectation(default_exp, default_table, "x", (n + 0.125) * TAU)
+        x = expectation_series(default_exp, default_table, "x", [(n + 0.125) * TAU])[0]
         assert x == pytest.approx(0.75, abs=2e-3)
 
 
@@ -285,18 +288,20 @@ def test_free_gaussian_envelope(default_exp, default_table):
 
 
 def test_revival_and_half_revival_moments(default_exp, default_table):
-    assert uncertainty(default_exp, default_table, "x", T_REV) == pytest.approx(0.05, rel=1e-6)
-    assert expectation(default_exp, default_table, "p", T_REV) == pytest.approx(P0, rel=1e-6)
+    assert uncertainty_series(default_exp, default_table, "x", [T_REV])[0] == \
+        pytest.approx(0.05, rel=1e-6)
+    assert expectation_series(default_exp, default_table, "p", [T_REV])[0] == \
+        pytest.approx(P0, rel=1e-6)
     # half revival: mirrored packet, reversed momentum
-    assert expectation(default_exp, default_table, "p", T_REV / 2.0) == \
+    assert expectation_series(default_exp, default_table, "p", [T_REV / 2.0])[0] == \
         pytest.approx(-P0, rel=1e-9)
-    assert expectation(default_exp, default_table, "x", T_REV / 2.0) == \
+    assert expectation_series(default_exp, default_table, "x", [T_REV / 2.0])[0] == \
         pytest.approx(0.5, abs=1e-9)
 
 
 def test_quarter_revival_width(default_exp, default_table):
     for frac in (0.25, 0.75):
-        dx = uncertainty(default_exp, default_table, "x", frac * T_REV)
+        dx = uncertainty_series(default_exp, default_table, "x", [frac * T_REV])[0]
         assert dx == pytest.approx(0.05, rel=0.05)
 
 
@@ -309,10 +314,12 @@ def test_anti_revival_width(default_exp, default_table):
 
 def test_flat_phase_moments(default_exp, default_table):
     t = 124 * TAU
-    assert uncertainty(default_exp, default_table, "x", t) == \
+    assert uncertainty_series(default_exp, default_table, "x", [t])[0] == \
         pytest.approx(1.0 / math.sqrt(12.0), rel=0.05)
-    assert expectation(default_exp, default_table, "x", t) == pytest.approx(0.5, abs=1e-2)
-    assert uncertainty(default_exp, default_table, "p", t) == pytest.approx(P0, rel=0.05)
+    assert expectation_series(default_exp, default_table, "x", [t])[0] == \
+        pytest.approx(0.5, abs=1e-2)
+    assert uncertainty_series(default_exp, default_table, "p", [t])[0] == \
+        pytest.approx(P0, rel=0.05)
 
 
 def test_grid_moment_cross_check(default_exp, default_table, sys0):
@@ -322,13 +329,13 @@ def test_grid_moment_cross_check(default_exp, default_table, sys0):
         d = probability_density(position_wavefunction(default_exp, xg, t))
         x_grid = float(np.trapezoid(xg.points * d, xg.points))
         x2_grid = float(np.trapezoid(xg.points**2 * d, xg.points))
-        assert x_grid == pytest.approx(expectation(default_exp, default_table, "x", t),
-                                       abs=1e-4)
-        assert x2_grid == pytest.approx(expectation(default_exp, default_table, "x2", t),
-                                        abs=1e-4)
+        x, x2, p = (expectation_series(default_exp, default_table, w, [t])[0]
+                    for w in ("x", "x2", "p"))
+        assert x_grid == pytest.approx(x, abs=1e-4)
+        assert x2_grid == pytest.approx(x2, abs=1e-4)
         dm = probability_density(momentum_wavefunction(default_exp, pg, t))
         p_grid = float(np.trapezoid(pg.points * dm, pg.points))
-        assert abs(p_grid - expectation(default_exp, default_table, "p", t)) < 0.01 * P0
+        assert abs(p_grid - p) < 0.01 * P0
 
 
 def test_uncertainty_product(default_exp, default_table, rng):
@@ -338,12 +345,10 @@ def test_uncertainty_product(default_exp, default_table, rng):
     assert np.all(prod >= 0.5 * default_exp.sys.hbar - 1e-9)
 
 
-def test_series_and_metadata(default_exp, default_table):
+def test_sample_series(default_exp, default_table):
     ts = np.arange(0, 10) * TAU
     s = sample_series(default_exp, default_table, "dx", ts)
     assert s.observable == "dx"
-    assert s.metadata["window"] == [375, 425]
-    assert s.metadata["packet"] == spec_hash(default_exp)
     assert np.array_equal(s.times, ts)
     with pytest.raises(ValueError):
         sample_series(default_exp, default_table, "dx", [])
@@ -356,7 +361,8 @@ def test_p2_alone_is_the_constant_weighted_sum(default_exp, default_table):
     pn = default_exp.levels * math.pi * default_exp.sys.hbar / default_exp.sys.width_L
     want = float(np.sum(default_exp.weights * pn**2))
     ts = np.arange(0, 5) * 0.3 * TAU
-    assert expectation(default_exp, default_table, "p2", 0.7 * TAU) == pytest.approx(want, rel=1e-14)
+    assert expectation_series(default_exp, default_table, "p2", [0.7 * TAU])[0] == \
+        pytest.approx(want, rel=1e-14)
     assert np.allclose(expectation_series(default_exp, default_table, "p2", ts),
                        want, rtol=1e-14, atol=0.0)
     s = sample_series(default_exp, default_table, "p2", ts)
@@ -375,7 +381,7 @@ def test_time_series_validation():
 
 def test_uncertainty_rejects_nonquadratic(default_exp, default_table):
     with pytest.raises(ValueError):
-        uncertainty(default_exp, default_table, "x2", 0.0)
+        uncertainty_series(default_exp, default_table, "x2", [0.0])[0]
 
 
 def _serving(table, which, M):
@@ -439,7 +445,7 @@ def test_inconsistent_table_detected(default_exp, default_table):
     # a scaled first-moment table pushes <x> outside the well
     bad = _serving(default_table, "x", forms["x"] * 3.0)
     with pytest.raises(NumericalConsistencyError):
-        expectation(default_exp, bad, "x", 0.0)
+        expectation_series(default_exp, bad, "x", [0.0])[0]
     for run in _both_paths(default_exp, lambda t, th: expectation_series(
             default_exp, bad, "x", t, theta=th)):
         with pytest.raises(NumericalConsistencyError, match="outside the well"):
@@ -476,17 +482,11 @@ def test_negative_variance_floor_does_not_depend_on_the_unit_of_length():
     sys_mm = WellSystem(width_L=1e-3)
     exp = build_gaussian_packet(PacketSpec(n0=400, x0=0.5e-3, dx0=0.05e-3), sys_mm)
     table = table_for(exp)
-    shift = -(uncertainty(exp, table, "x", 0.0) ** 2 + 1e-14)
+    shift = -(uncertainty_series(exp, table, "x", [0.0])[0] ** 2 + 1e-14)
     x2 = table.rows("x2", slice(None), exp)
     bad = _serving(table, "x2", x2 + shift * np.eye(x2.shape[0]))
     with pytest.raises(NumericalConsistencyError, match="negative variance for x"):
-        uncertainty(exp, bad, "x", 0.0)
+        uncertainty_series(exp, bad, "x", [0.0])[0]
     with pytest.raises(NumericalConsistencyError, match="negative variance for x"):
         uncertainty_series(exp, bad, "x", [0.0, 1.0], theta=Theta.of([0, 1]))
 
-
-def test_spec_hash_distinguishes(sys0):
-    a = build_gaussian_packet(PacketSpec(n0=400, x0=0.5, dx0=0.05), sys0)
-    b = build_gaussian_packet(PacketSpec(n0=400, x0=0.5, dx0=0.1), sys0)
-    assert spec_hash(a) != spec_hash(b)
-    assert len(spec_hash(a)) == 16

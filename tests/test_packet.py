@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from wellpacket import (PacketSpec, WellSystem, build_gaussian_packet,
-                        initial_moments)
+from wellpacket import (EigenExpansion, PacketSpec, WellSystem,
+                        build_gaussian_packet, eigenenergy, initial_moments)
 
 
 def test_spec_requires_exactly_one_width():
@@ -101,6 +101,15 @@ def test_energies_match_levels(default_exp, sys0):
     ns = default_exp.levels
     want = (ns * math.pi * sys0.hbar / sys0.width_L) ** 2 / (2.0 * sys0.mass)
     assert np.allclose(default_exp.energies, want, rtol=1e-14)
+
+
+def test_energies_are_derived_from_the_window(default_exp, sys0):
+    # the spectrum is the box's, never passed in, so the float phases and
+    # the exact ones cannot see two spectra
+    assert np.array_equal(default_exp.energies, eigenenergy(default_exp.levels, sys0))
+    with pytest.raises(TypeError):
+        EigenExpansion(n_min=1, coefficients=np.array([1.0 + 0.0j]),
+                       energies=np.array([0.0]), sys=sys0)
 
 
 def test_phases_at(default_exp):

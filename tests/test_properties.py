@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 from wellpacket import (PacketSpec, Theta, WellSystem, autocorrelation,
                         build_gaussian_packet, build_matrix_elements,
                         compute_timescales, eigenenergy, expectation_series,
-                        mirror_correlation, parse_config, run_correlate, table_for)
+                        mirror_correlation_series, parse_config, run_correlate,
+                        table_for)
 from wellpacket.runs import _Output
 from wellpacket.writer import KERNEL_MIN, TABLE_CELLS, json_chunks
 
@@ -43,7 +44,7 @@ def test_norm_and_full_and_half_revivals(spec):
     exp, rep = _packet(spec)
     assert abs(float(np.sum(np.abs(exp.coefficients) ** 2)) - 1.0) < 1e-13
     assert abs(abs(autocorrelation(exp, rep.T_rev)) - 1.0) < 1e-12
-    assert abs(abs(mirror_correlation(exp, rep.T_rev / 2.0)) - 1.0) < 1e-12
+    assert abs(abs(mirror_correlation_series(exp, [rep.T_rev / 2.0])[0]) - 1.0) < 1e-12
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
