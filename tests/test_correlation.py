@@ -181,7 +181,7 @@ def test_revival_scan_window_validation(default_exp):
         revival_scan(default_exp, (0.0, TAU), 3 * TAU, 0.3)
 
 
-def test_revival_scan_window_end_slack_scales_with_T():
+def test_revival_scan_window_end_slack_scales_with_T(default_exp):
     # 2000 tau rounds 4.7e-10 past T in a well of length 1000: far past an
     # absolute slack of 1e-12, yet a window that ends at T
     big = WellSystem(width_L=1000.0, mass=3.0)
@@ -190,8 +190,7 @@ def test_revival_scan_window_end_slack_scales_with_T():
     assert 2000 * rep.tau > rep.T_rev
     peaks = revival_scan(exp, (0.0, 2000 * rep.tau), rep.tau / 2, 0.3)
     assert peaks[-1].fraction == (1, 1)
-    for well, T in ((exp, rep.T_rev), (build_gaussian_packet(PacketSpec(
-            n0=400, x0=0.5, dx0=0.05)), T_REV)):
+    for well, T in ((exp, rep.T_rev), (default_exp, T_REV)):
         with pytest.raises(ValueError, match="within"):
             revival_scan(well, (0.0, T * (1 + 1e-9)), T / 1600, 0.3)
 

@@ -381,7 +381,7 @@ def test_time_series_validation():
 
 def test_uncertainty_rejects_nonquadratic(default_exp, default_table):
     with pytest.raises(ValueError):
-        uncertainty_series(default_exp, default_table, "x2", [0.0])[0]
+        uncertainty_series(default_exp, default_table, "x2", [0.0])
 
 
 def _serving(table, which, M):
@@ -445,7 +445,7 @@ def test_inconsistent_table_detected(default_exp, default_table):
     # a scaled first-moment table pushes <x> outside the well
     bad = _serving(default_table, "x", forms["x"] * 3.0)
     with pytest.raises(NumericalConsistencyError):
-        expectation_series(default_exp, bad, "x", [0.0])[0]
+        expectation_series(default_exp, bad, "x", [0.0])
     for run in _both_paths(default_exp, lambda t, th: expectation_series(
             default_exp, bad, "x", t, theta=th)):
         with pytest.raises(NumericalConsistencyError, match="outside the well"):
@@ -486,7 +486,7 @@ def test_negative_variance_floor_does_not_depend_on_the_unit_of_length():
     x2 = table.rows("x2", slice(None), exp)
     bad = _serving(table, "x2", x2 + shift * np.eye(x2.shape[0]))
     with pytest.raises(NumericalConsistencyError, match="negative variance for x"):
-        uncertainty_series(exp, bad, "x", [0.0])[0]
+        uncertainty_series(exp, bad, "x", [0.0])
     with pytest.raises(NumericalConsistencyError, match="negative variance for x"):
         uncertainty_series(exp, bad, "x", [0.0, 1.0], theta=Theta.of([0, 1]))
 
