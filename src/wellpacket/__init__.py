@@ -22,8 +22,7 @@ from .observables import (OBSERVABLES, MatrixElementTable,
                           NumericalConsistencyError, TimeSeries,
                           build_matrix_elements, expectation_series,
                           sample_series, table_for, uncertainty_series)
-from .packet import (EigenExpansion, PacketSpec, Theta, build_gaussian_packet,
-                     initial_moments)
+from .packet import EigenExpansion, PacketSpec, Theta, build_gaussian_packet
 from .powerlaw import (PowerLawWell, classical_period_powerlaw,
                        collapse_time_powerlaw, fit_powerlaw_collapse,
                        gaussian_weights, powerlaw_autocorrelation,
@@ -46,7 +45,6 @@ __all__ = [
     "eigenstate_position", "eigenstate_momentum", "classical_trajectory",
     # packet
     "PacketSpec", "EigenExpansion", "Theta", "build_gaussian_packet",
-    "initial_moments",
     # evolution
     "SpatialGrid", "MomentumGrid", "WaveField", "position_wavefunction",
     "momentum_wavefunction", "probability_density", "density_norm",

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field, fields, is_dataclass, replace
 
 import numpy as np
 
-from .correlation import DEFAULT_FIT_THRESHOLD, SCAN_STEP_SLACK, SCAN_WINDOW_SLACK
+from .correlation import DEFAULT_FIT_THRESHOLD, _scan_times
 from .packet import PacketSpec, Theta
 from .system import WellSystem
 
@@ -201,15 +201,10 @@ class CorrelateSettings:
         (start, theta_start), (stop, _), (res, theta_res) = (
             _time("correlate", key, getattr(self, key), tau, T, n0)
             for key in ("scan_start", "scan_stop", "scan_resolution"))
-        if not start >= 0.0:
-            raise ConfigError("[correlate] scan_start: must not be negative")
-        if not start < stop <= T * (1.0 + SCAN_WINDOW_SLACK):
-            raise ConfigError("[correlate] scan_stop: must lie in (scan_start, 1T]")
-        if not res > 0.0:
-            raise ConfigError("[correlate] scan_resolution: must be positive")
-        # the ceiling of this ratio is the length of revival_scan's np.arange
-        if not (stop + SCAN_STEP_SLACK * res - start) / res > 1.0:
-            raise ConfigError("[correlate] scan_resolution: leaves fewer than two samples")
+        try:
+            _scan_times(T, start, stop, res)
+        except ValueError as e:
+            raise ConfigError(f"[correlate] {e}") from None
         exact = None if theta_start is None or theta_res is None else (theta_start, theta_res)
         return start, stop, res, exact
 

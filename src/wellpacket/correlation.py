@@ -218,26 +218,37 @@ def nearest_fraction(x: float, max_q: int = 8) -> tuple[int, int]:
     return best
 
 
+def _scan_times(T: float, t0: float, t1: float, resolution: float) -> NDArray[np.float64]:
+    """The revival scan's samples t0 + k resolution, none past t1 but by
+    rounding (SCAN_STEP_SLACK), on a window within [0, T] but by rounding
+    (SCAN_WINDOW_SLACK); at least two of them, or ValueError naming the
+    setting at fault."""
+    if not t0 >= 0.0:
+        raise ValueError("scan_start: must not be negative")
+    if not t0 < t1 <= T * (1.0 + SCAN_WINDOW_SLACK):
+        raise ValueError("scan_stop: must lie in (scan_start, 1T]")
+    if not resolution > 0.0:
+        raise ValueError("scan_resolution: must be positive")
+    times = np.arange(t0, t1 + SCAN_STEP_SLACK * resolution, resolution)
+    if times.size < 2:
+        raise ValueError("scan_resolution: leaves fewer than two samples")
+    return times
+
+
 def revival_scan(exp: EigenExpansion, t_window: tuple[float, float],
                  resolution: float, min_height: float, theta=None) -> list[ScanPeak]:
     """Local maxima of max(|C|, |C-bar|) on a sampled window.
 
-    The samples are t0 + k resolution up to t1, none past it but by
-    rounding (SCAN_STEP_SLACK).  Peaks at or above ``min_height`` are annotated with the closest
-    fraction p/q of the revival time T (nearest_fraction) when that
-    fraction lies within half a resolution step; otherwise the annotation
-    is None.  ``theta``, the exact (t_window[0] / T, resolution / T), makes
-    every sample's phase exact.  The window needs at least two samples.
+    The samples are t0 + k resolution over (t0, t1) = ``t_window``
+    (_scan_times).  Peaks at or above ``min_height`` are annotated with
+    the closest fraction p/q of the revival time T (nearest_fraction) when
+    that fraction lies within half a resolution step; otherwise the
+    annotation is None.  ``theta``, the exact (t0 / T, resolution / T),
+    makes every sample's phase exact.  The window needs at least two
+    samples.
     """
     T = revival_time(exp.sys)
-    t0, t1 = t_window
-    if not (0.0 <= t0 < t1 <= T * (1.0 + SCAN_WINDOW_SLACK)):
-        raise ValueError("scan window must lie within [0, T]")
-    if not resolution > 0:
-        raise ValueError("scan resolution must be positive")
-    times = np.arange(t0, t1 + SCAN_STEP_SLACK * resolution, resolution)
-    if times.size < 2:
-        raise ValueError("scan resolution leaves fewer than two samples in the window")
+    times = _scan_times(T, *t_window, resolution)
     exact = None if theta is None else Theta.progression(*theta, times.size)
     ac, mc = np.abs(_phase_sum(exp, _both_weights(exp), times, exact))
     curve = np.maximum(ac, mc)

@@ -45,10 +45,6 @@ class SpatialGrid:
         object.__setattr__(self, "points", pts)
         pts.setflags(write=False)
 
-    @property
-    def spacing(self) -> float:
-        return float(self.points[1] - self.points[0])
-
 
 @dataclass(frozen=True, eq=False)
 class MomentumGrid:
@@ -75,10 +71,6 @@ class MomentumGrid:
             raise ValueError("momentum grid must be symmetric about 0")
         object.__setattr__(self, "points", pts)
         pts.setflags(write=False)
-
-    @property
-    def spacing(self) -> float:
-        return float(self.points[1] - self.points[0])
 
 
 @dataclass(frozen=True, eq=False)

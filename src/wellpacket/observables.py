@@ -77,7 +77,8 @@ class MatrixElementTable:
     build_matrix_elements, and ``diagonals`` holds their diagonals.
     ``rows`` writes a row block of a form afresh and ``diagonal`` reads a
     diagonal: they are the only readers of a form, and the table keeps
-    nothing they write.
+    nothing they write.  A table serves exactly the packet table_for built
+    it for, its window in its well; the series refuse any other (_series).
     """
 
     n_min: int
@@ -97,55 +98,40 @@ class MatrixElementTable:
         H = as_strided(K, (6, N, N), (K.strides[0],) + 2 * K.strides[1:], writeable=False)
         object.__setattr__(self, "_hankel", H)
 
-    def covers(self, exp: EigenExpansion) -> bool:
-        return self.n_min <= exp.n_min and exp.n_max <= self.n_max
-
-    def _window(self, which: str, exp: EigenExpansion | None) -> tuple[int, int]:
-        """Table indices [i, j) of the expansion's window, the whole table
-        without one."""
+    def diagonal(self, which: str) -> NDArray[np.float64]:
+        """The diagonal of a form; for p2, its vector."""
         if which not in OBSERVABLES:
             raise ValueError(f"unknown observable {which!r}")
-        if exp is None:
-            return 0, self.n_max - self.n_min + 1
-        if not self.covers(exp):
-            raise ValueError(
-                f"table window [{self.n_min}, {self.n_max}] does not cover "
-                f"expansion window [{exp.n_min}, {exp.n_max}]")
-        return exp.n_min - self.n_min, exp.n_max - self.n_min + 1
+        return self.p2 if which == "p2" else self.diagonals[_FORM_INDEX[which]]
 
-    def diagonal(self, which: str, exp: EigenExpansion | None = None) -> NDArray[np.float64]:
-        """The diagonal of a form over the window; for p2, its vector."""
-        i, j = self._window(which, exp)
-        return self.p2[i:j] if which == "p2" else self.diagonals[_FORM_INDEX[which], i:j]
-
-    def rows(self, which: str, s: slice, exp: EigenExpansion | None = None) -> NDArray[np.float64]:
-        """Rows s of the real form of ``which`` over the window, written
-        afresh from the kernels; the only temporaries are of the block's size.
+    def rows(self, which: str, s: slice) -> NDArray[np.float64]:
+        """Rows s of the real form of ``which``, written afresh from the
+        kernels; the only temporaries are of the block's size.
 
         Each entry rounds as the plain N x N formula does (see
         build_matrix_elements), whichever rows the block holds.
         """
-        i, j = self._window(which, exp)
-        lo, hi, _ = s.indices(j - i)
-        r, c = slice(i + lo, i + hi), slice(i, j)
+        d = self.diagonal(which)
+        lo, hi, _ = s.indices(d.size)
+        r = slice(lo, hi)
         H, L, hbar = self._hankel, self.sys.width_L, self.sys.hbar
         if which == "x":
-            R = np.subtract(H[1, r, c], H[0, ::-1][r, c])
+            R = np.subtract(H[1, r], H[0, ::-1][r])
             R *= 2.0 * L / np.pi**2
         elif which == "x2":
-            R = np.subtract(H[2, ::-1][r, c], H[3, r, c])
+            R = np.subtract(H[2, ::-1][r], H[3, r])
             R *= 2.0 * L**2 / np.pi**2
         elif which == "p":
-            w = np.multiply(H[4, ::-1][r, c], H[5, r, c])
+            w = np.multiply(H[4, ::-1][r], H[5, r])
             np.divide(1.0, w, out=w)
-            m = np.arange(self.n_min + r.start, self.n_min + r.stop, dtype=float)
-            n = np.arange(self.n_min + i, self.n_min + j, dtype=float)
+            m = np.arange(self.n_min + lo, self.n_min + hi, dtype=float)
+            n = np.arange(self.n_min, self.n_max + 1, dtype=float)
             R = np.multiply.outer(4.0 * hbar / L * m, n)
             R *= w
         else:
             raise ValueError("p2 is diagonal: see MatrixElementTable.diagonal")
         # the block's diagonal entries (k - lo, k) lie N + 1 apart from lo
-        R.reshape(-1)[lo::j - i + 1] = self.diagonals[_FORM_INDEX[which], i + lo:i + hi]
+        R.reshape(-1)[lo::d.size + 1] = d[lo:hi]
         return R
 
 
@@ -233,7 +219,7 @@ def build_matrix_elements(n_min: int, n_max: int,
 
 
 def table_for(exp: EigenExpansion) -> MatrixElementTable:
-    """Convenience: a table exactly covering the expansion's window."""
+    """The table of the expansion's window and well, the one its series take."""
     return build_matrix_elements(exp.n_min, exp.n_max, exp.sys)
 
 
@@ -275,7 +261,7 @@ def _spans(exp: EigenExpansion, table: MatrixElementTable, forms: list[str], q: 
     for g in range(0, len(blocks), per):
         group = blocks[g:g + per]
         span = slice(group[0].start, group[-1].stop)
-        rows = [table.rows(f, span, exp) for f in forms]
+        rows = [table.rows(f, span) for f in forms]
         yield span, group, rows
         for k, f in enumerate(forms):
             # Im(b^H O b) over the span's rows; Re(b^H R b) for O = i R
@@ -301,7 +287,9 @@ def _series(exp: EigenExpansion, table: MatrixElementTable, ids: tuple[str, ...]
     is constant in time and needs neither.  ``theta``, the exact times / T,
     makes the phases exact.  Both read the forms' rows from one walk of
     row spans (_spans), which also sums each form's rounding scale and its
-    Hermiticity probe, checked once per call on either path.
+    Hermiticity probe, checked once per call on either path.  The table
+    must be the packet's own (table_for): its window and well, checked
+    before any form is read.
 
     The fold (EigenExpansion.fold), on an exact grid: b_m* b_n carries the
     phase 2 pi (m^2 - n^2) theta.  Each form is Hermitian, so the pair
@@ -327,9 +315,17 @@ def _series(exp: EigenExpansion, table: MatrixElementTable, ids: tuple[str, ...]
     for which in ids:
         if which not in SERIES_IDS:
             raise ValueError(f"unknown series id {which!r}")
+    if (table.n_min, table.n_max, table.sys) != (exp.n_min, exp.n_max, exp.sys):
+        raise ValueError(
+            f"table of levels [{table.n_min}, {table.n_max}] in {table.sys} is not the "
+            f"table of the packet's levels [{exp.n_min}, {exp.n_max}] in {exp.sys}")
     t = np.asarray(times, dtype=float).reshape(-1)
     forms = [f for f in ("x", "x2", "p") if any(f in _FORMS[w] for w in ids)]
     scales, probes = np.zeros((2, len(forms)))
+
+    def mean_diagonal(f: str) -> float:
+        # Sum |a_n|^2 O_nn, exactly rounded
+        return math.fsum((exp.weights * table.diagonal(f)).tolist())
 
     def assemble(P):
         b = np.multiply(exp.coefficients, P, out=P)
@@ -356,8 +352,7 @@ def _series(exp: EigenExpansion, table: MatrixElementTable, ids: tuple[str, ...]
         # Sum |a_n|^2 R_nn, exactly rounded, so that the constant bin holds
         # it within rounding of its pairs however many rows a block holds
         a, n2, F = exp.coefficients, exp.square_residues(q), len(forms)
-        weights = exp.weights
-        diagonal = [math.fsum((weights * table.diagonal(f, exp)).tolist()) for f in forms]
+        diagonal = [mean_diagonal(f) for f in forms]
         # 2 conj(a_m) a_n = Sum_k A[m, k] V[j, k, n], its real part (j = 0)
         # and its imaginary part (j = 1)
         A = 2.0 * a.view(float).reshape(-1, 2)
@@ -414,7 +409,7 @@ def _series(exp: EigenExpansion, table: MatrixElementTable, ids: tuple[str, ...]
             raise NumericalConsistencyError(
                 f"<x> = {x[np.argmax(out_of_well)]} outside the well")
     if any(w in ("p2", "dp") for w in ids):
-        vals["p2"] = np.full(t.size, math.fsum((exp.weights * table.diagonal("p2", exp)).tolist()))
+        vals["p2"] = np.full(t.size, mean_diagonal("p2"))
 
     out = []
     for which in ids:

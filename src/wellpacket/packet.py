@@ -19,7 +19,7 @@ from numpy.typing import NDArray
 from .system import WellSystem, eigenenergy, level_momentum
 
 __all__ = ["PacketSpec", "EigenExpansion", "Theta", "build_gaussian_packet",
-           "initial_moments", "takes_fold", "PHASE_CHUNK_BYTES", "RESIDUE_TABLE_BYTES"]
+           "takes_fold", "PHASE_CHUNK_BYTES", "RESIDUE_TABLE_BYTES"]
 
 # Raw Gaussian weight that may be discarded by clipping the window at n = 1
 # before the construction is flagged.
@@ -346,9 +346,3 @@ def build_gaussian_packet(spec: PacketSpec, sys: WellSystem = WellSystem()) -> E
     coeff = raw / math.sqrt(float(np.sum(np.abs(raw) ** 2)))
     return EigenExpansion(n_min=n_min, coefficients=coeff, sys=sys,
                           truncated_at_floor=truncated, spec=spec)
-
-
-def initial_moments(spec: PacketSpec, sys: WellSystem = WellSystem()) -> tuple[float, float]:
-    """Analytic t=0 spreads (dx0, dp0) = (alpha hbar / sqrt2, 1/(alpha sqrt2))."""
-    alpha = spec.alpha_value(sys)
-    return alpha * sys.hbar / math.sqrt(2.0), 1.0 / (alpha * math.sqrt(2.0))

@@ -127,15 +127,14 @@ def dense_matrix_elements(n_min: int, n_max: int, L: float = 1.0, hbar: float = 
     return x, x2, p, p2
 
 
-def operator_block(table, which: str, exp=None) -> np.ndarray:
+def operator_block(table, which: str) -> np.ndarray:
     """<m|O|n> as the full N x N operator from the table's two readers: x
     and x2, and i times the real p form, as their dense forms, all rows at
-    once (MatrixElementTable.rows(f, slice(None), exp)), and the diagonal
-    matrix of the p2 vector (MatrixElementTable.diagonal); over the
-    expansion's window when ``exp`` is given, else the whole table."""
+    once (MatrixElementTable.rows(f, slice(None))), and the diagonal
+    matrix of the p2 vector (MatrixElementTable.diagonal)."""
     if which == "p2":
-        return np.diag(table.diagonal("p2", exp))
-    M = table.rows(which, slice(None), exp)
+        return np.diag(table.diagonal("p2"))
+    M = table.rows(which, slice(None))
     return 1j * M if which == "p" else M
 
 
@@ -145,7 +144,7 @@ def dense_expectation(exp, table_block, times) -> np.ndarray:
     """Sum_mn b_m* O_mn b_n over all times from one full T x N evolved block.
 
     The dense per-form path: ``table_block`` is the form's dense table over
-    the expansion's window (MatrixElementTable.rows(f, slice(None), exp)).
+    the expansion's window (MatrixElementTable.rows(f, slice(None))).
     Returns the complex values, imaginary rounding residue included.
     """
     t = np.asarray(times, dtype=float)

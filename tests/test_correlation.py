@@ -191,7 +191,7 @@ def test_revival_scan_window_end_slack_scales_with_T(default_exp):
     peaks = revival_scan(exp, (0.0, 2000 * rep.tau), rep.tau / 2, 0.3)
     assert peaks[-1].fraction == (1, 1)
     for well, T in ((exp, rep.T_rev), (default_exp, T_REV)):
-        with pytest.raises(ValueError, match="within"):
+        with pytest.raises(ValueError, match="scan_stop"):
             revival_scan(well, (0.0, T * (1 + 1e-9)), T / 1600, 0.3)
 
 

@@ -21,7 +21,7 @@ EPS = np.finfo(float).eps
 
 def _scale(exp, table, which):
     mags = np.abs(exp.coefficients)
-    return float(mags @ np.abs(operator_block(table, which, exp)) @ mags)
+    return float(mags @ np.abs(operator_block(table, which)) @ mags)
 
 
 def _period_schedule(exp, count):

@@ -150,7 +150,7 @@ def test_kernel_matches_direct_sums(monkeypatch, sys0, n0, dx0, strobes):
 
     mags = np.abs(exp.coefficients)
     for which, got in zip(OBSERVABLES, expectation_series(exp, table, OBSERVABLES, times)):
-        Mk = operator_block(table, which, exp)
+        Mk = operator_block(table, which)
         scale = float(mags @ np.abs(Mk) @ mags)
         want = dense_expectation(exp, Mk, times)
         assert np.max(np.abs(want.imag)) <= 1e-12 * scale
@@ -305,7 +305,7 @@ def test_real_assembly_is_within_two_eps_of_its_scale(sys0, n0, dx0):
     mags = np.abs(exp.coefficients)
     got = expectation_series(exp, table, ("x", "x2", "p"), times, theta=Theta.of(thetas))
     for which, values in zip(("x", "x2", "p"), got):
-        scale = float(mags @ np.abs(operator_block(table, which, exp)) @ mags)
+        scale = float(mags @ np.abs(operator_block(table, which)) @ mags)
         err = np.max(np.abs(values - [r[which] for r in ref]))
         assert err <= 2 * np.finfo(float).eps * scale, which
 

@@ -215,26 +215,14 @@ def test_mean_square_momentum_is_correctly_rounded(n0, dx0):
     assert abs(Fraction(got) - exact) <= math.ulp(float(exact)), (n0, dx0)
 
 
-def test_block_alignment(default_exp, default_table, sys0):
-    # a wider table serves the expansion's window: its dense forms, row
-    # blocks and diagonals, equal to those of the table of that window
-    wide = build_matrix_elements(300, 500, sys0)
-    for f in ("x", "x2", "p"):
-        for s in (slice(None), slice(0, 16), slice(16, 51), slice(50, 51)):
-            assert np.array_equal(default_table.rows(f, s, default_exp),
-                                  wide.rows(f, s, default_exp)), (f, s)
-    for f in ("x", "x2", "p", "p2"):
-        assert np.array_equal(default_table.diagonal(f, default_exp),
-                              wide.diagonal(f, default_exp)), f
-    narrow = build_matrix_elements(380, 420, sys0)
-    for call in (narrow.diagonal, lambda f, e: narrow.rows(f, slice(0, 2), e)):
-        with pytest.raises(ValueError, match="does not cover"):
-            call("x", default_exp)
-    for call in (default_table.diagonal, lambda f, e: default_table.rows(f, slice(None), e)):
+def test_block_alignment(default_table):
+    # both readers refuse an unknown observable, and p2, a diagonal, has
+    # no row blocks
+    for call in (default_table.diagonal, lambda f: default_table.rows(f, slice(None))):
         with pytest.raises(ValueError, match="unknown observable"):
-            call("energy", default_exp)
+            call("energy")
     with pytest.raises(ValueError, match="p2 is diagonal"):
-        default_table.rows("p2", slice(0, 2), default_exp)
+        default_table.rows("p2", slice(0, 2))
 
 
 def test_initial_expectations(default_exp, default_table):
@@ -389,11 +377,11 @@ def _serving(table, which, M):
     ``which`` through both of its readers: its row blocks, which the fold
     and the chunks both read, and its diagonal."""
     class Tampered(MatrixElementTable):
-        def rows(self, w, s, exp=None):
-            return M[s].copy() if w == which else super().rows(w, s, exp)
+        def rows(self, w, s):
+            return M[s].copy() if w == which else super().rows(w, s)
 
-        def diagonal(self, w, exp=None):
-            return np.diagonal(M).copy() if w == which else super().diagonal(w, exp)
+        def diagonal(self, w):
+            return np.diagonal(M).copy() if w == which else super().diagonal(w)
 
     return Tampered(**{f.name: getattr(table, f.name)
                        for f in dataclasses.fields(table) if f.init})
@@ -410,6 +398,20 @@ def _both_paths(exp, call):
         yield lambda: call(t, th)
 
 
+def test_series_take_only_the_packets_own_table(default_exp, sys0):
+    # a table of the packet's levels in another well, of a shifted window
+    # and of a wider one: each is refused on both paths
+    exp = build_gaussian_packet(PacketSpec(n0=100, x0=0.5, dx0=0.05), WellSystem(width_L=2.0))
+    lo, hi = default_exp.n_min, default_exp.n_max
+    for e, table in ((exp, build_matrix_elements(exp.n_min, exp.n_max, sys0)),
+                     (default_exp, build_matrix_elements(lo + 1, hi + 1, sys0)),
+                     (default_exp, build_matrix_elements(lo - 1, hi + 1, sys0))):
+        for run in _both_paths(e, lambda t, th: expectation_series(
+                e, table, ("x", "dx", "p", "dp"), t, theta=th)):
+            with pytest.raises(ValueError, match="is not the table of the packet's levels"):
+                run()
+
+
 def _non_hermitian(exp, table):
     """(form, table) pairs whose served form is no longer Hermitian at one
     entry near n0, not at the window edge where the coefficients are
@@ -421,13 +423,13 @@ def _non_hermitian(exp, table):
     c = exp.spec.n0 - table.n_min
     for which, (i, j), factor in (("x", (c, c + 1), 1.5), ("x2", (c, c + 2), 1.5),
                                   ("p", (c, c + 1), -1.0)):
-        M = table.rows(which, slice(None), exp)
+        M = table.rows(which, slice(None))
         M[i, j] *= factor
         yield which, _serving(table, which, M)
 
 
 def test_inconsistent_table_detected(default_exp, default_table):
-    forms = {f: default_table.rows(f, slice(None), default_exp) for f in ("x", "x2", "p")}
+    forms = {f: default_table.rows(f, slice(None)) for f in ("x", "x2", "p")}
     # a tampered second-moment table drives the variance negative
     bad = _serving(default_table, "x2", forms["x2"] * 0.5)
     for run in _both_paths(default_exp, lambda t, th: uncertainty_series(
@@ -483,7 +485,7 @@ def test_negative_variance_floor_does_not_depend_on_the_unit_of_length():
     exp = build_gaussian_packet(PacketSpec(n0=400, x0=0.5e-3, dx0=0.05e-3), sys_mm)
     table = table_for(exp)
     shift = -(uncertainty_series(exp, table, "x", [0.0])[0] ** 2 + 1e-14)
-    x2 = table.rows("x2", slice(None), exp)
+    x2 = table.rows("x2", slice(None))
     bad = _serving(table, "x2", x2 + shift * np.eye(x2.shape[0]))
     with pytest.raises(NumericalConsistencyError, match="negative variance for x"):
         uncertainty_series(exp, bad, "x", [0.0])

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from wellpacket import (EigenExpansion, PacketSpec, WellSystem,
-                        build_gaussian_packet, eigenenergy, initial_moments)
+                        build_gaussian_packet, eigenenergy)
 
 
 def test_spec_requires_exactly_one_width():
@@ -20,10 +20,9 @@ def test_spec_width_round_trip(sys0):
     a = PacketSpec(n0=400, x0=0.5, dx0=0.05)
     b = PacketSpec(n0=400, x0=0.5, alpha=a.alpha_value(sys0))
     assert b.dx0_value(sys0) == pytest.approx(0.05, rel=1e-15)
-    # minimum-uncertainty pair by construction
-    dx0, dp0 = initial_moments(a, sys0)
-    assert dx0 * dp0 == pytest.approx(sys0.hbar / 2.0, rel=1e-15)
-    assert dx0 == pytest.approx(0.05, rel=1e-15)
+    # minimum-uncertainty pair by construction, dp0 = dn pi hbar / L
+    dp0 = b.dn_value(sys0) * math.pi * sys0.hbar / sys0.width_L
+    assert b.dx0_value(sys0) * dp0 == pytest.approx(sys0.hbar / 2.0, rel=1e-15)
     assert dp0 == pytest.approx(10.0, rel=1e-15)
 
 
