@@ -8,6 +8,8 @@ periodic; the half k = 1 well is the bouncing ball with T_rev -> 6 n tau.
 
 import math
 
+import numpy as np
+
 from wellpacket import (PowerLawWell, classical_period_powerlaw,
                         collapse_time_powerlaw, fit_powerlaw_collapse,
                         gaussian_weights, powerlaw_autocorrelation,
@@ -47,8 +49,8 @@ def main() -> int:
     near = PowerLawWell(k=2.05)
     levels, w = gaussian_weights(400, 2.0, 8.0)
     tau_near = classical_period_powerlaw(near, 400)
-    floor = min(abs(powerlaw_autocorrelation(near, levels, w, q * tau_near))
-                for q in range(1, 201))
+    floor = np.abs(powerlaw_autocorrelation(near, levels, w,
+                                            np.arange(1, 201) * tau_near)).min()
     print(f"near-oscillator k = 2.05, n0 = 400, dn = 2: "
           f"min |C(n tau)| over 200 periods = {floor:.5f} "
           f"(no visible collapse; diverging T_rev)")

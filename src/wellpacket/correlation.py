@@ -17,6 +17,7 @@ from numpy.typing import NDArray
 
 from .packet import EigenExpansion, Theta, takes_fold
 from .system import revival_time
+from .timescales import _IDENTITY_TOL
 
 __all__ = [
     "CollapseFit",
@@ -94,13 +95,21 @@ def _phase_sum(exp: EigenExpansion, weights: NDArray, times,
         cols = np.ascontiguousarray(weights.reshape(len(weights), -1).T)
         out = exp.fold([(exp.square_residues(theta.den), cols)], theta, len(cols))
         return out.reshape(weights.shape[1:] + t.shape)
+    out = np.empty(weights.shape[1:] + t.shape, dtype=complex)
+    return exp.map_chunks(_summed(weights), t, out, theta=theta)
+
+
+def _summed(weights: NDArray[np.float64]):
+    """The chunk function of a phase sum over any spectrum: for real weights,
+    Sum_n weights[n, j] exp(i E_n t / hbar) = conj(P @ weights) over a block
+    P = exp(-i E_n t / hbar), shaped (j, t)."""
     w = weights.astype(complex)
-    out = np.empty(w.shape[1:] + t.shape, dtype=complex)
-    return exp.map_chunks(lambda P: np.conj(P @ w).T, t, out, theta=theta)
+    return lambda P: np.conj(P @ w).T
 
 
 def autocorrelation(exp: EigenExpansion, t: float, theta=None) -> complex:
-    """C(t) = Sum |a_n|^2 exp(i E_n t / hbar); ``theta`` is the exact t / T, if known."""
+    """C(t) = Sum |a_n|^2 exp(i E_n t / hbar); ``theta`` is the exact t / T, if known.
+    Single times only; autocorrelation_series serves every caller in the package."""
     return complex(_phase_sum(exp, exp.weights, t, Theta.of([theta]))[0])
 
 
@@ -153,24 +162,28 @@ def fit_gaussian_decay(times, magnitudes) -> tuple[float, float]:
 
 def fit_stroboscopic(magnitude, tau: float,
                      threshold: float = DEFAULT_FIT_THRESHOLD) -> CollapseFit:
-    """Gaussian-decay fit of a stroboscopic magnitude sampler.
+    """Gaussian-decay fit of a batched stroboscopic magnitude sampler.
 
-    ``magnitude(n)`` is evaluated at the period index n = 1, 2, ..., the
-    time t = n tau, while the value stays above the threshold; the
-    collected points feed the ln-Gaussian least squares.  Raises CollapseFitError with fewer than three usable
+    ``magnitude(ns)`` gives |C(n tau)| at an int array of period indices n,
+    the times t = n tau.  It is asked for blocks that double in length,
+    n = 1, 2-3, 4-7, ..., up to _MAX_FIT_POINTS, until a value falls to the
+    threshold; the points before the first such n feed the ln-Gaussian
+    least squares.  Raises CollapseFitError with fewer than three usable
     points (the signal collapses too fast for the stroboscope to see).
     """
     if tau <= 0:
         raise ValueError("tau must be positive")
     if not 0.0 < threshold < 1.0:
         raise ValueError("threshold must lie in (0, 1)")
-    ts, mags = [], []
-    for n in range(1, _MAX_FIT_POINTS + 1):
-        c = magnitude(n)
-        if c <= threshold:
+    blocks, start = [], 1
+    while start <= _MAX_FIT_POINTS:
+        block = np.asarray(magnitude(np.arange(start, min(2 * start, _MAX_FIT_POINTS + 1))),
+                           dtype=float)
+        cut = np.flatnonzero(block <= threshold)
+        blocks.append(block[:cut[0]] if cut.size else block)
+        if cut.size:
             break
-        ts.append(n * tau)
-        mags.append(c)
+        start *= 2
     else:
         # never dipping below threshold means the early-decay regime was
         # never delimited (near-isochronous spectrum); any fit over an
@@ -178,11 +191,12 @@ def fit_stroboscopic(magnitude, tau: float,
         raise CollapseFitError(
             f"|C(n tau)| stayed above {threshold} for {_MAX_FIT_POINTS} periods; "
             "no collapse to fit")
-    if len(ts) < 3:
+    mags = np.concatenate(blocks)
+    if mags.size < 3:
         raise CollapseFitError(
-            f"only {len(ts)} stroboscopic points above |C| = {threshold}")
-    est, resid = fit_gaussian_decay(ts, mags)
-    return CollapseFit(T_C_estimate=est, points_used=len(ts),
+            f"only {mags.size} stroboscopic points above |C| = {threshold}")
+    est, resid = fit_gaussian_decay(np.arange(1, mags.size + 1) * tau, mags)
+    return CollapseFit(T_C_estimate=est, points_used=mags.size,
                        residual=resid, threshold=threshold)
 
 
@@ -192,10 +206,16 @@ def fit_collapse(exp: EigenExpansion, tau: float,
 
     For the default packet the estimate lands within 10% of the closed form
     T/(2 pi dn^2) = 4 t0.  ``theta``, the exact tau / T (1 / (2 n0) for the
-    bounce period), makes the phase at each n tau exact.
+    bounce period), makes the phase at each n tau exact: each block of
+    fit_stroboscopic is one progression n theta, summed on the path the
+    cost rule picks.  A theta that is not tau / T to 1e-12 is refused.
     """
-    def magnitude(n):
-        return abs(autocorrelation(exp, n * tau, None if theta is None else n * theta))
+    if theta is not None and abs(theta * revival_time(exp.sys) - tau) > _IDENTITY_TOL * tau:
+        raise ValueError("theta: must be the exact tau / T")
+
+    def magnitude(ns):
+        exact = None if theta is None else Theta.progression(int(ns[0]) * theta, theta, ns.size)
+        return np.abs(autocorrelation_series(exp, ns * tau, exact))
     return fit_stroboscopic(magnitude, tau, threshold)
 
 

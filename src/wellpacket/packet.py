@@ -94,6 +94,34 @@ def _time_chunks(n_times: int, n_levels: int) -> list[slice]:
     return [slice(i * n_times // n, (i + 1) * n_times // n) for i in range(n)]
 
 
+def float_phases(energies: NDArray[np.float64], hbar: float,
+                 t: NDArray[np.float64]) -> Callable[[slice], NDArray[np.complex128]]:
+    """The float phase block over a spectrum: the function from a slice s of
+    the times t to P = exp(-i E_n t[s] / hbar), whose phase error grows as
+    eps E_n t / hbar."""
+    def block(s: slice):
+        P = -1j * np.outer(t[s], energies) / hbar
+        return np.exp(P, out=P)
+    return block
+
+
+def map_phases(fn: Callable[[NDArray[np.complex128]], NDArray], energies: NDArray[np.float64],
+               hbar: float, times, out: NDArray, block=None) -> NDArray:
+    """The chunked phase kernel over a spectrum: out[..., s] = fn(P) for every
+    time chunk s of _time_chunks, one chunk after another; returns out.
+
+    P is block(s) where ``block`` is given (EigenExpansion._phase_rows, whose
+    exact phases only the box has), else float_phases' exp(-i E_n t / hbar)
+    over times[s].  fn may overwrite P.
+    """
+    t = np.asarray(times, dtype=float).reshape(-1)
+    if block is None:
+        block = float_phases(energies, hbar, t)
+    for s in _time_chunks(t.size, len(energies)):
+        out[..., s] = fn(block(s))
+    return out
+
+
 @dataclass(frozen=True, eq=False)
 class Theta:
     """Times as exact fractions of the revival time T: theta_j = t_j / T.
@@ -109,9 +137,13 @@ class Theta:
     @classmethod
     def of(cls, values) -> "Theta | None":
         """From exact values (Fractions or ints); None when any value is None
-        or their common denominator reaches 3e9."""
+        or their common denominator reaches 3e9, TypeError on any other value."""
         if any(v is None for v in values):
             return None
+        from fractions import Fraction  # here, so that importing the package does not load it
+        for v in values:
+            if not isinstance(v, (int, Fraction)):
+                raise TypeError(f"theta must be exact (int or Fraction), not {type(v).__name__}")
         den = math.lcm(*(v.denominator for v in values))
         if den >= _MAX_DEN:
             return None
@@ -219,14 +251,10 @@ class EigenExpansion:
         r = (n^2 mod q)(num mod q) mod q, gathered from a table of the q unit
         roots built here, once per call; when q exceeds the work or
         RESIDUE_TABLE_BYTES, exp is taken of r / q instead.  Without theta,
-        P is the float exp(-i E_n t / hbar), whose phase error grows as
-        eps E_n t / hbar.
+        P is float_phases' exp(-i E_n t / hbar).
         """
         if theta is None:
-            def block(s: slice):
-                P = -1j * np.outer(t[s], self.energies) / self.sys.hbar
-                return np.exp(P, out=P)
-            return block
+            return float_phases(self.energies, self.sys.hbar, t)
         q = theta.den
         n2 = self.square_residues(q)
         roots = None
@@ -248,19 +276,14 @@ class EigenExpansion:
 
     def map_chunks(self, fn: Callable[[NDArray[np.complex128]], NDArray], times,
                    out: NDArray, *, theta: Theta | None = None) -> NDArray:
-        """The chunked phase kernel: out[..., s] = fn(P) for every time chunk s,
-        one chunk after another; returns out.
-
-        P = exp(-i E_n t / hbar) over times[s], s a chunk of _time_chunks.
+        """map_phases over this window's spectrum: out[..., s] = fn(P) for every
+        time chunk s, P = exp(-i E_n t / hbar) over times[s]; returns out.
         ``theta``, the exact times / T, makes every phase an exact residue
         (see _phase_rows).  fn may overwrite P.
         """
         t = np.asarray(times, dtype=float).reshape(-1)
         _check_theta(t, theta)
-        block = self._phase_rows(t, theta)
-        for s in _time_chunks(t.size, len(self.energies)):
-            out[..., s] = fn(block(s))
-        return out
+        return map_phases(fn, self.energies, self.sys.hbar, t, out, self._phase_rows(t, theta))
 
     def square_residues(self, q: int) -> NDArray[np.int64]:
         """n^2 mod q over the window: the box phase 2 pi n^2 theta at theta = num / q

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .correlation import DEFAULT_FIT_THRESHOLD, CollapseFit, fit_stroboscopic
-from .packet import PacketSpec
+from .correlation import DEFAULT_FIT_THRESHOLD, CollapseFit, _summed, fit_stroboscopic
+from .packet import PacketSpec, map_phases
 from .system import _check_level, _float_pow
 
 __all__ = [
@@ -159,28 +159,27 @@ def gaussian_weights(n0: int, dn: float,
     return levels, w / w.sum()
 
 
-def _autocorrelation(well: PowerLawWell, levels, weights):
-    """t -> C(t) = Sum w_n exp(i E_n t / hbar), with the WKB energies computed once."""
-    E = wkb_energy(well, np.asarray(levels))
-    return lambda t: complex(np.sum(weights * np.exp(1j * E * t / well.hbar)))
-
-
-def powerlaw_autocorrelation(well: PowerLawWell, levels, weights, t: float) -> complex:
-    """C(t) = Sum w_n exp(i E_n t / hbar) over the WKB spectrum."""
+def powerlaw_autocorrelation(well: PowerLawWell, levels, weights,
+                             times) -> NDArray[np.complex128]:
+    """C(t) = Sum w_n exp(i E_n t / hbar) over the WKB spectrum, at each of
+    a 1-d array of times, through the float chunk kernel (packet.map_phases)."""
     w = np.asarray(weights, dtype=float)
     if abs(w.sum() - 1.0) > 1e-9:
         raise ValueError("weights must be normalized")
-    return _autocorrelation(well, levels, w)(t)
+    t = np.atleast_1d(np.asarray(times, dtype=float))
+    return map_phases(_summed(w), wkb_energy(well, np.asarray(levels)), well.hbar, t,
+                      np.empty(t.shape, dtype=complex))
 
 
 def fit_powerlaw_collapse(well: PowerLawWell, n0: int, dn: float,
                           threshold: float = DEFAULT_FIT_THRESHOLD) -> CollapseFit:
     """Stroboscopic collapse fit for a Gaussian-in-n packet in this well.
 
-    Samples |C(n tau)| at the classical period of the central state, over
-    PacketSpec's default window, with the square-well fit's engine.
+    Samples |C(n tau)| (powerlaw_autocorrelation) at the classical period
+    of the central state, over PacketSpec's default window, with the
+    square-well fit's engine.
     """
     levels, w = gaussian_weights(n0, dn, PacketSpec.window_sigmas)
-    C = _autocorrelation(well, levels, w)
     tau = classical_period_powerlaw(well, n0)
-    return fit_stroboscopic(lambda n: abs(C(n * tau)), tau, threshold)
+    return fit_stroboscopic(
+        lambda ns: np.abs(powerlaw_autocorrelation(well, levels, w, ns * tau)), tau, threshold)

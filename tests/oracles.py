@@ -3,13 +3,14 @@
 Everything here is built only from the textbook basis functions and
 composite Gauss-Legendre integration, never from the package's closed
 forms, so agreement is evidence rather than tautology.  The exceptions are
-the last three sections: the closed-form tables evaluated the plain way,
+the last four sections: the closed-form tables evaluated the plain way,
 as full N x N arrays, against which the package's structured build is
 held bit for bit, and the package's dense forms read back as operators;
 direct reference paths for the phase kernel, which take
 the closed-form tables (checked against quadrature above) and redo the
-time evolution the plain way, one full T x N block at a time; and a
-40-digit mpmath evaluation of the moments at exact times.
+time evolution the plain way, one full T x N block at a time; a 40-digit
+mpmath evaluation of the moments at exact times; and 40-digit correlations
+over the box and over any spectrum.
 """
 
 from __future__ import annotations
@@ -216,3 +217,31 @@ def mp_moments(exp, theta, dps: int = 40) -> dict[str, float]:
         return {"x": float(mean), "x2": float(second), "dx": float(mpmath.sqrt(second - mean**2)),
                 "p": float(p_mean), "dp": float(mpmath.sqrt(p_second - p_mean**2)),
                 "absC": float(abs(C)), "absCbar": float(abs(Cbar))}
+
+
+# --- 40-digit reference correlations -------------------------------------
+
+def mp_correlation(weights, levels=None, theta=None, energies=None, t=None,
+                   hbar: float = 1.0, dps: int = 40) -> complex:
+    """C = Sum_n w_n exp(i phi_n) in mpmath, the weights taken as their exact
+    binary values.
+
+    For a box packet give ``levels`` and the exact ``theta`` = t / T: phi_n
+    is the exact box phase 2 pi (n^2 theta mod 1).  For any other spectrum
+    give the float ``energies`` and time ``t``: phi_n is the double fl(E_n t)
+    / hbar that the float kernel forms, whose rounding (eps E_n t / hbar) is
+    the float path's stated error, so that the exponentials and the sum are
+    what is checked.  Either way the result is the correctly rounded C for
+    these phases.
+    """
+    with mpmath.workdps(dps):
+        w = [mpmath.mpf(float(v)) for v in weights]
+        if theta is None:
+            phases = [mpmath.mpf(float(phi)) for phi in np.multiply(t, energies) / hbar]
+        else:
+            phases = []
+            for n in levels:
+                r = int(n) ** 2 * Fraction(theta) % 1
+                phases.append(2 * mpmath.pi * r.numerator / r.denominator)
+        C = mpmath.fsum(wn * mpmath.expj(phi) for wn, phi in zip(w, phases))
+        return complex(C)

@@ -345,7 +345,7 @@ GOLDEN_PRECISION = {
         "powerlaw.json":
             "25543b1b414c67fd2f33977a8220ef11b484c68ee3fc9deec7d7ab9e1ddbdb8c",
         "powerlaw_fits.json":
-            "9f3e0e117a080b5aff88d62c43e855e5043e871c8c4f814865d2c338874f7f28",
+            "1ca471adbcaf3b12813455a27095759b13298a8e8c7700683463865e5d3f4792",
     },
 }
 
@@ -381,7 +381,7 @@ GOLDEN_CSV_PRECISION = {
         "powerlaw.csv":
             "b61796596de43a565c84eb021052bbfcbe4db2a0fd479887a20237d8e6e1cf70",
         "powerlaw_fits.json":
-            "9f3e0e117a080b5aff88d62c43e855e5043e871c8c4f814865d2c338874f7f28",
+            "1ca471adbcaf3b12813455a27095759b13298a8e8c7700683463865e5d3f4792",
     },
     ("powerlaw-half", 3): {
         "powerlaw.csv":
@@ -393,7 +393,7 @@ GOLDEN_CSV_PRECISION = {
         "powerlaw.csv":
             "6d3a000b182516c4b736b0e1334cf87201e450e699d24c2e86b3cee59370987f",
         "powerlaw_fits.json":
-            "8a6328b1df6b4ce744e30a6244dbbb5526c67b0c2cfc9ec8379a5865a9d85d57",
+            "b8e0138ffd0bec4a2fdb3cfc72f0daf33b2ac78c0f2e765345f255846eaca24a",
     },
 }
 
