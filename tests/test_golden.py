@@ -1,11 +1,12 @@
 """Golden output: the sha256 of every file each subcommand writes.
 
 Each of the six subcommands runs through ``wellpacket.cli.main`` in csv
-and json on a small config (``evolve`` and ``powerlaw`` on two,
-``observables`` on three: one series on the fold and two on the chunks),
-and every file it writes must hash to the value recorded here.  Any change to a printed digit, a column, a header
-line or the JSON layout shows up as a changed hash, so refactors of the
-run drivers and writers can be checked for byte-identical output.
+and json on a small config (``correlate``, ``evolve`` and ``powerlaw`` on
+two, ``observables`` on three: one series on the fold and two on the
+chunks), and every file it writes must hash to the value recorded here.
+Any change to a printed digit, a column, a header line or the JSON
+layout shows up as a changed hash, so refactors of the run drivers and
+writers can be checked for byte-identical output.
 ``observables`` and ``powerlaw`` are also pinned in JSON at precisions 3
 and 16, besides the default 12, and ``observables``, ``powerlaw`` and
 ``powerlaw-half`` in CSV at the same two precisions.
@@ -93,6 +94,20 @@ fit = true
 scan = true
 scan_resolution = 0.25tau
 """,
+    # a fine window around T/2 on a grid of q = 25600, much finer than its
+    # 129 samples: the window scan of the revival_large benchmark, small
+    "correlate-window": """\
+[packet]
+n0 = 400
+dx0 = 0.01
+[schedule]
+n_stop = 20
+[correlate]
+scan = true
+scan_start = 398tau
+scan_stop = 402tau
+scan_resolution = 0.03125tau
+""",
     "powerlaw": """\
 [powerlaw]
 k = 1, 2, 4, infinity
@@ -131,8 +146,9 @@ dx0 = 0.1
 }
 
 # Config names that are not a subcommand's own name -> the subcommand.
-COMMAND = {"evolve-tails": "evolve", "powerlaw-half": "powerlaw",
-           "observables-float": "observables", "observables-explicit": "observables"}
+COMMAND = {"correlate-window": "correlate", "evolve-tails": "evolve",
+           "powerlaw-half": "powerlaw", "observables-float": "observables",
+           "observables-explicit": "observables"}
 
 GOLDEN = {
     ("correlate", "csv"): {
@@ -150,6 +166,18 @@ GOLDEN = {
             "6ee64998584674fb75c885eb314928edcc05692a4c5d68b64ff499e92fc4833b",
         "revival_scan.json":
             "9f83c4bc5444d5b5a92cce706cc4e99e473cfdb50f2a551f9c785639a1b2405e",
+    },
+    ("correlate-window", "csv"): {
+        "correlation.csv":
+            "e4bcb74ce8794765836079cbc428491d0c968d8213ddd9321bbc051bac2adc6a",
+        "revival_scan.json":
+            "0e830c62f1072d871a4cae757700a94dff032b87717413ee145a2e255a356797",
+    },
+    ("correlate-window", "json"): {
+        "correlation.json":
+            "68e49dad485452f6bde226063b3c64cbb5a38abb4cefdab5996384698e455c73",
+        "revival_scan.json":
+            "0e830c62f1072d871a4cae757700a94dff032b87717413ee145a2e255a356797",
     },
     ("evolve", "csv"): {
         "density_momentum_00.csv":
