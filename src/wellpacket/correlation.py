@@ -86,17 +86,25 @@ def _phase_sum(exp: EigenExpansion, weights: NDArray, times,
 
     ``theta``, the exact times / T, makes every phase exact.  Where the cost
     rule (takes_fold) holds, each column's weights are binned at n^2 mod q
-    and one FFT gives every sample (EigenExpansion.fold).  Otherwise the
-    weights, being real, take conj(P @ weights) of each chunk of the
-    kernel's P = exp(-i E t / hbar); one chunk is alive at a time.
+    and one FFT gives every sample (EigenExpansion.fold).  Otherwise exact
+    times on a progression, as every scan, schedule and fit block is, take
+    the two-level split: sqrt(T) rows of baby-step and giant-step unit
+    roots and one GEMM (EigenExpansion.split).  Any other times take
+    conj(P @ weights) of each chunk of the kernel's
+    P = exp(-i E t / hbar), the weights being real; one chunk is alive at
+    a time.
     """
     t = np.atleast_1d(np.asarray(times, dtype=float))
+    cols = weights.reshape(len(weights), -1)
     if takes_fold(t, theta, len(weights)):
-        cols = np.ascontiguousarray(weights.reshape(len(weights), -1).T)
+        cols = np.ascontiguousarray(cols.T)
         out = exp.fold([(exp.square_residues(theta.den), cols)], theta, len(cols))
-        return out.reshape(weights.shape[1:] + t.shape)
-    out = np.empty(weights.shape[1:] + t.shape, dtype=complex)
-    return exp.map_chunks(_summed(weights), t, out, theta=theta)
+    elif theta is not None and (step := theta.step()) is not None:
+        out = exp.split(cols, theta, step)
+    else:
+        out = np.empty(weights.shape[1:] + t.shape, dtype=complex)
+        return exp.map_chunks(_summed(weights), t, out, theta=theta)
+    return out.reshape(weights.shape[1:] + t.shape)
 
 
 def _summed(weights: NDArray[np.float64]):
@@ -264,11 +272,15 @@ def revival_scan(exp: EigenExpansion, t_window: tuple[float, float],
     the closest fraction p/q of the revival time T (nearest_fraction) when
     that fraction lies within half a resolution step; otherwise the
     annotation is None.  ``theta``, the exact (t0 / T, resolution / T),
-    makes every sample's phase exact.  The window needs at least two
-    samples.
+    makes every sample's phase exact; one that is not the window's to
+    1e-12 is refused.  The window needs at least two samples.
     """
     T = revival_time(exp.sys)
     times = _scan_times(T, *t_window, resolution)
+    if theta is not None and (
+            abs(theta[0] * T - t_window[0]) > _IDENTITY_TOL * T
+            or abs(theta[1] * T - resolution) > _IDENTITY_TOL * resolution):
+        raise ValueError("theta: must be the exact (scan_start / T, scan_resolution / T)")
     exact = None if theta is None else Theta.progression(*theta, times.size)
     ac, mc = np.abs(_phase_sum(exp, _both_weights(exp), times, exact))
     curve = np.maximum(ac, mc)

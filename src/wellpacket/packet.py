@@ -26,14 +26,17 @@ __all__ = ["PacketSpec", "EigenExpansion", "Theta", "build_gaussian_packet",
 _TRUNCATION_WARN_WEIGHT = 1e-8
 
 # Bytes of complex128 one row block of _time_chunks may hold: a time chunk
-# of the phase kernel's factors, or a block of evolution's grid basis.
+# of the phase kernel's factors, a block of the split's giant steps, or a
+# block of evolution's grid basis.
 # Every series, scan and field reduces one block before building the next,
 # so memory stays bounded however many times or grid points a run asks for.
 PHASE_CHUNK_BYTES = 2**20
 
 # Bytes of complex128 a length-q array over the residues of an exact grid may
-# hold: one form's fold bins, or the chunks' table of unit roots.  Apart from
-# PHASE_CHUNK_BYTES, so that the chunk size never decides which path runs.
+# hold: one form's fold bins, or the chunks' table of unit roots; the split's
+# weighted baby steps, which replace that table, stay within it too.  Apart
+# from PHASE_CHUNK_BYTES, so that the chunk size never decides which path
+# runs or what the split's values are.
 RESIDUE_TABLE_BYTES = 16 * 2**20
 
 # Exact phases form (n^2 mod q)(num mod q) in int64, which holds for a
@@ -105,6 +108,15 @@ def float_phases(energies: NDArray[np.float64], hbar: float,
     return block
 
 
+def unit_roots(r: NDArray[np.int64], q: int) -> NDArray[np.complex128]:
+    """exp(-2 pi i r / q) at exact int residues r, |r| < q: exp of the angle
+    r (-2 pi / q), whose error grows with |r| / q but not with the time."""
+    P = np.empty(r.shape, dtype=complex)
+    P.real = 0.0
+    np.multiply(r, -2.0 * math.pi / q, out=P.imag)
+    return np.exp(P, out=P)
+
+
 def map_phases(fn: Callable[[NDArray[np.complex128]], NDArray], energies: NDArray[np.float64],
                hbar: float, times, out: NDArray, block=None) -> NDArray:
     """The chunked phase kernel over a spectrum: out[..., s] = fn(P) for every
@@ -159,6 +171,12 @@ class Theta:
             return None
         a, b = (int(v) for v in head.num)
         return cls((np.arange(count, dtype=np.int64) * b + a) % head.den, head.den)
+
+    def step(self) -> int | None:
+        """The constant step b mod den of a progression num_j = num_0 + j b,
+        or None when the times are fewer than two or not such a progression."""
+        d = np.diff(self.num) % self.den
+        return int(d[0]) if d.size and not (d != d[0]).any() else None
 
 
 @dataclass(frozen=True)
@@ -259,19 +277,16 @@ class EigenExpansion:
         n2 = self.square_residues(q)
         roots = None
         if q <= t.size * n2.size and 16 * q <= RESIDUE_TABLE_BYTES:
-            roots = np.exp(np.arange(q) * (-2j * math.pi / q))
+            roots = unit_roots(np.arange(q), q)
 
         def block(s: slice):
             r = np.multiply.outer(theta.num[s], n2)
             np.remainder(r, q, out=r)
-            P = np.empty(r.shape, dtype=complex)
-            if roots is not None:
-                # r lies in [0, q): "clip" never clips, and unlike the default
-                # mode it writes straight into P without a buffer
-                return np.take(roots, r, out=P, mode="clip")
-            P.real = 0.0
-            np.multiply(r, -2.0 * math.pi / q, out=P.imag)
-            return np.exp(P, out=P)
+            if roots is None:
+                return unit_roots(r, q)
+            # r lies in [0, q): "clip" never clips, and unlike the default
+            # mode it writes straight into P without a buffer
+            return np.take(roots, r, out=np.empty(r.shape, dtype=complex), mode="clip")
         return block
 
     def map_chunks(self, fn: Callable[[NDArray[np.complex128]], NDArray], times,
@@ -323,6 +338,46 @@ class EigenExpansion:
         out = np.take(np.fft.fft(bins, axis=1), -theta.num, axis=1)
         out += const[:, None]
         return out
+
+    def split(self, weights: NDArray[np.float64], theta: Theta,
+              step: int) -> NDArray[np.complex128]:
+        """The two-level split: out[k, j] = Sum_n weights[n, k] exp(2 pi i n^2 theta_j)
+        over the progression theta_j = (a + j step) / q, a = theta.num[0].
+
+        With j = j1 + J j2 and J about sqrt(T) for T times, the phase of
+        level n at sample j is the product of a baby step
+        U[j1, n] = exp(-2 pi i (n^2 (a + step j1) mod q) / q) and a giant step
+        V[j2, n] = exp(-2 pi i (n^2 ((step J mod q) j2 mod q) mod q) / q),
+        every residue exact in int64 (q < 3e9) and centred in (-q/2, q/2]
+        for the smaller angle.  So out[k, j] = conj((V (U w_k)^T)[j2, j1]),
+        one complex GEMM for every k at once, from (J + T / J) N unit roots
+        in place of the chunks' T N and their q-long table.  The weighted U
+        stays whole, within RESIDUE_TABLE_BYTES like the table it replaces;
+        V is built a block of _time_chunks at a time, the GEMM's rows, so
+        that no value depends on the blocks.
+        """
+        q, times, forms = theta.den, theta.num.size, weights.shape[1]
+        n2 = self.square_residues(q)
+        J = min(math.isqrt(times - 1) + 1, max(1, RESIDUE_TABLE_BYTES // (16 * forms * n2.size)))
+        giants = -(-times // J)
+        half = (q - 1) // 2
+
+        def roots(j: NDArray[np.int64], start: int, stride: int):
+            # the unit roots at r = n^2 (start + stride j) mod q, centred in
+            # (-q/2, q/2] as ((r + half) mod q) - half
+            r = np.multiply.outer((start + stride * j) % q, n2)
+            r += half
+            r %= q
+            r -= half
+            return unit_roots(r, q)
+
+        UW = (roots(np.arange(J), int(theta.num[0]), step)
+              * weights.T[:, None, :]).reshape(-1, n2.size)
+        grid = np.empty((forms, giants, J), dtype=complex)
+        for s in _time_chunks(giants, n2.size):
+            M = roots(np.arange(s.start, s.stop), 0, step * J % q) @ UW.T
+            grid[:, s] = np.conj(M).reshape(-1, forms, J).transpose(1, 0, 2)
+        return grid.reshape(forms, -1)[:, :times]
 
     def phases_at(self, t: float, theta=None) -> NDArray[np.complex128]:
         """Coefficients evolved to time t: a_n exp(-i E_n t / hbar); ``theta``

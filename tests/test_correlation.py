@@ -1,6 +1,7 @@
 """Autocorrelation, mirror correlation, collapse fits, revival scan."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -179,6 +180,19 @@ def test_revival_scan_window_validation(default_exp):
     # neighbor to be a peak against
     with pytest.raises(ValueError, match="two samples"):
         revival_scan(default_exp, (0.0, TAU), 3 * TAU, 0.3)
+
+
+def test_revival_scan_refuses_a_theta_off_its_window(default_exp):
+    # [0.4T, 0.6T] at tau/2 is theta = 2/5 + j/1600; a theta that starts at
+    # 0 or steps by 1/800 samples other times than the window's, and once
+    # reported a height-1 "revival" at 0.4T labelled 2/5
+    window, res = (0.4 * T_REV, 0.6 * T_REV), TAU / 2
+    for theta in ((0, Fraction(1, 800)), (0, Fraction(1, 1600)),
+                  (Fraction(2, 5), Fraction(1, 800))):
+        with pytest.raises(ValueError, match="theta"):
+            revival_scan(default_exp, window, res, 0.9, theta=theta)
+    peaks = revival_scan(default_exp, window, res, 0.9, theta=(Fraction(2, 5), Fraction(1, 1600)))
+    assert [(p.fraction, p.channel) for p in peaks] == [((1, 2), "Cbar")]
 
 
 def test_revival_scan_window_end_slack_scales_with_T(default_exp):

@@ -32,9 +32,8 @@ def _period_schedule(exp, count):
 
 @pytest.fixture
 def paths(monkeypatch):
-    """Counts of fold and chunk calls made by the kernels."""
-    calls = {"fold": 0, "chunks": 0}
-    fold, chunks = packet.EigenExpansion.fold, packet.EigenExpansion.map_chunks
+    """Counts of fold, split and chunk calls made by the kernels."""
+    calls = {"fold": 0, "split": 0, "chunks": 0}
 
     def counted(name, fn):
         def call(*args, **kwargs):
@@ -42,8 +41,9 @@ def paths(monkeypatch):
             return fn(*args, **kwargs)
         return call
 
-    monkeypatch.setattr(packet.EigenExpansion, "fold", counted("fold", fold))
-    monkeypatch.setattr(packet.EigenExpansion, "map_chunks", counted("chunks", chunks))
+    for name, method in (("fold", "fold"), ("split", "split"), ("chunks", "map_chunks")):
+        monkeypatch.setattr(packet.EigenExpansion, method,
+                            counted(name, getattr(packet.EigenExpansion, method)))
     return calls
 
 
@@ -77,7 +77,7 @@ def test_fold_is_within_two_eps_of_its_scale(sys0, paths, n0, x0, dx0, count, at
     table = table_for(exp)
     times, theta = _period_schedule(exp, count)
     got = expectation_series(exp, table, ("x", "x2", "p"), times, theta=theta)
-    assert paths == {"fold": 1, "chunks": 0}
+    assert paths == {"fold": 1, "split": 0, "chunks": 0}
     ref = [mp_moments(exp, Fraction(j, count - 1)) for j in at]
     for which, values in zip(("x", "x2", "p"), got):
         err = np.max(np.abs(values[at] - [r[which] for r in ref]))
@@ -112,6 +112,7 @@ def test_fold_matches_the_chunked_kernel(sys0, monkeypatch, n0, dx0, num, q):
 
     _force(monkeypatch, True)
     fold, fold_C = both()
+    # off the fold, the correlations on these progressions take the split
     _force(monkeypatch, False)
     chunks, chunks_C = both()
     for which, a, b in zip(ids, fold, chunks):
@@ -130,9 +131,10 @@ def test_cost_rule_picks_the_path(sys0, paths):
     table = table_for(exp)
 
     def path(run):
-        paths.update(fold=0, chunks=0)
+        paths.update(fold=0, split=0, chunks=0)
         run()
-        return "fold" if paths["fold"] else "chunks"
+        taken, = (name for name, calls in paths.items() if calls)
+        return taken
 
     def schedule(text):
         return parse_config(text).schedule.resolve(rep.tau, rep.T_rev, spec.n0)
@@ -149,12 +151,17 @@ def test_cost_rule_picks_the_path(sys0, paths):
     # a full scan at 0.5 tau: q = 1600 for 1601 samples
     assert path(lambda: revival_scan(exp, (0.0, rep.T_rev), rep.tau / 2, 0.3,
                                      theta=(0, Fraction(1, 1600)))) == "fold"
-    # a window scan about T/2 at 0.03125 tau: q = 64 n0 = 25600 for 401 samples
+    # a window scan about T/2 at 0.03125 tau: q = 64 n0 = 25600 for 401
+    # samples, a progression, takes the split
     start, res = Fraction(400) - 200 * Fraction(1, 32), Fraction(1, 32)
     window = (float(start) * rep.tau, float(start + 400 * res) * rep.tau)
     assert path(lambda: revival_scan(exp, window, float(res) * rep.tau, 0.3,
-                                     theta=(start / 800, res / 800))) == "chunks"
-    # a single time, exact or not, and plain-number times
+                                     theta=(start / 800, res / 800))) == "split"
+    # exact times that are not a progression, a single time, exact or not,
+    # and plain-number times
+    squares = Theta.of([Fraction(k * k, 12345) for k in range(6)])
+    assert path(lambda: autocorrelation_series(exp, squares.num / 12345 * rep.T_rev, squares,
+                                               mirror=True)) == "chunks"
     one = Theta.of([Fraction(1, 3)])
     assert path(moments(np.array([rep.T_rev / 3]), one)) == "chunks"
     assert path(lambda: autocorrelation_series(exp, [rep.T_rev / 3], one,
@@ -176,9 +183,9 @@ def test_uncertainty_series_takes_theta(sys0, paths):
     table = table_for(exp)
     times, theta = _period_schedule(exp, 2001)
     for which in ("x", "p"):
-        paths.update(fold=0, chunks=0)
+        paths.update(fold=0, split=0, chunks=0)
         got = uncertainty_series(exp, table, which, times, theta=theta)
-        assert paths == {"fold": 1, "chunks": 0}
+        assert paths == {"fold": 1, "split": 0, "chunks": 0}
         want = expectation_series(exp, table, "d" + which, times, theta=theta)
         assert np.array_equal(got, want)
 

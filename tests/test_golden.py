@@ -22,9 +22,9 @@ import os
 
 import pytest
 
-from wellpacket import build_gaussian_packet, compute_timescales, parse_config
+from wellpacket import build_gaussian_packet, compute_timescales, parse_config, revival_scan
 from wellpacket.cli import main
-from wellpacket.packet import takes_fold
+from wellpacket.packet import EigenExpansion, takes_fold
 
 CONFIGS = {
     "evolve": """\
@@ -155,7 +155,7 @@ GOLDEN = {
         "collapse_fit.json":
             "365fb799426dc0c31e3061e84a3df0229c03efd4eecb1599596326f4000d774c",
         "correlation.csv":
-            "11a19c3b5d6a4ebfa840cc7f5813e3a289baca629c306ef26c1430a2b70920d7",
+            "5bdacee352f04399aad1fe6773558e0889336eaae90bbab0d4dca8f9aa188c06",
         "revival_scan.json":
             "9f83c4bc5444d5b5a92cce706cc4e99e473cfdb50f2a551f9c785639a1b2405e",
     },
@@ -163,19 +163,19 @@ GOLDEN = {
         "collapse_fit.json":
             "365fb799426dc0c31e3061e84a3df0229c03efd4eecb1599596326f4000d774c",
         "correlation.json":
-            "6ee64998584674fb75c885eb314928edcc05692a4c5d68b64ff499e92fc4833b",
+            "bdd6fc9020f3a6074f03f33e16d3e50f882441194a11b94a21804cb209989073",
         "revival_scan.json":
             "9f83c4bc5444d5b5a92cce706cc4e99e473cfdb50f2a551f9c785639a1b2405e",
     },
     ("correlate-window", "csv"): {
         "correlation.csv":
-            "e4bcb74ce8794765836079cbc428491d0c968d8213ddd9321bbc051bac2adc6a",
+            "e797cda95953b873306927d6ada90190936fc82cc53f0c22a8a686065acf11e2",
         "revival_scan.json":
             "0e830c62f1072d871a4cae757700a94dff032b87717413ee145a2e255a356797",
     },
     ("correlate-window", "json"): {
         "correlation.json":
-            "68e49dad485452f6bde226063b3c64cbb5a38abb4cefdab5996384698e455c73",
+            "6faac9da698668c73a6c0fbd5d9995bb8ed5de6ccf684c11c329a6bc5447f8a5",
         "revival_scan.json":
             "0e830c62f1072d871a4cae757700a94dff032b87717413ee145a2e255a356797",
     },
@@ -348,6 +348,34 @@ def test_observables_configs_pin_both_phase_paths(name, fold):
     report = compute_timescales(cfg.system, cfg.packet)
     times, theta = cfg.schedule.resolve(report.tau, report.T_rev, cfg.packet.n0)
     assert takes_fold(times, theta, exp.coefficients.size ** 2) == fold
+
+
+@pytest.mark.parametrize("name, exact, path", [("correlate", True, "fold"),
+                                               ("correlate-window", True, "split"),
+                                               ("correlate-window", False, "map_chunks")])
+def test_correlate_configs_pin_the_three_phase_paths(monkeypatch, name, exact, path):
+    # the golden full-period scan folds and the window scan splits; the
+    # window at plain-number times, as a caller without theta asks for it,
+    # takes the chunks
+    cfg = parse_config(CONFIGS[name])
+    exp = build_gaussian_packet(cfg.packet, cfg.system)
+    report = compute_timescales(cfg.system, cfg.packet)
+    start, stop, res, theta = cfg.correlate.scan_grid(report.tau, report.T_rev, cfg.packet.n0)
+    calls = []
+
+    def spy(method):
+        original = getattr(EigenExpansion, method)
+
+        def call(*args, **kwargs):
+            calls.append(method)
+            return original(*args, **kwargs)
+        return call
+
+    for method in ("fold", "split", "map_chunks"):
+        monkeypatch.setattr(EigenExpansion, method, spy(method))
+    revival_scan(exp, (start, stop), res, cfg.correlate.min_height,
+                 theta=theta if exact else None)
+    assert calls == [path]
 
 
 # JSON at precision 3 writes most floats through the `%g` shortcut with

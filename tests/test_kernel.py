@@ -205,21 +205,20 @@ def test_revival_scan_memory_is_bounded(sys0):
     assert [p.time for p in exact] == [p.time for p in peaks]
     assert peak_bytes < 2**20
     # a window scan whose grid is finer than its 2001 samples (q = 96000 at
-    # T/2 +- 1000 steps) takes the chunks: the 1.5 MB table of q unit roots,
-    # and an int64 residue block beside each chunk; measured 1.57 chunks
-    # beside the table (a 16 MiB chunk held 9.1 MB of phases and 4.5 MB of
-    # residues here)
+    # T/2 +- 1000 steps) takes the split: 45 weighted baby-step rows, 45
+    # giant-step rows and their int64 residues, no table of q unit roots;
+    # measured 0.86 MiB, where the chunks held 3.04 MiB
     q = 96000
     step, start = Fraction(1, q), Fraction(1, 2) - Fraction(1000, q)
     window = (float(start) * rep.T_rev, float(start + 2000 * step) * rep.T_rev)
     res = float(step) * rep.T_rev
     grid = Theta.progression(start, step, 2001)
-    assert not takes_fold(np.zeros(2001), grid, 283) and 16 * q <= packet.RESIDUE_TABLE_BYTES
+    assert not takes_fold(np.zeros(2001), grid, 283) and grid.step() == 1
     found = []
     peak_bytes = _traced_peak(lambda: found.extend(
         revival_scan(exp, window, res, 0.3, theta=(start, step))))
     assert any(p.fraction == (1, 2) for p in found)
-    assert peak_bytes <= 16 * q + 1.8 * packet.PHASE_CHUNK_BYTES
+    assert peak_bytes <= packet.PHASE_CHUNK_BYTES
 
 
 def test_series_memory_is_about_two_chunks(sys0):
