@@ -2,7 +2,7 @@
 
 Each of the six subcommands runs through ``wellpacket.cli.main`` in csv
 and json on a small config (``correlate``, ``evolve`` and ``powerlaw`` on
-two, ``observables`` on three: one series on the fold and two on the
+two, ``observables`` on four: two series on the fold and two on the
 chunks), and every file it writes must hash to the value recorded here.
 Any change to a printed digit, a column, a header line or the JSON
 layout shows up as a changed hash, so refactors of the run drivers and
@@ -83,6 +83,19 @@ dx0 = 0.01
 mode = explicit
 times = 0, 1tau, 0.37T, 12345.678tau
 """,
+    # the fold past 255 levels: N = 363 on a grid of q = 600.  Its moments
+    # take no BLAS product, so the bytes do not depend on the BLAS thread
+    # count (the same at OPENBLAS_NUM_THREADS 1 and 2)
+    "observables-large": """\
+[packet]
+n0 = 2700
+x0 = 0.43
+dx0 = 0.007
+[schedule]
+n_start = 0
+n_stop = 5400
+n_step = 9
+""",
     "correlate": """\
 [packet]
 n0 = 400
@@ -148,7 +161,7 @@ dx0 = 0.1
 # Config names that are not a subcommand's own name -> the subcommand.
 COMMAND = {"correlate-window": "correlate", "evolve-tails": "evolve",
            "powerlaw-half": "powerlaw", "observables-float": "observables",
-           "observables-explicit": "observables"}
+           "observables-explicit": "observables", "observables-large": "observables"}
 
 GOLDEN = {
     ("correlate", "csv"): {
@@ -259,6 +272,14 @@ GOLDEN = {
         "observables.json":
             "ccea2dd13418b8d7617c00da6308cc43e06488e7c6c366350652e047dd875be0",
     },
+    ("observables-large", "csv"): {
+        "observables.csv":
+            "ff2e36b0d7429677932aca2da5d5f209c2124b3432ff7855c9814c3f9d8b39fc",
+    },
+    ("observables-large", "json"): {
+        "observables.json":
+            "ced1c335aa32e88dc2311a427233f9844bca94636c7cd8389fce06dd4b90c1c9",
+    },
     ("observables-float", "csv"): {
         "observables.csv":
             "e819e0aa455f3299c1016f0fcdec888de6c56f5e6396928c9df2ca5ffa4cb623",
@@ -338,11 +359,13 @@ def test_output_bytes_are_pinned(name, fmt, tmp_path):
     assert _run(name, fmt, tmp_path) == GOLDEN[name, fmt]
 
 
-@pytest.mark.parametrize("name, fold", [("observables", True), ("observables-float", False),
+@pytest.mark.parametrize("name, fold", [("observables", True), ("observables-large", True),
+                                        ("observables-float", False),
                                         ("observables-explicit", False)])
 def test_observables_configs_pin_both_phase_paths(name, fold):
-    # the golden observables series take the fold; the float and explicit
-    # ones take the chunks, so that the hashes pin both paths of _series
+    # the golden observables series take the fold, at N = 51 and N = 363;
+    # the float and explicit ones take the chunks, so that the hashes pin
+    # both paths of _series
     cfg = parse_config(CONFIGS[name])
     exp = build_gaussian_packet(cfg.packet, cfg.system)
     report = compute_timescales(cfg.system, cfg.packet)
