@@ -97,7 +97,8 @@ def _phase_sum(exp: EigenExpansion, weights: NDArray, times,
     t = np.atleast_1d(np.asarray(times, dtype=float))
     cols = weights.reshape(len(weights), -1)
     if takes_fold(t, theta, len(weights)):
-        cols = np.ascontiguousarray(cols.T)
+        # complex weights, cast once a call, take the fold's fast ufunc.at loop
+        cols = np.ascontiguousarray(cols.T, dtype=complex)
         out = exp.fold([(exp.square_residues(theta.den), cols)], theta, len(cols))
     elif theta is not None and (step := theta.step()) is not None:
         out = exp.split(cols, theta, step)
@@ -227,23 +228,27 @@ def fit_collapse(exp: EigenExpansion, tau: float,
     return fit_stroboscopic(magnitude, tau, threshold)
 
 
-def nearest_fraction(x: float, max_q: int = 8) -> tuple[int, int]:
+def nearest_fraction(x, max_q: int = 8):
     """Best rational p/q approximation to x with 1 <= q <= max_q.
 
     Equivalent to descending the Stern-Brocot tree to depth q <= max_q;
     with such a shallow cutoff, scanning the reduced fractions directly is
-    exact and simpler.
+    exact and simpler: p = rint(x q) for each q, a p/q that does not
+    reduce skipped, and the first q of least |x - p/q| taken, so a tie goes
+    to the smaller q.  For a scalar x, the pair (p, q) of Python ints; for
+    an array, the pair of int arrays of its shape.
     """
-    best = (round(x), 1)
-    err = abs(x - best[0])
-    for q in range(2, max_q + 1):
-        p = round(x * q)
-        if math.gcd(p, q) != 1:
-            continue
-        e = abs(x - p / q)
-        if e < err:
-            best, err = (p, q), e
-    return best
+    xs = np.asarray(x, dtype=float)[..., None]
+    qs = np.arange(1, max_q + 1)
+    ps = np.rint(xs * qs)
+    err = np.abs(xs - ps / qs)
+    err[np.gcd(ps.astype(np.int64), qs) != 1] = np.inf
+    best = np.argmin(err, axis=-1)
+    p = np.take_along_axis(ps, best[..., None], axis=-1)[..., 0].astype(np.int64)
+    q = qs[best]
+    if p.ndim == 0:
+        return int(p), int(q)
+    return p, q
 
 
 def _scan_times(T: float, t0: float, t1: float, resolution: float) -> NDArray[np.float64]:
@@ -289,11 +294,12 @@ def revival_scan(exp: EigenExpansion, t_window: tuple[float, float],
     # revival at t = T is not silently dropped
     rises = np.concatenate(([True], curve[1:] >= curve[:-1]))
     falls = np.concatenate((curve[:-1] > curve[1:], [True]))
-    peaks = []
-    for i in np.flatnonzero((curve >= min_height) & rises & falls):
-        p, q = nearest_fraction(times[i] / T)
-        frac = (p, q) if abs(times[i] - (p / q) * T) <= resolution / 2 else None
-        channel = "C" if ac[i] >= mc[i] else "Cbar"
-        peaks.append(ScanPeak(time=float(times[i]), height=float(curve[i]),
-                              channel=channel, fraction=frac))
-    return peaks
+    at = np.flatnonzero((curve >= min_height) & rises & falls)
+    t = times[at]
+    p, q = nearest_fraction(t / T)
+    near = np.abs(t - (p / q) * T) <= resolution / 2
+    return [ScanPeak(time=ti, height=h, channel="C" if c else "Cbar",
+                     fraction=(pi, qi) if n else None)
+            for ti, h, c, pi, qi, n in zip(t.tolist(), curve[at].tolist(),
+                                           (ac[at] >= mc[at]).tolist(), p.tolist(),
+                                           q.tolist(), near.tolist())]

@@ -253,7 +253,9 @@ def _spans(exp: EigenExpansion, table: MatrixElementTable, forms: list[str], q: 
     conj(a_m) a_n is purely imaginary for odd m - n, and a probe at t = 0
     misses a non-Hermitian entry of p or x2 there."""
     mags = np.abs(exp.coefficients)
-    # the probe's real and imaginary parts apart, for two real GEMVs a span
+    # the probe's real and imaginary parts apart, for two real GEMVs a span:
+    # one GEMM of both touches OpenBLAS's packing buffer, which stays
+    # resident (0.3 MB more RSS at N = 85)
     b = exp.coefficients * np.exp(2j * math.pi * _PROBE * exp.levels.astype(float) ** 2)
     br, bi = np.ascontiguousarray(b.real), np.ascontiguousarray(b.imag)
     blocks = fold_rows(mags.size, q)
@@ -342,16 +344,28 @@ def _series(exp: EigenExpansion, table: MatrixElementTable, ids: tuple[str, ...]
             out[k].real, out[k].imag = (-im, re) if f == "p" else (re, im)
         return out
 
+    def weighted(ab, forms_rows, diagonal):
+        # the block's complex weights ab R for each form's rows R in turn:
+        # the forms before the last into one buffer, which the fold has
+        # binned before the next is written, and the last in place in ab.
+        # With the diagonal, the first block's (n_min, n_min) carries it
+        w = np.empty_like(ab) if len(forms_rows) > 1 else None
+        for k, R in enumerate(forms_rows):
+            out = np.multiply(ab, R, out=ab if k == len(forms_rows) - 1 else w)
+            if diagonal is not None:
+                out[0, 0] = diagonal[k]
+            yield out
+
     def pairs(q: int):
         # the half fold's blocks.  Each bins the pairs m < n of a row slice
         # s, at m^2 - n^2 mod q, weighted 2 conj(a_m) a_n R_mn for the real
-        # form R of each of the F forms: the real parts in rows k, the
-        # imaginary parts in rows F + k, each contiguous.  The pairs n <= m
-        # of the block's leading square weigh 0, but for the first block's
-        # (n_min, n_min) at residue 0: it carries the diagonal
-        # Sum |a_n|^2 R_nn, exactly rounded, so that the constant bin holds
-        # it within rounding of its pairs however many rows a block holds
-        a, n2, F = exp.coefficients, exp.square_residues(q), len(forms)
+        # form R of each of the F forms, one form's complex weights at a
+        # time (weighted).  The pairs n <= m of the block's leading square
+        # weigh 0, but for the first block's (n_min, n_min) at residue 0: it
+        # carries the diagonal Sum |a_n|^2 R_nn, exactly rounded, so that the
+        # constant bin holds it within rounding of its pairs however many
+        # rows a block holds
+        a, n2 = exp.coefficients, exp.square_residues(q)
         diagonal = [mean_diagonal(f) for f in forms]
         # 2 conj(a_m) a_n = Sum_k A[m, k] V[j, k, n], its real part (j = 0)
         # and its imaginary part (j = 1)
@@ -362,23 +376,17 @@ def _series(exp: EigenExpansion, table: MatrixElementTable, ids: tuple[str, ...]
             for s in group:
                 c, h = s.start, s.stop - s.start
                 r = np.subtract.outer(n2[s], n2[c:])
-                np.add(r, q, out=r, where=r < 0)
-                w = np.empty((2 * F, h, a.size - c))
-                # 2 conj(a_m) a_n in the last form's rows, which it then
-                # weighs in place
-                ab = w[F - 1::F]
-                np.einsum("mk,jkn->jmn", A[s], V[:, :, c:], out=ab)
-                np.copyto(ab[:, :, :h], 0.0, where=lower[:h, :h])
+                # r lies in (-q, q): add q where the sign bit is set
+                r += (r >> 63) & q
+                # 2 conj(a_m) a_n, written through ab's float view
+                ab = np.empty((h, a.size - c), dtype=complex)
+                np.einsum("mk,jkn->jmn", A[s], V[:, :, c:],
+                          out=ab.view(float).reshape(h, -1, 2).transpose(2, 0, 1))
+                np.copyto(ab[:, :h], 0.0, where=lower[:h, :h])
                 here = slice(c - span.start, s.stop - span.start)
-                for k in range(F - 1):
-                    np.multiply(rows[k][here, c:], ab[0], out=w[k])
-                    np.multiply(rows[k][here, c:], ab[1], out=w[F + k])
-                ab *= rows[-1][here, c:]
-                if c == 0:
-                    w[:F, 0, 0] = diagonal
-                yield r, w
+                yield r, weighted(ab, [R[here, c:] for R in rows], diagonal if c == 0 else None)
                 # one block alive at a time: drop it before the next is built
-                del r, w, ab
+                del r, ab
 
     if not forms:
         vals = {}

@@ -44,8 +44,8 @@ RESIDUE_TABLE_BYTES = 16 * 2**20
 _MAX_DEN = 3_000_000_000
 
 # Rows of level pairs (m, n) whose weights the residue fold bins at once, at
-# the least.  A bin then sums its pairs in short runs, one bincount per
-# block; one bincount over all N^2 pairs put up to 5.3 eps of scale into the
+# the least.  A bin then sums its pairs in short runs, one partial per
+# block; one sum over all N^2 pairs put up to 5.3 eps of scale into the
 # constant bin of <x^2> at N = 509, and 16-row blocks 0.25 eps.
 FOLD_ROWS = 16
 
@@ -308,30 +308,42 @@ class EigenExpansion:
     def fold(self, blocks: Iterable, theta: Theta, forms: int) -> NDArray[np.complex128]:
         """The residue fold: out[k, j] = Sum_r S[k, r] exp(2 pi i r num_j / q).
 
-        ``blocks`` yields pairs (r, w): residues r in [0, q) of the phase
-        terms' 2 pi r theta and their float weights w, shaped
-        (parts,) + r.shape, each w[k] contiguous.  Row k < forms is binned
-        into the real part of S[k] and row forms + k into its imaginary
-        part, one bincount each per block.  A box moment bins its pairs
-        m < n at m^2 - n^2 mod q in real and imaginary rows (fold_rows), a
-        correlation its real weights w_n at n^2 mod q.  One FFT of length q
-        per form then gives every sample, out[k, j] = FFT(S[k])[-num_j mod q].
-        The constant bin r = 0 stays out of the FFT and is added afterwards,
-        so its rounding does not spread over the others.  Costs
-        O(pairs + q log q) and holds O(q + T), whatever T.
+        ``blocks`` yields pairs (r, ws): residues r in [0, q) of the phase
+        terms' 2 pi r theta, and ws, an iterable of one complex128 weight
+        array of r's shape per form, in form order.  Each form's weights are
+        binned before the next are asked for, so ws may build them one at a
+        time.  A block adds form k's weights, in element order, to a zeroed
+        length-q partial, one np.add.at, and the partial to S[k]; the first
+        block adds straight into the zeroed S[k].  Complex weights take
+        ufunc.at's fast loop, where real ones into complex bins would take
+        its slow one.  A box moment bins its pairs m < n at m^2 - n^2 mod q
+        (fold_rows), a correlation its weights w_n at n^2 mod q.  One FFT of
+        length q per form then gives every sample,
+        out[k, j] = FFT(S[k])[-num_j mod q].  The constant bin r = 0 stays
+        out of the FFT and is added afterwards, so its rounding does not
+        spread over the others.  Costs O(pairs + q log q) and holds
+        O(q + T), whatever T.
         """
         q = theta.den
         bins = np.zeros((forms, q), dtype=complex)
-        # while binning, S[k]'s 2q doubles hold its real part and then its
-        # imaginary part, so that every bincount adds to a contiguous row
-        planes = bins.view(float).reshape(forms, 2, q)
-        for r, w in blocks:
-            r, w = r.reshape(-1), w.reshape(len(w), -1)
-            for k in range(len(w)):
-                planes[k % forms, k // forms] += np.bincount(r, w[k], q)
-            del r, w      # so that the next block is built without this one
-        for row, plane in zip(bins, planes):
-            row.real, row.imag = plane.copy()
+        first, partial = True, None
+        # not enumerate, whose cached result would keep a block alive while
+        # the next is built
+        for r, ws in blocks:
+            r = r.reshape(-1)
+            for row, w in zip(bins, ws):
+                if first:
+                    np.add.at(row, r, w.reshape(-1))
+                    continue
+                if partial is None:
+                    partial = np.empty(q, dtype=complex)
+                partial.fill(0.0)
+                np.add.at(partial, r, w.reshape(-1))
+                row += partial
+            # so that the next block is built without this one
+            del r, ws, w
+            first = False
+        del partial
         const = bins[:, 0].copy()
         bins[:, 0] = 0.0
         # -num_j lies in (-q, 0]: take reads it as -num_j mod q

@@ -253,6 +253,50 @@ def test_nearest_fraction():
     assert nearest_fraction(0.375, max_q=4) == (1, 3)
 
 
+def _nearest_fraction_by_loop(x: float, max_q: int = 8) -> tuple[int, int]:
+    # the scalar scan over q that nearest_fraction replaced, kept as its
+    # reference: Python's round, math.gcd and a strict < over q = 2..max_q
+    best = (round(x), 1)
+    err = abs(x - best[0])
+    for q in range(2, max_q + 1):
+        p = round(x * q)
+        if math.gcd(p, q) != 1:
+            continue
+        e = abs(x - p / q)
+        if e < err:
+            best, err = (p, q), e
+    return best
+
+
+def test_nearest_fraction_over_an_array_matches_the_scalar_loop(rng):
+    # random x in [0, 1], every p/q with q <= 8 and the half-step ties
+    # k/(2q) between its neighbours, each with its 1-ulp neighbours: round
+    # to even, the skipped unreduced fractions and ties in |x - p/q| all
+    # decided as the loop decides them
+    exact = np.array([k / (2 * q) for q in range(1, 9) for k in range(2 * q + 1)])
+    xs = np.concatenate([rng.random(200_000), exact, np.nextafter(exact, -1.0),
+                         np.nextafter(exact, 2.0)])
+    p, q = nearest_fraction(xs)
+    assert p.shape == q.shape == xs.shape
+    assert list(zip(p.tolist(), q.tolist())) == [_nearest_fraction_by_loop(x)
+                                                 for x in xs.tolist()]
+    # a scalar, numpy or not, still gives a pair of Python ints
+    for x in (0.375, np.float64(0.375)):
+        assert [type(v) for v in nearest_fraction(x)] == [int, int]
+
+
+def test_scan_fractions_are_python_ints(default_exp):
+    # writer.json_scalar refuses numpy integers, so every annotation of a
+    # scan's peaks must hold Python ints
+    peaks = revival_scan(default_exp, (0.0, T_REV), TAU / 2, 0.3,
+                         theta=(0, Fraction(1, 1600)))
+    fractions = [p.fraction for p in peaks if p.fraction is not None]
+    assert (1, 2) in fractions and (1, 1) in fractions
+    for p in peaks:
+        assert type(p.time) is float and type(p.height) is float
+    assert all(type(v) is int for f in fractions for v in f)
+
+
 def test_series_forms_match_scalars(default_exp, rng):
     ts = np.sort(rng.uniform(0.0, T_REV, 8))
     cs = autocorrelation_series(default_exp, ts)

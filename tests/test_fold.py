@@ -57,7 +57,7 @@ def _force(monkeypatch, fold: bool):
 # (n0, x0, dx0, samples of the dense 0..1T grid, indices checked against
 # the oracle).  The oracle costs about 5 s a sample at N = 283 and 17 s at
 # N = 509, so the large rungs check one sample away from 0 and T/2.  At
-# n0 = 3996, x0 = 0.37 one bincount over all pairs errs by 5.3 eps of scale
+# n0 = 3996, x0 = 0.37 one sum over all pairs per bin errs by 5.3 eps of scale
 # in the constant bin of <x^2>.
 ORACLE_LADDER = [
     (40, 0.3, 0.1, 301, [0, 1, 75, 100, 150, 299, 300]),
@@ -214,3 +214,52 @@ def test_fold_memory_does_not_grow_with_samples(sys0):
     assert peaks[40000] <= peaks[4000] + 36000 * per_sample + 64 * 2**10
     # the chunked kernel would hold a 40000 x 51 phase block of 32.6 MB
     assert peaks[40000] < 0.2 * 40000 * len(exp.coefficients) * 16
+
+
+
+def _dtype_spy(fold, seen: list):
+    """EigenExpansion.fold that records, for every block, the forms and the
+    dtype of each weight array as the fold takes it."""
+    def spied(self, blocks, theta, forms):
+        def each():
+            for r, ws in blocks:
+                dtypes = []
+                seen.append((forms, dtypes))
+
+                def weights(ws=ws, dtypes=dtypes):
+                    for w in ws:
+                        dtypes.append(w.dtype)
+                        yield w
+                yield r, weights()
+        return fold(self, each(), theta, forms)
+    return spied
+
+
+def test_fold_weights_reach_it_complex_with_no_bincount(sys0, monkeypatch):
+    # every block's weights, from moments and from correlations, reach the
+    # fold as complex128: real weights into its complex bins would take
+    # ufunc.at's slow loop, about 20 times slower.  np.bincount, which the
+    # fold no longer calls, fails the test if anything calls it
+    def no_bincount(*args, **kwargs):
+        raise AssertionError("np.bincount is called")
+
+    seen = []
+    monkeypatch.setattr(np, "bincount", no_bincount)
+    monkeypatch.setattr(packet.EigenExpansion, "fold",
+                        _dtype_spy(packet.EigenExpansion.fold, seen))
+    exp = build_gaussian_packet(PacketSpec(n0=1500, x0=0.3, dx0=0.009), sys0)
+    table = table_for(exp)
+    times, theta = _period_schedule(exp, 601)
+    T = times[-1]
+    blocks = len(packet.fold_rows(exp.coefficients.size, theta.den))
+    assert blocks > 1
+    calls = [(lambda: expectation_series(exp, table, "x", times, theta=theta), 1, blocks),
+             (lambda: expectation_series(exp, table, ("x", "dx", "p", "dp"), times,
+                                         theta=theta), 3, blocks),
+             (lambda: autocorrelation_series(exp, times, theta), 1, 1),
+             (lambda: revival_scan(exp, (0.0, T), T / 600, 0.3,
+                                   theta=(0, Fraction(1, 600))), 2, 1)]
+    for call, forms, count in calls:
+        seen.clear()
+        call()
+        assert seen == [(forms, [np.dtype(np.complex128)] * forms)] * count

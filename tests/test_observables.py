@@ -144,21 +144,23 @@ def test_table_build_holds_order_n_bytes():
 
 def _fold_bound(N, rows, q, T):
     # one of the fold's row blocks in flight, the last one dropped before
-    # the next is built (residues and the three forms' real and imaginary
-    # weights of the pairs m < n: at most 7 N rows doubles; beside the rest
-    # of this bound the peak at N = 5093 measures 3.85 N rows doubles, and
-    # 5 leaves 30% over it; the N = 509 peak lies under the rest alone),
-    # the three forms' rows of one span of blocks (observables._SPAN_BYTES
-    # each, or one block), the bins of three forms and their FFT (96 q
-    # bytes) and the (3, T) output.  The full fold, which binned every pair
-    # as complex weights, measured 5.3 and needed 10
+    # the next is built (residues, 2 conj(a_m) a_n and one form's complex
+    # weights of the pairs m < n: 5 N rows doubles and ufunc's cast buffer
+    # of at most 128 KiB; beside the rest of this bound the peak at
+    # N = 5093 measures 3.01 N rows doubles, and 3.92 when a block held the
+    # three forms' weights at once; the N = 509 peak lies under the rest
+    # alone), the three forms' rows of one span of blocks
+    # (observables._SPAN_BYTES each, or one block), the bins of three forms
+    # and their FFT (96 q bytes; the binning's length-q partial is dropped
+    # before the FFT) and the (3, T) output.  The full fold, which binned
+    # every pair as complex weights, measured 5.3 and needed 10
     span = max(1, observables._SPAN_BYTES // (8 * N * rows)) * 8 * N * rows
     return 5 * 8 * N * rows + 3 * span + 96 * q + 48 * T
 
 
 def test_table_and_fold_series_hold_order_n_rows_plus_q():
     # table_for and the four-series fold call over 7993 strobes at N = 509
-    # peak at 1.81 MB (2.26 MB bound; 2.43 MB with the full fold), against
+    # peak at 1.87 MB (2.26 MB bound; 2.43 MB with the full fold), against
     # 4.25 N^2 doubles (8.8 MB) with dense tables
     spec = PacketSpec(n0=3996, x0=0.3, dx0=0.005)
     exp = build_gaussian_packet(spec)
@@ -175,7 +177,7 @@ def test_table_and_fold_series_hold_order_n_rows_plus_q():
 
 def test_fold_series_at_five_thousand_levels_holds_order_n_rows_plus_q():
     # n0 = 40000, dx0 = 0.0005 is N = 5093: three dense tables would hold
-    # 0.62 GB; the fold's row blocks hold O(N rows + q), measured 12.15 MB
+    # 0.62 GB; the fold's row blocks hold O(N rows + q), measured 11.60 MB
     # (12.9 MB bound; 13.10 MB with the full fold, 17.0 MB while two of
     # its blocks were alive at once)
     spec = PacketSpec(n0=40000, x0=0.3, dx0=0.0005)
