@@ -15,9 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .packet import EigenExpansion, Theta, takes_fold
+from .packet import EigenExpansion, Theta, _check_theta, takes_fold
 from .system import revival_time
-from .timescales import _IDENTITY_TOL
 
 __all__ = [
     "CollapseFit",
@@ -84,7 +83,8 @@ def _phase_sum(exp: EigenExpansion, weights: NDArray, times,
                theta: Theta | None = None) -> NDArray[np.complex128]:
     """Sum_n weights[n, j] exp(i E_n t / hbar), shaped (j, t), or (t,) for 1-d weights.
 
-    ``theta``, the exact times / T, makes every phase exact.  Where the cost
+    ``theta``, the exact times / T, makes every phase exact; one that is
+    not the times' own is refused (packet._check_theta).  Where the cost
     rule (takes_fold) holds, each column's weights are binned at n^2 mod q
     and one FFT gives every sample (EigenExpansion.fold).  Otherwise exact
     times on a progression, as every scan, schedule and fit block is, take
@@ -95,6 +95,7 @@ def _phase_sum(exp: EigenExpansion, weights: NDArray, times,
     a time.
     """
     t = np.atleast_1d(np.asarray(times, dtype=float))
+    _check_theta(t, theta, exp.sys)
     cols = weights.reshape(len(weights), -1)
     if takes_fold(t, theta, len(weights)):
         # complex weights, cast once a call, take the fold's fast ufunc.at loop
@@ -217,11 +218,9 @@ def fit_collapse(exp: EigenExpansion, tau: float,
     T/(2 pi dn^2) = 4 t0.  ``theta``, the exact tau / T (1 / (2 n0) for the
     bounce period), makes the phase at each n tau exact: each block of
     fit_stroboscopic is one progression n theta, summed on the path the
-    cost rule picks.  A theta that is not tau / T to 1e-12 is refused.
+    cost rule picks.  A theta that is not tau / T is refused with the
+    first block (packet._check_theta).
     """
-    if theta is not None and abs(theta * revival_time(exp.sys) - tau) > _IDENTITY_TOL * tau:
-        raise ValueError("theta: must be the exact tau / T")
-
     def magnitude(ns):
         exact = None if theta is None else Theta.progression(int(ns[0]) * theta, theta, ns.size)
         return np.abs(autocorrelation_series(exp, ns * tau, exact))
@@ -277,15 +276,11 @@ def revival_scan(exp: EigenExpansion, t_window: tuple[float, float],
     the closest fraction p/q of the revival time T (nearest_fraction) when
     that fraction lies within half a resolution step; otherwise the
     annotation is None.  ``theta``, the exact (t0 / T, resolution / T),
-    makes every sample's phase exact; one that is not the window's to
-    1e-12 is refused.  The window needs at least two samples.
+    makes every sample's phase exact; one that is not the window's is
+    refused (packet._check_theta).  The window needs at least two samples.
     """
     T = revival_time(exp.sys)
     times = _scan_times(T, *t_window, resolution)
-    if theta is not None and (
-            abs(theta[0] * T - t_window[0]) > _IDENTITY_TOL * T
-            or abs(theta[1] * T - resolution) > _IDENTITY_TOL * resolution):
-        raise ValueError("theta: must be the exact (scan_start / T, scan_resolution / T)")
     exact = None if theta is None else Theta.progression(*theta, times.size)
     ac, mc = np.abs(_phase_sum(exp, _both_weights(exp), times, exact))
     curve = np.maximum(ac, mc)

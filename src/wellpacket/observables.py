@@ -18,7 +18,7 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 from numpy.typing import NDArray
 
-from .packet import EigenExpansion, Theta, fold_rows, takes_fold
+from .packet import EigenExpansion, Theta, _check_theta, fold_rows, takes_fold
 from .system import WellSystem, level_momentum
 
 __all__ = [
@@ -287,7 +287,8 @@ def _series(exp: EigenExpansion, table: MatrixElementTable, ids: tuple[str, ...]
     {x, x2, p} with b_n(t) = a_n exp(-i E_n t / hbar), comes from one of two
     paths, which the cost rule (takes_fold) picks.  <p^2> = Sum |a_n|^2 p_n^2
     is constant in time and needs neither.  ``theta``, the exact times / T,
-    makes the phases exact.  Both read the forms' rows from one walk of
+    makes the phases exact; one that is not the times' own is refused
+    (packet._check_theta).  Both read the forms' rows from one walk of
     row spans (_spans), which also sums each form's rounding scale and its
     Hermiticity probe, checked once per call on either path.  The table
     must be the packet's own (table_for): its window and well, checked
@@ -322,6 +323,7 @@ def _series(exp: EigenExpansion, table: MatrixElementTable, ids: tuple[str, ...]
             f"table of levels [{table.n_min}, {table.n_max}] in {table.sys} is not the "
             f"table of the packet's levels [{exp.n_min}, {exp.n_max}] in {exp.sys}")
     t = np.asarray(times, dtype=float).reshape(-1)
+    _check_theta(t, theta, exp.sys)
     forms = [f for f in ("x", "x2", "p") if any(f in _FORMS[w] for w in ids)]
     scales, probes = np.zeros((2, len(forms)))
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.typing import NDArray
 
-from .system import WellSystem, eigenenergy, level_momentum
+from .system import WellSystem, eigenenergy, level_momentum, revival_time
 
 __all__ = ["PacketSpec", "EigenExpansion", "Theta", "build_gaussian_packet",
            "takes_fold", "PHASE_CHUNK_BYTES", "RESIDUE_TABLE_BYTES"]
@@ -32,16 +32,19 @@ _TRUNCATION_WARN_WEIGHT = 1e-8
 # so memory stays bounded however many times or grid points a run asks for.
 PHASE_CHUNK_BYTES = 2**20
 
-# Bytes of complex128 a length-q array over the residues of an exact grid may
-# hold: one form's fold bins, or the chunks' table of unit roots; the split's
-# weighted baby steps, which replace that table, stay within it too.  Apart
-# from PHASE_CHUNK_BYTES, so that the chunk size never decides which path
-# runs or what the split's values are.
+# Bytes of complex128 one form's fold bins, an array of length q over the
+# residues of an exact grid, may hold; the split's weighted baby steps stay
+# within it too.  Apart from PHASE_CHUNK_BYTES, so that the chunk size never
+# decides which path runs or what the split's values are.
 RESIDUE_TABLE_BYTES = 16 * 2**20
 
 # Exact phases form (n^2 mod q)(num mod q) in int64, which holds for a
 # denominator q below 2^31.5; a time grid with a larger q takes the float path.
 _MAX_DEN = 3_000_000_000
+
+# Relative rounding allowed between two closed-form values of one quantity:
+# T and 2 n0 tau, or a time and its exact theta = t / T.
+_IDENTITY_TOL = 1e-12
 
 # Rows of level pairs (m, n) whose weights the residue fold bins at once, at
 # the least.  A bin then sums its pairs in short runs, one partial per
@@ -50,9 +53,25 @@ _MAX_DEN = 3_000_000_000
 FOLD_ROWS = 16
 
 
-def _check_theta(t: NDArray, theta: "Theta | None"):
+def _check_theta(t: NDArray, theta: "Theta | None", sys: WellSystem | None = None):
+    """Refuse a theta that does not hold one value per time, or, given the
+    well ``sys`` of revival time T, one that is not the times' own: theta_j
+    = t_j / T mod 1 within _IDENTITY_TOL max(1, t_j / T).  Every series,
+    correlation and field passes the latter before its phases are formed."""
     if theta is not None and theta.num.shape != t.shape:
         raise ValueError("theta must hold one value per time")
+    if theta is not None and sys is not None:
+        x = t / revival_time(sys)
+        d = x - theta.num / theta.den
+        d -= np.rint(d)
+        np.abs(d, out=d)
+        # within _IDENTITY_TOL every sample passes, with no tolerance array formed
+        if d.max(initial=0.0) > _IDENTITY_TOL:
+            bad = np.flatnonzero(d > _IDENTITY_TOL * np.maximum(1.0, np.abs(x)))
+            if bad.size:
+                j = bad[0]
+                raise ValueError(f"theta: {theta.num[j]}/{theta.den} at sample {j} is not "
+                                 f"t / T = {x[j]:.17g} mod 1")
 
 
 def takes_fold(times, theta: "Theta | None", terms: int) -> bool:
@@ -61,10 +80,10 @@ def takes_fold(times, theta: "Theta | None", terms: int) -> bool:
 
     On the exact grid ``theta`` of denominator q, the fold costs
     terms + q log2 q and the chunks T terms for T times; the fold takes
-    them when it is the cheaper and its length-q bins fit RESIDUE_TABLE_BYTES,
-    as the chunks' unit-root table must.  A moment sums N^2 terms, a
-    correlation N.  Float times (no theta) always take the chunks, and a
-    theta that does not hold one value per time is refused either way.
+    them when it is the cheaper and its length-q bins fit
+    RESIDUE_TABLE_BYTES.  A moment sums N^2 terms, a correlation N.  Float
+    times (no theta) always take the chunks, and a theta that does not hold
+    one value per time is refused either way.
     """
     t = np.asarray(times).reshape(-1)
     _check_theta(t, theta)
@@ -263,31 +282,14 @@ class EigenExpansion:
         return np.abs(self.coefficients) ** 2
 
     def _phase_rows(self, t: NDArray[np.float64], theta: Theta | None):
-        """The function from a slice of the times to its phase block P.
-
-        With theta, P = exp(-2 pi i r / q) for the exact residue
-        r = (n^2 mod q)(num mod q) mod q, gathered from a table of the q unit
-        roots built here, once per call; when q exceeds the work or
-        RESIDUE_TABLE_BYTES, exp is taken of r / q instead.  Without theta,
-        P is float_phases' exp(-i E_n t / hbar).
-        """
+        """The function from a slice of the times to its phase block P: with
+        theta, unit_roots of the exact residues r = (n^2 mod q)(num mod q)
+        mod q, one per phase term and no array of length q; without,
+        float_phases' exp(-i E_n t / hbar)."""
         if theta is None:
             return float_phases(self.energies, self.sys.hbar, t)
-        q = theta.den
-        n2 = self.square_residues(q)
-        roots = None
-        if q <= t.size * n2.size and 16 * q <= RESIDUE_TABLE_BYTES:
-            roots = unit_roots(np.arange(q), q)
-
-        def block(s: slice):
-            r = np.multiply.outer(theta.num[s], n2)
-            np.remainder(r, q, out=r)
-            if roots is None:
-                return unit_roots(r, q)
-            # r lies in [0, q): "clip" never clips, and unlike the default
-            # mode it writes straight into P without a buffer
-            return np.take(roots, r, out=np.empty(r.shape, dtype=complex), mode="clip")
-        return block
+        q, n2 = theta.den, self.square_residues(theta.den)
+        return lambda s: unit_roots(np.multiply.outer(theta.num[s], n2) % q, q)
 
     def map_chunks(self, fn: Callable[[NDArray[np.complex128]], NDArray], times,
                    out: NDArray, *, theta: Theta | None = None) -> NDArray:
@@ -363,10 +365,9 @@ class EigenExpansion:
         every residue exact in int64 (q < 3e9) and centred in (-q/2, q/2]
         for the smaller angle.  So out[k, j] = conj((V (U w_k)^T)[j2, j1]),
         one complex GEMM for every k at once, from (J + T / J) N unit roots
-        in place of the chunks' T N and their q-long table.  The weighted U
-        stays whole, within RESIDUE_TABLE_BYTES like the table it replaces;
-        V is built a block of _time_chunks at a time, the GEMM's rows, so
-        that no value depends on the blocks.
+        in place of the chunks' T N.  The weighted U stays whole, within
+        RESIDUE_TABLE_BYTES; V is built a block of _time_chunks at a time,
+        the GEMM's rows, so that no value depends on the blocks.
         """
         q, times, forms = theta.den, theta.num.size, weights.shape[1]
         n2 = self.square_residues(q)
@@ -394,8 +395,9 @@ class EigenExpansion:
     def phases_at(self, t: float, theta=None) -> NDArray[np.complex128]:
         """Coefficients evolved to time t: a_n exp(-i E_n t / hbar); ``theta``
         is the exact t / T, if known."""
-        block = self._phase_rows(np.array([t], dtype=float), Theta.of([theta]))
-        return self.coefficients * block(slice(None))[0]
+        t, theta = np.array([t], dtype=float), Theta.of([theta])
+        _check_theta(t, theta, self.sys)
+        return self.coefficients * self._phase_rows(t, theta)(slice(None))[0]
 
 
 def build_gaussian_packet(spec: PacketSpec, sys: WellSystem = WellSystem()) -> EigenExpansion:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from .observables import TimeSeries
-from .packet import PacketSpec
+from .packet import _IDENTITY_TOL, PacketSpec
 from .system import WellSystem, classical_speed, level_momentum, revival_time
 
 __all__ = [
@@ -27,8 +27,6 @@ __all__ = [
     "flat_momentum_reference",
     "spreading_envelope",
 ]
-
-_IDENTITY_TOL = 1e-12
 
 
 @dataclass(frozen=True)

@@ -102,8 +102,8 @@ def _packet(n0, dx0, x0):
 @pytest.mark.parametrize("n0, dx0, x0", LADDER)
 def test_field_at_fractional_revivals_is_the_clone_sum(n0, dx0, x0):
     # every reduced p/q with q <= 12 in one call: the basis is built once, in
-    # row blocks, and each phase vector comes from the chunk kernel's exact
-    # unit-root gather
+    # row blocks, and each phase vector is an exact chunk block, the unit
+    # roots of its reduced residues
     exp, T = _packet(n0, dx0, x0)
     grid = SpatialGrid.default(exp.sys, 1001)
     fields = position_wavefunction(exp, grid, [float(th) * T for th in FRACTIONS], FRACTIONS)

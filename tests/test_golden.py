@@ -23,6 +23,7 @@ import os
 import pytest
 
 from wellpacket import build_gaussian_packet, compute_timescales, parse_config, revival_scan
+from wellpacket import packet
 from wellpacket.cli import main
 from wellpacket.packet import EigenExpansion, takes_fold
 
@@ -399,6 +400,32 @@ def test_correlate_configs_pin_the_three_phase_paths(monkeypatch, name, exact, p
     revival_scan(exp, (start, stop), res, cfg.correlate.min_height,
                  theta=theta if exact else None)
     assert calls == [path]
+
+
+def test_evolve_fields_take_exact_chunk_blocks(monkeypatch, tmp_path):
+    # the golden evolve times 0, 0.5tau and 0.25T are exact, theta = 0, 1/160
+    # and 1/4: each field takes its phases from one exact chunk block, a row
+    # of N unit roots, with no fold, no split, no float phases and no array
+    # of length q
+    cfg = parse_config(CONFIGS["evolve"])
+    N = build_gaussian_packet(cfg.packet, cfg.system).coefficients.size
+    seen = []
+    roots = packet.unit_roots
+
+    def recorded(r, q):
+        seen.append((r.shape, q))
+        return roots(r, q)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("not an exact chunk block")
+
+    monkeypatch.setattr(packet, "unit_roots", recorded)
+    monkeypatch.setattr(packet, "float_phases", refused)
+    for method in ("fold", "split"):
+        monkeypatch.setattr(EigenExpansion, method, refused)
+    assert _run("evolve", "csv", tmp_path) == GOLDEN["evolve", "csv"]
+    assert N < 160
+    assert seen == [((1, N), q) for _ in ("position", "momentum") for q in (1, 160, 4)]
 
 
 # JSON at precision 3 writes most floats through the `%g` shortcut with

@@ -9,14 +9,17 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from wellpacket import (OBSERVABLES, PacketSpec, Theta, autocorrelation_series,
+from wellpacket import (OBSERVABLES, MomentumGrid, PacketSpec, SpatialGrid, Theta,
+                        autocorrelation, autocorrelation_series,
                         build_gaussian_packet, compute_timescales,
                         expectation_series, mirror_correlation_series,
-                        revival_scan, table_for)
-from wellpacket import packet
+                        momentum_wavefunction, position_wavefunction,
+                        revival_scan, table_for, uncertainty_series)
+from wellpacket import observables, packet
 from wellpacket.packet import takes_fold
 
-from oracles import dense_expectation, direct_correlation, mp_moments, operator_block
+from oracles import (dense_expectation, direct_correlation, ld_moments, mp_moments,
+                     operator_block)
 
 # Rows per chunk in the ladder runs: every schedule below spans several
 # chunks and none is a multiple of it, so the chunk lengths differ.
@@ -97,22 +100,29 @@ def test_chunks_hold_two_rows_while_two_rows_fit():
 @pytest.mark.parametrize("budget", [2**10, 2**20, 2**26])
 def test_residue_tables_switch_at_16_mib_whatever_the_chunk_budget(monkeypatch, default_exp,
                                                                   budget):
-    # the fold's bins and the unit-root table hold 16 q bytes each: both are
-    # taken up to q = 2^20 and not past it, however large a chunk may be,
-    # so the chunk budget never decides which path a job takes
+    # the fold's bins hold 16 q bytes: the fold is taken up to q = 2^20 and
+    # not past it, however large a chunk may be, so the chunk budget never
+    # decides which path a job takes
     monkeypatch.setattr(packet, "PHASE_CHUNK_BYTES", budget)
     assert packet.RESIDUE_TABLE_BYTES == 16 * 2**20
     # 21000 times at N = 51 are more phase terms than 2^20 + 1 residues, so
-    # only the size cap can refuse the gather
+    # a table of the q unit roots would cost less than the work; none is built
+    N = len(default_exp.energies)
     n_times = 21000
     times = np.zeros(n_times)
-    assert n_times * len(default_exp.energies) > 2**20 + 1
+    assert n_times * N > 2**20 + 1
+    rows = slice(0, 256)
+    terms = 256 * N
     for q, taken in ((2**20, True), (2**20 + 1, False)):
-        theta = Theta(np.zeros(n_times, dtype=np.int64), q)
+        theta = Theta(np.arange(n_times, dtype=np.int64) * 7919 % q, q)
         assert packet.takes_fold(times, theta, 509**2) == taken, q
-        # the gather builds its table of q unit roots when the block function is made
-        peak_bytes = _traced_peak(lambda: default_exp._phase_rows(times, theta))
-        assert (peak_bytes >= 16 * q) == taken, (q, peak_bytes)
+        # an exact chunk block is its roots and their int64 residues, 24
+        # bytes a phase term, beside ufunc's buffer of at most 64 KiB for
+        # the roots' strided imaginary parts, whatever q: no array of
+        # length q on either side (measured 24 bytes a term + 66.6 KiB)
+        peak_bytes = _traced_peak(lambda: default_exp._phase_rows(times, theta)(rows))
+        assert peak_bytes < 16 * q, (q, peak_bytes)
+        assert peak_bytes <= 24 * terms + 2**17, (q, peak_bytes, terms)
 
 
 def test_chunk_split_does_not_change_values(monkeypatch, default_exp, default_table):
@@ -291,46 +301,68 @@ def test_exact_phases_match_the_mpmath_oracle(sys0, n0):
     assert min(errors(None)) > 1e-11
 
 
-@pytest.mark.parametrize("n0, dx0", [(40, 0.1), (400, 0.05)])
-def test_real_assembly_is_within_two_eps_of_its_scale(sys0, n0, dx0):
-    # the real-GEMM assembly rounds each form to about eps of its scale
-    # Sum |a_m||a_n||O_mn|; measured at most 0.79 eps here, and at most 1.04
-    # eps at n0 = 1500 and 3996
+def test_long_double_oracle_agrees_with_mpmath(sys0):
+    # ld_moments against the 40-digit mp_moments on five samples a packet;
+    # mp_moments returns doubles, whose rounding (half an ulp) sets the
+    # floor: measured at most 0.25 eps of scale
+    assert np.finfo(np.longdouble).eps <= 2**-63
+    for n0, dx0 in ((40, 0.1), (400, 0.05)):
+        exp = build_gaussian_packet(PacketSpec(n0=n0, x0=0.3, dx0=dx0), sys0)
+        table = table_for(exp)
+        mags = np.abs(exp.coefficients)
+        for theta in _exact_times(n0)[2::2] + [Fraction(0)]:
+            ld, mp = ld_moments(exp, theta), mp_moments(exp, theta)
+            for which in ("x", "x2", "p"):
+                scale = float(mags @ np.abs(operator_block(table, which)) @ mags)
+                err = abs(ld[which] - np.longdouble(mp[which]))
+                assert err <= 0.3 * np.finfo(float).eps * scale, (n0, theta, which)
+
+
+@pytest.mark.parametrize("n0, dx0", [(40, 0.1), (400, 0.05), (1500, 0.009), (3996, 0.005)])
+def test_real_assembly_is_within_two_eps_of_its_scale(monkeypatch, sys0, n0, dx0):
+    # the real-GEMM assembly of the exact chunks rounds each form to about
+    # eps of its scale Sum |a_m||a_n||O_mn|: measured at most 0.78 eps at
+    # n0 = 40 and 400 against mp_moments, and 1.51 eps (<x> at n0 = 1500,
+    # N = 283) and 1.00 eps (n0 = 3996, N = 509) against ld_moments.  The
+    # cost rule would fold three of these grids, so every call is sent down
+    # the chunks
     exp = build_gaussian_packet(PacketSpec(n0=n0, x0=0.3, dx0=dx0), sys0)
     table = table_for(exp)
     thetas = _exact_times(n0)
     times = np.array([float(th) for th in thetas]) * compute_timescales(sys0, exp.spec).T_rev
-    ref = [mp_moments(exp, th) for th in thetas]
+    oracle = mp_moments if n0 <= 400 else ld_moments
+    ref = [oracle(exp, th) for th in thetas]
     mags = np.abs(exp.coefficients)
+    monkeypatch.setattr(observables, "takes_fold", lambda *args: False)
     got = expectation_series(exp, table, ("x", "x2", "p"), times, theta=Theta.of(thetas))
     for which, values in zip(("x", "x2", "p"), got):
         scale = float(mags @ np.abs(operator_block(table, which)) @ mags)
-        err = np.max(np.abs(values - [r[which] for r in ref]))
+        err = np.max(np.abs(values - np.array([r[which] for r in ref], dtype=float)))
         assert err <= 2 * np.finfo(float).eps * scale, which
 
 
-def test_exact_phase_paths_agree(monkeypatch, default_exp):
-    # the unit-root table and the exp of the reduced residue give the same
-    # phases, and both match exp(-2 pi i n^2 theta) reduced in Python ints
+def test_exact_phase_paths_agree(default_exp):
+    # the exact chunk block, unit_roots of the reduced residue, matches
+    # exp(-2 pi i n^2 theta) reduced in Python ints, on a grid of q <= T N
+    # and on one of q > T N; phases_at, on the same denominator, is the
+    # block's row bit for bit
     n0 = default_exp.spec.n0
-    thetas = [Fraction(k, 2 * n0) for k in range(0, 1601, 37)] + [Fraction(1001, 10)]
-    theta = Theta.of(thetas)
-    times = np.array([float(th) for th in thetas]) * 2.0 / math.pi
-    direct = np.array([[np.exp(-2j * math.pi * float(n * n * th % 1))
-                        for n in default_exp.levels.tolist()] for th in thetas])
-
-    def block():
-        out = np.empty((len(default_exp.energies), times.size), dtype=complex)
-        return default_exp.map_chunks(lambda P: P.T, times, out, theta=theta).T
-
-    table = block()
-    assert theta.den <= times.size * len(default_exp.energies)
-    monkeypatch.setattr(packet, "RESIDUE_TABLE_BYTES", 16 * theta.den - 1)
-    reduced = block()
-    assert np.max(np.abs(table - direct)) <= 1e-15
-    assert np.max(np.abs(reduced - direct)) <= 1e-15
-    assert np.array_equal(default_exp.phases_at(times[3], thetas[3]),
-                          default_exp.coefficients * reduced[3])
+    N = len(default_exp.energies)
+    grid = [Fraction(k, 2 * n0) for k in range(0, 1601, 37)] + [Fraction(1001, 10)]
+    short = [Fraction(1, 3), Fraction(5, 7919), Fraction(123457, 2 * n0)]
+    blocks = []
+    for thetas in (grid, short):
+        theta = Theta.of(thetas)
+        times = np.array([float(th) for th in thetas]) * 2.0 / math.pi
+        direct = np.array([[np.exp(-2j * math.pi * float(n * n * th % 1))
+                            for n in default_exp.levels.tolist()] for th in thetas])
+        out = np.empty((N, times.size), dtype=complex)
+        blocks.append(default_exp.map_chunks(lambda P: P.T, times, out, theta=theta).T)
+        assert (theta.den <= times.size * N) == (thetas is grid)
+        assert np.max(np.abs(blocks[-1] - direct)) <= 1e-15
+    assert grid[3].denominator == Theta.of(grid).den
+    assert np.array_equal(default_exp.phases_at(float(grid[3]) * 2.0 / math.pi, grid[3]),
+                          default_exp.coefficients * blocks[0][3])
 
 
 def test_theta_grids_and_their_limits():
@@ -346,3 +378,46 @@ def test_theta_grids_and_their_limits():
     exp = build_gaussian_packet(PacketSpec(n0=40, x0=0.5, dx0=0.1))
     with pytest.raises(ValueError, match="one value per time"):
         autocorrelation_series(exp, [0.0, 1.0], Theta.of([0]))
+
+
+def test_every_exact_entry_point_refuses_a_theta_of_other_times(default_exp, default_table):
+    # (1/2, 1/4) is not t / T at t = 0.1 and 0.2 (T = 2 / pi): the series
+    # once returned the T/2 and T/4 values, <x> = (0.5, 0.5) where the float
+    # times give (0.49880, 0.50038), and a field the T/2 one labelled
+    # time = 0.1.  Every series, correlation and field refuses it
+    exp, T = default_exp, 2.0 / math.pi
+    times, other = [0.1, 0.2], [Fraction(1, 2), Fraction(1, 4)]
+    wrong = Theta.of(other)
+    xgrid = SpatialGrid.default(exp.sys, 64)
+    pgrid = MomentumGrid.default(exp.sys, exp.spec.n0, 2.0, 20.0)
+    calls = {
+        "expectation": lambda: expectation_series(exp, default_table, "x", times, theta=wrong),
+        "moments": lambda: expectation_series(exp, default_table, ("x", "p"), times, theta=wrong),
+        "uncertainty": lambda: uncertainty_series(exp, default_table, "p", times, theta=wrong),
+        "C": lambda: autocorrelation_series(exp, times, wrong),
+        "C, C-bar": lambda: autocorrelation_series(exp, times, wrong, mirror=True),
+        "C-bar": lambda: mirror_correlation_series(exp, times, wrong),
+        "C(t)": lambda: autocorrelation(exp, 0.1, Fraction(1, 2)),
+        "psi(x)": lambda: position_wavefunction(exp, xgrid, 0.1, Fraction(1, 2)),
+        "psi(x) list": lambda: position_wavefunction(exp, xgrid, times, other),
+        "phi(p) list": lambda: momentum_wavefunction(exp, pgrid, times, other),
+    }
+    for name, call in calls.items():
+        try:
+            call()
+        except ValueError as error:
+            assert "theta" in str(error), name
+        else:
+            pytest.fail(f"{name} took a theta of other times")
+    # theta is t / T mod 1 within 1e-12 max(1, t / T): the same phases
+    # whole revivals later, and a time rounded within that, pass and give
+    # the exact values; a time off by more is refused
+    exact = expectation_series(exp, default_table, "x", [T / 2, T / 4], theta=wrong)
+    later = [(3 + 1 / 2) * T, (1000 + 1 / 4) * T * (1 + 5e-13)]
+    assert np.array_equal(expectation_series(exp, default_table, "x", later, theta=wrong),
+                          exact)
+    assert np.array_equal(position_wavefunction(exp, xgrid, later[1], other[1]).amplitudes,
+                          position_wavefunction(exp, xgrid, T / 4, other[1]).amplitudes)
+    for t in ((1 / 2 + 2e-12) * T, (1000 + 1 / 2) * T * (1 + 2e-12)):
+        with pytest.raises(ValueError, match="theta"):
+            autocorrelation(exp, t, Fraction(1, 2))

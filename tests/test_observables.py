@@ -23,6 +23,7 @@ from wellpacket import (MatrixElementTable, MomentumGrid, NumericalConsistencyEr
                         table_for, uncertainty_series)
 from wellpacket import observables
 from wellpacket.packet import fold_rows, takes_fold
+from wellpacket.system import revival_time
 
 from oracles import (dense_matrix_elements, operator_block, p2_quad, p_quad,
                      x_power_quad)
@@ -492,5 +493,5 @@ def test_negative_variance_floor_does_not_depend_on_the_unit_of_length():
     with pytest.raises(NumericalConsistencyError, match="negative variance for x"):
         uncertainty_series(exp, bad, "x", [0.0])
     with pytest.raises(NumericalConsistencyError, match="negative variance for x"):
-        uncertainty_series(exp, bad, "x", [0.0, 1.0], theta=Theta.of([0, 1]))
+        uncertainty_series(exp, bad, "x", [0.0, revival_time(sys_mm)], theta=Theta.of([0, 1]))
 

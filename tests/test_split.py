@@ -11,6 +11,7 @@ import pytest
 from wellpacket import PacketSpec, Theta, build_gaussian_packet, compute_timescales, revival_scan
 from wellpacket import packet
 from wellpacket.correlation import _both_weights, _phase_sum
+from wellpacket.system import revival_time
 
 from oracles import mp_correlation
 
@@ -27,7 +28,8 @@ def _window(n0: int, res: int, half: int, frac=Fraction(1, 2)):
 def _split_sums(exp, theta):
     w = _both_weights(exp)
     assert not packet.takes_fold(theta.num, theta, len(w)) and theta.step() is not None
-    return _phase_sum(exp, w, theta.num.astype(float), theta), w
+    times = theta.num / theta.den * revival_time(exp.sys)
+    return _phase_sum(exp, w, times, theta), w
 
 
 def _oracle_errors(exp, theta, sums, w, at):
