@@ -14,7 +14,7 @@ import numpy as np
 from wellpacket import (MomentumGrid, PacketSpec, SpatialGrid, WellSystem,
                         build_gaussian_packet, compute_timescales,
                         expectation_series, momentum_wavefunction,
-                        position_wavefunction, probability_density, table_for)
+                        position_wavefunction, probability_density)
 
 
 def main() -> int:
@@ -22,7 +22,6 @@ def main() -> int:
     spec = PacketSpec(n0=400, x0=0.5, dx0=0.05)
     exp = build_gaussian_packet(spec, sys0)
     rep = compute_timescales(sys0, spec)
-    table = table_for(exp)
     tau, T = rep.tau, rep.T_rev
 
     snapshots = [
@@ -40,7 +39,7 @@ def main() -> int:
     fields = []
     for label, t in snapshots:
         d = probability_density(position_wavefunction(exp, xg, t))
-        x_mean, dx = (float(v[0]) for v in expectation_series(exp, table, ("x", "dx"), [t]))
+        x_mean, dx = (float(v[0]) for v in expectation_series(exp, ("x", "dx"), [t]))
         i = int(np.argmax(d))
         print(f"{label:32s} {xg.points[i]:8.4f} {d[i]:8.3f} {x_mean:8.4f} {dx:8.4f}")
         fields.append((label, d))

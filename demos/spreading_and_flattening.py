@@ -13,8 +13,7 @@ import numpy as np
 
 from wellpacket import (PacketSpec, WellSystem, build_gaussian_packet,
                         compute_timescales, detect_flattening, flat_reference,
-                        sample_series, spreading_envelope, table_for,
-                        uncertainty_series)
+                        sample_series, spreading_envelope, uncertainty_series)
 
 
 def main() -> int:
@@ -22,13 +21,12 @@ def main() -> int:
     spec = PacketSpec(n0=400, x0=0.5, dx0=0.05)
     exp = build_gaussian_packet(spec, sys0)
     rep = compute_timescales(sys0, spec)
-    table = table_for(exp)
     tau = rep.tau
 
     print("early growth, sampled mid-flight (j tau / 2):")
     print(f"{'t/tau':>6s} {'dx':>10s} {'envelope':>10s} {'rel dev':>10s}")
     ts = np.arange(1, 19) * tau / 2.0
-    dx = uncertainty_series(exp, table, "x", ts)
+    dx = uncertainty_series(exp, "x", ts)
     env = spreading_envelope(spec.dx0, rep.t0, ts)
     for t, d, e in zip(ts, dx, env):
         print(f"{t / tau:6.1f} {d:10.6f} {e:10.6f} {(d - e) / e:+10.2e}")
@@ -44,7 +42,7 @@ def main() -> int:
         exp_w = build_gaussian_packet(spec_w, sys0)
         rep_w = compute_timescales(sys0, spec_w)
         times = np.arange(0.0, 150.0 * tau, 0.25 * tau)
-        series = sample_series(exp_w, table_for(exp_w), "dx", times)
+        series = sample_series(exp_w, "dx", times)
         t_star = detect_flattening(series, sys0, epsilon=0.05, hold=10)
         t_stars.append(t_star)
         curves[dx0] = series

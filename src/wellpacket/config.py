@@ -193,6 +193,8 @@ class CorrelateSettings:
     def __post_init__(self):
         if not 0.0 < self.threshold < 1.0:
             raise ValueError("threshold: must lie in (0, 1)")
+        if not 0.0 <= self.min_height <= 1.0:
+            raise ValueError("min_height: must lie in [0, 1]")
 
     def scan_grid(self, tau: float, T: float, n0: int) -> tuple[
             float, float, float, tuple[Fraction, Fraction] | None]:
@@ -317,8 +319,17 @@ class RunConfig:
 
 _BOOL = {"true": True, "yes": True, "1": True, "on": True,
          "false": False, "no": False, "0": False, "off": False}
+
+
+def _finite(text: str) -> float:
+    x = float(text)
+    if not math.isfinite(x):
+        raise ValueError
+    return x
+
+
 # field type -> (conversion of the stripped text, the name its error uses)
-_KINDS = {str: (str, "a string"), int: (int, "an integer"), float: (float, "a number"),
+_KINDS = {str: (str, "a string"), int: (int, "an integer"), float: (_finite, "a finite number"),
           bool: (lambda s: _BOOL[s.lower()], "a boolean")}
 
 

@@ -87,9 +87,11 @@ def _phase_sum(exp: EigenExpansion, weights: NDArray, times,
     not the times' own is refused (packet._check_theta).  Where the cost
     rule (takes_fold) holds, each column's weights are binned at n^2 mod q
     and one FFT gives every sample (EigenExpansion.fold).  Otherwise exact
-    times on a progression, as every scan, schedule and fit block is, take
-    the two-level split: sqrt(T) rows of baby-step and giant-step unit
-    roots and one GEMM (EigenExpansion.split).  Any other times take
+    times on a progression of two or more, as every scan and every fit
+    block after the first is, take the two-level split: sqrt(T) rows of
+    baby-step and giant-step unit roots and one GEMM
+    (EigenExpansion.split).  Any other times, a single time such as the
+    first fit block (n = 1) among them, take
     conj(P @ weights) of each chunk of the kernel's
     P = exp(-i E t / hbar), the weights being real; one chunk is alive at
     a time.

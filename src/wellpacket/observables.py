@@ -77,8 +77,7 @@ class MatrixElementTable:
     build_matrix_elements, and ``diagonals`` holds their diagonals.
     ``rows`` writes a row block of a form afresh and ``diagonal`` reads a
     diagonal: they are the only readers of a form, and the table keeps
-    nothing they write.  A table serves exactly the packet table_for built
-    it for, its window in its well; the series refuse any other (_series).
+    nothing they write.
     """
 
     n_min: int
@@ -219,7 +218,7 @@ def build_matrix_elements(n_min: int, n_max: int,
 
 
 def table_for(exp: EigenExpansion) -> MatrixElementTable:
-    """The table of the expansion's window and well, the one its series take."""
+    """The table of the expansion's window and well, which its series build."""
     return build_matrix_elements(exp.n_min, exp.n_max, exp.sys)
 
 
@@ -278,8 +277,8 @@ def _spans(exp: EigenExpansion, table: MatrixElementTable, forms: list[str], q: 
         rows.clear()
 
 
-def _series(exp: EigenExpansion, table: MatrixElementTable, ids: tuple[str, ...],
-            times, *, theta: Theta | None = None) -> list[NDArray[np.float64]]:
+def _series(exp: EigenExpansion, ids: tuple[str, ...], times, *,
+            theta: Theta | None = None) -> list[NDArray[np.float64]]:
     """Each series id over a time array, by the residue fold or from one
     evolved block per time chunk.
 
@@ -290,9 +289,8 @@ def _series(exp: EigenExpansion, table: MatrixElementTable, ids: tuple[str, ...]
     makes the phases exact; one that is not the times' own is refused
     (packet._check_theta).  Both read the forms' rows from one walk of
     row spans (_spans), which also sums each form's rounding scale and its
-    Hermiticity probe, checked once per call on either path.  The table
-    must be the packet's own (table_for): its window and well, checked
-    before any form is read.
+    Hermiticity probe, checked once per call on either path.  The rows
+    come from the packet's own table, built once per call (table_for).
 
     The fold (EigenExpansion.fold), on an exact grid: b_m* b_n carries the
     phase 2 pi (m^2 - n^2) theta.  Each form is Hermitian, so the pair
@@ -318,12 +316,9 @@ def _series(exp: EigenExpansion, table: MatrixElementTable, ids: tuple[str, ...]
     for which in ids:
         if which not in SERIES_IDS:
             raise ValueError(f"unknown series id {which!r}")
-    if (table.n_min, table.n_max, table.sys) != (exp.n_min, exp.n_max, exp.sys):
-        raise ValueError(
-            f"table of levels [{table.n_min}, {table.n_max}] in {table.sys} is not the "
-            f"table of the packet's levels [{exp.n_min}, {exp.n_max}] in {exp.sys}")
     t = np.asarray(times, dtype=float).reshape(-1)
     _check_theta(t, theta, exp.sys)
+    table = table_for(exp)
     forms = [f for f in ("x", "x2", "p") if any(f in _FORMS[w] for w in ids)]
     scales, probes = np.zeros((2, len(forms)))
 
@@ -431,8 +426,8 @@ def _series(exp: EigenExpansion, table: MatrixElementTable, ids: tuple[str, ...]
     return out
 
 
-def expectation_series(exp: EigenExpansion, table: MatrixElementTable, which,
-                       times, *, theta: Theta | None = None):
+def expectation_series(exp: EigenExpansion, which, times, *,
+                       theta: Theta | None = None):
     """Vectorized expectation over a time array.
 
     ``which`` is one id of SERIES_IDS ("dx" and "dp" are the
@@ -441,25 +436,25 @@ def expectation_series(exp: EigenExpansion, table: MatrixElementTable, which,
     exact times / T, makes every phase exact.
     """
     if isinstance(which, str):
-        return _series(exp, table, (which,), times, theta=theta)[0]
-    return tuple(_series(exp, table, tuple(which), times, theta=theta))
+        return _series(exp, (which,), times, theta=theta)[0]
+    return tuple(_series(exp, tuple(which), times, theta=theta))
 
 
-def uncertainty_series(exp: EigenExpansion, table: MatrixElementTable, which: str,
-                       times, *, theta: Theta | None = None) -> NDArray[np.float64]:
+def uncertainty_series(exp: EigenExpansion, which: str, times, *,
+                       theta: Theta | None = None) -> NDArray[np.float64]:
     """Vectorized uncertainty over a time array.  ``theta``, the exact
     times / T, makes every phase exact."""
     if which not in ("x", "p"):
         raise ValueError(f"uncertainty defined for x or p, got {which!r}")
-    return _series(exp, table, ("d" + which,), times, theta=theta)[0]
+    return _series(exp, ("d" + which,), times, theta=theta)[0]
 
 
-def sample_series(exp: EigenExpansion, table: MatrixElementTable, which: str,
-                  schedule, *, theta: Theta | None = None) -> TimeSeries:
+def sample_series(exp: EigenExpansion, which: str, schedule, *,
+                  theta: Theta | None = None) -> TimeSeries:
     """One value per schedule point; which in {x, x2, p, p2, dx, dp}.
     ``theta``, the exact schedule / T, makes every phase exact."""
     times = np.asarray(schedule, dtype=float)
     if times.size == 0:
         raise ValueError("empty schedule")
-    values = expectation_series(exp, table, which, times, theta=theta)
+    values = expectation_series(exp, which, times, theta=theta)
     return TimeSeries(observable=which, times=times, values=values)

@@ -117,10 +117,8 @@ def run_observables(cfg: RunConfig, out_dir):
     """<x>, dx, <p>, dp over the configured schedule, with reference columns."""
     out = _Output(cfg, "observables", out_dir)
     exp, report = _prepare(cfg)
-    table = observables.table_for(exp)
     times, theta = cfg.schedule.resolve(report.tau, report.T_rev, cfg.packet.n0)
-    series = observables.expectation_series(exp, table, ("x", "dx", "p", "dp"),
-                                            times, theta=theta)
+    series = observables.expectation_series(exp, ("x", "dx", "p", "dp"), times, theta=theta)
 
     sys = cfg.system
     dx0 = cfg.packet.dx0_value(sys)
@@ -243,8 +241,7 @@ def run_scan_flatten(cfg: RunConfig, out_dir):
         exp = build_gaussian_packet(spec, cfg.system)
         report = timescales.compute_timescales(cfg.system, spec)
         times, theta = fl.sample_times(report.tau, report.T_rev, spec.n0)
-        table = observables.table_for(exp)
-        series = observables.sample_series(exp, table, "dx", times, theta=theta)
+        series = observables.sample_series(exp, "dx", times, theta=theta)
         t_star = timescales.detect_flattening(series, cfg.system,
                                               epsilon=fl.epsilon, hold=fl.hold)
         detections.append({"dx0": dx0, "t_star": t_star,

@@ -6,7 +6,7 @@ import pytest
 
 import wellpacket
 from wellpacket import (PacketSpec, WellSystem, build_gaussian_packet,
-                        compute_timescales, table_for)
+                        compute_timescales)
 
 # subprocesses (the entry points, the demos) import the package that these
 # tests import, from the source tree without an install
@@ -38,11 +38,6 @@ def default_spec():
 @pytest.fixture(scope="session")
 def default_exp(default_spec, sys0):
     return build_gaussian_packet(default_spec, sys0)
-
-
-@pytest.fixture(scope="session")
-def default_table(default_exp):
-    return table_for(default_exp)
 
 
 @pytest.fixture(scope="session")

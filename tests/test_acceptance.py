@@ -26,7 +26,7 @@ from wellpacket import (EigenExpansion, MomentumGrid, PacketSpec,
                         mirror_correlation_series, momentum_wavefunction,
                         position_wavefunction, powerlaw_autocorrelation,
                         probability_density, revival_time_powerlaw,
-                        sample_series, spreading_envelope, table_for,
+                        sample_series, spreading_envelope,
                         uncertainty_series, expectation_series, wkb_energy)
 
 P0 = 400.0 * math.pi
@@ -81,25 +81,25 @@ def test_c03_half_revival_mirror(default_exp, default_report, sys0):
                          f"mirror dev x: {x_dev:.1e}, p: {p_dev:.1e} (tol 1e-9)")
 
 
-def test_c04_free_gaussian_envelope(default_exp, default_table, default_report):
+def test_c04_free_gaussian_envelope(default_exp, default_report):
     r = default_report
     # sample mid-flight: the classical particle crosses the center every
     # half period, maximally far from either wall; j tau/2 <= 3 t0
     ts = np.arange(1, 19) * (r.tau / 2.0)
     assert ts[-1] < 3.0 * r.t0
-    dx = uncertainty_series(default_exp, default_table, "x", ts)
+    dx = uncertainty_series(default_exp, "x", ts)
     env = spreading_envelope(0.05, r.t0, ts)
     worst = float(np.max(np.abs(dx - env) / env))
     ok = worst <= 0.02
     assert record(4, ok, f"envelope dev over (0, 3 t0): {worst:.2e} (tol 2e-2)")
 
 
-def test_c05_flat_phase_values(default_exp, default_table, default_report):
+def test_c05_flat_phase_values(default_exp, default_report):
     t = 124.0 * default_report.tau
-    x = float(expectation_series(default_exp, default_table, "x", [t])[0])
-    p = float(expectation_series(default_exp, default_table, "p", [t])[0])
-    dx = float(uncertainty_series(default_exp, default_table, "x", [t])[0])
-    dp = float(uncertainty_series(default_exp, default_table, "p", [t])[0])
+    x = float(expectation_series(default_exp, "x", [t])[0])
+    p = float(expectation_series(default_exp, "p", [t])[0])
+    dx = float(uncertainty_series(default_exp, "x", [t])[0])
+    dp = float(uncertainty_series(default_exp, "p", [t])[0])
     dx_ok = abs(dx / (1.0 / math.sqrt(12.0)) - 1.0) <= 0.05
     x_ok = abs(x - 0.5) <= 1e-2
     dp_ok = abs(dp / P0 - 1.0) <= 0.05
@@ -131,7 +131,7 @@ def test_c07_flattening_time(sys0):
         exp = build_gaussian_packet(spec, sys0)
         rep = compute_timescales(sys0, spec)
         times = np.arange(0.0, 150.0 * rep.tau, 0.25 * rep.tau)
-        series = sample_series(exp, table_for(exp), "dx", times)
+        series = sample_series(exp, "dx", times)
         t_star = detect_flattening(series, sys0, epsilon=0.05, hold=10)
         assert t_star is not None
         t_stars[dx0] = t_star
@@ -146,15 +146,14 @@ def test_c07_flattening_time(sys0):
                          f"log-log slope = {slope:.3f} (tol 1.0 +- 0.3)")
 
 
-def test_c08_quasi_revivals(default_exp, default_table, default_report):
+def test_c08_quasi_revivals(default_exp, default_report):
     r = default_report
     pts = np.array([r.T_rev / 4.0, 3.0 * r.T_rev / 4.0, 100.0 * r.tau])
-    dx = uncertainty_series(default_exp, default_table, "x", pts)
+    dx = uncertainty_series(default_exp, "x", pts)
     quarter_ok = abs(dx[0] / 0.05 - 1.0) <= 0.05
     three_quarter_ok = abs(dx[1] / 0.05 - 1.0) <= 0.05
     strobe = np.arange(10, 391) * r.tau
-    median = float(np.median(uncertainty_series(default_exp, default_table,
-                                                "x", strobe)))
+    median = float(np.median(uncertainty_series(default_exp, "x", strobe)))
     anti_ok = dx[2] > median
     ok = quarter_ok and three_quarter_ok and anti_ok
     assert record(8, ok, f"dx(T/4)/dx0 = {dx[0] / 0.05:.4f}, "

@@ -8,10 +8,13 @@ import re
 import subprocess
 import sys
 import tracemalloc
+import typing
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
+from wellpacket import config
 from wellpacket.cli import main
 from wellpacket.config import (ConfigError, CorrelateSettings, OutputSettings,
                                RunConfig, ScheduleSettings, load_config,
@@ -232,6 +235,30 @@ def test_non_finite_times_are_config_errors(tmp_path, capsys, key, literal):
     assert not out.exists() or os.listdir(out) == []
 
 
+def _float_keys():
+    """[section] key of every key of config._SECTIONS whose field holds
+    floats read by the float parser; k, read item by item by its own
+    parser, admits infinity for the box limit."""
+    sections = typing.get_type_hints(RunConfig)
+    for section, keys in config._SECTIONS.items():
+        hints, meta = typing.get_type_hints(sections[section]), {
+            f.name: f.metadata for f in fields(sections[section])}
+        for key, (attr, _) in keys.items():
+            if float in typing.get_args(hints[attr]) + (hints[attr],) \
+                    and "item" not in meta[attr]:
+                yield section, key
+
+
+@pytest.mark.parametrize("section, key", sorted(_float_keys()))
+def test_non_finite_numbers_are_config_errors(section, key):
+    # these once wrote rows of nan or inf, reported no flattening, or ended
+    # in a traceback, where a time literal's nan and inf are refused
+    for literal in ("nan", "inf", "-inf"):
+        with pytest.raises(ConfigError, match=re.escape(
+                f"[{section}] {key}: expected a finite number, got {literal!r}")):
+            parse_config(f"[{section}]\n{key} = {literal}\n")
+
+
 @pytest.mark.parametrize("command, ini, location", [
     ("evolve", "[grids]\np_span = -1\n[evolve]\ntimes = 0\nrepresentation = momentum\n",
      "[grids] p_span: must be positive"),
@@ -248,9 +275,18 @@ def test_non_finite_times_are_config_errors(tmp_path, capsys, key, literal):
     ("scan-flatten", "[flatten]\ndx0 = 0.05, 0.0500000001, 0.1\n",
      "[flatten] dx0: two widths print as 0.05"),
     ("scan-flatten", "[flatten]\ndx0 = 0.05, 0.05\n", "[flatten] dx0: two widths print as 0.05"),
+    ("observables", "[packet]\ndx0 = 0\n", "[packet] dx0: must be positive"),
+    ("timescales", "[packet]\ndx0 = 0\n", "[packet] dx0: must be positive"),
+    ("observables", "[packet]\ndx0 = -0.05\n", "[packet] dx0: must be positive"),
+    ("timescales", "[packet]\nalpha = -1\n", "[packet] alpha: must be positive"),
+    ("correlate", "[schedule]\nn_stop = 5\n[correlate]\nscan = true\nmin_height = 2\n",
+     "[correlate] min_height: must lie in [0, 1]"),
+    ("correlate", "[schedule]\nn_stop = 5\n[correlate]\nscan = true\nmin_height = nan\n",
+     "[correlate] min_height: expected a finite number"),
 ], ids=["p_span", "p_spacing", "fit_dn", "empty_strobes_observables",
         "empty_strobes_correlate", "empty_k", "fit_n0", "empty_dx0", "alike_dx0",
-        "repeated_dx0"])
+        "repeated_dx0", "zero_dx0_observables", "zero_dx0_timescales", "negative_dx0",
+        "negative_alpha", "min_height_above_1", "nan_min_height"])
 def test_bad_values_and_empty_work_are_config_errors(tmp_path, capsys, command, ini,
                                                      location):
     # each of these once ended in a traceback or in an empty or header-only file

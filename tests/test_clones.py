@@ -32,7 +32,7 @@ import pytest
 
 from wellpacket import (PacketSpec, SpatialGrid, Theta, build_gaussian_packet,
                         compute_timescales, expectation_series,
-                        position_wavefunction, table_for)
+                        position_wavefunction)
 from wellpacket.packet import takes_fold
 
 EPS = np.finfo(float).eps
@@ -137,7 +137,6 @@ def test_moments_at_fractional_revivals_match_the_clone_sum(n0, dx0, x0):
     # reduced p/q by itself)
     exp, T = _packet(n0, dx0, x0)
     L, n_max, N = exp.sys.width_L, int(exp.levels[-1]), len(exp.levels)
-    table = table_for(exp)
     nodes, weights = _gauss_legendre(L, n_max)
     psi0_at, oracle, bounds = {}, {}, {}
     for theta in FRACTIONS:
@@ -163,11 +162,11 @@ def test_moments_at_fractional_revivals_match_the_clone_sum(n0, dx0, x0):
         grid = Theta.progression(Fraction(0), Fraction(1, q), q)
         times = np.arange(q) * (T / q)
         assert takes_fold(times, grid, N * N) == (q > 1)
-        x_mean, dx = expectation_series(exp, table, ("x", "dx"), times, theta=grid)
+        x_mean, dx = expectation_series(exp, ("x", "dx"), times, theta=grid)
         for j in range(q):
             check(Fraction(j, q), float(x_mean[j]), float(dx[j]))
     for theta in FRACTIONS:
         one = Theta.of([theta])
         assert not takes_fold([float(theta) * T], one, N * N)
-        x_mean, dx = expectation_series(exp, table, ("x", "dx"), [float(theta) * T], theta=one)
+        x_mean, dx = expectation_series(exp, ("x", "dx"), [float(theta) * T], theta=one)
         check(theta, float(x_mean[0]), float(dx[0]))

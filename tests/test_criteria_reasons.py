@@ -12,12 +12,10 @@ import numpy as np
 
 from wellpacket import (MomentumGrid, PacketSpec, Theta, build_gaussian_packet,
                         compute_timescales, detect_flattening, expectation_series,
-                        momentum_wavefunction, probability_density, sample_series,
-                        table_for)
+                        momentum_wavefunction, probability_density, sample_series)
 
 
-def test_c05_momentum_mean_is_the_lobe_imbalance(default_exp, default_table,
-                                                 default_report, sys0):
+def test_c05_momentum_mean_is_the_lobe_imbalance(default_exp, default_report, sys0):
     # At 124 tau (theta = 31/200) the position density is flat, but the
     # momentum density's lobes at +-p0 carry unequal weight w+ and w-.  The
     # two-lobe model gives <p> = p0 (w+ - w-) instead of 0: the exact <p>
@@ -26,7 +24,7 @@ def test_c05_momentum_mean_is_the_lobe_imbalance(default_exp, default_table,
     theta = Fraction(31, 200)
     t = float(theta) * default_report.T_rev
     p0 = default_exp.spec.n0 * math.pi * sys0.hbar / sys0.width_L
-    p = expectation_series(default_exp, default_table, "p", [t], theta=Theta.of([theta]))[0]
+    p = expectation_series(default_exp, "p", [t], theta=Theta.of([theta]))[0]
 
     grid = MomentumGrid.default(sys0, default_exp.spec.n0, 2.0, 1.0)
     rho = probability_density(momentum_wavefunction(default_exp, grid, t, theta=theta))
@@ -56,7 +54,7 @@ def test_c07_saturation_is_near_twice_the_envelope_crossing(sys0):
                             rel_tol=1e-12)
         exp = build_gaussian_packet(spec, sys0)
         times = np.arange(0.0, 150.0 * rep.tau, 0.25 * rep.tau)
-        series = sample_series(exp, table_for(exp), "dx", times)
+        series = sample_series(exp, "dx", times)
         t_star = detect_flattening(series, sys0, epsilon=0.05, hold=10)
         assert 0.85 <= t_star / (2.0 * crossing) <= 1.15, dx0
         assert t_star / rep.t_flat < 0.6, dx0

@@ -14,14 +14,17 @@ from wellpacket import (PacketSpec, Theta, autocorrelation_series,
                         table_for, uncertainty_series)
 from wellpacket import correlation, observables, packet
 
-from oracles import mp_moments, operator_block
+from oracles import ld_moments, mp_moments
 
 EPS = np.finfo(float).eps
 
 
 def _scale(exp, table, which):
+    # Sum |a_m||a_n||O_mn| over row blocks of the real form R, |O_mn| = |R_mn|:
+    # no N x N array at N = 5093
     mags = np.abs(exp.coefficients)
-    return float(mags @ np.abs(operator_block(table, which)) @ mags)
+    return float(sum(mags[k:k + 64] @ np.abs(table.rows(which, slice(k, k + 64))) @ mags
+                     for k in range(0, mags.size, 64)))
 
 
 def _period_schedule(exp, count):
@@ -55,15 +58,18 @@ def _force(monkeypatch, fold: bool):
 
 
 # (n0, x0, dx0, samples of the dense 0..1T grid, indices checked against
-# the oracle).  The oracle costs about 5 s a sample at N = 283 and 17 s at
-# N = 509, so the large rungs check one sample away from 0 and T/2.  At
+# the oracle).  The small rungs take the 40-digit mp_moments; the large
+# ones the long-double ld_moments, about 0.06 s a sample at N = 509 and
+# 5.4 s at N = 5093, where mp_moments would take 17 s at N = 509.  At
 # n0 = 3996, x0 = 0.37 one sum over all pairs per bin errs by 5.3 eps of scale
 # in the constant bin of <x^2>.
+LARGE_RUNG_SAMPLES = [0, 1, 7, 750, 1001, 1500, 2250, 2999]
 ORACLE_LADDER = [
     (40, 0.3, 0.1, 301, [0, 1, 75, 100, 150, 299, 300]),
     (400, 0.3, 0.05, 2001, [0, 7, 667, 1000]),
-    (1500, 0.3, 0.009, 3001, [1001]),
-    (3996, 0.37, 0.005, 3001, [1001]),
+    (1500, 0.3, 0.009, 3001, LARGE_RUNG_SAMPLES),
+    (3996, 0.37, 0.005, 3001, LARGE_RUNG_SAMPLES),
+    (40000, 0.3, 0.0005, 3001, [1001]),
 ]
 
 
@@ -71,16 +77,18 @@ ORACLE_LADDER = [
                          ids=[f"n{c[0]}" for c in ORACLE_LADDER])
 def test_fold_is_within_two_eps_of_its_scale(sys0, paths, n0, x0, dx0, count, at):
     # the bound of test_real_assembly_is_within_two_eps_of_its_scale;
-    # measured at most 0.76 eps on these rungs (x2 at n0 = 3996; 0.65 when
-    # the fold binned every pair)
+    # measured at most 0.81 eps on these rungs (x2 at n0 = 3996, over its
+    # eight samples), and 0.42 eps at N = 5093
     exp = build_gaussian_packet(PacketSpec(n0=n0, x0=x0, dx0=dx0), sys0)
     table = table_for(exp)
     times, theta = _period_schedule(exp, count)
-    got = expectation_series(exp, table, ("x", "x2", "p"), times, theta=theta)
+    got = expectation_series(exp, ("x", "x2", "p"), times, theta=theta)
     assert paths == {"fold": 1, "split": 0, "chunks": 0}
-    ref = [mp_moments(exp, Fraction(j, count - 1)) for j in at]
+    oracle = mp_moments if n0 <= 400 else ld_moments
+    ref = [oracle(exp, Fraction(j, count - 1)) for j in at]
     for which, values in zip(("x", "x2", "p"), got):
-        err = np.max(np.abs(values[at] - [r[which] for r in ref]))
+        want = np.array([r[which] for r in ref], dtype=np.longdouble)
+        err = float(np.max(np.abs(values[at] - want)))
         assert err <= 2 * EPS * _scale(exp, table, which), which
 
 
@@ -107,7 +115,7 @@ def test_fold_matches_the_chunked_kernel(sys0, monkeypatch, n0, dx0, num, q):
     ids = ("x", "x2", "p")
 
     def both():
-        return (expectation_series(exp, table, ids, times, theta=theta),
+        return (expectation_series(exp, ids, times, theta=theta),
                 autocorrelation_series(exp, times, theta, mirror=True))
 
     _force(monkeypatch, True)
@@ -128,7 +136,6 @@ def test_cost_rule_picks_the_path(sys0, paths):
     spec = PacketSpec(n0=400, x0=0.5, dx0=0.05)
     exp = build_gaussian_packet(spec, sys0)
     rep = compute_timescales(sys0, spec)
-    table = table_for(exp)
 
     def path(run):
         paths.update(fold=0, split=0, chunks=0)
@@ -140,7 +147,7 @@ def test_cost_rule_picks_the_path(sys0, paths):
         return parse_config(text).schedule.resolve(rep.tau, rep.T_rev, spec.n0)
 
     def moments(times, theta):
-        return lambda: expectation_series(exp, table, ("x", "dx", "p", "dp"), times,
+        return lambda: expectation_series(exp, ("x", "dx", "p", "dp"), times,
                                           theta=theta)
 
     dense = schedule("[schedule]\nmode = dense\nstart = 0\nstop = 1T\ncount = 3000\n")
@@ -180,13 +187,12 @@ def test_uncertainty_series_takes_theta(sys0, paths):
     # an exact grid handed to uncertainty_series folds, as it does through
     # expectation_series, and gives the same bits
     exp = build_gaussian_packet(PacketSpec(n0=400, x0=0.3, dx0=0.05), sys0)
-    table = table_for(exp)
     times, theta = _period_schedule(exp, 2001)
     for which in ("x", "p"):
         paths.update(fold=0, split=0, chunks=0)
-        got = uncertainty_series(exp, table, which, times, theta=theta)
+        got = uncertainty_series(exp, which, times, theta=theta)
         assert paths == {"fold": 1, "split": 0, "chunks": 0}
-        want = expectation_series(exp, table, "d" + which, times, theta=theta)
+        want = expectation_series(exp, "d" + which, times, theta=theta)
         assert np.array_equal(got, want)
 
 
@@ -197,7 +203,6 @@ def test_fold_memory_does_not_grow_with_samples(sys0):
     # B), the four returned series (32 B) and two float temporaries of the
     # variances (16 B); measured exactly that
     exp = build_gaussian_packet(PacketSpec(n0=400, x0=0.5, dx0=0.05), sys0)
-    table = table_for(exp)
     T = compute_timescales(sys0, exp.spec).T_rev
     peaks = {}
     for count in (4000, 40000):
@@ -206,7 +211,7 @@ def test_fold_memory_does_not_grow_with_samples(sys0):
         assert packet.takes_fold(times, theta, len(exp.coefficients) ** 2)
         tracemalloc.start()
         try:
-            expectation_series(exp, table, ("x", "dx", "p", "dp"), times, theta=theta)
+            expectation_series(exp, ("x", "dx", "p", "dp"), times, theta=theta)
             _, peaks[count] = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -248,13 +253,12 @@ def test_fold_weights_reach_it_complex_with_no_bincount(sys0, monkeypatch):
     monkeypatch.setattr(packet.EigenExpansion, "fold",
                         _dtype_spy(packet.EigenExpansion.fold, seen))
     exp = build_gaussian_packet(PacketSpec(n0=1500, x0=0.3, dx0=0.009), sys0)
-    table = table_for(exp)
     times, theta = _period_schedule(exp, 601)
     T = times[-1]
     blocks = len(packet.fold_rows(exp.coefficients.size, theta.den))
     assert blocks > 1
-    calls = [(lambda: expectation_series(exp, table, "x", times, theta=theta), 1, blocks),
-             (lambda: expectation_series(exp, table, ("x", "dx", "p", "dp"), times,
+    calls = [(lambda: expectation_series(exp, "x", times, theta=theta), 1, blocks),
+             (lambda: expectation_series(exp, ("x", "dx", "p", "dp"), times,
                                          theta=theta), 3, blocks),
              (lambda: autocorrelation_series(exp, times, theta), 1, 1),
              (lambda: revival_scan(exp, (0.0, T), T / 600, 0.3,

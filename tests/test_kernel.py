@@ -125,16 +125,16 @@ def test_residue_tables_switch_at_16_mib_whatever_the_chunk_budget(monkeypatch, 
         assert peak_bytes <= 24 * terms + 2**17, (q, peak_bytes, terms)
 
 
-def test_chunk_split_does_not_change_values(monkeypatch, default_exp, default_table):
+def test_chunk_split_does_not_change_values(monkeypatch, default_exp):
     # 300 samples at N = 51 are one chunk of the default budget and eight
     # of a 40-row budget; no value may move between the two splits
     times = np.linspace(0.0, 60 * 2.0 / (800 * math.pi), 300)
     ids = ("x", "dx", "p", "dp")
     assert len(packet._time_chunks(times.size, len(default_exp.energies))) == 1
-    one = expectation_series(default_exp, default_table, ids, times)
+    one = expectation_series(default_exp, ids, times)
     _rows_budget(monkeypatch, default_exp, 40)
     assert len(packet._time_chunks(times.size, len(default_exp.energies))) == 8
-    eight = expectation_series(default_exp, default_table, ids, times)
+    eight = expectation_series(default_exp, ids, times)
     assert all(np.array_equal(a, b) for a, b in zip(one, eight))
 
 
@@ -159,7 +159,7 @@ def test_kernel_matches_direct_sums(monkeypatch, sys0, n0, dx0, strobes):
     _rows_budget(monkeypatch, exp, rows)
 
     mags = np.abs(exp.coefficients)
-    for which, got in zip(OBSERVABLES, expectation_series(exp, table, OBSERVABLES, times)):
+    for which, got in zip(OBSERVABLES, expectation_series(exp, OBSERVABLES, times)):
         Mk = operator_block(table, which)
         scale = float(mags @ np.abs(Mk) @ mags)
         want = dense_expectation(exp, Mk, times)
@@ -244,31 +244,32 @@ def test_series_memory_is_about_two_chunks(sys0):
     chunks = packet._time_chunks(times.size, len(exp.coefficients))
     assert len(exp.coefficients) == 85 and len(chunks) == 26
     chunk_bytes = 16 * len(exp.coefficients) * max(s.stop - s.start for s in chunks)
-    table = table_for(exp)
     peak_bytes = _traced_peak(
-        lambda: expectation_series(exp, table, ("x", "dx", "p", "dp"), times))
+        lambda: expectation_series(exp, ("x", "dx", "p", "dp"), times))
     # measured 2.26 chunks besides the output, the forms included; a
     # product per table beside b and b.conj() was 3.1
     assert peak_bytes <= 2.4 * chunk_bytes + 3 * 16 * times.size
 
 
-def test_chunk_path_keeps_nothing_on_the_table(sys0):
+def test_chunk_path_keeps_nothing_on_the_table(monkeypatch, sys0):
     # the chunk path writes its dense forms into arrays of the call's own,
-    # so after the call the table still holds its 16 N doubles and no form
-    # of 8 N^2 bytes; measured 17.04 N doubles with the table's objects and
-    # the call's results at N = 283 (866 while the table kept its forms)
+    # so after the call the table it built still holds its 16 N doubles and
+    # no form of 8 N^2 bytes; measured 17.04 N doubles with the table's
+    # objects and the call's results at N = 283 (866 while the table kept
+    # its forms)
     exp = build_gaussian_packet(PacketSpec(n0=1500, x0=0.5, dx0=0.009), sys0)
     N = len(exp.coefficients)
     assert N == 283 and not takes_fold([0.1], None, N * N)
-    expectation_series(exp, table_for(exp), ("x", "x2", "p"), [0.2])
+    expectation_series(exp, ("x", "x2", "p"), [0.2])
+    built = []
+    monkeypatch.setattr(observables, "table_for", lambda e: built.append(table_for(e)) or built[-1])
     tracemalloc.start()
     try:
-        table = table_for(exp)
-        values = expectation_series(exp, table, ("x", "x2", "p"), [0.1])
+        values = expectation_series(exp, ("x", "x2", "p"), [0.1])
         held = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert len(values) == 3 and held <= 8 * 17.5 * N
+    assert len(built) == 1 and len(values) == 3 and held <= 8 * 17.5 * N
 
 
 # Exact times: k / (2 n0) are whole bounce periods, the rest fractional
@@ -287,7 +288,7 @@ def test_exact_phases_match_the_mpmath_oracle(sys0, n0):
     p0 = n0 * math.pi * sys0.hbar / sys0.width_L
 
     def errors(theta):
-        x, p = expectation_series(exp, table_for(exp), ("x", "p"), times, theta=theta)
+        x, p = expectation_series(exp, ("x", "p"), times, theta=theta)
         C = np.abs(autocorrelation_series(exp, times, theta))
         Cbar = np.abs(mirror_correlation_series(exp, times, theta))
         return [np.max(np.abs(got - [r[key] for r in ref])) / scale
@@ -334,7 +335,7 @@ def test_real_assembly_is_within_two_eps_of_its_scale(monkeypatch, sys0, n0, dx0
     ref = [oracle(exp, th) for th in thetas]
     mags = np.abs(exp.coefficients)
     monkeypatch.setattr(observables, "takes_fold", lambda *args: False)
-    got = expectation_series(exp, table, ("x", "x2", "p"), times, theta=Theta.of(thetas))
+    got = expectation_series(exp, ("x", "x2", "p"), times, theta=Theta.of(thetas))
     for which, values in zip(("x", "x2", "p"), got):
         scale = float(mags @ np.abs(operator_block(table, which)) @ mags)
         err = np.max(np.abs(values - np.array([r[which] for r in ref], dtype=float)))
@@ -380,7 +381,7 @@ def test_theta_grids_and_their_limits():
         autocorrelation_series(exp, [0.0, 1.0], Theta.of([0]))
 
 
-def test_every_exact_entry_point_refuses_a_theta_of_other_times(default_exp, default_table):
+def test_every_exact_entry_point_refuses_a_theta_of_other_times(default_exp):
     # (1/2, 1/4) is not t / T at t = 0.1 and 0.2 (T = 2 / pi): the series
     # once returned the T/2 and T/4 values, <x> = (0.5, 0.5) where the float
     # times give (0.49880, 0.50038), and a field the T/2 one labelled
@@ -391,9 +392,9 @@ def test_every_exact_entry_point_refuses_a_theta_of_other_times(default_exp, def
     xgrid = SpatialGrid.default(exp.sys, 64)
     pgrid = MomentumGrid.default(exp.sys, exp.spec.n0, 2.0, 20.0)
     calls = {
-        "expectation": lambda: expectation_series(exp, default_table, "x", times, theta=wrong),
-        "moments": lambda: expectation_series(exp, default_table, ("x", "p"), times, theta=wrong),
-        "uncertainty": lambda: uncertainty_series(exp, default_table, "p", times, theta=wrong),
+        "expectation": lambda: expectation_series(exp, "x", times, theta=wrong),
+        "moments": lambda: expectation_series(exp, ("x", "p"), times, theta=wrong),
+        "uncertainty": lambda: uncertainty_series(exp, "p", times, theta=wrong),
         "C": lambda: autocorrelation_series(exp, times, wrong),
         "C, C-bar": lambda: autocorrelation_series(exp, times, wrong, mirror=True),
         "C-bar": lambda: mirror_correlation_series(exp, times, wrong),
@@ -412,9 +413,9 @@ def test_every_exact_entry_point_refuses_a_theta_of_other_times(default_exp, def
     # theta is t / T mod 1 within 1e-12 max(1, t / T): the same phases
     # whole revivals later, and a time rounded within that, pass and give
     # the exact values; a time off by more is refused
-    exact = expectation_series(exp, default_table, "x", [T / 2, T / 4], theta=wrong)
+    exact = expectation_series(exp, "x", [T / 2, T / 4], theta=wrong)
     later = [(3 + 1 / 2) * T, (1000 + 1 / 4) * T * (1 + 5e-13)]
-    assert np.array_equal(expectation_series(exp, default_table, "x", later, theta=wrong),
+    assert np.array_equal(expectation_series(exp, "x", later, theta=wrong),
                           exact)
     assert np.array_equal(position_wavefunction(exp, xgrid, later[1], other[1]).amplitudes,
                           position_wavefunction(exp, xgrid, T / 4, other[1]).amplitudes)

@@ -171,7 +171,7 @@ def test_table_and_fold_series_hold_order_n_rows_plus_q():
     N = exp.coefficients.size
     rows = fold_rows(N, theta.den)[0].stop
     assert (N, rows) == (509, 16)
-    _, _, peak = _traced(lambda: expectation_series(exp, table_for(exp), ("x", "dx", "p", "dp"),
+    _, _, peak = _traced(lambda: expectation_series(exp, ("x", "dx", "p", "dp"),
                                                     times, theta=theta))
     assert peak <= _fold_bound(N, rows, theta.den, count)
 
@@ -191,7 +191,7 @@ def test_fold_series_at_five_thousand_levels_holds_order_n_rows_plus_q():
     rows = fold_rows(N, theta.den)[0].stop
     assert (N, rows) == (5093, 16) and takes_fold(times, theta, N * N)
     (x, dx, p, dp), _, peak = _traced(lambda: expectation_series(
-        exp, table_for(exp), ("x", "dx", "p", "dp"), times, theta=theta))
+        exp, ("x", "dx", "p", "dp"), times, theta=theta))
     assert peak <= _fold_bound(N, rows, theta.den, count)
     # the launch values at t = 0, and Heisenberg's bound at every strobe
     p0 = spec.n0 * math.pi * exp.sys.hbar / exp.sys.width_L
@@ -214,58 +214,59 @@ def test_mean_square_momentum_is_correctly_rounded(n0, dx0):
     table = table_for(exp)
     exact = sum(Fraction(w) * Fraction(p2)
                 for w, p2 in zip(exp.weights.tolist(), table.p2.tolist()))
-    got = expectation_series(exp, table, "p2", [0.0])[0]
+    got = expectation_series(exp, "p2", [0.0])[0]
     assert abs(Fraction(got) - exact) <= math.ulp(float(exact)), (n0, dx0)
 
 
-def test_block_alignment(default_table):
+def test_block_alignment(default_exp):
+    table = table_for(default_exp)
     # both readers refuse an unknown observable, and p2, a diagonal, has
     # no row blocks
-    for call in (default_table.diagonal, lambda f: default_table.rows(f, slice(None))):
+    for call in (table.diagonal, lambda f: table.rows(f, slice(None))):
         with pytest.raises(ValueError, match="unknown observable"):
             call("energy")
     with pytest.raises(ValueError, match="p2 is diagonal"):
-        default_table.rows("p2", slice(0, 2))
+        table.rows("p2", slice(0, 2))
 
 
-def test_initial_expectations(default_exp, default_table):
-    assert expectation_series(default_exp, default_table, "x", [0.0])[0] == \
+def test_initial_expectations(default_exp):
+    assert expectation_series(default_exp, "x", [0.0])[0] == \
         pytest.approx(0.5, abs=1e-3)
-    assert expectation_series(default_exp, default_table, "p", [0.0])[0] == \
+    assert expectation_series(default_exp, "p", [0.0])[0] == \
         pytest.approx(P0, rel=1e-3)
-    assert uncertainty_series(default_exp, default_table, "x", [0.0])[0] == \
+    assert uncertainty_series(default_exp, "x", [0.0])[0] == \
         pytest.approx(0.05, rel=1e-3)
-    assert uncertainty_series(default_exp, default_table, "p", [0.0])[0] == \
+    assert uncertainty_series(default_exp, "p", [0.0])[0] == \
         pytest.approx(10.0, rel=1e-2)
 
 
-def test_classical_turning_points(default_exp, default_table):
+def test_classical_turning_points(default_exp):
     # launched from the center: right wall at tau/4, left wall at 3tau/4
     td = np.linspace(0.0, TAU, 2001)
-    xd = expectation_series(default_exp, default_table, "x", td)
+    xd = expectation_series(default_exp, "x", td)
     assert abs(td[np.argmax(xd)] - TAU / 4.0) < TAU / 20.0
     assert abs(td[np.argmin(xd)] - 3.0 * TAU / 4.0) < TAU / 20.0
     assert xd.max() > 0.9
     assert xd.min() < 0.1
 
 
-def test_stroboscopic_mean_position(default_exp, default_table):
+def test_stroboscopic_mean_position(default_exp):
     ts = np.arange(0, 801) * TAU
-    xs = expectation_series(default_exp, default_table, "x", ts)
+    xs = expectation_series(default_exp, "x", ts)
     assert np.max(np.abs(xs - 0.5)) < 1e-6
 
 
-def test_eighth_period_mean(default_exp, default_table):
+def test_eighth_period_mean(default_exp):
     # halfway to the wall: <x> = 3L/4 at (n + 1/8) tau before dispersion
     for n in (0, 1, 2):
-        x = expectation_series(default_exp, default_table, "x", [(n + 0.125) * TAU])[0]
+        x = expectation_series(default_exp, "x", [(n + 0.125) * TAU])[0]
         assert x == pytest.approx(0.75, abs=2e-3)
 
 
-def test_free_gaussian_envelope(default_exp, default_table):
+def test_free_gaussian_envelope(default_exp):
     t0 = 0.0025
     times = np.linspace(1e-6, 3 * t0, 2000)
-    dx = uncertainty_series(default_exp, default_table, "x", times)
+    dx = uncertainty_series(default_exp, "x", times)
     env = 0.05 * np.sqrt(1.0 + (times / t0) ** 2)
     # confinement never lets the packet outrun free spreading
     assert np.all(dx <= env * (1.0 + 1e-9))
@@ -278,49 +279,49 @@ def test_free_gaussian_envelope(default_exp, default_table):
     assert np.max(rel) < 0.02
 
 
-def test_revival_and_half_revival_moments(default_exp, default_table):
-    assert uncertainty_series(default_exp, default_table, "x", [T_REV])[0] == \
+def test_revival_and_half_revival_moments(default_exp):
+    assert uncertainty_series(default_exp, "x", [T_REV])[0] == \
         pytest.approx(0.05, rel=1e-6)
-    assert expectation_series(default_exp, default_table, "p", [T_REV])[0] == \
+    assert expectation_series(default_exp, "p", [T_REV])[0] == \
         pytest.approx(P0, rel=1e-6)
     # half revival: mirrored packet, reversed momentum
-    assert expectation_series(default_exp, default_table, "p", [T_REV / 2.0])[0] == \
+    assert expectation_series(default_exp, "p", [T_REV / 2.0])[0] == \
         pytest.approx(-P0, rel=1e-9)
-    assert expectation_series(default_exp, default_table, "x", [T_REV / 2.0])[0] == \
+    assert expectation_series(default_exp, "x", [T_REV / 2.0])[0] == \
         pytest.approx(0.5, abs=1e-9)
 
 
-def test_quarter_revival_width(default_exp, default_table):
+def test_quarter_revival_width(default_exp):
     for frac in (0.25, 0.75):
-        dx = uncertainty_series(default_exp, default_table, "x", [frac * T_REV])[0]
+        dx = uncertainty_series(default_exp, "x", [frac * T_REV])[0]
         assert dx == pytest.approx(0.05, rel=0.05)
 
 
-def test_anti_revival_width(default_exp, default_table):
+def test_anti_revival_width(default_exp):
     ns = np.arange(90, 111)
-    dx = uncertainty_series(default_exp, default_table, "x", ns * TAU)
+    dx = uncertainty_series(default_exp, "x", ns * TAU)
     at100 = dx[ns == 100][0]
     assert at100 > np.median(dx)
 
 
-def test_flat_phase_moments(default_exp, default_table):
+def test_flat_phase_moments(default_exp):
     t = 124 * TAU
-    assert uncertainty_series(default_exp, default_table, "x", [t])[0] == \
+    assert uncertainty_series(default_exp, "x", [t])[0] == \
         pytest.approx(1.0 / math.sqrt(12.0), rel=0.05)
-    assert expectation_series(default_exp, default_table, "x", [t])[0] == \
+    assert expectation_series(default_exp, "x", [t])[0] == \
         pytest.approx(0.5, abs=1e-2)
-    assert uncertainty_series(default_exp, default_table, "p", [t])[0] == \
+    assert uncertainty_series(default_exp, "p", [t])[0] == \
         pytest.approx(P0, rel=0.05)
 
 
-def test_grid_moment_cross_check(default_exp, default_table, sys0):
+def test_grid_moment_cross_check(default_exp, sys0):
     xg = SpatialGrid.default(sys0, 4096)
     pg = MomentumGrid.default(sys0, 400, 1.5, 1.0)
     for t in (0.0, 124 * TAU):
         d = probability_density(position_wavefunction(default_exp, xg, t))
         x_grid = float(np.trapezoid(xg.points * d, xg.points))
         x2_grid = float(np.trapezoid(xg.points**2 * d, xg.points))
-        x, x2, p = (expectation_series(default_exp, default_table, w, [t])[0]
+        x, x2, p = (expectation_series(default_exp, w, [t])[0]
                     for w in ("x", "x2", "p"))
         assert x_grid == pytest.approx(x, abs=1e-4)
         assert x2_grid == pytest.approx(x2, abs=1e-4)
@@ -329,34 +330,34 @@ def test_grid_moment_cross_check(default_exp, default_table, sys0):
         assert abs(p_grid - p) < 0.01 * P0
 
 
-def test_uncertainty_product(default_exp, default_table, rng):
+def test_uncertainty_product(default_exp, rng):
     ts = np.sort(rng.uniform(0.0, T_REV, 50))
-    prod = uncertainty_series(default_exp, default_table, "x", ts) * \
-        uncertainty_series(default_exp, default_table, "p", ts)
+    prod = uncertainty_series(default_exp, "x", ts) * \
+        uncertainty_series(default_exp, "p", ts)
     assert np.all(prod >= 0.5 * default_exp.sys.hbar - 1e-9)
 
 
-def test_sample_series(default_exp, default_table):
+def test_sample_series(default_exp):
     ts = np.arange(0, 10) * TAU
-    s = sample_series(default_exp, default_table, "dx", ts)
+    s = sample_series(default_exp, "dx", ts)
     assert s.observable == "dx"
     assert np.array_equal(s.times, ts)
     with pytest.raises(ValueError):
-        sample_series(default_exp, default_table, "dx", [])
+        sample_series(default_exp, "dx", [])
     with pytest.raises(ValueError):
-        sample_series(default_exp, default_table, "energy", ts)
+        sample_series(default_exp, "energy", ts)
 
 
-def test_p2_alone_is_the_constant_weighted_sum(default_exp, default_table):
+def test_p2_alone_is_the_constant_weighted_sum(default_exp):
     # <p^2> needs no evolved block; asked for on its own it must still work
     pn = default_exp.levels * math.pi * default_exp.sys.hbar / default_exp.sys.width_L
     want = float(np.sum(default_exp.weights * pn**2))
     ts = np.arange(0, 5) * 0.3 * TAU
-    assert expectation_series(default_exp, default_table, "p2", [0.7 * TAU])[0] == \
+    assert expectation_series(default_exp, "p2", [0.7 * TAU])[0] == \
         pytest.approx(want, rel=1e-14)
-    assert np.allclose(expectation_series(default_exp, default_table, "p2", ts),
+    assert np.allclose(expectation_series(default_exp, "p2", ts),
                        want, rtol=1e-14, atol=0.0)
-    s = sample_series(default_exp, default_table, "p2", ts)
+    s = sample_series(default_exp, "p2", ts)
     assert s.observable == "p2"
     assert np.allclose(s.values, want, rtol=1e-14, atol=0.0)
 
@@ -370,9 +371,9 @@ def test_time_series_validation():
         TimeSeries("x", np.array([0.0, 1.0]), np.array([1.0]))
 
 
-def test_uncertainty_rejects_nonquadratic(default_exp, default_table):
+def test_uncertainty_rejects_nonquadratic(default_exp):
     with pytest.raises(ValueError):
-        uncertainty_series(default_exp, default_table, "x2", [0.0])
+        uncertainty_series(default_exp, "x2", [0.0])
 
 
 def _serving(table, which, M):
@@ -390,6 +391,11 @@ def _serving(table, which, M):
                        for f in dataclasses.fields(table) if f.init})
 
 
+def _serve(monkeypatch, table):
+    """Have every series build ``table`` in place of its packet's own."""
+    monkeypatch.setattr(observables, "table_for", lambda exp: table)
+
+
 def _both_paths(exp, call):
     """call(times, theta) on the chunks (the single time t = 0, and three
     plain times) and on the fold (41 strobes of an exact grid)."""
@@ -401,18 +407,20 @@ def _both_paths(exp, call):
         yield lambda: call(t, th)
 
 
-def test_series_take_only_the_packets_own_table(default_exp, sys0):
-    # a table of the packet's levels in another well, of a shifted window
-    # and of a wider one: each is refused on both paths
-    exp = build_gaussian_packet(PacketSpec(n0=100, x0=0.5, dx0=0.05), WellSystem(width_L=2.0))
-    lo, hi = default_exp.n_min, default_exp.n_max
-    for e, table in ((exp, build_matrix_elements(exp.n_min, exp.n_max, sys0)),
-                     (default_exp, build_matrix_elements(lo + 1, hi + 1, sys0)),
-                     (default_exp, build_matrix_elements(lo - 1, hi + 1, sys0))):
-        for run in _both_paths(e, lambda t, th: expectation_series(
-                e, table, ("x", "dx", "p", "dp"), t, theta=th)):
-            with pytest.raises(ValueError, match="is not the table of the packet's levels"):
-                run()
+def test_each_series_call_builds_its_packets_table_once(monkeypatch, default_exp):
+    # the series build the table from the packet, once a call, on the
+    # chunks and on the fold alike
+    built = []
+    monkeypatch.setattr(observables, "table_for",
+                        lambda exp: built.append(exp) or table_for(exp))
+    calls = (lambda t, th: expectation_series(default_exp, ("x", "dx", "p", "dp"), t, theta=th),
+             lambda t, th: uncertainty_series(default_exp, "p", t, theta=th),
+             lambda t, th: sample_series(default_exp, "x", t, theta=th))
+    for call in calls:
+        for run in _both_paths(default_exp, call):
+            built.clear()
+            run()
+            assert built == [default_exp]
 
 
 def _non_hermitian(exp, table):
@@ -431,28 +439,30 @@ def _non_hermitian(exp, table):
         yield which, _serving(table, which, M)
 
 
-def test_inconsistent_table_detected(default_exp, default_table):
-    forms = {f: default_table.rows(f, slice(None)) for f in ("x", "x2", "p")}
+def test_inconsistent_table_detected(monkeypatch, default_exp):
+    table = table_for(default_exp)
+    forms = {f: table.rows(f, slice(None)) for f in ("x", "x2", "p")}
     # a tampered second-moment table drives the variance negative
-    bad = _serving(default_table, "x2", forms["x2"] * 0.5)
+    _serve(monkeypatch, _serving(table, "x2", forms["x2"] * 0.5))
     for run in _both_paths(default_exp, lambda t, th: uncertainty_series(
-            default_exp, bad, "x", t, theta=th)):
+            default_exp, "x", t, theta=th)):
         with pytest.raises(NumericalConsistencyError, match="negative variance for x"):
             run()
     # a non-Hermitian entry between well-populated levels leaves an
     # imaginary residue, on either path and at either launch point
     for exp in (default_exp, build_gaussian_packet(PacketSpec(n0=400, x0=0.3, dx0=0.05))):
         for which, bad in _non_hermitian(exp, table_for(exp)):
+            _serve(monkeypatch, bad)
             for run in _both_paths(exp, lambda t, th: expectation_series(
-                    exp, bad, which, t, theta=th)):
+                    exp, which, t, theta=th)):
                 with pytest.raises(NumericalConsistencyError, match="imaginary residue"):
                     run()
     # a scaled first-moment table pushes <x> outside the well
-    bad = _serving(default_table, "x", forms["x"] * 3.0)
+    _serve(monkeypatch, _serving(table, "x", forms["x"] * 3.0))
     with pytest.raises(NumericalConsistencyError):
-        expectation_series(default_exp, bad, "x", [0.0])
+        expectation_series(default_exp, "x", [0.0])
     for run in _both_paths(default_exp, lambda t, th: expectation_series(
-            default_exp, bad, "x", t, theta=th)):
+            default_exp, "x", t, theta=th)):
         with pytest.raises(NumericalConsistencyError, match="outside the well"):
             run()
 
@@ -470,28 +480,29 @@ def test_fold_probe_keeps_its_margin_at_a_thousandth_of_the_tolerance(monkeypatc
         for x0 in (0.37, 0.5):
             exp = build_gaussian_packet(PacketSpec(n0=n0, x0=x0, dx0=dx0))
             assert takes_fold(times, theta, exp.coefficients.size ** 2)
-            expectation_series(exp, table_for(exp), ("x", "x2", "p"), times, theta=theta)
+            expectation_series(exp, ("x", "x2", "p"), times, theta=theta)
     if n0 == 400:
         for x0 in (0.3, 0.5):
             exp = build_gaussian_packet(PacketSpec(n0=400, x0=x0, dx0=0.05))
             assert takes_fold(times, theta, exp.coefficients.size ** 2)
             for which, bad in _non_hermitian(exp, table_for(exp)):
+                _serve(monkeypatch, bad)
                 with pytest.raises(NumericalConsistencyError, match="imaginary residue"):
-                    expectation_series(exp, bad, which, times, theta=theta)
+                    expectation_series(exp, which, times, theta=theta)
 
 
-def test_negative_variance_floor_does_not_depend_on_the_unit_of_length():
+def test_negative_variance_floor_does_not_depend_on_the_unit_of_length(monkeypatch):
     # In a well of length 1e-3 the variance of x is ~2.5e-9 and <x^2> ~2.5e-7.
     # A table shifted to give a variance of -1e-14 at t = 0 is off by far
     # more than rounding and must be refused, not clamped to 0.
     sys_mm = WellSystem(width_L=1e-3)
     exp = build_gaussian_packet(PacketSpec(n0=400, x0=0.5e-3, dx0=0.05e-3), sys_mm)
     table = table_for(exp)
-    shift = -(uncertainty_series(exp, table, "x", [0.0])[0] ** 2 + 1e-14)
+    shift = -(uncertainty_series(exp, "x", [0.0])[0] ** 2 + 1e-14)
     x2 = table.rows("x2", slice(None))
-    bad = _serving(table, "x2", x2 + shift * np.eye(x2.shape[0]))
+    _serve(monkeypatch, _serving(table, "x2", x2 + shift * np.eye(x2.shape[0])))
     with pytest.raises(NumericalConsistencyError, match="negative variance for x"):
-        uncertainty_series(exp, bad, "x", [0.0])
+        uncertainty_series(exp, "x", [0.0])
     with pytest.raises(NumericalConsistencyError, match="negative variance for x"):
-        uncertainty_series(exp, bad, "x", [0.0, revival_time(sys_mm)], theta=Theta.of([0, 1]))
+        uncertainty_series(exp, "x", [0.0, revival_time(sys_mm)], theta=Theta.of([0, 1]))
 

@@ -13,8 +13,7 @@ from hypothesis import strategies as st
 from wellpacket import (PacketSpec, Theta, WellSystem, autocorrelation,
                         build_gaussian_packet, build_matrix_elements,
                         compute_timescales, eigenenergy, expectation_series,
-                        mirror_correlation_series, parse_config, run_correlate,
-                        table_for)
+                        mirror_correlation_series, parse_config, run_correlate)
 from wellpacket.runs import _Output
 from wellpacket.writer import KERNEL_MIN, TABLE_CELLS, json_chunks
 
@@ -84,7 +83,7 @@ def test_progression_denominator_is_the_least(start, step, count):
 def test_mean_position_stays_in_the_well(spec, start):
     exp, rep = _packet(spec)
     times = (start + np.linspace(0.0, 1.0, 257)) * rep.T_rev
-    x = expectation_series(exp, table_for(exp), "x", times)
+    x = expectation_series(exp, "x", times)
     L = SYS.width_L
     assert np.all(x >= -1e-12 * L) and np.all(x <= L * (1.0 + 1e-12))
 

@@ -8,8 +8,7 @@ import pytest
 from wellpacket import (PacketSpec, TimeScaleReport, TimeSeries,
                         build_gaussian_packet, compute_timescales,
                         detect_flattening, fit_collapse, flat_momentum_reference,
-                        flat_reference, sample_series, spreading_envelope,
-                        table_for)
+                        flat_reference, sample_series, spreading_envelope)
 
 
 def test_ratio_identities(default_report):
@@ -129,7 +128,7 @@ def measured_tstars(sys0):
         exp = build_gaussian_packet(spec, sys0)
         rep = compute_timescales(sys0, spec)
         times = np.arange(0.0, 480 * rep.tau, 0.25 * rep.tau)
-        series = sample_series(exp, table_for(exp), "dx", times)
+        series = sample_series(exp, "dx", times)
         out[dx0] = detect_flattening(series, sys0, 0.05, 10)
     return out
 
@@ -157,7 +156,7 @@ def test_measured_flattening_vs_closed_form(measured_tstars, sys0):
 
 def test_epsilon_monotonicity(sys0, default_exp, default_report):
     times = np.arange(0.0, 480 * default_report.tau, 0.25 * default_report.tau)
-    series = sample_series(default_exp, table_for(default_exp), "dx", times)
+    series = sample_series(default_exp, "dx", times)
     stars = [detect_flattening(series, sys0, e, 10) for e in (0.03, 0.05, 0.10)]
     assert all(s is not None for s in stars)
     assert stars[0] >= stars[1] >= stars[2]
