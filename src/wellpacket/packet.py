@@ -218,6 +218,10 @@ class PacketSpec:
             raise ValueError("provide exactly one of alpha / dx0")
         if int(self.n0) != self.n0 or self.n0 < 1:
             raise ValueError("n0: must be a positive integer")
+        for name in ("alpha", "dx0", "window_sigmas"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name}: must be finite")
         for name in ("alpha", "dx0"):
             width = getattr(self, name)
             if width is not None and not width > 0:

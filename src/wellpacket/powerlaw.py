@@ -50,6 +50,9 @@ class PowerLawWell:
     def __post_init__(self):
         if not self.k > 0:
             raise ValueError("exponent k must be positive")
+        for name in ("V0", "a", "mass", "hbar"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name}: must be finite")
         if self.V0 <= 0 or self.a <= 0 or self.mass <= 0 or self.hbar <= 0:
             raise ValueError("V0, a, mass and hbar must be positive")
 
@@ -159,27 +162,32 @@ def gaussian_weights(n0: int, dn: float,
     return levels, w / w.sum()
 
 
+def _autocorrelation(well: PowerLawWell, levels, weights):
+    """The function t -> C(t) of powerlaw_autocorrelation at a 1-d float
+    array of times, its weights checked and its energies computed once."""
+    w = np.asarray(weights, dtype=float)
+    if abs(w.sum() - 1.0) > 1e-9:
+        raise ValueError("weights must be normalized")
+    fn, E = _summed(w), wkb_energy(well, np.asarray(levels))
+    return lambda t: map_phases(fn, E, well.hbar, t, np.empty(t.shape, dtype=complex))
+
+
 def powerlaw_autocorrelation(well: PowerLawWell, levels, weights,
                              times) -> NDArray[np.complex128]:
     """C(t) = Sum w_n exp(i E_n t / hbar) over the WKB spectrum, at each of
     a 1-d array of times, through the float chunk kernel (packet.map_phases)."""
-    w = np.asarray(weights, dtype=float)
-    if abs(w.sum() - 1.0) > 1e-9:
-        raise ValueError("weights must be normalized")
-    t = np.atleast_1d(np.asarray(times, dtype=float))
-    return map_phases(_summed(w), wkb_energy(well, np.asarray(levels)), well.hbar, t,
-                      np.empty(t.shape, dtype=complex))
+    return _autocorrelation(well, levels, weights)(np.atleast_1d(np.asarray(times, dtype=float)))
 
 
 def fit_powerlaw_collapse(well: PowerLawWell, n0: int, dn: float,
                           threshold: float = DEFAULT_FIT_THRESHOLD) -> CollapseFit:
     """Stroboscopic collapse fit for a Gaussian-in-n packet in this well.
 
-    Samples |C(n tau)| (powerlaw_autocorrelation) at the classical period
-    of the central state, over PacketSpec's default window, with the
-    square-well fit's engine.
+    Samples |C(n tau)| (powerlaw_autocorrelation, over one spectrum for the
+    whole fit) at the classical period of the central state, over
+    PacketSpec's default window, with the square-well fit's engine.
     """
     levels, w = gaussian_weights(n0, dn, PacketSpec.window_sigmas)
     tau = classical_period_powerlaw(well, n0)
-    return fit_stroboscopic(
-        lambda ns: np.abs(powerlaw_autocorrelation(well, levels, w, ns * tau)), tau, threshold)
+    C = _autocorrelation(well, levels, w)
+    return fit_stroboscopic(lambda ns: np.abs(C(ns * tau)), tau, threshold)

@@ -38,6 +38,8 @@ class WellSystem:
 
     def __post_init__(self):
         for name in ("mass", "hbar", "width_L"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name}: must be finite")
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name}: must be positive")
 

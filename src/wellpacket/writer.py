@@ -8,18 +8,23 @@ character position and one column per cell, so that every operation runs
 along the cells.  Each cell is padded to its column's width with PAD, a
 byte that UTF-8 text never holds, and bytes.translate strips the padding.
 Floats go through one kernel, float_cells, which writes exactly
-`"%.{p}g" % v`, and a float64 column of stride 0 (a broadcast_to view)
-has its one cell formatted once and broadcast; bytes columns are laid
-out whole by _bytes_cells.  A block is written TABLE_CELLS cells at a
-time.  The kernel makes about 150 numpy calls per slice whatever its
-size, so a larger slice costs less per cell, while the writer's peak
-memory grows with it, about 160 bytes a cell.
+`"%.{p}g" % v`; bytes columns are laid out whole by _bytes_cells; and a
+column of stride 0 (a broadcast_to view) has its one cell laid out once
+and broadcast.  A table is written in slices of at most TABLE_CELLS
+cells, a slice taking its rows from as many consecutive blocks as fit:
+the float columns of all its blocks go through one float_cells call, its
+rows fill one buffer cut from a row template of the constant bytes, and
+one bytes.translate strips it.  float_cells makes about 150 numpy calls
+whatever its input's size, so a table of many short blocks costs about
+what one long block does, and a larger slice costs less per cell, while
+the writer's peak memory grows with it, about 140 bytes a cell.
 """
 
 from __future__ import annotations
 
 import math
 import sys
+from itertools import accumulate
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
@@ -27,7 +32,7 @@ import numpy as np
 __all__ = ["Unrounded", "float_cells", "json_chunks", "json_scalar", "table_text"]
 
 PAD = 0xFF
-TABLE_CELLS = 16384     # cells formatted at once; the writer's peak is ~160 B a cell
+TABLE_CELLS = 16384     # cells formatted at once; the writer's peak is ~140 B a cell
 KERNEL_MIN = 32         # fewer float cells than this are formatted one by one
 
 # json.dump's spellings of the float values that have no JSON number
@@ -242,64 +247,109 @@ def _bytes_cells(col, json: bool):
     return out
 
 
-def _block_cells(columns, num: str, json: bool) -> list:
-    """The laid-out text of each column of one block.  The bytes arrays go
-    through _bytes_cells.  A float64 array of stride 0 (a broadcast_to
-    view) has its one cell formatted and broadcast along the block; the
-    other float64 arrays go through one float_cells call, and each keeps
-    only the rows where one of its cells has a byte."""
-    n = len(columns[0])
-    cells = []
-    for c in columns:
-        if c.dtype != np.float64:
-            cells.append(_bytes_cells(c, json))
-        elif c.strides == (0,):
-            one = float_cells(c[:1], num, json)
-            cells.append(np.broadcast_to(one, (len(one), n)))
-        else:
-            cells.append(None)
-    floats = [k for k, c in enumerate(cells) if c is None]
+def _block_cells(pieces, num: str, json: bool) -> list:
+    """The laid-out text of a slice of a table, the rows of `pieces` (each
+    a list of equal-length columns, the rows of one block or a part of
+    one) one after another: for each column position, a list of runs
+    (row, cells), `cells` laid out for the rows from `row` on.
+
+    A column of stride 0 (a broadcast_to view) is a run of its own: its
+    one cell is formatted and broadcast.  The other columns of a position
+    make one run per stretch of consecutive pieces of one dtype.  Bytes
+    runs go through _bytes_cells; the float64 runs of every position go
+    through one float_cells call, and each position keeps a view of its
+    rows from the first to the last where one of its cells has a byte."""
+    runs, floats, sizes = [], [], []
+    for position in zip(*pieces):
+        col, row, size = [], 0, 0
+        for c in position:
+            n = len(c)
+            kind = "" if c.strides == (0,) else c.dtype.kind
+            if kind == "f":
+                floats.append(c)
+                size += n
+            if kind and col and col[-1][1] == kind:
+                col[-1][2].append(c)
+                col[-1][3] += n
+            else:
+                col.append([row, kind, [c], n])
+            row += n
+        runs.append(col)
+        sizes.append(size)
     if floats:
-        text = float_cells(np.concatenate([columns[k] for k in floats]), num, json)
-        used = (text.reshape(len(text), len(floats), n) != PAD).any(axis=2)
-        for j, k in enumerate(floats):
-            cells[k] = text[used[:, j], j * n:(j + 1) * n]
-    return cells
+        text = float_cells(np.concatenate(floats), num, json)
+        starts = list(accumulate((size for size in sizes if size), initial=0))
+        used = np.logical_or.reduceat(text != PAD, starts[:-1], axis=1)
+        first = used.argmax(axis=0).tolist()
+        stop = (len(text) - used[::-1].argmax(axis=0)).tolist()
+    j, out = 0, []
+    for col, size in zip(runs, sizes):
+        if size:
+            column = text[first[j]:stop[j], starts[j]:starts[j + 1]]
+            at, j = 0, j + 1
+        cells = []
+        for row, kind, cols, n in col:
+            if kind == "f":
+                cells.append((row, column[:, at:at + n]))
+                at += n
+            elif kind:
+                c = cols[0] if len(cols) == 1 else np.concatenate(cols)
+                cells.append((row, _bytes_cells(c, json)))
+            else:
+                c = cols[0][:1]
+                one = float_cells(c, num, json) if c.dtype == np.float64 else _bytes_cells(c, json)
+                cells.append((row, np.broadcast_to(one, (len(one), n))))
+        out.append(cells)
+    return out
+
+
+def _slice_text(pieces, num: str, json: bool, head: bytes, sep: bytes, tail: bytes):
+    """The text of the rows of `pieces` (see _block_cells), PAD stripped."""
+    runs = _block_cells(pieces, num, json)
+    heights = [max(len(cells) for _, cells in col) for col in runs]
+    # the constant bytes of a row written once, into a template that
+    # fills the buffer; each column's runs copied into their rows
+    template = head + sep.join(bytes([PAD]) * h for h in heights) + tail
+    rows = sum(len(piece[0]) for piece in pieces)
+    text = bytearray(template) * rows
+    lines = np.frombuffer(text, np.uint8).reshape(rows, len(template))
+    at = len(head)
+    for h, col in zip(heights, runs):
+        for row, cells in col:
+            lines[row:row + cells.shape[1], at:at + len(cells)] = cells.T
+        at += h + len(sep)
+    del runs, col, cells, lines      # each laid-out column dropped before the strip
+    return text.translate(None, bytes([PAD]))
 
 
 def table_text(blocks, num: str, json: bool, head: bytes, sep: bytes, tail: bytes):
-    """Yield the text of the table `blocks` as bytes, about TABLE_CELLS
-    cells at a time: each row is `head`, its cells joined by `sep`, then
-    `tail`."""
-    width = None
+    """Yield the text of the table `blocks` as bytes, one slice of at most
+    TABLE_CELLS cells at a time, a slice taking its rows from as many
+    consecutive blocks as fit: each row is `head`, its cells joined by
+    `sep`, then `tail`."""
+    width, pieces, rows = None, [], 0
     for block in blocks:
         columns = list(block)
         for c in columns:
             if not isinstance(c, np.ndarray) or c.dtype != np.float64 and c.dtype.kind != "S":
                 kind = c.dtype if isinstance(c, np.ndarray) else type(c).__name__
                 raise TypeError(f"a table column must be a float64 or bytes array, not {kind}")
-        width = len(columns) if width is None else width
+        if width is None:
+            width = len(columns)
+            step = max(1, TABLE_CELLS // max(width, 1))
         lengths = set(map(len, columns))
         if len(columns) != width or len(lengths) > 1:
             raise ValueError("rows of a table must have equal length")
-        step = max(1, TABLE_CELLS // max(width, 1))
-        for i in range(0, lengths.pop() if lengths else 0, step):
-            parts = [head]
-            for k, cells in enumerate(_block_cells([c[i:i + step] for c in columns], num, json)):
-                parts += [sep, cells] if k else [cells]
-            parts.append(tail)
-            # the rows side by side in one buffer, each laid-out column
-            # dropped once copied, then the padding stripped
-            size = sum(map(len, parts))
-            text = bytearray(size * parts[1].shape[1])
-            lines = np.frombuffer(text, np.uint8).reshape(-1, size)
-            at = 0
-            for part in parts:
-                lines[:, at:at + len(part)] = (np.frombuffer(part, np.uint8)
-                                               if isinstance(part, bytes) else part.T)
-                at += len(part)
-            del parts, lines
-            yield text.translate(None, bytes([PAD]))
+        n, i = lengths.pop() if lengths else 0, 0
+        while i < n:
+            take = min(step - rows, n - i)
+            pieces.append(columns if take == n else [c[i:i + take] for c in columns])
+            rows, i = rows + take, i + take
+            if rows == step:
+                yield _slice_text(pieces, num, json, head, sep, tail)
+                pieces, rows = [], 0
+    if pieces:
+        yield _slice_text(pieces, num, json, head, sep, tail)
 
 
 def _json_list(blocks, num: str, depth: int, head: str, sep: str, tail: str):
@@ -309,6 +359,7 @@ def _json_list(blocks, num: str, depth: int, head: str, sep: str, tail: str):
         yield start
         yield str(memoryview(text)[1:], "ascii")      # each row starts with ","
         start = ","
+        del text        # not held while the next slice is built
     yield "[]" if start == "[" else "\n" + "  " * depth + "]"
 
 
@@ -316,7 +367,7 @@ def json_chunks(obj, num: str, depth: int = 0):
     """Yield the text json.dump(obj, indent=2, sort_keys=True) writes, with
     every float rounded by the `num` template.  Dict keys must be strings.
     A float64 or bytes array is a list.  An iterator is a table (see
-    above), written as a list of rows, block by block, without holding the
+    above), written as a list of rows, slice by slice, without holding the
     table."""
     inner = "\n" + "  " * (depth + 1)
     if isinstance(obj, dict):

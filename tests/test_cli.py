@@ -575,9 +575,11 @@ def test_writer_peak_is_bounded_by_its_block_of_cells(fmt):
 
 
 def test_json_table_memory_does_not_grow_with_rows(tmp_path):
-    # The JSON writer holds one block of rows at a time, never the table: a
-    # table of 40k rows peaks within 64 KiB of one of 4k (a writer that
-    # listed the rows first peaked at 0.5 and 6 MB).
+    # The JSON writer holds one slice of rows at a time, never the table,
+    # nor a slice's text while it builds the next: a table of 40k rows
+    # peaks within 64 KiB of one of 4k (a writer that listed the rows first
+    # peaked at 0.5 and 6 MB; one that held the last slice's text while
+    # building the next, at 1.27 and 1.64 MB).
     out = _Output(parse_config("[output]\nformat = json\n"), "observables", tmp_path)
     _table_peak(out, 4000)          # first-use caches are not part of the table
     small, large = _table_peak(out, 4000), _table_peak(out, 40000)
@@ -589,7 +591,8 @@ def test_json_table_memory_does_not_grow_with_rows(tmp_path):
 
 
 def test_csv_table_memory_does_not_grow_with_rows(tmp_path):
-    # the CSV twin: the kernel's block buffers do not grow with the table
+    # the CSV twin: the buffers of a slice, which takes its rows from
+    # several blocks, do not grow with the table
     out = _Output(parse_config(""), "observables", tmp_path)
     _table_peak(out, 4000)
     small, large = _table_peak(out, 4000), _table_peak(out, 40000)

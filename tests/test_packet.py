@@ -16,6 +16,17 @@ def test_spec_requires_exactly_one_width():
         PacketSpec(n0=400, x0=0.5, alpha=0.07, dx0=0.05)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", ["alpha", "dx0", "window_sigmas"])
+def test_spec_refuses_non_finite_values(name, value):
+    # an infinite window overflowed, a nan one failed its conversion to int
+    fields = {"alpha": None, "dx0": 0.05, name: value}
+    if name == "alpha":
+        fields["dx0"] = None
+    with pytest.raises(ValueError, match=f"^{name}: must be finite$"):
+        PacketSpec(n0=400, x0=0.5, **fields)
+
+
 def test_spec_width_round_trip(sys0):
     a = PacketSpec(n0=400, x0=0.5, dx0=0.05)
     b = PacketSpec(n0=400, x0=0.5, alpha=a.alpha_value(sys0))

@@ -9,8 +9,8 @@ from scipy.optimize import brentq
 
 from wellpacket import (CollapseFitError, PowerLawWell,
                         classical_period_powerlaw, collapse_time_powerlaw,
-                        fit_powerlaw_collapse, gaussian_weights,
-                        powerlaw_autocorrelation, revival_time_powerlaw,
+                        fit_powerlaw_collapse, fit_stroboscopic, gaussian_weights,
+                        powerlaw, powerlaw_autocorrelation, revival_time_powerlaw,
                         wkb_energy, wkb_spectrum)
 
 
@@ -23,6 +23,15 @@ def test_well_validation():
         wkb_energy(PowerLawWell(k=2.0), -1)
     with pytest.raises(ValueError):
         wkb_energy(PowerLawWell(k=2.0), 1.5)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", ["V0", "a", "mass", "hbar"])
+def test_well_refuses_non_finite_values(name, value):
+    # nan gave spectra of nan, a = inf one of zeros; k alone may be infinite
+    with pytest.raises(ValueError, match=f"^{name}: must be finite$"):
+        PowerLawWell(k=1.5, **{name: value})
+    assert PowerLawWell(k=math.inf).maslov_mu == 1.0
 
 
 def test_harmonic_full_well_exact():
@@ -239,6 +248,22 @@ def test_quartic_collapse_fit():
     closed = collapse_time_powerlaw(well, 200, 3.0)
     assert fit.points_used >= 3
     assert fit.T_C_estimate == pytest.approx(closed, rel=0.15)
+
+
+@pytest.mark.parametrize("k", [1.5, 3.0, 8.0])
+def test_collapse_fit_takes_one_spectrum(k, monkeypatch):
+    # the fit samples |C(n tau)| over one WKB spectrum, not one per block
+    # of periods, and finds what powerlaw_autocorrelation block by block does
+    well = PowerLawWell(k=k)
+    levels, w = gaussian_weights(400, 2.5, 8.0)
+    tau = classical_period_powerlaw(well, 400)
+    want = fit_stroboscopic(
+        lambda ns: np.abs(powerlaw_autocorrelation(well, levels, w, ns * tau)), tau)
+    sizes, energy = [], powerlaw.wkb_energy
+    monkeypatch.setattr(powerlaw, "wkb_energy",
+                        lambda well, n: sizes.append(np.size(n)) or energy(well, n))
+    assert fit_powerlaw_collapse(well, 400, 2.5) == want
+    assert sizes == [1, levels.size]        # the period's level, then the spectrum
 
 
 def test_near_harmonic_no_collapse():

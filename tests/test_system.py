@@ -185,6 +185,14 @@ def test_system_validation():
         WellSystem(width_L=0.0)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", ["mass", "hbar", "width_L"])
+def test_system_refuses_non_finite_values(name, value):
+    # nan passed every "must be positive" check; inf ended in a division by zero
+    with pytest.raises(ValueError, match=f"^{name}: must be finite$"):
+        WellSystem(**{name: value})
+
+
 def test_oracle_basis_matches_package(sys0):
     # spot check that the oracle's basis function is the package's
     xs = np.array([0.1, 0.37, 0.62, 0.93])

@@ -223,12 +223,19 @@ def _powerlaw_rows(out, fmt: str) -> list:
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
-def test_powerlaw_text_columns_stay_in_the_kernel(fmt, tmp_path, one_by_one):
+def test_powerlaw_text_columns_stay_in_the_kernel(fmt, tmp_path, one_by_one, monkeypatch):
     # k, n and T_rev ("periodic" for the oscillator, blank at n = 0) are
-    # bytes arrays laid out whole: no text cell of the spectrum is written
-    # by itself.  Cell by cell go only the two floats of each well's n = 0
-    # row (a block of one row, under KERNEL_MIN) and float cells the kernel
-    # sends one by one.
+    # bytes arrays laid out whole, and the float cells of all four wells,
+    # each well's one-row n = 0 block included, go through one float_cells
+    # call: the cells written by themselves are the ones that call sends
+    # one by one, none for being in a short block
+    calls, kernel = [], writer.float_cells
+
+    def spy(values, num, json):
+        calls.append(values.copy())
+        return kernel(values, num, json)
+
+    monkeypatch.setattr(writer, "float_cells", spy)
     ini = tmp_path / "run.ini"
     ini.write_text(POWERLAW)
     assert main(["powerlaw", "--config", str(ini), "--out", str(tmp_path), "--format", fmt]) == 0
@@ -236,11 +243,66 @@ def test_powerlaw_text_columns_stay_in_the_kernel(fmt, tmp_path, one_by_one):
     assert len(rows) == 4 * 301 and {r[4] for r in rows if r[1] == "0"} == {""}
     assert [r[4] for r in rows if r[0] == "2" and r[1] != "0"] == ["periodic"] * 300
     assert [r[0] for r in rows[::301]] == ["1.5", "2", "2.05", "infinity"]
-    # each text written by itself is a float cell of the file, counted
-    # with its repeats: a text column sent cell by cell would add hundreds
     floats = [cell for r in rows for cell in r[2:5] if cell not in ("", "periodic")]
-    assert all(one_by_one.count(t) <= floats.count(t) for t in set(one_by_one))
-    assert set(one_by_one) >= {cell for r in rows if r[1] == "0" for cell in r[2:4]}
+    assert len(calls) == 1 and calls[0].size == len(floats)
+    alone = list(one_by_one)
+    one_by_one.clear()
+    kernel(calls[0], "%.12g", fmt == "json")
+    assert alone == one_by_one
+
+
+def _mixed_blocks(width: int) -> list:
+    """Blocks of 1, KERNEL_MIN - 1 and about TABLE_CELLS // width rows:
+    column 0 is float64 in every block (negative in one), column 1 float64,
+    a float broadcast, bytes or a bytes broadcast by turns, the rest bytes
+    (in one block with a byte JSON escapes)."""
+    rng = np.random.default_rng(31)
+    step = TABLE_CELLS // width
+    blocks = []
+    for i, n in enumerate([1, KERNEL_MIN - 1, step - 1, 1, step, step + 1, KERNEL_MIN - 1, 2, 1]):
+        values = rng.uniform(-5, 5, n) * 10.0 ** rng.integers(-8, 8, n)
+        values[::7] = [0.0, np.nan, 2.5, 1e22][i % 4]
+        second = [values * 3, np.broadcast_to(0.125 * i, (n,)),
+                  rng.integers(0, 10 ** (i + 1), n).astype("S"),
+                  np.broadcast_to(np.array(b"periodic"), (n,))][i % 4]
+        text = np.arange(i * 1000, i * 1000 + n).astype("S")
+        if i == 5:
+            text[::3] = b'q"x'
+        first = -np.abs(values) if i == 2 else values
+        blocks.append([first, second] + [text] * (width - 2))
+    return blocks
+
+
+@pytest.mark.parametrize("json", [False, True], ids=["csv", "json"])
+@pytest.mark.parametrize("width", [3, 5])
+def test_slices_that_span_blocks_write_what_each_block_writes(width, json, monkeypatch):
+    # a slice takes its rows from as many blocks as fit, up to TABLE_CELLS
+    # cells, and formats their float columns in one kernel call (a
+    # broadcast's one cell apart); its text is the blocks' own, written one
+    # at a time and joined
+    blocks = _mixed_blocks(width)
+    seps = (b",\n  [", b",", b"]") if json else (b"", b",", b"\n")
+    calls, kernel = [], writer.float_cells
+
+    def spy(values, num, json):
+        calls.append(values.strides != (0,))
+        return kernel(values, num, json)
+
+    monkeypatch.setattr(writer, "float_cells", spy)
+    slices = list(table_text(iter(blocks), "%.9g", json, *seps))
+    rows = sum(len(b[0]) for b in blocks)
+    assert len(slices) == sum(calls) == -(-rows // (TABLE_CELLS // width))
+    alone = [b"".join(table_text(iter([b]), "%.9g", json, *seps)) for b in blocks]
+    assert b"".join(slices) == b"".join(alone)
+    one = (lambda v: json_scalar(v, "%.9g")) if json else "%.9g".__mod__
+
+    def cell(c):
+        if isinstance(c, float):
+            return one(c).encode()
+        return json_scalar(c.decode(), "").encode() if json else c
+    want = [seps[0] + seps[1].join(cell(c) for c in row) + seps[2]
+            for b in blocks for row in zip(*(c.tolist() for c in b))]
+    assert b"".join(slices) == b"".join(want)
 
 
 def test_powerlaw_run_imports_no_string_module(tmp_path):
