@@ -15,9 +15,11 @@ cells, a slice taking its rows from as many consecutive blocks as fit:
 the float columns of all its blocks go through one float_cells call, its
 rows fill one buffer cut from a row template of the constant bytes, and
 one bytes.translate strips it.  float_cells makes about 150 numpy calls
-whatever its input's size, so a table of many short blocks costs about
-what one long block does, and a larger slice costs less per cell, while
-the writer's peak memory grows with it, about 140 bytes a cell.
+whatever its input's size, its byte rows blended by uint8 arithmetic, not
+masked copies, so that their cost does not depend on the values; a table
+of many short blocks costs about what one long block does, and a larger
+slice costs less per cell, while the writer's peak memory grows with it,
+about 130 bytes a cell.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ import numpy as np
 __all__ = ["Unrounded", "float_cells", "json_chunks", "json_scalar", "table_text"]
 
 PAD = 0xFF
-TABLE_CELLS = 16384     # cells formatted at once; the writer's peak is ~140 B a cell
+TABLE_CELLS = 16384     # cells formatted at once; the writer's peak is ~130 B a cell
 KERNEL_MIN = 32         # fewer float cells than this are formatted one by one
 
 # json.dump's spellings of the float values that have no JSON number
@@ -70,19 +72,15 @@ _TABLES = []      # filled on first use, in one step
 
 
 def _tables():
-    """Lookup tables, built on first use: the four ASCII digits of each of
-    0..9999 as one uint32 apiece (in text order in memory), the exponent
-    suffixes "e-99" to "e+99", one column apiece, and the powers of ten up
-    to 10**22 as floats."""
+    """Lookup tables, built on first use: the exponent suffixes "e-99" to
+    "e+99", one column apiece, and the powers of ten up to 10**22 as
+    floats."""
     if _TABLES:
         return _TABLES
-    quads = np.empty((10, 10, 10, 10, 4), np.uint8)
-    for i in range(4):
-        quads[..., i] = np.arange(48, 58, dtype=np.uint8).reshape((10,) + (1,) * (3 - i))
     suffixes = "".join(f"e{k:+03d}" for k in range(-99, 100)).encode()
     suffixes = np.frombuffer(suffixes, np.uint8).reshape(-1, 4).T.copy()
     pow10 = np.array([float(10 ** k) for k in range(23)])     # exact up to 10**22
-    _TABLES[:] = quads.reshape(-1).view(np.uint32), suffixes, pow10
+    _TABLES[:] = suffixes, pow10
     return _TABLES
 
 
@@ -104,15 +102,18 @@ def float_cells(values, num: str, json: bool):
     cell uses them.
 
     |v| is scaled by one exact power of ten, or two past 10**22, to a
-    p-digit integer mantissa, rounded, and its digits looked up four at a
-    time.  These cells are written one by one instead: zero, subnormal and
-    non-finite values; those whose scale passes 10**44; those within 4 ulp
-    (of 10**p) of a rounding tie, which the scaling's rounding may send
-    either way; those just below a power of ten whose log10 rounds up to
-    it; in JSON those in exponent form for exponents p to 15, which
-    float.__repr__ spells in fixed notation (integral fixed text takes its
-    ".0" here); and every cell of fewer than KERNEL_MIN, or at p >= 15,
-    where 4 ulp reach the tie.
+    p-digit integer mantissa and rounded (float64); its exponent, point
+    row and width kept as int16 and uint8; the mantissa, shifted by the
+    leading zeros, cut into 8-digit uint32 chunks and 4-digit uint16
+    quads, and the digits of every quad divided out at once; the rows
+    laid out by uint8 blends.  These cells are written one by one instead:
+    zero, subnormal and non-finite values; those whose scale passes
+    10**44; those within 4 ulp (of 10**p) of a rounding tie, which the
+    scaling's rounding may send either way; those just below a power of
+    ten whose log10 rounds up to it; in JSON those in exponent form for
+    exponents p to 15, which float.__repr__ spells in fixed notation
+    (integral fixed text takes its ".0" here); and every cell of fewer
+    than KERNEL_MIN, or at p >= 15, where 4 ulp reach the tie.
     """
     p = int(num[2:-1])
     one = (lambda v: json_scalar(v, num)) if json else num.__mod__
@@ -122,13 +123,13 @@ def float_cells(values, num: str, json: bool):
     a = np.abs(values)
     ok = a >= sys.float_info.min
     ok &= a <= sys.float_info.max
-    np.copyto(a, 1.0, where=~ok)
+    a[np.flatnonzero(~ok)] = 1.0
     # y = |v| * 10**scale in one correctly rounded operation (two past
     # 10**22).  Just past a power of ten, log10 may land below the integer;
     # y then rounds to 10**p and the carry gives the same text.  Just below
     # one it may land on the integer, and y < 10**(p-1) has a digit too few
     # (at p = 14 and |e| >= 32 that changes the text): those go one by one.
-    quads, suffixes, pow10 = _tables()
+    suffixes, pow10 = _tables()
     e = np.floor(np.log10(a))
     scale = ((p - 1) - e).astype(np.intp)
     size = np.abs(scale)
@@ -158,29 +159,39 @@ def float_cells(values, num: str, json: bool):
     # fixed notation for -4 <= e < p: z zeros ("0.000" at most) before the
     # digits, the point after digit pe (0 in exponent form), and at least
     # the digits up to the point
-    e = e.astype(np.intp)
+    e = e.astype(np.int16)
     fixed = (e >= -4) & (e < p)
-    z = np.where(fixed & (e < 0), -e, 0)
-    pe = np.where(fixed & (e > 0), e, 0)
+    ef = e * fixed
+    z = np.maximum(-ef, 0).astype(np.uint8)
+    pe = np.maximum(ef, 0).astype(np.uint8)
 
     # seq: the z zeros, the p digits, then zeros, as the p + 4 digit field
-    # of the integer m * 10**(4 - z) (below 2**63 for p <= 14), its digits
-    # looked up four at a time; shown: the digits up to the last nonzero
-    # one, or up to the point, found in one pass over the rows
-    groups = (p + 7) // 4
-    src = np.empty((4 * groups, n), np.uint8)
-    mi = m.astype(np.int64) * pow10[:5].astype(np.int64).take(4 - z)
-    for g in range(groups - 1, -1, -1):
+    # of the integer m * 10**(4 - z) (below 2**63 for p <= 14), by chunks
+    # and quads; shown: the digits up to the last nonzero one, or up to
+    # the point, found in one pass over the rows
+    chunks = (p + 11) // 8
+    quads = np.empty((2 * chunks, n), np.uint16)
+    mi = m.astype(np.int64) * np.array([10000, 1000, 100, 10, 1]).take(z)
+    for c in range(chunks - 1, -1, -1):
         r = mi
-        if g:
-            mi = r // 10000
-            r = r - mi * 10000
-        src[4 * g:4 * g + 4] = quads.take(r).view(np.uint8).reshape(n, 4).T
-    seq = src[4 * groups - p - 4:]
+        if c:
+            mi = r // 10 ** 8
+            r = r - mi * 10 ** 8
+        r = r.astype(np.uint32)
+        quads[2 * c] = h = r // 10000
+        quads[2 * c + 1] = r - h * 10000
+    digits = np.empty((2 * chunks, 4, n), np.uint8)
+    for j in (3, 2, 1):
+        q = quads // 10
+        digits[:, j] = quads - q * 10
+        quads = q
+    digits[:, 0] = quads
+    digits += 48
+    seq = digits.reshape(8 * chunks, n)[8 * chunks - p - 4:]
     last = ((seq != 48) * np.arange(1, p + 5, dtype=np.uint8)[:, None]).max(axis=0)
     shown = np.maximum(last, z + pe + 1)
     point = shown > pe + 1
-    del m, mi, r, last, z
+    del m, mi, r, h, q, quads, last, z
     whole = False
     if json:
         # float.__repr__ spells integral fixed text "12" as "12.0": the
@@ -190,31 +201,32 @@ def float_cells(values, num: str, json: bool):
         bad = np.flatnonzero(~ok)
     if bad.size == n:
         return _text_cells(map(one, values.tolist()))
-    width = np.where(ok, shown + point + 2 * whole, 0)
+    width = (shown + (point | whole) + whole) * ok
 
-    # the layout moves bytes only by copies and masked copies, numpy code
-    # the run drivers already page in; body: seq with the point after pe
+    # the layout blends bytes by uint8 arithmetic, b + (a - b) * mask (exact
+    # mod 256), where a masked copy would branch on every byte; body: seq
+    # with a point after digit pe, in every cell, then PAD from its width
+    # on (a cell with no point has width pe + 1)
     S = int(width.max())
     neg = ok & (values < 0)
     expo = ok & ~fixed
     sign, tail = int(neg.any()), 4 * int(expo.any())
     out = np.empty((sign + S + tail, n), np.uint8)
     if sign:
-        out[0] = PAD
-        np.copyto(out[0], 45, where=neg)
+        out[0] = PAD - neg * np.uint8(PAD - 45)
     if tail:
         out[-4:] = PAD
         cells = np.flatnonzero(expo)
         out[-4:, cells] = suffixes.take(e[cells] + 99, axis=1)
     body = out[sign:sign + S]
-    body[0] = seq[0]
-    body[1:] = seq[:S - 1]
-    if top := int(np.max(pe, where=ok, initial=0)):
-        np.copyto(body[1:top + 1], seq[1:top + 1], where=np.arange(1, top + 1)[:, None] <= pe)
-    at = np.flatnonzero((point | whole) & ok)
-    body.reshape(-1)[(pe[at] + 1) * n + at] = 46
+    i, j = int(pe.min()) + 1, min(int(pe.max()) + 2, S)
+    body[:i] = seq[:i]
+    body[j:] = seq[j - 1:S - 1]
+    k = np.arange(i, j, dtype=np.uint8)[:, None]
+    rows = seq[i - 1:j - 1] + (seq[i:j] - seq[i - 1:j - 1]) * (k <= pe)
+    body[i:j] = rows + (46 - rows) * (k == pe + 1)
     low = int(np.min(width, where=ok, initial=S))
-    np.copyto(body[low:], PAD, where=np.arange(low, S)[:, None] >= width)
+    body[low:] += (PAD - body[low:]) * (np.arange(low, S, dtype=np.uint8)[:, None] >= width)
 
     if bad.size:
         texts = _text_cells(map(one, values[bad].tolist()), len(out))
@@ -240,8 +252,8 @@ def _bytes_cells(col, json: bool):
         return _text_cells(encode_basestring_ascii(c.decode()) for c in col.tolist())
     block = col[:, None].view(np.uint8).T
     q = int(json)
-    out = np.full((len(block) + 2 * q, col.size), PAD, np.uint8)
-    np.copyto(out[q:q + len(block)], block, where=block != 0)
+    out = np.empty((len(block) + 2 * q, col.size), np.uint8)
+    out[q:q + len(block)] = block + (block == 0) * np.uint8(PAD)
     if json:
         out[0] = out[-1] = 34
     return out

@@ -556,8 +556,8 @@ def _table_peak(out, n_rows):
 def test_writer_peak_is_bounded_by_its_block_of_cells(fmt):
     # One block of 40000 rows x 9 float columns, as an `observables` table,
     # is written TABLE_CELLS cells at a time: the writer's peak is set by
-    # those cells, not by the block's 360000 (measured 153 B a cell in CSV
-    # and 166 in JSON, at 4096 and at 16384 cells alike); bounded at 200
+    # those cells, not by the block's 360000 (measured 130-133 B a cell in
+    # CSV and 131-134 in JSON, at 16384 and at 4096 cells); bounded at 200
     k = np.arange(40000.0)
     block = [k * 1e-3] + [np.sin(k * (0.37 + j)) * 10.0 ** (j - 6) for j in range(8)]
     seps = (b",\n  [\n    ", b",\n    ", b"\n  ]") if fmt == "json" else (b"", b",", b"\n")

@@ -196,6 +196,54 @@ def test_integral_momenta_stay_in_the_kernel(one_by_one):
 
 
 @pytest.mark.parametrize("json", [False, True], ids=["csv", "json"])
+@pytest.mark.parametrize("precision", range(1, 15))
+def test_kernel_cells_do_not_depend_on_their_neighbours(precision, json):
+    # the layout blends whole rows by masks, over row ranges set by the
+    # column's extremes: a shuffled column lays out the same cells,
+    # shuffled, the fallback's cells and the rows that no cell uses included
+    rng = np.random.default_rng(6000 + precision + 100 * json)
+    values = np.concatenate([_adversarial(precision), _draws(rng, 4000)])
+    values = values[rng.permutation(values.size)]
+    perm = rng.permutation(values.size)
+    num = f"%.{precision}g"
+    shuffled = float_cells(values[perm], num, json)
+    assert np.array_equal(shuffled, float_cells(values, num, json)[:, perm])
+
+
+def _interleaved(precision: int) -> tuple:
+    """A column whose neighbouring cells differ in sign, in exponent (so in
+    point row, leading zeros and notation) and in digit count (so in
+    width): exact decimals of 1 to p digits, the last nonzero, for each
+    exponent from -7 to p + 2, four times over; and their exponents."""
+    p = precision
+    rng = np.random.default_rng(7000 + p)
+    values, exps = [], []
+    for d in [*range(1, p + 1)] * 4:
+        for e in range(-7, p + 3):
+            mantissa = int(rng.integers(10 ** (d - 1), 10 ** d)) // 10 * 10
+            mantissa += int(rng.integers(1, 10))
+            values.append((-1) ** len(values) * float(f"{mantissa}e{e - d + 1}"))
+            exps.append(e)
+    return np.array(values), exps
+
+
+@pytest.mark.parametrize("json", [False, True], ids=["csv", "json"])
+@pytest.mark.parametrize("precision", [1, 2, 5, 9, 12, 14])
+def test_interleaved_cells_stay_in_the_kernel(precision, json, one_by_one):
+    # neighbours differ in sign, point row (0 to p - 1), leading zeros
+    # (0 to 4), notation and width; each cell reads as `%` and json_scalar
+    # write it, and only JSON's exponents p to 15 go one by one
+    values, exps = _interleaved(precision)
+    num = f"%.{precision}g"
+    one = (lambda v: json_scalar(v, num)) if json else num.__mod__
+    out = float_cells(values, num, json)
+    got = [c.tobytes().translate(None, bytes([writer.PAD])).decode() for c in out.T]
+    assert got == [one(v) for v in values.tolist()]
+    assert one_by_one == [one(v) for v, e in zip(values.tolist(), exps)
+                          if json and precision <= e <= 15]
+
+
+@pytest.mark.parametrize("json", [False, True], ids=["csv", "json"])
 @pytest.mark.parametrize("column, kind", [
     ([0.5] * 3, "list"), (np.arange(3), "int64"), (np.array(["a", 1, None], object), "object"),
 ], ids=["list", "int64", "object"])
