@@ -8,8 +8,9 @@ its field, "choices", and "item", the parser of one list item.  Anything
 unrecognized is rejected with its location so typos cannot silently fall
 back to defaults.  Times may be written in absolute units or as multiples
 of the bounce period / revival time ("124tau", "0.5T").  The resolvers
-return each time as a float and, for a multiple of tau or T (or a zero),
-also as the exact fraction theta = t / T, using tau = T / (2 n0).
+return times as one value: a packet.Theta, the float times with their exact
+fractions theta = t / T (tau = T / (2 n0)), where every time is a multiple
+of tau or T or a zero, and the plain float times otherwise.
 """
 
 from __future__ import annotations
@@ -146,26 +147,26 @@ class ScheduleSettings:
         if self.mode == "explicit" and not self.times:
             raise ValueError("times: explicit mode needs a times list")
 
-    def resolve(self, tau: float, T: float, n0: int) -> tuple[np.ndarray, Theta | None]:
-        """The schedule's times, and their exact t / T where it has them."""
+    def resolve(self, tau: float, T: float, n0: int) -> Theta | np.ndarray:
+        """The schedule's times, a Theta where it has their exact t / T."""
         if self.mode == "stroboscopic":
             if self.n_stop < self.n_start:
                 raise ConfigError("[schedule] n_stop: must be >= n_start")
             ns = np.arange(self.n_start, self.n_stop + 1, self.n_step)
             # strobe n is the literal "n tau"
-            return ns * tau, Theta.progression(parse_theta(f"{self.n_start}tau", n0),
-                                               parse_theta(f"{self.n_step}tau", n0), ns.size)
+            return Theta.progression(ns * tau, T, parse_theta(f"{self.n_start}tau", n0),
+                                     parse_theta(f"{self.n_step}tau", n0))
         if self.mode == "dense":
             a, theta_a = _time("schedule", "start", self.start, tau, T, n0)
             b, theta_b = _time("schedule", "stop", self.stop, tau, T, n0)
             if not b > a:
                 raise ConfigError("[schedule] stop: must exceed start")
             step = None if None in (theta_a, theta_b) else (theta_b - theta_a) / (self.count - 1)
-            return np.linspace(a, b, self.count), Theta.progression(theta_a, step, self.count)
+            return Theta.progression(np.linspace(a, b, self.count), T, theta_a, step)
         if self.mode == "explicit":
             vals = sorted((_time("schedule", "times", s, tau, T, n0) for s in self.times),
                           key=lambda v: v[0])
-            return np.array([t for t, _ in vals]), Theta.of([th for _, th in vals])
+            return Theta.of(np.array([t for t, _ in vals]), T, [th for _, th in vals])
         raise ConfigError(f"[schedule] mode: unknown mode {self.mode!r}")
 
 
@@ -175,9 +176,10 @@ class EvolveSettings:
     representation: str = field(default="position",
                                 metadata={"choices": ("position", "momentum", "both")})
 
-    def resolve(self, tau: float, T: float, n0: int) -> list[tuple[float, Fraction | None]]:
-        """Each listed time, with its exact t / T or None."""
-        return [_time("evolve", "times", s, tau, T, n0) for s in self.times]
+    def resolve(self, tau: float, T: float, n0: int) -> list[Theta | np.ndarray]:
+        """Each listed time as a value of its own, a Theta where it is exact."""
+        return [Theta.of(np.array([t]), T, [theta])
+                for t, theta in (_time("evolve", "times", s, tau, T, n0) for s in self.times)]
 
 
 @dataclass(frozen=True)
@@ -197,9 +199,9 @@ class CorrelateSettings:
             raise ValueError("min_height: must lie in [0, 1]")
 
     def scan_grid(self, tau: float, T: float, n0: int) -> tuple[
-            float, float, float, tuple[Fraction, Fraction] | None]:
+            float, float, float, tuple[Fraction | None, Fraction | None]]:
         """Start, stop and resolution of the revival scan, in absolute time,
-        and the exact (start / T, resolution / T), or None."""
+        and the exact (start / T, resolution / T), None where a literal has none."""
         (start, theta_start), (stop, _), (res, theta_res) = (
             _time("correlate", key, getattr(self, key), tau, T, n0)
             for key in ("scan_start", "scan_stop", "scan_resolution"))
@@ -207,8 +209,11 @@ class CorrelateSettings:
             _scan_times(T, start, stop, res)
         except ValueError as e:
             raise ConfigError(f"[correlate] {e}") from None
-        exact = None if theta_start is None or theta_res is None else (theta_start, theta_res)
-        return start, stop, res, exact
+        return start, stop, res, (theta_start, theta_res)
+
+    def fit_period(self, tau: float, T: float, n0: int) -> Theta | np.ndarray:
+        """The bounce period tau that the collapse fit steps by, exact as 1tau."""
+        return Theta.of(np.array([tau]), T, [parse_theta("1tau", n0)])
 
 
 @dataclass(frozen=True)
@@ -270,9 +275,9 @@ class FlattenSettings:
         if self.hold < 1:
             raise ValueError("hold: must be >= 1")
 
-    def sample_times(self, tau: float, T: float, n0: int) -> tuple[np.ndarray, Theta | None]:
-        """Sample times k step below t_stop, and their exact t / T; literals
-        of one kind are counted exactly, k theta_step < theta_stop for exact
+    def sample_times(self, tau: float, T: float, n0: int) -> Theta | np.ndarray:
+        """Sample times k step below t_stop, a Theta where exact; literals of
+        one kind are counted exactly, k theta_step < theta_stop for exact
         ones and k step < t_stop over the decimal texts of plain numbers."""
         from fractions import Fraction
 
@@ -290,7 +295,7 @@ class FlattenSettings:
             times = np.arange(math.ceil(Fraction(stop_text) / Fraction(step_text))) * step
         else:
             times = np.arange(0.0, t_stop, step)
-        return times, Theta.progression(0, theta_step, times.size)
+        return Theta.progression(times, T, 0, theta_step)
 
 
 @dataclass(frozen=True)

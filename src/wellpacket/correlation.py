@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .packet import EigenExpansion, Theta, _check_theta, takes_fold
+from .packet import EigenExpansion, Theta, takes_fold
 from .system import revival_time
 
 __all__ = [
@@ -79,16 +79,14 @@ class ScanPeak:
     fraction: tuple[int, int] | None
 
 
-def _phase_sum(exp: EigenExpansion, weights: NDArray, times,
-               theta: Theta | None = None) -> NDArray[np.complex128]:
+def _phase_sum(exp: EigenExpansion, weights: NDArray, times) -> NDArray[np.complex128]:
     """Sum_n weights[n, j] exp(i E_n t / hbar), shaped (j, t), or (t,) for 1-d weights.
 
-    ``theta``, the exact times / T, makes every phase exact; one that is
-    not the times' own is refused (packet._check_theta).  Where the cost
-    rule (takes_fold) holds, each column's weights are binned at n^2 mod q
-    and one FFT gives every sample (EigenExpansion.fold).  Otherwise exact
-    times on a progression of two or more, as every scan and every fit
-    block after the first is, take the two-level split: sqrt(T) rows of
+    On a Theta where the cost rule (takes_fold) holds, each column's
+    weights are binned at n^2 mod q and one FFT gives every sample
+    (EigenExpansion.fold).  Otherwise exact times on a progression of two
+    or more, as every scan and every fit block after the first is, take
+    the two-level split: sqrt(T) rows of
     baby-step and giant-step unit roots and one GEMM
     (EigenExpansion.split).  Any other times, a single time such as the
     first fit block (n = 1) among them, take
@@ -96,19 +94,17 @@ def _phase_sum(exp: EigenExpansion, weights: NDArray, times,
     P = exp(-i E t / hbar), the weights being real; one chunk is alive at
     a time.
     """
-    t = np.atleast_1d(np.asarray(times, dtype=float))
-    _check_theta(t, theta, exp.sys)
+    shape = weights.shape[1:] + (np.size(times),)
     cols = weights.reshape(len(weights), -1)
-    if takes_fold(t, theta, len(weights)):
+    if takes_fold(times, len(weights)):
         # complex weights, cast once a call, take the fold's fast ufunc.at loop
         cols = np.ascontiguousarray(cols.T, dtype=complex)
-        out = exp.fold([(exp.square_residues(theta.den), cols)], theta, len(cols))
-    elif theta is not None and (step := theta.step()) is not None:
-        out = exp.split(cols, theta, step)
+        out = exp.fold([(exp.square_residues(times.den), cols)], times, len(cols))
+    elif isinstance(times, Theta) and (step := times.step()) is not None:
+        out = exp.split(cols, times, step)
     else:
-        out = np.empty(weights.shape[1:] + t.shape, dtype=complex)
-        return exp.map_chunks(_summed(weights), t, out, theta=theta)
-    return out.reshape(weights.shape[1:] + t.shape)
+        return exp.map_chunks(_summed(weights), times, np.empty(shape, dtype=complex))
+    return out.reshape(shape)
 
 
 def _summed(weights: NDArray[np.float64]):
@@ -119,30 +115,30 @@ def _summed(weights: NDArray[np.float64]):
     return lambda P: np.conj(P @ w).T
 
 
-def autocorrelation(exp: EigenExpansion, t: float, theta=None) -> complex:
-    """C(t) = Sum |a_n|^2 exp(i E_n t / hbar); ``theta`` is the exact t / T, if known.
-    Single times only; autocorrelation_series serves every caller in the package."""
-    return complex(_phase_sum(exp, exp.weights, t, Theta.of([theta]))[0])
+def autocorrelation(exp: EigenExpansion, t) -> complex:
+    """C(t) = Sum |a_n|^2 exp(i E_n t / hbar) at one time t, a float or a one-time
+    Theta.  Single times only; autocorrelation_series serves every caller in the package."""
+    if np.size(t) != 1:
+        raise ValueError(f"autocorrelation takes one time, got {np.size(t)}")
+    return complex(_phase_sum(exp, exp.weights, t)[0])
 
 
-def autocorrelation_series(exp: EigenExpansion, times, theta: Theta | None = None,
-                           mirror: bool = False):
-    """C(t) over a time array; ``theta`` is the exact times / T, if known.
-    With ``mirror``, the pair (C(t), C-bar(t)) from one two-column phase sum."""
+def autocorrelation_series(exp: EigenExpansion, times, *, mirror: bool = False):
+    """C(t) over a time array or a Theta.  With ``mirror``, the pair
+    (C(t), C-bar(t)) from one two-column phase sum."""
     if mirror:
-        return tuple(_phase_sum(exp, _both_weights(exp), times, theta))
-    return _phase_sum(exp, exp.weights, times, theta)
+        return tuple(_phase_sum(exp, _both_weights(exp), times))
+    return _phase_sum(exp, exp.weights, times)
 
 
-def mirror_correlation_series(exp: EigenExpansion, times,
-                              theta: Theta | None = None) -> NDArray[np.complex128]:
-    """C-bar(t) = Sum (-1)^(n+1) |a_n|^2 exp(i E_n t / hbar) over a time array;
-    ``theta`` is the exact times / T, if known.
+def mirror_correlation_series(exp: EigenExpansion, times) -> NDArray[np.complex128]:
+    """C-bar(t) = Sum (-1)^(n+1) |a_n|^2 exp(i E_n t / hbar) over a time
+    array or a Theta.
 
     Closed form of the overlap Int psi*(L-x, t) psi(x, 0) dx, using
     u_n(L - x) = (-1)^(n+1) u_n(x).
     """
-    return _phase_sum(exp, _mirror_weights(exp), times, theta)
+    return _phase_sum(exp, _mirror_weights(exp), times)
 
 
 def _mirror_weights(exp: EigenExpansion) -> NDArray[np.float64]:
@@ -212,21 +208,27 @@ def fit_stroboscopic(magnitude, tau: float,
                        residual=resid, threshold=threshold)
 
 
-def fit_collapse(exp: EigenExpansion, tau: float,
-                 threshold: float = DEFAULT_FIT_THRESHOLD, theta=None) -> CollapseFit:
+def fit_collapse(exp: EigenExpansion, tau,
+                 threshold: float = DEFAULT_FIT_THRESHOLD) -> CollapseFit:
     """Fit the collapse time from |C(n tau)|, n = 1, 2, ... while |C| > threshold.
 
     For the default packet the estimate lands within 10% of the closed form
-    T/(2 pi dn^2) = 4 t0.  ``theta``, the exact tau / T (1 / (2 n0) for the
-    bounce period), makes the phase at each n tau exact: each block of
-    fit_stroboscopic is one progression n theta, summed on the path the
-    cost rule picks.  A theta that is not tau / T is refused with the
-    first block (packet._check_theta).
+    T/(2 pi dn^2) = 4 t0.  ``tau`` is a float or a Theta of one time, whose
+    exact tau / T (1 / (2 n0) for the bounce period) makes the phase at
+    each n tau exact: each block of fit_stroboscopic is then one
+    progression n tau / T, summed on the path the cost rule picks.
     """
+    period = np.asarray(tau, dtype=float).item()
+    if isinstance(tau, Theta):
+        from fractions import Fraction
+        step = Fraction(int(tau.num[0]), tau.den)
+
     def magnitude(ns):
-        exact = None if theta is None else Theta.progression(int(ns[0]) * theta, theta, ns.size)
-        return np.abs(autocorrelation_series(exp, ns * tau, exact))
-    return fit_stroboscopic(magnitude, tau, threshold)
+        times = ns * period
+        if isinstance(tau, Theta):
+            times = Theta.progression(times, tau.T, int(ns[0]) * step, step)
+        return np.abs(autocorrelation_series(exp, times))
+    return fit_stroboscopic(magnitude, period, threshold)
 
 
 def nearest_fraction(x, max_q: int = 8):
@@ -279,12 +281,12 @@ def revival_scan(exp: EigenExpansion, t_window: tuple[float, float],
     that fraction lies within half a resolution step; otherwise the
     annotation is None.  ``theta``, the exact (t0 / T, resolution / T),
     makes every sample's phase exact; one that is not the window's is
-    refused (packet._check_theta).  The window needs at least two samples.
+    refused (Theta.progression).  The window needs at least two samples.
     """
     T = revival_time(exp.sys)
     times = _scan_times(T, *t_window, resolution)
-    exact = None if theta is None else Theta.progression(*theta, times.size)
-    ac, mc = np.abs(_phase_sum(exp, _both_weights(exp), times, exact))
+    samples = times if theta is None else Theta.progression(times, T, *theta)
+    ac, mc = np.abs(_phase_sum(exp, _both_weights(exp), samples))
     curve = np.maximum(ac, mc)
     # a peak is at least its left neighbor and above its right one; the
     # window edges count when they top their one neighbor, so the exact

@@ -89,7 +89,7 @@ class WaveField:
         self.amplitudes.setflags(write=False)
 
 
-def _fields(basis, exp: EigenExpansion, grid, t, theta):
+def _fields(basis, exp: EigenExpansion, grid, t):
     """The fields Sum a_n b_n(q) exp(-i E_n t / hbar) over the grid points q
     for each time of ``t``, b_n = ``basis``; one field if ``t`` is a scalar.
 
@@ -97,14 +97,8 @@ def _fields(basis, exp: EigenExpansion, grid, t, theta):
     applied to every time's coefficients and dropped before the next, so a
     call holds one block, not the whole basis, beyond the fields it returns."""
     scalar = np.ndim(t) == 0
-    if scalar:
-        times, thetas = [t], [theta]
-    else:
-        times = list(t)
-        thetas = [None] * len(times) if theta is None else list(theta)
-        if len(thetas) != len(times):
-            raise ValueError("need one theta per time")
-    coeffs = [exp.phases_at(s, th) for s, th in zip(times, thetas)]
+    times = [t] if scalar else list(t)
+    coeffs = [exp.phases_at(s) for s in times]
     points = grid.points
     amps = [np.empty(len(points), dtype=complex) for _ in times]
     for s in _time_chunks(len(points), len(exp.levels)):
@@ -112,24 +106,25 @@ def _fields(basis, exp: EigenExpansion, grid, t, theta):
         for amp, c in zip(amps, coeffs):
             amp[s] = block @ c      # one GEMV per time
         del block
-    fields = [WaveField(grid=grid, amplitudes=amp, time=s) for amp, s in zip(amps, times)]
+    fields = [WaveField(grid=grid, amplitudes=amp, time=np.asarray(s, dtype=float).item())
+              for amp, s in zip(amps, times)]
     return fields[0] if scalar else fields
 
 
-def position_wavefunction(exp: EigenExpansion, grid: SpatialGrid, t,
-                          theta=None) -> WaveField | list[WaveField]:
-    """psi(x, t) = Sum a_n u_n(x) exp(-i E_n t / hbar) on the grid; ``theta``
-    is the exact t / T, if known.  For a sequence of times (and of thetas)
-    a list of fields, one per time, the basis built once for all of them."""
-    return _fields(position_basis, exp, grid, t, theta)
+def position_wavefunction(exp: EigenExpansion, grid: SpatialGrid,
+                          t) -> WaveField | list[WaveField]:
+    """psi(x, t) = Sum a_n u_n(x) exp(-i E_n t / hbar) on the grid.  For a
+    sequence of times a list of fields, one per time, the basis built once
+    for all of them."""
+    return _fields(position_basis, exp, grid, t)
 
 
-def momentum_wavefunction(exp: EigenExpansion, grid: MomentumGrid, t,
-                          theta=None) -> WaveField | list[WaveField]:
-    """phi(p, t) = Sum a_n phi_n(p) exp(-i E_n t / hbar) on the grid;
-    ``theta`` is the exact t / T, if known.  For a sequence of times (and
-    of thetas) a list of fields, one per time, the basis built once."""
-    return _fields(momentum_basis, exp, grid, t, theta)
+def momentum_wavefunction(exp: EigenExpansion, grid: MomentumGrid,
+                          t) -> WaveField | list[WaveField]:
+    """phi(p, t) = Sum a_n phi_n(p) exp(-i E_n t / hbar) on the grid.  For
+    a sequence of times a list of fields, one per time, the basis built
+    once."""
+    return _fields(momentum_basis, exp, grid, t)
 
 
 def probability_density(field: WaveField) -> NDArray[np.float64]:

@@ -18,7 +18,7 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 from numpy.typing import NDArray
 
-from .packet import EigenExpansion, Theta, _check_theta, fold_rows, takes_fold
+from .packet import EigenExpansion, fold_rows, takes_fold
 from .system import WellSystem, level_momentum
 
 __all__ = [
@@ -277,22 +277,19 @@ def _spans(exp: EigenExpansion, table: MatrixElementTable, forms: list[str], q: 
         rows.clear()
 
 
-def _series(exp: EigenExpansion, ids: tuple[str, ...], times, *,
-            theta: Theta | None = None) -> list[NDArray[np.float64]]:
-    """Each series id over a time array, by the residue fold or from one
-    evolved block per time chunk.
+def _series(exp: EigenExpansion, ids: tuple[str, ...], times) -> list[NDArray[np.float64]]:
+    """Each series id over a time array or a Theta, by the residue fold or
+    from one evolved block per time chunk.
 
     Every form the ids need, <O>_t = Sum_mn b_m* O_mn b_n for O in
     {x, x2, p} with b_n(t) = a_n exp(-i E_n t / hbar), comes from one of two
     paths, which the cost rule (takes_fold) picks.  <p^2> = Sum |a_n|^2 p_n^2
-    is constant in time and needs neither.  ``theta``, the exact times / T,
-    makes the phases exact; one that is not the times' own is refused
-    (packet._check_theta).  Both read the forms' rows from one walk of
-    row spans (_spans), which also sums each form's rounding scale and its
-    Hermiticity probe, checked once per call on either path.  The rows
-    come from the packet's own table, built once per call (table_for).
+    is constant in time and needs neither.  Both read the forms' rows from
+    one walk of row spans (_spans), which also sums each form's rounding
+    scale and its Hermiticity probe, checked once per call on either path.
+    The rows come from the packet's own table, built once per call (table_for).
 
-    The fold (EigenExpansion.fold), on an exact grid: b_m* b_n carries the
+    The fold (EigenExpansion.fold), on a Theta: b_m* b_n carries the
     phase 2 pi (m^2 - n^2) theta.  Each form is Hermitian, so the pair
     (n, m) is the conjugate of (m, n) at the opposite residue, and
     <O> = Sum_n |a_n|^2 O_nn + 2 Re Sum_{m<n} b_m* O_mn b_n: only the pairs
@@ -316,8 +313,7 @@ def _series(exp: EigenExpansion, ids: tuple[str, ...], times, *,
     for which in ids:
         if which not in SERIES_IDS:
             raise ValueError(f"unknown series id {which!r}")
-    t = np.asarray(times, dtype=float).reshape(-1)
-    _check_theta(t, theta, exp.sys)
+    n = np.size(times)
     table = table_for(exp)
     forms = [f for f in ("x", "x2", "p") if any(f in _FORMS[w] for w in ids)]
     scales, probes = np.zeros((2, len(forms)))
@@ -387,8 +383,8 @@ def _series(exp: EigenExpansion, ids: tuple[str, ...], times, *,
 
     if not forms:
         vals = {}
-    elif takes_fold(t, theta, exp.coefficients.size ** 2):
-        raw = exp.fold(pairs(theta.den), theta, len(forms))
+    elif takes_fold(times, exp.coefficients.size ** 2):
+        raw = exp.fold(pairs(times.den), times, len(forms))
         vals = dict(zip(forms, raw.real))
         if "p" in vals:
             # p = i R was binned as R: <p> = Re(i FFT) = -Im FFT, in place
@@ -398,8 +394,7 @@ def _series(exp: EigenExpansion, ids: tuple[str, ...], times, *,
         dense = np.empty((len(forms), N, N))
         for span, _, rows in _spans(exp, table, forms, 0, scales, probes):
             np.stack(rows, out=dense[:, span])
-        raw = exp.map_chunks(assemble, t, np.empty((len(forms), t.size), dtype=complex),
-                             theta=theta)
+        raw = exp.map_chunks(assemble, times, np.empty((len(forms), n), dtype=complex))
         vals = {}
         for f, scale, v in zip(forms, scales, raw):
             _check_residue(f, float(np.max(np.abs(v.imag))) if v.size else 0.0, scale)
@@ -414,7 +409,7 @@ def _series(exp: EigenExpansion, ids: tuple[str, ...], times, *,
             raise NumericalConsistencyError(
                 f"<x> = {x[np.argmax(out_of_well)]} outside the well")
     if any(w in ("p2", "dp") for w in ids):
-        vals["p2"] = np.full(t.size, mean_diagonal("p2"))
+        vals["p2"] = np.full(n, mean_diagonal("p2"))
 
     out = []
     for which in ids:
@@ -426,35 +421,29 @@ def _series(exp: EigenExpansion, ids: tuple[str, ...], times, *,
     return out
 
 
-def expectation_series(exp: EigenExpansion, which, times, *,
-                       theta: Theta | None = None):
-    """Vectorized expectation over a time array.
+def expectation_series(exp: EigenExpansion, which, times):
+    """Vectorized expectation over a time array or a Theta.
 
     ``which`` is one id of SERIES_IDS ("dx" and "dp" are the
     uncertainties) or a tuple of them; a tuple returns a tuple of arrays,
-    all assembled on one path of the kernel (_series).  ``theta``, the
-    exact times / T, makes every phase exact.
+    all assembled on one path of the kernel (_series).
     """
     if isinstance(which, str):
-        return _series(exp, (which,), times, theta=theta)[0]
-    return tuple(_series(exp, tuple(which), times, theta=theta))
+        return _series(exp, (which,), times)[0]
+    return tuple(_series(exp, tuple(which), times))
 
 
-def uncertainty_series(exp: EigenExpansion, which: str, times, *,
-                       theta: Theta | None = None) -> NDArray[np.float64]:
-    """Vectorized uncertainty over a time array.  ``theta``, the exact
-    times / T, makes every phase exact."""
+def uncertainty_series(exp: EigenExpansion, which: str, times) -> NDArray[np.float64]:
+    """Vectorized uncertainty over a time array or a Theta."""
     if which not in ("x", "p"):
         raise ValueError(f"uncertainty defined for x or p, got {which!r}")
-    return _series(exp, ("d" + which,), times, theta=theta)[0]
+    return _series(exp, ("d" + which,), times)[0]
 
 
-def sample_series(exp: EigenExpansion, which: str, schedule, *,
-                  theta: Theta | None = None) -> TimeSeries:
-    """One value per schedule point; which in {x, x2, p, p2, dx, dp}.
-    ``theta``, the exact schedule / T, makes every phase exact."""
-    times = np.asarray(schedule, dtype=float)
-    if times.size == 0:
+def sample_series(exp: EigenExpansion, which: str, schedule) -> TimeSeries:
+    """One value per schedule point, a time array or a Theta; which in
+    {x, x2, p, p2, dx, dp}."""
+    if np.size(schedule) == 0:
         raise ValueError("empty schedule")
-    values = expectation_series(exp, which, times, theta=theta)
-    return TimeSeries(observable=which, times=times, values=values)
+    values = expectation_series(exp, which, schedule)
+    return TimeSeries(observable=which, times=schedule, values=values)

@@ -43,7 +43,7 @@ RESIDUE_TABLE_BYTES = 16 * 2**20
 _MAX_DEN = 3_000_000_000
 
 # Relative rounding allowed between two closed-form values of one quantity:
-# T and 2 n0 tau, or a time and its exact theta = t / T.
+# T and 2 n0 tau or a Theta's T, or a time and its exact theta = t / T.
 _IDENTITY_TOL = 1e-12
 
 # Rows of level pairs (m, n) whose weights the residue fold bins at once, at
@@ -53,44 +53,20 @@ _IDENTITY_TOL = 1e-12
 FOLD_ROWS = 16
 
 
-def _check_theta(t: NDArray, theta: "Theta | None", sys: WellSystem | None = None):
-    """Refuse a theta that does not hold one value per time, or, given the
-    well ``sys`` of revival time T, one that is not the times' own: theta_j
-    = t_j / T mod 1 within _IDENTITY_TOL max(1, t_j / T).  Every series,
-    correlation and field passes the latter before its phases are formed."""
-    if theta is not None and theta.num.shape != t.shape:
-        raise ValueError("theta must hold one value per time")
-    if theta is not None and sys is not None:
-        x = t / revival_time(sys)
-        d = x - theta.num / theta.den
-        d -= np.rint(d)
-        np.abs(d, out=d)
-        # within _IDENTITY_TOL every sample passes, with no tolerance array formed
-        if d.max(initial=0.0) > _IDENTITY_TOL:
-            bad = np.flatnonzero(d > _IDENTITY_TOL * np.maximum(1.0, np.abs(x)))
-            if bad.size:
-                j = bad[0]
-                raise ValueError(f"theta: {theta.num[j]}/{theta.den} at sample {j} is not "
-                                 f"t / T = {x[j]:.17g} mod 1")
-
-
-def takes_fold(times, theta: "Theta | None", terms: int) -> bool:
+def takes_fold(times, terms: int) -> bool:
     """The cost rule: whether sums of ``terms`` phase terms at each of the
     times take EigenExpansion.fold rather than map_chunks.
 
-    On the exact grid ``theta`` of denominator q, the fold costs
+    On exact times (a Theta) of denominator q, the fold costs
     terms + q log2 q and the chunks T terms for T times; the fold takes
     them when it is the cheaper and its length-q bins fit
     RESIDUE_TABLE_BYTES.  A moment sums N^2 terms, a correlation N.  Float
-    times (no theta) always take the chunks, and a theta that does not hold
-    one value per time is refused either way.
+    times always take the chunks.
     """
-    t = np.asarray(times).reshape(-1)
-    _check_theta(t, theta)
-    if theta is None:
+    if not isinstance(times, Theta):
         return False
-    q = theta.den
-    return terms + q * math.log2(q) < t.size * terms and 16 * q <= RESIDUE_TABLE_BYTES
+    q = times.den
+    return terms + q * math.log2(q) < times.t.size * terms and 16 * q <= RESIDUE_TABLE_BYTES
 
 
 def fold_rows(n_levels: int, q: int) -> list[slice]:
@@ -153,43 +129,82 @@ def map_phases(fn: Callable[[NDArray[np.complex128]], NDArray], energies: NDArra
     return out
 
 
+def _fractions(values) -> tuple[list[int], int] | None:
+    """Exact values (Fractions or ints) as numerators mod their common denominator
+    den, and den; None if a value is None or den reaches 3e9, TypeError if inexact."""
+    if any(v is None for v in values):
+        return None
+    from fractions import Fraction  # here, so that importing the package does not load it
+    for v in values:
+        if not isinstance(v, (int, Fraction)):
+            raise TypeError(f"theta must be exact (int or Fraction), not {type(v).__name__}")
+    den = math.lcm(*(v.denominator for v in values))
+    if den >= _MAX_DEN:
+        return None
+    return [v.numerator * (den // v.denominator) % den for v in values], den
+
+
 @dataclass(frozen=True, eq=False)
 class Theta:
-    """Times as exact fractions of the revival time T: theta_j = t_j / T.
+    """Float times t_j with their exact fractions theta_j = t_j / T of the
+    revival time T, checked once when built (Theta.of, Theta.progression).
 
     Only theta mod 1 sets a box phase, E_n t / hbar = 2 pi n^2 theta, so
     theta_j is held as num[j] / den mod 1 over one denominator.  A time
-    literal in units of tau = T / (2 n0) or of T is such a fraction.
-    """
+    literal in units of tau = T / (2 n0) or of T is such a fraction.  As an
+    array (np.asarray, np.size) a Theta is its read-only float times t."""
 
+    t: NDArray[np.float64]
     num: NDArray[np.int64]
     den: int
+    T: float
+
+    def __post_init__(self):
+        """Refuse fractions that are not one per time, or not the float times'
+        own: theta_j = t_j / T mod 1 within _IDENTITY_TOL max(1, t_j / T)."""
+        t = np.array(self.t, dtype=float).reshape(-1)
+        if self.num.shape != t.shape:
+            raise ValueError("theta must hold one value per time")
+        x = t / self.T
+        d = x - self.num / self.den
+        d -= np.rint(d)
+        np.abs(d, out=d)
+        # within _IDENTITY_TOL every sample passes, with no tolerance array formed
+        if d.max(initial=0.0) > _IDENTITY_TOL:
+            bad = np.flatnonzero(d > _IDENTITY_TOL * np.maximum(1.0, np.abs(x)))
+            if bad.size:
+                j = bad[0]
+                raise ValueError(f"theta: {self.num[j]}/{self.den} at sample {j} is not "
+                                 f"t / T = {x[j]:.17g} mod 1")
+        t.setflags(write=False)
+        object.__setattr__(self, "t", t)
 
     @classmethod
-    def of(cls, values) -> "Theta | None":
-        """From exact values (Fractions or ints); None when any value is None
-        or their common denominator reaches 3e9, TypeError on any other value."""
-        if any(v is None for v in values):
-            return None
-        from fractions import Fraction  # here, so that importing the package does not load it
-        for v in values:
-            if not isinstance(v, (int, Fraction)):
-                raise TypeError(f"theta must be exact (int or Fraction), not {type(v).__name__}")
-        den = math.lcm(*(v.denominator for v in values))
-        if den >= _MAX_DEN:
-            return None
-        num = [v.numerator * (den // v.denominator) % den for v in values]
-        return cls(np.array(num, dtype=np.int64), den)
+    def of(cls, times, T: float, values) -> "Theta | NDArray[np.float64]":
+        """The times with their exact t / T ``values``, Fractions or ints, one
+        per time; the plain float times if _fractions finds no exact part."""
+        exact = _fractions(values)
+        if exact is None:
+            return np.asarray(times, dtype=float)
+        return cls(times, np.array(exact[0], dtype=np.int64), exact[1], T)
 
     @classmethod
-    def progression(cls, start, step, count: int) -> "Theta | None":
-        """theta_j = start + j step for j = 0 .. count - 1; None when the
-        denominator reaches 3e9."""
-        head = cls.of([start, step])
-        if head is None:
-            return None
-        a, b = (int(v) for v in head.num)
-        return cls((np.arange(count, dtype=np.int64) * b + a) % head.den, head.den)
+    def progression(cls, times, T: float, start, step) -> "Theta | NDArray[np.float64]":
+        """The times with their exact t / T = start + j step, j = 0, 1, ...;
+        the plain float times if _fractions finds no exact part."""
+        exact = _fractions([start, step])
+        if exact is None:
+            return np.asarray(times, dtype=float)
+        (a, b), den = exact
+        return cls(times, (np.arange(np.size(times), dtype=np.int64) * b + a) % den, den, T)
+
+    def __array__(self, dtype=None, copy=None):
+        return np.array(self.t, dtype=dtype, copy=copy)
+
+    def __iter__(self):
+        """Each time as a Theta of its own, as the wavefunctions take them."""
+        return (Theta(self.t[j:j + 1], self.num[j:j + 1], self.den, self.T)
+                for j in range(self.t.size))
 
     def step(self) -> int | None:
         """The constant step b mod den of a progression num_j = num_0 + j b,
@@ -289,33 +304,39 @@ class EigenExpansion:
         """|a_n|^2 over the window."""
         return np.abs(self.coefficients) ** 2
 
-    def _phase_rows(self, t: NDArray[np.float64], theta: Theta | None):
-        """The function from a slice of the times to its phase block P: with
-        theta, unit_roots of the exact residues r = (n^2 mod q)(num mod q)
-        mod q, one per phase term and no array of length q; without,
-        float_phases' exp(-i E_n t / hbar)."""
-        if theta is None:
+    def _phase_rows(self, times):
+        """The function from a slice of the times to its phase block P: for a
+        Theta, unit_roots of the exact residues r = (n^2 mod q)(num mod q)
+        mod q, one per phase term and no array of length q; for float
+        times, float_phases' exp(-i E_n t / hbar)."""
+        if not isinstance(times, Theta):
+            t = np.asarray(times, dtype=float).reshape(-1)
             return float_phases(self.energies, self.sys.hbar, t)
-        q, n2 = theta.den, self.square_residues(theta.den)
-        return lambda s: unit_roots(np.multiply.outer(theta.num[s], n2) % q, q)
+        q, n2 = self._den(times), self.square_residues(times.den)
+        return lambda s: unit_roots(np.multiply.outer(times.num[s], n2) % q, q)
+
+    def _den(self, times: Theta) -> int:
+        """The denominator q of ``times``, refused unless they were built for
+        this well's revival time T: every exact phase path asks for it."""
+        if abs(times.T - revival_time(self.sys)) > _IDENTITY_TOL * times.T:
+            raise ValueError(f"theta: built for T = {times.T!r}, not this well's T")
+        return times.den
 
     def map_chunks(self, fn: Callable[[NDArray[np.complex128]], NDArray], times,
-                   out: NDArray, *, theta: Theta | None = None) -> NDArray:
+                   out: NDArray) -> NDArray:
         """map_phases over this window's spectrum: out[..., s] = fn(P) for every
         time chunk s, P = exp(-i E_n t / hbar) over times[s]; returns out.
-        ``theta``, the exact times / T, makes every phase an exact residue
-        (see _phase_rows).  fn may overwrite P.
+        A Theta makes every phase an exact residue (see _phase_rows).  fn
+        may overwrite P.
         """
-        t = np.asarray(times, dtype=float).reshape(-1)
-        _check_theta(t, theta)
-        return map_phases(fn, self.energies, self.sys.hbar, t, out, self._phase_rows(t, theta))
+        return map_phases(fn, self.energies, self.sys.hbar, times, out, self._phase_rows(times))
 
     def square_residues(self, q: int) -> NDArray[np.int64]:
         """n^2 mod q over the window: the box phase 2 pi n^2 theta at theta = num / q
         is 2 pi (n^2 mod q) num / q."""
         return (self.levels % q) ** 2 % q
 
-    def fold(self, blocks: Iterable, theta: Theta, forms: int) -> NDArray[np.complex128]:
+    def fold(self, blocks: Iterable, times: Theta, forms: int) -> NDArray[np.complex128]:
         """The residue fold: out[k, j] = Sum_r S[k, r] exp(2 pi i r num_j / q).
 
         ``blocks`` yields pairs (r, ws): residues r in [0, q) of the phase
@@ -334,7 +355,7 @@ class EigenExpansion:
         spread over the others.  Costs O(pairs + q log q) and holds
         O(q + T), whatever T.
         """
-        q = theta.den
+        q = self._den(times)
         bins = np.zeros((forms, q), dtype=complex)
         first, partial = True, None
         # not enumerate, whose cached result would keep a block alive while
@@ -357,14 +378,14 @@ class EigenExpansion:
         const = bins[:, 0].copy()
         bins[:, 0] = 0.0
         # -num_j lies in (-q, 0]: take reads it as -num_j mod q
-        out = np.take(np.fft.fft(bins, axis=1), -theta.num, axis=1)
+        out = np.take(np.fft.fft(bins, axis=1), -times.num, axis=1)
         out += const[:, None]
         return out
 
-    def split(self, weights: NDArray[np.float64], theta: Theta,
+    def split(self, weights: NDArray[np.float64], times: Theta,
               step: int) -> NDArray[np.complex128]:
         """The two-level split: out[k, j] = Sum_n weights[n, k] exp(2 pi i n^2 theta_j)
-        over the progression theta_j = (a + j step) / q, a = theta.num[0].
+        over the progression theta_j = (a + j step) / q, a = times.num[0].
 
         With j = j1 + J j2 and J about sqrt(T) for T times, the phase of
         level n at sample j is the product of a baby step
@@ -377,10 +398,10 @@ class EigenExpansion:
         RESIDUE_TABLE_BYTES; V is built a block of _time_chunks at a time,
         the GEMM's rows, so that no value depends on the blocks.
         """
-        q, times, forms = theta.den, theta.num.size, weights.shape[1]
+        q, count, forms = self._den(times), times.num.size, weights.shape[1]
         n2 = self.square_residues(q)
-        J = min(math.isqrt(times - 1) + 1, max(1, RESIDUE_TABLE_BYTES // (16 * forms * n2.size)))
-        giants = -(-times // J)
+        J = min(math.isqrt(count - 1) + 1, max(1, RESIDUE_TABLE_BYTES // (16 * forms * n2.size)))
+        giants = -(-count // J)
         half = (q - 1) // 2
 
         def roots(j: NDArray[np.int64], start: int, stride: int):
@@ -392,20 +413,20 @@ class EigenExpansion:
             r -= half
             return unit_roots(r, q)
 
-        UW = (roots(np.arange(J), int(theta.num[0]), step)
+        UW = (roots(np.arange(J), int(times.num[0]), step)
               * weights.T[:, None, :]).reshape(-1, n2.size)
         grid = np.empty((forms, giants, J), dtype=complex)
         for s in _time_chunks(giants, n2.size):
             M = roots(np.arange(s.start, s.stop), 0, step * J % q) @ UW.T
             grid[:, s] = np.conj(M).reshape(-1, forms, J).transpose(1, 0, 2)
-        return grid.reshape(forms, -1)[:, :times]
+        return grid.reshape(forms, -1)[:, :count]
 
-    def phases_at(self, t: float, theta=None) -> NDArray[np.complex128]:
-        """Coefficients evolved to time t: a_n exp(-i E_n t / hbar); ``theta``
-        is the exact t / T, if known."""
-        t, theta = np.array([t], dtype=float), Theta.of([theta])
-        _check_theta(t, theta, self.sys)
-        return self.coefficients * self._phase_rows(t, theta)(slice(None))[0]
+    def phases_at(self, t) -> NDArray[np.complex128]:
+        """Coefficients evolved to one time t, a float or a Theta of one time:
+        a_n exp(-i E_n t / hbar)."""
+        if np.size(t) != 1:
+            raise ValueError(f"phases_at takes one time, got {np.size(t)}")
+        return self.coefficients * self._phase_rows(t)(slice(None))[0]
 
 
 def build_gaussian_packet(spec: PacketSpec, sys: WellSystem = WellSystem()) -> EigenExpansion:

@@ -15,7 +15,7 @@ from itertools import chain
 import numpy as np
 
 from . import correlation, observables, powerlaw, timescales
-from .config import RunConfig, parse_theta
+from .config import RunConfig
 from .evolution import (MomentumGrid, SpatialGrid, momentum_wavefunction,
                         position_wavefunction, probability_density)
 from .packet import PacketSpec, build_gaussian_packet
@@ -98,10 +98,9 @@ def run_evolve(cfg: RunConfig, out_dir):
         # more than one basis; each group builds the basis once
         group = len(exp.levels)
         for g in range(0, len(times), group):
-            ts, thetas = zip(*times[g:g + group])
-            fields = wavefunction(exp, grid, ts, thetas)
-            for k, t in enumerate(ts):
-                i, lit = g + k, cfg.evolve.times[g + k]
+            fields = wavefunction(exp, grid, times[g:g + group])
+            for k in range(len(fields)):
+                i, lit, t = g + k, cfg.evolve.times[g + k], fields[k].time
                 dens = probability_density(fields[k])
                 fields[k] = None        # each field dropped once its density is taken
                 files.append(out.emit(
@@ -117,8 +116,9 @@ def run_observables(cfg: RunConfig, out_dir):
     """<x>, dx, <p>, dp over the configured schedule, with reference columns."""
     out = _Output(cfg, "observables", out_dir)
     exp, report = _prepare(cfg)
-    times, theta = cfg.schedule.resolve(report.tau, report.T_rev, cfg.packet.n0)
-    series = observables.expectation_series(exp, ("x", "dx", "p", "dp"), times, theta=theta)
+    schedule = cfg.schedule.resolve(report.tau, report.T_rev, cfg.packet.n0)
+    series = observables.expectation_series(exp, ("x", "dx", "p", "dp"), schedule)
+    times = np.asarray(schedule)
 
     sys = cfg.system
     dx0 = cfg.packet.dx0_value(sys)
@@ -139,16 +139,16 @@ def run_correlate(cfg: RunConfig, out_dir):
     out = _Output(cfg, "correlate", out_dir)
     exp, report = _prepare(cfg)
     n0 = cfg.packet.n0
-    times, theta = cfg.schedule.resolve(report.tau, report.T_rev, n0)
+    times = cfg.schedule.resolve(report.tau, report.T_rev, n0)
     scan = cfg.correlate.scan_grid(report.tau, report.T_rev, n0) if cfg.correlate.scan else None
 
-    absC, absM = np.abs(correlation.autocorrelation_series(exp, times, theta, mirror=True))
-    files = [out.emit("correlation", ["t", "absC", "absCbar"], [(times, absC, absM)],
+    C = np.abs(correlation.autocorrelation_series(exp, times, mirror=True))
+    files = [out.emit("correlation", ["t", "absC", "absCbar"], [(np.asarray(times), *C)],
                       {"kind": "correlation"})]
 
     if cfg.correlate.fit:
-        fit = correlation.fit_collapse(exp, report.tau, cfg.correlate.threshold,
-                                       theta=parse_theta("1tau", n0))
+        period = cfg.correlate.fit_period(report.tau, report.T_rev, n0)
+        fit = correlation.fit_collapse(exp, period, cfg.correlate.threshold)
         files.append(out.json("collapse_fit.json", {
             "kind": "collapse-fit",
             "T_C_estimate": fit.T_C_estimate,
@@ -240,8 +240,8 @@ def run_scan_flatten(cfg: RunConfig, out_dir):
                           window_sigmas=cfg.packet.window_sigmas)
         exp = build_gaussian_packet(spec, cfg.system)
         report = timescales.compute_timescales(cfg.system, spec)
-        times, theta = fl.sample_times(report.tau, report.T_rev, spec.n0)
-        series = observables.sample_series(exp, "dx", times, theta=theta)
+        series = observables.sample_series(
+            exp, "dx", fl.sample_times(report.tau, report.T_rev, spec.n0))
         t_star = timescales.detect_flattening(series, cfg.system,
                                               epsilon=fl.epsilon, hold=fl.hold)
         detections.append({"dx0": dx0, "t_star": t_star,

@@ -106,7 +106,8 @@ def test_field_at_fractional_revivals_is_the_clone_sum(n0, dx0, x0):
     # roots of its reduced residues
     exp, T = _packet(n0, dx0, x0)
     grid = SpatialGrid.default(exp.sys, 1001)
-    fields = position_wavefunction(exp, grid, [float(th) * T for th in FRACTIONS], FRACTIONS)
+    fields = position_wavefunction(exp, grid, [Theta.of([float(th) * T], T, [th])
+                                               for th in FRACTIONS])
     psi0_at = {}
     for theta, field in zip(FRACTIONS, fields):
         clones, weight_sum = _clone_sum(exp, grid.points, theta, psi0_at)
@@ -159,14 +160,13 @@ def test_moments_at_fractional_revivals_match_the_clone_sum(n0, dx0, x0):
         assert abs(dx - want_dx) <= tol_dx, (theta, dx, want_dx)
 
     for q in range(1, Q_MAX + 1):
-        grid = Theta.progression(Fraction(0), Fraction(1, q), q)
-        times = np.arange(q) * (T / q)
-        assert takes_fold(times, grid, N * N) == (q > 1)
-        x_mean, dx = expectation_series(exp, ("x", "dx"), times, theta=grid)
+        grid = Theta.progression(np.arange(q) * (T / q), T, Fraction(0), Fraction(1, q))
+        assert takes_fold(grid, N * N) == (q > 1)
+        x_mean, dx = expectation_series(exp, ("x", "dx"), grid)
         for j in range(q):
             check(Fraction(j, q), float(x_mean[j]), float(dx[j]))
     for theta in FRACTIONS:
-        one = Theta.of([theta])
-        assert not takes_fold([float(theta) * T], one, N * N)
-        x_mean, dx = expectation_series(exp, ("x", "dx"), [float(theta) * T], theta=one)
+        one = Theta.of([float(theta) * T], T, [theta])
+        assert not takes_fold(one, N * N)
+        x_mean, dx = expectation_series(exp, ("x", "dx"), one)
         check(theta, float(x_mean[0]), float(dx[0]))

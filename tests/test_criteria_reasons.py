@@ -24,10 +24,11 @@ def test_c05_momentum_mean_is_the_lobe_imbalance(default_exp, default_report, sy
     theta = Fraction(31, 200)
     t = float(theta) * default_report.T_rev
     p0 = default_exp.spec.n0 * math.pi * sys0.hbar / sys0.width_L
-    p = expectation_series(default_exp, "p", [t], theta=Theta.of([theta]))[0]
+    at = Theta.of([t], default_report.T_rev, [theta])
+    p = expectation_series(default_exp, "p", at)[0]
 
     grid = MomentumGrid.default(sys0, default_exp.spec.n0, 2.0, 1.0)
-    rho = probability_density(momentum_wavefunction(default_exp, grid, t, theta=theta))
+    rho = probability_density(momentum_wavefunction(default_exp, grid, at)[0])
     P = grid.points
     plus, minus = P >= 0, P <= 0
     w_plus, w_minus = np.trapezoid(rho[plus], P[plus]), np.trapezoid(rho[minus], P[minus])

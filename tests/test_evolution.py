@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from wellpacket import (MomentumGrid, PacketSpec, SpatialGrid, build_gaussian_packet,
+from wellpacket import (MomentumGrid, PacketSpec, SpatialGrid, Theta, build_gaussian_packet,
                         compute_timescales, density_norm, momentum_wavefunction,
                         position_wavefunction, probability_density)
 from wellpacket import evolution, packet
@@ -156,20 +156,29 @@ def _times(report):
     return [0.0, report.T_rev / 4, 124 * report.tau, 0.0123]
 
 
+def _values(report):
+    """The times of _times, each a value of its own, exact where THETAS is."""
+    return [Theta.of([t], report.T_rev, [theta]) for t, theta in zip(_times(report), THETAS)]
+
+
 @pytest.mark.parametrize("wavefunction, grid", [(position_wavefunction, "xgrid"),
                                                 (momentum_wavefunction, "pgrid")])
 def test_time_sequence_gives_the_scalar_fields(default_exp, default_report, wavefunction,
                                                grid, request):
     grid = request.getfixturevalue(grid)
-    times = _times(default_report)
-    fields = wavefunction(default_exp, grid, times, THETAS)
+    times, T, values = _times(default_report), default_report.T_rev, _values(default_report)
+    fields = wavefunction(default_exp, grid, values)
     assert [f.time for f in fields] == times
-    for f, t, theta in zip(fields, times, THETAS):
-        assert np.array_equal(f.amplitudes, wavefunction(default_exp, grid, t, theta).amplitudes)
+    for f, value in zip(fields, values):
+        assert np.array_equal(f.amplitudes, wavefunction(default_exp, grid, value)[0].amplitudes)
     for f, t in zip(wavefunction(default_exp, grid, times), times):
         assert np.array_equal(f.amplitudes, wavefunction(default_exp, grid, t).amplitudes)
-    with pytest.raises(ValueError, match="one theta per time"):
-        wavefunction(default_exp, grid, times, THETAS[:2])
+    # a Theta of several times gives a field per time, its unit roots over
+    # the times' common denominator rounding apart from each time's own
+    for f, g in zip(wavefunction(default_exp, grid, Theta.of(times[:3], T, THETAS[:3])), fields):
+        assert f.time == g.time and np.max(np.abs(f.amplitudes - g.amplitudes)) <= 1e-13
+    with pytest.raises(ValueError, match="one value per time"):
+        Theta.of(times, T, THETAS[:2])
 
 
 @pytest.mark.parametrize("rows", [2, 3, 5, 7, 64, 100])
@@ -178,12 +187,12 @@ def test_smaller_basis_blocks_give_equal_fields(default_exp, default_report, xgr
     # the basis blocks are the phase kernel's chunks: a budget of 2 to 100
     # rows splits 4096 positions and 3771 momenta into balanced blocks,
     # none of them a single row, and no field may move
-    times = _times(default_report)
-    whole = [position_wavefunction(default_exp, xgrid, times, THETAS),
-             momentum_wavefunction(default_exp, pgrid, times, THETAS)]
+    times = _values(default_report)
+    whole = [position_wavefunction(default_exp, xgrid, times),
+             momentum_wavefunction(default_exp, pgrid, times)]
     monkeypatch.setattr(packet, "PHASE_CHUNK_BYTES", 16 * len(default_exp.levels) * rows)
-    blocked = [position_wavefunction(default_exp, xgrid, times, THETAS),
-               momentum_wavefunction(default_exp, pgrid, times, THETAS)]
+    blocked = [position_wavefunction(default_exp, xgrid, times),
+               momentum_wavefunction(default_exp, pgrid, times)]
     for a, b in zip(whole, blocked):
         for fa, fb in zip(a, b):
             assert np.array_equal(fa.amplitudes, fb.amplitudes)

@@ -117,11 +117,12 @@ def _same_points(fit, reference: int):
 def test_box_fits_use_the_points_of_the_scalar_loop(sys0, n0, dx0, exact):
     spec = PacketSpec(n0=n0, x0=0.5, dx0=dx0)
     exp = build_gaussian_packet(spec, sys0)
-    tau = compute_timescales(sys0, spec).tau
+    report = compute_timescales(sys0, spec)
+    tau, T = report.tau, report.T_rev
     theta = Fraction(1, 2 * n0) if exact else None
-    reference = _scalar_points(
-        lambda n: abs(autocorrelation(exp, n * tau, None if theta is None else n * theta)))
-    _same_points(lambda: fit_collapse(exp, tau, theta=theta), reference)
+    reference = _scalar_points(lambda n: abs(autocorrelation(
+        exp, Theta.of([n * tau], T, [None if theta is None else n * theta]))))
+    _same_points(lambda: fit_collapse(exp, Theta.of([tau], T, [theta])), reference)
 
 
 @pytest.mark.parametrize("half", [False, True], ids=["full", "half"])
@@ -155,8 +156,8 @@ def test_golden_fit_points_are_within_four_eps_of_the_oracle(fitted_points):
     cfg = parse_config(CONFIGS["correlate"])
     exp = build_gaussian_packet(cfg.packet, cfg.system)
     theta = Fraction(1, 2 * cfg.packet.n0)
-    fit_collapse(exp, compute_timescales(cfg.system, cfg.packet).tau,
-                 cfg.correlate.threshold, theta=theta)
+    report = compute_timescales(cfg.system, cfg.packet)
+    fit_collapse(exp, Theta.of([report.tau], report.T_rev, [theta]), cfg.correlate.threshold)
     (_, mags), = fitted_points
     assert mags.size == 18
     for n, mag in enumerate(mags, start=1):
@@ -205,17 +206,20 @@ def test_every_fit_reaches_the_one_float_phase_formula(monkeypatch, default_exp,
 
 
 def test_theta_must_be_exact(default_exp, default_report):
+    T, tau = default_report.T_rev, default_report.tau
     with pytest.raises(TypeError, match="float"):
-        Theta.of([Fraction(1, 2), 0.5])
+        Theta.of([0.5 * T, 0.5 * T], T, [Fraction(1, 2), 0.5])
     with pytest.raises(TypeError, match="float"):
-        autocorrelation(default_exp, 0.5 * default_report.T_rev, 0.5)
+        autocorrelation(default_exp, Theta.of([0.5 * T], T, [0.5]))
     with pytest.raises(TypeError, match="float"):
-        fit_collapse(default_exp, default_report.tau, theta=1 / 800)
+        fit_collapse(default_exp, Theta.of([tau], T, [1 / 800]))
 
 
 def test_fit_collapse_refuses_a_theta_of_another_tau(default_exp, default_report):
-    # 1 / 400 is twice the default packet's tau / T = 1 / 800
+    # 1 / 400 is twice the default packet's tau / T = 1 / 800: the period's
+    # value is refused as it is built
+    T, tau = default_report.T_rev, default_report.tau
     with pytest.raises(ValueError, match="theta"):
-        fit_collapse(default_exp, default_report.tau, theta=Fraction(1, 400))
-    exact = fit_collapse(default_exp, default_report.tau, theta=Fraction(1, 800))
+        fit_collapse(default_exp, Theta.of([tau], T, [Fraction(1, 400)]))
+    exact = fit_collapse(default_exp, Theta.of([tau], T, [Fraction(1, 800)]))
     assert exact.points_used == fit_collapse(default_exp, default_report.tau).points_used

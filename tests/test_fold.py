@@ -28,9 +28,9 @@ def _scale(exp, table, which):
 
 
 def _period_schedule(exp, count):
-    """The dense 0..1T schedule of ``count`` samples and its exact grid."""
+    """The dense 0..1T schedule of ``count`` samples, exact."""
     T = compute_timescales(exp.sys, exp.spec).T_rev
-    return np.linspace(0.0, T, count), Theta.progression(0, Fraction(1, count - 1), count)
+    return Theta.progression(np.linspace(0.0, T, count), T, 0, Fraction(1, count - 1))
 
 
 @pytest.fixture
@@ -81,8 +81,8 @@ def test_fold_is_within_two_eps_of_its_scale(sys0, paths, n0, x0, dx0, count, at
     # eight samples), and 0.42 eps at N = 5093
     exp = build_gaussian_packet(PacketSpec(n0=n0, x0=x0, dx0=dx0), sys0)
     table = table_for(exp)
-    times, theta = _period_schedule(exp, count)
-    got = expectation_series(exp, ("x", "x2", "p"), times, theta=theta)
+    times = _period_schedule(exp, count)
+    got = expectation_series(exp, ("x", "x2", "p"), times)
     assert paths == {"fold": 1, "split": 0, "chunks": 0}
     oracle = mp_moments if n0 <= 400 else ld_moments
     ref = [oracle(exp, Fraction(j, count - 1)) for j in at]
@@ -110,13 +110,14 @@ def _grids():
 def test_fold_matches_the_chunked_kernel(sys0, monkeypatch, n0, dx0, num, q):
     exp = build_gaussian_packet(PacketSpec(n0=n0, x0=0.3, dx0=dx0), sys0)
     table = table_for(exp)
-    theta = Theta(num % q, q)
-    times = num / q * compute_timescales(sys0, exp.spec).T_rev
+    T = compute_timescales(sys0, exp.spec).T_rev
+    times = Theta.progression(num / q * T, T, Fraction(int(num[0]), q),
+                              Fraction(int(num[1] - num[0]), q))
     ids = ("x", "x2", "p")
 
     def both():
-        return (expectation_series(exp, ids, times, theta=theta),
-                autocorrelation_series(exp, times, theta, mirror=True))
+        return (expectation_series(exp, ids, times),
+                autocorrelation_series(exp, times, mirror=True))
 
     _force(monkeypatch, True)
     fold, fold_C = both()
@@ -146,15 +147,14 @@ def test_cost_rule_picks_the_path(sys0, paths):
     def schedule(text):
         return parse_config(text).schedule.resolve(rep.tau, rep.T_rev, spec.n0)
 
-    def moments(times, theta):
-        return lambda: expectation_series(exp, ("x", "dx", "p", "dp"), times,
-                                          theta=theta)
+    def moments(times):
+        return lambda: expectation_series(exp, ("x", "dx", "p", "dp"), times)
 
     dense = schedule("[schedule]\nmode = dense\nstart = 0\nstop = 1T\ncount = 3000\n")
     strobe = schedule("[schedule]\nn_start = 0\nn_stop = 800\nn_step = 3\n")
-    assert (dense[1].den, strobe[1].den) == (2999, 800)
-    assert path(moments(*dense)) == "fold"
-    assert path(moments(*strobe)) == "fold"
+    assert (dense.den, strobe.den) == (2999, 800)
+    assert path(moments(dense)) == "fold"
+    assert path(moments(strobe)) == "fold"
     # a full scan at 0.5 tau: q = 1600 for 1601 samples
     assert path(lambda: revival_scan(exp, (0.0, rep.T_rev), rep.tau / 2, 0.3,
                                      theta=(0, Fraction(1, 1600)))) == "fold"
@@ -166,33 +166,33 @@ def test_cost_rule_picks_the_path(sys0, paths):
                                      theta=(start / 800, res / 800))) == "split"
     # exact times that are not a progression, a single time, exact or not,
     # and plain-number times
-    squares = Theta.of([Fraction(k * k, 12345) for k in range(6)])
-    assert path(lambda: autocorrelation_series(exp, squares.num / 12345 * rep.T_rev, squares,
-                                               mirror=True)) == "chunks"
-    one = Theta.of([Fraction(1, 3)])
-    assert path(moments(np.array([rep.T_rev / 3]), one)) == "chunks"
-    assert path(lambda: autocorrelation_series(exp, [rep.T_rev / 3], one,
-                                               mirror=True)) == "chunks"
-    assert path(moments(dense[0], None)) == "chunks"
+    squares = [Fraction(k * k, 12345) for k in range(6)]
+    squares = Theta.of([float(k) * rep.T_rev for k in squares], rep.T_rev, squares)
+    assert path(lambda: autocorrelation_series(exp, squares, mirror=True)) == "chunks"
+    one = Theta.of([rep.T_rev / 3], rep.T_rev, [Fraction(1, 3)])
+    assert path(moments(one)) == "chunks"
+    assert path(lambda: autocorrelation_series(exp, one, mirror=True)) == "chunks"
+    assert path(moments(np.asarray(dense))) == "chunks"
     # the rule itself, at its edge: T = 2 at q = 4 folds 4 pairs (4 + 8 < 8
-    # fails) and 16 pairs (16 + 8 < 32)
-    grid = Theta.progression(0, Fraction(1, 4), 2)
-    assert not packet.takes_fold([0.0, 1.0], grid, 4)
-    assert packet.takes_fold([0.0, 1.0], grid, 16)
+    # fails) and 16 pairs (16 + 8 < 32); float times take the chunks
+    grid = Theta.progression([0.0, rep.T_rev / 4], rep.T_rev, 0, Fraction(1, 4))
+    assert not packet.takes_fold(grid, 4)
+    assert packet.takes_fold(grid, 16)
+    assert not packet.takes_fold(np.asarray(grid), 16)
     with pytest.raises(ValueError, match="one value per time"):
-        packet.takes_fold([0.0, 1.0, 2.0], grid, 16)
+        Theta.of([0.0, 1.0, 2.0], rep.T_rev, [0, Fraction(1, 4)])
 
 
 def test_uncertainty_series_takes_theta(sys0, paths):
     # an exact grid handed to uncertainty_series folds, as it does through
     # expectation_series, and gives the same bits
     exp = build_gaussian_packet(PacketSpec(n0=400, x0=0.3, dx0=0.05), sys0)
-    times, theta = _period_schedule(exp, 2001)
+    times = _period_schedule(exp, 2001)
     for which in ("x", "p"):
         paths.update(fold=0, split=0, chunks=0)
-        got = uncertainty_series(exp, which, times, theta=theta)
+        got = uncertainty_series(exp, which, times)
         assert paths == {"fold": 1, "split": 0, "chunks": 0}
-        want = expectation_series(exp, "d" + which, times, theta=theta)
+        want = expectation_series(exp, "d" + which, times)
         assert np.array_equal(got, want)
 
 
@@ -206,12 +206,11 @@ def test_fold_memory_does_not_grow_with_samples(sys0):
     T = compute_timescales(sys0, exp.spec).T_rev
     peaks = {}
     for count in (4000, 40000):
-        theta = Theta.progression(0, Fraction(1, 800), count)
-        times = np.arange(count) * (T / 800)
-        assert packet.takes_fold(times, theta, len(exp.coefficients) ** 2)
+        times = Theta.progression(np.arange(count) * (T / 800), T, 0, Fraction(1, 800))
+        assert packet.takes_fold(times, len(exp.coefficients) ** 2)
         tracemalloc.start()
         try:
-            expectation_series(exp, ("x", "dx", "p", "dp"), times, theta=theta)
+            expectation_series(exp, ("x", "dx", "p", "dp"), times)
             _, peaks[count] = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -225,7 +224,7 @@ def test_fold_memory_does_not_grow_with_samples(sys0):
 def _dtype_spy(fold, seen: list):
     """EigenExpansion.fold that records, for every block, the forms and the
     dtype of each weight array as the fold takes it."""
-    def spied(self, blocks, theta, forms):
+    def spied(self, blocks, times, forms):
         def each():
             for r, ws in blocks:
                 dtypes = []
@@ -236,7 +235,7 @@ def _dtype_spy(fold, seen: list):
                         dtypes.append(w.dtype)
                         yield w
                 yield r, weights()
-        return fold(self, each(), theta, forms)
+        return fold(self, each(), times, forms)
     return spied
 
 
@@ -253,14 +252,13 @@ def test_fold_weights_reach_it_complex_with_no_bincount(sys0, monkeypatch):
     monkeypatch.setattr(packet.EigenExpansion, "fold",
                         _dtype_spy(packet.EigenExpansion.fold, seen))
     exp = build_gaussian_packet(PacketSpec(n0=1500, x0=0.3, dx0=0.009), sys0)
-    times, theta = _period_schedule(exp, 601)
-    T = times[-1]
-    blocks = len(packet.fold_rows(exp.coefficients.size, theta.den))
+    times = _period_schedule(exp, 601)
+    T = times.t[-1]
+    blocks = len(packet.fold_rows(exp.coefficients.size, times.den))
     assert blocks > 1
-    calls = [(lambda: expectation_series(exp, "x", times, theta=theta), 1, blocks),
-             (lambda: expectation_series(exp, ("x", "dx", "p", "dp"), times,
-                                         theta=theta), 3, blocks),
-             (lambda: autocorrelation_series(exp, times, theta), 1, 1),
+    calls = [(lambda: expectation_series(exp, "x", times), 1, blocks),
+             (lambda: expectation_series(exp, ("x", "dx", "p", "dp"), times), 3, blocks),
+             (lambda: autocorrelation_series(exp, times), 1, 1),
              (lambda: revival_scan(exp, (0.0, T), T / 600, 0.3,
                                    theta=(0, Fraction(1, 600))), 2, 1)]
     for call, forms, count in calls:

@@ -105,20 +105,18 @@ def test_regimes_are_as_stated(packet):
 
 def test_fractional_revivals_at_listed_times(packet):
     exp, T = packet
-    times = np.array([float(th) for th in FRACTIONS]) * T
-    theta = Theta.of(FRACTIONS)
-    assert_heights(exp, np.abs(autocorrelation_series(exp, times, theta)),
-                   np.abs(mirror_correlation_series(exp, times, theta)), FRACTIONS)
+    times = Theta.of(np.array([float(th) for th in FRACTIONS]) * T, T, FRACTIONS)
+    assert_heights(exp, np.abs(autocorrelation_series(exp, times)),
+                   np.abs(mirror_correlation_series(exp, times)), FRACTIONS)
 
 
 def test_fractional_revivals_on_a_dense_grid(packet):
     # [0, T] in steps of T / 27720 holds every p/q with q <= 12 exactly
     exp, T = packet
-    times = np.linspace(0.0, T, GRID + 1)
-    theta = Theta.progression(0, Fraction(1, GRID), GRID + 1)
+    times = Theta.progression(np.linspace(0.0, T, GRID + 1), T, 0, Fraction(1, GRID))
     at = [int(th * GRID) for th in FRACTIONS]
-    C = np.abs(autocorrelation_series(exp, times, theta))
-    Cbar = np.abs(mirror_correlation_series(exp, times, theta))
+    C = np.abs(autocorrelation_series(exp, times))
+    Cbar = np.abs(mirror_correlation_series(exp, times))
     assert_heights(exp, C[at], Cbar[at], FRACTIONS)
     assert abs(C[-1] - 1.0) <= flat_bound(exp, 1)
 

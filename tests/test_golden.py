@@ -370,8 +370,8 @@ def test_observables_configs_pin_both_phase_paths(name, fold):
     cfg = parse_config(CONFIGS[name])
     exp = build_gaussian_packet(cfg.packet, cfg.system)
     report = compute_timescales(cfg.system, cfg.packet)
-    times, theta = cfg.schedule.resolve(report.tau, report.T_rev, cfg.packet.n0)
-    assert takes_fold(times, theta, exp.coefficients.size ** 2) == fold
+    times = cfg.schedule.resolve(report.tau, report.T_rev, cfg.packet.n0)
+    assert takes_fold(times, exp.coefficients.size ** 2) == fold
 
 
 @pytest.mark.parametrize("name, exact, path", [("correlate", True, "fold"),

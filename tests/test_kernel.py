@@ -10,12 +10,13 @@ import numpy as np
 import pytest
 
 from wellpacket import (OBSERVABLES, MomentumGrid, PacketSpec, SpatialGrid, Theta,
-                        autocorrelation, autocorrelation_series,
-                        build_gaussian_packet, compute_timescales,
-                        expectation_series, mirror_correlation_series,
-                        momentum_wavefunction, position_wavefunction,
-                        revival_scan, table_for, uncertainty_series)
+                        WellSystem, autocorrelation, autocorrelation_series,
+                        build_gaussian_packet, compute_timescales, expectation_series,
+                        fit_collapse, mirror_correlation_series, momentum_wavefunction,
+                        position_wavefunction, revival_scan, sample_series, table_for,
+                        uncertainty_series)
 from wellpacket import observables, packet
+from wellpacket.correlation import _scan_times
 from wellpacket.packet import takes_fold
 
 from oracles import (dense_expectation, direct_correlation, ld_moments, mp_moments,
@@ -109,18 +110,18 @@ def test_residue_tables_switch_at_16_mib_whatever_the_chunk_budget(monkeypatch, 
     # a table of the q unit roots would cost less than the work; none is built
     N = len(default_exp.energies)
     n_times = 21000
-    times = np.zeros(n_times)
+    T = 2.0 / math.pi
     assert n_times * N > 2**20 + 1
     rows = slice(0, 256)
     terms = 256 * N
     for q, taken in ((2**20, True), (2**20 + 1, False)):
-        theta = Theta(np.arange(n_times, dtype=np.int64) * 7919 % q, q)
-        assert packet.takes_fold(times, theta, 509**2) == taken, q
+        times = Theta.progression(np.arange(n_times) * 7919 / q * T, T, 0, Fraction(7919, q))
+        assert packet.takes_fold(times, 509**2) == taken, q
         # an exact chunk block is its roots and their int64 residues, 24
         # bytes a phase term, beside ufunc's buffer of at most 64 KiB for
         # the roots' strided imaginary parts, whatever q: no array of
         # length q on either side (measured 24 bytes a term + 66.6 KiB)
-        peak_bytes = _traced_peak(lambda: default_exp._phase_rows(times, theta)(rows))
+        peak_bytes = _traced_peak(lambda: default_exp._phase_rows(times)(rows))
         assert peak_bytes < 16 * q, (q, peak_bytes)
         assert peak_bytes <= 24 * terms + 2**17, (q, peak_bytes, terms)
 
@@ -222,8 +223,8 @@ def test_revival_scan_memory_is_bounded(sys0):
     step, start = Fraction(1, q), Fraction(1, 2) - Fraction(1000, q)
     window = (float(start) * rep.T_rev, float(start + 2000 * step) * rep.T_rev)
     res = float(step) * rep.T_rev
-    grid = Theta.progression(start, step, 2001)
-    assert not takes_fold(np.zeros(2001), grid, 283) and grid.step() == 1
+    grid = Theta.progression(_scan_times(rep.T_rev, *window, res), rep.T_rev, start, step)
+    assert not takes_fold(grid, 283) and grid.step() == 1
     found = []
     peak_bytes = _traced_peak(lambda: found.extend(
         revival_scan(exp, window, res, 0.3, theta=(start, step))))
@@ -259,7 +260,7 @@ def test_chunk_path_keeps_nothing_on_the_table(monkeypatch, sys0):
     # its forms)
     exp = build_gaussian_packet(PacketSpec(n0=1500, x0=0.5, dx0=0.009), sys0)
     N = len(exp.coefficients)
-    assert N == 283 and not takes_fold([0.1], None, N * N)
+    assert N == 283 and not takes_fold([0.1], N * N)
     expectation_series(exp, ("x", "x2", "p"), [0.2])
     built = []
     monkeypatch.setattr(observables, "table_for", lambda e: built.append(table_for(e)) or built[-1])
@@ -283,23 +284,24 @@ def _exact_times(n0):
 def test_exact_phases_match_the_mpmath_oracle(sys0, n0):
     exp = build_gaussian_packet(PacketSpec(n0=n0, x0=0.3, dx0=0.05), sys0)
     thetas = _exact_times(n0)
-    times = np.array([float(th) for th in thetas]) * compute_timescales(sys0, exp.spec).T_rev
+    T = compute_timescales(sys0, exp.spec).T_rev
+    times = np.array([float(th) for th in thetas]) * T
     ref = [mp_moments(exp, th) for th in thetas]
     p0 = n0 * math.pi * sys0.hbar / sys0.width_L
 
-    def errors(theta):
-        x, p = expectation_series(exp, ("x", "p"), times, theta=theta)
-        C = np.abs(autocorrelation_series(exp, times, theta))
-        Cbar = np.abs(mirror_correlation_series(exp, times, theta))
+    def errors(times):
+        x, p = expectation_series(exp, ("x", "p"), times)
+        C = np.abs(autocorrelation_series(exp, times))
+        Cbar = np.abs(mirror_correlation_series(exp, times))
         return [np.max(np.abs(got - [r[key] for r in ref])) / scale
                 for got, key, scale in ((x, "x", sys0.width_L), (p, "p", p0),
                                         (C, "absC", 1.0), (Cbar, "absCbar", 1.0))]
 
     # measured at most 2.9e-16 of scale, rounding of the sums themselves
-    assert max(errors(Theta.of(thetas))) <= 2e-15
+    assert max(errors(Theta.of(times, T, thetas))) <= 2e-15
     # the float fallback loses eps * E_n t / hbar: 1e-8 rad at n0 = 400 and
     # 1e-6 rad at n0 = 4000, by t = 100 T; measured 6.5e-10 of scale or more
-    assert min(errors(None)) > 1e-11
+    assert min(errors(times)) > 1e-11
 
 
 def test_long_double_oracle_agrees_with_mpmath(sys0):
@@ -330,12 +332,13 @@ def test_real_assembly_is_within_two_eps_of_its_scale(monkeypatch, sys0, n0, dx0
     exp = build_gaussian_packet(PacketSpec(n0=n0, x0=0.3, dx0=dx0), sys0)
     table = table_for(exp)
     thetas = _exact_times(n0)
-    times = np.array([float(th) for th in thetas]) * compute_timescales(sys0, exp.spec).T_rev
+    T = compute_timescales(sys0, exp.spec).T_rev
+    times = np.array([float(th) for th in thetas]) * T
     oracle = mp_moments if n0 <= 400 else ld_moments
     ref = [oracle(exp, th) for th in thetas]
     mags = np.abs(exp.coefficients)
     monkeypatch.setattr(observables, "takes_fold", lambda *args: False)
-    got = expectation_series(exp, ("x", "x2", "p"), times, theta=Theta.of(thetas))
+    got = expectation_series(exp, ("x", "x2", "p"), Theta.of(times, T, thetas))
     for which, values in zip(("x", "x2", "p"), got):
         scale = float(mags @ np.abs(operator_block(table, which)) @ mags)
         err = np.max(np.abs(values - np.array([r[which] for r in ref], dtype=float)))
@@ -352,73 +355,121 @@ def test_exact_phase_paths_agree(default_exp):
     grid = [Fraction(k, 2 * n0) for k in range(0, 1601, 37)] + [Fraction(1001, 10)]
     short = [Fraction(1, 3), Fraction(5, 7919), Fraction(123457, 2 * n0)]
     blocks = []
+    T, dens = 2.0 / math.pi, []
     for thetas in (grid, short):
-        theta = Theta.of(thetas)
-        times = np.array([float(th) for th in thetas]) * 2.0 / math.pi
+        times = Theta.of(np.array([float(th) for th in thetas]) * T, T, thetas)
+        dens.append(times.den)
         direct = np.array([[np.exp(-2j * math.pi * float(n * n * th % 1))
                             for n in default_exp.levels.tolist()] for th in thetas])
-        out = np.empty((N, times.size), dtype=complex)
-        blocks.append(default_exp.map_chunks(lambda P: P.T, times, out, theta=theta).T)
-        assert (theta.den <= times.size * N) == (thetas is grid)
+        out = np.empty((N, len(thetas)), dtype=complex)
+        blocks.append(default_exp.map_chunks(lambda P: P.T, times, out).T)
+        assert (times.den <= len(thetas) * N) == (thetas is grid)
         assert np.max(np.abs(blocks[-1] - direct)) <= 1e-15
-    assert grid[3].denominator == Theta.of(grid).den
-    assert np.array_equal(default_exp.phases_at(float(grid[3]) * 2.0 / math.pi, grid[3]),
-                          default_exp.coefficients * blocks[0][3])
+    assert grid[3].denominator == dens[0]
+    one = Theta.of([float(grid[3]) * T], T, grid[3:4])
+    assert np.array_equal(default_exp.phases_at(one), default_exp.coefficients * blocks[0][3])
+
+
+def _values(thetas, T=1.0):
+    """The times theta T of exact ``thetas``, built as one value."""
+    return Theta.of([float(th) * T for th in thetas], T, thetas)
 
 
 def test_theta_grids_and_their_limits():
-    th = Theta.progression(Fraction(-1, 3), Fraction(1, 4), 5)
+    th = Theta.progression([float(Fraction(-1, 3) + j * Fraction(1, 4)) for j in range(5)], 1.0,
+                           Fraction(-1, 3), Fraction(1, 4))
     assert th.den == 12
     assert th.num.tolist() == [8, 11, 2, 5, 8]        # -1/3 + j/4 mod 1, in twelfths
-    th = Theta.of([0, Fraction(5, 2), Fraction(-7, 6)])
+    th = _values([0, Fraction(5, 2), Fraction(-7, 6)])
     assert (th.num.tolist(), th.den) == ([0, 3, 5], 6)
     # one inexact value, or a denominator past the int64 range, is the float path
-    assert Theta.of([Fraction(1, 2), None]) is None
-    assert Theta.of([Fraction(1, 3_000_000_019)]) is None
-    assert Theta.progression(0, Fraction(1, 3_000_000_019), 3) is None
-    exp = build_gaussian_packet(PacketSpec(n0=40, x0=0.5, dx0=0.1))
+    for times in (Theta.of([0.5, 0.7], 1.0, [Fraction(1, 2), None]),
+                  _values([Fraction(1, 3_000_000_019)]),
+                  Theta.progression([0.0, 1.0, 2.0], 1.0, 0, Fraction(1, 3_000_000_019))):
+        assert type(times) is np.ndarray
     with pytest.raises(ValueError, match="one value per time"):
-        autocorrelation_series(exp, [0.0, 1.0], Theta.of([0]))
+        Theta.of([0.0, 1.0], 1.0, [0])
 
 
-def test_every_exact_entry_point_refuses_a_theta_of_other_times(default_exp):
+def test_a_theta_is_its_float_times():
+    # the benchmark's tracer counts phase terms as np.size(times): a Theta
+    # that counted as one sample would corrupt them without failing anything
+    T = 2.0 / math.pi
+    for times in (_values([Fraction(k, 800) for k in range(0, 2000, 7)], T),
+                  Theta.progression(np.arange(301) * (T / 800), T, 0, Fraction(1, 800)),
+                  _values([Fraction(1, 3)], T)):
+        assert np.size(times) == times.num.size
+        assert np.array_equal(np.asarray(times, dtype=float), times.t)
+        assert not times.t.flags.writeable and np.array(times).flags.writeable
+
+
+def test_single_time_entry_points_refuse_several_times(default_exp):
+    # autocorrelation and phases_at once took the first of several times:
+    # C(0.1) for [0.1, 0.2], and the coefficients at t = 0.1
+    T = 2.0 / math.pi
+    xgrid = SpatialGrid.default(default_exp.sys, 64)
+    for times in ([0.1, 0.2], np.array([0.1, 0.2]), _values([Fraction(1, 2), Fraction(1, 4)], T)):
+        for call in (lambda: autocorrelation(default_exp, times),
+                     lambda: default_exp.phases_at(times),
+                     lambda: position_wavefunction(default_exp, xgrid, [times])):
+            with pytest.raises(ValueError, match="takes one time, got 2"):
+                call()
+    assert autocorrelation(default_exp, [0.1]) == autocorrelation(default_exp, 0.1)
+    assert np.array_equal(default_exp.phases_at(np.array([0.1])), default_exp.phases_at(0.1))
+
+
+def test_a_theta_of_other_times_is_refused_when_built(default_exp):
     # (1/2, 1/4) is not t / T at t = 0.1 and 0.2 (T = 2 / pi): the series
     # once returned the T/2 and T/4 values, <x> = (0.5, 0.5) where the float
     # times give (0.49880, 0.50038), and a field the T/2 one labelled
-    # time = 0.1.  Every series, correlation and field refuses it
+    # time = 0.1.  Both constructors refuse it, so no entry point sees it
     exp, T = default_exp, 2.0 / math.pi
     times, other = [0.1, 0.2], [Fraction(1, 2), Fraction(1, 4)]
-    wrong = Theta.of(other)
+    for build in (lambda: Theta.of(times, T, other),
+                  lambda: Theta.of(times[:1], T, other[:1]),
+                  lambda: Theta.progression(times, T, other[0], other[1] - other[0])):
+        with pytest.raises(ValueError, match="theta"):
+            build()
+    # a Theta built for a well of another L, T = 8 / pi, is refused by
+    # every exact entry point, even at times that are exact in both wells
+    wrong = _values(other, 4 * T)
+    one = _values(other[:1], 4 * T)
     xgrid = SpatialGrid.default(exp.sys, 64)
     pgrid = MomentumGrid.default(exp.sys, exp.spec.n0, 2.0, 20.0)
     calls = {
-        "expectation": lambda: expectation_series(exp, "x", times, theta=wrong),
-        "moments": lambda: expectation_series(exp, ("x", "p"), times, theta=wrong),
-        "uncertainty": lambda: uncertainty_series(exp, "p", times, theta=wrong),
-        "C": lambda: autocorrelation_series(exp, times, wrong),
-        "C, C-bar": lambda: autocorrelation_series(exp, times, wrong, mirror=True),
-        "C-bar": lambda: mirror_correlation_series(exp, times, wrong),
-        "C(t)": lambda: autocorrelation(exp, 0.1, Fraction(1, 2)),
-        "psi(x)": lambda: position_wavefunction(exp, xgrid, 0.1, Fraction(1, 2)),
-        "psi(x) list": lambda: position_wavefunction(exp, xgrid, times, other),
-        "phi(p) list": lambda: momentum_wavefunction(exp, pgrid, times, other),
+        "expectation": lambda: expectation_series(exp, "x", wrong),
+        "moments": lambda: expectation_series(exp, ("x", "p"), wrong),
+        "uncertainty": lambda: uncertainty_series(exp, "p", wrong),
+        "sample": lambda: sample_series(exp, "x", wrong),
+        "C": lambda: autocorrelation_series(exp, wrong),
+        "C, C-bar": lambda: autocorrelation_series(exp, wrong, mirror=True),
+        "C-bar": lambda: mirror_correlation_series(exp, wrong),
+        "C(t)": lambda: autocorrelation(exp, one),
+        "fit": lambda: fit_collapse(exp, _values([Fraction(1, 800)], 4 * T)),
+        "phases_at": lambda: exp.phases_at(one),
+        "chunks": lambda: exp.map_chunks(lambda P: P.T, wrong, np.empty((51, 2), dtype=complex)),
+        "psi(x)": lambda: position_wavefunction(exp, xgrid, one),
+        "psi(x) list": lambda: position_wavefunction(exp, xgrid, wrong),
+        "phi(p) list": lambda: momentum_wavefunction(exp, pgrid, wrong),
     }
+    assert 4 * T == pytest.approx(compute_timescales(WellSystem(width_L=2.0), exp.spec).T_rev)
     for name, call in calls.items():
         try:
             call()
         except ValueError as error:
             assert "theta" in str(error), name
         else:
-            pytest.fail(f"{name} took a theta of other times")
+            pytest.fail(f"{name} took a Theta of another well")
     # theta is t / T mod 1 within 1e-12 max(1, t / T): the same phases
     # whole revivals later, and a time rounded within that, pass and give
     # the exact values; a time off by more is refused
-    exact = expectation_series(exp, "x", [T / 2, T / 4], theta=wrong)
+    exact = expectation_series(exp, "x", Theta.of([T / 2, T / 4], T, other))
     later = [(3 + 1 / 2) * T, (1000 + 1 / 4) * T * (1 + 5e-13)]
-    assert np.array_equal(expectation_series(exp, "x", later, theta=wrong),
+    assert np.array_equal(expectation_series(exp, "x", Theta.of(later, T, other)),
                           exact)
-    assert np.array_equal(position_wavefunction(exp, xgrid, later[1], other[1]).amplitudes,
-                          position_wavefunction(exp, xgrid, T / 4, other[1]).amplitudes)
+    assert np.array_equal(
+        position_wavefunction(exp, xgrid, Theta.of(later[1:], T, other[1:]))[0].amplitudes,
+        position_wavefunction(exp, xgrid, Theta.of([T / 4], T, other[1:]))[0].amplitudes)
     for t in ((1 / 2 + 2e-12) * T, (1000 + 1 / 2) * T * (1 + 2e-12)):
         with pytest.raises(ValueError, match="theta"):
-            autocorrelation(exp, t, Fraction(1, 2))
+            Theta.of([t], T, [Fraction(1, 2)])

@@ -166,14 +166,13 @@ def test_table_and_fold_series_hold_order_n_rows_plus_q():
     spec = PacketSpec(n0=3996, x0=0.3, dx0=0.005)
     exp = build_gaussian_packet(spec)
     count = 7993
-    times = np.arange(count) * compute_timescales(exp.sys, spec).tau
-    theta = Theta.progression(0, Fraction(1, 2 * spec.n0), count)
+    rep = compute_timescales(exp.sys, spec)
+    times = Theta.progression(np.arange(count) * rep.tau, rep.T_rev, 0, Fraction(1, 2 * spec.n0))
     N = exp.coefficients.size
-    rows = fold_rows(N, theta.den)[0].stop
+    rows = fold_rows(N, times.den)[0].stop
     assert (N, rows) == (509, 16)
-    _, _, peak = _traced(lambda: expectation_series(exp, ("x", "dx", "p", "dp"),
-                                                    times, theta=theta))
-    assert peak <= _fold_bound(N, rows, theta.den, count)
+    _, _, peak = _traced(lambda: expectation_series(exp, ("x", "dx", "p", "dp"), times))
+    assert peak <= _fold_bound(N, rows, times.den, count)
 
 
 def test_fold_series_at_five_thousand_levels_holds_order_n_rows_plus_q():
@@ -185,14 +184,13 @@ def test_fold_series_at_five_thousand_levels_holds_order_n_rows_plus_q():
     exp = build_gaussian_packet(spec)
     count = 20
     rep = compute_timescales(exp.sys, spec)
-    times = np.arange(count) * rep.tau
-    theta = Theta.progression(0, Fraction(1, 2 * spec.n0), count)
+    times = Theta.progression(np.arange(count) * rep.tau, rep.T_rev, 0, Fraction(1, 2 * spec.n0))
     N = exp.coefficients.size
-    rows = fold_rows(N, theta.den)[0].stop
-    assert (N, rows) == (5093, 16) and takes_fold(times, theta, N * N)
+    rows = fold_rows(N, times.den)[0].stop
+    assert (N, rows) == (5093, 16) and takes_fold(times, N * N)
     (x, dx, p, dp), _, peak = _traced(lambda: expectation_series(
-        exp, ("x", "dx", "p", "dp"), times, theta=theta))
-    assert peak <= _fold_bound(N, rows, theta.den, count)
+        exp, ("x", "dx", "p", "dp"), times))
+    assert peak <= _fold_bound(N, rows, times.den, count)
     # the launch values at t = 0, and Heisenberg's bound at every strobe
     p0 = spec.n0 * math.pi * exp.sys.hbar / exp.sys.width_L
     assert (x[0], p[0]) == (pytest.approx(0.3, abs=1e-9), pytest.approx(p0, rel=1e-9))
@@ -397,14 +395,14 @@ def _serve(monkeypatch, table):
 
 
 def _both_paths(exp, call):
-    """call(times, theta) on the chunks (the single time t = 0, and three
-    plain times) and on the fold (41 strobes of an exact grid)."""
+    """call(times) on the chunks (the single time t = 0, and three plain
+    times) and on the fold (41 strobes of an exact grid)."""
     n0 = exp.spec.n0
-    theta = Theta.progression(0, Fraction(3, 20 * n0), 41)
-    times = np.arange(41) * 0.3 * compute_timescales(exp.sys, exp.spec).tau
-    assert takes_fold(times, theta, exp.coefficients.size ** 2)
-    for t, th in (([0.0], None), ([0.0, times[1], times[7]], None), (times, theta)):
-        yield lambda: call(t, th)
+    rep = compute_timescales(exp.sys, exp.spec)
+    times = Theta.progression(np.arange(41) * 0.3 * rep.tau, rep.T_rev, 0, Fraction(3, 20 * n0))
+    assert takes_fold(times, exp.coefficients.size ** 2)
+    for t in ([0.0], [0.0, times.t[1], times.t[7]], times):
+        yield lambda: call(t)
 
 
 def test_each_series_call_builds_its_packets_table_once(monkeypatch, default_exp):
@@ -413,9 +411,9 @@ def test_each_series_call_builds_its_packets_table_once(monkeypatch, default_exp
     built = []
     monkeypatch.setattr(observables, "table_for",
                         lambda exp: built.append(exp) or table_for(exp))
-    calls = (lambda t, th: expectation_series(default_exp, ("x", "dx", "p", "dp"), t, theta=th),
-             lambda t, th: uncertainty_series(default_exp, "p", t, theta=th),
-             lambda t, th: sample_series(default_exp, "x", t, theta=th))
+    calls = (lambda t: expectation_series(default_exp, ("x", "dx", "p", "dp"), t),
+             lambda t: uncertainty_series(default_exp, "p", t),
+             lambda t: sample_series(default_exp, "x", t))
     for call in calls:
         for run in _both_paths(default_exp, call):
             built.clear()
@@ -444,8 +442,7 @@ def test_inconsistent_table_detected(monkeypatch, default_exp):
     forms = {f: table.rows(f, slice(None)) for f in ("x", "x2", "p")}
     # a tampered second-moment table drives the variance negative
     _serve(monkeypatch, _serving(table, "x2", forms["x2"] * 0.5))
-    for run in _both_paths(default_exp, lambda t, th: uncertainty_series(
-            default_exp, "x", t, theta=th)):
+    for run in _both_paths(default_exp, lambda t: uncertainty_series(default_exp, "x", t)):
         with pytest.raises(NumericalConsistencyError, match="negative variance for x"):
             run()
     # a non-Hermitian entry between well-populated levels leaves an
@@ -453,16 +450,14 @@ def test_inconsistent_table_detected(monkeypatch, default_exp):
     for exp in (default_exp, build_gaussian_packet(PacketSpec(n0=400, x0=0.3, dx0=0.05))):
         for which, bad in _non_hermitian(exp, table_for(exp)):
             _serve(monkeypatch, bad)
-            for run in _both_paths(exp, lambda t, th: expectation_series(
-                    exp, which, t, theta=th)):
+            for run in _both_paths(exp, lambda t: expectation_series(exp, which, t)):
                 with pytest.raises(NumericalConsistencyError, match="imaginary residue"):
                     run()
     # a scaled first-moment table pushes <x> outside the well
     _serve(monkeypatch, _serving(table, "x", forms["x"] * 3.0))
     with pytest.raises(NumericalConsistencyError):
         expectation_series(default_exp, "x", [0.0])
-    for run in _both_paths(default_exp, lambda t, th: expectation_series(
-            default_exp, "x", t, theta=th)):
+    for run in _both_paths(default_exp, lambda t: expectation_series(default_exp, "x", t)):
         with pytest.raises(NumericalConsistencyError, match="outside the well"):
             run()
 
@@ -474,21 +469,20 @@ def test_fold_probe_keeps_its_margin_at_a_thousandth_of_the_tolerance(monkeypatc
     # a tolerance 1000 times tighter than _IMAG_TOL refuses none of them
     # here, while every non-Hermitian entry is still refused
     monkeypatch.setattr(observables, "_IMAG_TOL", 1e-15)
-    theta = Theta.progression(0, Fraction(1, 97), 9)
-    times = theta.num / 97 * T_REV
+    times = Theta.progression(np.arange(9) / 97 * T_REV, T_REV, 0, Fraction(1, 97))
     for dx0 in (0.005, 0.02, 0.1):
         for x0 in (0.37, 0.5):
             exp = build_gaussian_packet(PacketSpec(n0=n0, x0=x0, dx0=dx0))
-            assert takes_fold(times, theta, exp.coefficients.size ** 2)
-            expectation_series(exp, ("x", "x2", "p"), times, theta=theta)
+            assert takes_fold(times, exp.coefficients.size ** 2)
+            expectation_series(exp, ("x", "x2", "p"), times)
     if n0 == 400:
         for x0 in (0.3, 0.5):
             exp = build_gaussian_packet(PacketSpec(n0=400, x0=x0, dx0=0.05))
-            assert takes_fold(times, theta, exp.coefficients.size ** 2)
+            assert takes_fold(times, exp.coefficients.size ** 2)
             for which, bad in _non_hermitian(exp, table_for(exp)):
                 _serve(monkeypatch, bad)
                 with pytest.raises(NumericalConsistencyError, match="imaginary residue"):
-                    expectation_series(exp, which, times, theta=theta)
+                    expectation_series(exp, which, times)
 
 
 def test_negative_variance_floor_does_not_depend_on_the_unit_of_length(monkeypatch):
@@ -503,6 +497,7 @@ def test_negative_variance_floor_does_not_depend_on_the_unit_of_length(monkeypat
     _serve(monkeypatch, _serving(table, "x2", x2 + shift * np.eye(x2.shape[0])))
     with pytest.raises(NumericalConsistencyError, match="negative variance for x"):
         uncertainty_series(exp, "x", [0.0])
+    T = revival_time(sys_mm)
     with pytest.raises(NumericalConsistencyError, match="negative variance for x"):
-        uncertainty_series(exp, "x", [0.0, revival_time(sys_mm)], theta=Theta.of([0, 1]))
+        uncertainty_series(exp, "x", Theta.of([0.0, T], T, [0, 1]))
 

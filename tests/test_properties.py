@@ -74,7 +74,9 @@ def test_progression_denominator_is_the_least(start, step, count):
     # Fractions are reduced, so the denominator lcm(den start, den step) is
     # already the least q with every theta_j q an integer: from two terms
     # on, q must make theta_0 = start and theta_1 - theta_0 = step integers
-    grid = Theta.progression(start, step, count)
+    # T = 1, so that each time is its own theta
+    times = [float(start + j * step) for j in range(count)]
+    grid = Theta.progression(times, 1.0, start, step)
     assert grid.den == math.lcm(*((start + j * step).denominator for j in range(count)))
 
 

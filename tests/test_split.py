@@ -11,7 +11,7 @@ import pytest
 from wellpacket import PacketSpec, Theta, build_gaussian_packet, compute_timescales, revival_scan
 from wellpacket import packet
 from wellpacket.correlation import _both_weights, _phase_sum
-from wellpacket.system import revival_time
+from wellpacket.system import WellSystem, revival_time
 
 from oracles import mp_correlation
 
@@ -22,14 +22,21 @@ def _window(n0: int, res: int, half: int, frac=Fraction(1, 2)):
     """The exact grid of a scan about frac T at tau / res, half steps a side:
     theta_j = frac - (half - j) / (2 n0 res), for 2 half + 1 samples."""
     step = Fraction(1, 2 * n0 * res)
-    return Theta.progression(frac - half * step, step, 2 * half + 1)
+    return _progression(frac - half * step, step, 2 * half + 1)
+
+
+def _progression(start, step, count):
+    """theta_j = start + j step in the box of every test here, at the times
+    (theta_j mod 1) T."""
+    T = revival_time(WellSystem())
+    times = [float((start + j * step) % 1) * T for j in range(count)]
+    return Theta.progression(times, T, start, step)
 
 
 def _split_sums(exp, theta):
     w = _both_weights(exp)
-    assert not packet.takes_fold(theta.num, theta, len(w)) and theta.step() is not None
-    times = theta.num / theta.den * revival_time(exp.sys)
-    return _phase_sum(exp, w, times, theta), w
+    assert not packet.takes_fold(theta, len(w)) and theta.step() is not None
+    return _phase_sum(exp, w, theta), w
 
 
 def _oracle_errors(exp, theta, sums, w, at):
@@ -73,7 +80,7 @@ def test_random_progressions_are_within_four_eps_of_the_oracle(sys0, rng):
     for n0, q, a, b, count in cases:
         exp = build_gaussian_packet(PacketSpec(n0=n0, x0=float(rng.uniform(0.1, 0.9)),
                                                dx0=float(rng.uniform(0.1, 0.3))), sys0)
-        theta = Theta.progression(Fraction(int(a), q), Fraction(int(b), q), count)
+        theta = _progression(Fraction(int(a), q), Fraction(int(b), q), count)
         sums, w = _split_sums(exp, theta)
         assert max(_oracle_errors(exp, theta, sums, w, range(count))) <= 4, (n0, q, count)
 
@@ -86,7 +93,7 @@ def test_giant_step_blocks_do_not_change_values(monkeypatch, sys0):
     # another order than an unthreaded one, whatever the blocks
     for spec, theta in ((PacketSpec(n0=400, x0=0.5, dx0=0.01), _window(400, 32, 64)),
                         (PacketSpec(n0=400, x0=0.3, dx0=0.05),
-                         Theta.progression(Fraction(1, 7), Fraction(1, 12345), 5000))):
+                         _progression(Fraction(1, 7), Fraction(1, 12345), 5000))):
         exp = build_gaussian_packet(spec, sys0)
         whole, _ = _split_sums(exp, theta)
         N = len(exp.coefficients)
