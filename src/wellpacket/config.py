@@ -26,6 +26,7 @@ import numpy as np
 
 from .correlation import DEFAULT_FIT_THRESHOLD, _scan_times
 from .packet import PacketSpec, Theta
+from .powerlaw import _check_root
 from .system import WellSystem
 
 if typing.TYPE_CHECKING:
@@ -247,6 +248,8 @@ class PowerLawSettings:
             raise ValueError("fit_n0: must be >= 1")
         if not self.fit_dn > 0:
             raise ValueError("fit_dn: must be positive")
+        for k in self.k_values:
+            _check_root(k, self.v0)
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 from numpy.typing import NDArray
 
-from .packet import EigenExpansion, fold_rows, takes_fold
+from .packet import EigenExpansion, NumericalConsistencyError, fold_rows, takes_fold
 from .system import WellSystem, level_momentum
 
 __all__ = [
@@ -60,10 +60,6 @@ _SPAN_BYTES = 2**18
 # The bilinear forms each series id is assembled from.
 _FORMS = {"x": ("x",), "x2": ("x2",), "p": ("p",), "p2": (),
           "dx": ("x", "x2"), "dp": ("p",)}
-
-
-class NumericalConsistencyError(RuntimeError):
-    """An internally-inconsistent numerical result (not a user error)."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -224,15 +220,15 @@ def table_for(exp: EigenExpansion) -> MatrixElementTable:
 
 def _variance(mean, second, which: str) -> NDArray[np.float64]:
     var = second - mean**2
-    floor = -_IMAG_TOL * np.abs(second)
-    if np.any(var < floor):
+    # not var < floor, which a NaN would pass
+    if not np.all(var >= -_IMAG_TOL * np.abs(second)):
         raise NumericalConsistencyError(
             f"negative variance for {which}: min {float(np.min(var)):.3e}")
     return np.maximum(var, 0.0)
 
 
 def _check_residue(which: str, worst: float, scale: float):
-    if worst > _IMAG_TOL * scale:
+    if not worst <= _IMAG_TOL * scale:
         raise NumericalConsistencyError(
             f"imaginary residue {worst:.3e} on <{which}> exceeds {_IMAG_TOL} "
             f"of its scale {scale:.3e}")
@@ -405,7 +401,7 @@ def _series(exp: EigenExpansion, ids: tuple[str, ...], times) -> list[NDArray[np
         L = exp.sys.width_L
         x = vals["x"]
         out_of_well = np.maximum(-x, x - L)
-        if np.any(out_of_well > _WELL_TOL * L):
+        if not np.all(out_of_well <= _WELL_TOL * L):
             raise NumericalConsistencyError(
                 f"<x> = {x[np.argmax(out_of_well)]} outside the well")
     if any(w in ("p2", "dp") for w in ids):

@@ -18,8 +18,8 @@ from numpy.typing import NDArray
 
 from .system import WellSystem, eigenenergy, level_momentum, revival_time
 
-__all__ = ["PacketSpec", "EigenExpansion", "Theta", "build_gaussian_packet",
-           "takes_fold", "PHASE_CHUNK_BYTES", "RESIDUE_TABLE_BYTES"]
+__all__ = ["PacketSpec", "EigenExpansion", "Theta", "build_gaussian_packet", "takes_fold",
+           "NumericalConsistencyError", "PHASE_CHUNK_BYTES", "RESIDUE_TABLE_BYTES"]
 
 # Raw Gaussian weight that may be discarded by clipping the window at n = 1
 # before the construction is flagged.
@@ -38,8 +38,8 @@ PHASE_CHUNK_BYTES = 2**20
 # decides which path runs or what the split's values are.
 RESIDUE_TABLE_BYTES = 16 * 2**20
 
-# Exact phases form (n^2 mod q)(num mod q) in int64, which holds for a
-# denominator q below 2^31.5; a time grid with a larger q takes the float path.
+# unit_roots forms (num mod q)(n^2 mod q) + (q - 1) / 2 in int64, within 2^63
+# for a denominator q below 3e9; a time grid with a larger q takes the float path.
 _MAX_DEN = 3_000_000_000
 
 # Relative rounding allowed between two closed-form values of one quantity:
@@ -51,6 +51,10 @@ _IDENTITY_TOL = 1e-12
 # block; one sum over all N^2 pairs put up to 5.3 eps of scale into the
 # constant bin of <x^2> at N = 509, and 16-row blocks 0.25 eps.
 FOLD_ROWS = 16
+
+
+class NumericalConsistencyError(RuntimeError):
+    """An inconsistent or non-finite numerical result (not a config error)."""
 
 
 def takes_fold(times, terms: int) -> bool:
@@ -104,23 +108,26 @@ def float_phases(energies: NDArray[np.float64], hbar: float,
 
 
 def unit_roots(r: NDArray[np.int64], q: int) -> NDArray[np.complex128]:
-    """exp(-2 pi i r / q) at exact int residues r, |r| < q: exp of the angle
-    r (-2 pi / q), whose error grows with |r| / q but not with the time."""
+    """exp(-2 pi i r / q) at int products r >= 0 such as num_j (n^2 mod q), by the
+    one exact-root rule: r is reduced mod q and centred in (-q/2, q/2], in
+    place, and the angle is -2 pi (r / q), the quotient rounded once.  A root
+    thus depends on the fraction r / q mod 1 alone, and its |angle| <= pi."""
+    r += (q - 1) // 2
+    r %= q
+    r -= (q - 1) // 2
     P = np.empty(r.shape, dtype=complex)
     P.real = 0.0
-    np.multiply(r, -2.0 * math.pi / q, out=P.imag)
+    np.multiply(np.divide(r, q, out=P.imag), -2.0 * math.pi, out=P.imag)
     return np.exp(P, out=P)
 
 
 def map_phases(fn: Callable[[NDArray[np.complex128]], NDArray], energies: NDArray[np.float64],
                hbar: float, times, out: NDArray, block=None) -> NDArray:
     """The chunked phase kernel over a spectrum: out[..., s] = fn(P) for every
-    time chunk s of _time_chunks, one chunk after another; returns out.
-
-    P is block(s) where ``block`` is given (EigenExpansion._phase_rows, whose
-    exact phases only the box has), else float_phases' exp(-i E_n t / hbar)
-    over times[s].  fn may overwrite P.
-    """
+    time chunk s of _time_chunks, one chunk after another; returns out.  P is
+    block(s) where ``block`` is given (EigenExpansion._phase_rows, whose exact
+    phases only the box has), else float_phases' exp(-i E_n t / hbar) over
+    times[s].  fn may overwrite P."""
     t = np.asarray(times, dtype=float).reshape(-1)
     if block is None:
         block = float_phases(energies, hbar, t)
@@ -306,14 +313,17 @@ class EigenExpansion:
 
     def _phase_rows(self, times):
         """The function from a slice of the times to its phase block P: for a
-        Theta, unit_roots of the exact residues r = (n^2 mod q)(num mod q)
-        mod q, one per phase term and no array of length q; for float
-        times, float_phases' exp(-i E_n t / hbar)."""
+        Theta, unit_roots of the raw products num_j (n^2 mod q), one per
+        phase term and no array of length q; for float times, float_phases'
+        exp(-i E_n t / hbar), refused where max|t| E_max / hbar overflows."""
         if not isinstance(times, Theta):
             t = np.asarray(times, dtype=float).reshape(-1)
+            t_max = float(np.abs(t).max(initial=0.0))
+            if not math.isfinite(t_max * float(self.energies[-1]) / self.sys.hbar):
+                raise NumericalConsistencyError(f"phase E_n t / hbar overflows at t = {t_max!r}")
             return float_phases(self.energies, self.sys.hbar, t)
         q, n2 = self._den(times), self.square_residues(times.den)
-        return lambda s: unit_roots(np.multiply.outer(times.num[s], n2) % q, q)
+        return lambda s: unit_roots(np.multiply.outer(times.num[s], n2), q)
 
     def _den(self, times: Theta) -> int:
         """The denominator q of ``times``, refused unless they were built for
@@ -389,10 +399,10 @@ class EigenExpansion:
 
         With j = j1 + J j2 and J about sqrt(T) for T times, the phase of
         level n at sample j is the product of a baby step
-        U[j1, n] = exp(-2 pi i (n^2 (a + step j1) mod q) / q) and a giant step
-        V[j2, n] = exp(-2 pi i (n^2 ((step J mod q) j2 mod q) mod q) / q),
-        every residue exact in int64 (q < 3e9) and centred in (-q/2, q/2]
-        for the smaller angle.  So out[k, j] = conj((V (U w_k)^T)[j2, j1]),
+        U[j1, n] = exp(-2 pi i n^2 num_j1 / q) and a giant step
+        V[j2, n] = exp(-2 pi i n^2 ((step J mod q) j2 mod q) / q), each
+        unit_roots of its raw products with n^2 mod q, exact in int64
+        (q < 3e9).  So out[k, j] = conj((V (U w_k)^T)[j2, j1]),
         one complex GEMM for every k at once, from (J + T / J) N unit roots
         in place of the chunks' T N.  The weighted U stays whole, within
         RESIDUE_TABLE_BYTES; V is built a block of _time_chunks at a time,
@@ -401,23 +411,13 @@ class EigenExpansion:
         q, count, forms = self._den(times), times.num.size, weights.shape[1]
         n2 = self.square_residues(q)
         J = min(math.isqrt(count - 1) + 1, max(1, RESIDUE_TABLE_BYTES // (16 * forms * n2.size)))
-        giants = -(-count // J)
-        half = (q - 1) // 2
-
-        def roots(j: NDArray[np.int64], start: int, stride: int):
-            # the unit roots at r = n^2 (start + stride j) mod q, centred in
-            # (-q/2, q/2] as ((r + half) mod q) - half
-            r = np.multiply.outer((start + stride * j) % q, n2)
-            r += half
-            r %= q
-            r -= half
-            return unit_roots(r, q)
-
-        UW = (roots(np.arange(J), int(times.num[0]), step)
+        giants, stride = -(-count // J), step * J % q
+        UW = (unit_roots(np.multiply.outer(times.num[:J], n2), q)
               * weights.T[:, None, :]).reshape(-1, n2.size)
         grid = np.empty((forms, giants, J), dtype=complex)
         for s in _time_chunks(giants, n2.size):
-            M = roots(np.arange(s.start, s.stop), 0, step * J % q) @ UW.T
+            j = np.arange(s.start, s.stop) * stride % q
+            M = unit_roots(np.multiply.outer(j, n2), q) @ UW.T
             grid[:, s] = np.conj(M).reshape(-1, forms, J).transpose(1, 0, 2)
         return grid.reshape(forms, -1)[:, :count]
 

@@ -55,12 +55,25 @@ class PowerLawWell:
                 raise ValueError(f"{name}: must be finite")
         if self.V0 <= 0 or self.a <= 0 or self.mass <= 0 or self.hbar <= 0:
             raise ValueError("V0, a, mass and hbar must be positive")
+        _check_root(self.k, self.V0)
 
     @property
     def maslov_mu(self) -> float:
         if math.isinf(self.k):
             return 1.0        # two hard walls
         return 0.75 if self.half else 0.5
+
+
+def _check_root(k: float, V0: float):
+    """Refuse an exponent k for a V0 > 0 whose V0 ** (1/k), a factor of every
+    WKB energy, is not a normal double, as where |ln V0| / k passes about 708:
+    the power would overflow, or flush every E_n to 0."""
+    try:
+        root = V0 ** (1.0 / k)
+    except OverflowError:
+        root = math.inf
+    if not np.finfo(float).smallest_normal <= root < math.inf:
+        raise ValueError(f"k: V0 ** (1/k) is not a normal double at k = {k!r}, V0 = {V0!r}")
 
 
 def wkb_energy(well: PowerLawWell, n):

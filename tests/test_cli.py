@@ -354,6 +354,24 @@ def test_exit_code_numerical_failure(tmp_path, capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, ini", [
+    ("observables", "[schedule]\nmode = explicit\ntimes = 1e308\n"),
+    ("correlate", "[schedule]\nmode = explicit\ntimes = 1e308\n"),
+    ("evolve", "[evolve]\ntimes = 1e308\n"),
+    ("scan-flatten", "[flatten]\nt_stop = 1e308\nsample_step = 1e307\n"),
+], ids=["observables", "correlate", "evolve", "scan-flatten"])
+def test_times_whose_phase_overflows_are_numerical_failures(tmp_path, capsys, command, ini):
+    # E_n t / hbar overflows at t = 1e308: observables and correlate once
+    # wrote rows of nan and exited 0, evolve and scan-flatten ended in a
+    # ValueError traceback
+    path = tmp_path / "run.ini"
+    path.write_text(ini)
+    out = tmp_path / "o"
+    assert main([command, "--config", str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("numerical failure: phase E_n t / hbar overflows")
+    assert not out.exists() or os.listdir(out) == []
+
+
 def test_exit_code_io_error(tmp_path, capsys):
     blocked = tmp_path / "blocked"
     blocked.write_text("in the way")

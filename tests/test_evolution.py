@@ -173,10 +173,11 @@ def test_time_sequence_gives_the_scalar_fields(default_exp, default_report, wave
         assert np.array_equal(f.amplitudes, wavefunction(default_exp, grid, value)[0].amplitudes)
     for f, t in zip(wavefunction(default_exp, grid, times), times):
         assert np.array_equal(f.amplitudes, wavefunction(default_exp, grid, t).amplitudes)
-    # a Theta of several times gives a field per time, its unit roots over
-    # the times' common denominator rounding apart from each time's own
+    # a Theta of several times gives a field per time, bit for bit the
+    # time's own: a unit root depends on its fraction alone, not on the
+    # times' common denominator
     for f, g in zip(wavefunction(default_exp, grid, Theta.of(times[:3], T, THETAS[:3])), fields):
-        assert f.time == g.time and np.max(np.abs(f.amplitudes - g.amplitudes)) <= 1e-13
+        assert f.time == g.time and np.array_equal(f.amplitudes, g.amplitudes)
     with pytest.raises(ValueError, match="one value per time"):
         Theta.of(times, T, THETAS[:2])
 

@@ -169,7 +169,7 @@ GOLDEN = {
         "collapse_fit.json":
             "365fb799426dc0c31e3061e84a3df0229c03efd4eecb1599596326f4000d774c",
         "correlation.csv":
-            "5bdacee352f04399aad1fe6773558e0889336eaae90bbab0d4dca8f9aa188c06",
+            "ded104dea4ad11f7a6d6ddd8c77e55ca95486175b68a6d53f3ddb48c9211b806",
         "revival_scan.json":
             "9f83c4bc5444d5b5a92cce706cc4e99e473cfdb50f2a551f9c785639a1b2405e",
     },
@@ -177,19 +177,19 @@ GOLDEN = {
         "collapse_fit.json":
             "365fb799426dc0c31e3061e84a3df0229c03efd4eecb1599596326f4000d774c",
         "correlation.json":
-            "bdd6fc9020f3a6074f03f33e16d3e50f882441194a11b94a21804cb209989073",
+            "59e9363a04ffedddf592aae3318a2c6b061d461e0c5a92d32c2a2026c007f83b",
         "revival_scan.json":
             "9f83c4bc5444d5b5a92cce706cc4e99e473cfdb50f2a551f9c785639a1b2405e",
     },
     ("correlate-window", "csv"): {
         "correlation.csv":
-            "e797cda95953b873306927d6ada90190936fc82cc53f0c22a8a686065acf11e2",
+            "36ceadc61ce7c6619a377f72627cb65dd82d50423b25dacc2037e77453c4e93c",
         "revival_scan.json":
             "0e830c62f1072d871a4cae757700a94dff032b87717413ee145a2e255a356797",
     },
     ("correlate-window", "json"): {
         "correlation.json":
-            "6faac9da698668c73a6c0fbd5d9995bb8ed5de6ccf684c11c329a6bc5447f8a5",
+            "f4e1ac6e1b05446324168f02ea04df5f3c11f1f967de74e0d5f213f73cb3b365",
         "revival_scan.json":
             "0e830c62f1072d871a4cae757700a94dff032b87717413ee145a2e255a356797",
     },
@@ -197,7 +197,7 @@ GOLDEN = {
         "density_momentum_00.csv":
             "406ed649ce3abf6de2096cad4650aa8020f74e88a9c55d37ddade757e62acdbb",
         "density_momentum_01.csv":
-            "eb4fec6a453035cfb2d12ce1f4113547ded931eb25eaeeed427324a63e983ca6",
+            "b94b4e19048d11112c0c8a7133d1ffef4e52a909025f2adfccd542f814617d21",
         "density_momentum_02.csv":
             "324cb20a57c7a6e1c56689aadbd014ee53b008855fc1b8758d7880e8800fe673",
         "density_position_00.csv":
@@ -211,7 +211,7 @@ GOLDEN = {
         "density_momentum_00.json":
             "6ffbf5fa94066e2a0a5dae21cb8d77e64d38908a7773c5f49b1d264e939fcf51",
         "density_momentum_01.json":
-            "4028164c0298382482a3496c2c8aa931ad197ad7d0c8b68fdb558bf97f41c5e6",
+            "ef5c7a32bba33ad307f4262175889b0b102b9427474a4c2e06d7fae3fca2ea80",
         "density_momentum_02.json":
             "679a52111be151360d8392b2be6ee78ce51f37804c48af93cad4624a6e351ba5",
         "density_position_00.json":
@@ -229,7 +229,7 @@ GOLDEN = {
         "density_momentum_02.csv":
             "7808e68d8db8b1ad4e8d4d06a3d26a53c8e7e1b46c83940b82bb22db1f490634",
         "density_momentum_03.csv":
-            "cc30eaf3040df3f69468e42a9d95f86827570aca0bc38b4ee3c063cdee7f7434",
+            "070ff8d6f5464ea741e7b1dd36c8a76389df718fbd32c2ef90444f9e42a51c76",
         "density_position_00.csv":
             "8b9cf60bcdc5bde5ae8cfbaaf19fe6a60804c92b5bb8e68e860749302368e53b",
         "density_position_01.csv":
@@ -237,7 +237,7 @@ GOLDEN = {
         "density_position_02.csv":
             "e06daba3258f2c3e8830ab5b1a84ca97e74c1b5604a2868a7c582c84466e3ceb",
         "density_position_03.csv":
-            "2050baf858ad443a0d464f64ce7e69c73e0ac0ee6a4b413b4332b94fd050682a",
+            "8b658ac7c9ea20d0c5ce95a7b59708cc35e6ea840e6c6bcbfaea6e29a59a9d50",
     },
     ("evolve-tails", "json"): {
         "density_momentum_00.json":
@@ -247,7 +247,7 @@ GOLDEN = {
         "density_momentum_02.json":
             "6e94db0ad50434f20972f2edee966ceafd943e5119f2fd7403f801e47ad1b70d",
         "density_momentum_03.json":
-            "1f59cdc938598a8e1be306f440f4a5f497f6c6910c54ef652af7760b0ccf23ef",
+            "043602ed9b71ef917242b10fd955807d076adf5536a3e06fd73f6e84c613afb1",
         "density_position_00.json":
             "cb31a1e7b700c1ba80b827576ac7aca1afe43665d36e74e3328e55743a6d65fb",
         "density_position_01.json":
@@ -255,7 +255,7 @@ GOLDEN = {
         "density_position_02.json":
             "623a255f6d1c0bbff4ea8f9324d6d4a732be0866b4fd7e6427db239eca8006c3",
         "density_position_03.json":
-            "c085fcbe8e827d181f45f2d647d46463db68939b93bf7c98a759a32edff4f7c5",
+            "f6a23909d654630a391a3464b3f0eea1db93edf73943dcb16e4b741187da8169",
     },
     ("observables", "csv"): {
         "observables.csv":
@@ -509,3 +509,22 @@ GOLDEN_CSV_PRECISION = {
 def test_csv_bytes_are_pinned_at_other_precisions(name, precision, tmp_path):
     hashes = _run(name, "csv", tmp_path, "--precision", str(precision))
     assert hashes == GOLDEN_CSV_PRECISION[name, precision]
+
+
+if __name__ == "__main__":
+    # python tests/test_golden.py [NAME ...]: the hashes that the configs NAME
+    # (all of them by default) write now, in GOLDEN's layout, for a re-record
+    import contextlib
+    import io
+    import pathlib
+    import sys
+    import tempfile
+
+    for name in sys.argv[1:] or sorted(CONFIGS):
+        for fmt in ("csv", "json"):
+            with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
+                hashes = _run(name, fmt, pathlib.Path(tmp))
+            print(f'    ("{name}", "{fmt}"): {{')
+            for file, digest in hashes.items():
+                print(f'        "{file}":\n            "{digest}",')
+            print("    },")

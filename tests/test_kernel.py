@@ -6,6 +6,7 @@ import math
 import tracemalloc
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -345,11 +346,18 @@ def test_real_assembly_is_within_two_eps_of_its_scale(monkeypatch, sys0, n0, dx0
         assert err <= 2 * np.finfo(float).eps * scale, which
 
 
+def _mp_root(f: Fraction) -> complex:
+    """exp(-2 pi i f), evaluated to 40 digits and rounded to a complex double."""
+    with mpmath.workdps(40):
+        return complex(mpmath.expjpi(-2 * mpmath.mpf(f.numerator) / f.denominator))
+
+
 def test_exact_phase_paths_agree(default_exp):
-    # the exact chunk block, unit_roots of the reduced residue, matches
-    # exp(-2 pi i n^2 theta) reduced in Python ints, on a grid of q <= T N
-    # and on one of q > T N; phases_at, on the same denominator, is the
-    # block's row bit for bit
+    # the exact chunk block, unit_roots of the raw products, matches the
+    # 40-digit root of the reduced fraction n^2 theta mod 1, on a grid of
+    # q <= T N and on one of q > T N; phases_at is the block's row bit for
+    # bit, on the grid's denominator and on a time's own smaller one, since
+    # a root depends on its fraction alone
     n0 = default_exp.spec.n0
     N = len(default_exp.energies)
     grid = [Fraction(k, 2 * n0) for k in range(0, 1601, 37)] + [Fraction(1001, 10)]
@@ -359,15 +367,19 @@ def test_exact_phase_paths_agree(default_exp):
     for thetas in (grid, short):
         times = Theta.of(np.array([float(th) for th in thetas]) * T, T, thetas)
         dens.append(times.den)
-        direct = np.array([[np.exp(-2j * math.pi * float(n * n * th % 1))
-                            for n in default_exp.levels.tolist()] for th in thetas])
+        exact = np.array([[_mp_root(n * n * th % 1) for n in default_exp.levels.tolist()]
+                          for th in thetas])
         out = np.empty((N, len(thetas)), dtype=complex)
         blocks.append(default_exp.map_chunks(lambda P: P.T, times, out).T)
         assert (times.den <= len(thetas) * N) == (thetas is grid)
-        assert np.max(np.abs(blocks[-1] - direct)) <= 1e-15
-    assert grid[3].denominator == dens[0]
-    one = Theta.of([float(grid[3]) * T], T, grid[3:4])
-    assert np.array_equal(default_exp.phases_at(one), default_exp.coefficients * blocks[0][3])
+        assert np.max(np.abs(blocks[-1] - exact)) <= 1e-15
+    # grid[5] = 37/160, over the grid's denominator / 5: a ratio that is a
+    # power of two would scale an angle exactly and prove nothing
+    assert grid[3].denominator == dens[0] and grid[5].denominator == 160
+    for j in (3, 5):
+        one = Theta.of([float(grid[j]) * T], T, grid[j:j + 1])
+        assert np.array_equal(default_exp.phases_at(one),
+                              default_exp.coefficients * blocks[0][j])
 
 
 def _values(thetas, T=1.0):

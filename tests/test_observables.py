@@ -462,6 +462,24 @@ def test_inconsistent_table_detected(monkeypatch, default_exp):
             run()
 
 
+def test_a_nan_entry_is_refused_on_both_paths(monkeypatch, default_exp):
+    # the checks compared with > and <, which a NaN passes: a NaN entry in
+    # the x rows once gave rows of nan with no refusal
+    table = table_for(default_exp)
+    M = table.rows("x", slice(None))
+    c = default_exp.spec.n0 - table.n_min
+    M[c, c + 1] = np.nan
+    _serve(monkeypatch, _serving(table, "x", M))
+    for run in _both_paths(default_exp, lambda t: expectation_series(default_exp, "x", t)):
+        with pytest.raises(NumericalConsistencyError, match="imaginary residue nan"):
+            run()
+    # each check refuses a NaN of its own
+    with pytest.raises(NumericalConsistencyError, match="negative variance for x"):
+        observables._variance(np.array([0.5, np.nan]), np.array([0.3, 0.3]), "x")
+    with pytest.raises(NumericalConsistencyError, match="imaginary residue"):
+        observables._check_residue("x", 0.0, np.nan)
+
+
 @pytest.mark.parametrize("n0", [12, 40, 150, 400, 1500, 4000])
 def test_fold_probe_keeps_its_margin_at_a_thousandth_of_the_tolerance(monkeypatch, n0):
     # the fold's Hermiticity probe on honest tables: at most 1.3e-16 of

@@ -1,6 +1,7 @@
 """WKB spectra of power-law wells against quadrature and limit oracles."""
 
 import math
+import os
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from wellpacket import (CollapseFitError, PowerLawWell,
                         fit_powerlaw_collapse, fit_stroboscopic, gaussian_weights,
                         powerlaw, powerlaw_autocorrelation, revival_time_powerlaw,
                         wkb_energy, wkb_spectrum)
+from wellpacket.cli import main
 
 
 def test_well_validation():
@@ -23,6 +25,24 @@ def test_well_validation():
         wkb_energy(PowerLawWell(k=2.0), -1)
     with pytest.raises(ValueError):
         wkb_energy(PowerLawWell(k=2.0), 1.5)
+
+
+@pytest.mark.parametrize("v0", [2.0, 0.5])
+def test_wells_whose_v0_root_leaves_the_doubles_are_refused(tmp_path, capsys, v0):
+    # at k = 1e-4, V0 ** (1/k) = 2 ** 1e4 overflows and 0.5 ** 1e4 flushes to
+    # 0: the first once ended in an OverflowError traceback after a
+    # header-only powerlaw.csv, the second wrote E = 0 and tau = T_rev = inf
+    with pytest.raises(ValueError, match=r"^k: V0 \*\* \(1/k\) is not a normal double"):
+        PowerLawWell(k=1e-4, V0=v0)
+    ini = tmp_path / "run.ini"
+    ini.write_text(f"[powerlaw]\nk = 1, 0.0001\nv0 = {v0}\n")
+    out = tmp_path / "o"
+    assert main(["powerlaw", "--config", str(ini), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("config error: [powerlaw] k: V0 ** (1/k)")
+    assert not out.exists() or os.listdir(out) == []
+    # 1.07 ** 1e4 = 5e293 is a normal double, and the spectrum is finite
+    E, tau, T_rev = wkb_spectrum(PowerLawWell(k=1e-4, V0=1.07), np.arange(0, 200))
+    assert np.all(np.isfinite(E) & (E > 0)) and np.all(np.isfinite(T_rev))
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
