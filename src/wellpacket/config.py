@@ -26,7 +26,7 @@ import numpy as np
 
 from .correlation import DEFAULT_FIT_THRESHOLD, _scan_times
 from .packet import PacketSpec, Theta
-from .powerlaw import _check_root
+from .powerlaw import PowerLawWell, _check_root, gaussian_weights, wkb_energy
 from .system import WellSystem
 
 if typing.TYPE_CHECKING:
@@ -251,6 +251,24 @@ class PowerLawSettings:
         for k in self.k_values:
             _check_root(k, self.v0)
 
+    def wells(self, system: WellSystem) -> list[PowerLawWell]:
+        """The well of each exponent, of the [system] mass and hbar."""
+        return [PowerLawWell(k=k, V0=self.v0, a=self.a, mass=system.mass, hbar=system.hbar,
+                             half=self.half) for k in self.k_values]
+
+    def check_energies(self, system: WellSystem):
+        """Refuse wells whose WKB energy (wkb_energy) leaves the finite positive
+        doubles at the largest or the lowest level the run uses: the
+        spectrum's n_max and n_min, and with the fit its level window.  E_n
+        grows with n, so these two bound every level's."""
+        largest, lowest = self.n_max, self.n_min
+        if self.fit:
+            window = gaussian_weights(self.fit_n0, self.fit_dn, PacketSpec.window_sigmas)[0]
+            largest, lowest = max(largest, int(window[-1])), min(lowest, int(window[0]))
+        for well in self.wells(system):
+            wkb_energy(well, largest)
+            wkb_energy(well, lowest)
+
 
 @dataclass(frozen=True)
 class FlattenSettings:
@@ -418,6 +436,10 @@ def parse_config(text: str) -> RunConfig:
         sections["packet"].validate_for(sections["system"])
     except ValueError as e:
         raise ConfigError(f"[packet] {e}") from None
+    try:
+        sections["powerlaw"].check_energies(sections["system"])
+    except ValueError as e:
+        raise ConfigError(f"[powerlaw] {e}") from None
 
     digest = hashlib.sha256(text.encode()).hexdigest()
     return RunConfig(**sections, config_hash=digest)

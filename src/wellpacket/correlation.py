@@ -83,23 +83,26 @@ def _phase_sum(exp: EigenExpansion, weights: NDArray, times) -> NDArray[np.compl
     """Sum_n weights[n, j] exp(i E_n t / hbar), shaped (j, t), or (t,) for 1-d weights.
 
     On a Theta where the cost rule (takes_fold) holds, each column's
-    weights are binned at n^2 mod q and one FFT gives every sample
-    (EigenExpansion.fold).  Otherwise exact times on a progression of two
-    or more, as every scan and every fit block after the first is, take
-    the two-level split: sqrt(T) rows of
-    baby-step and giant-step unit roots and one GEMM
+    weights are binned at n^2 mod q, one np.add.at a column, and one FFT
+    of the bins gives every sample (EigenExpansion.fold).  Otherwise
+    exact times on a progression of two or more, as every scan and every
+    fit block after the first is, take the two-level split: sqrt(T) rows
+    of baby-step and giant-step unit roots and one GEMM
     (EigenExpansion.split).  Any other times, a single time such as the
-    first fit block (n = 1) among them, take
-    conj(P @ weights) of each chunk of the kernel's
-    P = exp(-i E t / hbar), the weights being real; one chunk is alive at
-    a time.
+    first fit block (n = 1) among them, take conj(P @ weights) of each
+    chunk of the kernel's P = exp(-i E t / hbar), the weights being real;
+    one chunk is alive at a time.
     """
     shape = weights.shape[1:] + (np.size(times),)
     cols = weights.reshape(len(weights), -1)
     if takes_fold(times, len(weights)):
-        # complex weights, cast once a call, take the fold's fast ufunc.at loop
-        cols = np.ascontiguousarray(cols.T, dtype=complex)
-        out = exp.fold([(exp.square_residues(times.den), cols)], times, len(cols))
+        r = exp.square_residues(times.den)
+        bins = np.zeros((cols.shape[1], times.den), dtype=complex)
+        # complex weights, cast once a call, take ufunc.at's fast loop, where
+        # real ones into complex bins would take its slow one
+        for row, w in zip(bins, np.ascontiguousarray(cols.T, dtype=complex)):
+            np.add.at(row, r, w)
+        out = exp.fold(bins, times)
     elif isinstance(times, Theta) and (step := times.step()) is not None:
         out = exp.split(cols, times, step)
     else:
@@ -160,10 +163,12 @@ def fit_gaussian_decay(times, magnitudes) -> tuple[float, float]:
     y = np.log(np.asarray(magnitudes, dtype=float))
     if t.size < 3:
         raise CollapseFitError(f"need at least 3 points, got {t.size}")
-    u = t**2
-    slope = -float(np.dot(u, y) / np.dot(u, u))
-    if slope <= 0:
-        raise CollapseFitError("non-decaying magnitudes; cannot fit a collapse time")
+    with np.errstate(all="ignore"):
+        u = t**2
+        slope = -float(np.dot(u, y) / np.dot(u, u))
+    # not slope <= 0, which a NaN would pass, as where every t^2 underflows
+    if not 0.0 < slope < math.inf:
+        raise CollapseFitError(f"ln|C| decay rate {slope!r} is not finite and positive")
     resid = y + slope * u
     return 1.0 / math.sqrt(slope), float(np.sqrt(np.mean(resid**2)))
 

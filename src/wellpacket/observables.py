@@ -44,7 +44,7 @@ _IMAG_TOL = 1e-12
 
 # g of the Hermiticity probe's vector b_n = a_n exp(2 pi i g n^2): the golden
 # ratio's fractional part, so that the probe's phases carry no symmetry of
-# the packet's own (see _spans).
+# the packet's own (see _series).
 _PROBE = (math.sqrt(5.0) - 1.0) / 2.0
 
 # How far <x> may stray outside [0, L], as a fraction of L.
@@ -234,45 +234,6 @@ def _check_residue(which: str, worst: float, scale: float):
             f"of its scale {scale:.3e}")
 
 
-def _spans(exp: EigenExpansion, table: MatrixElementTable, forms: list[str], q: int,
-           scales: NDArray[np.float64], probes: NDArray[np.float64]):
-    """The forms' rows, a span at a time: yields (span, blocks, rows), rows[k]
-    the rows ``span`` of forms[k] written afresh (MatrixElementTable.rows)
-    for whole row blocks of the fold at denominator q (fold_rows; q = 0 for
-    the chunks), up to _SPAN_BYTES a form, so that small blocks do not each
-    pay the call overhead.  When the caller is done with a span, adds its
-    Sum |a_m||a_n||R_mn| to scales[k] and its share of the Hermiticity probe
-    Im(b^H O b) to probes[k], and drops its rows, so that one span is alive
-    at a time unless the caller keeps one.  The probe, rounding for a
-    Hermitian O, takes b_n = a_n exp(2 pi i g n^2), not b_n(t): at x0 = L/2,
-    conj(a_m) a_n is purely imaginary for odd m - n, and a probe at t = 0
-    misses a non-Hermitian entry of p or x2 there."""
-    mags = np.abs(exp.coefficients)
-    # the probe's real and imaginary parts apart, for two real GEMVs a span:
-    # one GEMM of both touches OpenBLAS's packing buffer, which stays
-    # resident (0.3 MB more RSS at N = 85)
-    b = exp.coefficients * np.exp(2j * math.pi * _PROBE * exp.levels.astype(float) ** 2)
-    br, bi = np.ascontiguousarray(b.real), np.ascontiguousarray(b.imag)
-    blocks = fold_rows(mags.size, q)
-    per = max(1, _SPAN_BYTES // (8 * mags.size * blocks[0].stop))
-    for g in range(0, len(blocks), per):
-        group = blocks[g:g + per]
-        span = slice(group[0].start, group[-1].stop)
-        rows = [table.rows(f, span) for f in forms]
-        yield span, group, rows
-        for k, f in enumerate(forms):
-            # Im(b^H O b) over the span's rows; Re(b^H R b) for O = i R
-            yr, yi = rows[k] @ br, rows[k] @ bi
-            probes[k] += (br[span] @ yr + bi[span] @ yi if f == "p"
-                          else br[span] @ yi - bi[span] @ yr)
-        # b^H O b is real for any b, so its imaginary part is rounding in the
-        # sum over m, n, bounded by a small multiple of eps Sum |b_m||b_n||O_mn|;
-        # |b_n| = |a_n| for b_n(t) and the probe alike makes that scale the same
-        # for each, and |O_mn| = |R_mn| exactly for O = i R
-        scales += [mags[span] @ (np.abs(R, out=R) @ mags) for R in rows]
-        rows.clear()
-
-
 def _series(exp: EigenExpansion, ids: tuple[str, ...], times) -> list[NDArray[np.float64]]:
     """Each series id over a time array or a Theta, by the residue fold or
     from one evolved block per time chunk.
@@ -280,24 +241,31 @@ def _series(exp: EigenExpansion, ids: tuple[str, ...], times) -> list[NDArray[np
     Every form the ids need, <O>_t = Sum_mn b_m* O_mn b_n for O in
     {x, x2, p} with b_n(t) = a_n exp(-i E_n t / hbar), comes from one of two
     paths, which the cost rule (takes_fold) picks.  <p^2> = Sum |a_n|^2 p_n^2
-    is constant in time and needs neither.  Both read the forms' rows from
-    one walk of row spans (_spans), which also sums each form's rounding
-    scale and its Hermiticity probe, checked once per call on either path.
-    The rows come from the packet's own table, built once per call (table_for).
+    is constant in time and needs neither.  Both write the forms' rows from
+    the packet's own table (table_for) once per call, a span of whole row
+    blocks (fold_rows; q = 0 for the chunks) of up to _SPAN_BYTES a form at
+    a time, so that small blocks do not each pay the call overhead, and sum
+    each form's rounding scale Sum |a_m||a_n||R_mn| and its Hermiticity
+    probe Im(b^H O b) over the spans, checked once per call on either path.
+    The probe, rounding for a Hermitian O, takes b_n = a_n exp(2 pi i g n^2),
+    not b_n(t): at x0 = L/2, conj(a_m) a_n is purely imaginary for odd
+    m - n, and a probe at t = 0 misses a non-Hermitian entry of p or x2 there.
 
-    The fold (EigenExpansion.fold), on a Theta: b_m* b_n carries the
-    phase 2 pi (m^2 - n^2) theta.  Each form is Hermitian, so the pair
-    (n, m) is the conjugate of (m, n) at the opposite residue, and
+    The fold, on a Theta: b_m* b_n carries the phase 2 pi (m^2 - n^2)
+    theta.  Each form is Hermitian, so the pair (n, m) is the conjugate of
+    (m, n) at the opposite residue, and
     <O> = Sum_n |a_n|^2 O_nn + 2 Re Sum_{m<n} b_m* O_mn b_n: only the pairs
-    m < n are binned, at m^2 - n^2 mod q and with twice their weight, in
-    row blocks (fold_rows), and the diagonal, constant in time, as an exact
-    sum at residue 0.  One FFT gives every sample, and <O> is read from it
-    real by construction: its real part, or for p = i R, binned as R, minus
-    its imaginary part.  The walk's spans are dropped one after another, so
-    the fold holds O(N rows + q), whatever N^2.  A half fold cannot see a
-    form that is not Hermitian; the probe of the full rows does.
+    m < n are binned, at m^2 - n^2 mod q and with twice their weight, and
+    the diagonal, constant in time, as an exact sum at residue 0.  Each row
+    block bins each form into a zeroed length-q partial, one np.add.at, that
+    it adds to the form's bins, so that a bin sums its pairs in short runs.
+    EigenExpansion.fold transforms the bins: one FFT gives every sample, and
+    <O> is read from it real by construction: its real part, or for p = i R,
+    binned as R, minus its imaginary part.  The fold holds O(N rows + q),
+    whatever N^2.  A half fold cannot see a form that is not Hermitian; the
+    probe of the full rows does.
 
-    The chunks (EigenExpansion.map_chunks): the walk writes each dense real
+    The chunks (EigenExpansion.map_chunks): the walk stacks each dense real
     form R once per call into an array of the call's own, N^2 doubles a
     form, which the table does not keep.  b is formed once per chunk.  Each
     form is R or i R, so with b = br + i bi it takes two real GEMMs,
@@ -312,11 +280,14 @@ def _series(exp: EigenExpansion, ids: tuple[str, ...], times) -> list[NDArray[np
     n = np.size(times)
     table = table_for(exp)
     forms = [f for f in ("x", "x2", "p") if any(f in _FORMS[w] for w in ids)]
-    scales, probes = np.zeros((2, len(forms)))
 
     def mean_diagonal(f: str) -> float:
         # Sum |a_n|^2 O_nn, exactly rounded
         return math.fsum((exp.weights * table.diagonal(f)).tolist())
+
+    if not forms:
+        # only p2 is asked for
+        return [np.full(n, mean_diagonal("p2"))] * len(ids)
 
     def assemble(P):
         b = np.multiply(exp.coefficients, P, out=P)
@@ -333,38 +304,43 @@ def _series(exp: EigenExpansion, ids: tuple[str, ...], times) -> list[NDArray[np
             out[k].real, out[k].imag = (-im, re) if f == "p" else (re, im)
         return out
 
-    def weighted(ab, forms_rows, diagonal):
-        # the block's complex weights ab R for each form's rows R in turn:
-        # the forms before the last into one buffer, which the fold has
-        # binned before the next is written, and the last in place in ab.
-        # With the diagonal, the first block's (n_min, n_min) carries it
-        w = np.empty_like(ab) if len(forms_rows) > 1 else None
-        for k, R in enumerate(forms_rows):
-            out = np.multiply(ab, R, out=ab if k == len(forms_rows) - 1 else w)
-            if diagonal is not None:
-                out[0, 0] = diagonal[k]
-            yield out
-
-    def pairs(q: int):
-        # the half fold's blocks.  Each bins the pairs m < n of a row slice
-        # s, at m^2 - n^2 mod q, weighted 2 conj(a_m) a_n R_mn for the real
-        # form R of each of the F forms, one form's complex weights at a
-        # time (weighted).  The pairs n <= m of the block's leading square
-        # weigh 0, but for the first block's (n_min, n_min) at residue 0: it
-        # carries the diagonal Sum |a_n|^2 R_nn, exactly rounded, so that the
-        # constant bin holds it within rounding of its pairs however many
-        # rows a block holds
-        a, n2 = exp.coefficients, exp.square_residues(q)
+    a, F = exp.coefficients, len(forms)
+    scales, probes = np.zeros((2, F))
+    mags = np.abs(a)
+    # the probe's real and imaginary parts apart, for two real GEMVs a span:
+    # one GEMM of both touches OpenBLAS's packing buffer, which stays
+    # resident (0.3 MB more RSS at N = 85)
+    b = a * np.exp(2j * math.pi * _PROBE * exp.levels.astype(float) ** 2)
+    br, bi = np.ascontiguousarray(b.real), np.ascontiguousarray(b.imag)
+    fold = takes_fold(times, a.size ** 2)
+    if fold:
+        q, n2 = times.den, exp.square_residues(times.den)
         diagonal = [mean_diagonal(f) for f in forms]
         # 2 conj(a_m) a_n = Sum_k A[m, k] V[j, k, n], its real part (j = 0)
         # and its imaginary part (j = 1)
         A = 2.0 * a.view(float).reshape(-1, 2)
         V = np.array([[a.real, a.imag], [a.imag, -a.real]])
-        lower = np.tri(fold_rows(a.size, q)[0].stop, dtype=bool)
-        for span, group, rows in _spans(exp, table, forms, q, scales, probes):
+        bins, partial = np.zeros((F, q), dtype=complex), np.empty(q, dtype=complex)
+    else:
+        q, dense = 0, np.empty((F, a.size, a.size))
+    blocks = fold_rows(a.size, q)
+    lower = np.tri(blocks[0].stop, dtype=bool)
+    per = max(1, _SPAN_BYTES // (8 * a.size * blocks[0].stop))
+    for g in range(0, len(blocks), per):
+        group = blocks[g:g + per]
+        span = slice(group[0].start, group[-1].stop)
+        rows = [table.rows(f, span) for f in forms]
+        if fold:
             for s in group:
+                # the half fold's block: the pairs m < n of the rows s, at
+                # m^2 - n^2 mod q, weighted 2 conj(a_m) a_n R_mn.  The pairs
+                # n <= m of its leading square weigh 0, but for the first
+                # block's (n_min, n_min) at residue 0: it carries the diagonal
+                # Sum |a_n|^2 R_nn, exactly rounded, so that the constant bin
+                # holds it within rounding of its pairs however many rows a
+                # block holds
                 c, h = s.start, s.stop - s.start
-                r = np.subtract.outer(n2[s], n2[c:])
+                r = np.subtract.outer(n2[s], n2[c:]).reshape(-1)
                 # r lies in (-q, q): add q where the sign bit is set
                 r += (r >> 63) & q
                 # 2 conj(a_m) a_n, written through ab's float view
@@ -372,25 +348,47 @@ def _series(exp: EigenExpansion, ids: tuple[str, ...], times) -> list[NDArray[np
                 np.einsum("mk,jkn->jmn", A[s], V[:, :, c:],
                           out=ab.view(float).reshape(h, -1, 2).transpose(2, 0, 1))
                 np.copyto(ab[:, :h], 0.0, where=lower[:h, :h])
-                here = slice(c - span.start, s.stop - span.start)
-                yield r, weighted(ab, [R[here, c:] for R in rows], diagonal if c == 0 else None)
+                # one form's complex weights at a time, the forms before the
+                # last into one buffer and the last in place in ab.  Complex
+                # weights take ufunc.at's fast loop, where real ones into
+                # complex bins would take its slow one
+                w = np.empty_like(ab) if F > 1 else None
+                for k in range(F):
+                    wk = np.multiply(ab, rows[k][c - span.start:s.stop - span.start, c:],
+                                     out=ab if k == F - 1 else w)
+                    if c == 0:
+                        wk[0, 0] = diagonal[k]
+                    partial.fill(0.0)
+                    np.add.at(partial, r, wk.reshape(-1))
+                    bins[k] += partial
                 # one block alive at a time: drop it before the next is built
-                del r, ab
-
-    if not forms:
-        vals = {}
-    elif takes_fold(times, exp.coefficients.size ** 2):
-        raw = exp.fold(pairs(times.den), times, len(forms))
+                del r, ab, w, wk
+        else:
+            np.stack(rows, out=dense[:, span])
+        for k, f in enumerate(forms):
+            # Im(b^H O b) over the span's rows; Re(b^H R b) for O = i R
+            yr, yi = rows[k] @ br, rows[k] @ bi
+            probes[k] += (br[span] @ yr + bi[span] @ yi if f == "p"
+                          else br[span] @ yi - bi[span] @ yr)
+        # b^H O b is real for any b, so its imaginary part is rounding in the
+        # sum over m, n, bounded by a small multiple of eps Sum |b_m||b_n||O_mn|;
+        # |b_n| = |a_n| for b_n(t) and the probe alike makes that scale the same
+        # for each, and |O_mn| = |R_mn| exactly for O = i R
+        scales += [mags[span] @ (np.abs(R, out=R) @ mags) for R in rows]
+        # one span alive at a time: drop it before the next is written
+        del rows
+    if fold:
+        # the partial is dropped before the transform and the bins after it,
+        # so that neither adds to the transform's or the moments' peak
+        del partial
+        raw = exp.fold(bins, times)
+        del bins
         vals = dict(zip(forms, raw.real))
         if "p" in vals:
             # p = i R was binned as R: <p> = Re(i FFT) = -Im FFT, in place
             vals["p"] = np.negative(raw[-1].imag, out=raw[-1].imag)
     else:
-        N = exp.coefficients.size
-        dense = np.empty((len(forms), N, N))
-        for span, _, rows in _spans(exp, table, forms, 0, scales, probes):
-            np.stack(rows, out=dense[:, span])
-        raw = exp.map_chunks(assemble, times, np.empty((len(forms), n), dtype=complex))
+        raw = exp.map_chunks(assemble, times, np.empty((F, n), dtype=complex))
         vals = {}
         for f, scale, v in zip(forms, scales, raw):
             _check_residue(f, float(np.max(np.abs(v.imag))) if v.size else 0.0, scale)

@@ -10,7 +10,7 @@ the packet starts at x0 moving toward the right wall with mean momentum
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Iterable
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -346,45 +346,19 @@ class EigenExpansion:
         is 2 pi (n^2 mod q) num / q."""
         return (self.levels % q) ** 2 % q
 
-    def fold(self, blocks: Iterable, times: Theta, forms: int) -> NDArray[np.complex128]:
-        """The residue fold: out[k, j] = Sum_r S[k, r] exp(2 pi i r num_j / q).
+    def fold(self, bins: NDArray[np.complex128], times: Theta) -> NDArray[np.complex128]:
+        """The residue fold's transform: out[k, j] = Sum_r bins[k, r] exp(2 pi i r num_j / q).
 
-        ``blocks`` yields pairs (r, ws): residues r in [0, q) of the phase
-        terms' 2 pi r theta, and ws, an iterable of one complex128 weight
-        array of r's shape per form, in form order.  Each form's weights are
-        binned before the next are asked for, so ws may build them one at a
-        time.  A block adds form k's weights, in element order, to a zeroed
-        length-q partial, one np.add.at, and the partial to S[k]; the first
-        block adds straight into the zeroed S[k].  Complex weights take
-        ufunc.at's fast loop, where real ones into complex bins would take
-        its slow one.  A box moment bins its pairs m < n at m^2 - n^2 mod q
-        (fold_rows), a correlation its weights w_n at n^2 mod q.  One FFT of
-        length q per form then gives every sample,
-        out[k, j] = FFT(S[k])[-num_j mod q].  The constant bin r = 0 stays
-        out of the FFT and is added afterwards, so its rounding does not
-        spread over the others.  Costs O(pairs + q log q) and holds
-        O(q + T), whatever T.
+        bins[k, r] is form k's weight of the phase terms 2 pi r theta, binned
+        by the caller at residues r in [0, q): a box moment its pairs m < n
+        at m^2 - n^2 mod q (observables._series), a correlation its weights
+        w_n at n^2 mod q (correlation._phase_sum).  One FFT of length q per
+        form gives every sample, out[k, j] = FFT(bins[k])[-num_j mod q].  The
+        constant bin r = 0 stays out of the FFT, zeroed in bins, and is added
+        afterwards, so its rounding does not spread over the others.  Costs
+        O(q log q) and holds O(q + T), whatever T.
         """
-        q = self._den(times)
-        bins = np.zeros((forms, q), dtype=complex)
-        first, partial = True, None
-        # not enumerate, whose cached result would keep a block alive while
-        # the next is built
-        for r, ws in blocks:
-            r = r.reshape(-1)
-            for row, w in zip(bins, ws):
-                if first:
-                    np.add.at(row, r, w.reshape(-1))
-                    continue
-                if partial is None:
-                    partial = np.empty(q, dtype=complex)
-                partial.fill(0.0)
-                np.add.at(partial, r, w.reshape(-1))
-                row += partial
-            # so that the next block is built without this one
-            del r, ws, w
-            first = False
-        del partial
+        self._den(times)   # refuses times built for another well's T
         const = bins[:, 0].copy()
         bins[:, 0] = 0.0
         # -num_j lies in (-q, 0]: take reads it as -num_j mod q

@@ -87,9 +87,28 @@ def wkb_energy(well: PowerLawWell, n):
     with pref = hbar pi / (2 a sqrt(2m)) for the full well and twice that
     for the half well.  k = math.inf gives the box spectrum exactly:
     width 2a (full) or a (half) with prefactor (n + 1).  An int array of
-    states gives an array, element for element the scalar values.
+    states gives an array, element for element the scalar values.  Every
+    energy must be a finite, positive double: ValueError names k and a
+    level where it is not.
     """
     n = _check_level(n, 0)
+    scalar = not isinstance(n, np.ndarray)
+    # E_n grows with n: where the energies of the largest and the lowest
+    # level are finite, positive doubles, so are those between, and no
+    # product on the way to them overflows
+    for end in (n,) if scalar else (n.max(), n.min()) if n.size else ():
+        try:
+            E = _energy(well, int(end))
+        except OverflowError:
+            E = math.inf
+        if not 0.0 < E < math.inf:
+            raise ValueError(f"k: the WKB energy at n = {end} is not a finite positive double "
+                             f"at k = {well.k!r}, V0 = {well.V0!r}, a = {well.a!r}")
+    return E if scalar else _energy(well, n)
+
+
+def _energy(well: PowerLawWell, n):
+    """E_n of wkb_energy, unchecked: past the doubles, inf or OverflowError."""
     m, hbar, a = well.mass, well.hbar, well.a
     if math.isinf(well.k):
         width = a if well.half else 2.0 * a

@@ -177,9 +177,7 @@ def run_powerlaw(cfg: RunConfig, out_dir):
     """Spectrum table (k, n, E, tau, T_rev) and optional per-k collapse fits."""
     out = _Output(cfg, "powerlaw", out_dir)
     pl = cfg.powerlaw
-    wells = [powerlaw.PowerLawWell(k=k, V0=pl.v0, a=pl.a, mass=cfg.system.mass,
-                                   hbar=cfg.system.hbar, half=pl.half)
-             for k in pl.k_values]
+    wells = pl.wells(cfg.system)
     levels = np.arange(pl.n_min, pl.n_max + 1)
     # text columns as bytes arrays, which the writer lays out whole: the
     # level index (never rounded), as wide as the largest, and constants

@@ -446,6 +446,32 @@ def test_powerlaw_output_tokens(tmp_path):
     assert "fit failed" in by_k["infinity"]["result"]
 
 
+@pytest.mark.parametrize("command, ini, code", [
+    ("powerlaw", "[powerlaw]\nk = 4\na = 1e-150\nn_min = 0\nn_max = 2\n"
+                 "fit = true\nfit_n0 = 100\nfit_dn = 3\n", 0),
+    ("correlate", "[system]\nlength = 1e-90\n[packet]\nn0 = 400\nx0 = 5e-91\n"
+                  "dx0 = 5e-92\n[correlate]\nfit = true\n[schedule]\nmode = dense\n"
+                  "start = 0\nstop = 1T\ncount = 50\n", 2),
+], ids=["powerlaw", "correlate"])
+def test_a_collapse_fit_whose_squared_times_underflow_fails_cleanly(tmp_path, capsys,
+                                                                    command, ini, code):
+    # tau is about 4.6e-201 (powerlaw) and 3e-183 (box), so every t^2 of the
+    # fit underflows to 0 and its slope is 0/0 = nan, which once passed the
+    # fit's test and ended in a ValueError traceback from CollapseFit.  Now
+    # it is a CollapseFitError: powerlaw records the failed fit and exits 0,
+    # correlate exits 2
+    path = tmp_path / "run.ini"
+    path.write_text(ini)
+    out = tmp_path / "o"
+    assert main([command, "--config", str(path), "--out", str(out)]) == code
+    reason = "ln|C| decay rate nan is not finite and positive"
+    if command == "powerlaw":
+        fits = json.loads((out / "powerlaw_fits.json").read_text())["fits"]
+        assert fits == [{"k": 4.0, "result": f"fit failed: {reason}"}]
+    else:
+        assert capsys.readouterr().err == f"numerical failure: {reason}\n"
+
+
 def test_flatten_single_width(tmp_path):
     ini = tmp_path / "run.ini"
     ini.write_text("[flatten]\ndx0 = 0.05\nt_stop = 120tau\n")

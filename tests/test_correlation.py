@@ -94,6 +94,20 @@ def test_fit_gaussian_decay_synthetic():
     assert resid < 1e-12
 
 
+@pytest.mark.parametrize("tau", [4.6e-201, 1e200])
+def test_fit_gaussian_decay_refuses_a_slope_that_is_not_finite(tau):
+    # a decay whose t^2 all underflow (tau 4.6e-201) gave the slope 0/0 = nan,
+    # which passed the old `slope <= 0` test with a RuntimeWarning and left
+    # a bare ValueError from CollapseFit; t^2 past the doubles (tau 1e200)
+    # gave nan as well.  Either is a CollapseFitError, with no warning (the
+    # suite turns warnings into errors)
+    mags = np.array([0.99, 0.96, 0.91])
+    with pytest.raises(CollapseFitError, match="decay rate nan is not finite and positive"):
+        fit_gaussian_decay(np.arange(1, 4) * tau, mags)
+    with pytest.raises(CollapseFitError, match="not finite and positive"):
+        fit_gaussian_decay(np.arange(1, 4) * 1e-3, 1.0 / mags)
+
+
 def test_fit_collapse_default_packet(default_exp):
     fit = fit_collapse(default_exp, TAU)
     assert fit.threshold == DEFAULT_FIT_THRESHOLD == 0.9

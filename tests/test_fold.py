@@ -221,36 +221,39 @@ def test_fold_memory_does_not_grow_with_samples(sys0):
 
 
 
-def _dtype_spy(fold, seen: list):
-    """EigenExpansion.fold that records, for every block, the forms and the
-    dtype of each weight array as the fold takes it."""
-    def spied(self, blocks, times, forms):
-        def each():
-            for r, ws in blocks:
-                dtypes = []
-                seen.append((forms, dtypes))
+class _AddSpy:
+    """np.add that records, for every np.add.at, the dtypes of the bins and
+    of the weights added into them."""
 
-                def weights(ws=ws, dtypes=dtypes):
-                    for w in ws:
-                        dtypes.append(w.dtype)
-                        yield w
-                yield r, weights()
-        return fold(self, each(), times, forms)
-    return spied
+    def __init__(self, seen: list):
+        self.seen = seen
+
+    def __call__(self, *args, **kwargs):
+        return _ADD(*args, **kwargs)
+
+    def __getattr__(self, name):
+        return getattr(_ADD, name)
+
+    def at(self, bins, indices, weights):
+        self.seen.append((bins.dtype, np.asarray(weights).dtype))
+        return _ADD.at(bins, indices, weights)
+
+
+_ADD = np.add
 
 
 def test_fold_weights_reach_it_complex_with_no_bincount(sys0, monkeypatch):
-    # every block's weights, from moments and from correlations, reach the
-    # fold as complex128: real weights into its complex bins would take
-    # ufunc.at's slow loop, about 20 times slower.  np.bincount, which the
-    # fold no longer calls, fails the test if anything calls it
+    # every moment block and every correlation adds complex128 weights into
+    # complex128 bins, one np.add.at per form and block: real weights into
+    # complex bins would take ufunc.at's slow loop, about 20 times slower.
+    # np.bincount, which the fold no longer calls, fails the test if
+    # anything calls it
     def no_bincount(*args, **kwargs):
         raise AssertionError("np.bincount is called")
 
     seen = []
     monkeypatch.setattr(np, "bincount", no_bincount)
-    monkeypatch.setattr(packet.EigenExpansion, "fold",
-                        _dtype_spy(packet.EigenExpansion.fold, seen))
+    monkeypatch.setattr(np, "add", _AddSpy(seen))
     exp = build_gaussian_packet(PacketSpec(n0=1500, x0=0.3, dx0=0.009), sys0)
     times = _period_schedule(exp, 601)
     T = times.t[-1]
@@ -261,7 +264,34 @@ def test_fold_weights_reach_it_complex_with_no_bincount(sys0, monkeypatch):
              (lambda: autocorrelation_series(exp, times), 1, 1),
              (lambda: revival_scan(exp, (0.0, T), T / 600, 0.3,
                                    theta=(0, Fraction(1, 600))), 2, 1)]
+    complex128 = np.dtype(np.complex128)
     for call, forms, count in calls:
         seen.clear()
         call()
-        assert seen == [(forms, [np.dtype(np.complex128)] * forms)] * count
+        assert seen == [(complex128, complex128)] * (forms * count)
+
+
+def test_fold_transforms_bins_into_their_phase_sums(sys0, rng):
+    # fold(bins, times)[k, j] = Sum_r bins[k, r] exp(2 pi i r num_j / q), one
+    # FFT per form with the constant bin r = 0 kept out of it and added to
+    # every sample afterwards, bit for bit
+    exp = build_gaussian_packet(PacketSpec(n0=40, x0=0.3, dx0=0.1), sys0)
+    q, count = 37, 50
+    T = compute_timescales(sys0, exp.spec).T_rev
+    times = Theta.progression(np.arange(count) * (T / q), T, 0, Fraction(1, q))
+    bins = rng.standard_normal((2, q)) + 1j * rng.standard_normal((2, q))
+    bins[1, 0] = 1e3
+    want = bins @ np.exp(2j * np.pi * (np.outer(np.arange(q), times.num) % q) / q)
+    got = exp.fold(bins.copy(), times)
+    assert got.shape == (2, count)
+    for k in range(2):
+        assert np.max(np.abs(got[k] - want[k])) <= 8 * EPS * np.abs(bins[k]).sum()
+    apart = bins.copy()
+    apart[:, 0] = 0.0
+    fft = np.fft.fft(apart, axis=1)[:, -times.num]
+    assert np.array_equal(got, fft + bins[:, :1])
+    # the constant bin inside the FFT would round otherwise
+    assert not np.array_equal(got, np.fft.fft(bins, axis=1)[:, -times.num])
+    other = Theta.progression(times.t, 2 * T, 0, Fraction(1, 2 * q))
+    with pytest.raises(ValueError, match="not this well's T"):
+        exp.fold(bins.copy(), other)

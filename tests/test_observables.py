@@ -148,20 +148,20 @@ def _fold_bound(N, rows, q, T):
     # the next is built (residues, 2 conj(a_m) a_n and one form's complex
     # weights of the pairs m < n: 5 N rows doubles and ufunc's cast buffer
     # of at most 128 KiB; beside the rest of this bound the peak at
-    # N = 5093 measures 3.01 N rows doubles, and 3.92 when a block held the
+    # N = 5093 measures 3.10 N rows doubles, and 3.92 when a block held the
     # three forms' weights at once; the N = 509 peak lies under the rest
     # alone), the three forms' rows of one span of blocks
     # (observables._SPAN_BYTES each, or one block), the bins of three forms
-    # and their FFT (96 q bytes; the binning's length-q partial is dropped
-    # before the FFT) and the (3, T) output.  The full fold, which binned
-    # every pair as complex weights, measured 5.3 and needed 10
+    # and their FFT (96 q bytes; _series drops the binning's length-q
+    # partial before the transform) and the (3, T) output.  The full fold,
+    # which binned every pair as complex weights, measured 5.3 and needed 10
     span = max(1, observables._SPAN_BYTES // (8 * N * rows)) * 8 * N * rows
     return 5 * 8 * N * rows + 3 * span + 96 * q + 48 * T
 
 
 def test_table_and_fold_series_hold_order_n_rows_plus_q():
     # table_for and the four-series fold call over 7993 strobes at N = 509
-    # peak at 1.87 MB (2.26 MB bound; 2.43 MB with the full fold), against
+    # peak at 1.88 MB (2.26 MB bound; 2.43 MB with the full fold), against
     # 4.25 N^2 doubles (8.8 MB) with dense tables
     spec = PacketSpec(n0=3996, x0=0.3, dx0=0.005)
     exp = build_gaussian_packet(spec)
@@ -177,7 +177,7 @@ def test_table_and_fold_series_hold_order_n_rows_plus_q():
 
 def test_fold_series_at_five_thousand_levels_holds_order_n_rows_plus_q():
     # n0 = 40000, dx0 = 0.0005 is N = 5093: three dense tables would hold
-    # 0.62 GB; the fold's row blocks hold O(N rows + q), measured 11.60 MB
+    # 0.62 GB; the fold's row blocks hold O(N rows + q), measured 11.66 MB
     # (12.9 MB bound; 13.10 MB with the full fold, 17.0 MB while two of
     # its blocks were alive at once)
     spec = PacketSpec(n0=40000, x0=0.3, dx0=0.0005)
@@ -196,6 +196,28 @@ def test_fold_series_at_five_thousand_levels_holds_order_n_rows_plus_q():
     assert (x[0], p[0]) == (pytest.approx(0.3, abs=1e-9), pytest.approx(p0, rel=1e-9))
     assert (dx[0], dp[0]) == (pytest.approx(0.0005, rel=1e-6), pytest.approx(1000.0, rel=1e-6))
     assert np.all(dx * dp >= 0.5 * exp.sys.hbar * (1 - 1e-9))
+
+
+@pytest.mark.parametrize("path", ["fold", "chunks"])
+def test_moment_bits_do_not_depend_on_the_span_size(monkeypatch, path):
+    # the walk groups row blocks into spans of _SPAN_BYTES a form: one block
+    # a span, a few, or all of them in one.  The grouping may change the
+    # number of calls, never a bit of the four series, on the fold (q = 600)
+    # and on the chunks (three plain times)
+    exp = build_gaussian_packet(PacketSpec(n0=2000, x0=0.3, dx0=0.008))
+    T = revival_time(exp.sys)
+    if path == "fold":
+        times = Theta.progression(np.arange(601) * (T / 600), T, 0, Fraction(1, 600))
+    else:
+        times = np.array([0.0, 0.3 * T, 0.71 * T])
+    N = exp.coefficients.size
+    assert N == 319 and takes_fold(times, N * N) == (path == "fold")
+    got = []
+    for span_bytes in (1, 2**18, 2**40):
+        monkeypatch.setattr(observables, "_SPAN_BYTES", span_bytes)
+        got.append(b"".join(v.tobytes() for v in expectation_series(
+            exp, ("x", "dx", "p", "dp"), times)))
+    assert got[0] == got[1] == got[2]
 
 
 P2_LADDER = [(n0, dx0) for n0 in (12, 40, 150, 400, 1500, 4000)

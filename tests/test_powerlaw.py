@@ -45,6 +45,51 @@ def test_wells_whose_v0_root_leaves_the_doubles_are_refused(tmp_path, capsys, v0
     assert np.all(np.isfinite(E) & (E > 0)) and np.all(np.isfinite(T_rev))
 
 
+# (INI lines past k, the well, the largest level the run uses, the level
+# named).  Before the energy rule the first warned "overflow encountered in
+# multiply" and wrote E = inf, tau = 0 with exit 0; the second and the box
+# limit ended in an OverflowError traceback after a header-only
+# powerlaw.csv; the third wrote E = 0 and tau = T_rev = inf with exit 0.
+# In the fourth only the fit window's top (124 at fit_n0 = 100, fit_dn = 3)
+# leaves the doubles, and in the last only the lowest levels do: E_n grows
+# with n, and E_2 rounds to 0 where E at 5e9 + 24 is 9e-313
+ENERGIES_OUT_OF_DOUBLES = [
+    ("0.0001\nv0 = 1.0735\nn_max = 3", dict(k=1e-4, V0=1.0735), 3, 3),
+    ("4\na = 1e-300\nn_max = 2", dict(k=4.0, a=1e-300), 2, 2),
+    ("4\na = 1e300\nn_max = 2", dict(k=4.0, a=1e300), 2, 2),
+    ("infinity\na = 1e-300\nn_max = 2", dict(k=math.inf, a=1e-300), 2, 2),
+    ("4\na = 1e-229\nn_max = 2\nfit = true\nfit_n0 = 100", dict(k=4.0, a=1e-229), 124, 124),
+    ("4\na = 1e244\nn_max = 2\nfit = true\nfit_n0 = 5000000000", dict(k=4.0, a=1e244),
+     5000000024, 0),
+]
+
+
+@pytest.mark.parametrize("ini, well, top, level", ENERGIES_OUT_OF_DOUBLES,
+                         ids=["overflow", "power-overflow", "underflow", "box", "fit-top",
+                              "bottom"])
+def test_wells_whose_energies_leave_the_doubles_are_refused(tmp_path, capsys, ini, well,
+                                                            top, level):
+    # one rule: the energies at the lowest and the largest level a run uses
+    # are finite, positive doubles.  wkb_energy refuses any other with a
+    # ValueError that names k and the level, and no warning (the suite turns
+    # warnings into errors); the config refuses it through wkb_energy before
+    # any file is written
+    well = PowerLawWell(**well)
+    with pytest.raises(ValueError, match=rf"^k: the WKB energy at n = {level} is not a "
+                                         rf"finite positive double at k = {well.k!r}"):
+        wkb_energy(well, np.array([0, top]))
+    if top < 100:
+        with pytest.raises(ValueError, match=rf"^k: the WKB energy at n = {top} "):
+            wkb_energy(well, top)
+    path = tmp_path / "run.ini"
+    path.write_text(f"[powerlaw]\nn_min = 0\nk = {ini}\n")
+    out = tmp_path / "o"
+    assert main(["powerlaw", "--config", str(path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: [powerlaw] k: the WKB energy at n = {level} ")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("name", ["V0", "a", "mass", "hbar"])
 def test_well_refuses_non_finite_values(name, value):
