@@ -26,7 +26,6 @@ import numpy as np
 
 from .correlation import DEFAULT_FIT_THRESHOLD, _scan_times
 from .packet import PacketSpec, Theta
-from .powerlaw import PowerLawWell, _check_root, gaussian_weights, wkb_energy
 from .system import WellSystem
 
 if typing.TYPE_CHECKING:
@@ -248,26 +247,6 @@ class PowerLawSettings:
             raise ValueError("fit_n0: must be >= 1")
         if not self.fit_dn > 0:
             raise ValueError("fit_dn: must be positive")
-        for k in self.k_values:
-            _check_root(k, self.v0)
-
-    def wells(self, system: WellSystem) -> list[PowerLawWell]:
-        """The well of each exponent, of the [system] mass and hbar."""
-        return [PowerLawWell(k=k, V0=self.v0, a=self.a, mass=system.mass, hbar=system.hbar,
-                             half=self.half) for k in self.k_values]
-
-    def check_energies(self, system: WellSystem):
-        """Refuse wells whose WKB energy (wkb_energy) leaves the finite positive
-        doubles at the largest or the lowest level the run uses: the
-        spectrum's n_max and n_min, and with the fit its level window.  E_n
-        grows with n, so these two bound every level's."""
-        largest, lowest = self.n_max, self.n_min
-        if self.fit:
-            window = gaussian_weights(self.fit_n0, self.fit_dn, PacketSpec.window_sigmas)[0]
-            largest, lowest = max(largest, int(window[-1])), min(lowest, int(window[0]))
-        for well in self.wells(system):
-            wkb_energy(well, largest)
-            wkb_energy(well, lowest)
 
 
 @dataclass(frozen=True)
@@ -393,6 +372,9 @@ def _keys(cls) -> dict[str, tuple[str, Callable[[str], object]]]:
             for f in fields(cls)}
 
 
+# The default of every section, shared by each config that gives it no key.
+_DEFAULT = RunConfig()
+
 # The schema: section name -> its keys, built once from RunConfig's fields.
 _SECTIONS = {name: _keys(cls) for name, cls in typing.get_type_hints(RunConfig).items()
              if is_dataclass(cls)}
@@ -409,10 +391,12 @@ def parse_config(text: str) -> RunConfig:
     if unknown:
         raise ConfigError(f"[{min(unknown)}]: unknown section")
 
-    default = RunConfig()
     sections = {}
     for name, keys in _SECTIONS.items():
         raw = dict(cp[name]) if cp.has_section(name) else {}
+        if not raw:
+            sections[name] = getattr(_DEFAULT, name)      # checked once, when built
+            continue
         unknown = raw.keys() - keys.keys()
         if unknown:
             raise ConfigError(f"[{name}] {min(unknown)}: unknown key")
@@ -426,7 +410,7 @@ def parse_config(text: str) -> RunConfig:
         if name == "packet" and "alpha" in given and "dx0" not in given:
             given["dx0"] = None      # alpha alone replaces the default width
         try:
-            sections[name] = replace(getattr(default, name), **given)
+            sections[name] = replace(getattr(_DEFAULT, name), **given)
         except ValueError as e:
             # bound messages name the field; report the key it is read from
             attr, sep, problem = str(e).partition(": ")
@@ -436,10 +420,6 @@ def parse_config(text: str) -> RunConfig:
         sections["packet"].validate_for(sections["system"])
     except ValueError as e:
         raise ConfigError(f"[packet] {e}") from None
-    try:
-        sections["powerlaw"].check_energies(sections["system"])
-    except ValueError as e:
-        raise ConfigError(f"[powerlaw] {e}") from None
 
     digest = hashlib.sha256(text.encode()).hexdigest()
     return RunConfig(**sections, config_hash=digest)

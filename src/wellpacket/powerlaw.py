@@ -55,25 +55,21 @@ class PowerLawWell:
                 raise ValueError(f"{name}: must be finite")
         if self.V0 <= 0 or self.a <= 0 or self.mass <= 0 or self.hbar <= 0:
             raise ValueError("V0, a, mass and hbar must be positive")
-        _check_root(self.k, self.V0)
+        # V0 ** (1/k), a factor of every E_n, must be a normal double: past |ln V0| / k
+        # of about 708 it overflows, flushes E_n to 0 or leaves a normal E_n short of digits
+        try:
+            root = self.V0 ** (1.0 / self.k)
+        except OverflowError:
+            root = math.inf
+        if not np.finfo(float).smallest_normal <= root < math.inf:
+            raise ValueError(f"k: V0 ** (1/k) is not a normal double at k = {self.k!r}, "
+                             f"V0 = {self.V0!r}")
 
     @property
     def maslov_mu(self) -> float:
         if math.isinf(self.k):
             return 1.0        # two hard walls
         return 0.75 if self.half else 0.5
-
-
-def _check_root(k: float, V0: float):
-    """Refuse an exponent k for a V0 > 0 whose V0 ** (1/k), a factor of every
-    WKB energy, is not a normal double, as where |ln V0| / k passes about 708:
-    the power would overflow, or flush every E_n to 0."""
-    try:
-        root = V0 ** (1.0 / k)
-    except OverflowError:
-        root = math.inf
-    if not np.finfo(float).smallest_normal <= root < math.inf:
-        raise ValueError(f"k: V0 ** (1/k) is not a normal double at k = {k!r}, V0 = {V0!r}")
 
 
 def wkb_energy(well: PowerLawWell, n):
@@ -92,61 +88,78 @@ def wkb_energy(well: PowerLawWell, n):
     level where it is not.
     """
     n = _check_level(n, 0)
-    scalar = not isinstance(n, np.ndarray)
-    # E_n grows with n: where the energies of the largest and the lowest
-    # level are finite, positive doubles, so are those between, and no
-    # product on the way to them overflows
-    for end in (n,) if scalar else (n.max(), n.min()) if n.size else ():
-        try:
-            E = _energy(well, int(end))
-        except OverflowError:
-            E = math.inf
-        if not 0.0 < E < math.inf:
-            raise ValueError(f"k: the WKB energy at n = {end} is not a finite positive double "
-                             f"at k = {well.k!r}, V0 = {well.V0!r}, a = {well.a!r}")
-    return E if scalar else _energy(well, n)
+    with np.errstate(all="ignore"):
+        E = _energy(well, n)
+    _refuse(well, n, E)
+    return E
+
+
+def _refuse(well: PowerLawWell, n, *values):
+    """The finiteness rule: ValueError naming k, the value and the level where E,
+    tau or T_rev (`values`, in that order; None is skipped) at a level or an int
+    array of levels n is not a finite, positive double at the largest or the
+    lowest level.  Each is monotone in n, so these two bound every level; T_rev,
+    meaningless below n = 1, is not checked there."""
+    n = np.ravel(n)
+    ends = dict.fromkeys((int(n.argmax()), int(n.argmin()))) if n.size else ()
+    for name, lowest, v in zip(("WKB energy", "classical period", "revival time"), (0, 0, 1),
+                               values):
+        for i in ends if v is not None else ():
+            if n.item(i) >= lowest and not 0.0 < np.ravel(v).item(i) < math.inf:
+                raise ValueError(f"k: the {name} at n = {n[i]} is not a finite positive double "
+                                 f"at k = {well.k!r}, V0 = {well.V0!r}, a = {well.a!r}")
 
 
 def _energy(well: PowerLawWell, n):
-    """E_n of wkb_energy, unchecked: past the doubles, inf or OverflowError."""
+    """E_n of wkb_energy, unchecked: inf past the doubles (at every level
+    where the power overflows), 0 below them."""
     m, hbar, a = well.mass, well.hbar, well.a
-    if math.isinf(well.k):
-        width = a if well.half else 2.0 * a
-        return _float_pow((n + 1) * math.pi * hbar / width, 2) / (2.0 * m)
-    k = well.k
-    pref = hbar * math.pi / ((a if well.half else 2.0 * a) * math.sqrt(2.0 * m))
-    gamma_ratio = math.exp(math.lgamma(1.0 / k + 1.5) - math.lgamma(1.0 / k + 1.0)
-                           - math.lgamma(1.5))
-    base = (n + well.maslov_mu) * pref * well.V0 ** (1.0 / k) * gamma_ratio
-    return _float_pow(base, 2.0 * k / (k + 2.0))
+    try:
+        if math.isinf(well.k):
+            width = a if well.half else 2.0 * a
+            return _float_pow((n + 1) * math.pi * hbar / width, 2) / (2.0 * m)
+        k = well.k
+        pref = hbar * math.pi / ((a if well.half else 2.0 * a) * math.sqrt(2.0 * m))
+        gamma_ratio = math.exp(math.lgamma(1.0 / k + 1.5) - math.lgamma(1.0 / k + 1.0)
+                               - math.lgamma(1.5))
+        base = (n + well.maslov_mu) * pref * well.V0 ** (1.0 / k) * gamma_ratio
+        return _float_pow(base, 2.0 * k / (k + 2.0))
+    except OverflowError:       # E_n grows with n: the largest level's overflowed
+        return np.full(np.shape(n), math.inf)[()]
 
 
-def _period(well: PowerLawWell, n, E):
-    """tau of classical_period_powerlaw at levels n with energies E."""
+def _times(well: PowerLawWell, n, E):
+    """(tau, T_rev) of classical_period_powerlaw and revival_time_powerlaw at
+    levels n with energies E; T_rev is None at k = 2."""
     if math.isinf(well.k):
-        return math.pi * well.hbar * (n + 1) / E
+        tau = math.pi * well.hbar * (n + 1) / E
+        return tau, 2.0 * (n + 1) * tau
     factor = (2.0 + well.k) / (2.0 * well.k)
-    return 2.0 * math.pi * well.hbar * (n + well.maslov_mu) * factor / E
-
-
-def _revival(well: PowerLawWell, n, tau):
-    """T_rev of revival_time_powerlaw at levels n with periods tau."""
+    tau = 2.0 * math.pi * well.hbar * (n + well.maslov_mu) * factor / E
     if well.k == 2.0:
-        return None
-    if math.isinf(well.k):
-        return 2.0 * (n + 1) * tau
+        return tau, None
     ratio = abs((well.k + 2.0) / (well.k - 2.0))
-    return ratio * 2.0 * (n + well.maslov_mu) * tau
+    return tau, ratio * 2.0 * (n + well.maslov_mu) * tau
+
+
+def _spectrum(well: PowerLawWell, n):
+    """(E, tau, T_rev) of wkb_spectrum at an int array of levels n, unchecked
+    and without a warning."""
+    with np.errstate(all="ignore"):
+        E = _energy(well, n)
+        return (E, *_times(well, n, E))
 
 
 def wkb_spectrum(well: PowerLawWell, levels):
     """(E, tau, T_rev) of an int array of levels, element for element the
     values of wkb_energy, classical_period_powerlaw and revival_time_powerlaw.
-    T_rev is None at k = 2, and its entries below n = 1 mean nothing."""
-    levels = _check_level(levels, 0)
-    E = wkb_energy(well, levels)
-    tau = _period(well, levels, E)
-    return E, tau, _revival(well, levels, tau)
+    T_rev is None at k = 2, and its entries below n = 1 mean nothing.  Each
+    must be a finite, positive double at the largest and the lowest level:
+    ValueError names k, the value and a level where one is not."""
+    levels = _check_level(np.atleast_1d(levels), 0)
+    spectrum = _spectrum(well, levels)
+    _refuse(well, levels, *spectrum)
+    return spectrum
 
 
 def classical_period_powerlaw(well: PowerLawWell, n) -> float:
@@ -158,7 +171,7 @@ def classical_period_powerlaw(well: PowerLawWell, n) -> float:
     for every n.
     """
     n = _check_level(n, 0)
-    return _period(well, n, wkb_energy(well, n))
+    return _times(well, n, wkb_energy(well, n))[0]
 
 
 def revival_time_powerlaw(well: PowerLawWell, n) -> float | None:
@@ -169,7 +182,7 @@ def revival_time_powerlaw(well: PowerLawWell, n) -> float | None:
     period and no finite revival scale exists.
     """
     n = _check_level(n, 1)
-    return _revival(well, n, classical_period_powerlaw(well, n))
+    return _times(well, n, wkb_energy(well, n))[1]
 
 
 def collapse_time_powerlaw(well: PowerLawWell, n0: int, dn: float) -> float | None:
@@ -180,15 +193,21 @@ def collapse_time_powerlaw(well: PowerLawWell, n0: int, dn: float) -> float | No
     return T / (2.0 * math.pi * dn**2)
 
 
-def gaussian_weights(n0: int, dn: float,
-                     window_sigmas: float) -> tuple[NDArray[np.int64], NDArray[np.float64]]:
-    """Normalized |a_n|^2 ~ exp(-(n-n0)^2 / (2 dn^2)) on a clipped window."""
+def _window(n0: int, dn: float, window_sigmas: float) -> tuple[int, int]:
+    """The first and the last level of gaussian_weights's window."""
     if dn <= 0:
         raise ValueError("dn must be positive")
     lo = max(0, math.ceil(n0 - window_sigmas * dn))
     hi = math.floor(n0 + window_sigmas * dn)
     if hi < lo:
         raise ValueError("weight window is empty")
+    return lo, hi
+
+
+def gaussian_weights(n0: int, dn: float,
+                     window_sigmas: float) -> tuple[NDArray[np.int64], NDArray[np.float64]]:
+    """Normalized |a_n|^2 ~ exp(-(n-n0)^2 / (2 dn^2)) on a clipped window."""
+    lo, hi = _window(n0, dn, window_sigmas)
     levels = np.arange(lo, hi + 1)
     w = np.exp(-((levels - n0) / dn) ** 2 / 2.0)
     return levels, w / w.sum()

@@ -15,7 +15,7 @@ from itertools import chain
 import numpy as np
 
 from . import correlation, observables, powerlaw, timescales
-from .config import RunConfig
+from .config import ConfigError, RunConfig
 from .evolution import (MomentumGrid, SpatialGrid, momentum_wavefunction,
                         position_wavefunction, probability_density)
 from .packet import PacketSpec, build_gaussian_packet
@@ -175,9 +175,21 @@ def run_correlate(cfg: RunConfig, out_dir):
 
 def run_powerlaw(cfg: RunConfig, out_dir):
     """Spectrum table (k, n, E, tau, T_rev) and optional per-k collapse fits."""
+    pl, sys = cfg.powerlaw, cfg.system
+    try:
+        wells = [powerlaw.PowerLawWell(k=k, V0=pl.v0, a=pl.a, mass=sys.mass, hbar=sys.hbar,
+                                       half=pl.half) for k in pl.k_values]
+        # the finiteness rule, once per well and before any file, at the
+        # lowest and the largest level the run uses: the spectrum's, and with
+        # the fit its weights' window.  These two bound every level
+        lo, hi = (powerlaw._window(pl.fit_n0, pl.fit_dn, PacketSpec.window_sigmas) if pl.fit
+                  else (pl.n_min, pl.n_max))
+        ends = np.array([min(pl.n_min, lo), max(pl.n_max, hi)])
+        for well in wells:
+            powerlaw._refuse(well, ends, *powerlaw._spectrum(well, ends))
+    except ValueError as e:
+        raise ConfigError(f"[powerlaw] {e}") from None
     out = _Output(cfg, "powerlaw", out_dir)
-    pl = cfg.powerlaw
-    wells = pl.wells(cfg.system)
     levels = np.arange(pl.n_min, pl.n_max + 1)
     # text columns as bytes arrays, which the writer lays out whole: the
     # level index (never rounded), as wide as the largest, and constants
@@ -190,7 +202,7 @@ def run_powerlaw(cfg: RunConfig, out_dir):
     def spectrum_blocks(well):
         # k labels the well, unrounded: repr without a trailing ".0"
         k_cell = "infinity" if math.isinf(well.k) else repr(well.k).removesuffix(".0")
-        E, tau, trev = powerlaw.wkb_spectrum(well, levels)
+        E, tau, trev = powerlaw._spectrum(well, levels)     # its ends passed the rule
         block = [constant(k_cell), n_cells, E, tau,
                  constant("periodic") if trev is None else trev]
         if pl.n_min > 0:

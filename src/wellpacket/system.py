@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 from numpy.typing import NDArray
@@ -70,12 +71,12 @@ def level_momentum(n, sys: WellSystem = WellSystem()):
 
 
 def _float_pow(base, power):
-    """base ** power by Python's float power, element by element for an
-    array: numpy's power and square differ from it in the last bit for some
-    bases."""
+    """base ** power by Python's float power, element by element for a 1-d
+    array through math.pow, the same C pow: numpy's power and square differ
+    from it in the last bit for some bases."""
     if np.ndim(base) == 0:
         return base ** power
-    return np.array([b ** power for b in base.tolist()])
+    return np.fromiter(map(math.pow, base.tolist(), repeat(power)), float, len(base))
 
 
 def eigenenergy(n, sys: WellSystem = WellSystem()):

@@ -2,6 +2,7 @@
 
 import math
 import os
+import sys
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from wellpacket import (CollapseFitError, PowerLawWell,
                         powerlaw, powerlaw_autocorrelation, revival_time_powerlaw,
                         wkb_energy, wkb_spectrum)
 from wellpacket.cli import main
+from wellpacket.config import RunConfig, parse_config
 
 
 def test_well_validation():
@@ -88,6 +90,76 @@ def test_wells_whose_energies_leave_the_doubles_are_refused(tmp_path, capsys, in
     err = capsys.readouterr().err
     assert err.startswith(f"config error: [powerlaw] k: the WKB energy at n = {level} ")
     assert not out.exists()
+
+
+# (INI, the well, the largest level the run uses, the value and the level
+# refused; each run's lowest level is 0).  E is a positive double at every level of each,
+# so the energy rule alone passed them.  In the first, E_0 = 8.7e-309 and
+# tau = inf at n = 0 and 1: it warned "overflow encountered in divide",
+# wrote tau = inf and T_rev = inf and exited 0.  In the other two only the
+# fit window's top (124 at fit_n0 = 100, fit_dn = 3) leaves the doubles,
+# through tau and through T_rev; both wrote a failed fit and exited 0, the
+# first after an overflow warning
+TIMES_OUT_OF_DOUBLES = [
+    ("[powerlaw]\nk = 4\na = 1e231\nn_min = 0\nn_max = 2\n", dict(k=4.0, a=1e231), 2,
+     "classical period", 0),
+    ("[system]\nhbar = 1e200\n[powerlaw]\nk = 1\na = 1e200\nv0 = 3.4e-161\nn_min = 0\n"
+     "n_max = 0\nfit = true\nfit_n0 = 100\nfit_dn = 3\n",
+     dict(k=1.0, a=1e200, V0=3.4e-161, hbar=1e200), 124, "classical period", 124),
+    ("[system]\nhbar = 1e200\n[powerlaw]\nk = 1\na = 1e200\nv0 = 1e-159\nn_min = 0\n"
+     "n_max = 2\nfit = true\nfit_n0 = 100\nfit_dn = 3\n",
+     dict(k=1.0, a=1e200, V0=1e-159, hbar=1e200), 124, "revival time", 124),
+]
+
+
+@pytest.mark.parametrize("ini, well, top, name, level", TIMES_OUT_OF_DOUBLES,
+                         ids=["tau-bottom", "tau-fit-top", "T_rev-fit-top"])
+def test_wells_whose_times_leave_the_doubles_are_refused(tmp_path, capsys, ini, well, top,
+                                                         name, level):
+    # the rule covers tau and T_rev as well as E, at the lowest and the
+    # largest level the run uses: the powerlaw command refuses before any
+    # file, and wkb_spectrum over those two levels names the same value
+    path = tmp_path / "run.ini"
+    path.write_text(ini)
+    out = tmp_path / "o"
+    assert main(["powerlaw", "--config", str(path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: [powerlaw] k: the {name} at n = {level} ")
+    assert not out.exists()
+    well = PowerLawWell(**well)
+    with pytest.raises(ValueError, match=rf"^k: the {name} at n = {level} is not a finite "
+                                         rf"positive double at k = {well.k!r}"):
+        wkb_spectrum(well, np.array([0, top]))
+
+
+def test_config_parsing_does_no_powerlaw_work(monkeypatch):
+    # a section without keys is its shared default, so a config that leaves
+    # [powerlaw] out builds no well and evaluates no energy, in any module
+    # that holds them
+    def refuse(*args, **kwargs):
+        raise AssertionError("power-law work during parsing")
+    for module in [m for key, m in sys.modules.items() if key.startswith("wellpacket.")]:
+        for name in ("PowerLawWell", "wkb_energy", "_energy"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+    box = parse_config("[packet]\nn0 = 300\nx0 = 0.4\ndx0 = 0.04\n[schedule]\nn_stop = 20\n")
+    assert box.powerlaw is parse_config("").powerlaw is RunConfig().powerlaw
+    assert box.packet.n0 == 300
+
+
+@pytest.mark.parametrize("section", ["k = 1, 0.0001\nv0 = 2", "k = 4\na = 1e300\nn_max = 2"],
+                         ids=["root", "energy"])
+def test_only_the_powerlaw_command_refuses_wells_past_the_doubles(tmp_path, capsys, section):
+    # the other commands build no well, so they run whatever [powerlaw] says
+    path = tmp_path / "run.ini"
+    path.write_text(f"[schedule]\nn_stop = 4\n[powerlaw]\nn_min = 0\n{section}\n")
+    out = tmp_path / "o"
+    assert main(["observables", "--config", str(path), "--out", str(out)]) == 0
+    assert os.listdir(out) == ["observables.csv"]
+    refused = tmp_path / "refused"
+    assert main(["powerlaw", "--config", str(path), "--out", str(refused)]) == 1
+    assert capsys.readouterr().err.startswith("config error: [powerlaw] k: ")
+    assert not refused.exists()
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
