@@ -8,8 +8,7 @@ collapse-time fits and revival scans, the standard hierarchy of time
 scales, and WKB spectra for power-law confining wells.
 """
 
-from .config import (ConfigError, RunConfig, load_config, parse_config,
-                     parse_theta, parse_time)
+from .config import ConfigError, RunConfig, load_config, parse_config, parse_time
 from .correlation import (DEFAULT_FIT_THRESHOLD, CollapseFit, CollapseFitError,
                           ScanPeak, autocorrelation, autocorrelation_series,
                           fit_collapse, fit_gaussian_decay, fit_stroboscopic,
@@ -66,7 +65,6 @@ __all__ = [
     "powerlaw_autocorrelation", "fit_powerlaw_collapse",
     # config
     "ConfigError", "RunConfig", "load_config", "parse_config", "parse_time",
-    "parse_theta",
     # runs
     "run_evolve", "run_observables", "run_correlate", "run_powerlaw",
     "run_scan_flatten", "run_timescales",

@@ -31,8 +31,7 @@ from .system import WellSystem
 if typing.TYPE_CHECKING:
     from fractions import Fraction
 
-__all__ = ["ConfigError", "RunConfig", "load_config", "parse_config", "parse_time",
-           "parse_theta"]
+__all__ = ["ConfigError", "RunConfig", "load_config", "parse_config", "parse_time"]
 
 # CLI-facing cap: beyond this, finite k is numerically indistinguishable
 # from the box limit and must be requested as "infinity" instead.
@@ -43,58 +42,54 @@ class ConfigError(Exception):
     """Invalid run configuration; message carries the [section] key location."""
 
 
-def _split(literal: str) -> tuple[str, str | None]:
-    """A time literal's number text and its unit: "tau", "T" or None."""
-    s = literal.strip()
+def _literal(text: str, tau: float | None = None,
+             T: float | None = None) -> tuple[float, Fraction | None, str | None]:
+    """A time literal, a number bare or with a 'tau' / 'T' suffix, split and
+    parsed once: its finite time in absolute units, the exact number it
+    writes (None where Fraction cannot read it) and its unit, "tau", "T" or None."""
+    # imported on first use, so that importing the package does not load
+    # fractions and the decimal module it brings, a few ms of every start-up
+    from fractions import Fraction
+
+    s = text.strip()
     unit = next((u for u in ("tau", "T") if s.endswith(u)), None)
-    return (s[:-len(unit)] if unit else s), unit
+    number = s[:-len(unit)] if unit else s
+    scale = tau if unit == "tau" else T
+    if unit is not None and scale is None:
+        raise ConfigError(f"time {s!r} uses {unit} units but no packet is configured")
+    try:
+        x = float(number)
+    except ValueError:
+        raise ConfigError(f"cannot parse time literal {s!r}") from None
+    t = x if unit is None else x * scale
+    if not math.isfinite(t):
+        raise ConfigError(f"time {s!r} is not finite")
+    try:
+        exact = Fraction(number)
+    except ValueError:          # inf, nan
+        exact = None
+    return t, exact, unit
 
 
 def parse_time(text: str, tau: float | None = None, T: float | None = None) -> float:
     """A time literal: plain number, or number with 'tau' / 'T' suffix.
     The time, in absolute units, must be finite."""
-    s, unit = _split(text)
-    scale = tau if unit == "tau" else T
-    if unit is not None and scale is None:
-        raise ConfigError(f"time {text.strip()!r} uses {unit} units but no packet "
-                          "is configured")
-    try:
-        t = float(s) if unit is None else float(s) * scale
-    except ValueError:
-        raise ConfigError(f"cannot parse time literal {text.strip()!r}") from None
-    if not math.isfinite(t):
-        raise ConfigError(f"time {text.strip()!r} is not finite")
-    return t
-
-
-def parse_theta(literal: str, n0: int) -> Fraction | None:
-    """The exact t / T of a time literal that parse_time accepts, or None.
-
-    "x tau" is x / (2 n0) and "x T" is x; a plain number is in absolute
-    units, which T relates to only through pi, so it is exact only at zero.
-    """
-    # imported on first use, so that importing the package does not load
-    # fractions and the decimal module it brings, a few ms of every start-up
-    from fractions import Fraction
-
-    s, unit = _split(literal)
-    try:
-        x = Fraction(s)
-    except ValueError:          # inf, nan
-        return None
-    if unit is None:
-        return x if x == 0 else None
-    return x / (2 * n0) if unit == "tau" else x
+    return _literal(text, tau, T)[0]
 
 
 def _time(section: str, key: str, literal: str, tau: float, T: float,
-          n0: int) -> tuple[float, Fraction | None]:
-    """parse_time, with the [section] key location on its error, and the
-    literal's exact t / T (None when it has none)."""
+          n0: int) -> tuple[float, Fraction | None, Fraction | None]:
+    """A literal's time, with the [section] key location on its error; its
+    exact t / T, "x tau" being x / (2 n0) and "x T" x, while a plain number,
+    which T relates to only through pi, has one only at zero; and the exact
+    value of a plain number.  Each exact value is None where there is none."""
     try:
-        return parse_time(literal, tau, T), parse_theta(literal, n0)
+        t, x, unit = _literal(literal, tau, T)
     except ConfigError as e:
         raise ConfigError(f"[{section}] {key}: {e}") from None
+    if unit is None:
+        return t, (x if x == 0 else None), x
+    return t, (x / (2 * n0) if unit == "tau" and x is not None else x), None
 
 
 def _parse_k(item: str) -> float:
@@ -152,13 +147,15 @@ class ScheduleSettings:
         if self.mode == "stroboscopic":
             if self.n_stop < self.n_start:
                 raise ConfigError("[schedule] n_stop: must be >= n_start")
+            from fractions import Fraction
+
             ns = np.arange(self.n_start, self.n_stop + 1, self.n_step)
-            # strobe n is the literal "n tau"
-            return Theta.progression(ns * tau, T, parse_theta(f"{self.n_start}tau", n0),
-                                     parse_theta(f"{self.n_step}tau", n0))
+            # strobe n is n tau, t / T = n / (2 n0)
+            return Theta.progression(ns * tau, T, Fraction(self.n_start, 2 * n0),
+                                     Fraction(self.n_step, 2 * n0))
         if self.mode == "dense":
-            a, theta_a = _time("schedule", "start", self.start, tau, T, n0)
-            b, theta_b = _time("schedule", "stop", self.stop, tau, T, n0)
+            a, theta_a, _ = _time("schedule", "start", self.start, tau, T, n0)
+            b, theta_b, _ = _time("schedule", "stop", self.stop, tau, T, n0)
             if not b > a:
                 raise ConfigError("[schedule] stop: must exceed start")
             step = None if None in (theta_a, theta_b) else (theta_b - theta_a) / (self.count - 1)
@@ -166,7 +163,7 @@ class ScheduleSettings:
         if self.mode == "explicit":
             vals = sorted((_time("schedule", "times", s, tau, T, n0) for s in self.times),
                           key=lambda v: v[0])
-            return Theta.of(np.array([t for t, _ in vals]), T, [th for _, th in vals])
+            return Theta.of(np.array([v[0] for v in vals]), T, [v[1] for v in vals])
         raise ConfigError(f"[schedule] mode: unknown mode {self.mode!r}")
 
 
@@ -179,7 +176,7 @@ class EvolveSettings:
     def resolve(self, tau: float, T: float, n0: int) -> list[Theta | np.ndarray]:
         """Each listed time as a value of its own, a Theta where it is exact."""
         return [Theta.of(np.array([t]), T, [theta])
-                for t, theta in (_time("evolve", "times", s, tau, T, n0) for s in self.times)]
+                for t, theta, _ in (_time("evolve", "times", s, tau, T, n0) for s in self.times)]
 
 
 @dataclass(frozen=True)
@@ -202,7 +199,7 @@ class CorrelateSettings:
             float, float, float, tuple[Fraction | None, Fraction | None]]:
         """Start, stop and resolution of the revival scan, in absolute time,
         and the exact (start / T, resolution / T), None where a literal has none."""
-        (start, theta_start), (stop, _), (res, theta_res) = (
+        (start, theta_start, _), (stop, *_), (res, theta_res, _) = (
             _time("correlate", key, getattr(self, key), tau, T, n0)
             for key in ("scan_start", "scan_stop", "scan_resolution"))
         try:
@@ -212,8 +209,10 @@ class CorrelateSettings:
         return start, stop, res, (theta_start, theta_res)
 
     def fit_period(self, tau: float, T: float, n0: int) -> Theta | np.ndarray:
-        """The bounce period tau that the collapse fit steps by, exact as 1tau."""
-        return Theta.of(np.array([tau]), T, [parse_theta("1tau", n0)])
+        """The bounce period tau that the collapse fit steps by, its exact t / T 1 / (2 n0)."""
+        from fractions import Fraction
+
+        return Theta.of(np.array([tau]), T, [Fraction(1, 2 * n0)])
 
 
 @dataclass(frozen=True)
@@ -278,21 +277,17 @@ class FlattenSettings:
     def sample_times(self, tau: float, T: float, n0: int) -> Theta | np.ndarray:
         """Sample times k step below t_stop, a Theta where exact; literals of
         one kind are counted exactly, k theta_step < theta_stop for exact
-        ones and k step < t_stop over the decimal texts of plain numbers."""
-        from fractions import Fraction
-
-        t_stop, theta_stop = _time("flatten", "t_stop", self.t_stop, tau, T, n0)
-        step, theta_step = _time("flatten", "sample_step", self.sample_step, tau, T, n0)
+        ones and k step < t_stop over the exact values of plain numbers."""
+        t_stop, theta_stop, x_stop = _time("flatten", "t_stop", self.t_stop, tau, T, n0)
+        step, theta_step, x_step = _time("flatten", "sample_step", self.sample_step, tau, T, n0)
         if not t_stop > 0.0:
             raise ConfigError("[flatten] t_stop: must be positive")
         if not step > 0.0:
             raise ConfigError("[flatten] sample_step: must be positive")
-        stop_text, stop_unit = _split(self.t_stop)
-        step_text, step_unit = _split(self.sample_step)
         if None not in (theta_stop, theta_step):
             times = np.arange(math.ceil(theta_stop / theta_step)) * step
-        elif stop_unit is step_unit is None:
-            times = np.arange(math.ceil(Fraction(stop_text) / Fraction(step_text))) * step
+        elif None not in (x_stop, x_step):
+            times = np.arange(math.ceil(x_stop / x_step)) * step
         else:
             times = np.arange(0.0, t_stop, step)
         return Theta.progression(times, T, 0, theta_step)

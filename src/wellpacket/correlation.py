@@ -219,19 +219,16 @@ def fit_collapse(exp: EigenExpansion, tau,
 
     For the default packet the estimate lands within 10% of the closed form
     T/(2 pi dn^2) = 4 t0.  ``tau`` is a float or a Theta of one time, whose
-    exact tau / T (1 / (2 n0) for the bounce period) makes the phase at
-    each n tau exact: each block of fit_stroboscopic is then one
-    progression n tau / T, summed on the path the cost rule picks.
+    exact tau / T = num / den (1 / (2 n0) for the bounce period) makes the
+    phase at each n tau exact: each block of fit_stroboscopic is then the
+    progression n num / den, summed on the path the cost rule picks.
     """
     period = np.asarray(tau, dtype=float).item()
-    if isinstance(tau, Theta):
-        from fractions import Fraction
-        step = Fraction(int(tau.num[0]), tau.den)
 
     def magnitude(ns):
         times = ns * period
         if isinstance(tau, Theta):
-            times = Theta.progression(times, tau.T, int(ns[0]) * step, step)
+            times = Theta(times, ns * tau.num[0] % tau.den, tau.den, tau.T)
         return np.abs(autocorrelation_series(exp, times))
     return fit_stroboscopic(magnitude, period, threshold)
 

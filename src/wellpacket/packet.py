@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.typing import NDArray
 
-from .system import WellSystem, eigenenergy, level_momentum, revival_time
+from .system import WellSystem, _scale, eigenenergy, level_momentum, revival_time
 
 __all__ = ["PacketSpec", "EigenExpansion", "Theta", "build_gaussian_packet", "takes_fold",
            "NumericalConsistencyError", "PHASE_CHUNK_BYTES", "RESIDUE_TABLE_BYTES"]
@@ -413,22 +413,28 @@ def build_gaussian_packet(spec: PacketSpec, sys: WellSystem = WellSystem()) -> E
 
     then rescaled so Sum |a_n|^2 is exactly 1.  If clipping at n = 1 discards
     more than 1e-8 of raw weight, the result carries truncated_at_floor=True.
+    The packet's widths dn and alpha^2 and the energy at the window's top
+    must be finite, positive doubles (system._scale): ScaleError names the
+    first that is not, the energy as "system", the widths as "packet".
     """
     spec.validate_for(sys)
     alpha = spec.alpha_value(sys)
     hbar, L = sys.hbar, sys.width_L
-    dn = spec.dn_value(sys)
+    dn = _scale("packet", "the packet's width dn", lambda: spec.dn_value(sys))
     lo = spec.n0 - spec.window_sigmas * dn
     n_min = max(1, math.ceil(lo))
     n_max = math.floor(spec.n0 + spec.window_sigmas * dn)
     if n_max < n_min:
         raise ValueError("truncation window is empty; increase window_sigmas")
+    _scale("system", f"the window's top energy E_{n_max}",
+           lambda: eigenenergy(n_max, sys))
+    alpha2 = _scale("packet", "the packet's width alpha^2", lambda: alpha**2)
 
     ns = np.arange(n_min, n_max + 1)
     pn = level_momentum(ns, sys)
     p0 = level_momentum(spec.n0, sys)
     amp = math.sqrt(alpha * hbar * math.sqrt(math.pi) / L)
-    raw = amp * np.exp(-0.5 * alpha**2 * (pn - p0) ** 2) * np.exp(-1j * pn * spec.x0 / hbar)
+    raw = amp * np.exp(-0.5 * alpha2 * (pn - p0) ** 2) * np.exp(-1j * pn * spec.x0 / hbar)
 
     truncated = False
     if lo < 1.0:

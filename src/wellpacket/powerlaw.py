@@ -84,8 +84,9 @@ def wkb_energy(well: PowerLawWell, n):
     for the half well.  k = math.inf gives the box spectrum exactly:
     width 2a (full) or a (half) with prefactor (n + 1).  An int array of
     states gives an array, element for element the scalar values.  Every
-    energy must be a finite, positive double: ValueError names k and a
-    level where it is not.
+    energy must be a finite, positive double, and the bracket (the base of
+    the power) a normal double at the lowest level: ValueError names k and
+    a level where one is not.
     """
     n = _check_level(n, 0)
     with np.errstate(all="ignore"):
@@ -95,35 +96,50 @@ def wkb_energy(well: PowerLawWell, n):
 
 
 def _refuse(well: PowerLawWell, n, *values):
-    """The finiteness rule: ValueError naming k, the value and the level where E,
-    tau or T_rev (`values`, in that order; None is skipped) at a level or an int
-    array of levels n is not a finite, positive double at the largest or the
-    lowest level.  Each is monotone in n, so these two bound every level; T_rev,
-    meaningless below n = 1, is not checked there."""
+    """The finiteness rule: ValueError naming k, the value and the level where
+    E, tau, T_rev or T_C (`values`, in that order; None is skipped) at a
+    level or an int array of levels n is not a finite, positive double at
+    the largest or the lowest level, or where, with E, the base of E_n is
+    not a normal double at the lowest.  Each is monotone in n, so these two
+    bound every level; T_rev and T_C, meaningless below n = 1, are not
+    checked there."""
+    def refuse(what: str):
+        raise ValueError(f"k: the {what} at k = {well.k!r}, V0 = {well.V0!r}, a = {well.a!r}")
+
     n = np.ravel(n)
-    ends = dict.fromkeys((int(n.argmax()), int(n.argmin()))) if n.size else ()
-    for name, lowest, v in zip(("WKB energy", "classical period", "revival time"), (0, 0, 1),
-                               values):
-        for i in ends if v is not None else ():
+    if not n.size:
+        return
+    top, low = int(n.argmax()), int(n.argmin())
+    # with E: a subnormal base gives a normal E_n short of digits
+    if values[0] is not None and not _base(well, n.item(low)) >= np.finfo(float).smallest_normal:
+        refuse(f"base of the WKB energy at n = {n[low]} is not a normal double")
+    for name, lowest, v in zip(("WKB energy", "classical period", "revival time",
+                                "collapse time"), (0, 0, 1, 1), values):
+        for i in dict.fromkeys((top, low)) if v is not None else ():
             if n.item(i) >= lowest and not 0.0 < np.ravel(v).item(i) < math.inf:
-                raise ValueError(f"k: the {name} at n = {n[i]} is not a finite positive double "
-                                 f"at k = {well.k!r}, V0 = {well.V0!r}, a = {well.a!r}")
+                refuse(f"{name} at n = {n[i]} is not a finite positive double")
+
+
+def _base(well: PowerLawWell, n):
+    """The base b_n of E_n = b_n ** (2k / (k + 2)), or of E_n = b_n ** 2 / (2 m)
+    in the box limit, at a level or an int array of levels n; it grows with n."""
+    hbar, a = well.hbar, well.a
+    if math.isinf(well.k):
+        return (n + 1) * math.pi * hbar / (a if well.half else 2.0 * a)
+    k = well.k
+    pref = hbar * math.pi / ((a if well.half else 2.0 * a) * math.sqrt(2.0 * well.mass))
+    gamma_ratio = math.exp(math.lgamma(1.0 / k + 1.5) - math.lgamma(1.0 / k + 1.0)
+                           - math.lgamma(1.5))
+    return (n + well.maslov_mu) * pref * well.V0 ** (1.0 / k) * gamma_ratio
 
 
 def _energy(well: PowerLawWell, n):
     """E_n of wkb_energy, unchecked: inf past the doubles (at every level
     where the power overflows), 0 below them."""
-    m, hbar, a = well.mass, well.hbar, well.a
     try:
         if math.isinf(well.k):
-            width = a if well.half else 2.0 * a
-            return _float_pow((n + 1) * math.pi * hbar / width, 2) / (2.0 * m)
-        k = well.k
-        pref = hbar * math.pi / ((a if well.half else 2.0 * a) * math.sqrt(2.0 * m))
-        gamma_ratio = math.exp(math.lgamma(1.0 / k + 1.5) - math.lgamma(1.0 / k + 1.0)
-                               - math.lgamma(1.5))
-        base = (n + well.maslov_mu) * pref * well.V0 ** (1.0 / k) * gamma_ratio
-        return _float_pow(base, 2.0 * k / (k + 2.0))
+            return _float_pow(_base(well, n), 2) / (2.0 * well.mass)
+        return _float_pow(_base(well, n), 2.0 * well.k / (well.k + 2.0))
     except OverflowError:       # E_n grows with n: the largest level's overflowed
         return np.full(np.shape(n), math.inf)[()]
 
@@ -154,8 +170,9 @@ def wkb_spectrum(well: PowerLawWell, levels):
     """(E, tau, T_rev) of an int array of levels, element for element the
     values of wkb_energy, classical_period_powerlaw and revival_time_powerlaw.
     T_rev is None at k = 2, and its entries below n = 1 mean nothing.  Each
-    must be a finite, positive double at the largest and the lowest level:
-    ValueError names k, the value and a level where one is not."""
+    must be a finite, positive double at the largest and the lowest level,
+    and the base of E a normal double at the lowest: ValueError names k,
+    the value and a level where one is not."""
     levels = _check_level(np.atleast_1d(levels), 0)
     spectrum = _spectrum(well, levels)
     _refuse(well, levels, *spectrum)
@@ -168,10 +185,13 @@ def classical_period_powerlaw(well: PowerLawWell, n) -> float:
     tau(k, n) = (2 pi hbar / E_n) (n + mu) (2 + k) / (2k); this equals
     2 pi hbar / (dE/dn), so stroboscopic sampling at multiples of tau
     freezes the first-order phase winding.  k = 2 reduces to 2 pi / omega
-    for every n.
+    for every n.  The period must be a finite, positive double: ValueError,
+    as from wkb_spectrum, where it is not.
     """
     n = _check_level(n, 0)
-    return _times(well, n, wkb_energy(well, n))[0]
+    tau = _times(well, n, wkb_energy(well, n))[0]
+    _refuse(well, n, None, tau)
+    return tau
 
 
 def revival_time_powerlaw(well: PowerLawWell, n) -> float | None:
@@ -179,18 +199,27 @@ def revival_time_powerlaw(well: PowerLawWell, n) -> float | None:
 
     Equals 4 pi hbar / |E''(n)| exactly for the WKB spectrum.  Returns None
     at k = 2: the oscillator is periodic, all phases rewind every classical
-    period and no finite revival scale exists.
+    period and no finite revival scale exists.  Otherwise T must be a
+    finite, positive double: ValueError, as from wkb_spectrum, where it is not.
     """
     n = _check_level(n, 1)
-    return _times(well, n, wkb_energy(well, n))[1]
+    T = _times(well, n, wkb_energy(well, n))[1]
+    _refuse(well, n, None, None, T)
+    return T
 
 
 def collapse_time_powerlaw(well: PowerLawWell, n0: int, dn: float) -> float | None:
-    """T_C = T(k, n0) / (2 pi dn^2) for a Gaussian level distribution."""
+    """T_C = T(k, n0) / (2 pi dn^2) for a Gaussian level distribution, a
+    finite, positive double or ValueError as from wkb_spectrum (None at k = 2)."""
     T = revival_time_powerlaw(well, n0)
     if T is None:
         return None
-    return T / (2.0 * math.pi * dn**2)
+    try:
+        T_C = T / (2.0 * math.pi * dn**2)
+    except (OverflowError, ZeroDivisionError):      # dn^2 past the doubles
+        T_C = math.inf
+    _refuse(well, n0, None, None, None, T_C)
+    return T_C
 
 
 def _window(n0: int, dn: float, window_sigmas: float) -> tuple[int, int]:

@@ -19,7 +19,7 @@ from .config import ConfigError, RunConfig
 from .evolution import (MomentumGrid, SpatialGrid, momentum_wavefunction,
                         position_wavefunction, probability_density)
 from .packet import PacketSpec, build_gaussian_packet
-from .system import classical_speed, classical_trajectory
+from .system import ScaleError, classical_speed, classical_trajectory
 from .writer import Unrounded, json_chunks, table_text
 
 __all__ = ["run_evolve", "run_observables", "run_correlate", "run_powerlaw",
@@ -68,16 +68,25 @@ class _Output:
         return path
 
 
-def _prepare(cfg: RunConfig):
-    exp = build_gaussian_packet(cfg.packet, cfg.system)
-    report = timescales.compute_timescales(cfg.system, cfg.packet)
-    return exp, report
+def _checked(compute, *args):
+    """compute(*args), a scale past the doubles (system.ScaleError) refused as
+    a config error of the section it derives from."""
+    try:
+        return compute(*args)
+    except ScaleError as e:
+        raise ConfigError(f"[{e.source}] {e}") from None
+
+
+def _prepare(cfg: RunConfig, spec: PacketSpec):
+    """The packet's expansion and time-scale report, the report checked first."""
+    report = _checked(timescales.compute_timescales, cfg.system, spec)
+    return _checked(build_gaussian_packet, spec, cfg.system), report
 
 
 def run_evolve(cfg: RunConfig, out_dir):
     """Densities at explicitly listed times, position and/or momentum."""
+    exp, report = _prepare(cfg, cfg.packet)
     out = _Output(cfg, "evolve", out_dir)
-    exp, report = _prepare(cfg)
     times = cfg.evolve.resolve(report.tau, report.T_rev, cfg.packet.n0)
     if not times:
         return []
@@ -114,8 +123,8 @@ def run_evolve(cfg: RunConfig, out_dir):
 
 def run_observables(cfg: RunConfig, out_dir):
     """<x>, dx, <p>, dp over the configured schedule, with reference columns."""
+    exp, report = _prepare(cfg, cfg.packet)
     out = _Output(cfg, "observables", out_dir)
-    exp, report = _prepare(cfg)
     schedule = cfg.schedule.resolve(report.tau, report.T_rev, cfg.packet.n0)
     series = observables.expectation_series(exp, ("x", "dx", "p", "dp"), schedule)
     times = np.asarray(schedule)
@@ -136,8 +145,8 @@ def run_observables(cfg: RunConfig, out_dir):
 
 def run_correlate(cfg: RunConfig, out_dir):
     """|C| and |C-bar| series; optional collapse fit and revival scan."""
+    exp, report = _prepare(cfg, cfg.packet)
     out = _Output(cfg, "correlate", out_dir)
-    exp, report = _prepare(cfg)
     n0 = cfg.packet.n0
     times = cfg.schedule.resolve(report.tau, report.T_rev, n0)
     scan = cfg.correlate.scan_grid(report.tau, report.T_rev, n0) if cfg.correlate.scan else None
@@ -187,6 +196,9 @@ def run_powerlaw(cfg: RunConfig, out_dir):
         ends = np.array([min(pl.n_min, lo), max(pl.n_max, hi)])
         for well in wells:
             powerlaw._refuse(well, ends, *powerlaw._spectrum(well, ends))
+        # and the fits' closed forms, T_rev / (2 pi fit_dn^2)
+        closed = [powerlaw.collapse_time_powerlaw(well, pl.fit_n0, pl.fit_dn)
+                  for well in wells] if pl.fit else []
     except ValueError as e:
         raise ConfigError(f"[powerlaw] {e}") from None
     out = _Output(cfg, "powerlaw", out_dir)
@@ -219,10 +231,9 @@ def run_powerlaw(cfg: RunConfig, out_dir):
 
     if pl.fit:
         fits = []
-        for well in wells:
+        for well, T_C in zip(wells, closed):
             k_label = "infinity" if math.isinf(well.k) else Unrounded(well.k)
-            closed = powerlaw.collapse_time_powerlaw(well, pl.fit_n0, pl.fit_dn)
-            if closed is None:
+            if T_C is None:
                 fits.append({"k": k_label, "result": "periodic"})
                 continue
             try:
@@ -231,7 +242,7 @@ def run_powerlaw(cfg: RunConfig, out_dir):
                 fits.append({"k": k_label, "result": f"fit failed: {e}"})
                 continue
             fits.append({"k": k_label, "T_C_estimate": fit.T_C_estimate,
-                         "T_C_closed_form": closed,
+                         "T_C_closed_form": T_C,
                          "points_used": fit.points_used,
                          "residual": fit.residual})
         files.append(out.json("powerlaw_fits.json",
@@ -241,15 +252,14 @@ def run_powerlaw(cfg: RunConfig, out_dir):
 
 def run_scan_flatten(cfg: RunConfig, out_dir):
     """Delta-x series for several dx0 plus detected flattening times."""
-    out = _Output(cfg, "scan-flatten", out_dir)
     fl = cfg.flatten
+    specs = [PacketSpec(n0=cfg.packet.n0, x0=cfg.packet.x0, dx0=dx0,
+                        window_sigmas=cfg.packet.window_sigmas) for dx0 in fl.dx0_values]
+    packets = [_prepare(cfg, spec) for spec in specs]      # each refused before any file
+    out = _Output(cfg, "scan-flatten", out_dir)
     files = []
     detections = []
-    for dx0 in fl.dx0_values:
-        spec = PacketSpec(n0=cfg.packet.n0, x0=cfg.packet.x0, dx0=dx0,
-                          window_sigmas=cfg.packet.window_sigmas)
-        exp = build_gaussian_packet(spec, cfg.system)
-        report = timescales.compute_timescales(cfg.system, spec)
+    for dx0, spec, (exp, report) in zip(fl.dx0_values, specs, packets):
         series = observables.sample_series(
             exp, "dx", fl.sample_times(report.tau, report.T_rev, spec.n0))
         t_star = timescales.detect_flattening(series, cfg.system,
@@ -275,8 +285,8 @@ def run_scan_flatten(cfg: RunConfig, out_dir):
 
 def run_timescales(cfg: RunConfig, out_dir):
     """Closed-form time-scale report for the configured packet."""
+    report = _checked(timescales.compute_timescales, cfg.system, cfg.packet)
     out = _Output(cfg, "timescales", out_dir)
-    report = timescales.compute_timescales(cfg.system, cfg.packet)
     cols = ["tau", "T_rev", "t0", "T_C", "t_flat"]
     return [out.emit("timescales", cols, [[np.array([getattr(report, c)]) for c in cols]],
                      {"kind": "timescales"}, data=report.to_dict())]

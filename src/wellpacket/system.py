@@ -8,6 +8,7 @@ Default units follow 2m = hbar = L = 1, i.e. m = 1/2, hbar = 1, L = 1.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from itertools import repeat
 
@@ -16,6 +17,7 @@ from numpy.typing import NDArray
 
 __all__ = [
     "WellSystem",
+    "ScaleError",
     "ClassicalState",
     "eigenenergy",
     "eigenstate_position",
@@ -43,6 +45,29 @@ class WellSystem:
                 raise ValueError(f"{name}: must be finite")
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name}: must be positive")
+
+
+class ScaleError(ValueError):
+    """A derived scale of the box that is not a finite, positive double;
+    ``source`` names what it derives from, "system" for the well's own
+    scales and "packet" for the packet's."""
+
+    def __init__(self, source: str, message: str):
+        super().__init__(message)
+        self.source = source
+
+
+def _scale(source: str, name: str, compute: Callable[[], float]) -> float:
+    """compute(), under the box's finiteness rule: ScaleError naming ``name``
+    unless it is a finite, positive double.  A float power that overflows
+    and a division by zero count as inf."""
+    try:
+        value = compute()
+    except (OverflowError, ZeroDivisionError):
+        value = math.inf
+    if not 0.0 < value < math.inf:
+        raise ScaleError(source, f"{name} = {value!r} is not a finite positive double")
+    return value
 
 
 @dataclass(frozen=True)

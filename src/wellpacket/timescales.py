@@ -17,7 +17,7 @@ import numpy as np
 
 from .observables import TimeSeries
 from .packet import _IDENTITY_TOL, PacketSpec
-from .system import WellSystem, classical_speed, level_momentum, revival_time
+from .system import WellSystem, _scale, classical_speed, level_momentum, revival_time
 
 __all__ = [
     "TimeScaleReport",
@@ -62,21 +62,25 @@ def compute_timescales(sys: WellSystem, spec: PacketSpec) -> TimeScaleReport:
     T_C    = T_rev / (2 pi dn^2)  (equals 4 t0 for the quasi-Gaussian packet)
     t_flat = (8 / sqrt(12)) m L dx0 / hbar
 
-    The tau and T_C identities are verified internally to 1e-12.  Note the
-    t_flat closed form is four times the time at which the free envelope
-    dx0*sqrt(1+(t/t0)^2) first reaches L/sqrt(12); measured saturation
-    times (detect_flattening) track about twice that crossing time, i.e.
-    about half this closed form.
+    Each must be a finite, positive double (system._scale): ScaleError
+    names the first that is not, the well's own T_rev as "system", the
+    others as "packet".  The tau and T_C identities are verified
+    internally to 1e-12.  Note the t_flat closed form is four times the
+    time at which the free envelope dx0*sqrt(1+(t/t0)^2) first reaches
+    L/sqrt(12); measured saturation times (detect_flattening) track about
+    twice that crossing time, i.e. about half this closed form.
     """
     m, hbar, L = sys.mass, sys.hbar, sys.width_L
     dx0 = spec.dx0_value(sys)
-    dn = spec.dn_value(sys)
 
-    T_rev = revival_time(sys)
-    tau = 2.0 * L / classical_speed(spec.n0, sys)
-    t0 = 2.0 * m * dx0**2 / hbar
-    T_C = T_rev / (2.0 * math.pi * dn**2)
-    t_flat = (8.0 / math.sqrt(12.0)) * m * L * dx0 / hbar
+    T_rev = _scale("system", "the revival time T_rev", lambda: revival_time(sys))
+    tau = _scale("packet", "the bounce period tau",
+                 lambda: 2.0 * L / classical_speed(spec.n0, sys))
+    t0 = _scale("packet", "the spreading time t0", lambda: 2.0 * m * dx0**2 / hbar)
+    T_C = _scale("packet", "the collapse time T_C",
+                 lambda: T_rev / (2.0 * math.pi * spec.dn_value(sys)**2))
+    t_flat = _scale("packet", "the flattening time t_flat",
+                    lambda: (8.0 / math.sqrt(12.0)) * m * L * dx0 / hbar)
 
     for name, lhs, rhs in (("T = 2 n0 tau", T_rev, 2.0 * spec.n0 * tau),
                            ("T_C = 4 t0", T_C, 4.0 * t0)):

@@ -300,3 +300,44 @@ def mp_correlation(weights, levels=None, theta=None, energies=None, t=None,
                 phases.append(2 * mpmath.pi * r.numerator / r.denominator)
         C = mpmath.fsum(wn * mpmath.expj(phi) for wn, phi in zip(w, phases))
         return complex(C)
+
+
+# --- 40-digit closed forms ------------------------------------------------
+
+def mp_wkb(k: float, n: int, V0: float = 1.0, a: float = 1.0, mass: float = 0.5,
+           hbar: float = 1.0, half: bool = False, dps: int = 40):
+    """(E_n, tau_n, T_rev) of the WKB spectrum of V0 |x/a|^k in mpmath, from
+    the closed forms of powerlaw.wkb_energy, classical_period_powerlaw and
+    revival_time_powerlaw with every parameter taken as its exact binary
+    value; k = math.inf is the box of width 2a (a when half).  T_rev is
+    None at k = 2."""
+    with mpmath.workdps(dps):
+        pi = mpmath.pi
+        V0, a, m, hbar = (mpmath.mpf(v) for v in (V0, a, mass, hbar))
+        if math.isinf(k):
+            width = a if half else 2 * a
+            E = ((n + 1) * pi * hbar / width) ** 2 / (2 * m)
+            tau = pi * hbar * (n + 1) / E
+            return E, tau, 2 * (n + 1) * tau
+        k = mpmath.mpf(k)
+        mu = mpmath.mpf(0.75 if half else 0.5)
+        pref = hbar * pi / ((a if half else 2 * a) * mpmath.sqrt(2 * m))
+        ratio = mpmath.gamma(1 / k + 1.5) / (mpmath.gamma(1 / k + 1) * mpmath.gamma(1.5))
+        E = ((n + mu) * pref * V0 ** (1 / k) * ratio) ** (2 * k / (k + 2))
+        tau = 2 * pi * hbar * (n + mu) * (2 + k) / (2 * k) / E
+        T_rev = None if k == 2 else abs((k + 2) / (k - 2)) * 2 * (n + mu) * tau
+        return E, tau, T_rev
+
+
+def mp_timescales(n0: int, dx0: float, mass: float = 0.5, hbar: float = 1.0,
+                  L: float = 1.0, dps: int = 40) -> dict:
+    """The closed-form report of timescales.compute_timescales in mpmath, the
+    packet given by its width dx0, every parameter its exact binary value."""
+    with mpmath.workdps(dps):
+        pi = mpmath.pi
+        dx0, m, hbar, L = (mpmath.mpf(v) for v in (dx0, mass, hbar, L))
+        T_rev = 4 * m * L**2 / (pi * hbar)
+        dn = hbar / (2 * dx0) * L / (pi * hbar)        # dp L / (pi hbar), dp = hbar / (2 dx0)
+        return {"tau": 2 * L / (n0 * pi * hbar / (m * L)), "T_rev": T_rev,
+                "t0": 2 * m * dx0**2 / hbar, "T_C": T_rev / (2 * pi * dn**2),
+                "t_flat": 8 / mpmath.sqrt(12) * m * L * dx0 / hbar}

@@ -731,3 +731,34 @@ def test_revival_scan_samples_stop_at_scan_stop(tmp_path):
     scan = json.loads((out / "revival_scan.json").read_text())
     T = scan["window"][1]
     assert [round(p["t"] / T, 12) for p in scan["peaks"]] == [0.5]
+
+
+# Box configs whose derived scales leave the doubles, and the commands that
+# each ended in an OverflowError or "Maximum allowed size exceeded" traceback:
+# length = 1e155 overflows L^2 in T_rev; hbar = 1e-300 squares alpha past
+# the doubles and flushes E_n to 0, hbar = 1e300 overflows E_n; dx0 = 1e-300
+# flushes t0 to 0 and overflows dn^2; alpha = 1e300 overflows dx0^2 in t0
+BOX_SCALES_PAST_THE_DOUBLES = [
+    ("[system]\nlength = 1e155", "timescales", "[system] the revival time T_rev = inf"),
+    ("[system]\nlength = 1e155", "observables", "[system] the revival time T_rev = inf"),
+    ("[system]\nhbar = 1e-300", "observables", "[system] the window's top energy E_425 = 0.0"),
+    ("[system]\nhbar = 1e300", "observables", "[system] the window's top energy E_425 = inf"),
+    ("[packet]\ndx0 = 1e-300", "timescales", "[packet] the spreading time t0 = 0.0"),
+    ("[packet]\ndx0 = 1e-300", "observables", "[packet] the spreading time t0 = 0.0"),
+    ("[packet]\nalpha = 1e300", "timescales", "[packet] the spreading time t0 = inf"),
+    ("[packet]\nalpha = 1e300", "observables", "[packet] the spreading time t0 = inf"),
+]
+
+
+@pytest.mark.parametrize("ini, command, error", BOX_SCALES_PAST_THE_DOUBLES,
+                         ids=[f"{c}-{i.splitlines()[1].replace(' ', '')}"
+                              for i, c, _ in BOX_SCALES_PAST_THE_DOUBLES])
+def test_box_scales_past_the_doubles_are_config_errors(tmp_path, capsys, ini, command, error):
+    # the time-scale report, the packet's width and the energy at the
+    # window's top are held to one rule before any file is written
+    path = tmp_path / "run.ini"
+    path.write_text(ini + "\n")
+    out = tmp_path / "o"
+    assert main([command, "--config", str(path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"config error: {error} is not a finite positive double\n"
+    assert not out.exists()

@@ -133,3 +133,12 @@ def test_off_center_packet(sys0):
     exp = build_gaussian_packet(PacketSpec(n0=400, x0=0.3, dx0=0.05), sys0)
     assert np.sum(exp.weights) == pytest.approx(1.0, abs=1e-14)
     assert exp.levels[np.argmax(exp.weights)] == 400
+
+
+def test_packet_widths_past_the_doubles_are_refused():
+    # alpha = 1e300 leaves a one-level window whose alpha^2 overflowed, and
+    # dx0 = 1e-300 a window of about 1e300 levels, which numpy could not allocate
+    with pytest.raises(ValueError, match=r"^the packet's width alpha\^2 = inf is not a finite"):
+        build_gaussian_packet(PacketSpec(n0=400, x0=0.5, alpha=1e300))
+    with pytest.raises(ValueError, match=r"^the window's top energy E_\d+ = inf is not a finite"):
+        build_gaussian_packet(PacketSpec(n0=400, x0=0.5, dx0=1e-300))

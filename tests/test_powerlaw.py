@@ -418,3 +418,58 @@ def test_oscillator_never_collapses():
     # exhausts its budget without crossing threshold and must say so
     with pytest.raises(CollapseFitError):
         fit_powerlaw_collapse(PowerLawWell(k=2.0), 400, 2.0)
+
+
+def test_wells_whose_lowest_base_is_subnormal_are_refused(tmp_path, capsys):
+    # (n + mu) pref V0 ** (1/k) gamma is 1.2e-320 at n = 0 though the root is
+    # normal: E_0 = 5.18e-214 was written 1.4e-4 off the 40-digit value.
+    # From n = 10**12 the base is normal, and the same well is accepted
+    well = PowerLawWell(k=1, a=1e300, V0=1e-20)
+    with pytest.raises(ValueError, match=r"^k: the base of the WKB energy at n = 0 is not a "
+                                         r"normal double at k = 1, V0 = 1e-20, a = 1e\+300$"):
+        wkb_energy(well, 0)
+    assert 0.0 < wkb_energy(well, 10**12) < math.inf
+    path = tmp_path / "run.ini"
+    out = tmp_path / "o"
+    path.write_text("[powerlaw]\nk = 1\na = 1e300\nv0 = 1e-20\nn_min = 0\n")
+    assert main(["powerlaw", "--config", str(path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(
+        "config error: [powerlaw] k: the base of the WKB energy at n = 0 is not a normal double")
+    assert not out.exists()
+    path.write_text("[powerlaw]\nk = 1\na = 1e300\nv0 = 1e-20\n"
+                    "n_min = 1000000000000\nn_max = 1000000000002\n")
+    assert main(["powerlaw", "--config", str(path), "--out", str(out)]) == 0
+    assert os.listdir(out) == ["powerlaw.csv"]
+
+
+def test_time_functions_refuse_values_past_the_doubles():
+    # wkb_spectrum refuses this well; E_0 = 8.7e-309 and E_1 are positive
+    # doubles, but tau = ... / E overflowed, and the scalar functions
+    # returned inf, and the fit sampled 10000 NaN periods
+    well = PowerLawWell(k=4, a=1e231)
+    at = r" is not a finite positive double at k = 4, V0 = 1.0, a = 1e\+231$"
+    with pytest.raises(ValueError, match=r"^k: the classical period at n = 0" + at):
+        classical_period_powerlaw(well, 0)
+    with pytest.raises(ValueError, match=r"^k: the revival time at n = 1" + at):
+        revival_time_powerlaw(well, 1)
+    with pytest.raises(ValueError, match=r"^k: the revival time at n = 1" + at):
+        collapse_time_powerlaw(well, 1, 0.5)
+    with pytest.raises(ValueError, match=r"^k: the classical period at n = 1" + at):
+        fit_powerlaw_collapse(well, 1, 0.3)
+    # T_rev is finite here, but T_rev / (2 pi dn^2) overflows
+    with pytest.raises(ValueError, match=r"^k: the collapse time at n = 100 is not a finite"):
+        collapse_time_powerlaw(PowerLawWell(k=4), 100, 1e-160)
+
+
+@pytest.mark.parametrize("fit_dn", ["1e-200", "1e-160", "1e200"])
+def test_collapse_times_past_the_doubles_are_config_errors(tmp_path, capsys, fit_dn):
+    # T_rev / (2 pi fit_dn^2) divided by a dn^2 flushed to 0, overflowed to
+    # inf, or overflowed in dn^2: a ZeroDivisionError or OverflowError
+    # traceback, or an inf T_C_closed_form
+    path = tmp_path / "run.ini"
+    path.write_text(f"[powerlaw]\nk = 4\nfit = true\nfit_dn = {fit_dn}\n")
+    out = tmp_path / "o"
+    assert main(["powerlaw", "--config", str(path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(
+        "config error: [powerlaw] k: the collapse time at n = 200 is not a finite positive double")
+    assert not out.exists()
