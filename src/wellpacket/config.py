@@ -64,6 +64,15 @@ def _literal(text: str, tau: float | None = None,
     t = x if unit is None else x * scale
     if not math.isfinite(t):
         raise ConfigError(f"time {s!r} is not finite")
+    # Fraction(number) builds 10**|e| for the exponent e.  It reads at most
+    # 4300 digits each side of the point (Python's int limit), so a nonzero
+    # literal it reads lies between 10**(e - 4300) and 10**(e + 4300): past
+    # |e| = 4300 + 324 it is below 1e-324, which is the double 0, or above
+    # 1e324, refused above.  Its exact value is then 0 or of no use
+    mantissa, _, e = number.lower().partition("e")
+    e = e.lstrip("+-").replace("_", "").lstrip("0")
+    if len(e) > 4 or e and int(e) > 4624:
+        return t, (Fraction(0) if float(mantissa) == 0 else None), unit
     try:
         exact = Fraction(number)
     except ValueError:          # inf, nan

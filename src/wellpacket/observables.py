@@ -316,10 +316,7 @@ def _series(exp: EigenExpansion, ids: tuple[str, ...], times) -> list[NDArray[np
     if fold:
         q, n2 = times.den, exp.square_residues(times.den)
         diagonal = [mean_diagonal(f) for f in forms]
-        # 2 conj(a_m) a_n = Sum_k A[m, k] V[j, k, n], its real part (j = 0)
-        # and its imaginary part (j = 1)
-        A = 2.0 * a.view(float).reshape(-1, 2)
-        V = np.array([[a.real, a.imag], [a.imag, -a.real]])
+        ca = 2.0 * np.conj(a)
         bins, partial = np.zeros((F, q), dtype=complex), np.empty(q, dtype=complex)
     else:
         q, dense = 0, np.empty((F, a.size, a.size))
@@ -343,10 +340,7 @@ def _series(exp: EigenExpansion, ids: tuple[str, ...], times) -> list[NDArray[np
                 r = np.subtract.outer(n2[s], n2[c:]).reshape(-1)
                 # r lies in (-q, q): add q where the sign bit is set
                 r += (r >> 63) & q
-                # 2 conj(a_m) a_n, written through ab's float view
-                ab = np.empty((h, a.size - c), dtype=complex)
-                np.einsum("mk,jkn->jmn", A[s], V[:, :, c:],
-                          out=ab.view(float).reshape(h, -1, 2).transpose(2, 0, 1))
+                ab = np.einsum("m,n->mn", ca[s], a[c:])     # 2 conj(a_m) a_n
                 np.copyto(ab[:, :h], 0.0, where=lower[:h, :h])
                 # one form's complex weights at a time, the forms before the
                 # last into one buffer and the last in place in ab.  Complex

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.typing import NDArray
 
-from .system import WellSystem, _scale, eigenenergy, level_momentum, revival_time
+from .system import ScaleError, WellSystem, _scale, eigenenergy, level_momentum, revival_time
 
 __all__ = ["PacketSpec", "EigenExpansion", "Theta", "build_gaussian_packet", "takes_fold",
            "NumericalConsistencyError", "PHASE_CHUNK_BYTES", "RESIDUE_TABLE_BYTES"]
@@ -403,6 +403,33 @@ class EigenExpansion:
         return self.coefficients * self._phase_rows(t)(slice(None))[0]
 
 
+def level_window(n0: int, dn: float, sigmas: float, floor: int) -> tuple[int, int]:
+    """The first and the last level of a Gaussian's window n0 +- sigmas dn,
+    clipped at ``floor``.  The half-width sigmas dn must be a finite,
+    positive double (system._scale, a "packet" ScaleError), and the window
+    must hold a level (ValueError)."""
+    h = _scale("packet", f"the level window's half-width {sigmas!r} x {dn!r}",
+               lambda: sigmas * dn)
+    lo, hi = max(floor, math.ceil(n0 - h)), math.floor(n0 + h)
+    if hi < lo:
+        raise ValueError(f"the level window {n0} +- {h!r} clipped at n = {floor} is empty")
+    return lo, hi
+
+
+def level_range(lo: int, hi: int, source: str) -> NDArray[np.int64]:
+    """The int64 levels lo..hi; ScaleError from ``source`` for a top level past
+    int64 (numpy would build an object array) or more levels than it can hold."""
+    if hi >= np.iinfo(np.int64).max:
+        raise ScaleError(source, f"the top level n = {hi} is past int64")
+    try:
+        levels = np.arange(lo, hi + 1, dtype=np.int64)
+    except (MemoryError, ValueError):       # numpy's "Maximum allowed size exceeded"
+        levels = None
+    if levels is None or levels.size != hi + 1 - lo:    # numpy wraps 2^63 - 1 levels to 0
+        raise ScaleError(source, f"the {hi + 1 - lo} levels n = {lo} to {hi} cannot be held")
+    return levels
+
+
 def build_gaussian_packet(spec: PacketSpec, sys: WellSystem = WellSystem()) -> EigenExpansion:
     """Construct the packet's eigenbasis expansion.
 
@@ -413,30 +440,29 @@ def build_gaussian_packet(spec: PacketSpec, sys: WellSystem = WellSystem()) -> E
 
     then rescaled so Sum |a_n|^2 is exactly 1.  If clipping at n = 1 discards
     more than 1e-8 of raw weight, the result carries truncated_at_floor=True.
-    The packet's widths dn and alpha^2 and the energy at the window's top
-    must be finite, positive doubles (system._scale): ScaleError names the
-    first that is not, the energy as "system", the widths as "packet".
+    The packet's widths dn and alpha^2, the window's half-width W*dn and
+    the energy at its top must be finite, positive doubles (system._scale),
+    and its levels an int64 array that memory holds (level_range):
+    ScaleError names the first that is not, the energy as "system", the
+    others as "packet".
     """
     spec.validate_for(sys)
     alpha = spec.alpha_value(sys)
     hbar, L = sys.hbar, sys.width_L
     dn = _scale("packet", "the packet's width dn", lambda: spec.dn_value(sys))
-    lo = spec.n0 - spec.window_sigmas * dn
-    n_min = max(1, math.ceil(lo))
-    n_max = math.floor(spec.n0 + spec.window_sigmas * dn)
-    if n_max < n_min:
-        raise ValueError("truncation window is empty; increase window_sigmas")
+    n_min, n_max = level_window(spec.n0, dn, spec.window_sigmas, 1)
     _scale("system", f"the window's top energy E_{n_max}",
            lambda: eigenenergy(n_max, sys))
     alpha2 = _scale("packet", "the packet's width alpha^2", lambda: alpha**2)
 
-    ns = np.arange(n_min, n_max + 1)
+    ns = level_range(n_min, n_max, "packet")
     pn = level_momentum(ns, sys)
     p0 = level_momentum(spec.n0, sys)
     amp = math.sqrt(alpha * hbar * math.sqrt(math.pi) / L)
     raw = amp * np.exp(-0.5 * alpha2 * (pn - p0) ** 2) * np.exp(-1j * pn * spec.x0 / hbar)
 
     truncated = False
+    lo = spec.n0 - spec.window_sigmas * dn      # the window's edge before the clip
     if lo < 1.0:
         # weight the clip would have kept had levels below 1 existed
         k = np.arange(math.floor(lo), 1)

@@ -17,7 +17,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .correlation import DEFAULT_FIT_THRESHOLD, CollapseFit, _summed, fit_stroboscopic
-from .packet import PacketSpec, map_phases
+from .packet import PacketSpec, level_range, level_window, map_phases
 from .system import _check_level, _float_pow
 
 __all__ = [
@@ -222,22 +222,11 @@ def collapse_time_powerlaw(well: PowerLawWell, n0: int, dn: float) -> float | No
     return T_C
 
 
-def _window(n0: int, dn: float, window_sigmas: float) -> tuple[int, int]:
-    """The first and the last level of gaussian_weights's window."""
-    if dn <= 0:
-        raise ValueError("dn must be positive")
-    lo = max(0, math.ceil(n0 - window_sigmas * dn))
-    hi = math.floor(n0 + window_sigmas * dn)
-    if hi < lo:
-        raise ValueError("weight window is empty")
-    return lo, hi
-
-
 def gaussian_weights(n0: int, dn: float,
                      window_sigmas: float) -> tuple[NDArray[np.int64], NDArray[np.float64]]:
-    """Normalized |a_n|^2 ~ exp(-(n-n0)^2 / (2 dn^2)) on a clipped window."""
-    lo, hi = _window(n0, dn, window_sigmas)
-    levels = np.arange(lo, hi + 1)
+    """Normalized |a_n|^2 ~ exp(-(n-n0)^2 / (2 dn^2)) on packet.level_window's
+    window, clipped at n = 0, its levels from packet.level_range."""
+    levels = level_range(*level_window(n0, dn, window_sigmas, 0), "packet")
     w = np.exp(-((levels - n0) / dn) ** 2 / 2.0)
     return levels, w / w.sum()
 

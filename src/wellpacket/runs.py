@@ -18,7 +18,7 @@ from . import correlation, observables, powerlaw, timescales
 from .config import ConfigError, RunConfig
 from .evolution import (MomentumGrid, SpatialGrid, momentum_wavefunction,
                         position_wavefunction, probability_density)
-from .packet import PacketSpec, build_gaussian_packet
+from .packet import PacketSpec, build_gaussian_packet, level_range, level_window
 from .system import ScaleError, classical_speed, classical_trajectory
 from .writer import Unrounded, json_chunks, table_text
 
@@ -68,19 +68,21 @@ class _Output:
         return path
 
 
-def _checked(compute, *args):
+def _checked(compute, *args, packet: str = "[packet]"):
     """compute(*args), a scale past the doubles (system.ScaleError) refused as
-    a config error of the section it derives from."""
+    a config error of the section it derives from; ``packet`` locates the
+    packet's own scales."""
     try:
         return compute(*args)
     except ScaleError as e:
-        raise ConfigError(f"[{e.source}] {e}") from None
+        raise ConfigError(f"{packet if e.source == 'packet' else f'[{e.source}]'} {e}") from None
 
 
-def _prepare(cfg: RunConfig, spec: PacketSpec):
-    """The packet's expansion and time-scale report, the report checked first."""
-    report = _checked(timescales.compute_timescales, cfg.system, spec)
-    return _checked(build_gaussian_packet, spec, cfg.system), report
+def _prepare(cfg: RunConfig, spec: PacketSpec, packet: str = "[packet]"):
+    """The packet's expansion and time-scale report, the report checked first;
+    ``packet`` locates the refusal of a packet scale (see _checked)."""
+    report = _checked(timescales.compute_timescales, cfg.system, spec, packet=packet)
+    return _checked(build_gaussian_packet, spec, cfg.system, packet=packet), report
 
 
 def run_evolve(cfg: RunConfig, out_dir):
@@ -191,18 +193,21 @@ def run_powerlaw(cfg: RunConfig, out_dir):
         # the finiteness rule, once per well and before any file, at the
         # lowest and the largest level the run uses: the spectrum's, and with
         # the fit its weights' window.  These two bound every level
-        lo, hi = (powerlaw._window(pl.fit_n0, pl.fit_dn, PacketSpec.window_sigmas) if pl.fit
+        lo, hi = (level_window(pl.fit_n0, pl.fit_dn, PacketSpec.window_sigmas, 0) if pl.fit
                   else (pl.n_min, pl.n_max))
         ends = np.array([min(pl.n_min, lo), max(pl.n_max, hi)])
         for well in wells:
             powerlaw._refuse(well, ends, *powerlaw._spectrum(well, ends))
-        # and the fits' closed forms, T_rev / (2 pi fit_dn^2)
+        # and the fits' closed forms, T_rev / (2 pi fit_dn^2); then the fit
+        # window's levels (each fit builds them again) and the spectrum's
         closed = [powerlaw.collapse_time_powerlaw(well, pl.fit_n0, pl.fit_dn)
                   for well in wells] if pl.fit else []
+        if pl.fit:
+            level_range(lo, hi, "powerlaw")
+        levels = level_range(pl.n_min, pl.n_max, "powerlaw")
     except ValueError as e:
         raise ConfigError(f"[powerlaw] {e}") from None
     out = _Output(cfg, "powerlaw", out_dir)
-    levels = np.arange(pl.n_min, pl.n_max + 1)
     # text columns as bytes arrays, which the writer lays out whole: the
     # level index (never rounded), as wide as the largest, and constants
     # as broadcast views
@@ -255,7 +260,8 @@ def run_scan_flatten(cfg: RunConfig, out_dir):
     fl = cfg.flatten
     specs = [PacketSpec(n0=cfg.packet.n0, x0=cfg.packet.x0, dx0=dx0,
                         window_sigmas=cfg.packet.window_sigmas) for dx0 in fl.dx0_values]
-    packets = [_prepare(cfg, spec) for spec in specs]      # each refused before any file
+    # each refused before any file, a packet scale under the width it derives from
+    packets = [_prepare(cfg, spec, f"[flatten] dx0 = {spec.dx0:g}:") for spec in specs]
     out = _Output(cfg, "scan-flatten", out_dir)
     files = []
     detections = []

@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 import tracemalloc
 import typing
 from dataclasses import fields
@@ -19,6 +20,7 @@ from wellpacket.cli import main
 from wellpacket.config import (ConfigError, CorrelateSettings, OutputSettings,
                                RunConfig, ScheduleSettings, load_config,
                                parse_config, parse_time)
+from wellpacket.packet import Theta
 from wellpacket.runs import _Output
 from wellpacket.timescales import TimeScaleReport, compute_timescales
 from wellpacket.writer import TABLE_CELLS, table_text
@@ -747,6 +749,16 @@ BOX_SCALES_PAST_THE_DOUBLES = [
     ("[packet]\ndx0 = 1e-300", "observables", "[packet] the spreading time t0 = 0.0"),
     ("[packet]\nalpha = 1e300", "timescales", "[packet] the spreading time t0 = inf"),
     ("[packet]\nalpha = 1e300", "observables", "[packet] the spreading time t0 = inf"),
+    # the level window's half-width W dn, in the box and in the power-law
+    # fit (8 fit_dn): window_sigmas = 1e308 and fit_dn = 1e308 overflow it,
+    # each an OverflowError traceback before the level-range rule.  A
+    # [flatten] dx0 width names itself: 1e-300 was reported under [packet]
+    ("[packet]\nwindow_sigmas = 1e308", "observables",
+     "[packet] the level window's half-width 1e+308 x 3.183098861837906 = inf"),
+    ("[powerlaw]\nfit_dn = 1e308\nk = 4\nfit = true", "powerlaw",
+     "[powerlaw] the level window's half-width 8.0 x 1e+308 = inf"),
+    ("[flatten]\ndx0 = 0.05, 1e-300", "scan-flatten",
+     "[flatten] dx0 = 1e-300: the spreading time t0 = 0.0"),
 ]
 
 
@@ -762,3 +774,54 @@ def test_box_scales_past_the_doubles_are_config_errors(tmp_path, capsys, ini, co
     assert main([command, "--config", str(path), "--out", str(out)]) == 1
     assert capsys.readouterr().err == f"config error: {error} is not a finite positive double\n"
     assert not out.exists()
+
+
+# Configs whose levels numpy cannot build, and the tracebacks each ended in
+# before the level-range rule (the last four after the output directory was
+# made, three of them after powerlaw.csv was written): a MemoryError for
+# more levels than memory holds, each above 2^47 bytes so that no machine
+# allocates them, and a ValueError or TypeError from levels past int64
+LEVEL_RANGES_PAST_MEMORY = [
+    ("observables", "[packet]\ndx0 = 1e-17", "[packet]", "cannot be held"),
+    ("observables", "[packet]\nn0 = 100000000000000000000", "[packet]", "is past int64"),
+    ("scan-flatten", "[flatten]\ndx0 = 0.05, 1e-17", "[flatten] dx0 = 1e-17:",
+     "cannot be held"),
+    ("powerlaw", "[powerlaw]\nfit_dn = 1e100\nk = 4\nfit = true", "[powerlaw]",
+     "is past int64"),
+    ("powerlaw", "[powerlaw]\nfit_dn = 1e15\nk = 4\nfit = true", "[powerlaw]",
+     "cannot be held"),
+    ("powerlaw", "[powerlaw]\nfit_n0 = 100000000000000000000\nk = 4\nfit = true",
+     "[powerlaw]", "is past int64"),
+    ("powerlaw", "[powerlaw]\nn_max = 1000000000000000\nk = 4", "[powerlaw]",
+     "cannot be held"),
+]
+
+
+@pytest.mark.parametrize("command, ini, location, problem", LEVEL_RANGES_PAST_MEMORY,
+                         ids=[f"{c}-{i.splitlines()[1].replace(' ', '')}"
+                              for c, i, _, _ in LEVEL_RANGES_PAST_MEMORY])
+def test_level_ranges_past_memory_are_config_errors(tmp_path, capsys, command, ini,
+                                                    location, problem):
+    # every level array, the box's window, the power-law fit's window and
+    # the spectrum, comes from packet.level_range, before any file
+    path = tmp_path / "run.ini"
+    path.write_text(ini + "\n")
+    out = tmp_path / "o"
+    assert main([command, "--config", str(path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {location} the ") and err.endswith(f" {problem}\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("literal", ["1e-3000000tau", "0e3000000"])
+def test_literals_with_long_exponents_parse_at_once(literal):
+    # Fraction(literal) would build 10**3000000, about 2 s: past the
+    # exponents at which a nonzero literal is a finite, nonzero double its
+    # exact value is 0 for a zero mantissa and none otherwise
+    start = time.perf_counter()
+    t, exact, _ = config._literal(literal, 0.1, 80.0)
+    assert time.perf_counter() - start < 0.1
+    assert t == 0.0
+    assert exact == (0 if literal.startswith("0") else None)
+    times = ScheduleSettings(mode="explicit", times=(literal, "1tau")).resolve(0.1, 80.0, 400)
+    assert isinstance(times, Theta) == (exact is not None)

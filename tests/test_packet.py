@@ -7,6 +7,8 @@ import pytest
 
 from wellpacket import (EigenExpansion, PacketSpec, WellSystem,
                         build_gaussian_packet, eigenenergy)
+from wellpacket.packet import level_range, level_window
+from wellpacket.system import ScaleError
 
 
 def test_spec_requires_exactly_one_width():
@@ -46,6 +48,22 @@ def test_window_extent(default_exp):
     assert default_exp.n_min == 375
     assert default_exp.n_max == 425
     assert len(default_exp.coefficients) == 51
+
+
+def test_level_range_refuses_what_numpy_cannot_build():
+    # the int64 levels lo..hi, as np.arange gives them where it can; a top
+    # level past int64 would make an object array, and numpy wraps a count
+    # of 2^63 - 1 to an empty array, so both are refused before any
+    # allocation; so is a count that no memory holds (2^62 levels)
+    assert level_window(400, 10.0 / math.pi, 8.0, 1) == (375, 425)
+    levels = level_range(375, 425, "packet")
+    assert levels.dtype == np.int64 and np.array_equal(levels, np.arange(375, 426))
+    for lo, hi, problem in ((0, 2**63 - 1, "is past int64"),
+                            (0, 2**63 - 2, "cannot be held"),
+                            (0, 2**62, "cannot be held")):
+        with pytest.raises(ScaleError, match=problem) as info:
+            level_range(lo, hi, "powerlaw")
+        assert info.value.source == "powerlaw"
 
 
 def test_weights_normalized(default_exp):

@@ -367,6 +367,14 @@ def test_gaussian_weights():
         gaussian_weights(200, 0.0, 8.0)
 
 
+def test_gaussian_weights_refuse_a_window_below_level_0():
+    # the window -100 +- 24 lies wholly below the clip at n = 0: empty, and
+    # refused, not an empty array of weights
+    with pytest.raises(ValueError, match=r"^the level window -100 \+- 24\.0 clipped at "
+                                         r"n = 0 is empty$"):
+        gaussian_weights(-100, 3.0, 8.0)
+
+
 def test_powerlaw_autocorrelation_basics():
     well = PowerLawWell(k=4.0)
     levels, w = gaussian_weights(200, 3.0, 8.0)
