@@ -24,8 +24,8 @@ from dataclasses import dataclass, field, fields, is_dataclass, replace
 
 import numpy as np
 
-from .correlation import DEFAULT_FIT_THRESHOLD, _scan_times
-from .packet import PacketSpec, Theta
+from .correlation import DEFAULT_FIT_THRESHOLD
+from .packet import PacketSpec, Theta, held
 from .system import WellSystem
 
 if typing.TYPE_CHECKING:
@@ -158,7 +158,10 @@ class ScheduleSettings:
                 raise ConfigError("[schedule] n_stop: must be >= n_start")
             from fractions import Fraction
 
-            ns = np.arange(self.n_start, self.n_stop + 1, self.n_step)
+            count = (self.n_stop - self.n_start) // self.n_step + 1
+            ns = held(f"[schedule] n_stop: the {count} strobes n = {self.n_start} to {self.n_stop}",
+                      lambda: np.arange(self.n_start, self.n_stop + 1, self.n_step), count,
+                      ConfigError)
             # strobe n is n tau, t / T = n / (2 n0)
             return Theta.progression(ns * tau, T, Fraction(self.n_start, 2 * n0),
                                      Fraction(self.n_step, 2 * n0))
@@ -168,7 +171,9 @@ class ScheduleSettings:
             if not b > a:
                 raise ConfigError("[schedule] stop: must exceed start")
             step = None if None in (theta_a, theta_b) else (theta_b - theta_a) / (self.count - 1)
-            return Theta.progression(np.linspace(a, b, self.count), T, theta_a, step)
+            times = held(f"[schedule] count: the {self.count} times",
+                         lambda: np.linspace(a, b, self.count), self.count, ConfigError)
+            return Theta.progression(times, T, theta_a, step)
         if self.mode == "explicit":
             vals = sorted((_time("schedule", "times", s, tau, T, n0) for s in self.times),
                           key=lambda v: v[0])
@@ -207,14 +212,11 @@ class CorrelateSettings:
     def scan_grid(self, tau: float, T: float, n0: int) -> tuple[
             float, float, float, tuple[Fraction | None, Fraction | None]]:
         """Start, stop and resolution of the revival scan, in absolute time,
-        and the exact (start / T, resolution / T), None where a literal has none."""
+        and the exact (start / T, resolution / T), None where a literal has none;
+        correlation.revival_scan refuses a grid it cannot sample."""
         (start, theta_start, _), (stop, *_), (res, theta_res, _) = (
             _time("correlate", key, getattr(self, key), tau, T, n0)
             for key in ("scan_start", "scan_stop", "scan_resolution"))
-        try:
-            _scan_times(T, start, stop, res)
-        except ValueError as e:
-            raise ConfigError(f"[correlate] {e}") from None
         return start, stop, res, (theta_start, theta_res)
 
     def fit_period(self, tau: float, T: float, n0: int) -> Theta | np.ndarray:
@@ -293,12 +295,11 @@ class FlattenSettings:
             raise ConfigError("[flatten] t_stop: must be positive")
         if not step > 0.0:
             raise ConfigError("[flatten] sample_step: must be positive")
-        if None not in (theta_stop, theta_step):
-            times = np.arange(math.ceil(theta_stop / theta_step)) * step
-        elif None not in (x_stop, x_step):
-            times = np.arange(math.ceil(x_stop / x_step)) * step
-        else:
-            times = np.arange(0.0, t_stop, step)
+        exact = (x_stop, x_step) if None in (theta_stop, theta_step) else (theta_stop, theta_step)
+        count = None if None in exact else math.ceil(exact[0] / exact[1])
+        times = held(f"[flatten] t_stop: the samples {self.sample_step.strip()} apart below "
+                     f"{self.t_stop.strip()}", lambda: np.arange(0.0, t_stop, step)
+                     if count is None else np.arange(count) * step, count, ConfigError)
         return Theta.progression(times, T, 0, theta_step)
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .packet import EigenExpansion, Theta, takes_fold
+from .packet import EigenExpansion, Theta, held, takes_fold
 from .system import revival_time
 
 __all__ = [
@@ -259,15 +259,16 @@ def nearest_fraction(x, max_q: int = 8):
 def _scan_times(T: float, t0: float, t1: float, resolution: float) -> NDArray[np.float64]:
     """The revival scan's samples t0 + k resolution, none past t1 but by
     rounding (SCAN_STEP_SLACK), on a window within [0, T] but by rounding
-    (SCAN_WINDOW_SLACK); at least two of them, or ValueError naming the
-    setting at fault."""
+    (SCAN_WINDOW_SLACK); at least two of them, and no more than memory
+    holds (packet.held), or ValueError naming the setting at fault."""
     if not t0 >= 0.0:
         raise ValueError("scan_start: must not be negative")
     if not t0 < t1 <= T * (1.0 + SCAN_WINDOW_SLACK):
         raise ValueError("scan_stop: must lie in (scan_start, 1T]")
     if not resolution > 0.0:
         raise ValueError("scan_resolution: must be positive")
-    times = np.arange(t0, t1 + SCAN_STEP_SLACK * resolution, resolution)
+    times = held(f"scan_resolution: the samples {resolution!r} apart over [{t0!r}, {t1!r}]",
+                 lambda: np.arange(t0, t1 + SCAN_STEP_SLACK * resolution, resolution))
     if times.size < 2:
         raise ValueError("scan_resolution: leaves fewer than two samples")
     return times

@@ -405,29 +405,47 @@ class EigenExpansion:
 
 def level_window(n0: int, dn: float, sigmas: float, floor: int) -> tuple[int, int]:
     """The first and the last level of a Gaussian's window n0 +- sigmas dn,
-    clipped at ``floor``.  The half-width sigmas dn must be a finite,
-    positive double (system._scale, a "packet" ScaleError), and the window
-    must hold a level (ValueError)."""
+    clipped at ``floor``: n0 -+ floor(sigmas dn), exact in integers.  The
+    half-width sigmas dn must be a finite, positive double (system._scale,
+    a "packet" ScaleError), and the window must hold a level (ValueError)."""
     h = _scale("packet", f"the level window's half-width {sigmas!r} x {dn!r}",
                lambda: sigmas * dn)
-    lo, hi = max(floor, math.ceil(n0 - h)), math.floor(n0 + h)
+    lo, hi = max(floor, n0 - math.floor(h)), n0 + math.floor(h)
     if hi < lo:
         raise ValueError(f"the level window {n0} +- {h!r} clipped at n = {floor} is empty")
     return lo, hi
 
 
-def level_range(lo: int, hi: int, source: str) -> NDArray[np.int64]:
-    """The int64 levels lo..hi; ScaleError from ``source`` for a top level past
-    int64 (numpy would build an object array) or more levels than it can hold."""
+def held(what: str, build: Callable[[], NDArray], size: int | None = None,
+         error: Callable[[str], Exception] = ValueError) -> NDArray:
+    """build(), an array numpy allocates, under the memory rule: error("`what`
+    cannot be held") where numpy cannot build it (a MemoryError, or its
+    ValueError for a size past its maximum) or where ``size``, its count of
+    8-byte elements if given, passes the bytes intp addresses (numpy wraps
+    counts near 2^63 to an empty array)."""
+    try:
+        if size is None or size <= np.iinfo(np.intp).max // 8:
+            return build()
+    except (MemoryError, ValueError):
+        pass
+    raise error(f"{what} cannot be held")
+
+
+def level_ends(lo: int, hi: int, source: str) -> NDArray[np.int64]:
+    """The int64 levels [lo, hi]; ScaleError from ``source`` for a top level
+    past int64 (numpy would build an object array)."""
     if hi >= np.iinfo(np.int64).max:
         raise ScaleError(source, f"the top level n = {hi} is past int64")
-    try:
-        levels = np.arange(lo, hi + 1, dtype=np.int64)
-    except (MemoryError, ValueError):       # numpy's "Maximum allowed size exceeded"
-        levels = None
-    if levels is None or levels.size != hi + 1 - lo:    # numpy wraps 2^63 - 1 levels to 0
-        raise ScaleError(source, f"the {hi + 1 - lo} levels n = {lo} to {hi} cannot be held")
-    return levels
+    return np.array([lo, hi], dtype=np.int64)
+
+
+def level_range(lo: int, hi: int, source: str) -> NDArray[np.int64]:
+    """The int64 levels lo..hi; ScaleError from ``source`` for a top level past
+    int64 (level_ends) or more levels than memory holds (held)."""
+    level_ends(lo, hi, source)
+    return held(f"the {hi + 1 - lo} levels n = {lo} to {hi}",
+                lambda: np.arange(lo, hi + 1, dtype=np.int64), hi + 1 - lo,
+                lambda message: ScaleError(source, message))
 
 
 def build_gaussian_packet(spec: PacketSpec, sys: WellSystem = WellSystem()) -> EigenExpansion:

@@ -1,9 +1,11 @@
 """Run drivers behind the CLI subcommands, plus the one CSV/JSON writer.
 
 Each run_* function takes a parsed RunConfig and an output directory and
-returns the list of files written.  Output is deterministic: fixed column
-order, fixed float formatting at the configured precision, and a header
-comment embedding the config hash.
+returns the list of files written.  It computes all it writes before it
+makes the directory (_Output), so a refusal or a numerical failure leaves
+none.  Output is deterministic: fixed column order, fixed float
+formatting at the configured precision, and a header comment embedding
+the config hash.
 """
 
 from __future__ import annotations
@@ -18,7 +20,8 @@ from . import correlation, observables, powerlaw, timescales
 from .config import ConfigError, RunConfig
 from .evolution import (MomentumGrid, SpatialGrid, momentum_wavefunction,
                         position_wavefunction, probability_density)
-from .packet import PacketSpec, build_gaussian_packet, level_range, level_window
+from .packet import (PacketSpec, build_gaussian_packet, level_ends, level_range,
+                     level_window)
 from .system import ScaleError, classical_speed, classical_trajectory
 from .writer import Unrounded, json_chunks, table_text
 
@@ -88,14 +91,10 @@ def _prepare(cfg: RunConfig, spec: PacketSpec, packet: str = "[packet]"):
 def run_evolve(cfg: RunConfig, out_dir):
     """Densities at explicitly listed times, position and/or momentum."""
     exp, report = _prepare(cfg, cfg.packet)
-    out = _Output(cfg, "evolve", out_dir)
     times = cfg.evolve.resolve(report.tau, report.T_rev, cfg.packet.n0)
-    if not times:
-        return []
-
     reps = {"position": ("position",), "momentum": ("momentum",),
-            "both": ("position", "momentum")}[cfg.evolve.representation]
-    files = []
+            "both": ("position", "momentum")}[cfg.evolve.representation] if times else ()
+    densities = []      # (representation, axis, points, time index, time, density)
     for rep in reps:
         if rep == "position":
             grid = SpatialGrid.default(cfg.system, cfg.grids.x_points)
@@ -104,29 +103,29 @@ def run_evolve(cfg: RunConfig, out_dir):
                                         cfg.grids.p_span, cfg.grids.p_spacing)
         axis = "x" if rep == "position" else "p"
         wavefunction = position_wavefunction if rep == "position" else momentum_wavefunction
-        points = grid.points
         # the times in groups of at most N, so that a group's fields hold no
         # more than one basis; each group builds the basis once
         group = len(exp.levels)
         for g in range(0, len(times), group):
             fields = wavefunction(exp, grid, times[g:g + group])
             for k in range(len(fields)):
-                i, lit, t = g + k, cfg.evolve.times[g + k], fields[k].time
-                dens = probability_density(fields[k])
+                densities.append((rep, axis, grid.points, g + k, fields[k].time,
+                                  probability_density(fields[k])))
                 fields[k] = None        # each field dropped once its density is taken
-                files.append(out.emit(
-                    f"density_{rep}_{i:02d}", [axis, "density"], [(points, dens)],
-                    {"kind": "density", "representation": rep,
-                     "time-literal": lit.strip(), "time": t},
-                    data={axis: points, "density": dens},
-                    meta=[f"time: {lit.strip()} = {out.num % t}"]))
-    return files
+
+    out = _Output(cfg, "evolve", out_dir)
+    literals = [lit.strip() for lit in cfg.evolve.times]
+    return [out.emit(f"density_{rep}_{i:02d}", [axis, "density"], [(points, dens)],
+                     {"kind": "density", "representation": rep,
+                      "time-literal": literals[i], "time": t},
+                     data={axis: points, "density": dens},
+                     meta=[f"time: {literals[i]} = {out.num % t}"])
+            for rep, axis, points, i, t, dens in densities]
 
 
 def run_observables(cfg: RunConfig, out_dir):
     """<x>, dx, <p>, dp over the configured schedule, with reference columns."""
     exp, report = _prepare(cfg, cfg.packet)
-    out = _Output(cfg, "observables", out_dir)
     schedule = cfg.schedule.resolve(report.tau, report.T_rev, cfg.packet.n0)
     series = observables.expectation_series(exp, ("x", "dx", "p", "dp"), schedule)
     times = np.asarray(schedule)
@@ -142,24 +141,34 @@ def run_observables(cfg: RunConfig, out_dir):
                "dx_envelope", "classical_x", "classical_v", "flat_dx"]
     block = (times, *series, env, classical.position, classical.velocity,
              np.broadcast_to(flat_dx, times.shape))
+    out = _Output(cfg, "observables", out_dir)
     return [out.emit("observables", columns, [block], {"kind": "observables"})]
 
 
 def run_correlate(cfg: RunConfig, out_dir):
     """|C| and |C-bar| series; optional collapse fit and revival scan."""
     exp, report = _prepare(cfg, cfg.packet)
-    out = _Output(cfg, "correlate", out_dir)
     n0 = cfg.packet.n0
     times = cfg.schedule.resolve(report.tau, report.T_rev, n0)
-    scan = cfg.correlate.scan_grid(report.tau, report.T_rev, n0) if cfg.correlate.scan else None
+    # the scan first, so that a grid it refuses is a config error before
+    # any numerical failure of the series or the fit
+    peaks = None
+    if cfg.correlate.scan:
+        start, stop, res, exact = cfg.correlate.scan_grid(report.tau, report.T_rev, n0)
+        try:
+            peaks = correlation.revival_scan(exp, (start, stop), res,
+                                             min_height=cfg.correlate.min_height, theta=exact)
+        except ValueError as e:
+            raise ConfigError(f"[correlate] {e}") from None
 
     C = np.abs(correlation.autocorrelation_series(exp, times, mirror=True))
+    fit = correlation.fit_collapse(exp, cfg.correlate.fit_period(report.tau, report.T_rev, n0),
+                                   cfg.correlate.threshold) if cfg.correlate.fit else None
+
+    out = _Output(cfg, "correlate", out_dir)
     files = [out.emit("correlation", ["t", "absC", "absCbar"], [(np.asarray(times), *C)],
                       {"kind": "correlation"})]
-
-    if cfg.correlate.fit:
-        period = cfg.correlate.fit_period(report.tau, report.T_rev, n0)
-        fit = correlation.fit_collapse(exp, period, cfg.correlate.threshold)
+    if fit is not None:
         files.append(out.json("collapse_fit.json", {
             "kind": "collapse-fit",
             "T_C_estimate": fit.T_C_estimate,
@@ -168,11 +177,7 @@ def run_correlate(cfg: RunConfig, out_dir):
             "threshold": fit.threshold,
             "T_C_closed_form": report.T_C,
         }))
-
-    if scan is not None:
-        start, stop, res, exact = scan
-        peaks = correlation.revival_scan(exp, (start, stop), res,
-                                         min_height=cfg.correlate.min_height, theta=exact)
+    if peaks is not None:
         files.append(out.json("revival_scan.json", {
             "kind": "revival-scan",
             "window": [start, stop],
@@ -192,22 +197,35 @@ def run_powerlaw(cfg: RunConfig, out_dir):
                                        half=pl.half) for k in pl.k_values]
         # the finiteness rule, once per well and before any file, at the
         # lowest and the largest level the run uses: the spectrum's, and with
-        # the fit its weights' window.  These two bound every level
+        # the fit its weights' window.  These two bound every level.  Where
+        # only the window's top is past int64, the collapse times at fit_n0
+        # come first (fit_dn = 1e200 reports one), and level_range refuses it
         lo, hi = (level_window(pl.fit_n0, pl.fit_dn, PacketSpec.window_sigmas, 0) if pl.fit
                   else (pl.n_min, pl.n_max))
-        ends = np.array([min(pl.n_min, lo), max(pl.n_max, hi)])
-        for well in wells:
-            powerlaw._refuse(well, ends, *powerlaw._spectrum(well, ends))
-        # and the fits' closed forms, T_rev / (2 pi fit_dn^2); then the fit
-        # window's levels (each fit builds them again) and the spectrum's
-        closed = [powerlaw.collapse_time_powerlaw(well, pl.fit_n0, pl.fit_dn)
-                  for well in wells] if pl.fit else []
-        if pl.fit:
-            level_range(lo, hi, "powerlaw")
+        if hi < np.iinfo(np.int64).max or lo >= np.iinfo(np.int64).max:
+            ends = level_ends(min(pl.n_min, lo), max(pl.n_max, hi), "powerlaw")
+            for well in wells:
+                powerlaw.wkb_spectrum(well, ends)
         levels = level_range(pl.n_min, pl.n_max, "powerlaw")
+        # each well's closed form, T_rev / (2 pi fit_dn^2), and its fit
+        fits = []
+        for well in wells if pl.fit else ():
+            k_label = "infinity" if math.isinf(well.k) else Unrounded(well.k)
+            T_C = powerlaw.collapse_time_powerlaw(well, pl.fit_n0, pl.fit_dn)
+            if T_C is None:
+                fits.append({"k": k_label, "result": "periodic"})
+                continue
+            try:
+                fit = powerlaw.fit_powerlaw_collapse(well, pl.fit_n0, pl.fit_dn)
+            except correlation.CollapseFitError as e:
+                fits.append({"k": k_label, "result": f"fit failed: {e}"})
+                continue
+            fits.append({"k": k_label, "T_C_estimate": fit.T_C_estimate,
+                         "T_C_closed_form": T_C,
+                         "points_used": fit.points_used,
+                         "residual": fit.residual})
     except ValueError as e:
         raise ConfigError(f"[powerlaw] {e}") from None
-    out = _Output(cfg, "powerlaw", out_dir)
     # text columns as bytes arrays, which the writer lays out whole: the
     # level index (never rounded), as wide as the largest, and constants
     # as broadcast views
@@ -231,25 +249,10 @@ def run_powerlaw(cfg: RunConfig, out_dir):
 
     # one well's rows at a time, computed as the writer reaches them
     blocks = chain.from_iterable(map(spectrum_blocks, wells))
+    out = _Output(cfg, "powerlaw", out_dir)
     files = [out.emit("powerlaw", ["k", "n", "E", "tau", "T_rev"], blocks,
                       {"kind": "powerlaw-spectrum"})]
-
     if pl.fit:
-        fits = []
-        for well, T_C in zip(wells, closed):
-            k_label = "infinity" if math.isinf(well.k) else Unrounded(well.k)
-            if T_C is None:
-                fits.append({"k": k_label, "result": "periodic"})
-                continue
-            try:
-                fit = powerlaw.fit_powerlaw_collapse(well, pl.fit_n0, pl.fit_dn)
-            except correlation.CollapseFitError as e:
-                fits.append({"k": k_label, "result": f"fit failed: {e}"})
-                continue
-            fits.append({"k": k_label, "T_C_estimate": fit.T_C_estimate,
-                         "T_C_closed_form": T_C,
-                         "points_used": fit.points_used,
-                         "residual": fit.residual})
         files.append(out.json("powerlaw_fits.json",
                               {"kind": "powerlaw-collapse-fits", "fits": fits}))
     return files
@@ -262,20 +265,14 @@ def run_scan_flatten(cfg: RunConfig, out_dir):
                         window_sigmas=cfg.packet.window_sigmas) for dx0 in fl.dx0_values]
     # each refused before any file, a packet scale under the width it derives from
     packets = [_prepare(cfg, spec, f"[flatten] dx0 = {spec.dx0:g}:") for spec in specs]
-    out = _Output(cfg, "scan-flatten", out_dir)
-    files = []
-    detections = []
+    series, detections = [], []
     for dx0, spec, (exp, report) in zip(fl.dx0_values, specs, packets):
-        series = observables.sample_series(
-            exp, "dx", fl.sample_times(report.tau, report.T_rev, spec.n0))
-        t_star = timescales.detect_flattening(series, cfg.system,
+        series.append(observables.sample_series(
+            exp, "dx", fl.sample_times(report.tau, report.T_rev, spec.n0)))
+        t_star = timescales.detect_flattening(series[-1], cfg.system,
                                               epsilon=fl.epsilon, hold=fl.hold)
         detections.append({"dx0": dx0, "t_star": t_star,
                            "t_flat_closed_form": report.t_flat})
-        files.append(out.emit(
-            f"flatten_dx0_{dx0:g}", ["t", "dx"],
-            [(series.times, series.values)],
-            {"kind": "flatten-series", "dx0": dx0}, meta=[f"dx0: {dx0:g}"]))
 
     detected = [(d["dx0"], d["t_star"]) for d in detections if d["t_star"] is not None]
     exponent = None
@@ -283,6 +280,10 @@ def run_scan_flatten(cfg: RunConfig, out_dir):
         lx = np.log([d[0] for d in detected])
         ly = np.log([d[1] for d in detected])
         exponent = float(np.polyfit(lx, ly, 1)[0])
+    out = _Output(cfg, "scan-flatten", out_dir)
+    files = [out.emit(f"flatten_dx0_{dx0:g}", ["t", "dx"], [(s.times, s.values)],
+                      {"kind": "flatten-series", "dx0": dx0}, meta=[f"dx0: {dx0:g}"])
+             for dx0, s in zip(fl.dx0_values, series)]
     files.append(out.json("flatten_summary.json",
                           {"kind": "flatten-summary", "detections": detections,
                            "scaling_exponent": exponent}))

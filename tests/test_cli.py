@@ -201,7 +201,7 @@ def test_time_literal_errors_are_config_errors(tmp_path, capsys, command, ini, l
     out = tmp_path / "o"
     assert main([command, "--config", str(path), "--out", str(out)]) == 1
     assert capsys.readouterr().err.startswith(f"config error: {location}")
-    assert os.listdir(out) == []
+    assert not out.exists()
 
 
 # every time key, as the command that resolves it reads it; {} is the literal
@@ -810,6 +810,53 @@ def test_level_ranges_past_memory_are_config_errors(tmp_path, capsys, command, i
     assert main([command, "--config", str(path), "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"config error: {location} the ") and err.endswith(f" {problem}\n")
+    assert not out.exists()
+
+
+# Runs that stop with a refusal, and what each once left behind: the
+# resolver refusals an empty output directory, the failed fit a
+# correlation.csv, the time grids past memory (each above 2^47 bytes, so
+# that no machine allocates them) a MemoryError traceback and an empty
+# directory, and the power-law levels past the doubles an OverflowError
+# traceback from n0 - h or from n + mu
+REFUSED_RUNS = [
+    ("observables", "[schedule]\nmode = dense\nstart = 1tau\nstop = 0", 1,
+     "config error: [schedule] stop: must exceed start"),
+    ("scan-flatten", "[flatten]\nt_stop = 0", 1, "config error: [flatten] t_stop: must be"),
+    ("correlate", "[schedule]\nn_stop = 5\n[correlate]\nscan = true\nscan_resolution = 0", 1,
+     "config error: [correlate] scan_resolution: must be positive"),
+    ("evolve", "[evolve]\ntimes = 1xyz", 1, "config error: [evolve] times: cannot parse"),
+    ("correlate", "[packet]\nn0 = 100\ndx0 = 0.02\n[schedule]\nn_stop = 5\n"
+     "[correlate]\nfit = true", 2, "numerical failure: only 0 stroboscopic points"),
+    ("observables", "[schedule]\nn_stop = 1000000000000000", 1,
+     "config error: [schedule] n_stop: the 1000000000000001 strobes n = 0 to "
+     "1000000000000000 cannot be held"),
+    ("observables", "[schedule]\nmode = dense\ncount = 1000000000000000", 1,
+     "config error: [schedule] count: the 1000000000000000 times cannot be held"),
+    ("scan-flatten", "[flatten]\nt_stop = 1e15tau", 1,
+     "config error: [flatten] t_stop: the samples 0.25tau apart below 1e15tau cannot be held"),
+    ("correlate", "[schedule]\nn_stop = 5\n[correlate]\nscan = true\n"
+     "scan_resolution = 1e-13tau", 1, "config error: [correlate] scan_resolution: the samples "),
+    ("powerlaw", "[powerlaw]\nk = 4\nfit = true\nfit_n0 = 1" + "0" * 400, 1,
+     f"config error: [powerlaw] the top level n = 1{'0' * 398}24 is past int64"),
+    ("powerlaw", "[powerlaw]\nk = 4\nn_max = 1" + "0" * 400, 1,
+     f"config error: [powerlaw] the top level n = 1{'0' * 400} is past int64"),
+]
+
+
+@pytest.mark.parametrize("command, ini, code, message", REFUSED_RUNS,
+                         ids=["dense_stop", "t_stop", "scan_resolution", "evolve_times",
+                              "failed_fit", "strobes_past_memory", "dense_past_memory",
+                              "flatten_past_memory", "scan_past_memory", "fit_n0_past_doubles",
+                              "n_max_past_doubles"])
+def test_a_refused_run_leaves_no_output_directory(tmp_path, capsys, command, ini, code,
+                                                  message):
+    # a run computes all it writes before it makes its directory
+    path = tmp_path / "run.ini"
+    path.write_text(ini + "\n")
+    out = tmp_path / "o"
+    assert main([command, "--config", str(path), "--out", str(out)]) == code
+    assert capsys.readouterr().err.startswith(message)
     assert not out.exists()
 
 
