@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .packet import EigenExpansion, _time_chunks
-from .system import WellSystem, level_momentum, momentum_basis, position_basis
+from .packet import EigenExpansion, _time_chunks, held
+from .system import ScaleError, WellSystem, level_momentum, momentum_basis, position_basis
 
 __all__ = [
     "SpatialGrid",
@@ -36,7 +36,9 @@ class SpatialGrid:
 
     @classmethod
     def default(cls, sys: WellSystem, n_points: int) -> "SpatialGrid":
-        return cls(np.linspace(0.0, sys.width_L, n_points))
+        return cls(held(f"the {n_points} x_points",
+                        lambda: np.linspace(0.0, sys.width_L, n_points), n_points,
+                        lambda message: ScaleError("grids", message)))
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float)
@@ -59,9 +61,11 @@ class MomentumGrid:
     @classmethod
     def default(cls, sys: WellSystem, n0: int, span: float,
                 spacing: float) -> "MomentumGrid":
-        """Multiples of ``spacing`` out to ``span`` p0, p0 the momentum of level n0."""
-        kmax = int(np.ceil(span * level_momentum(n0, sys) / spacing))
-        return cls(np.arange(-kmax, kmax + 1) * spacing)
+        """Multiples of ``spacing`` out to ``span`` p0 (p0 of level n0), under packet.held."""
+        kmax = np.ceil(span * level_momentum(n0, sys) / spacing)      # inf past the doubles
+        return cls(held(f"the momenta out to p_span = {span!r} p0, p_spacing = {spacing!r} apart",
+                        lambda: np.arange(-int(kmax), int(kmax) + 1) * spacing, 2 * kmax + 1,
+                        lambda message: ScaleError("grids", message)))
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float)

@@ -18,8 +18,8 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 from numpy.typing import NDArray
 
-from .packet import EigenExpansion, NumericalConsistencyError, fold_rows, takes_fold
-from .system import WellSystem, level_momentum
+from .packet import EigenExpansion, NumericalConsistencyError, fold_rows, held, takes_fold
+from .system import ScaleError, WellSystem, level_momentum
 
 __all__ = [
     "NumericalConsistencyError",
@@ -36,8 +36,8 @@ OBSERVABLES = ("x", "x2", "p", "p2")
 SERIES_IDS = OBSERVABLES + ("dx", "dp")
 
 # Ceiling on the imaginary residue of an assembled real observable, as a
-# fraction of its rounding scale Sum |a_m||a_n||O_mn| (see _series); both
-# paths check one Hermiticity probe per call, and the chunks every sample.
+# fraction of its rounding scale Sum |a_m||a_n||O_mn| (see _series): one
+# Hermiticity probe per call, on either path.
 # Anything larger points at a coefficient/table inconsistency.  Also the
 # relative floor below which a variance counts as negative.
 _IMAG_TOL = 1e-12
@@ -266,20 +266,25 @@ def _series(exp: EigenExpansion, ids: tuple[str, ...], times) -> list[NDArray[np
     probe of the full rows does.
 
     The chunks (EigenExpansion.map_chunks): the walk stacks each dense real
-    form R once per call into an array of the call's own, N^2 doubles a
-    form, which the table does not keep.  b is formed once per chunk.  Each
-    form is R or i R, so with b = br + i bi it takes two real GEMMs,
-    y = br R^T and y = bi R^T, and four row sums: Sum b* R b =
-    (br.Rbr + bi.Rbi) + i (br.Rbi - bi.Rbr).  The spent phase block P holds
-    y, so a chunk needs P, br and bi: two chunks' bytes.  Each sample's
-    imaginary part is checked as well.
+    form R once per call into an array of the call's own (packet.held), N^2
+    doubles a form, which the table does not keep.  b is formed once per
+    chunk.  Each form is R or i R, so with b = br + i bi it takes two real
+    GEMMs, y = br R^T and y = bi R^T, and two row sums, the real part alone:
+    <R> = br.Rbr + bi.Rbi, <i R> = bi.Rbr - br.Rbi.  b^H O b is real for a
+    Hermitian O and any b, so its imaginary part could only show what the
+    probe shows.  The spent phase block P holds y: a chunk needs P, br, bi.
     """
     for which in ids:
         if which not in SERIES_IDS:
             raise ValueError(f"unknown series id {which!r}")
-    n = np.size(times)
-    table = table_for(exp)
+    n, a = np.size(times), exp.coefficients
     forms = [f for f in ("x", "x2", "p") if any(f in _FORMS[w] for w in ids)]
+    F, fold = len(forms), takes_fold(times, a.size ** 2)
+    # the chunks' dense forms, under the memory rule before the table is built
+    dense = None if fold else held(
+        f"the {F} dense {a.size} x {a.size} forms", lambda: np.empty((F, a.size, a.size)),
+        F * a.size ** 2, lambda message: ScaleError("packet", message))
+    table = table_for(exp)
 
     def mean_diagonal(f: str) -> float:
         # Sum |a_n|^2 O_nn, exactly rounded
@@ -293,18 +298,16 @@ def _series(exp: EigenExpansion, ids: tuple[str, ...], times) -> list[NDArray[np
         b = np.multiply(exp.coefficients, P, out=P)
         br, bi = np.ascontiguousarray(b.real), np.ascontiguousarray(b.imag)
         y = P.view(np.float64).reshape(-1)[:br.size].reshape(br.shape)
-        out = np.empty((len(forms), br.shape[0]), dtype=complex)
+        out = np.empty((F, br.shape[0]))
         for k, (f, R) in enumerate(zip(forms, dense)):
+            # <R> = br.Rbr + bi.Rbi; for p = i R, <p> = bi.Rbr - br.Rbi
             np.matmul(br, R.T, out=y)
-            rr, ir = np.einsum("ij,ij->i", br, y), np.einsum("ij,ij->i", bi, y)
+            u = np.einsum("ij,ij->i", bi if f == "p" else br, y)
             np.matmul(bi, R.T, out=y)
-            ri, ii = np.einsum("ij,ij->i", br, y), np.einsum("ij,ij->i", bi, y)
-            re, im = rr + ii, ri - ir
-            # i (re + i im) = -im + i re for an imaginary form
-            out[k].real, out[k].imag = (-im, re) if f == "p" else (re, im)
+            v = np.einsum("ij,ij->i", br if f == "p" else bi, y)
+            (np.subtract if f == "p" else np.add)(u, v, out=out[k])
         return out
 
-    a, F = exp.coefficients, len(forms)
     scales, probes = np.zeros((2, F))
     mags = np.abs(a)
     # the probe's real and imaginary parts apart, for two real GEMVs a span:
@@ -312,15 +315,12 @@ def _series(exp: EigenExpansion, ids: tuple[str, ...], times) -> list[NDArray[np
     # resident (0.3 MB more RSS at N = 85)
     b = a * np.exp(2j * math.pi * _PROBE * exp.levels.astype(float) ** 2)
     br, bi = np.ascontiguousarray(b.real), np.ascontiguousarray(b.imag)
-    fold = takes_fold(times, a.size ** 2)
     if fold:
         q, n2 = times.den, exp.square_residues(times.den)
         diagonal = [mean_diagonal(f) for f in forms]
         ca = 2.0 * np.conj(a)
         bins, partial = np.zeros((F, q), dtype=complex), np.empty(q, dtype=complex)
-    else:
-        q, dense = 0, np.empty((F, a.size, a.size))
-    blocks = fold_rows(a.size, q)
+    blocks = fold_rows(a.size, q if fold else 0)
     lower = np.tri(blocks[0].stop, dtype=bool)
     per = max(1, _SPAN_BYTES // (8 * a.size * blocks[0].stop))
     for g in range(0, len(blocks), per):
@@ -382,11 +382,7 @@ def _series(exp: EigenExpansion, ids: tuple[str, ...], times) -> list[NDArray[np
             # p = i R was binned as R: <p> = Re(i FFT) = -Im FFT, in place
             vals["p"] = np.negative(raw[-1].imag, out=raw[-1].imag)
     else:
-        raw = exp.map_chunks(assemble, times, np.empty((F, n), dtype=complex))
-        vals = {}
-        for f, scale, v in zip(forms, scales, raw):
-            _check_residue(f, float(np.max(np.abs(v.imag))) if v.size else 0.0, scale)
-            vals[f] = v.real
+        vals = dict(zip(forms, exp.map_chunks(assemble, times, np.empty((F, n)))))
     for f, probe, scale in zip(forms, probes, scales):
         _check_residue(f, abs(probe), scale)
     if "x" in vals:

@@ -97,10 +97,10 @@ def run_evolve(cfg: RunConfig, out_dir):
     densities = []      # (representation, axis, points, time index, time, density)
     for rep in reps:
         if rep == "position":
-            grid = SpatialGrid.default(cfg.system, cfg.grids.x_points)
+            grid = _checked(SpatialGrid.default, cfg.system, cfg.grids.x_points)
         else:
-            grid = MomentumGrid.default(cfg.system, cfg.packet.n0,
-                                        cfg.grids.p_span, cfg.grids.p_spacing)
+            grid = _checked(MomentumGrid.default, cfg.system, cfg.packet.n0,
+                            cfg.grids.p_span, cfg.grids.p_spacing)
         axis = "x" if rep == "position" else "p"
         wavefunction = position_wavefunction if rep == "position" else momentum_wavefunction
         # the times in groups of at most N, so that a group's fields hold no
@@ -127,13 +127,19 @@ def run_observables(cfg: RunConfig, out_dir):
     """<x>, dx, <p>, dp over the configured schedule, with reference columns."""
     exp, report = _prepare(cfg, cfg.packet)
     schedule = cfg.schedule.resolve(report.tau, report.T_rev, cfg.packet.n0)
-    series = observables.expectation_series(exp, ("x", "dx", "p", "dp"), schedule)
+    series = _checked(observables.expectation_series, exp, ("x", "dx", "p", "dp"), schedule)
     times = np.asarray(schedule)
 
     sys = cfg.system
+    v0 = classical_speed(cfg.packet.n0, sys)
+    # the reference columns take v0 t and t / t0, which must be doubles; a
+    # phase that overflows first is a numerical failure of the series
+    t = float(np.abs(times).max(initial=0.0))
+    if not math.isfinite(v0 * t) or not math.isfinite(t / report.t0):
+        raise ConfigError(f"[schedule] the reference columns' v0 t or t / t0 at t = {t!r} "
+                          "is past the doubles")
     dx0 = cfg.packet.dx0_value(sys)
     env = timescales.spreading_envelope(dx0, report.t0, times)
-    v0 = classical_speed(cfg.packet.n0, sys)
     classical = classical_trajectory(times, cfg.packet.x0, v0, sys)
     flat_dx = timescales.flat_reference(sys)[2]
 
@@ -267,14 +273,15 @@ def run_scan_flatten(cfg: RunConfig, out_dir):
     packets = [_prepare(cfg, spec, f"[flatten] dx0 = {spec.dx0:g}:") for spec in specs]
     series, detections = [], []
     for dx0, spec, (exp, report) in zip(fl.dx0_values, specs, packets):
-        series.append(observables.sample_series(
-            exp, "dx", fl.sample_times(report.tau, report.T_rev, spec.n0)))
+        series.append(_checked(observables.sample_series, exp, "dx", fl.sample_times(
+            report.tau, report.T_rev, spec.n0), packet=f"[flatten] dx0 = {dx0:g}:"))
         t_star = timescales.detect_flattening(series[-1], cfg.system,
                                               epsilon=fl.epsilon, hold=fl.hold)
         detections.append({"dx0": dx0, "t_star": t_star,
                            "t_flat_closed_form": report.t_flat})
 
-    detected = [(d["dx0"], d["t_star"]) for d in detections if d["t_star"] is not None]
+    # a width flat from t = 0 (t_star = 0) has no place on the log-log fit
+    detected = [(d["dx0"], d["t_star"]) for d in detections if d["t_star"]]
     exponent = None
     if len(detected) >= 2:
         lx = np.log([d[0] for d in detected])

@@ -169,9 +169,10 @@ def momentum_basis(levels, p, sys: WellSystem = WellSystem()) -> NDArray[np.comp
     pn = level_momentum(ns, sys)
     norm = np.sqrt(hbar / (np.pi * L))
     P = p[:, None]
-    d2 = P**2 - pn[None, :] ** 2
     sign = np.where(ns % 2 == 1, -1.0, 1.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # p^2 overflows past 1.3e154, where phi_n(p) is 0
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        d2 = P**2 - pn[None, :] ** 2
         out = norm * pn[None, :] / d2 * (sign[None, :] * np.exp(-1j * P * L / hbar) - 1.0)
     near = np.abs(d2) < _SINGULAR_EPS * pn[None, :] ** 2
     if np.any(near):

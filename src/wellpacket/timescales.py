@@ -107,9 +107,15 @@ def flat_momentum_reference(spec: PacketSpec,
 
 
 def spreading_envelope(dx0: float, t0: float, times) -> np.ndarray:
-    """Free-Gaussian width dx0 * sqrt(1 + (t/t0)^2)."""
-    t = np.asarray(times, dtype=float)
-    return dx0 * np.sqrt(1.0 + (t / t0) ** 2)
+    """Free-Gaussian width dx0 * sqrt(1 + (t/t0)^2), and dx0 |t| / t0 where
+    the square overflows: for r = |t| / t0 >= 2^27, sqrt(1 + r^2) is r bitwise."""
+    r = np.asarray(times, dtype=float) / t0
+    with np.errstate(over="ignore"):
+        env = dx0 * np.sqrt(1.0 + r ** 2)
+    over = np.isinf(env)
+    if over.any():
+        env = np.where(over, dx0 * np.abs(r), env)
+    return env
 
 
 def detect_flattening(series: TimeSeries, sys: WellSystem, epsilon: float,

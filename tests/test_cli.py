@@ -817,8 +817,9 @@ def test_level_ranges_past_memory_are_config_errors(tmp_path, capsys, command, i
 # resolver refusals an empty output directory, the failed fit a
 # correlation.csv, the time grids past memory (each above 2^47 bytes, so
 # that no machine allocates them) a MemoryError traceback and an empty
-# directory, and the power-law levels past the doubles an OverflowError
-# traceback from n0 - h or from n + mu
+# directory, the power-law levels past the doubles an OverflowError
+# traceback from n0 - h or from n + mu, and the chunks' three dense forms
+# of a 2.5e6-level packet (24 N^2 bytes, above 2^47) a MemoryError traceback
 REFUSED_RUNS = [
     ("observables", "[schedule]\nmode = dense\nstart = 1tau\nstop = 0", 1,
      "config error: [schedule] stop: must exceed start"),
@@ -841,6 +842,8 @@ REFUSED_RUNS = [
      f"config error: [powerlaw] the top level n = 1{'0' * 398}24 is past int64"),
     ("powerlaw", "[powerlaw]\nk = 4\nn_max = 1" + "0" * 400, 1,
      f"config error: [powerlaw] the top level n = 1{'0' * 400} is past int64"),
+    ("observables", "[packet]\ndx0 = 5e-7\n[schedule]\nmode = explicit\ntimes = 1tau", 1,
+     "config error: [packet] the 3 dense 2546879 x 2546879 forms cannot be held"),
 ]
 
 
@@ -848,7 +851,7 @@ REFUSED_RUNS = [
                          ids=["dense_stop", "t_stop", "scan_resolution", "evolve_times",
                               "failed_fit", "strobes_past_memory", "dense_past_memory",
                               "flatten_past_memory", "scan_past_memory", "fit_n0_past_doubles",
-                              "n_max_past_doubles"])
+                              "n_max_past_doubles", "dense_forms_past_memory"])
 def test_a_refused_run_leaves_no_output_directory(tmp_path, capsys, command, ini, code,
                                                   message):
     # a run computes all it writes before it makes its directory
