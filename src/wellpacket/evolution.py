@@ -62,7 +62,8 @@ class MomentumGrid:
     def default(cls, sys: WellSystem, n0: int, span: float,
                 spacing: float) -> "MomentumGrid":
         """Multiples of ``spacing`` out to ``span`` p0 (p0 of level n0), under packet.held."""
-        kmax = np.ceil(span * level_momentum(n0, sys) / spacing)      # inf past the doubles
+        # a positive quotient's ceiling, 1 where it underflows; inf past the doubles
+        kmax = max(np.ceil(span * level_momentum(n0, sys) / spacing), 1.0)
         return cls(held(f"the momenta out to p_span = {span!r} p0, p_spacing = {spacing!r} apart",
                         lambda: np.arange(-int(kmax), int(kmax) + 1) * spacing, 2 * kmax + 1,
                         lambda message: ScaleError("grids", message)))

@@ -39,15 +39,18 @@ class _Output:
         self.fmt, self.num = cfg.output.format, f"%.{cfg.output.precision}g"
         os.makedirs(out_dir, exist_ok=True)
 
+    def write(self, name: str, chunks) -> str:
+        """Write the byte chunks `chunks` to the file `name` and return its path."""
+        path = os.path.join(self.dir, name)
+        with open(path, "wb") as fh:
+            fh.writelines(chunks)
+        return path
+
     def json(self, name: str, fields: dict) -> str:
         """Write `fields`, schema version and config hash to the JSON file `name`."""
-        path = os.path.join(self.dir, name)
         payload = {"schema-version": SCHEMA_VERSION, **fields,
                    "config-sha256": self.cfg.config_hash}
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.writelines(json_chunks(payload, self.num))
-            fh.write("\n")
-        return path
+        return self.write(name, chain(json_chunks(payload, self.num), [b"\n"]))
 
     def emit(self, stem: str, columns, blocks, fields: dict, data=None, meta=()) -> str:
         """Write one table to `stem`.csv or `stem`.json and return the path.
@@ -62,13 +65,11 @@ class _Output:
             if data is None:
                 data = {"columns": columns, "rows": iter(blocks)}
             return self.json(f"{stem}.json", {**fields, **data})
-        path = os.path.join(self.dir, f"{stem}.csv")
         head = "".join(f"# {line}\n" for line in (
             f"wellpacket {self.command}", f"config-sha256: {self.cfg.config_hash}", *meta))
-        with open(path, "wb") as fh:
-            fh.write((head + ",".join(columns) + "\n").encode())
-            fh.writelines(table_text(blocks, self.num, False, b"", b",", b"\n"))
-        return path
+        return self.write(f"{stem}.csv", chain(
+            [(head + ",".join(columns) + "\n").encode()],
+            table_text(blocks, self.num, False, b"", b",", b"\n")))
 
 
 def _checked(compute, *args, packet: str = "[packet]"):

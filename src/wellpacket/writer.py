@@ -1,4 +1,4 @@
-"""The text of the CSV tables and JSON documents the run drivers write.
+"""The bytes of the CSV tables and JSON documents the run drivers write.
 
 A table is an iterator of blocks of rows: each block a sequence of
 equal-length columns.  A column is of one of two kinds: a float64 array,
@@ -364,51 +364,46 @@ def table_text(blocks, num: str, json: bool, head: bytes, sep: bytes, tail: byte
         yield _slice_text(pieces, num, json, head, sep, tail)
 
 
-def _json_list(blocks, num: str, depth: int, head: str, sep: str, tail: str):
-    """Yield a JSON array, one element per row of the table `blocks`."""
-    start = "["
-    for text in table_text(blocks, num, True, head.encode(), sep.encode(), tail.encode()):
+def _json_list(blocks, num: str, close: bytes, head: bytes, sep: bytes, tail: bytes):
+    """Yield a JSON array, one element per row of the table `blocks`, closed after `close`."""
+    start = b"["
+    for text in table_text(blocks, num, True, head, sep, tail):
         yield start
-        yield str(memoryview(text)[1:], "ascii")      # each row starts with ","
-        start = ","
+        yield memoryview(text)[1:]      # each row starts with ","
+        start = b","
         del text        # not held while the next slice is built
-    yield "[]" if start == "[" else "\n" + "  " * depth + "]"
+    yield b"[]" if start == b"[" else close + b"]"
 
 
 def json_chunks(obj, num: str, depth: int = 0):
-    """Yield the text json.dump(obj, indent=2, sort_keys=True) writes, with
-    every float rounded by the `num` template.  Dict keys must be strings.
-    A float64 or bytes array is a list.  An iterator is a table (see
-    above), written as a list of rows, slice by slice, without holding the
-    table."""
-    inner = "\n" + "  " * (depth + 1)
+    """Yield the bytes json.dump(obj, indent=2, sort_keys=True) writes, all
+    ASCII, with every float rounded by the `num` template.  Dict keys must
+    be strings.  A float64 or bytes array is a list.  An iterator is a
+    table (see above), written as a list of rows, slice by slice, without
+    holding the table: each slice a memoryview of its text."""
+    inner = b"\n" + b"  " * (depth + 1)
+    close = inner[:-2]
     if isinstance(obj, dict):
-        if not obj:
-            yield "{}"
-            return
-        sep = "{"
+        sep = b"{"
         for key in sorted(obj):
-            yield f"{sep}{inner}{encode_basestring_ascii(key)}: "
+            yield sep + inner + encode_basestring_ascii(key).encode() + b": "
             yield from json_chunks(obj[key], num, depth + 1)
-            sep = ","
-        yield "\n" + "  " * depth + "}"
+            sep = b","
+        yield b"{}" if sep == b"{" else close + b"}"
     elif isinstance(obj, np.ndarray):
-        yield from _json_list([[obj]], num, depth, "," + inner, "", "")
+        yield from _json_list([[obj]], num, close, b"," + inner, b"", b"")
     elif isinstance(obj, (list, tuple)):
-        if not obj:
-            yield "[]"
-            return
-        sep = "["
+        sep = b"["
         for v in obj:
             yield sep + inner
             yield from json_chunks(v, num, depth + 1)
-            sep = ","
-        yield "\n" + "  " * depth + "]"
+            sep = b","
+        yield b"[]" if sep == b"[" else close + b"]"
     elif hasattr(obj, "__next__"):
         # a table; isinstance(obj, Iterator) would add each type it meets to
         # the ABC's cache, long-lived objects made in the middle of a write
-        cell = inner + "  "
-        yield from _json_list(obj, num, depth, "," + inner + "[" + cell, "," + cell,
-                              inner + "]")
+        cell = inner + b"  "
+        yield from _json_list(obj, num, close, b"," + inner + b"[" + cell, b"," + cell,
+                              inner + b"]")
     else:
-        yield json_scalar(obj, num)
+        yield json_scalar(obj, num).encode()

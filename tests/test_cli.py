@@ -176,6 +176,8 @@ def test_bounds_hold_outside_the_parser(tmp_path, capsys):
         ScheduleSettings(n_step=0)
     with pytest.raises(ValueError, match="threshold"):
         CorrelateSettings(threshold=1.5)
+    with pytest.raises(ConfigError, match=re.escape("[schedule] mode: unknown mode 'x'")):
+        ScheduleSettings(mode="x").resolve(1.0, 10.0, 5)
     ini = tmp_path / "run.ini"
     ini.write_text("[output]\nprecision = 18\n")
     for option in (["--precision", "18"], ["--config", str(ini)]):
@@ -285,10 +287,14 @@ def test_non_finite_numbers_are_config_errors(section, key):
      "[correlate] min_height: must lie in [0, 1]"),
     ("correlate", "[schedule]\nn_stop = 5\n[correlate]\nscan = true\nmin_height = nan\n",
      "[correlate] min_height: expected a finite number"),
+    ("observables", "[schedule]\nmode = explicit\n",
+     "[schedule] times: explicit mode needs a times list"),
+    ("evolve", "[evolve]\ntimes = ,\n", "[evolve] times: could not parse list ','"),
 ], ids=["p_span", "p_spacing", "fit_dn", "empty_strobes_observables",
         "empty_strobes_correlate", "empty_k", "fit_n0", "empty_dx0", "alike_dx0",
         "repeated_dx0", "zero_dx0_observables", "zero_dx0_timescales", "negative_dx0",
-        "negative_alpha", "min_height_above_1", "nan_min_height"])
+        "negative_alpha", "min_height_above_1", "nan_min_height", "explicit_without_times",
+        "comma_only_times"])
 def test_bad_values_and_empty_work_are_config_errors(tmp_path, capsys, command, ini,
                                                      location):
     # each of these once ended in a traceback or in an empty or header-only file
@@ -421,6 +427,18 @@ def test_evolve_writes_densities(tmp_path):
     assert data["time-literal"] == "1tau"
     assert data["time"] == pytest.approx(2.0 / (800.0 * math.pi), rel=1e-11)
     assert len(data["density"]) == 64
+
+
+def test_momentum_grid_keeps_a_step_where_its_span_underflows(tmp_path):
+    # p_span p0 / p_spacing underflows to 0: the grid is still -1, 0, 1
+    # steps, not one point that MomentumGrid refused in a traceback
+    ini = tmp_path / "run.ini"
+    ini.write_text("[grids]\np_span = 5e-324\np_spacing = 1e308\n"
+                   "[evolve]\ntimes = 0\nrepresentation = momentum\n")
+    out = tmp_path / "o"
+    assert main(["evolve", "--config", str(ini), "--out", str(out)]) == 0
+    lines = (out / "density_momentum_00.csv").read_text().splitlines()
+    assert [line.split(",")[0] for line in lines[-3:]] == ["-1e+308", "0", "1e+308"]
 
 
 def test_powerlaw_output_tokens(tmp_path):

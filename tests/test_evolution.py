@@ -32,6 +32,8 @@ def test_grid_validation(sys0):
         SpatialGrid(np.array([0.0, 0.0, 1.0]))
     with pytest.raises(ValueError):
         MomentumGrid(np.array([-2.0, 0.0, 1.0]))  # not symmetric
+    with pytest.raises(ValueError, match="strictly increasing"):
+        MomentumGrid(np.array([1.0, 0.0, -1.0]))
     g = MomentumGrid.default(sys0, 400, 1.5, 1.0)
     assert g.points[0] == -g.points[-1]
 
@@ -139,6 +141,8 @@ def test_wavefield_validation(default_exp, xgrid):
     assert len(f.amplitudes) == len(xgrid.points)
     with pytest.raises(ValueError):
         type(f)(grid=xgrid, amplitudes=f.amplitudes[:-1], time=0.0)
+    with pytest.raises(ValueError, match="non-finite amplitudes"):
+        type(f)(grid=xgrid, amplitudes=np.full(len(xgrid.points), np.nan + 0j), time=0.0)
 
 
 def test_momentum_grid_spacing_override(sys0, default_exp):

@@ -85,6 +85,18 @@ def _counted_powerlaw_calls(monkeypatch):
     return calls
 
 
+def test_fit_validation():
+    with pytest.raises(CollapseFitError, match="need at least 3 points, got 2"):
+        fit_gaussian_decay([TAU, 2 * TAU], [0.9, 0.8])
+    for tau in (0.0, -TAU):
+        with pytest.raises(ValueError, match="tau must be positive"):
+            fit_stroboscopic(Sampler([0.5]), tau)
+    with pytest.raises(ValueError, match="fitted collapse time must be positive"):
+        correlation.CollapseFit(0.0, 5, 0.0, 0.9)
+    with pytest.raises(ValueError, match="fit must use at least 3 points"):
+        correlation.CollapseFit(1.0, 2, 0.0, 0.9)
+
+
 def test_sampler_calls_grow_with_the_log_of_the_periods(monkeypatch):
     calls = _counted_powerlaw_calls(monkeypatch)
     # the oscillator never collapses: 14 calls, where one a period took 10000

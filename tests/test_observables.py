@@ -391,6 +391,17 @@ def test_time_series_validation():
         TimeSeries("x", np.array([0.0, 1.0]), np.array([1.0]))
 
 
+def test_table_validation():
+    with pytest.raises(ValueError, match="need 1 <= n_min <= n_max"):
+        build_matrix_elements(0, 5)
+    table = build_matrix_elements(1, 5)
+    with pytest.raises(ValueError, match="kernels must be a contiguous 6 x"):
+        MatrixElementTable(1, 5, table.sys, np.zeros((6, 8)), table.diagonals, table.p2)
+    with pytest.raises(ValueError, match="kernels must be a contiguous 6 x"):
+        MatrixElementTable(1, 5, table.sys, np.asfortranarray(table.kernels),
+                           table.diagonals, table.p2)
+
+
 def test_uncertainty_rejects_nonquadratic(default_exp):
     with pytest.raises(ValueError):
         uncertainty_series(default_exp, "x2", [0.0])

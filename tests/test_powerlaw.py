@@ -18,6 +18,11 @@ from wellpacket.cli import main
 from wellpacket.config import RunConfig, parse_config
 
 
+def test_spectrum_of_no_levels_is_empty():
+    spectrum = wkb_spectrum(PowerLawWell(k=4.0), np.array([], np.int64))
+    assert [v.shape for v in spectrum] == [(0,)] * 3
+
+
 def test_well_validation():
     with pytest.raises(ValueError):
         PowerLawWell(k=0.0)

@@ -143,7 +143,9 @@ json_payloads = st.recursive(
 @given(json_payloads, st.integers(1, 17))
 @example([1.7e308], 1)
 def test_json_writer_matches_json_dumps_of_rounded_values(payload, precision):
-    assert "".join(json_chunks(payload, f"%.{precision}g")) == json.dumps(
+    chunks = list(json_chunks(payload, f"%.{precision}g"))
+    assert all(isinstance(c, (bytes, memoryview)) for c in chunks)
+    assert b"".join(chunks).decode() == json.dumps(
         _rounded(payload, precision), indent=2, sort_keys=True)
 
 
@@ -236,7 +238,7 @@ def test_json_row_stream_matches_json_dumps_of_rounded_rows(columns, n_rows, blo
     rows = [tuple(float(v) if isinstance(v, np.floating) else v for v in r) for r in rows]
     # compared line by line, so that a failing table of 32771 rows reports
     # its first differing line rather than a text diff that takes minutes
-    text = "".join(json_chunks({"rows": iter(blocks)}, f"%.{precision}g"))
+    text = b"".join(json_chunks({"rows": iter(blocks)}, f"%.{precision}g")).decode()
     assert text.split("\n") == json.dumps(
         _rounded({"rows": rows}, precision), indent=2, sort_keys=True).split("\n")
 
@@ -294,4 +296,4 @@ def test_json_row_stream_refuses_ragged_rows():
     for blocks in ([[np.zeros(KERNEL_MIN + 1), np.ones(KERNEL_MIN)]],
                    [[np.zeros(3), np.ones(3)], [np.zeros(2)]]):
         with pytest.raises(ValueError, match="equal length"):
-            "".join(json_chunks({"rows": iter(blocks)}, "%.12g"))
+            b"".join(json_chunks({"rows": iter(blocks)}, "%.12g"))

@@ -183,6 +183,9 @@ def test_system_validation():
         WellSystem(mass=-1.0)
     with pytest.raises(ValueError):
         WellSystem(width_L=0.0)
+    for x0 in (-0.5, 1.5):
+        with pytest.raises(ValueError, match=r"x0 must lie in \[0, 1.0\]"):
+            classical_trajectory(np.array([0.0]), x0, 1.0)
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])

@@ -75,6 +75,12 @@ def test_kernel_matches_percent_g(precision):
     assert len(got) == len(want) and not bad, bad[:5]
 
 
+@pytest.mark.parametrize("value", [np.int64(3), object()], ids=["int64", "object"])
+def test_json_scalar_refuses_other_types(value):
+    with pytest.raises(TypeError, match=f"^cannot write {type(value).__name__} to JSON$"):
+        json_scalar(value, "%.12g")
+
+
 @pytest.mark.parametrize("precision", range(1, 18))
 def test_kernel_matches_json_scalar(precision):
     rng = np.random.default_rng(2000 + precision)
@@ -253,7 +259,7 @@ def test_table_columns_of_other_kinds_are_refused(column, kind, json):
     blocks = [[np.zeros(3), column]]
     with pytest.raises(TypeError, match=f"not {kind}$"):
         if json:
-            "".join(json_chunks({"rows": iter(blocks)}, "%.12g"))
+            b"".join(json_chunks({"rows": iter(blocks)}, "%.12g"))
         else:
             b"".join(table_text(blocks, "%.12g", False, b"", b",", b"\n"))
 
