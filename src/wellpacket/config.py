@@ -73,9 +73,9 @@ def _literal(text: str, tau: float | None = None,
     e = e.lstrip("+-").replace("_", "").lstrip("0")
     if len(e) > 4 or e and int(e) > 4624:
         return t, (Fraction(0) if float(mantissa) == 0 else None), unit
-    try:
-        exact = Fraction(number)
-    except ValueError:          # inf, nan
+    try:        # float has checked the underscores, which Fraction reads from 3.11 on
+        exact = Fraction(number.replace("_", ""))
+    except ValueError:      # past the 4300-digit int limit: "1" + "0" * 4400 + "e-4400"
         exact = None
     return t, exact, unit
 

@@ -134,14 +134,15 @@ def _base(well: PowerLawWell, n):
 
 
 def _energy(well: PowerLawWell, n):
-    """E_n of wkb_energy, unchecked: inf past the doubles (at every level
-    where the power overflows), 0 below them."""
+    """E_n of wkb_energy, unchecked: inf past the doubles, at every level
+    whose power overflows (the C pow of np.float_power; np.power and
+    np.square differ in the last bit), 0 below them."""
     try:
         if math.isinf(well.k):
             return _float_pow(_base(well, n), 2) / (2.0 * well.mass)
         return _float_pow(_base(well, n), 2.0 * well.k / (well.k + 2.0))
-    except OverflowError:       # E_n grows with n: the largest level's overflowed
-        return np.full(np.shape(n), math.inf)[()]
+    except OverflowError:       # a scalar level's power overflowed
+        return math.inf
 
 
 def _times(well: PowerLawWell, n, E):

@@ -10,7 +10,6 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from itertools import repeat
 
 import numpy as np
 from numpy.typing import NDArray
@@ -96,18 +95,17 @@ def level_momentum(n, sys: WellSystem = WellSystem()):
 
 
 def _float_pow(base, power):
-    """base ** power by Python's float power, element by element for a 1-d
-    array through math.pow, the same C pow: numpy's power and square differ
-    from it in the last bit for some bases."""
-    if np.ndim(base) == 0:
-        return base ** power
-    return np.fromiter(map(math.pow, base.tolist(), repeat(power)), float, len(base))
+    """base ** power by Python's float power; for an array np.float_power,
+    whose float64 loop calls the same C pow (np.power's SIMD loop and
+    np.square differ from it in the last bit for some bases)."""
+    return base ** power if np.ndim(base) == 0 else np.float_power(base, power)
 
 
 def eigenenergy(n, sys: WellSystem = WellSystem()):
     """E_n = p_n^2 / (2 m) = n^2 hbar^2 pi^2 / (2 m L^2), n = 1, 2, ...  An
-    int array of levels gives an array, element for element the scalar
-    values."""
+    int array of levels gives the scalar values bit for bit, by the C pow of
+    np.float_power (np.power and np.square differ in the last bit), and inf,
+    with numpy's warning, where a scalar's square raises OverflowError."""
     return _float_pow(level_momentum(n, sys), 2) / (2.0 * sys.mass)
 
 

@@ -11,6 +11,7 @@ import time
 import tracemalloc
 import typing
 from dataclasses import fields
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -893,3 +894,15 @@ def test_literals_with_long_exponents_parse_at_once(literal):
     assert exact == (0 if literal.startswith("0") else None)
     times = ScheduleSettings(mode="explicit", times=(literal, "1tau")).resolve(0.1, 80.0, 400)
     assert isinstance(times, Theta) == (exact is not None)
+
+
+@pytest.mark.parametrize("literal, exact, unit", [
+    ("1_0tau", Fraction(10), "tau"), ("0.2_5T", Fraction(1, 4), "T"),
+    ("1e1_0", Fraction(10**10), None), ("1" + "0" * 4400 + "e-4400", None, None)])
+def test_literals_get_one_exact_value_on_every_python(literal, exact, unit):
+    # float reads underscores on every supported Python, Fraction only from
+    # 3.11; past Python's 4300-digit int limit Fraction reads no literal, so
+    # the last keeps its time (1.0) but has no exact value
+    t, x, u = config._literal(literal, 0.1, 80.0)
+    assert (x, u) == (exact, unit) and type(x) is type(exact)
+    assert t == float(literal.removesuffix(unit or "")) * {"tau": 0.1, "T": 80.0, None: 1}[unit]

@@ -97,6 +97,22 @@ def test_wells_whose_energies_leave_the_doubles_are_refused(tmp_path, capsys, in
     assert not out.exists()
 
 
+def test_array_energies_overflow_only_where_their_power_does():
+    # E_n overflows from n = 270 on: an array keeps the 270 lower levels
+    # finite and bit for bit their scalar values, with inf only above them,
+    # and the checked spectrum still refuses at the largest level
+    well = PowerLawWell(k=8.0, hbar=1e190)
+    levels = np.arange(0, 401)
+    with np.errstate(all="ignore"):
+        E = powerlaw._energy(well, levels)
+    below = np.array([powerlaw._energy(well, n) for n in range(270)])
+    assert E[:270].tobytes() == below.tobytes() and np.isfinite(below).all()
+    assert np.isposinf(E[270:]).all()
+    with pytest.raises(ValueError, match=r"^k: the WKB energy at n = 400 is not a finite "
+                                         r"positive double at k = 8\.0, V0 = 1\.0, a = 1\.0$"):
+        wkb_spectrum(well, levels)
+
+
 # (INI, the well, the largest level the run uses, the value and the level
 # refused; each run's lowest level is 0).  E is a positive double at every level of each,
 # so the energy rule alone passed them.  In the first, E_0 = 8.7e-309 and
@@ -323,9 +339,10 @@ def test_near_harmonic_revival_divergence():
 @pytest.mark.parametrize("half", [False, True])
 @pytest.mark.parametrize("k", [1.0, 1.5, 2.0, 2.05, 3.0, 8.0, 1e4, math.inf])
 def test_array_spectrum_equals_the_scalar_functions_bitwise(k, half):
-    # numpy's power (finite k) and square (box) differ from Python's float
-    # power in the last bit for some levels, so the array form must keep
-    # the scalar power; the ladder reaches n = 1300, beyond the bench's levels
+    # the array form's power is np.float_power, the C pow of Python's float
+    # power; np.power (its SIMD loop, finite k) and np.square (box) differ
+    # from it in the last bit for some levels, so neither may replace it;
+    # the ladder reaches n = 1300, beyond the bench's levels
     levels = np.arange(0, 1301)
     for V0, a in [(1.0, 1.0), (3.7, 0.6), (0.05, 12.0)]:
         well = PowerLawWell(k=k, V0=V0, a=a, half=half)

@@ -40,8 +40,9 @@ def test_eigenenergy_array_is_the_scalar_form_bitwise(sys0):
         want = np.array([eigenenergy(n, sys) for n in ns.tolist()])
         assert got.dtype == np.float64
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), sys
-    # the square is Python's float power: numpy's square rounds otherwise
-    # for some levels, so an all-numpy form would not pass the check above
+    # the square is np.float_power, the C pow of Python's float power:
+    # np.square (and np.power's SIMD loop) rounds otherwise for some
+    # levels, so either in its place would not pass the check above
     pn = level_momentum(ns, sys0)
     assert np.any(np.square(pn) / (2.0 * sys0.mass) != eigenenergy(ns, sys0))
 
